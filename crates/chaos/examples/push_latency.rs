@@ -48,7 +48,7 @@ fn measure(repush: bool, latency_ms: u64) -> (u64, u64, u64) {
     });
     let n = dep.primaries().len();
     // Keep the disseminator off primary 0, the root's anti-entropy
-    // parent, so the repush-off leg's repair path stays intact.
+    // parent, so the re-push-off run's repair path stays intact.
     let object = (0..)
         .map(|k| Guid::from_label(&format!("push-latency-{k}")))
         .find(|g| disseminator_for(n, g, 0, 0) != 0)

@@ -57,10 +57,11 @@ pub struct FuzzOpts {
     /// Total simulated run time; the span after `turbulence_ms` is the
     /// clean settle window the oracles judge.
     pub horizon_ms: u64,
-    /// Tier fault tolerance of the fuzzed deployment (`n = 3m + 1`).
+    /// The fuzzed deployment; its `seed` is replaced by the run's seed.
     /// With `m >= 2` the schedule generator can (and does) overlap
-    /// primary outage windows.
-    pub m: usize,
+    /// primary outage windows. `repush: false` and `checkpoint.enabled:
+    /// false` select the degraded modes the sweeps also cover.
+    pub deployment: DeploymentOpts,
     /// Whether quorum-cut windows (islanding `m + 1` primaries) may be
     /// drawn.
     pub quorum_cuts: bool,
@@ -74,7 +75,7 @@ impl Default for FuzzOpts {
             final_submit_ms: 12_000,
             turbulence_ms: 16_000,
             horizon_ms: 30_000,
-            m: 1,
+            deployment: DeploymentOpts::default(),
             quorum_cuts: true,
         }
     }
@@ -360,12 +361,7 @@ pub fn run_fuzz_with_deployment(seed: u64, opts: &FuzzOpts) -> (FuzzOutcome, Dep
         "no room for post-submit turbulence"
     );
     assert!(opts.horizon_ms > opts.turbulence_ms + 2_000, "settle window too small");
-    let mut dep = build_deployment(&DeploymentOpts {
-        m: opts.m,
-        latency: SimDuration::from_millis(20),
-        seed,
-        ..DeploymentOpts::default()
-    });
+    let mut dep = build_deployment(&DeploymentOpts { seed, ..opts.deployment.clone() });
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0F0A_A5EE_D0DD_BA11);
     let (schedule, quorum_cuts) = random_schedule(&mut rng, opts, &dep);
     let object = Guid::from_label(&format!("fuzz-{seed}"));
@@ -432,20 +428,15 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    fn dep_for(seed: u64, m: usize) -> Deployment {
-        build_deployment(&DeploymentOpts {
-            m,
-            latency: SimDuration::from_millis(20),
-            seed,
-            ..DeploymentOpts::default()
-        })
+    fn dep_for(seed: u64, opts: &FuzzOpts) -> Deployment {
+        build_deployment(&DeploymentOpts { seed, ..opts.deployment.clone() })
     }
 
     #[test]
     fn generated_schedules_heal_by_the_deadline() {
         let opts = FuzzOpts::default();
         for seed in 0..20 {
-            let dep = dep_for(seed, opts.m);
+            let dep = dep_for(seed, &opts);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (sched, _) = random_schedule(&mut rng, &opts, &dep);
             // Every event sits inside the turbulence window.
@@ -480,7 +471,7 @@ mod tests {
     fn turbulence_extends_past_the_final_submit() {
         let opts = FuzzOpts::default();
         for seed in 0..20 {
-            let dep = dep_for(seed, opts.m);
+            let dep = dep_for(seed, &opts);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (sched, _) = random_schedule(&mut rng, &opts, &dep);
             assert!(
@@ -495,10 +486,14 @@ mod tests {
     /// two could never overlap).
     #[test]
     fn overlapping_primary_outages_are_generated_at_m2() {
-        let opts = FuzzOpts { m: 2, faults: 8, ..FuzzOpts::default() };
+        let opts = FuzzOpts {
+            deployment: DeploymentOpts { m: 2, ..DeploymentOpts::default() },
+            faults: 8,
+            ..FuzzOpts::default()
+        };
         let mut saw_overlap = false;
         for seed in 0..40 {
-            let dep = dep_for(seed, opts.m);
+            let dep = dep_for(seed, &opts);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (sched, _) = random_schedule(&mut rng, &opts, &dep);
             // Reconstruct per-primary outage windows from the schedule.
@@ -537,7 +532,7 @@ mod tests {
         let opts = FuzzOpts::default();
         let mut saw_cut = false;
         for seed in 0..40 {
-            let dep = dep_for(seed, opts.m);
+            let dep = dep_for(seed, &opts);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (sched, cuts) = random_schedule(&mut rng, &opts, &dep);
             for &(start, end) in &cuts {

@@ -159,6 +159,49 @@ pub fn drop_burst(seed: u64) -> ScenarioOutcome {
     ScenarioOutcome { trace, fingerprint: stats_fingerprint(&dep.sim), report }
 }
 
+/// Both dissemination faults at once, under steady traffic: for two
+/// seconds every tier→root and tree edge drops 5% of its messages while
+/// interior secondary 1 is down, so its subtree re-parents over lossy
+/// links. A write lands every 50 ms, round-robin over 32 objects on two
+/// rings. Drop verdicts go by position on a link, so any send order that
+/// is not a function of the seed shows up in the counters.
+pub fn lossy_tree_interior_down(seed: u64) -> ScenarioOutcome {
+    let mut dep = build_deployment(&DeploymentOpts {
+        rings: 2,
+        secondaries: 48,
+        seed,
+        ..DeploymentOpts::default()
+    });
+    let objects: Vec<Guid> =
+        (0..32).map(|i| Guid::from_label(&format!("chaos-lossy-tree-{i}"))).collect();
+    let victim = dep.secondaries[1];
+    let root = dep.secondaries[0];
+    let tree_edges = (1..dep.secondaries.len())
+        .map(|j| (dep.secondaries[(j - 1) / 2], dep.secondaries[j]));
+    let links: Vec<(NodeId, NodeId)> =
+        dep.all_primaries().map(|p| (p, root)).chain(tree_edges).collect();
+    let sched = links.iter().fold(
+        Schedule::new()
+            .at(t(3_000), FaultAction::Crash(victim))
+            .at(t(5_000), FaultAction::Recover(victim)),
+        |s, &(a, b)| {
+            s.at(t(3_000), FaultAction::LinkDrop(a, b, 0.05))
+                .at(t(5_000), FaultAction::LinkDrop(a, b, 0.0))
+        },
+    );
+    let mut cursor = ScheduleCursor::new(sched);
+    let mut trace = Vec::new();
+
+    for n in 0..200u64 {
+        trace.extend(cursor.run_to(&mut dep.sim, t(1_000 + 50 * n)));
+        submit(&mut dep, objects[n as usize % objects.len()], &n.to_le_bytes());
+    }
+    trace.extend(cursor.run_to(&mut dep.sim, t(20_000)));
+
+    let report = check_convergence(&dep, &objects).merge(check_clients_settled(&dep));
+    ScenarioOutcome { trace, fingerprint: stats_fingerprint(&dep.sim), report }
+}
+
 /// Crashes the agreement leader (primary 0) before any traffic: the tier
 /// must view-change to a new leader, the tree root (whose parent was the
 /// dead leader) must re-attach to a live primary, and all updates must

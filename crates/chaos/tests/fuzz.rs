@@ -5,8 +5,13 @@
 //! message, so `run_fuzz(<seed>, &FuzzOpts::default())` replays the bug
 //! locally bit-for-bit. The sweep width is tunable: CI sets
 //! `CHAOS_FUZZ_SEEDS` to widen the range without a code change.
+//!
+//! Every sweep covers three deployment modes from this one build (see
+//! [`modes`]); a failure names the mode beside the seed.
 
 use oceanstore_chaos::fuzz::{run_fuzz, FuzzOpts};
+use oceanstore_consensus::CheckpointConfig;
+use oceanstore_replica::DeploymentOpts;
 use proptest::prelude::*;
 
 /// Number of seeds the fixed sweeps cover (env `CHAOS_FUZZ_SEEDS`,
@@ -15,12 +20,27 @@ fn sweep_seeds() -> u64 {
     std::env::var("CHAOS_FUZZ_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(50)
 }
 
+/// The deployment modes every sweep runs: the shipped configuration;
+/// acked re-push off, so anti-entropy is the only repair path for a
+/// dropped tier→tree push; and PBFT stable checkpoints off, so there is
+/// no log GC and no consensus-level state transfer (the fuzzer's outages
+/// are short enough never to need either).
+fn modes() -> [(&'static str, DeploymentOpts); 3] {
+    let base = DeploymentOpts::default();
+    let unbounded_log = CheckpointConfig { enabled: false, ..base.checkpoint.clone() };
+    [
+        ("default", base.clone()),
+        ("re-push off", DeploymentOpts { repush: false, ..base.clone() }),
+        ("checkpoints off", DeploymentOpts { checkpoint: unbounded_log, ..base }),
+    ]
+}
+
 fn assert_seed_passes(seed: u64, opts: &FuzzOpts, label: &str) {
     let out = run_fuzz(seed, opts);
     assert!(
         out.report.passed(),
-        "{label} seed {seed} broke invariants: {:#?}\nreproduce with run_fuzz({seed}, ...); \
-         quorum cuts: {:?}; schedule was: {:#?}",
+        "{label} seed {seed} broke invariants: {:#?}\nreproduce with run_fuzz({seed}, ...) \
+         in that mode; quorum cuts: {:?}; schedule was: {:#?}",
         out.report.failures,
         out.quorum_cuts,
         out.schedule,
@@ -32,9 +52,11 @@ fn assert_seed_passes(seed: u64, opts: &FuzzOpts, label: &str) {
 /// quorum-loss frontier stall — must hold.
 #[test]
 fn fixed_seed_sweep_holds_all_invariants() {
-    let opts = FuzzOpts::default();
-    for seed in 0..sweep_seeds() {
-        assert_seed_passes(seed, &opts, "fuzz");
+    for (mode, deployment) in modes() {
+        let opts = FuzzOpts { deployment, ..FuzzOpts::default() };
+        for seed in 0..sweep_seeds() {
+            assert_seed_passes(seed, &opts, &format!("fuzz[{mode}]"));
+        }
     }
 }
 
@@ -43,9 +65,15 @@ fn fixed_seed_sweep_holds_all_invariants() {
 /// pairs), which the old `m`-total crash budget could never produce.
 #[test]
 fn m2_sweep_with_overlapping_outages_holds_invariants() {
-    let opts = FuzzOpts { m: 2, faults: 7, ..FuzzOpts::default() };
-    for seed in 0..(sweep_seeds() / 5).max(5) {
-        assert_seed_passes(seed, &opts, "fuzz[m=2]");
+    for (mode, deployment) in modes() {
+        let opts = FuzzOpts {
+            deployment: DeploymentOpts { m: 2, ..deployment },
+            faults: 7,
+            ..FuzzOpts::default()
+        };
+        for seed in 0..(sweep_seeds() / 5).max(5) {
+            assert_seed_passes(seed, &opts, &format!("fuzz[m=2, {mode}]"));
+        }
     }
 }
 
@@ -64,13 +92,18 @@ fn seed_13_view_change_livelock_regression() {
 /// Same seed, same everything: trace, fingerprint, and verdict.
 #[test]
 fn fuzz_runs_are_deterministic() {
-    let opts = FuzzOpts::default();
-    for seed in [3u64, 17, 41] {
-        let a = run_fuzz(seed, &opts);
-        let b = run_fuzz(seed, &opts);
-        assert_eq!(a.trace, b.trace, "trace diverged for seed {seed}");
-        assert_eq!(a.fingerprint, b.fingerprint, "stats diverged for seed {seed}");
-        assert_eq!(a.report.failures, b.report.failures, "verdict diverged for seed {seed}");
+    for (mode, deployment) in modes() {
+        let opts = FuzzOpts { deployment, ..FuzzOpts::default() };
+        for seed in [3u64, 17, 41] {
+            let a = run_fuzz(seed, &opts);
+            let b = run_fuzz(seed, &opts);
+            assert_eq!(a.trace, b.trace, "{mode}: trace diverged for seed {seed}");
+            assert_eq!(a.fingerprint, b.fingerprint, "{mode}: stats diverged for seed {seed}");
+            assert_eq!(
+                a.report.failures, b.report.failures,
+                "{mode}: verdict diverged for seed {seed}"
+            );
+        }
     }
 }
 
@@ -87,10 +120,9 @@ fn fuzz_runs_are_deterministic() {
 /// (`GOLDEN_CAPTURE=1` prints fresh ones) unless an ordering change is
 /// deliberate and documented in DESIGN.md.
 ///
-/// Default features only: the strings were captured with re-push
-/// enabled, and `repush-off` deliberately changes the message flow
-/// (seed 42's schedule exercises two re-push recoveries).
-#[cfg(not(feature = "repush-off"))]
+/// Default mode only: the strings were captured with re-push enabled,
+/// and turning it off deliberately changes the message flow (seeds 7
+/// and 13 each recover a record by re-push).
 #[test]
 fn fingerprints_pinned_across_engine_overhaul() {
     let opts = FuzzOpts::default();
@@ -115,19 +147,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property form: arbitrary seeds and fault/update counts still
-    /// produce survivable schedules whose invariants hold.
+    /// produce survivable schedules whose invariants hold, in every mode.
     #[test]
     fn arbitrary_seeds_hold_invariants(
         seed in 1_000u64..1_000_000,
         faults in 2usize..8,
         updates in 1usize..4,
     ) {
-        let opts = FuzzOpts { faults, updates, ..FuzzOpts::default() };
-        let out = run_fuzz(seed, &opts);
-        prop_assert!(
-            out.report.passed(),
-            "fuzz seed {} (faults={}, updates={}) broke invariants: {:#?}",
-            seed, faults, updates, out.report.failures,
-        );
+        for (mode, deployment) in modes() {
+            let opts = FuzzOpts { deployment, faults, updates, ..FuzzOpts::default() };
+            let out = run_fuzz(seed, &opts);
+            prop_assert!(
+                out.report.passed(),
+                "fuzz seed {} (faults={}, updates={}, {}) broke invariants: {:#?}",
+                seed, faults, updates, mode, out.report.failures,
+            );
+        }
     }
 }

@@ -1,20 +1,18 @@
 //! Consensus-level rejoin chaos — CI runs the seed sweep as part of the
-//! `chaos-fuzz` job, in all three feature modes.
+//! `chaos-fuzz` job.
 //!
-//! Under `checkpoint-off` the catch-up and bounded-memory properties do
-//! not hold by design (no certificates form, the log grows without
-//! bound, a rejoiner has no transfer path), so those tests invert or
-//! vanish; what remains everywhere is determinism of the runs.
+//! The rejoin runs always have checkpoints on: with them disabled no
+//! certificates form, the log grows without bound and a rejoiner has no
+//! transfer path, so a victim that missed hundreds of slots churns views
+//! forever instead of catching up. The last test pins that contrast at
+//! the one point where it is cheap to observe, the unbounded log.
 
-#[cfg(not(feature = "checkpoint-off"))]
-use oceanstore_chaos::rejoin::late_rejoin;
-use oceanstore_chaos::rejoin::{run_rejoin_fuzz, RejoinFuzzOpts};
+use oceanstore_chaos::rejoin::{late_rejoin, run_rejoin_fuzz, RejoinFuzzOpts};
 
 /// Number of seeds the rejoin sweep covers: a slice of the env-tunable
 /// chaos-fuzz width (`CHAOS_FUZZ_SEEDS`, default 50) — each rejoin run
 /// commits hundreds of slots, so the sweep stays a fraction of the
 /// deployment fuzzer's.
-#[cfg(not(feature = "checkpoint-off"))]
 fn sweep_seeds() -> u64 {
     let base: u64 =
         std::env::var("CHAOS_FUZZ_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(50);
@@ -24,7 +22,6 @@ fn sweep_seeds() -> u64 {
 /// Crash–run–rejoin schedules across the seed sweep: every victim must
 /// catch up through state transfer and every replica must stay within
 /// the retained-slot bound.
-#[cfg(not(feature = "checkpoint-off"))]
 #[test]
 fn rejoin_sweep_catches_up_and_stays_bounded() {
     let opts = RejoinFuzzOpts::default();
@@ -55,17 +52,14 @@ fn rejoin_sweep_catches_up_and_stays_bounded() {
 }
 
 /// The canned long-horizon scenario: one replica misses five thousand
-/// slots and still rejoins. This is the PR's acceptance scenario.
-#[cfg(not(feature = "checkpoint-off"))]
+/// slots and still rejoins.
 #[test]
 fn late_rejoin_scenario_passes() {
     let out = late_rejoin(7);
     assert!(out.report.passed(), "late_rejoin broke invariants: {:#?}", out.report.failures);
 }
 
-/// Same seed, same run: trace, fingerprint, and verdict — in every
-/// feature mode (this is the only rejoin test that must also hold under
-/// `checkpoint-off`, where the oracle verdicts legitimately fail).
+/// Same seed, same run: trace, fingerprint, and verdict.
 #[test]
 fn rejoin_runs_are_deterministic() {
     let opts = RejoinFuzzOpts::default();
@@ -78,19 +72,19 @@ fn rejoin_runs_are_deterministic() {
     }
 }
 
-/// With checkpoints compiled out the whole premise inverts: no replica
-/// ever truncates, so a long run's retained log grows with the frontier.
-/// This pins the contrast the feature flag exists to measure.
-#[cfg(feature = "checkpoint-off")]
+/// With checkpoints disabled the whole premise inverts: no replica ever
+/// truncates, so a long run's retained log grows with the frontier.
 #[test]
 fn without_checkpoints_the_log_grows_with_the_frontier() {
-    use oceanstore_consensus::harness::{build_tier, run_updates_batched};
+    use oceanstore_consensus::harness::{build_tier_custom, run_updates_batched};
+    use oceanstore_consensus::CheckpointConfig;
     use oceanstore_sim::{NodeId, SimDuration};
-    let mut ts = build_tier(1, SimDuration::from_millis(20), 5);
+    let unbounded = CheckpointConfig { enabled: false, ..CheckpointConfig::default() };
+    let mut ts = build_tier_custom(1, SimDuration::from_millis(20), 5, &[], unbounded);
     run_updates_batched(&mut ts, 64, 256, 8);
     let r = ts.sim.node(NodeId(0)).as_replica().expect("replica");
     let h = r.health();
-    assert_eq!(h.low_water, 0, "checkpoint-off must never truncate");
-    assert_eq!(h.checkpoint_seq, 0, "checkpoint-off must never certify");
+    assert_eq!(h.low_water, 0, "disabled checkpoints must never truncate");
+    assert_eq!(h.checkpoint_seq, 0, "disabled checkpoints must never certify");
     assert!(h.log_len >= 256, "retained log should cover every slot, got {}", h.log_len);
 }

@@ -12,8 +12,7 @@
 //! fully dropped (disseminator, root) link recovers within a few retry
 //! deadlines; with re-push disabled the same drop takes an anti-entropy
 //! period (the regression guard that keeps the epidemic fallback alive).
-//! Both set [`DeploymentOpts::repush`] explicitly, so the suite passes
-//! under the `repush-off` feature leg too.
+//! Both set [`DeploymentOpts::repush`] explicitly.
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, disseminator_for, Deployment, DeploymentOpts};
@@ -108,7 +107,7 @@ fn dropped_push_recovers_via_anti_entropy_with_repush_disabled() {
         ..DeploymentOpts::default()
     });
     let n = dep.primaries().len();
-    let object = object_off_parent(n, "repush-off");
+    let object = object_off_parent(n, "repush-disabled");
     let dissem = dep.primaries()[disseminator_for(n, &object, 0, 0)];
     let root = dep.secondaries[0];
     let clients = dep.clients.clone();

@@ -190,10 +190,7 @@ fn all_rings_commit_and_converge() {
 
 /// Pinned network fingerprint of the seed-1 ring-outage schedule: the
 /// multi-ring deployment path is frozen — any change to layout, key
-/// derivation, routing, or message flow shows up here first. Default
-/// features only (`repush-off` deliberately changes the flow; this
-/// schedule commits too few slots for checkpoints to emit traffic).
-#[cfg(not(feature = "repush-off"))]
+/// derivation, routing, or message flow shows up here first.
 #[test]
 fn ring_outage_fingerprint_pinned() {
     let (_, fp) = run_ring_outage(1);

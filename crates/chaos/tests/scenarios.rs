@@ -60,6 +60,18 @@ fn drop_burst_with_slow_links_converges() {
     assert!(out.report.passed(), "invariants failed: {:#?}", out.report.failures);
 }
 
+/// Link loss and re-parenting in one window: before the re-attach pull
+/// was ordered, one seed gave a different network fingerprint from run
+/// to run inside one process (hash-map iteration order).
+#[test]
+fn lossy_tree_with_interior_down_converges_and_is_deterministic() {
+    let a = scenarios::lossy_tree_interior_down(3);
+    let b = scenarios::lossy_tree_interior_down(3);
+    assert!(a.report.passed(), "invariants failed: {:#?}", a.report.failures);
+    assert_eq!(a.trace, b.trace, "event traces diverged between replays");
+    assert_eq!(a.fingerprint, b.fingerprint, "network stats diverged between replays");
+}
+
 #[test]
 fn leader_crash_view_changes_and_tree_rewires() {
     let out = scenarios::leader_crash_view_change(3);

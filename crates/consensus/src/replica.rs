@@ -29,9 +29,10 @@ const TIMER_VIEW_BASE: u64 = 1 << 40;
 /// Stable-checkpoint / log-GC knobs.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Whether checkpointing runs at all. The `checkpoint-off` cargo
-    /// feature flips this default to `false` so the unbounded-log mode
-    /// stays covered by the full test matrix.
+    /// Whether checkpointing runs at all (default `true`). With `false`
+    /// no checkpoint votes are sent, the log is never truncated and a
+    /// rejoiner has no state-transfer path; the chaos suites run that
+    /// unbounded-log mode by setting this field.
     pub enabled: bool,
     /// Checkpoint every `interval` executed slots (the protocol's K).
     pub interval: u64,
@@ -44,7 +45,7 @@ pub struct CheckpointConfig {
 impl Default for CheckpointConfig {
     fn default() -> Self {
         CheckpointConfig {
-            enabled: cfg!(not(feature = "checkpoint-off")),
+            enabled: true,
             interval: 64,
             window: 128,
         }

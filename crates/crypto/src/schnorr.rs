@@ -28,9 +28,9 @@
 //! 16×16 nibble-comb precomputation tables, cutting a single
 //! exponentiation from ~180 modular multiplications to ~15.
 //!
-//! [`KeyPair::sign_ref`] / [`verify_ref`] freeze the pre-table reference
-//! path (plain square-and-multiply) for A/B benchmarking and as a test
-//! oracle; they produce and accept the same signatures.
+//! [`KeyPair::sign_ref`] / [`verify_ref`] are the table-free reference
+//! path (plain square-and-multiply), kept as the oracle tests compare the
+//! fast paths with; they produce and accept the same signatures.
 //!
 //! For byte accounting in the simulator we charge each signature
 //! [`Signature::WIRE_SIZE`] bytes and each public key
@@ -251,8 +251,7 @@ impl KeyPair {
 
     /// Reference signing path: identical output to [`KeyPair::sign`], but
     /// `g^k` by plain square-and-multiply and the challenge through the
-    /// frozen scalar SHA-256. Frozen as the pre-optimization baseline for
-    /// A/B benches.
+    /// scalar SHA-256. A test oracle for the table-driven path.
     pub fn sign_ref(&self, msg: &[u8]) -> Signature {
         let grp = group();
         let k = self.nonce(msg);
@@ -304,8 +303,8 @@ pub fn verify(key: PublicKey, msg: &[u8], sig: &Signature) -> bool {
 
 /// Reference verification path: identical accept/reject behaviour to
 /// [`verify`], but both exponentiations by plain square-and-multiply and
-/// the challenge through the frozen scalar SHA-256 — computationally the
-/// pre-optimization cost. Frozen for A/B benches and as a test oracle.
+/// the challenge through the scalar SHA-256. A test oracle for [`verify`]
+/// and [`batch_verify`].
 pub fn verify_ref(key: PublicKey, msg: &[u8], sig: &Signature) -> bool {
     let grp = group();
     if sig.s >= grp.q || sig.r == 0 || sig.r >= grp.p {
@@ -495,9 +494,9 @@ fn challenge(r: u64, y: u64, msg: &[u8]) -> u64 {
     u64::from_be_bytes(d[..8].try_into().expect("8 bytes"))
 }
 
-/// Same challenge value as [`challenge`], computed through the frozen
-/// scalar SHA-256 path so `sign_ref`/`verify_ref` keep the pre-optimization
-/// hashing cost.
+/// Same challenge value as [`challenge`], computed through the scalar
+/// SHA-256 path so `sign_ref`/`verify_ref` share no fast-path code with
+/// what they are the oracle for.
 fn challenge_ref(r: u64, y: u64, msg: &[u8]) -> u64 {
     let d = crate::sha256::sha256_concat_ref(&[&r.to_be_bytes(), &y.to_be_bytes(), msg]);
     u64::from_be_bytes(d[..8].try_into().expect("8 bytes"))

@@ -15,8 +15,8 @@
 //! digest but the modular arithmetic around it is only ~100ns with the
 //! fixed-base tables), so the backend choice is what decides signature
 //! throughput. The `*_ref` constructors pin the scalar backend *and* the
-//! original byte-at-a-time padding loop so perf-report A/B comparisons can
-//! measure against the exact pre-optimization cost.
+//! byte-at-a-time padding loop: the oracle the unit tests compare the
+//! SHA-NI backend and the fast padding with.
 
 /// Number of bytes in a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -145,9 +145,9 @@ pub struct Sha256 {
     len: u64,
     buf: [u8; 64],
     buf_len: usize,
-    /// Pin the scalar backend and the original padding loop. Digests are
-    /// identical either way; only the cost differs. Used by the frozen
-    /// `*_ref` crypto paths so perf A/B runs measure against pre-PR cost.
+    /// Pin the scalar backend and the byte-at-a-time padding loop.
+    /// Digests are identical either way; only the cost differs. Set by
+    /// the `*_ref` test-oracle paths.
     soft_only: bool,
 }
 
@@ -321,8 +321,8 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
-/// One-shot SHA-256 over concatenated parts, pinned to the frozen scalar
-/// backend. Identical digest to [`sha256_concat`], pre-optimization cost.
+/// One-shot SHA-256 over concatenated parts, pinned to the scalar
+/// backend. Identical digest to [`sha256_concat`]; a test oracle.
 pub(crate) fn sha256_concat_ref(parts: &[&[u8]]) -> Digest {
     let mut h = Sha256::new_ref();
     for p in parts {

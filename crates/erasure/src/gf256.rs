@@ -412,9 +412,9 @@ pub fn mul_acc_multi(dsts: &mut [(&mut [u8], u8)], src: &[u8]) {
     }
 }
 
-/// The original byte-at-a-time log/exp `mul_acc_slice`. Kept as the
-/// correctness reference for tests and as the "before" measurement in
-/// `BENCH_*.json`; not part of the public contract.
+/// Byte-at-a-time log/exp `mul_acc_slice`: the oracle that unit tests and
+/// proptests hold the table and SIMD kernels to. Not part of the public
+/// contract.
 ///
 /// # Panics
 ///

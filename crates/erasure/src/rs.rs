@@ -182,10 +182,9 @@ impl ReedSolomon {
         rows
     }
 
-    /// The pre-optimization encode: zero-filled parity rows accumulated one
-    /// `mul_acc_slice_ref` column at a time. Kept so tests can pin the fast
-    /// path's output against it and the perf report can measure the delta;
-    /// not part of the public contract.
+    /// The plain encode: zero-filled parity rows accumulated one
+    /// `mul_acc_slice_ref` column at a time. The oracle tests pin the fast
+    /// path's output against; not part of the public contract.
     #[doc(hidden)]
     pub fn encode_ref<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<Vec<Vec<u8>>, CodeError> {
         if data.len() != self.k {
@@ -269,10 +268,9 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// The pre-optimization reconstruct (zero-filled destination rows,
-    /// one `mul_acc_slice_ref` source at a time). Kept as the perf report's
-    /// "before" measurement and as a test oracle; not part of the public
-    /// contract.
+    /// The plain reconstruct (zero-filled destination rows, one
+    /// `mul_acc_slice_ref` source at a time). A test oracle for
+    /// [`ReedSolomon::reconstruct`]; not part of the public contract.
     #[doc(hidden)]
     pub fn reconstruct_ref(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
         if shards.len() != self.n {

@@ -40,9 +40,9 @@ impl Default for FailoverConfig {
 /// to the existing anti-entropy repair path.
 #[derive(Debug, Clone)]
 pub struct RepushConfig {
-    /// Whether acked re-push runs at all. The `repush-off` cargo feature
-    /// flips this default to `false` so the degraded (anti-entropy-only)
-    /// mode stays covered by the full test matrix.
+    /// Whether acked re-push runs at all (default `true`). With `false`
+    /// a lost tier→tree push is repaired by anti-entropy alone; the chaos
+    /// suites run that degraded mode through [`crate::DeploymentOpts::repush`].
     pub enabled: bool,
     /// How long the disseminator waits for a child's ack before
     /// re-pushing. Must exceed one push+ack round trip or healthy records
@@ -63,7 +63,7 @@ pub struct RepushConfig {
 impl Default for RepushConfig {
     fn default() -> Self {
         RepushConfig {
-            enabled: cfg!(not(feature = "repush-off")),
+            enabled: true,
             ack_timeout: SimDuration::from_millis(60),
             backoff: 2,
             max_retries: 4,

@@ -49,15 +49,14 @@ pub struct DeploymentOpts {
     /// Disable to demonstrate the single-disseminator liveness hole.
     pub failover: bool,
     /// Whether certified records stay on an acked re-push schedule until
-    /// every `Push` child confirms them. Disable (or build with the
-    /// `repush-off` feature, which flips this default) to fall back to
-    /// anti-entropy-only repair of a lost tier→tree push.
+    /// every `Push` child confirms them (default `true`). Disable to
+    /// fall back to anti-entropy-only repair of a lost tier→tree push.
     pub repush: bool,
     /// Secondary indices that run [`SecondaryFault::ForgeOnServe`].
     pub byzantine_secondaries: Vec<usize>,
     /// Checkpoint/GC knobs of the primary tiers (long-horizon chaos
-    /// scenarios shrink the interval; the `checkpoint-off` feature flips
-    /// the default off).
+    /// scenarios shrink the interval; `enabled: false` is the
+    /// unbounded-log mode).
     pub checkpoint: CheckpointConfig,
     /// RNG/key seed.
     pub seed: u64,
@@ -75,7 +74,7 @@ impl Default for DeploymentOpts {
             reparent: true,
             anti_entropy: None,
             failover: true,
-            repush: cfg!(not(feature = "repush-off")),
+            repush: true,
             byzantine_secondaries: Vec::new(),
             checkpoint: CheckpointConfig::default(),
             seed: 1,

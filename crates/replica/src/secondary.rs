@@ -401,14 +401,14 @@ impl Secondary {
         self.reparented += 1;
         // Catch up through the new parent immediately: everything we hold
         // is suspect after an outage, so pull from our committed frontier.
-        let objects: Vec<(Guid, u64)> = self
+        let mut objects: Vec<(Guid, u64)> = self
             .store
             .guids()
-            .copied()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|g| (g, self.store.get(&g).expect("just listed").next_index))
+            .map(|g| (*g, self.store.get(g).expect("just listed").next_index))
             .collect();
+        // Deterministic send order (hash-map iteration is not): on a
+        // lossy link the drop verdict goes by a message's position.
+        objects.sort();
         for (object, from_index) in objects {
             ctx.send(from, ReplicaMsg::FetchCommits { object, from_index });
         }

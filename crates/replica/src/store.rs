@@ -172,9 +172,8 @@ impl ObjectStore {
         }
     }
 
-    /// Overrides the record-log retention window (tests and the
-    /// unbounded-baseline bench side use this; deployments keep
-    /// [`RECORD_RETENTION`]).
+    /// Overrides the record-log retention window (tests use this;
+    /// deployments keep [`RECORD_RETENTION`]).
     pub fn set_record_retention(&mut self, retention: u64) {
         self.retention = retention;
     }

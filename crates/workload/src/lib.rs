@@ -547,6 +547,37 @@ mod tests {
     }
 
     #[test]
+    fn saturated_shard_sweep_scales_with_rings() {
+        // The one load that drives more than 2 rings under saturation:
+        // 6000 writes/s is far past a single ring's service rate, so what
+        // commits inside the bounded drain is what the ring count can
+        // serve; 4 and 16 rings both absorb the whole offer. Simulated
+        // time only, so the counts are exact per seed. (The arrival
+        // window is kept to 250 ms: a debug build spends seconds per
+        // thousand commits.)
+        let committed = |rings| {
+            let r = run_workload(&WorkloadSpec {
+                rings,
+                secondaries: 8,
+                clients: 4,
+                objects: 64,
+                write_fraction: 1.0,
+                rate: 6000.0,
+                duration: SimDuration::from_millis(250),
+                drain: SimDuration::from_millis(500),
+                seed: 7,
+                ..WorkloadSpec::default()
+            });
+            assert_eq!(r.lost, 0, "rings={rings}: committed updates lost");
+            assert_eq!(r.committed + r.pending, r.offered, "rings={rings}: outcomes unaccounted");
+            r.committed
+        };
+        let (r1, r4, r16) = (committed(1), committed(4), committed(16));
+        assert!(r1 < r4 && r4 <= r16, "no scaling: rings 1/4/16 committed {r1}/{r4}/{r16}");
+        assert_eq!((r1, r4, r16), (1024, 1493, 1493), "pinned committed counts moved");
+    }
+
+    #[test]
     fn long_horizon_record_log_stays_bounded() {
         // Hammer two objects with writes only, long enough that each
         // object certifies several retention windows' worth of commits:
