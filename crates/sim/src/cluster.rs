@@ -32,11 +32,6 @@ pub struct ClusterSpec {
     pub clients: usize,
 }
 
-/// Above this many nodes, [`ClusterSpec::mesh`] switches from an explicit
-/// full mesh to the implicit [`Topology::uniform_mesh`] — identical
-/// latencies, O(n) instead of O(n²) memory.
-const DENSE_MESH_LIMIT: usize = 1024;
-
 impl ClusterSpec {
     /// Total node count.
     pub fn total(&self) -> usize {
@@ -76,16 +71,13 @@ impl ClusterSpec {
         (base..self.total()).map(NodeId).collect()
     }
 
-    /// Uniform-latency any-to-any topology over the whole cluster. Small
-    /// clusters get the explicit [`Topology::full_mesh`] (bit-compatible
-    /// with every pinned schedule); large ones the implicit
-    /// latency-identical [`Topology::uniform_mesh`].
+    /// Uniform-latency any-to-any topology over the whole cluster: the
+    /// implicit [`Topology::uniform_mesh`] at every size. A deployment
+    /// routes by [`Topology::dist`] only, for which it is latency- and so
+    /// schedule-identical to [`Topology::full_mesh`] without the O(n²)
+    /// edges to build or the cache-row lookup per routed message.
     pub fn mesh(&self, latency: SimDuration) -> Topology {
-        if self.total() <= DENSE_MESH_LIMIT {
-            Topology::full_mesh(self.total(), latency)
-        } else {
-            Topology::uniform_mesh(self.total(), latency)
-        }
+        Topology::uniform_mesh(self.total(), latency)
     }
 }
 
@@ -168,8 +160,15 @@ mod tests {
         assert_eq!(t.hops(NodeId(1), NodeId(2)), Some(1));
         assert!(t.is_connected());
         let small = ClusterSpec { rings: 1, ring_size: 4, secondaries: 6, clients: 1 };
-        let ts = small.mesh(lat);
-        assert_eq!(ts.edge_count(), 11 * 10 / 2, "small clusters keep the explicit mesh");
+        let (ts, explicit) = (small.mesh(lat), Topology::full_mesh(small.total(), lat));
+        assert!(ts.neighbors(NodeId(0)).is_empty(), "small clusters are implicit too");
+        assert_eq!(ts.edge_count(), explicit.edge_count());
+        for u in (0..small.total()).map(NodeId) {
+            for v in (0..small.total()).map(NodeId) {
+                assert_eq!(ts.dist(u, v), explicit.dist(u, v));
+                assert_eq!(ts.hops(u, v), explicit.hops(u, v));
+            }
+        }
     }
 
     #[test]

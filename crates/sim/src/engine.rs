@@ -2,7 +2,7 @@
 //!
 //! Protocols are written sans-io: a [`Protocol`] is a state machine that
 //! reacts to message deliveries and timer expirations by emitting new sends
-//! and timers through a [`Context`]. The engine owns the event queue, the
+//! and timers through a [`Context`]. The engine owns the event queues, the
 //! clock, the [`crate::topology::Topology`], failure injection,
 //! and byte accounting. Everything is deterministic for a given seed:
 //! events at equal times fire in insertion order, and all randomness flows
@@ -11,10 +11,27 @@
 //! and each routing attempt's identity (see `counter_drop`), so they too
 //! are pure functions of the seed.
 //!
+//! # One execution path
+//!
+//! Every handler runs inside a *window* on a *domain* (a contiguous block
+//! of nodes with its own delivery queue and timer wheel): the domain
+//! executes its events in `(at, seq)` order up to the window's end key,
+//! logs what they emit, and a commit replays the logs in global dispatch
+//! order to hand out the real seqs. With one domain — the default —
+//! nothing bounds a window and `run_until` cuts its span into fixed-length
+//! ones; with `set_threads(n)` the same loop runs `n` domains per window
+//! under a conservative lookahead.
+//! [`Simulator::step`] is a window that ends right after one key, and
+//! external stimulus ([`Simulator::start`], [`Simulator::with_node_ctx`],
+//! [`Simulator::inject`]) is a dispatch whose window executes nothing, so
+//! everything it emits parks for the commit. There is no second loop: the
+//! schedule is the same at every thread count by construction.
+//!
 //! # Hot-path structure
 //!
 //! Four things keep the event loop cheap without changing its observable
-//! order (a single global `(at, seq)` sequence, `seq` assigned at emission):
+//! order (a single global `(at, seq)` sequence, `seq` assigned in emission
+//! order):
 //!
 //! * **Arc multicast** — [`Context::broadcast`] queues one allocation for n
 //!   recipients; each delivery borrows the shared payload through
@@ -22,20 +39,21 @@
 //!   and its byte accounting is folded into one
 //!   [`NetStats::record_multicast`] batch instead of n counter updates.
 //! * **Timer wheel** — timers live in a hierarchical wheel
-//!   ([`crate::wheel`]) instead of the delivery heap; [`Simulator::step`]
-//!   pops the global `(at, seq)` minimum across both structures, which is
-//!   exactly the order the single-heap engine produced.
+//!   ([`crate::wheel`]) instead of the delivery heap; a domain pops the
+//!   `(at, seq)` minimum across both structures, which is exactly the order
+//!   a single heap would produce.
 //! * **Key-slab delivery queue** — the heap sifts compact 24-byte
 //!   `(at, seq, slab)` keys while the fat delivery bodies (sender,
 //!   destination, payload) sit still in a slab with a free list, so every
 //!   sift-up/sift-down moves three words instead of a whole `Event`.
 //! * **Pooled action buffers** — every callback writes into one reusable
-//!   scratch `Vec<Action>` owned by the simulator rather than a fresh
-//!   allocation per dispatch.
+//!   `Vec<Action>` owned by its domain rather than a fresh allocation per
+//!   dispatch.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -195,7 +213,7 @@ impl<M> Context<'_, M> {
             match action {
                 Action::Send { to, msg } => self.actions.push(Action::Send { to, msg: wrap(msg) }),
                 Action::Multicast { to, msg } => {
-                    let inner_msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
+                    let inner_msg = Arc::unwrap_or_clone(msg);
                     self.actions.push(Action::Multicast { to, msg: Arc::new(wrap(inner_msg)) });
                 }
                 Action::Timer { delay, tag } => {
@@ -216,15 +234,6 @@ enum Payload<M> {
     Shared(Arc<M>),
 }
 
-impl<M> Payload<M> {
-    fn as_msg(&self) -> &M {
-        match self {
-            Payload::One(m) => m,
-            Payload::Shared(a) => a,
-        }
-    }
-}
-
 /// Heap key of one pending delivery: `(at µs, seq, slab index)`. Wrapped in
 /// [`Reverse`] so the `BinaryHeap` max-heap pops the earliest `(at, seq)`
 /// first, ties broken by insertion order for determinism. Seqs are unique,
@@ -240,47 +249,11 @@ struct DeliveryBody<M> {
     msg: Payload<M>,
 }
 
-/// The one next-event decision, shared by the sequential step loop and each
-/// parallel domain's window loop: the global `(at, seq)` minimum across a
-/// delivery queue and a timer wheel. Seqs are unique across both sources,
-/// so the two never tie. Returns `(at, seq, take_timer)`.
-fn peek_next(queue: &BinaryHeap<DeliveryKey>, timers: &mut TimerWheel) -> Option<(u64, u64, bool)> {
-    let msg_key = queue.peek().map(|&Reverse((at, seq, _))| (at, seq));
-    match (msg_key, timers.peek()) {
-        (None, None) => None,
-        (Some((at, seq)), None) => Some((at, seq, false)),
-        (None, Some((at, seq))) => Some((at, seq, true)),
-        (Some(m), Some(t)) => {
-            if t < m {
-                Some((t.0, t.1, true))
-            } else {
-                Some((m.0, m.1, false))
-            }
-        }
-    }
-}
-
-/// Parks `body` in `slab` (reusing a free slot LIFO) and returns the slot
-/// for the compact heap key. Shared by the global queue and the per-domain
-/// queues so both sides keep identical slab semantics.
-fn park_delivery<M>(
-    slab: &mut Vec<Option<DeliveryBody<M>>>,
-    free: &mut Vec<u32>,
-    body: DeliveryBody<M>,
-) -> u32 {
-    match free.pop() {
-        Some(slot) => {
-            debug_assert!(slab[slot as usize].is_none());
-            slab[slot as usize] = Some(body);
-            slot
-        }
-        None => {
-            let slot = u32::try_from(slab.len())
-                .expect("more than u32::MAX simultaneous in-flight deliveries");
-            slab.push(Some(body));
-            slot
-        }
-    }
+/// Sizes of the `count` contiguous blocks `n` nodes are partitioned into
+/// (at least one block, at most one per node).
+fn domain_sizes(n: usize, count: usize) -> impl Iterator<Item = usize> {
+    let count = count.clamp(1, n.max(1));
+    (0..count).map(move |d| n / count + usize::from(d < n % count))
 }
 
 /// Deterministic contiguous block partition of `n` nodes into `count`
@@ -290,15 +263,10 @@ fn park_delivery<M>(
 /// align with cluster structure), and it lets the window runner hand each
 /// worker a disjoint `&mut` slice of the node and RNG vectors.
 pub(crate) fn contiguous_domains(n: usize, count: usize) -> Vec<u32> {
-    let count = count.clamp(1, n.max(1));
-    let base = n / count;
-    let rem = n % count;
-    let mut of_node = Vec::with_capacity(n);
-    for d in 0..count {
-        let size = base + usize::from(d < rem);
-        of_node.extend(std::iter::repeat_n(d as u32, size));
-    }
-    of_node
+    domain_sizes(n, count)
+        .enumerate()
+        .flat_map(|(d, size)| std::iter::repeat_n(d as u32, size))
+        .collect()
 }
 
 /// SplitMix64 finalizer: a cheap, statistically strong 64-bit mixer.
@@ -331,74 +299,70 @@ fn drop_coin(drop_seed: u64, link: (u32, u32), ctr: u64, salt: u64) -> f64 {
 /// this machinery. Counters are keyed by the *directed* link: every attempt
 /// on `from → to` happens while dispatching `from`, i.e. inside `from`'s
 /// domain, so a directed counter advances in domain-local order — which for
-/// a single sender is exactly the sequential global order restricted to its
+/// a single sender is exactly the global dispatch order restricted to its
 /// dispatches. (An undirected key would be shared by two domains and race.)
 fn counter_drop(
     ctrs: &mut HashMap<(u32, u32), u64>,
-    drop_seed: u64,
-    drop_prob: f64,
-    link_drops: &HashMap<(usize, usize), f64>,
+    net: &Network,
     from: NodeId,
     to: NodeId,
 ) -> Option<DropCause> {
-    let link_p = if link_drops.is_empty() {
+    let link_p = if net.link_drops.is_empty() {
         None
     } else {
-        link_drops.get(&(from.0.min(to.0), from.0.max(to.0))).copied()
+        net.link_drops.get(&(from.0.min(to.0), from.0.max(to.0))).copied()
     };
-    if drop_prob == 0.0 && link_p.is_none() {
+    if net.drop_prob == 0.0 && link_p.is_none() {
         return None;
     }
     let link = (from.0 as u32, to.0 as u32);
     let ctr = ctrs.entry(link).or_insert(0);
     let attempt = *ctr;
     *ctr += 1;
-    if drop_prob > 0.0 && drop_coin(drop_seed, link, attempt, DROP_SALT_RANDOM) < drop_prob {
+    if net.drop_prob > 0.0
+        && drop_coin(net.drop_seed, link, attempt, DROP_SALT_RANDOM) < net.drop_prob
+    {
         return Some(DropCause::Random);
     }
     if let Some(p) = link_p {
-        if drop_coin(drop_seed, link, attempt, DROP_SALT_FLAP) < p {
+        if drop_coin(net.drop_seed, link, attempt, DROP_SALT_FLAP) < p {
             return Some(DropCause::LinkFlap);
         }
     }
     None
 }
 
+/// Marks a *provisional* seq: the key of an event that was emitted and
+/// executed inside one window, numbered `PROVISIONAL | k` in its domain's
+/// emission order until the commit assigns the real seq. Real seqs never
+/// reach this bit, so a provisional key sorts after every real key of the
+/// same instant — exactly where a freshly assigned seq would.
+const PROVISIONAL: u64 = 1 << 63;
+
 /// One *seq-consuming* emission logged by a window dispatch, in action
-/// order, replayed at the barrier to assign real seqs exactly as the
-/// sequential engine would have. Dropped sends consume no seq and are
-/// tallied thread-side in the domain accumulator, so they produce no entry;
-/// multicasts are flattened to one entry per surviving recipient (byte
-/// accounting for the whole fan-out also happens thread-side).
+/// order, replayed at the commit to assign real seqs in global dispatch
+/// order. Dropped sends consume no seq and are tallied in the job's stats,
+/// so they produce no entry; multicasts are flattened to one entry per
+/// surviving recipient (byte accounting for the whole fan-out also happens
+/// at dispatch).
 #[derive(Debug)]
 enum Emission<M> {
     /// Executed inside this window under a provisional key: consumes one
     /// real seq at commit.
     Exec,
-    /// A delivery that survives the window (cross-domain, or lands past the
+    /// A delivery that survives the window (cross-domain, or keyed past the
     /// window end): enqueued into the target domain at commit with its real
-    /// seq. The body rides in an `Option` so the commit loop can take it by
-    /// value.
-    Park { to: NodeId, at: u64, body: Option<Payload<M>> },
-    /// A timer armed past the window end: inserted into this domain's wheel
+    /// seq.
+    Park { to: NodeId, at: u64, body: Payload<M> },
+    /// A timer keyed past the window end: inserted into this domain's wheel
     /// at commit with its real seq.
     ArmTimer { at: u64, tag: u64 },
 }
 
-/// One decoded [`Emission`], pulled out of the log by value so the borrow
-/// of the emitting domain's log ends before any cross-domain park — a
-/// single stack slot where the commit loop once allocated a `Vec` per
-/// emission record.
-enum Step<M> {
-    Exec,
-    Park { to: NodeId, at: u64, body: Payload<M> },
-    Arm { at: u64, tag: u64 },
-}
-
 /// One window dispatch that emitted something: the dispatched event's key
-/// (provisional iff `seq >= seq_base`) plus its slice of the domain's
-/// emission log. Zero-emission dispatches need no record — they consume no
-/// seqs and nothing downstream orders against them.
+/// (provisional iff the [`PROVISIONAL`] bit is set) plus its slice of the
+/// domain's emission log. Zero-emission dispatches need no record — they
+/// consume no seqs and nothing downstream orders against them.
 #[derive(Debug, Clone, Copy)]
 struct DispatchRecord {
     at: u64,
@@ -408,86 +372,172 @@ struct DispatchRecord {
     emi_len: u32,
 }
 
-/// One spatial domain of the conservative PDES scheduler: a contiguous
-/// node block with its own delivery queue, slab, and timer-wheel shard,
-/// plus the per-window logs the barrier commit consumes.
+/// One spatial domain of the scheduler: a contiguous node block with its
+/// own delivery queue, slab, and timer wheel, plus the per-window logs the
+/// commit consumes.
 struct Domain<M> {
     /// First node id in this domain's contiguous block.
     base: usize,
     /// One-past-last node id.
     end: usize,
     queue: BinaryHeap<DeliveryKey>,
+    /// Delivery bodies indexed by the key's slab slot; `None` marks a free
+    /// slot awaiting reuse through `free`.
     slab: Vec<Option<DeliveryBody<M>>>,
+    /// Free slots in `slab`, reused LIFO for cache locality.
     free: Vec<u32>,
     wheel: TimerWheel,
     /// Dispatches with emissions, in domain execution order.
     records: Vec<DispatchRecord>,
     /// Flat emission log; records hold ranges into it.
     emissions: Vec<Emission<M>>,
-    /// Per-domain accumulator for every commutative counter recorded
-    /// mid-window: byte accounting (`record_send` / `record_multicast`),
-    /// per-cause drop tallies, and `Context::count` events. Sized for the
-    /// full node count (recipients can live in other domains). Persists
-    /// *across* windows and folds into the global [`NetStats`] once per
-    /// epoch (`drain_epoch_stats`), so the barrier never pays a per-window
-    /// `O(nodes)` clear.
-    stats: NetStats,
-    /// Attempt counters of directed links whose source node lives in this
-    /// domain, sharded out of [`Simulator::link_ctrs`] for lock-free
-    /// counter-mode drop decisions during windows.
+    /// Attempt counters of the directed links whose source node lives in
+    /// this domain, backing [`counter_drop`] without locks.
     link_ctrs: HashMap<(u32, u32), u64>,
+    /// Events executed since the last commit.
     events_processed: u64,
-    /// Count of intra-window seq-consuming emissions so far: the k-th one
-    /// runs under provisional key `seq_base + k`.
+    /// Count of in-window executed emissions since the last commit: the
+    /// k-th one runs under key `PROVISIONAL | k`.
     provisional: u64,
+    /// Time (µs) of the last event this domain executed.
+    now: u64,
     /// Reusable action buffer for this domain's dispatches.
     actions: Vec<Action<M>>,
 }
 
 impl<M> Domain<M> {
-    fn new(base: usize, end: usize, n: usize) -> Self {
+    fn new(base: usize, end: usize, now: u64) -> Self {
+        let mut wheel = TimerWheel::new();
+        wheel.advance(now);
         Domain {
             base,
             end,
             queue: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            wheel: TimerWheel::new(),
+            wheel,
             records: Vec::new(),
             emissions: Vec::new(),
-            stats: NetStats::accumulator(n),
             link_ctrs: HashMap::new(),
             events_processed: 0,
             provisional: 0,
+            now,
             actions: Vec::new(),
         }
     }
 
+    /// Parks `body` in the slab (reusing a free slot LIFO) and queues its
+    /// compact key.
     fn push_with_seq(&mut self, at: u64, seq: u64, body: DeliveryBody<M>) {
-        let slot = park_delivery(&mut self.slab, &mut self.free, body);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slab[slot as usize].is_none());
+                self.slab[slot as usize] = Some(body);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .expect("more than u32::MAX simultaneous in-flight deliveries");
+                self.slab.push(Some(body));
+                slot
+            }
+        };
         self.queue.push(Reverse((at, seq, slot)));
     }
 
     fn pending(&self) -> usize {
         self.queue.len() + self.wheel.len()
     }
+
+    /// The next-event decision: the `(at, seq)` minimum across the delivery
+    /// queue and the timer wheel. Seqs are unique across both sources, so
+    /// the two never tie. Returns `(at, seq, take_timer)`.
+    fn peek_next(&mut self) -> Option<(u64, u64, bool)> {
+        let msg = self.queue.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        match (msg, self.wheel.peek()) {
+            (None, None) => None,
+            (Some((at, seq)), None) => Some((at, seq, false)),
+            (Some(m), Some(t)) if m < t => Some((m.0, m.1, false)),
+            (_, Some((at, seq))) => Some((at, seq, true)),
+        }
+    }
+
+    /// Claims the next provisional seq for an own emission landing at `at`
+    /// if that key still falls inside the window (and so executes before
+    /// the commit); `None` means the emission must park.
+    fn claim_in_window(&mut self, env: &WindowEnv<'_>, at: u64) -> Option<u64> {
+        let seq = PROVISIONAL | self.provisional;
+        ((at, seq) < env.end).then(|| {
+            self.provisional += 1;
+            self.emissions.push(Emission::Exec);
+            seq
+        })
+    }
+
+    /// Closes the dispatch record of the event keyed `key` on `node`, whose
+    /// emissions start at log index `emi`.
+    fn close_record(&mut self, key: (u64, u64), node: NodeId, emi: u32) {
+        let emi_len = self.emissions.len() as u32 - emi;
+        if emi_len > 0 {
+            self.records.push(DispatchRecord {
+                at: key.0,
+                seq: key.1,
+                node: node.0 as u32,
+                emi,
+                emi_len,
+            });
+        }
+    }
 }
 
-/// Live sharded state of a parallel epoch.
-struct ParState<M> {
+/// The live partition of the node set into domains. One domain unless
+/// [`Simulator::set_threads`] asked for more.
+struct Partition<M> {
     domains: Vec<Domain<M>>,
     /// Domain index per node (contiguous blocks).
     of_node: Vec<u32>,
-    /// Unscaled PDES lookahead in µs: the minimum cross-domain link
-    /// latency. `u64::MAX` when domains are network-isolated.
-    base_lookahead: u64,
-    /// Barrier-commit scratch, reused across windows (cleared each commit,
+    /// Stats accumulators of domains `1..`: a multi-domain window's jobs
+    /// cannot share the global [`NetStats`], so domain 0 writes it directly
+    /// and every other domain records here, folded in (every counter is a
+    /// sum) when the `run_until` that ran the windows ends. Sized for the
+    /// full node count, since recipients can live in other domains.
+    accumulators: Vec<NetStats>,
+    /// Commit scratch, reused across windows (cleared each commit,
     /// capacity kept) so the serial section allocates nothing steady-state.
     merge: MergeScratch,
 }
 
-/// Reusable state of one barrier commit: per-domain record cursors, the
-/// loser tree and its external keys, and the provisional→real seq tables.
+impl<M> Partition<M> {
+    /// An empty `count`-way partition of `n` nodes whose wheels start at
+    /// `now` µs.
+    fn new(n: usize, count: usize, now: u64) -> Self {
+        let mut domains = Vec::new();
+        let mut base = 0;
+        for size in domain_sizes(n, count) {
+            domains.push(Domain::new(base, base + size, now));
+            base += size;
+        }
+        Partition {
+            accumulators: (1..domains.len()).map(|_| NetStats::accumulator(n)).collect(),
+            domains,
+            of_node: contiguous_domains(n, count),
+            merge: MergeScratch::default(),
+        }
+    }
+
+    /// The globally next event: minimum `(at, seq)` over every domain's
+    /// head, with the domain that holds it.
+    fn earliest(&mut self) -> Option<(u64, u64, usize)> {
+        self.domains
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(d, dom)| dom.peek_next().map(|(at, seq, _)| (at, seq, d)))
+            .min()
+    }
+}
+
+/// Reusable state of one commit: per-domain record cursors, the loser tree
+/// and its external keys, and the provisional→real seq tables.
 #[derive(Default)]
 struct MergeScratch {
     /// Next unmerged record index per domain.
@@ -506,8 +556,7 @@ struct MergeScratch {
 /// Slot 0 holds the overall winner and internal slots `1..k` hold match
 /// losers, with leaf `d` conceptually at heap slot `k + d`. After the
 /// winner's run advances, only its leaf-to-root path replays: `O(log k)`
-/// comparisons per pop instead of the `O(k)` head scan the commit loop used
-/// to pay per record.
+/// comparisons per pop instead of an `O(k)` head scan per record.
 #[derive(Default)]
 struct LoserTree {
     node: Vec<u32>,
@@ -575,49 +624,47 @@ impl LoserTree {
 }
 
 /// The resolved `(at, seq)` merge key of `records[head]`, `None` when the
-/// run is exhausted. A provisional seq (`>= seq_base`) resolves through
-/// `real_of`: its emitter's record sits strictly earlier in the same run
-/// (the emitter dispatched first and logged at least that emission), so by
-/// the time a record becomes its run's head, its entry exists.
-fn head_key(
-    records: &[DispatchRecord],
-    head: usize,
-    seq_base: u64,
-    real_of: &[u64],
-) -> Option<(u64, u64)> {
+/// run is exhausted. A provisional seq resolves through `real_of`: its
+/// emitter's record sits strictly earlier in the same run (the emitter
+/// dispatched first and logged at least that emission), so by the time a
+/// record becomes its run's head, its entry exists.
+fn head_key(records: &[DispatchRecord], head: usize, real_of: &[u64]) -> Option<(u64, u64)> {
     let r = records.get(head)?;
-    let seq = if r.seq >= seq_base { real_of[(r.seq - seq_base) as usize] } else { r.seq };
+    let seq =
+        if r.seq & PROVISIONAL != 0 { real_of[(r.seq ^ PROVISIONAL) as usize] } else { r.seq };
     Some((r.at, seq))
 }
 
-/// Coverage counters for the parallel scheduler: how much of the run
-/// actually executed under windows, and what fraction of epoch wall time
-/// the single-threaded barrier commit consumed.
+/// Coverage counters for the multi-domain scheduler: how much of the run
+/// executed under multi-domain windows, and what fraction of wall time the
+/// single-threaded commit consumed. All zeros while one thread is
+/// configured.
 ///
 /// Deliberately *not* part of [`NetStats`]: stats are asserted bit-identical
 /// across thread counts, while coverage varies with the thread count and
 /// the wall clock by design.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ParCoverage {
-    /// Windows fanned out across worker threads.
+    /// Multi-domain windows fanned out across worker threads.
     pub windows_parallel: u64,
-    /// Windows run inline on the driver thread (below the spawn threshold).
-    /// Still windowed execution — identical schedule, no thread wake-ups.
+    /// Multi-domain windows run inline on the driver thread (below the
+    /// spawn threshold). Identical schedule, no thread wake-ups.
     pub windows_inline: u64,
-    /// Times a `run_until` abandoned the windowed scheduler for the
-    /// sequential loop (no usable lookahead, or single-threaded config).
+    /// Times a `run_until` collapsed to one domain although several threads
+    /// are configured, because a zero-latency link crosses the partition
+    /// and leaves no lookahead.
     pub fallback_entries: u64,
-    /// Events processed by the sequential loop inside those fallbacks.
+    /// Events processed inside those collapsed runs.
     pub fallback_events: u64,
-    /// Wall-clock nanoseconds inside the single-threaded barrier commit.
+    /// Wall-clock nanoseconds inside the single-threaded commit.
     pub serial_nanos: u64,
-    /// Wall-clock nanoseconds across entire parallel epochs (windows,
-    /// barriers, and scheduling glue).
+    /// Wall-clock nanoseconds across entire `run_until` calls (windows,
+    /// commits, and scheduling glue).
     pub epoch_nanos: u64,
 }
 
 impl ParCoverage {
-    /// Fraction of epoch wall time spent in the serial barrier commit.
+    /// Fraction of epoch wall time spent in the serial commit.
     pub fn serial_fraction(&self) -> f64 {
         if self.epoch_nanos == 0 {
             0.0
@@ -627,46 +674,11 @@ impl ParCoverage {
     }
 }
 
-/// Read-only world state shared by every domain worker during one window,
-/// plus the window constants.
-struct WindowEnv<'a> {
-    topo: &'a Topology,
-    down: &'a [bool],
-    partitions: Option<&'a [u32]>,
-    latency_factor: f64,
-    drop_prob: f64,
-    link_drops: &'a HashMap<(usize, usize), f64>,
-    drop_seed: u64,
-    /// Exclusive end of the window: events with `at < window_end` execute.
-    window_end: u64,
-    /// Global seq counter at window start; provisional keys start here.
-    seq_base: u64,
-}
-
-/// Below this many pending events across all domains, a window runs inline
-/// on the driver thread: results are identical either way (domains are
-/// independent within a window), so threads are only worth their spawn cost
-/// when the window carries real work.
-const PARALLEL_SPAWN_THRESHOLD: usize = 64;
-
-/// The discrete-event simulator driving one [`Protocol`] instance per node.
-pub struct Simulator<P: Protocol> {
-    nodes: Vec<P>,
-    node_rngs: Vec<ChaCha8Rng>,
+/// The simulated network and its fault state: everything a routing
+/// decision reads. Changed only between windows, shared read-only by every
+/// job inside one.
+struct Network {
     topo: Topology,
-    clock: SimTime,
-    /// Message delivery *keys* only; timers live in `timers`. Both share
-    /// the global `seq` counter, so the merged `(at, seq)` order is
-    /// identical to the historical single-heap order.
-    queue: BinaryHeap<DeliveryKey>,
-    /// Delivery bodies indexed by the key's slab slot; `None` marks a free
-    /// slot awaiting reuse through `delivery_free`.
-    delivery_slab: Vec<Option<DeliveryBody<P::Msg>>>,
-    /// Free slots in `delivery_slab`, reused LIFO for cache locality.
-    delivery_free: Vec<u32>,
-    timers: TimerWheel,
-    seq: u64,
-    stats: NetStats,
     down: Vec<bool>,
     /// Partition group per node; messages cross groups only if `None`.
     partitions: Option<Vec<u32>>,
@@ -681,25 +693,78 @@ pub struct Simulator<P: Protocol> {
     /// from a shared RNG stream — so drop decisions commute with evaluation
     /// order and thread count.
     drop_seed: u64,
-    /// Per-directed-link attempt counters backing [`counter_drop`],
-    /// authoritative while no parallel epoch is live (sharded into each
-    /// [`Domain::link_ctrs`] otherwise).
-    link_ctrs: HashMap<(u32, u32), u64>,
+}
+
+impl Network {
+    /// `latency` under the current link-degradation factor.
+    fn scaled(&self, latency: SimDuration) -> SimDuration {
+        if self.latency_factor == 1.0 {
+            latency
+        } else {
+            latency.mul_f64(self.latency_factor)
+        }
+    }
+}
+
+/// What every job of one window shares.
+struct WindowEnv<'a> {
+    net: &'a Network,
+    /// Exclusive end key of the window: events keyed `(at, seq) < end`
+    /// execute, and so do own emissions whose provisional key is.
+    /// `(t, 0)` runs everything before time `t`; `(at, seq + 1)` runs the
+    /// one event `(at, seq)`; `(0, 0)` runs nothing.
+    end: (u64, u64),
+}
+
+/// One domain's share of a window: its shard, where its accounting goes,
+/// and its disjoint slices of protocol state and per-node RNGs.
+struct Job<'a, P: Protocol> {
+    dom: &'a mut Domain<P::Msg>,
+    stats: &'a mut NetStats,
+    nodes: &'a mut [P],
+    rngs: &'a mut [ChaCha8Rng],
+}
+
+/// How a multi-domain window's jobs are executed: inline by default,
+/// on scoped threads once [`Simulator::set_threads`] has supplied the
+/// `Send` bounds that needs.
+type RunJobs<P> = fn(Vec<Job<'_, P>>, &WindowEnv<'_>);
+
+/// Below this many pending events across all domains, a window runs inline
+/// on the driver thread: results are identical either way (domains are
+/// independent within a window), so threads are only worth their spawn cost
+/// when the window carries real work.
+const PARALLEL_SPAWN_THRESHOLD: usize = 64;
+
+/// Span (µs of simulated time) of a window nothing bounds — one domain, or
+/// domains no link crosses. Any span is safe there; this one keeps a
+/// window's emission log cache-sized instead of letting a long `run_until`
+/// log every event it executes before the first commit (measured on the
+/// 256-node grid micro-bench: 5.0–6.0 M events/s unbounded, 6.5–6.9 M at
+/// 10 ms, against ~50 ns of glue per window).
+const UNBOUNDED_WINDOW_SPAN: u64 = 10_000;
+
+/// The discrete-event simulator driving one [`Protocol`] instance per node.
+pub struct Simulator<P: Protocol> {
+    nodes: Vec<P>,
+    node_rngs: Vec<ChaCha8Rng>,
+    net: Network,
+    clock: SimTime,
+    /// Next seq to hand out. Deliveries and timers share the counter, so
+    /// the merged `(at, seq)` order is a single global sequence.
+    seq: u64,
+    stats: NetStats,
     events_processed: u64,
-    /// Parallel-scheduler coverage counters; see [`ParCoverage`].
+    /// Multi-domain scheduler coverage counters; see [`ParCoverage`].
     coverage: ParCoverage,
-    /// Reusable per-callback action buffer (dispatch is not reentrant).
-    scratch: Vec<Action<P::Msg>>,
-    /// Configured worker count for the conservative PDES scheduler; 1 =
-    /// the classic sequential loop.
+    /// Configured worker count = domain count of the partition, except
+    /// while a run is collapsed to one domain for lack of lookahead.
     threads: usize,
-    /// Sharded per-domain event structures, present while a parallel epoch
-    /// is live. `None` means the global `queue`/`timers` are authoritative.
-    par: Option<ParState<P::Msg>>,
-    /// Monomorphized parallel driver, installed by [`Simulator::set_threads`]
-    /// (which carries the `Send` bounds the thread scope needs); `None`
-    /// keeps every run on the sequential path.
-    par_exec: Option<fn(&mut Simulator<P>, u64)>,
+    /// Unscaled lookahead of the `threads`-way partition in µs: the minimum
+    /// latency of a link that crosses it. `u64::MAX` when none does.
+    base_lookahead: u64,
+    part: Partition<P::Msg>,
+    run_jobs: RunJobs<P>,
 }
 
 impl<P: Protocol> std::fmt::Debug for Simulator<P> {
@@ -707,7 +772,7 @@ impl<P: Protocol> std::fmt::Debug for Simulator<P> {
         f.debug_struct("Simulator")
             .field("nodes", &self.nodes.len())
             .field("clock", &self.clock)
-            .field("pending_events", &(self.queue.len() + self.timers.len()))
+            .field("pending_events", &self.pending_events())
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -729,35 +794,32 @@ impl<P: Protocol> Simulator<P> {
         Simulator {
             nodes,
             node_rngs,
-            topo: topology,
+            net: Network {
+                topo: topology,
+                down: vec![false; n],
+                partitions: None,
+                drop_prob: 0.0,
+                link_drops: HashMap::new(),
+                latency_factor: 1.0,
+                drop_seed: mix64(seed ^ 0xD1B5_4A32_D192_ED03),
+            },
             clock: SimTime::ZERO,
-            queue: BinaryHeap::new(),
-            delivery_slab: Vec::new(),
-            delivery_free: Vec::new(),
-            timers: TimerWheel::new(),
             seq: 0,
             stats: NetStats::new(n),
-            down: vec![false; n],
-            partitions: None,
-            drop_prob: 0.0,
-            link_drops: HashMap::new(),
-            latency_factor: 1.0,
-            drop_seed: mix64(seed ^ 0xD1B5_4A32_D192_ED03),
-            link_ctrs: HashMap::new(),
             events_processed: 0,
             coverage: ParCoverage::default(),
-            scratch: Vec::new(),
             threads: 1,
-            par: None,
-            par_exec: None,
+            base_lookahead: u64::MAX,
+            part: Partition::new(n, 1, 0),
+            run_jobs: run_jobs_inline::<P>,
         }
     }
 
     /// Calls [`Protocol::on_start`] on every live node.
     pub fn start(&mut self) {
         for i in 0..self.nodes.len() {
-            if !self.down[i] {
-                self.dispatch_start(NodeId(i));
+            if !self.net.down[i] {
+                self.with_node_ctx(NodeId(i), |p, ctx| p.on_start(ctx));
             }
         }
     }
@@ -775,27 +837,20 @@ impl<P: Protocol> Simulator<P> {
     /// Resets the byte counters (e.g. after warm-up).
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-        if let Some(par) = &mut self.par {
-            // Domain accumulators are drained at every epoch end, so they
-            // are empty between runs; clear defensively anyway.
-            for dom in &mut par.domains {
-                dom.stats.clear_for_reuse();
-            }
-        }
     }
 
-    /// Parallel-scheduler coverage counters accumulated since construction:
-    /// how many windows actually ran (parallel vs inline), how often the
-    /// scheduler fell back to the sequential loop, and the wall-clock split
-    /// between the serial barrier commit and whole epochs. All zeros on a
-    /// purely sequential simulator.
+    /// Multi-domain scheduler coverage counters accumulated since
+    /// construction: how many multi-domain windows ran (parallel vs
+    /// inline), how often a run collapsed to one domain for lack of
+    /// lookahead, and the wall-clock split between the serial commit and
+    /// whole runs. All zeros while one thread is configured.
     pub fn par_coverage(&self) -> ParCoverage {
         self.coverage
     }
 
     /// The topology the simulation runs over.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.net.topo
     }
 
     /// Number of nodes.
@@ -833,19 +888,19 @@ impl<P: Protocol> Simulator<P> {
     /// [`Simulator::recover_node`] for a crash-recovery that restarts the
     /// protocol's timer wheels.
     pub fn set_down(&mut self, node: NodeId, down: bool) {
-        self.down[node.0] = down;
+        self.net.down[node.0] = down;
     }
 
     /// Whether `node` is currently crashed.
     pub fn is_down(&self, node: NodeId) -> bool {
-        self.down[node.0]
+        self.net.down[node.0]
     }
 
     /// Crashes `node`: from now until recovery it receives no messages and
     /// none of its timers fire (they are silently discarded when they come
     /// due). Protocol state is preserved in place. No-op if already down.
     pub fn crash_node(&mut self, node: NodeId) {
-        self.down[node.0] = true;
+        self.net.down[node.0] = true;
     }
 
     /// Recovers a crashed node with its protocol state intact (a process
@@ -853,11 +908,11 @@ impl<P: Protocol> Simulator<P> {
     /// runs again so periodic timers — all lost while down — are re-armed.
     /// No-op if the node is not down.
     pub fn recover_node(&mut self, node: NodeId) {
-        if !self.down[node.0] {
+        if !self.net.down[node.0] {
             return;
         }
-        self.down[node.0] = false;
-        self.dispatch_start(node);
+        self.net.down[node.0] = false;
+        self.with_node_ctx(node, |p, ctx| p.on_start(ctx));
     }
 
     /// Recovers a crashed node with its state wiped: `fresh` replaces the
@@ -866,8 +921,8 @@ impl<P: Protocol> Simulator<P> {
     /// currently down.
     pub fn recover_node_wiped(&mut self, node: NodeId, fresh: P) {
         self.nodes[node.0] = fresh;
-        self.down[node.0] = false;
-        self.dispatch_start(node);
+        self.net.down[node.0] = false;
+        self.with_node_ctx(node, |p, ctx| p.on_start(ctx));
     }
 
     /// Sets the independent per-message drop probability.
@@ -877,12 +932,12 @@ impl<P: Protocol> Simulator<P> {
     /// Panics unless `0.0 <= p <= 1.0`.
     pub fn set_drop_prob(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.drop_prob = p;
+        self.net.drop_prob = p;
     }
 
     /// The current independent per-message drop probability.
     pub fn drop_prob(&self) -> f64 {
-        self.drop_prob
+        self.net.drop_prob
     }
 
     /// Sets the drop probability of the single (bidirectional) link between
@@ -897,9 +952,9 @@ impl<P: Protocol> Simulator<P> {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         let key = (a.0.min(b.0), a.0.max(b.0));
         if p == 0.0 {
-            self.link_drops.remove(&key);
+            self.net.link_drops.remove(&key);
         } else {
-            self.link_drops.insert(key, p);
+            self.net.link_drops.insert(key, p);
         }
     }
 
@@ -907,7 +962,7 @@ impl<P: Protocol> Simulator<P> {
     /// overridden via [`Simulator::set_link_drop`]).
     pub fn link_drop(&self, a: NodeId, b: NodeId) -> f64 {
         let key = (a.0.min(b.0), a.0.max(b.0));
-        self.link_drops.get(&key).copied().unwrap_or(0.0)
+        self.net.link_drops.get(&key).copied().unwrap_or(0.0)
     }
 
     /// Degrades (factor > 1) or restores (factor = 1) every link: message
@@ -918,12 +973,12 @@ impl<P: Protocol> Simulator<P> {
     /// Panics unless `factor` is finite and positive.
     pub fn set_latency_factor(&mut self, factor: f64) {
         assert!(factor.is_finite() && factor > 0.0, "latency factor must be positive");
-        self.latency_factor = factor;
+        self.net.latency_factor = factor;
     }
 
     /// The current link-latency multiplier.
     pub fn latency_factor(&self) -> f64 {
-        self.latency_factor
+        self.net.latency_factor
     }
 
     /// Installs a network partition: messages are delivered only within a
@@ -936,15 +991,18 @@ impl<P: Protocol> Simulator<P> {
         if let Some(g) = &groups {
             assert_eq!(g.len(), self.nodes.len(), "one group per node");
         }
-        self.partitions = groups;
+        self.net.partitions = groups;
     }
 
     /// Injects a message from the outside world (e.g. a test driver acting
     /// as a client) for delivery to `to` at the current time, attributed to
-    /// `from`.
+    /// `from`. It bypasses routing: no accounting, no drop verdict.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let at = self.clock;
-        self.push_delivery(at, from, to, Payload::One(msg));
+        let at = self.clock.as_micros();
+        let dom = &mut self.part.domains[self.part.of_node[from.0] as usize];
+        dom.emissions.push(Emission::Park { to, at, body: Payload::One(msg) });
+        dom.close_record((at, 0), from, 0);
+        self.commit_window();
     }
 
     /// Lets external code act *as* `node`: the closure receives the
@@ -955,59 +1013,45 @@ impl<P: Protocol> Simulator<P> {
         node: NodeId,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
     ) -> R {
-        self.with_ctx(node, f)
+        // A dispatch in a window that executes nothing: every emission
+        // parks and takes its real seq in the commit. The record is the
+        // commit's only one, so its key's seq orders against nothing.
+        let key = (self.clock.as_micros(), 0);
+        let d = self.part.of_node[node.0] as usize;
+        self.on_domain(d, (0, 0), |job, env| dispatch_window(job, env, key, node, f))
     }
 
     /// Runs a single event. Returns `false` when the queue is empty.
-    ///
-    /// Single-stepping is inherently sequential: if a parallel epoch is
-    /// live, its sharded queues are merged back into the global structures
-    /// first (a no-op otherwise).
     pub fn step(&mut self) -> bool {
-        self.unshard();
-        self.step_bounded(u64::MAX)
-    }
-
-    /// Runs the next event unless its timestamp (µs) exceeds `bound`.
-    /// Returns `false` when nothing ran. One peek pair decides both "is
-    /// there an event" and "is it in range", so `run_until` doesn't pay a
-    /// second round of queue peeks per event.
-    fn step_bounded(&mut self, bound: u64) -> bool {
-        let Some((next_at, _seq, take_timer)) = peek_next(&self.queue, &mut self.timers) else {
+        let Some((at, seq, d)) = self.part.earliest() else {
             return false;
         };
-        if next_at > bound {
-            return false;
-        }
-        if take_timer {
-            let entry = self.timers.pop_earliest().expect("peeked");
-            let at = SimTime::ZERO + SimDuration::from_micros(entry.at);
-            debug_assert!(at >= self.clock, "time must be monotonic");
-            self.clock = at;
-            self.events_processed += 1;
-            if !self.down[entry.node] {
-                self.dispatch_timer(NodeId(entry.node), entry.tag);
-            }
-        } else {
-            let Reverse((at_us, _seq, slot)) = self.queue.pop().expect("peeked");
-            let body = self.delivery_slab[slot as usize]
-                .take()
-                .expect("queued key points at a parked body");
-            self.delivery_free.push(slot);
-            let at = SimTime::ZERO + SimDuration::from_micros(at_us);
-            debug_assert!(at >= self.clock, "time must be monotonic");
-            self.clock = at;
-            // Timers armed by this delivery's handler must be placeable
-            // relative to the new clock.
-            self.timers.advance(at_us);
-            self.events_processed += 1;
-            if self.down[body.to.0] {
-                self.stats.record_drop(DropCause::NodeDown);
-            } else {
-                self.dispatch_payload(body.to, body.from, body.msg);
-            }
-        }
+        // A window that ends right after that one key: whatever the event
+        // emits is keyed later and parks.
+        self.on_domain(d, (at, seq + 1), |job, env| run_domain_window(job, env));
         true
+    }
+
+    /// Runs `f` as the only job of a window ending at `end` — domain `d` on
+    /// the driver thread, accounting straight into the global stats — and
+    /// commits it.
+    fn on_domain<R>(
+        &mut self,
+        d: usize,
+        end: (u64, u64),
+        f: impl FnOnce(&mut Job<'_, P>, &WindowEnv<'_>) -> R,
+    ) -> R {
+        let dom = &mut self.part.domains[d];
+        let block = dom.base..dom.end;
+        let mut job = Job {
+            dom,
+            stats: &mut self.stats,
+            nodes: &mut self.nodes[block.clone()],
+            rngs: &mut self.node_rngs[block],
+        };
+        let r = f(&mut job, &WindowEnv { net: &self.net, end });
+        self.commit_window();
+        r
     }
 
     /// Runs until the event queue drains. Returns the number of events
@@ -1030,22 +1074,60 @@ impl<P: Protocol> Simulator<P> {
     /// Runs events with timestamps `<= until`, leaving later events queued.
     /// The clock is advanced to `until` even if the queue drains early.
     ///
-    /// With [`Simulator::set_threads`] above 1 this drives the conservative
-    /// PDES scheduler; the observable schedule is bit-identical to the
-    /// sequential loop at any thread count.
+    /// Repeatedly picks the global minimum next-event time `t`, lets every
+    /// domain run independently inside `[t, t + lookahead)`, then commits
+    /// the window. One domain has no crossing link, hence no lookahead
+    /// to respect: its windows are `UNBOUNDED_WINDOW_SPAN` long. The
+    /// observable schedule is bit-identical at any thread count.
     pub fn run_until(&mut self, until: SimTime) {
         let bound = until.as_micros();
-        match self.par_exec {
-            Some(f) => f(self, bound),
-            None => while self.step_bounded(bound) {},
+        let timed = self.threads > 1;
+        let epoch_start = timed.then(Instant::now);
+        let events_before = self.events_processed;
+        // Scale the lookahead exactly like message routing scales latency:
+        // rounding is monotone, so the scaled bound is still a valid lower
+        // bound on cross-domain delivery delay.
+        let lookahead = match self.base_lookahead {
+            u64::MAX => UNBOUNDED_WINDOW_SPAN,
+            base => self.net.scaled(SimDuration::from_micros(base)).as_micros(),
+        };
+        // A zero-latency crossing link means no safe window: this run
+        // collapses to one domain, which needs no lookahead.
+        let fallback = lookahead == 0;
+        let (count, span) =
+            if fallback { (1, UNBOUNDED_WINDOW_SPAN) } else { (self.threads, lookahead) };
+        self.repartition(count);
+        while let Some((t, _, _)) = self.part.earliest() {
+            if t > bound {
+                break;
+            }
+            // `bound + 1` because the window is half-open while `bound` is
+            // inclusive (run events with `at <= bound`).
+            let window_end = t.saturating_add(span).min(bound.saturating_add(1));
+            self.run_window((window_end, 0));
+            let serial_start = timed.then(Instant::now);
+            self.commit_window();
+            if let Some(s) = serial_start {
+                self.coverage.serial_nanos += s.elapsed().as_nanos() as u64;
+            }
+        }
+        for acc in &mut self.part.accumulators {
+            if !acc.is_untouched() {
+                self.stats.merge(acc);
+                acc.clear_for_reuse();
+            }
+        }
+        if fallback {
+            self.coverage.fallback_entries += 1;
+            self.coverage.fallback_events += self.events_processed - events_before;
+        }
+        if let Some(s) = epoch_start {
+            self.coverage.epoch_nanos += s.elapsed().as_nanos() as u64;
         }
         if self.clock < until {
             self.clock = until;
-            self.timers.advance(bound);
-            if let Some(par) = &mut self.par {
-                for dom in &mut par.domains {
-                    dom.wheel.advance(bound);
-                }
+            for dom in &mut self.part.domains {
+                dom.wheel.advance(bound);
             }
         }
     }
@@ -1061,293 +1143,117 @@ impl<P: Protocol> Simulator<P> {
         self.events_processed
     }
 
-    /// Number of events currently queued (deliveries and timers), across
-    /// the global structures and any live domain shards.
+    /// Number of events currently queued (deliveries and timers).
     pub fn pending_events(&self) -> usize {
-        let sharded: usize =
-            self.par.iter().flat_map(|p| p.domains.iter()).map(Domain::pending).sum();
-        self.queue.len() + self.timers.len() + sharded
+        self.part.domains.iter().map(Domain::pending).sum()
     }
 
-    /// The configured worker count (1 = sequential).
+    /// The configured worker count (1 = one domain, no worker threads).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// The domain a node is assigned to under the current thread
-    /// configuration (contiguous blocks; see `contiguous_domains`).
-    /// Exposed for tests and diagnostics.
+    /// The domain `node` currently lives in (contiguous blocks; see
+    /// `contiguous_domains`). Exposed for tests and diagnostics.
     pub fn domain_of(&self, node: NodeId) -> u32 {
-        contiguous_domains(self.nodes.len(), self.threads)[node.0]
+        self.part.of_node[node.0]
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    fn push_delivery(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: Payload<P::Msg>) {
-        let seq = self.next_seq();
-        let body = DeliveryBody { from, to, msg };
-        // Between windows of a parallel epoch the sharded queues are
-        // authoritative: route straight into the destination's domain.
-        // (Seqs are global and real here, so ordering is unaffected.)
-        if let Some(par) = &mut self.par {
-            let d = par.of_node[to.0] as usize;
-            par.domains[d].push_with_seq(at.as_micros(), seq, body);
+    /// Re-partitions into `count` domains, moving every pending delivery,
+    /// timer and link counter to its new home. Seqs travel with their keys,
+    /// so the merged `(at, seq)` order is untouched. No-op when the
+    /// partition already has `count` domains.
+    fn repartition(&mut self, count: usize) {
+        if count == self.part.domains.len() {
             return;
         }
-        let slot = park_delivery(&mut self.delivery_slab, &mut self.delivery_free, body);
-        self.queue.push(Reverse((at.as_micros(), seq, slot)));
-    }
-
-    /// Runs `f` against `node`'s protocol with a live context backed by the
-    /// pooled scratch buffer, then applies the emitted actions.
-    fn with_ctx<R>(
-        &mut self,
-        node: NodeId,
-        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
-    ) -> R {
-        let mut actions = std::mem::take(&mut self.scratch);
-        debug_assert!(actions.is_empty());
-        let r = {
-            let mut ctx = Context {
-                now: self.clock,
-                node,
-                actions: &mut actions,
-                rng: &mut self.node_rngs[node.0],
-            };
-            f(&mut self.nodes[node.0], &mut ctx)
-        };
-        self.apply_actions(node, &mut actions);
-        self.scratch = actions;
-        r
-    }
-
-    fn dispatch_start(&mut self, node: NodeId) {
-        self.with_ctx(node, |p, ctx| p.on_start(ctx));
-    }
-
-    fn dispatch_payload(&mut self, node: NodeId, from: NodeId, payload: Payload<P::Msg>) {
-        match payload {
-            Payload::One(msg) => self.with_ctx(node, |p, ctx| p.on_message(ctx, from, msg)),
-            // The last recipient of a multicast owns the payload outright;
-            // earlier ones borrow it.
-            Payload::Shared(arc) => match Arc::try_unwrap(arc) {
-                Ok(msg) => self.with_ctx(node, |p, ctx| p.on_message(ctx, from, msg)),
-                Err(arc) => self.with_ctx(node, |p, ctx| p.on_message_ref(ctx, from, &arc)),
-            },
-        }
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, tag: u64) {
-        self.with_ctx(node, |p, ctx| p.on_timer(ctx, tag));
-    }
-
-    fn apply_actions(&mut self, node: NodeId, actions: &mut Vec<Action<P::Msg>>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => self.route(node, to, Payload::One(msg)),
-                Action::Multicast { to, msg } => {
-                    // One aggregated accounting entry for the whole fan-out;
-                    // the per-recipient loop then only decides delivery. The
-                    // counter totals are identical to per-recipient
-                    // record_send calls, so stats fingerprints don't move.
-                    let (wire_size, class) = (msg.wire_size(), msg.class());
-                    self.stats.record_multicast(node, &to, wire_size, class);
-                    for t in to {
-                        self.route_unaccounted(node, t, Payload::Shared(Arc::clone(&msg)));
-                    }
-                }
-                Action::Timer { delay, tag } => {
-                    let at = self.clock + delay;
-                    let seq = self.next_seq();
-                    let entry = TimerEntry { at: at.as_micros(), seq, node: node.0, tag };
-                    match &mut self.par {
-                        Some(par) => {
-                            let d = par.of_node[node.0] as usize;
-                            par.domains[d].wheel.insert(entry);
-                        }
-                        None => self.timers.insert(entry),
-                    }
-                }
-                Action::Count { name, n } => self.stats.record_event(name, n),
-            }
-        }
-    }
-
-    fn route(&mut self, from: NodeId, to: NodeId, msg: Payload<P::Msg>) {
-        // Accounting happens at send time: bytes hit the wire even when the
-        // destination later proves dead.
-        let (wire_size, class) = {
-            let m = msg.as_msg();
-            (m.wire_size(), m.class())
-        };
-        self.stats.record_send(from, to, wire_size, class);
-        self.route_unaccounted(from, to, msg);
-    }
-
-    /// Delivery decision only — byte accounting already happened (either
-    /// [`NetStats::record_send`] in [`Simulator::route`] or one batched
-    /// [`NetStats::record_multicast`] for a whole fan-out). Which attempts
-    /// bump a link's drop counter, and in what per-link order, is part of
-    /// the determinism contract.
-    fn route_unaccounted(&mut self, from: NodeId, to: NodeId, msg: Payload<P::Msg>) {
-        if let Some(groups) = &self.partitions {
-            if groups[from.0] != groups[to.0] {
-                self.stats.record_drop(DropCause::Partition);
-                return;
-            }
-        }
-        // Counter-mode drop coins: identical verdicts whether this attempt
-        // runs here or inside a window, because the decision depends only
-        // on the link's attempt counter — which lives wherever the sender's
-        // domain lives while shards are up.
-        let ctrs = match &mut self.par {
-            Some(par) => &mut par.domains[par.of_node[from.0] as usize].link_ctrs,
-            None => &mut self.link_ctrs,
-        };
-        if let Some(cause) =
-            counter_drop(ctrs, self.drop_seed, self.drop_prob, &self.link_drops, from, to)
-        {
-            self.stats.record_drop(cause);
-            return;
-        }
-        let Some(latency) = self.topo.dist(from, to) else {
-            self.stats.record_drop(DropCause::Unreachable);
-            return;
-        };
-        let latency =
-            if self.latency_factor == 1.0 { latency } else { latency.mul_f64(self.latency_factor) };
-        let at = self.clock + latency;
-        self.push_delivery(at, from, to, msg);
-    }
-
-    /// Splits the global queue and timer wheel into per-domain shards for a
-    /// parallel epoch. No-op if already sharded. Seqs travel with their
-    /// keys, so the merged `(at, seq)` order is untouched.
-    fn ensure_sharded(&mut self) {
-        if self.par.is_some() {
-            return;
-        }
-        let n = self.nodes.len();
-        let of_node = contiguous_domains(n, self.threads);
-        let count = of_node.last().map_or(1, |&d| d as usize + 1);
-        let mut domains: Vec<Domain<P::Msg>> = Vec::with_capacity(count);
-        let mut base = 0;
-        for d in 0..count {
-            let end = of_node.iter().filter(|&&x| x == d as u32).count() + base;
-            let mut dom = Domain::new(base, end, n);
-            dom.wheel.advance(self.clock.as_micros());
-            domains.push(dom);
-            base = end;
-        }
-        // Drop counters shard by the *sender's* domain: every attempt on a
-        // directed link happens while its source node dispatches.
-        for ((from, to), c) in self.link_ctrs.drain() {
-            domains[of_node[from as usize] as usize].link_ctrs.insert((from, to), c);
-        }
-        let base_lookahead = self
-            .topo
-            .min_cross_group_latency(&of_node)
-            .map_or(u64::MAX, |l| l.as_micros());
-        while let Some(Reverse((at, seq, slot))) = self.queue.pop() {
-            let body = self.delivery_slab[slot as usize]
-                .take()
-                .expect("queued key points at a parked body");
-            let d = of_node[body.to.0] as usize;
-            domains[d].push_with_seq(at, seq, body);
-        }
-        self.delivery_slab.clear();
-        self.delivery_free.clear();
-        for e in self.timers.drain_sorted() {
-            domains[of_node[e.node] as usize].wheel.insert(e);
-        }
-        self.timers = TimerWheel::new();
-        self.timers.advance(self.clock.as_micros());
-        self.par = Some(ParState { domains, of_node, base_lookahead, merge: MergeScratch::default() });
-    }
-
-    /// Merges any live domain shards back into the global structures (the
-    /// inverse of `ensure_sharded`). Called whenever sequential stepping
-    /// needs the single-queue view: `step`, thread-count changes, and the
-    /// zero-lookahead fallback.
-    fn unshard(&mut self) {
-        let Some(mut par) = self.par.take() else { return };
-        for dom in &mut par.domains {
-            while let Some(Reverse((at, seq, slot))) = dom.queue.pop() {
-                let body = dom.slab[slot as usize]
-                    .take()
-                    .expect("queued key points at a parked body");
-                let slot =
-                    park_delivery(&mut self.delivery_slab, &mut self.delivery_free, body);
-                self.queue.push(Reverse((at, seq, slot)));
+        let mut next = Partition::new(self.nodes.len(), count, self.clock.as_micros());
+        for mut dom in std::mem::take(&mut self.part.domains) {
+            debug_assert!(dom.records.is_empty(), "re-partition only between windows");
+            for Reverse((at, seq, slot)) in dom.queue.drain() {
+                let body =
+                    dom.slab[slot as usize].take().expect("queued key points at a parked body");
+                next.domains[next.of_node[body.to.0] as usize].push_with_seq(at, seq, body);
             }
             for e in dom.wheel.drain_sorted() {
-                self.timers.insert(e);
+                next.domains[next.of_node[e.node] as usize].wheel.insert(e);
             }
-            // Domain shards of disjoint key sets fold straight back in.
-            for (k, v) in dom.link_ctrs.drain() {
-                self.link_ctrs.insert(k, v);
+            // Drop counters live with the *sender*: every attempt on a
+            // directed link happens while its source node dispatches.
+            for ((from, to), c) in dom.link_ctrs.drain() {
+                next.domains[next.of_node[from as usize] as usize].link_ctrs.insert((from, to), c);
             }
-            // Load-bearing: window-side accounting accumulates here until
-            // the epoch-end drain, and a mid-epoch fallback lands in this
-            // merge instead.
-            if !dom.stats.is_untouched() {
-                self.stats.merge(&dom.stats);
-            }
-            self.events_processed += dom.events_processed;
+        }
+        self.part = next;
+    }
+
+    /// Executes one window across all domains, on worker threads when
+    /// there are several domains and enough work is pending. Domains are
+    /// contiguous node blocks, so `split_at_mut` hands each job disjoint
+    /// `&mut` slices of protocol state and per-node RNGs without any
+    /// locking.
+    fn run_window(&mut self, end: (u64, u64)) {
+        let env = WindowEnv { net: &self.net, end };
+        let part = &mut self.part;
+        let spawn = part.domains.len() > 1
+            && part.domains.iter().map(Domain::pending).sum::<usize>() >= PARALLEL_SPAWN_THRESHOLD;
+        if spawn {
+            self.coverage.windows_parallel += 1;
+        } else if part.domains.len() > 1 {
+            self.coverage.windows_inline += 1;
+        }
+        let mut jobs: Vec<Job<'_, P>> = Vec::with_capacity(part.domains.len());
+        let mut nodes_rest: &mut [P] = &mut self.nodes;
+        let mut rngs_rest: &mut [ChaCha8Rng] = &mut self.node_rngs;
+        let stats = std::iter::once(&mut self.stats).chain(&mut part.accumulators);
+        for (dom, stats) in part.domains.iter_mut().zip(stats) {
+            let (nodes, nr) = nodes_rest.split_at_mut(dom.end - dom.base);
+            let (rngs, rr) = rngs_rest.split_at_mut(dom.end - dom.base);
+            nodes_rest = nr;
+            rngs_rest = rr;
+            jobs.push(Job { dom, stats, nodes, rngs });
+        }
+        // Tiny windows aren't worth thread wake-ups. Domains are
+        // independent within a window, so inline execution produces
+        // byte-identical results.
+        if spawn {
+            (self.run_jobs)(jobs, &env);
+        } else {
+            run_jobs_inline(jobs, &env);
         }
     }
 
-    /// Folds every domain's window-side accumulator into the global stats.
-    /// Called once per epoch (and implicitly by `unshard`): accumulators
-    /// persist across the epoch's windows, so the per-window barrier never
-    /// touches the `O(nodes)` counter vectors.
-    fn drain_epoch_stats(&mut self) {
-        let Some(par) = &mut self.par else { return };
-        for dom in &mut par.domains {
-            if dom.stats.is_untouched() {
-                continue;
-            }
-            self.stats.merge(&dom.stats);
-            dom.stats.clear_for_reuse();
-        }
-    }
-
-    /// The window barrier: replays every domain's emission log in exact
-    /// sequential dispatch order, assigning real seqs and enqueueing
-    /// surviving (cross-domain or post-window) events into their target
-    /// domains. All commutative accounting — bytes, classes, drop tallies,
-    /// counter events — already happened thread-side in the domain
-    /// accumulators, so the serial section here replays only the
-    /// ordering-sensitive emissions.
+    /// The window commit: replays every domain's emission log in exact
+    /// global dispatch order, assigning real seqs and enqueueing surviving
+    /// (cross-domain or post-window) events into their target domains. All
+    /// commutative accounting — bytes, classes, drop tallies, counter
+    /// events — already happened at dispatch, so the serial section here
+    /// replays only the ordering-sensitive emissions.
     ///
     /// Dispatch records merge by the dispatched event's real `(at, seq)`
-    /// key. A record whose key is provisional (`seq >= seq_base`) was
-    /// emitted *this* window by its own domain, and its emitter's record
-    /// sits earlier in the same domain's list — so by the time it reaches
-    /// the merge head, its real seq is already known. Each domain's record
-    /// list is already sorted (domains execute in local `(at, seq)` order),
-    /// so the merge is a loser-tree tournament over the per-domain runs:
-    /// `O(log D)` per record, with all scratch reused window to window.
-    /// This reconstructs the exact global emission order of the sequential
-    /// engine, which is what makes every thread count bit-identical.
-    fn commit_window(&mut self, seq_base: u64) {
-        let mut par = self.par.take().expect("commit only inside a parallel epoch");
-        let count = par.domains.len();
-        let mut scratch = std::mem::take(&mut par.merge);
+    /// key. A record whose key is provisional was emitted *this* window by
+    /// its own domain, and its emitter's record sits earlier in the same
+    /// domain's list — so by the time it reaches the merge head, its real
+    /// seq is already known. Each domain's record list is already sorted
+    /// (domains execute in local `(at, seq)` order), so the merge is a
+    /// loser-tree tournament over the per-domain runs: `O(log D)` per
+    /// record, with all scratch reused window to window. This reconstructs
+    /// the one global emission order, which is what makes every thread
+    /// count bit-identical.
+    fn commit_window(&mut self) {
+        let part = &mut self.part;
+        let count = part.domains.len();
+        let scratch = &mut part.merge;
         scratch.heads.clear();
         scratch.heads.resize(count, 0);
         scratch.real_of.resize_with(count, Vec::new);
         for (d, v) in scratch.real_of.iter_mut().enumerate() {
             v.clear();
-            v.reserve(par.domains[d].provisional as usize);
+            v.reserve(part.domains[d].provisional as usize);
         }
         scratch.keys.clear();
         for d in 0..count {
-            scratch.keys.push(head_key(&par.domains[d].records, 0, seq_base, &scratch.real_of[d]));
+            scratch.keys.push(head_key(&part.domains[d].records, 0, &scratch.real_of[d]));
         }
         scratch.tree.rebuild(count, &scratch.keys);
         loop {
@@ -1355,32 +1261,24 @@ impl<P: Protocol> Simulator<P> {
             if scratch.keys[d].is_none() {
                 break;
             }
-            let r = par.domains[d].records[scratch.heads[d]];
+            let r = part.domains[d].records[scratch.heads[d]];
             scratch.heads[d] += 1;
             let from = NodeId(r.node as usize);
             for i in r.emi as usize..(r.emi + r.emi_len) as usize {
-                // Pull the emission out by value so the borrow of this
-                // domain's log ends before any cross-domain park.
-                let step: Step<P::Msg> = match &mut par.domains[d].emissions[i] {
-                    Emission::Exec => Step::Exec,
-                    Emission::Park { to, at, body } => Step::Park {
-                        to: *to,
-                        at: *at,
-                        body: body.take().expect("parked body consumed once"),
-                    },
-                    Emission::ArmTimer { at, tag } => Step::Arm { at: *at, tag: *tag },
-                };
-                let s = self.next_seq();
-                match step {
-                    Step::Exec => scratch.real_of[d].push(s),
-                    Step::Park { to, at, body } => {
-                        let td = par.of_node[to.0] as usize;
-                        par.domains[td].push_with_seq(at, s, DeliveryBody { from, to, msg: body });
+                let seq = self.seq;
+                self.seq += 1;
+                // Taken by value, so the borrow of this domain's log ends
+                // before a cross-domain park.
+                match std::mem::replace(&mut part.domains[d].emissions[i], Emission::Exec) {
+                    Emission::Exec => scratch.real_of[d].push(seq),
+                    Emission::Park { to, at, body } => {
+                        let td = part.of_node[to.0] as usize;
+                        part.domains[td].push_with_seq(at, seq, DeliveryBody { from, to, msg: body });
                     }
-                    Step::Arm { at, tag } => {
-                        par.domains[d].wheel.insert(TimerEntry {
+                    Emission::ArmTimer { at, tag } => {
+                        part.domains[d].wheel.insert(TimerEntry {
                             at,
-                            seq: s,
+                            seq,
                             node: r.node as usize,
                             tag,
                         });
@@ -1390,10 +1288,11 @@ impl<P: Protocol> Simulator<P> {
             // Only this leaf's key can have changed: `real_of` entries for
             // other domains are appended exclusively by their own records.
             scratch.keys[d] =
-                head_key(&par.domains[d].records, scratch.heads[d], seq_base, &scratch.real_of[d]);
+                head_key(&part.domains[d].records, scratch.heads[d], &scratch.real_of[d]);
             scratch.tree.replay(d, &scratch.keys);
         }
-        for (d, dom) in par.domains.iter_mut().enumerate() {
+        debug_assert!(self.seq < PROVISIONAL);
+        for (d, dom) in part.domains.iter_mut().enumerate() {
             debug_assert_eq!(scratch.heads[d], dom.records.len(), "every record merged");
             debug_assert_eq!(
                 dom.records.iter().map(|r| r.emi_len as usize).sum::<usize>(),
@@ -1405,22 +1304,22 @@ impl<P: Protocol> Simulator<P> {
             self.events_processed += dom.events_processed;
             dom.events_processed = 0;
             dom.provisional = 0;
+            self.clock = self.clock.max(SimTime::ZERO + SimDuration::from_micros(dom.now));
         }
-        par.merge = scratch;
-        self.par = Some(par);
     }
 }
 
-/// Parallel execution requires moving protocol state and messages across
-/// worker threads, hence the bounds. A `Simulator` whose protocol is not
-/// `Send` simply never gains `set_threads` and stays sequential.
+/// Worker threads move protocol state and messages across threads, hence
+/// the bounds. A `Simulator` whose protocol is not `Send` simply never
+/// gains `set_threads` and keeps its one domain on the driver thread.
 impl<P> Simulator<P>
 where
     P: Protocol + Send,
     P::Msg: Send + Sync,
 {
     /// Sets the worker-thread count for [`Simulator::run_until`] /
-    /// [`Simulator::run_for`]. `1` restores the plain sequential loop.
+    /// [`Simulator::run_for`]: the node set is re-partitioned into that
+    /// many domains, one window job each.
     ///
     /// The observable schedule — traces, stats, fingerprints, RNG streams —
     /// is bit-identical at every thread count; threads only change
@@ -1431,332 +1330,183 @@ where
     /// Panics if `threads` is zero.
     pub fn set_threads(&mut self, threads: usize) {
         assert!(threads >= 1, "thread count must be at least 1");
-        let threads = threads.min(self.nodes.len().max(1));
-        if threads == self.threads {
-            return;
-        }
-        // Repartitioning invalidates the current shards; fold them back
-        // first (cheap, and only on reconfiguration).
-        self.unshard();
-        self.threads = threads;
-        // Stored as a fn pointer so the unbounded `run_until` can invoke
-        // the parallel path without carrying these bounds itself.
-        self.par_exec = if threads > 1 { Some(Self::parallel_epoch) } else { None };
-    }
-
-    /// The conservative-PDES driver behind `run_until` when `threads > 1`:
-    /// repeatedly picks the global minimum next-event time `t`, lets every
-    /// domain run independently inside `[t, t + lookahead)`, then commits
-    /// the window barrier. Random drops and link flaps do *not* force a
-    /// fallback: their verdicts are counter-mode hashes of each attempt's
-    /// identity, so windows stay parallel through chaos phases. The only
-    /// remaining fallback is the absence of a usable lookahead window.
-    fn parallel_epoch(sim: &mut Self, bound: u64) {
-        let epoch_start = std::time::Instant::now();
-        loop {
-            let eligible = sim.threads > 1 && sim.nodes.len() >= 2;
-            if !eligible {
-                sim.fallback(bound);
-                break;
-            }
-            sim.ensure_sharded();
-            let par = sim.par.as_mut().expect("just sharded");
-            // Scale the lookahead exactly like message routing scales
-            // latency: rounding is monotone, so the scaled bound is still a
-            // valid lower bound on cross-domain delivery delay.
-            let w = match par.base_lookahead {
-                u64::MAX => u64::MAX,
-                base if sim.latency_factor == 1.0 => base,
-                base => SimDuration::from_micros(base).mul_f64(sim.latency_factor).as_micros(),
-            };
-            if w == 0 {
-                // A zero-latency cross-domain link means no safe window.
-                sim.fallback(bound);
-                break;
-            }
-            let mut t_min: Option<u64> = None;
-            for dom in &mut par.domains {
-                if let Some((at, _, _)) = peek_next(&dom.queue, &mut dom.wheel) {
-                    t_min = Some(t_min.map_or(at, |t| t.min(at)));
-                }
-            }
-            let Some(t) = t_min else { break };
-            if t > bound {
-                break;
-            }
-            // `bound + 1` because the window is half-open while `bound` is
-            // inclusive (run events with `at <= bound`).
-            let window_end = t.saturating_add(w).min(bound.saturating_add(1));
-            let seq_base = sim.seq;
-            sim.run_window(window_end, seq_base);
-            let serial_start = std::time::Instant::now();
-            sim.commit_window(seq_base);
-            sim.coverage.serial_nanos += serial_start.elapsed().as_nanos() as u64;
-        }
-        sim.drain_epoch_stats();
-        sim.coverage.epoch_nanos += epoch_start.elapsed().as_nanos() as u64;
-    }
-
-    /// Abandons the windowed scheduler for this `run_until`: folds shards
-    /// back and drains the bound sequentially, with coverage accounting.
-    fn fallback(&mut self, bound: u64) {
-        self.coverage.fallback_entries += 1;
-        self.unshard();
-        let before = self.events_processed;
-        while self.step_bounded(bound) {}
-        self.coverage.fallback_events += self.events_processed - before;
-    }
-
-    /// Executes one window `[t, window_end)` across all domains, in
-    /// parallel when enough work is pending. Domains are contiguous node
-    /// blocks, so `split_at_mut` hands each worker disjoint `&mut` slices
-    /// of protocol state and per-node RNGs without any locking.
-    fn run_window(&mut self, window_end: u64, seq_base: u64) {
-        let mut par = self.par.take().expect("window requires live shards");
-        let env = WindowEnv {
-            topo: &self.topo,
-            down: &self.down,
-            partitions: self.partitions.as_deref(),
-            latency_factor: self.latency_factor,
-            drop_prob: self.drop_prob,
-            link_drops: &self.link_drops,
-            drop_seed: self.drop_seed,
-            window_end,
-            seq_base,
-        };
-        let pending: usize = par.domains.iter().map(Domain::pending).sum();
-        if pending < PARALLEL_SPAWN_THRESHOLD {
-            self.coverage.windows_inline += 1;
-        } else {
-            self.coverage.windows_parallel += 1;
-        }
-        // One window job per domain: its shard plus disjoint `&mut`
-        // slices of protocol state and per-node RNGs.
-        type Job<'a, P> =
-            (&'a mut Domain<<P as Protocol>::Msg>, &'a mut [P], &'a mut [ChaCha8Rng]);
-        let mut jobs: Vec<Job<'_, P>> = Vec::with_capacity(par.domains.len());
-        let mut nodes_rest: &mut [P] = &mut self.nodes;
-        let mut rngs_rest: &mut [ChaCha8Rng] = &mut self.node_rngs;
-        for dom in &mut par.domains {
-            let take = dom.end - dom.base;
-            let (n, nr) = nodes_rest.split_at_mut(take);
-            let (r, rr) = rngs_rest.split_at_mut(take);
-            nodes_rest = nr;
-            rngs_rest = rr;
-            jobs.push((dom, n, r));
-        }
-        if pending < PARALLEL_SPAWN_THRESHOLD {
-            // Tiny windows aren't worth thread wake-ups. Domains are
-            // independent within a window, so inline execution produces
-            // byte-identical results.
-            for (dom, nodes, rngs) in jobs {
-                run_domain_window(dom, nodes, rngs, &env);
-            }
-        } else {
-            std::thread::scope(|s| {
-                let mut jobs = jobs.into_iter();
-                let first = jobs.next();
-                for (dom, nodes, rngs) in jobs {
-                    let env = &env;
-                    s.spawn(move || run_domain_window(dom, nodes, rngs, env));
-                }
-                // The driver thread works the first domain instead of
-                // idling at the join.
-                if let Some((dom, nodes, rngs)) = first {
-                    run_domain_window(dom, nodes, rngs, &env);
-                }
-            });
-        }
-        self.par = Some(par);
+        self.threads = threads.min(self.nodes.len().max(1));
+        self.repartition(self.threads);
+        self.base_lookahead = self
+            .net
+            .topo
+            .min_cross_group_latency(&self.part.of_node)
+            .map_or(u64::MAX, |l| l.as_micros());
+        // A fn pointer, so the unbounded `run_window` can spawn without
+        // carrying these bounds itself.
+        self.run_jobs = run_jobs_scoped::<P>;
     }
 }
 
-/// One domain's event loop for one window: run every local event with
-/// `at < window_end` in `(at, seq)` order, recording emissions for the
-/// barrier replay instead of touching global state.
-fn run_domain_window<P: Protocol>(
-    dom: &mut Domain<P::Msg>,
-    nodes: &mut [P],
-    rngs: &mut [ChaCha8Rng],
-    env: &WindowEnv<'_>,
-) {
-    loop {
-        let Some((at, _seq, take_timer)) = peek_next(&dom.queue, &mut dom.wheel) else {
-            return;
-        };
-        if at >= env.window_end {
+fn run_jobs_inline<P: Protocol>(jobs: Vec<Job<'_, P>>, env: &WindowEnv<'_>) {
+    for mut job in jobs {
+        run_domain_window(&mut job, env);
+    }
+}
+
+fn run_jobs_scoped<P>(jobs: Vec<Job<'_, P>>, env: &WindowEnv<'_>)
+where
+    P: Protocol + Send,
+    P::Msg: Send + Sync,
+{
+    std::thread::scope(|s| {
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next();
+        for mut job in jobs {
+            s.spawn(move || run_domain_window(&mut job, env));
+        }
+        // The driver thread works the first domain instead of idling at
+        // the join.
+        if let Some(mut job) = first {
+            run_domain_window(&mut job, env);
+        }
+    });
+}
+
+/// One domain's event loop for one window: run every local event keyed
+/// before `env.end` in `(at, seq)` order, logging emissions for the commit
+/// instead of touching global state.
+fn run_domain_window<P: Protocol>(job: &mut Job<'_, P>, env: &WindowEnv<'_>) {
+    while let Some((at, seq, take_timer)) = job.dom.peek_next() {
+        if (at, seq) >= env.end {
             return;
         }
+        debug_assert!(at >= job.dom.now, "time must be monotonic");
+        job.dom.now = at;
+        job.dom.events_processed += 1;
         if take_timer {
-            let entry = dom.wheel.pop_earliest().expect("peeked");
-            dom.events_processed += 1;
-            if !env.down[entry.node] {
-                dispatch_window(dom, nodes, rngs, env, (entry.at, entry.seq), NodeId(entry.node), |p, ctx| {
+            let entry = job.dom.wheel.pop_earliest().expect("peeked");
+            if !env.net.down[entry.node] {
+                dispatch_window(job, env, (at, seq), NodeId(entry.node), |p, ctx| {
                     p.on_timer(ctx, entry.tag)
                 });
             }
         } else {
-            let Reverse((at_us, seq, slot)) = dom.queue.pop().expect("peeked");
-            let body = dom.slab[slot as usize]
-                .take()
-                .expect("queued key points at a parked body");
-            dom.free.push(slot);
-            // Mirrors the sequential loop: timers armed by this handler
-            // must be placeable relative to the new local time.
-            dom.wheel.advance(at_us);
-            dom.events_processed += 1;
-            if env.down[body.to.0] {
-                // Delivery-time drops are pure counters, so they can live
-                // in the domain accumulator and merge at the barrier.
-                dom.stats.record_drop(DropCause::NodeDown);
-            } else {
-                let (to, from) = (body.to, body.from);
-                match body.msg {
-                    Payload::One(msg) => {
-                        dispatch_window(dom, nodes, rngs, env, (at_us, seq), to, |p, ctx| {
-                            p.on_message(ctx, from, msg)
-                        });
-                    }
-                    Payload::Shared(arc) => match Arc::try_unwrap(arc) {
-                        Ok(msg) => {
-                            dispatch_window(dom, nodes, rngs, env, (at_us, seq), to, |p, ctx| {
-                                p.on_message(ctx, from, msg)
-                            });
-                        }
-                        Err(arc) => {
-                            dispatch_window(dom, nodes, rngs, env, (at_us, seq), to, |p, ctx| {
-                                p.on_message_ref(ctx, from, &arc)
-                            });
-                        }
-                    },
-                }
+            let Reverse((_, _, slot)) = job.dom.queue.pop().expect("peeked");
+            let DeliveryBody { from, to, msg } =
+                job.dom.slab[slot as usize].take().expect("queued key points at a parked body");
+            job.dom.free.push(slot);
+            // Timers armed by this delivery's handler must be placeable
+            // relative to the new local time.
+            job.dom.wheel.advance(at);
+            if env.net.down[to.0] {
+                job.stats.record_drop(DropCause::NodeDown);
+                continue;
             }
+            // The last recipient of a multicast owns the payload outright;
+            // earlier ones borrow it.
+            let msg = match msg {
+                Payload::One(msg) => Ok(msg),
+                Payload::Shared(arc) => Arc::try_unwrap(arc),
+            };
+            dispatch_window(job, env, (at, seq), to, |p, ctx| match msg {
+                Ok(msg) => p.on_message(ctx, from, msg),
+                Err(arc) => p.on_message_ref(ctx, from, &arc),
+            });
         }
     }
 }
 
-/// Runs one handler inside a window and logs its emissions. Intra-window
-/// intra-domain effects execute immediately under provisional seqs
-/// (`seq_base + k`, `k` counting only executed emissions in this domain);
-/// everything else parks for the barrier. The provisional numbering
-/// preserves the domain-local relative order the sequential engine would
-/// produce, and the barrier replay rewrites it into the real global order.
-fn dispatch_window<P: Protocol>(
-    dom: &mut Domain<P::Msg>,
-    nodes: &mut [P],
-    rngs: &mut [ChaCha8Rng],
+/// Runs one handler — the event keyed `key`, on `node` — and routes what it
+/// emits. Own emissions keyed inside the window execute in it under
+/// provisional seqs (`PROVISIONAL | k`, `k` counting only executed
+/// emissions in this domain); everything else parks for the commit. The
+/// provisional numbering preserves the domain-local relative order of the
+/// global sequence, and the commit replay rewrites it into that sequence.
+fn dispatch_window<P: Protocol, R>(
+    job: &mut Job<'_, P>,
     env: &WindowEnv<'_>,
     key: (u64, u64),
     node: NodeId,
-    f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
-) {
+    f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>) -> R,
+) -> R {
+    let (dom, stats) = (&mut *job.dom, &mut *job.stats);
+    let now = SimTime::ZERO + SimDuration::from_micros(key.0);
     let mut actions = std::mem::take(&mut dom.actions);
     debug_assert!(actions.is_empty());
-    {
-        let mut ctx = Context {
-            now: SimTime::ZERO + SimDuration::from_micros(key.0),
-            node,
-            actions: &mut actions,
-            rng: &mut rngs[node.0 - dom.base],
-        };
-        f(&mut nodes[node.0 - dom.base], &mut ctx);
-    }
+    let r = {
+        let local = node.0 - dom.base;
+        let mut ctx = Context { now, node, actions: &mut actions, rng: &mut job.rngs[local] };
+        f(&mut job.nodes[local], &mut ctx)
+    };
     let emi = dom.emissions.len() as u32;
     for action in actions.drain(..) {
         match action {
+            // Accounting happens at send time: bytes hit the wire even when
+            // the message is then dropped or the destination proves dead.
             Action::Send { to, msg } => {
-                let (wire, class) = (msg.wire_size(), msg.class());
-                dom.stats.record_send(node, to, wire, class);
-                window_route(dom, env, node, to, key.0, Payload::One(msg));
+                stats.record_send(node, to, msg.wire_size(), msg.class());
+                window_route(dom, stats, env, node, to, now, Payload::One(msg));
             }
             Action::Multicast { to, msg } => {
-                // One aggregated accounting entry for the fan-out, exactly
-                // like the sequential `apply_actions` path.
-                let (wire, class) = (msg.wire_size(), msg.class());
-                dom.stats.record_multicast(node, &to, wire, class);
+                // One aggregated accounting entry for the whole fan-out;
+                // the per-recipient loop then only decides delivery. The
+                // counter totals are identical to per-recipient
+                // `record_send` calls, so stats fingerprints don't move.
+                stats.record_multicast(node, &to, msg.wire_size(), msg.class());
                 for &t in &to {
-                    window_route(dom, env, node, t, key.0, Payload::Shared(Arc::clone(&msg)));
+                    window_route(dom, stats, env, node, t, now, Payload::Shared(Arc::clone(&msg)));
                 }
             }
             Action::Timer { delay, tag } => {
-                let at = (SimTime::ZERO + SimDuration::from_micros(key.0) + delay).as_micros();
-                if at < env.window_end {
-                    let seq = env.seq_base + dom.provisional;
-                    dom.provisional += 1;
-                    dom.wheel.insert(TimerEntry { at, seq, node: node.0, tag });
-                    dom.emissions.push(Emission::Exec);
-                } else {
-                    dom.emissions.push(Emission::ArmTimer { at, tag });
+                let at = (now + delay).as_micros();
+                match dom.claim_in_window(env, at) {
+                    Some(seq) => dom.wheel.insert(TimerEntry { at, seq, node: node.0, tag }),
+                    None => dom.emissions.push(Emission::ArmTimer { at, tag }),
                 }
             }
-            Action::Count { name, n } => dom.stats.record_event(name, n),
+            Action::Count { name, n } => stats.record_event(name, n),
         }
     }
     dom.actions = actions;
-    let emi_len = dom.emissions.len() as u32 - emi;
-    if emi_len > 0 {
-        dom.records.push(DispatchRecord {
-            at: key.0,
-            seq: key.1,
-            node: node.0 as u32,
-            emi,
-            emi_len,
-        });
-    }
+    dom.close_record(key, node, emi);
+    r
 }
 
-/// The window-local routing decision, mirroring `route_unaccounted` step
-/// for step: partition check, counter-mode drop coins (against this
-/// domain's shard of the link counters — the sender always lives here),
-/// reachability, then latency. Drops tally into the domain accumulator and
-/// log nothing; surviving recipients log exactly one seq-consuming
-/// [`Emission`] for the barrier replay.
+/// The delivery decision for one recipient — byte accounting already
+/// happened: partition check, counter-mode drop coins (against this
+/// domain's link counters — the sender always lives here), reachability,
+/// then latency. Which attempts bump a link's drop counter, and in what
+/// per-link order, is part of the determinism contract. Drops tally into
+/// `stats` and log nothing; a surviving recipient logs exactly one
+/// seq-consuming [`Emission`].
 fn window_route<M>(
     dom: &mut Domain<M>,
+    stats: &mut NetStats,
     env: &WindowEnv<'_>,
     from: NodeId,
     to: NodeId,
-    now_us: u64,
+    now: SimTime,
     msg: Payload<M>,
 ) {
-    if let Some(groups) = env.partitions {
+    if let Some(groups) = &env.net.partitions {
         if groups[from.0] != groups[to.0] {
-            dom.stats.record_drop(DropCause::Partition);
+            stats.record_drop(DropCause::Partition);
             return;
         }
     }
-    if let Some(cause) = counter_drop(
-        &mut dom.link_ctrs,
-        env.drop_seed,
-        env.drop_prob,
-        env.link_drops,
-        from,
-        to,
-    ) {
-        dom.stats.record_drop(cause);
+    if let Some(cause) = counter_drop(&mut dom.link_ctrs, env.net, from, to) {
+        stats.record_drop(cause);
         return;
     }
-    let Some(latency) = env.topo.dist(from, to) else {
-        dom.stats.record_drop(DropCause::Unreachable);
+    let Some(latency) = env.net.topo.dist(from, to) else {
+        stats.record_drop(DropCause::Unreachable);
         return;
     };
-    let latency =
-        if env.latency_factor == 1.0 { latency } else { latency.mul_f64(env.latency_factor) };
-    let at = (SimTime::ZERO + SimDuration::from_micros(now_us) + latency).as_micros();
+    let at = (now + env.net.scaled(latency)).as_micros();
     let intra = dom.base <= to.0 && to.0 < dom.end;
-    if intra && at < env.window_end {
-        let seq = env.seq_base + dom.provisional;
-        dom.provisional += 1;
-        dom.push_with_seq(at, seq, DeliveryBody { from, to, msg });
-        dom.emissions.push(Emission::Exec);
-    } else {
-        // The lookahead guarantee: a cross-domain delivery can never land
-        // inside the window that produced it.
-        debug_assert!(
-            intra || at >= env.window_end,
-            "cross-domain send inside its own window violates lookahead"
-        );
-        dom.emissions.push(Emission::Park { to, at, body: Some(msg) });
+    // The lookahead guarantee: a cross-domain delivery can never land
+    // inside the window that produced it.
+    debug_assert!(intra || at >= env.end.0, "cross-domain send violates lookahead");
+    let claimed = if intra { dom.claim_in_window(env, at) } else { None };
+    match claimed {
+        Some(seq) => dom.push_with_seq(at, seq, DeliveryBody { from, to, msg }),
+        None => dom.emissions.push(Emission::Park { to, at, body: msg }),
     }
 }
 
@@ -2417,9 +2167,8 @@ mod tests {
     #[test]
     fn parallel_random_drops_stay_parallel_and_match_sequential() {
         // Drop coins are counter-mode hashes of (seed, link, attempt), so
-        // a drop phase no longer forces the sequential fallback: the epoch
-        // stays sharded straight through it, with the exact same schedule
-        // as a purely sequential run.
+        // a drop phase forces no fallback: the run stays multi-domain
+        // straight through it, with the exact same schedule as one domain.
         let run = |threads: usize| {
             let mut sim = gossip_sim(20, 99);
             sim.set_threads(threads);
@@ -2434,7 +2183,7 @@ mod tests {
         let (seq_fp, seq_cov) = run(1);
         let (par_fp, par_cov) = run(8);
         assert_eq!(par_fp, seq_fp);
-        // Sequential runs never enter the parallel machinery at all.
+        // One configured thread leaves the coverage counters alone.
         assert_eq!(seq_cov, ParCoverage::default());
         // The threaded run stayed parallel through the drop phase: windows
         // were scheduled (parallel or inline) and nothing fell back.
@@ -2448,22 +2197,31 @@ mod tests {
     #[test]
     fn parallel_coverage_counts_fallback_on_zero_lookahead() {
         // A topology whose minimum cross-domain latency is zero leaves no
-        // lookahead window, so every epoch must take the sequential
-        // fallback — and say so in the coverage counters.
-        let mut b = crate::topology::Topology::builder(4);
-        for i in 0..4usize {
-            for j in (i + 1)..4 {
-                b.edge(NodeId(i), NodeId(j), SimDuration::ZERO);
+        // lookahead window, so every run collapses to one domain — same
+        // trace as one configured thread — and says so in the coverage
+        // counters.
+        let run = |threads: usize| {
+            let mut b = crate::topology::Topology::builder(4);
+            for i in 0..4usize {
+                for j in (i + 1)..4 {
+                    b.edge(NodeId(i), NodeId(j), SimDuration::ZERO);
+                }
             }
-        }
-        let nodes = (0..4)
-            .map(|id| Gossip { id, n: 4, rounds_left: 4, heard: 0, rng_sum: 0 })
-            .collect();
-        let mut sim: Simulator<Gossip> = Simulator::new(b.build(), nodes, 5);
-        sim.set_threads(2);
-        sim.start();
-        sim.run_for(SimDuration::from_millis(50));
-        let cov = sim.par_coverage();
+            let nodes = (0..4)
+                .map(|id| Gossip { id, n: 4, rounds_left: 4, heard: 0, rng_sum: 0 })
+                .collect();
+            let mut sim: Simulator<Gossip> = Simulator::new(b.build(), nodes, 5);
+            sim.set_threads(threads);
+            sim.start();
+            sim.run_for(SimDuration::from_millis(50));
+            let domains: Vec<u32> = (0..4).map(|i| sim.domain_of(NodeId(i))).collect();
+            (gossip_fingerprint(&sim), sim.par_coverage(), domains)
+        };
+        let (one_fp, one_cov, _) = run(1);
+        let (fp, cov, domains) = run(2);
+        assert_eq!(fp, one_fp);
+        assert_eq!(one_cov, ParCoverage::default());
+        assert_eq!(domains, [0; 4], "the run collapsed to one domain");
         assert!(cov.fallback_entries > 0);
         assert!(cov.fallback_events > 0);
         assert_eq!(cov.windows_parallel + cov.windows_inline, 0);
@@ -2473,8 +2231,8 @@ mod tests {
     #[test]
     fn chaos_controls_between_windows_match_sequential() {
         // Crashes, partitions, latency changes, injections, and direct
-        // node access interleaved with parallel epochs must all replay the
-        // sequential schedule exactly.
+        // node access interleaved with multi-domain runs must all replay the
+        // one-domain schedule exactly.
         let run = |threads: usize| {
             let mut sim = gossip_sim(20, 123);
             sim.set_threads(threads);
@@ -2495,8 +2253,8 @@ mod tests {
             sim.run_for(SimDuration::from_millis(120));
             sim.set_partitions(None);
             sim.set_latency_factor(1.0);
-            // A single sequential step mid-flight forces an unshard and a
-            // later re-shard.
+            // A single step mid-flight: a one-event window on whichever
+            // domain holds the globally next key.
             sim.step();
             sim.run_for(SimDuration::from_millis(260));
             gossip_fingerprint(&sim)

@@ -8,7 +8,7 @@
 //! shows up as a trace diff — not just as a counter mismatch.
 
 use oceanstore_sim::{
-    Context, Message, NodeId, Protocol, SimDuration, Simulator, Topology,
+    Context, Message, NodeId, ParCoverage, Protocol, SimDuration, Simulator, Topology,
 };
 use proptest::prelude::*;
 use rand::Rng as _;
@@ -76,15 +76,59 @@ impl Protocol for Logger {
     }
 }
 
-/// Runs the workload and returns the concatenated per-node trace plus
-/// the engine's own counters — the full observable surface.
-fn run_trace(n: usize, seed: u64, threads: usize, horizon_ms: u64) -> String {
+fn logger_sim(n: usize, seed: u64, threads: usize) -> Simulator<Logger> {
     let topo = Topology::ring(n, SimDuration::from_millis(10));
     let nodes = (0..n).map(|id| Logger { id, n, budget: 6, log: Vec::new() }).collect();
     let mut sim = Simulator::new(topo, nodes, seed);
     sim.set_threads(threads);
+    sim
+}
+
+/// Runs the workload and returns the concatenated per-node trace plus
+/// the engine's own counters — the full observable surface.
+fn run_trace(n: usize, seed: u64, threads: usize, horizon_ms: u64) -> String {
+    let mut sim = logger_sim(n, seed, threads);
     sim.start();
     sim.run_for(SimDuration::from_millis(horizon_ms));
+    observe(&sim)
+}
+
+/// Every way into the engine in one run: timed runs, stimulus through a
+/// live context, a raw injection, single steps (with the clock after
+/// each), a crash and a wiped recovery, a change of thread count from
+/// `threads.0` to `threads.1` with events in flight, and a drain to
+/// quiescence.
+fn run_mixed(n: usize, seed: u64, threads: (usize, usize), horizon_ms: u64) -> String {
+    let third = SimDuration::from_millis(horizon_ms / 3);
+    let victim = NodeId(seed as usize % n);
+    let mut sim = logger_sim(n, seed, threads.0);
+    sim.start();
+    sim.run_for(third);
+    sim.with_node_ctx(NodeId((victim.0 + 1) % n), |node, ctx| {
+        node.log.push(format!("{}:stimulus", ctx.now().as_micros()));
+        ctx.broadcast([victim, NodeId((victim.0 + 2) % n)], Ping { hops: 4 });
+        ctx.set_timer(SimDuration::from_millis(3), 9);
+    });
+    sim.inject(NodeId(0), NodeId(n - 1), Ping { hops: 2 });
+    let mut out = String::new();
+    for _ in 0..5 {
+        sim.step();
+        out.push_str(&format!("step -> {}\n", sim.now().as_micros()));
+    }
+    sim.crash_node(victim);
+    sim.run_for(third);
+    sim.recover_node_wiped(victim, Logger { id: victim.0, n, budget: 2, log: Vec::new() });
+    sim.set_threads(threads.1);
+    sim.run_for(third);
+    let drained = sim.run_to_quiescence(1_000_000);
+    if threads == (1, 1) {
+        assert_eq!(sim.par_coverage(), ParCoverage::default());
+    }
+    out.push_str(&format!("drained={drained} now={}\n", sim.now().as_micros()));
+    out + &observe(&sim)
+}
+
+fn observe(sim: &Simulator<Logger>) -> String {
     let mut out = String::new();
     for (i, node) in sim.nodes().enumerate() {
         out.push_str(&format!("== node {i} ==\n"));
@@ -161,5 +205,9 @@ proptest! {
         let sequential = run_trace(n, seed, 1, horizon_ms);
         let parallel = run_trace(n, seed, threads, horizon_ms);
         prop_assert_eq!(parallel, sequential);
+        let one_domain = run_mixed(n, seed, (1, 1), horizon_ms);
+        for plan in [(1, threads), (2, 8), (8, 2), (threads, 1)] {
+            prop_assert_eq!(run_mixed(n, seed, plan, horizon_ms), one_domain.clone(), "plan {:?}", plan);
+        }
     }
 }
