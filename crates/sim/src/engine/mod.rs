@@ -832,15 +832,19 @@ where
     /// Panics if `threads` is zero.
     pub fn set_threads(&mut self, threads: usize) {
         assert!(threads >= 1, "thread count must be at least 1");
-        self.threads = threads.min(self.nodes.len().max(1));
-        self.repartition(self.threads);
+        // A fn pointer, so the unbounded `run_window` can spawn without
+        // carrying these bounds itself.
+        self.run_jobs = run_jobs_scoped::<P>;
+        let threads = threads.min(self.nodes.len().max(1));
+        if threads == self.threads {
+            return;
+        }
+        self.threads = threads;
+        self.repartition(threads);
         self.base_lookahead = self
             .net
             .topo
             .min_cross_group_latency(&self.part.of_node)
             .map_or(u64::MAX, |l| l.as_micros());
-        // A fn pointer, so the unbounded `run_window` can spawn without
-        // carrying these bounds itself.
-        self.run_jobs = run_jobs_scoped::<P>;
     }
 }
