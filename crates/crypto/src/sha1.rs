@@ -80,15 +80,26 @@ impl Sha1 {
     /// Finishes the hash, returning the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then 64-bit big-endian bit length, written
+        // into the block buffer directly (`update` keeps `buf_len < 64`).
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        if n + 1 > 56 {
+            // No room for the length: it goes in a block of its own.
+            self.buf[n + 1..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
+        } else {
+            self.buf[n + 1..56].fill(0);
         }
-        // `update` would double-count the length bytes; write them directly.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
+        self.digest_bytes()
+    }
+
+    fn digest_bytes(&self) -> Digest {
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -193,6 +204,30 @@ mod tests {
                 h.update(c);
             }
             assert_eq!(h.finalize(), sha1(&data), "chunk size {chunk}");
+        }
+    }
+
+    /// The padding as it was first written: one `update` call per pad
+    /// byte. Kept as the reference for the direct write in `finalize`.
+    fn finalize_byte_at_a_time(mut h: Sha1) -> Digest {
+        let bit_len = h.len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buf_len != 56 {
+            h.update(&[0]);
+        }
+        h.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buf;
+        h.compress(&block);
+        h.digest_bytes()
+    }
+
+    #[test]
+    fn padding_matches_reference_at_every_length() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=300 {
+            let mut h = Sha1::new();
+            h.update(&data[..len]);
+            assert_eq!(h.clone().finalize(), finalize_byte_at_a_time(h), "length {len}");
         }
     }
 

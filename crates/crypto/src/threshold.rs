@@ -11,6 +11,7 @@
 //! protocols need.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::schnorr::{verify, PublicKey, Signature};
 
@@ -18,7 +19,9 @@ use crate::schnorr::{verify, PublicKey, Signature};
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SerializationCert {
     /// Signer public key → that signer's signature over the result.
-    sigs: BTreeMap<PublicKey, Signature>,
+    /// Shared: a finished cert is cloned with its commit record at every
+    /// tree hop and into every replica's log, and never changes again.
+    sigs: Arc<BTreeMap<PublicKey, Signature>>,
 }
 
 impl SerializationCert {
@@ -29,7 +32,7 @@ impl SerializationCert {
 
     /// Adds one signer's vote. Re-adding a signer replaces its signature.
     pub fn add(&mut self, signer: PublicKey, sig: Signature) {
-        self.sigs.insert(signer, sig);
+        Arc::make_mut(&mut self.sigs).insert(signer, sig);
     }
 
     /// Number of signatures collected (valid or not).

@@ -157,7 +157,7 @@ impl Secondary {
     /// in timestamp order (what an optimistic reader sees, e.g. for
     /// disconnected operation).
     pub fn tentative_view(&self, object: &Guid) -> Option<DataObject> {
-        let mut data = self.store.get(object).map(|s| s.data.clone())?;
+        let mut data = self.store.get(object).map(|s| s.data.fork())?;
         if let Some(pending) = self.tentative.get(object) {
             for enc in pending.values() {
                 if let Ok(u) = decode_update(enc) {
@@ -174,7 +174,7 @@ impl Secondary {
         let mut data = self
             .store
             .get(object)
-            .map(|s| s.data.clone())
+            .map(|s| s.data.fork())
             .unwrap_or_default();
         if let Some(pending) = self.tentative.get(object) {
             for enc in pending.values() {
@@ -523,7 +523,7 @@ impl Secondary {
             pending.retain(|(_, id), _| *id != record.id);
         }
         // Stream onward per child mode.
-        for (child, mode) in self.cfg.children.clone() {
+        for &(child, mode) in &self.cfg.children {
             match mode {
                 ChildMode::Push => ctx.send(child, ReplicaMsg::Commit(record.clone())),
                 ChildMode::Invalidate => ctx.send(
@@ -546,7 +546,7 @@ impl Secondary {
         st.known_index = st.known_index.max(index + 1);
         // Propagate the invalidation to invalidate-mode children so the
         // whole bandwidth-limited subtree learns it is stale.
-        for (child, mode) in self.cfg.children.clone() {
+        for &(child, mode) in &self.cfg.children {
             if mode == ChildMode::Invalidate {
                 ctx.send(
                     child,

@@ -310,11 +310,9 @@ impl ObjectStore {
     /// paths, not record replay.
     pub fn records_from(&self, object: &Guid, from_index: u64) -> Vec<CommitRecord> {
         let Some(st) = self.objects.get(object) else { return Vec::new() };
-        st.records
-            .iter()
-            .filter(|r| r.index >= from_index)
-            .cloned()
-            .collect()
+        // The log is dense from `first_index`, so the suffix is a slice.
+        let skip = usize::try_from(from_index.saturating_sub(st.first_index)).unwrap_or(usize::MAX);
+        st.records.get(skip..).unwrap_or_default().to_vec()
     }
 
     /// Serializes and applies `update` directly (primary-tier path, where
@@ -621,6 +619,30 @@ mod tests {
         assert_eq!(served.len(), 16);
         assert_eq!(served[0].index, total - 16);
         assert!(served.iter().all(|r| !r.cert.is_empty()));
+        // From the middle of the retained window, and from beyond it.
+        let tail = store.records_from(&obj, total - 4);
+        assert_eq!(tail.iter().map(|r| r.index).collect::<Vec<_>>(), (total - 4..total).collect::<Vec<_>>());
+        assert!(store.records_from(&obj, total + 5).is_empty());
+    }
+
+    #[test]
+    fn replayed_appends_share_every_unchanged_block() {
+        let obj = Guid::from_label("shared-blocks");
+        let mut primary = ObjectStore::new();
+        let mut secondary = ObjectStore::new();
+        for i in 0..1000u64 {
+            let (u, enc) = update((i % 251) as u8);
+            let rec = primary.serialize_update(obj, &u, enc, i, tid(i));
+            assert!(secondary.apply_record(&rec));
+        }
+        let data = &secondary.get(&obj).unwrap().data;
+        let (v1, v1000) = (data.version(1).unwrap(), data.current());
+        assert_eq!((v1.number, v1000.number), (1, 1000));
+        assert_eq!((v1.slot_count(), v1000.slot_count()), (1, 1000));
+        let (Block::Data(old), Block::Data(new)) = (&v1.blocks[0], &v1000.blocks[0]) else {
+            panic!("appends store data blocks");
+        };
+        assert!(Arc::ptr_eq(old, new), "999 later commits never copied block 0");
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! how insert/delete work over ciphertext (§4.4.2, Figure 4).
 //!
 //! "In principle, every update to an OceanStore object creates a new
-//! version" (§2). Versions here are persistent snapshots sharing block
-//! storage via `Arc`; a retirement policy trims ancient versions (the
-//! Elephant-style interfaces the paper cites \[44\]).
+//! version" (§2). An object keeps its current version and, per older
+//! version, only what the next commit overwrote; every retained version
+//! is rebuilt on demand and shares block storage via `Arc`. A retirement
+//! policy trims ancient versions (the Elephant-style interfaces the paper
+//! cites \[44\]).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use oceanstore_crypto::swp::EncryptedIndex;
@@ -101,10 +104,27 @@ impl Version {
     }
 }
 
-/// A versioned, server-side object.
+/// What one commit overwrote: enough to turn version `n` back into
+/// version `n - 1` without keeping a second slot table.
+#[derive(Debug, Clone)]
+struct ReverseDelta {
+    /// Slot count before the commit (slots it appended lie beyond).
+    prev_len: usize,
+    /// `(slot, block it held before)` for every overwrite, in the order
+    /// applied; undone back to front, so the oldest content wins.
+    overwritten: Vec<(usize, Block)>,
+    /// The search index before the commit, if the commit replaced it.
+    prev_search_index: Option<Arc<EncryptedIndex>>,
+}
+
+/// A versioned, server-side object: the current version plus one reverse
+/// delta per retained older version, so a commit costs the blocks it
+/// touches, not the blocks the object has (DESIGN.md §12).
 #[derive(Debug, Clone)]
 pub struct DataObject {
-    versions: Vec<Arc<Version>>,
+    current: Arc<Version>,
+    /// Oldest first; the last entry turns `current` into its predecessor.
+    history: VecDeque<ReverseDelta>,
     /// Keep at most this many trailing versions (`None` = keep all; "we
     /// plan to provide interfaces for retiring old versions").
     retain: Option<usize>,
@@ -116,17 +136,50 @@ impl Default for DataObject {
     }
 }
 
+/// The next version under construction: edits land on the current
+/// version in place and record what they overwrote.
+pub(crate) struct Edit<'a> {
+    version: &'a mut Version,
+    undo: ReverseDelta,
+}
+
+impl Edit<'_> {
+    /// Appends a slot.
+    pub(crate) fn push(&mut self, block: Block) {
+        self.version.blocks.push(block);
+    }
+
+    /// Overwrites `slot`, which must exist.
+    pub(crate) fn set(&mut self, slot: usize, block: Block) {
+        let old = std::mem::replace(&mut self.version.blocks[slot], block);
+        self.undo.overwritten.push((slot, old));
+    }
+
+    /// Installs a new search index.
+    pub(crate) fn set_search_index(&mut self, index: Arc<EncryptedIndex>) {
+        let old = std::mem::replace(&mut self.version.search_index, index);
+        self.undo.prev_search_index.get_or_insert(old);
+    }
+}
+
 impl DataObject {
     /// A fresh object with one empty version 0.
     pub fn new() -> Self {
         DataObject {
-            versions: vec![Arc::new(Version {
+            current: Arc::new(Version {
                 number: 0,
                 blocks: Vec::new(),
                 search_index: Arc::new(EncryptedIndex::default()),
-            })],
+            }),
+            history: VecDeque::new(),
             retain: None,
         }
+    }
+
+    /// A new object that starts at this one's current version and carries
+    /// none of its history (a tentative view's scratch copy).
+    pub fn fork(&self) -> Self {
+        DataObject { current: Arc::clone(&self.current), history: VecDeque::new(), retain: None }
     }
 
     /// Sets the retirement policy: keep at most `n` most-recent versions.
@@ -142,43 +195,66 @@ impl DataObject {
 
     /// The current (latest) version.
     pub fn current(&self) -> &Arc<Version> {
-        self.versions.last().expect("objects always have a version")
+        &self.current
     }
 
     /// The current version number.
     pub fn version_number(&self) -> u64 {
-        self.current().number
+        self.current.number
     }
 
-    /// Fetches a retained historical version by number.
-    pub fn version(&self, number: u64) -> Option<&Arc<Version>> {
-        self.versions.iter().find(|v| v.number == number)
+    /// Rebuilds a retained historical version by undoing every commit
+    /// since: O(current slots + blocks those commits overwrote).
+    pub fn version(&self, number: u64) -> Option<Version> {
+        let back = usize::try_from(self.current.number.checked_sub(number)?).ok()?;
+        if back > self.history.len() {
+            return None;
+        }
+        let mut v = (*self.current).clone();
+        for delta in self.history.iter().rev().take(back) {
+            v.blocks.truncate(delta.prev_len);
+            for (slot, block) in delta.overwritten.iter().rev() {
+                v.blocks[*slot] = block.clone();
+            }
+            if let Some(index) = &delta.prev_search_index {
+                v.search_index = Arc::clone(index);
+            }
+        }
+        v.number = number;
+        Some(v)
     }
 
     /// Number of retained versions.
     pub fn retained_versions(&self) -> usize {
-        self.versions.len()
+        self.history.len() + 1
     }
 
-    /// Installs `next` as the new current version.
+    /// Turns the current version into the next one by running `edit` on
+    /// it in place, and returns the new version number. A reader still
+    /// holding the old `Arc<Version>` keeps its snapshot (the edit then
+    /// runs on a copy); nobody else pays for one.
     ///
-    /// # Panics
-    ///
-    /// Panics if the version number is not exactly `current + 1`.
-    pub fn push_version(&mut self, next: Version) {
-        assert_eq!(
-            next.number,
-            self.version_number() + 1,
-            "versions are consecutive"
-        );
-        self.versions.push(Arc::new(next));
+    /// `edit` cannot fail: callers validate before they commit.
+    pub(crate) fn commit(&mut self, edit: impl FnOnce(&mut Edit<'_>)) -> u64 {
+        let version = Arc::make_mut(&mut self.current);
+        let undo = ReverseDelta {
+            prev_len: version.blocks.len(),
+            overwritten: Vec::new(),
+            prev_search_index: None,
+        };
+        let mut next = Edit { version, undo };
+        edit(&mut next);
+        next.version.number += 1;
+        let number = next.version.number;
+        self.history.push_back(next.undo);
         self.trim();
+        number
     }
 
     fn trim(&mut self) {
         if let Some(n) = self.retain {
-            while self.versions.len() > n {
-                self.versions.remove(0);
+            while self.retained_versions() > n {
+                self.history.pop_front();
             }
         }
     }
@@ -268,18 +344,56 @@ mod tests {
     #[test]
     fn versions_are_persistent_and_consecutive() {
         let mut o = DataObject::new();
-        o.push_version(version(1, vec![data(1)]));
-        o.push_version(version(2, vec![data(1), data(2)]));
+        assert_eq!(o.commit(|e| e.push(data(1))), 1);
+        assert_eq!(o.commit(|e| e.push(data(2))), 2);
         assert_eq!(o.version_number(), 2);
-        assert_eq!(o.version(1).unwrap().slot_count(), 1);
-        assert_eq!(o.version(0).unwrap().slot_count(), 0);
+        assert_eq!(o.version(2).unwrap(), **o.current());
+        assert_eq!(o.version(1).unwrap(), version(1, vec![data(1)]));
+        assert_eq!(o.version(0).unwrap(), version(0, vec![]));
+        assert!(o.version(3).is_none());
     }
 
     #[test]
-    #[should_panic(expected = "consecutive")]
-    fn skipped_version_rejected() {
+    fn overwrites_and_search_index_are_undone_oldest_content_first() {
+        use oceanstore_crypto::swp::SearchKey;
+        let index = |word: &[u8]| Arc::new(SearchKey::from_seed(b"k").build_index(b"o", vec![word]));
         let mut o = DataObject::new();
-        o.push_version(version(5, vec![]));
+        o.commit(|e| {
+            e.push(data(1));
+            e.push(data(2));
+        });
+        let v1 = (**o.current()).clone();
+        o.commit(|e| {
+            e.set(0, data(3));
+            e.set(0, data(4)); // same slot twice: version 1 must get `data(1)` back
+            e.push(data(5));
+            e.set_search_index(index(b"first"));
+            e.set_search_index(index(b"second"));
+        });
+        assert_eq!(o.current().blocks, vec![data(4), data(2), data(5)]);
+        assert_eq!(o.current().search_index, index(b"second"));
+        assert_eq!(o.version(1).unwrap(), v1);
+    }
+
+    #[test]
+    fn held_snapshot_survives_later_commits() {
+        let mut o = DataObject::new();
+        o.commit(|e| e.push(data(1)));
+        let held = Arc::clone(o.current());
+        o.commit(|e| e.set(0, data(2)));
+        assert_eq!(*held, version(1, vec![data(1)]));
+        assert_eq!(o.current().blocks, vec![data(2)]);
+    }
+
+    #[test]
+    fn fork_shares_the_current_version_and_drops_the_history() {
+        let mut o = DataObject::new();
+        o.commit(|e| e.push(data(1)));
+        let mut f = o.fork();
+        assert!(Arc::ptr_eq(f.current(), o.current()));
+        assert_eq!(f.retained_versions(), 1);
+        f.commit(|e| e.push(data(2)));
+        assert_eq!(o.current().slot_count(), 1, "the original is untouched");
     }
 
     #[test]
@@ -287,12 +401,37 @@ mod tests {
         let mut o = DataObject::new();
         o.set_retention(2);
         for i in 1..=5 {
-            o.push_version(version(i, vec![data(i as u8)]));
+            o.commit(|e| e.push(data(i)));
         }
         assert_eq!(o.retained_versions(), 2);
         assert!(o.version(3).is_none());
-        assert!(o.version(4).is_some());
-        assert!(o.version(5).is_some());
+        assert_eq!(o.version(4).unwrap().slot_count(), 4);
+        assert_eq!(o.version(5).unwrap().slot_count(), 5);
+    }
+
+    /// Growth guard, as a count: what a commit adds to the history is what
+    /// it overwrote, never a slot table.
+    #[test]
+    fn history_holds_only_what_each_commit_overwrote() {
+        use crate::update::{apply, Action, Update};
+        let mut o = DataObject::new();
+        for i in 0..2000u32 {
+            let append = Action::Append { ciphertext: i.to_le_bytes().to_vec() };
+            assert!(apply(&mut o, &Update::unconditional(vec![append])).is_committed());
+        }
+        assert_eq!(o.current().blocks.len(), 2000);
+        assert_eq!(o.history.len(), 2000);
+        assert!(o.history.iter().all(|d| d.overwritten.is_empty()));
+        for i in 0..2000u32 {
+            let replace = Action::ReplaceBlock {
+                position: (i as usize * 7) % 2000,
+                ciphertext: i.to_be_bytes().to_vec(),
+            };
+            assert!(apply(&mut o, &Update::unconditional(vec![replace])).is_committed());
+        }
+        assert_eq!(o.current().blocks.len(), 2000);
+        assert_eq!(o.history.len(), 4000);
+        assert!(o.history.iter().skip(2000).all(|d| d.overwritten.len() == 1));
     }
 
     #[test]

@@ -278,7 +278,7 @@ mod tests {
         let rewrite = Update::unconditional(replace_op(&keys, &o, 0, b"v2 content"));
         apply(&mut o, &rewrite);
         let v1 = o.version(1).unwrap();
-        assert_eq!(read_object(&keys, v1).unwrap(), vec![b"v1 content".to_vec()]);
+        assert_eq!(read_object(&keys, &v1).unwrap(), vec![b"v1 content".to_vec()]);
         assert_eq!(
             read_object(&keys, o.current()).unwrap(),
             vec![b"v2 content".to_vec()]

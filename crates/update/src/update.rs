@@ -18,7 +18,7 @@ use std::sync::Arc;
 use oceanstore_crypto::sha256::{sha256, Digest as Digest256};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
 
-use crate::object::{Block, DataObject, Version};
+use crate::object::{Block, DataObject};
 
 /// A predicate a replica can evaluate without cleartext access.
 #[derive(Debug, Clone)]
@@ -202,57 +202,58 @@ pub fn apply(object: &mut DataObject, update: &Update) -> Outcome {
     let Some(clause) = update.clauses.iter().find(|c| evaluate(object, &c.predicate)) else {
         return Outcome::Aborted(AbortReason::NoPredicateHeld);
     };
-    // Build the next version on a scratch copy so aborts are atomic.
+    // Validate before touching anything, so an abort leaves the object as
+    // it was: resolve every logical position to its slot and bound every
+    // index pointer. Logical positions refer to the object state at the
+    // *start* of the update; appended slots are addressed by slot number.
     let cur = object.current();
-    let mut blocks = cur.blocks.clone();
-    let mut search_index = Arc::clone(&cur.search_index);
-    // Logical positions refer to the object state at the *start* of the
-    // update; appended slots are addressed by slot number.
-    let order = cur.logical_order();
-    let resolve = |position: usize, blocks_len: usize| -> Option<usize> {
-        order.get(position).copied().filter(|&s| s < blocks_len)
-    };
+    let appends = clause.actions.iter().filter(|a| matches!(a, Action::Append { .. })).count();
+    let mut len = cur.blocks.len();
+    let mut order = None; // an append-only update never needs it
+    let mut slots = Vec::new();
     for action in &clause.actions {
-        match action {
-            Action::ReplaceBlock { position, ciphertext } => {
-                let Some(slot) = resolve(*position, blocks.len()) else {
-                    return Outcome::Aborted(AbortReason::BadPosition);
-                };
-                blocks[slot] = Block::Data(Arc::new(ciphertext.clone()));
+        let position = match action {
+            Action::Append { .. } => {
+                len += 1;
+                continue;
             }
-            Action::Append { ciphertext } => {
-                blocks.push(Block::Data(Arc::new(ciphertext.clone())));
-            }
+            Action::SetSearchIndex(_) => continue,
+            Action::ReplaceBlock { position, .. } | Action::DeleteBlock { position } => *position,
             Action::ReplaceWithIndex { position, pointers } => {
-                let Some(slot) = resolve(*position, blocks.len()) else {
-                    return Outcome::Aborted(AbortReason::BadPosition);
-                };
-                if pointers.iter().any(|&p| p >= blocks.len() + pointers_headroom(&clause.actions)) {
+                // Forward references may reach slots this update's appends
+                // have yet to create; the bound counts every append of the
+                // clause on top of the slots so far.
+                if pointers.iter().any(|&p| p >= len + appends) {
                     return Outcome::Aborted(AbortReason::BadPosition);
                 }
-                blocks[slot] = Block::Index(pointers.clone());
+                *position
             }
-            Action::DeleteBlock { position } => {
-                let Some(slot) = resolve(*position, blocks.len()) else {
-                    return Outcome::Aborted(AbortReason::BadPosition);
-                };
-                blocks[slot] = Block::Index(Vec::new());
-            }
-            Action::SetSearchIndex(ix) => {
-                search_index = Arc::new(ix.clone());
+        };
+        let Some(&slot) = order.get_or_insert_with(|| cur.logical_order()).get(position) else {
+            return Outcome::Aborted(AbortReason::BadPosition);
+        };
+        slots.push(slot);
+    }
+    let mut slots = slots.into_iter();
+    let mut slot = || slots.next().expect("validation resolved one slot per positional action");
+    let version = object.commit(|next| {
+        for action in &clause.actions {
+            match action {
+                Action::ReplaceBlock { ciphertext, .. } => {
+                    next.set(slot(), Block::Data(Arc::new(ciphertext.clone())));
+                }
+                Action::Append { ciphertext } => {
+                    next.push(Block::Data(Arc::new(ciphertext.clone())));
+                }
+                Action::ReplaceWithIndex { pointers, .. } => {
+                    next.set(slot(), Block::Index(pointers.clone()));
+                }
+                Action::DeleteBlock { .. } => next.set(slot(), Block::Index(Vec::new())),
+                Action::SetSearchIndex(ix) => next.set_search_index(Arc::new(ix.clone())),
             }
         }
-    }
-    let next = Version { number: cur.number + 1, blocks, search_index };
-    let version = next.number;
-    object.push_version(next);
+    });
     Outcome::Committed { version }
-}
-
-/// Upper bound on how many slots the update's remaining appends could still
-/// create (used to validate forward references in index pointers).
-fn pointers_headroom(actions: &[Action]) -> usize {
-    actions.iter().filter(|a| matches!(a, Action::Append { .. })).count()
 }
 
 /// Applies an update and records it in `log` ("logged regardless").

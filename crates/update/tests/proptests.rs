@@ -1,9 +1,14 @@
-//! Property-based tests for the update model: codec canonicity and — the
-//! invariant the whole replication layer rests on — deterministic replay.
+//! Property-based tests for the update model: codec canonicity;
+//! deterministic replay, the invariant the whole replication layer rests
+//! on; and equivalence of the snapshot-plus-reverse-deltas object with a
+//! model that keeps every version whole.
 
+use std::sync::Arc;
+
+use oceanstore_crypto::swp::SearchKey;
 use oceanstore_update::codec::{decode_update, encode_update};
-use oceanstore_update::object::{Block, DataObject};
-use oceanstore_update::update::{apply, Action, Outcome, Predicate};
+use oceanstore_update::object::{Block, DataObject, Version};
+use oceanstore_update::update::{apply, evaluate, AbortReason, Action, Outcome, Predicate};
 use oceanstore_update::Update;
 use proptest::prelude::*;
 
@@ -41,6 +46,187 @@ fn arb_update() -> impl Strategy<Value = Update> {
         }
         u
     })
+}
+
+/// One step of the model-equivalence driver. Positions are reduced modulo
+/// the object's logical length when the step runs, so most steps commit.
+#[derive(Debug, Clone)]
+enum Step {
+    Append(Vec<u8>),
+    Replace(usize, Vec<u8>),
+    /// Figure 4's insert: re-append the old block, append the new one,
+    /// replace the position with an index block pointing at both.
+    Insert(usize, Vec<u8>),
+    Delete(usize),
+    SetSearchIndex(u8),
+    /// No clause's predicate holds.
+    FalsePredicate(Vec<u8>),
+    /// An out-of-range position between two appends of one clause.
+    BadPositionMidClause(Vec<u8>),
+    /// Anything the generic generator produces, multi-clause included.
+    Raw(Update),
+    Retain(usize),
+}
+
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..24)
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        arb_bytes().prop_map(Step::Append),
+        arb_bytes().prop_map(Step::Append),
+        (any::<usize>(), arb_bytes()).prop_map(|(p, b)| Step::Replace(p, b)),
+        (any::<usize>(), arb_bytes()).prop_map(|(p, b)| Step::Insert(p, b)),
+        any::<usize>().prop_map(Step::Delete),
+        any::<u8>().prop_map(Step::SetSearchIndex),
+        arb_bytes().prop_map(Step::FalsePredicate),
+        arb_bytes().prop_map(Step::BadPositionMidClause),
+        arb_update().prop_map(Step::Raw),
+        (1usize..6).prop_map(Step::Retain),
+    ]
+}
+
+/// The update a step stands for against the object's current version, and
+/// the abort it was built to provoke, if any.
+fn update_for(step: &Step, cur: &Version) -> (Update, Option<AbortReason>) {
+    let order = cur.logical_order();
+    let append = |bytes: &Vec<u8>| Action::Append { ciphertext: bytes.clone() };
+    let at = |p: usize| p % order.len().max(1);
+    let actions = match step {
+        Step::Append(b) => vec![append(b)],
+        // On an empty object every position is out of range: an abort.
+        Step::Replace(p, b) => vec![Action::ReplaceBlock { position: at(*p), ciphertext: b.clone() }],
+        Step::Insert(p, b) if !order.is_empty() => {
+            let Block::Data(old) = &cur.blocks[order[at(*p)]] else { unreachable!("logical order") };
+            let n = cur.slot_count();
+            vec![
+                append(old),
+                append(b),
+                Action::ReplaceWithIndex { position: at(*p), pointers: vec![n + 1, n] },
+            ]
+        }
+        Step::Insert(_, b) => vec![append(b)],
+        Step::Delete(p) => vec![Action::DeleteBlock { position: at(*p) }],
+        Step::SetSearchIndex(w) => {
+            let index = SearchKey::from_seed(b"model").build_index(b"doc", vec![[*w].as_slice()]);
+            vec![append(&vec![*w]), Action::SetSearchIndex(index)]
+        }
+        Step::FalsePredicate(b) => {
+            let u = Update::default()
+                .with_clause(Predicate::CompareVersion(cur.number + 1), vec![append(b)])
+                .with_clause(Predicate::CompareSize(cur.stored_size() + 1), vec![append(b)]);
+            return (u, Some(AbortReason::NoPredicateHeld));
+        }
+        Step::BadPositionMidClause(b) => {
+            let bad = Action::ReplaceBlock { position: order.len(), ciphertext: b.clone() };
+            let u = Update::unconditional(vec![append(b), bad, append(b)]);
+            return (u, Some(AbortReason::BadPosition));
+        }
+        Step::Raw(u) => return (u.clone(), None),
+        Step::Retain(_) => unreachable!("not an update"),
+    };
+    (Update::unconditional(actions), None)
+}
+
+/// The whole-copy `apply` this crate used before reverse deltas, kept as
+/// the reference: build the next version on a scratch copy of the slots.
+fn model_apply(object: &DataObject, update: &Update) -> Result<Version, AbortReason> {
+    let clause = update
+        .clauses
+        .iter()
+        .find(|c| evaluate(object, &c.predicate))
+        .ok_or(AbortReason::NoPredicateHeld)?;
+    let cur = object.current();
+    let mut next = Version { number: cur.number + 1, ..(**cur).clone() };
+    let order = cur.logical_order();
+    let slot_at = |position: &usize| order.get(*position).copied().ok_or(AbortReason::BadPosition);
+    let appends = clause.actions.iter().filter(|a| matches!(a, Action::Append { .. })).count();
+    for action in &clause.actions {
+        match action {
+            Action::ReplaceBlock { position, ciphertext } => {
+                next.blocks[slot_at(position)?] = Block::Data(Arc::new(ciphertext.clone()));
+            }
+            Action::Append { ciphertext } => {
+                next.blocks.push(Block::Data(Arc::new(ciphertext.clone())));
+            }
+            Action::ReplaceWithIndex { position, pointers } => {
+                let slot = slot_at(position)?;
+                if pointers.iter().any(|&p| p >= next.blocks.len() + appends) {
+                    return Err(AbortReason::BadPosition);
+                }
+                next.blocks[slot] = Block::Index(pointers.clone());
+            }
+            Action::DeleteBlock { position } => {
+                next.blocks[slot_at(position)?] = Block::Index(Vec::new());
+            }
+            Action::SetSearchIndex(ix) => next.search_index = Arc::new(ix.clone()),
+        }
+    }
+    Ok(next)
+}
+
+proptest! {
+    /// The object answers exactly as a model that stores every version
+    /// whole: every retained `version(n)`, retention dropping the oldest,
+    /// aborts touching nothing, and a held snapshot surviving the commits
+    /// that follow it.
+    #[test]
+    fn object_matches_whole_version_model(
+        steps in proptest::collection::vec((arb_step(), any::<bool>()), 0..40)
+    ) {
+        let mut o = DataObject::new();
+        // `model[i]` is version `floor + i`.
+        let mut model = vec![(**o.current()).clone()];
+        let mut floor = 0u64;
+        let mut retain = usize::MAX;
+        for (step, hold) in &steps {
+            if let Step::Retain(k) = step {
+                o.set_retention(*k);
+                retain = *k;
+            } else {
+                let before = (**o.current()).clone();
+                // A held snapshot forces the copy-on-write path; without
+                // one the commit edits in place.
+                let held = hold.then(|| Arc::clone(o.current()));
+                let (update, must_abort) = update_for(step, &before);
+                let expected = model_apply(&o, &update);
+                let outcome = apply(&mut o, &update);
+                if let Some(reason) = must_abort {
+                    prop_assert_eq!(&outcome, &Outcome::Aborted(reason));
+                }
+                match outcome {
+                    Outcome::Committed { version } => {
+                        prop_assert_eq!(version, before.number + 1);
+                        prop_assert_eq!(Ok(&**o.current()), expected.as_ref());
+                        model.push((**o.current()).clone());
+                    }
+                    Outcome::Aborted(reason) => {
+                        prop_assert_eq!(Err(reason), expected);
+                        prop_assert_eq!(&**o.current(), &before);
+                        if let Some(held) = &held {
+                            prop_assert!(Arc::ptr_eq(held, o.current()), "an abort copies nothing");
+                        }
+                    }
+                }
+                if let Some(held) = held {
+                    prop_assert_eq!(&*held, &before, "a reader keeps the snapshot it cloned");
+                }
+            }
+            if model.len() > retain {
+                let drop = model.len() - retain;
+                model.drain(..drop);
+                floor += drop as u64;
+            }
+            prop_assert_eq!(o.retained_versions(), model.len());
+            for (i, expected) in model.iter().enumerate() {
+                let got = o.version(floor + i as u64);
+                prop_assert_eq!(got.as_ref(), Some(expected));
+            }
+            prop_assert!(floor == 0 || o.version(floor - 1).is_none(), "oldest were dropped");
+            prop_assert!(o.version(o.version_number() + 1).is_none());
+        }
+    }
 }
 
 proptest! {

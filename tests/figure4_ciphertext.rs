@@ -54,7 +54,7 @@ fn figure4_insert_on_ciphertext() {
 
     // And the previous version is still intact (versioning, §2).
     let v1 = object.version(1).expect("retained");
-    let old = ops::read_object(&keys, v1).unwrap();
+    let old = ops::read_object(&keys, &v1).unwrap();
     assert_eq!(old, vec![b"block 41".to_vec(), b"block 42".to_vec(), b"block 43".to_vec()]);
 }
 
