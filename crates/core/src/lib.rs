@@ -179,6 +179,64 @@ mod tests {
     }
 
     #[test]
+    fn healthy_deployment_acks_its_pushes() {
+        // Children confirm every certified record, so no primary ever
+        // falls back on its re-push schedule — at the default latency and
+        // at one where a fixed ack deadline would be under a round trip.
+        for latency_ms in [20, 100] {
+            let mut ocean = OceanStore::builder()
+                .seed(20)
+                .latency(SimDuration::from_millis(latency_ms))
+                .build();
+            let obj = ocean.create_object(0, "acked");
+            ocean
+                .update(0, &obj, &ops::initial_write(&obj.keys, b"acked", &[b"v1"], &[]))
+                .unwrap();
+            for v in 2..=8u8 {
+                let append = Update::unconditional(vec![Action::Append { ciphertext: vec![v] }]);
+                let out = ocean.update(0, &obj, &append).unwrap();
+                assert_eq!(out, UpdateOutcome::Committed { version: u64::from(v) });
+            }
+            ocean.settle(SimDuration::from_secs(3));
+            let resends: u64 = ocean
+                .primaries()
+                .to_vec()
+                .into_iter()
+                .map(|p| ocean.sim().node(p).replica.as_primary().unwrap().repush_resend_count())
+                .sum();
+            assert_eq!(resends, 0, "acked pushes were re-sent at {latency_ms} ms");
+            for s in ocean.secondaries().to_vec() {
+                let sec = ocean.sim().node(s).replica.as_secondary().unwrap();
+                let version = sec.committed_view(&obj.guid).map(|d| d.version_number());
+                assert_eq!(version, Some(8), "secondary {s:?} at {latency_ms} ms");
+            }
+        }
+    }
+
+    #[test]
+    fn orphaned_subtree_reattaches() {
+        let mut ocean = OceanStore::builder().seed(21).secondaries(6).build();
+        let obj = ocean.create_object(0, "orphans");
+        // Secondary 1 is interior: 3 and 4 hang below it.
+        let secondaries = ocean.secondaries().to_vec();
+        ocean.sim().set_down(secondaries[1], true);
+        let out = ocean
+            .update(0, &obj, &ops::initial_write(&obj.keys, b"orphans", &[b"still here"], &[]))
+            .unwrap();
+        assert_eq!(out, UpdateOutcome::Committed { version: 1 });
+        ocean.settle(SimDuration::from_secs(3));
+        for orphan in [secondaries[3], secondaries[4]] {
+            let sec = ocean.sim().node(orphan).replica.as_secondary().unwrap();
+            assert!(sec.reparent_count() >= 1, "{orphan:?} never re-attached");
+            assert_eq!(sec.committed_view(&obj.guid).map(|d| d.version_number()), Some(1));
+        }
+        let mut session = SessionState::new();
+        session.note_write(obj.guid, 1);
+        let content = ocean.read(0, &obj, &mut session, &GuaranteeSet::all()).unwrap();
+        assert_eq!(content, vec![b"still here".to_vec()]);
+    }
+
+    #[test]
     fn fs_facade_mkdir_write_read_ls() {
         let mut ocean = OceanStore::builder().seed(16).build();
         let mut fs = FsFacade::mount(&mut ocean, 0, "root").unwrap();

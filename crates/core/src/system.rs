@@ -13,16 +13,15 @@ use std::sync::Arc;
 
 use oceanstore_archival::{archive_object, TrackedArchive};
 use oceanstore_consensus::messages::RequestId;
-use oceanstore_consensus::replica::{FaultMode, TierConfig};
+use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
 use oceanstore_erasure::object::{CodeKind, ObjectCodec};
 use oceanstore_erasure::rs::CodeError;
 use oceanstore_naming::guid::Guid;
 use oceanstore_plaxton::{build_network, PlaxtonConfig};
-use oceanstore_replica::{
-    ChildMode, OceanNode, Primary, Secondary, SecondaryConfig, UpdateClient,
-};
-use oceanstore_sim::{NodeId, Protocol as _, SimDuration, Simulator, Topology};
+pub use oceanstore_replica::TentativeId;
+use oceanstore_replica::{build_deployment_with, Deployment, DeploymentOpts};
+use oceanstore_sim::{NodeId, Protocol as _, SimDuration, Simulator};
 use oceanstore_update::ops::ObjectKeys;
 use oceanstore_update::session::{GuaranteeSet, SessionState};
 use oceanstore_update::{ops, Update};
@@ -174,29 +173,71 @@ impl OceanStoreBuilder {
         self
     }
 
-    /// Constructs and starts the deployment.
+    /// Constructs and starts the deployment: the replication roles come
+    /// assembled from [`build_deployment_with`], and every node gets a
+    /// slot in the location mesh (clients are addressable entities too,
+    /// §4.3.1) and a fragment store around its role.
     pub fn build(&self) -> OceanStore {
-        OceanStore::build_from(self)
+        let opts = DeploymentOpts {
+            m: self.m,
+            secondaries: self.secondaries,
+            clients: self.clients,
+            latency: self.latency,
+            invalidate_leaves: self.invalidate_leaves.clone(),
+            seed: self.seed,
+            ..DeploymentOpts::default()
+        };
+        let topo = Arc::new(opts.spec().mesh(self.latency));
+        let (plaxton, _guids) = build_network(&topo, &PlaxtonConfig::default(), self.seed);
+        let mut plaxton = plaxton.into_iter();
+        OceanStore {
+            dep: build_deployment_with(&opts, |_, role| OceanServer::new(role, plaxton.next())),
+            archival_k: self.archival_k,
+            archival_n: self.archival_n,
+            next_locate_id: 1,
+            next_fetch_id: 1,
+            reported: HashMap::new(),
+            settle_budget: SimDuration::from_secs(30),
+        }
     }
 }
 
 /// A full OceanStore deployment under deterministic simulation.
 pub struct OceanStore {
-    sim: Simulator<OceanServer>,
-    cfg: TierConfig,
-    primaries: Vec<NodeId>,
-    secondaries: Vec<NodeId>,
-    clients: Vec<NodeId>,
-    client_keys: Vec<KeyPair>,
+    dep: Deployment<OceanServer>,
     archival_k: usize,
     archival_n: usize,
     next_locate_id: u64,
     next_fetch_id: u64,
     /// Commits already reported through [`OceanStore::poll_commits`].
     reported: HashMap<NodeId, u64>,
-    /// Archive registry.
-    archives: Vec<ArchiveRef>,
     settle_budget: SimDuration,
+}
+
+/// Runs `sim` in steps of `period` until `probe` yields or `budget` of
+/// simulated time has passed; the probe runs before every step.
+fn poll<T>(
+    sim: &mut Simulator<OceanServer>,
+    budget: SimDuration,
+    period: SimDuration,
+    mut probe: impl FnMut(&Simulator<OceanServer>) -> Option<T>,
+) -> Option<T> {
+    let deadline = sim.now() + budget;
+    loop {
+        if let Some(found) = probe(sim) {
+            return Some(found);
+        }
+        if sim.now() >= deadline {
+            return None;
+        }
+        sim.run_for(period);
+    }
+}
+
+/// The outcome a serialized record's version stands for: `None` when its
+/// predicates all failed.
+fn outcome_of(version: Option<u64>) -> UpdateOutcome {
+    version.map_or(UpdateOutcome::Aborted, |version| UpdateOutcome::Committed { version })
 }
 
 impl OceanStore {
@@ -205,143 +246,47 @@ impl OceanStore {
         OceanStoreBuilder::default()
     }
 
-    fn build_from(b: &OceanStoreBuilder) -> OceanStore {
-        let n = 3 * b.m + 1;
-        let s = b.secondaries;
-        assert!(s >= 1, "need at least one secondary");
-        let total = n + s + b.clients;
-        let make_topo = || Topology::full_mesh(total, b.latency);
-        let arc_topo = Arc::new(make_topo());
-
-        let primaries: Vec<NodeId> = (0..n).map(NodeId).collect();
-        let secondaries: Vec<NodeId> = (n..n + s).map(NodeId).collect();
-        let clients: Vec<NodeId> = (n + s..total).map(NodeId).collect();
-
-        let replica_keys: Vec<KeyPair> = (0..n)
-            .map(|i| KeyPair::from_seed(format!("core-{}-primary-{i}", b.seed).as_bytes()))
-            .collect();
-        let client_keys: Vec<KeyPair> = (0..b.clients)
-            .map(|i| KeyPair::from_seed(format!("core-{}-client-{i}", b.seed).as_bytes()))
-            .collect();
-        let cfg = TierConfig {
-            m: b.m,
-            members: primaries.clone(),
-            replica_keys: replica_keys.iter().map(KeyPair::public).collect(),
-            client_keys: clients
-                .iter()
-                .zip(&client_keys)
-                .map(|(node, kp)| (*node, kp.public()))
-                .collect(),
-            view_timeout: SimDuration::from_micros(b.latency.as_micros() * 30),
-            checkpoint: Default::default(),
-        };
-
-        // Location mesh across every node (clients are addressable
-        // entities too, §4.3.1).
-        let (plaxton_nodes, _guids) =
-            build_network(&arc_topo, &PlaxtonConfig::default(), b.seed);
-
-        let child_mode = |j: usize| {
-            if b.invalidate_leaves.contains(&j) {
-                ChildMode::Invalidate
-            } else {
-                ChildMode::Push
-            }
-        };
-        let mut plaxton_iter = plaxton_nodes.into_iter();
-        let mut nodes: Vec<OceanServer> = Vec::with_capacity(total);
-        for (i, kp) in replica_keys.into_iter().enumerate() {
-            let role = OceanNode::Primary(Primary::new(
-                cfg.clone(),
-                i,
-                kp,
-                FaultMode::Honest,
-                vec![(secondaries[0], child_mode(0))],
-            ));
-            nodes.push(OceanServer::new(role, Some(plaxton_iter.next().expect("enough"))));
-        }
-        for j in 0..s {
-            let parent = if j == 0 { primaries[0] } else { secondaries[(j - 1) / 2] };
-            let children: Vec<(NodeId, ChildMode)> = [2 * j + 1, 2 * j + 2]
-                .into_iter()
-                .filter(|&c| c < s)
-                .map(|c| (secondaries[c], child_mode(c)))
-                .collect();
-            let peers: Vec<NodeId> =
-                secondaries.iter().copied().filter(|&p| p != secondaries[j]).collect();
-            let scfg = SecondaryConfig {
-                parent: Some(parent),
-                children,
-                peers,
-                ..SecondaryConfig::default()
-            };
-            let role =
-                OceanNode::Secondary(Secondary::new(scfg, cfg.replica_keys.clone(), b.m));
-            nodes.push(OceanServer::new(role, Some(plaxton_iter.next().expect("enough"))));
-        }
-        for kp in &client_keys {
-            let mut c = UpdateClient::new(cfg.clone(), kp.clone(), secondaries.clone());
-            c.enable_retransmit(SimDuration::from_micros(b.latency.as_micros() * 60));
-            nodes.push(OceanServer::new(
-                OceanNode::Client(c),
-                Some(plaxton_iter.next().expect("enough")),
-            ));
-        }
-
-        let mut sim = Simulator::new(make_topo(), nodes, b.seed);
-        sim.start();
-        OceanStore {
-            sim,
-            cfg,
-            primaries,
-            secondaries,
-            clients,
-            client_keys,
-            archival_k: b.archival_k,
-            archival_n: b.archival_n,
-            next_locate_id: 1,
-            next_fetch_id: 1,
-            reported: HashMap::new(),
-            archives: Vec::new(),
-            settle_budget: SimDuration::from_secs(30),
-        }
-    }
-
     /// The underlying simulator (power users: failure injection, stats).
     pub fn sim(&mut self) -> &mut Simulator<OceanServer> {
-        &mut self.sim
+        &mut self.dep.sim
     }
 
     /// Primary-tier node ids.
     pub fn primaries(&self) -> &[NodeId] {
-        &self.primaries
+        self.dep.primaries()
     }
 
     /// Secondary-tier node ids.
     pub fn secondaries(&self) -> &[NodeId] {
-        &self.secondaries
+        &self.dep.secondaries
     }
 
     /// Client node ids.
     pub fn clients(&self) -> &[NodeId] {
-        &self.clients
+        &self.dep.clients
     }
 
     /// Tier configuration.
     pub fn tier(&self) -> &TierConfig {
-        &self.cfg
+        self.dep.cfg()
+    }
+
+    /// Every server of the pool (primaries, then secondaries): each one is
+    /// a fragment storage site.
+    fn servers(&self) -> Vec<NodeId> {
+        self.dep.all_primaries().chain(self.dep.secondaries.iter().copied()).collect()
     }
 
     /// Lets simulated time pass.
     pub fn settle(&mut self, d: SimDuration) {
-        self.sim.run_for(d);
+        self.dep.sim.run_for(d);
     }
 
     /// Creates a client-held object handle: self-certifying GUID from the
     /// client's owner key and `name`, with derived read/search keys. The
     /// object materializes on servers with its first update.
     pub fn create_object(&mut self, client_idx: usize, name: &str) -> ObjectRef {
-        let owner = self.client_keys[client_idx].clone();
+        let owner = self.dep.client_keys[client_idx].clone();
         let guid = Guid::for_object(owner.public(), name);
         let keys = ObjectKeys::from_seed(
             format!("object-keys-{}-{name}", oceanstore_crypto::hex(&owner.public().to_bytes()))
@@ -369,9 +314,9 @@ impl OceanStore {
     /// Fire-and-forget submission (for concurrency experiments); pair with
     /// [`OceanStore::wait_for`].
     pub fn submit(&mut self, client_idx: usize, object: &ObjectRef, update: &Update) -> RequestId {
-        let client = self.clients[client_idx];
+        let client = self.dep.clients[client_idx];
         let guid = object.guid;
-        self.sim.with_node_ctx(client, |server, ctx| {
+        self.dep.sim.with_node_ctx(client, |server, ctx| {
             server.with_replica(ctx, |role, ictx| {
                 role.as_client_mut().expect("client role").submit(ictx, guid, update)
             })
@@ -385,38 +330,20 @@ impl OceanStore {
     /// [`CoreError::Timeout`] when the settle budget expires first.
     pub fn wait_for(&mut self, id: RequestId, object: &ObjectRef) -> Result<UpdateOutcome, CoreError> {
         let client = id.client;
-        let deadline = self.sim.now() + self.settle_budget;
-        loop {
-            let done = self
-                .sim
-                .node(client)
-                .replica
-                .as_client()
-                .expect("client role")
-                .outcome(id)
-                .is_some();
-            if done {
-                break;
-            }
-            if self.sim.now() >= deadline {
-                return Err(CoreError::Timeout);
-            }
-            self.sim.run_for(SimDuration::from_millis(10));
-        }
-        // Determine commit-vs-abort from a primary's record.
-        let tid = oceanstore_replica::TentativeId { client, counter: id.seq };
-        for &p in &self.primaries {
-            if let Some(st) = self.sim.node(p).replica.as_primary().and_then(|pr| pr.store.get(&object.guid))
-            {
-                if let Some(rec) = st.records.iter().find(|r| r.id == tid) {
-                    return Ok(match rec.version {
-                        Some(version) => UpdateOutcome::Committed { version },
-                        None => UpdateOutcome::Aborted,
-                    });
-                }
-            }
-        }
-        Err(CoreError::Timeout)
+        poll(&mut self.dep.sim, self.settle_budget, SimDuration::from_millis(10), |sim| {
+            sim.node(client).replica.as_client().expect("client role").outcome(id).map(|_| ())
+        })
+        .ok_or(CoreError::Timeout)?;
+        // Commit-vs-abort is in the owning ring's serialized record.
+        let tid = TentativeId { client, counter: id.seq };
+        self.dep
+            .ring_for(&object.guid)
+            .primaries
+            .iter()
+            .filter_map(|&p| self.dep.sim.node(p).replica.as_primary()?.store.get(&object.guid))
+            .find_map(|st| st.records.iter().find(|r| r.id == tid))
+            .map(|rec| outcome_of(rec.version))
+            .ok_or(CoreError::Timeout)
     }
 
     /// Reads the committed content of `object` from a secondary that
@@ -429,48 +356,40 @@ impl OceanStore {
     /// the guarantees.
     pub fn read(
         &mut self,
-        client_idx: usize,
+        _client_idx: usize,
         object: &ObjectRef,
         session: &mut SessionState,
         guarantees: &GuaranteeSet,
     ) -> Result<Vec<Vec<u8>>, CoreError> {
-        let _client = self.clients[client_idx];
-        let deadline = self.sim.now() + self.settle_budget;
-        loop {
-            // Closest-first: the full mesh makes all equal; keep a
-            // deterministic order.
-            let candidates: Vec<NodeId> = self.secondaries.clone();
+        let Deployment { sim, secondaries, .. } = &mut self.dep;
+        // Closest-first: the uniform mesh makes all equal; keep a
+        // deterministic order. Dissemination may simply not have reached
+        // anyone yet, so between scans the tree and anti-entropy run
+        // (read-repair).
+        poll(sim, self.settle_budget, SimDuration::from_millis(50), |sim| {
             let mut any_live = false;
-            for s in candidates {
-                if self.sim.is_down(s) {
+            for &s in secondaries.iter().filter(|&&s| !sim.is_down(s)) {
+                any_live = true;
+                let sec = sim.node(s).replica.as_secondary().expect("secondary role");
+                let view = sec.committed_view(&object.guid);
+                let version = view.map_or(0, |d| d.version_number());
+                if !session.read_permitted(guarantees, &object.guid, version) {
                     continue;
                 }
-                any_live = true;
-                let version = {
-                    let sec = self.sim.node(s).replica.as_secondary().expect("secondary role");
-                    sec.committed_view(&object.guid).map(|d| d.version_number()).unwrap_or(0)
-                };
-                if session.read_permitted(guarantees, &object.guid, version) {
-                    let sec = self.sim.node(s).replica.as_secondary().expect("secondary role");
-                    let Some(data) = sec.committed_view(&object.guid) else {
-                        // Object unknown here but guarantees allow version
-                        // 0: empty object.
-                        session.note_read(object.guid, 0);
-                        return Ok(Vec::new());
-                    };
-                    let content = ops::read_object(&object.keys, data.current())
-                        .map_err(|_| CoreError::NoSuitableReplica)?;
-                    session.note_read(object.guid, data.version_number());
-                    return Ok(content);
+                // Unknown here but the guarantees allow version 0: the
+                // empty object.
+                let content = view.map_or(Ok(Vec::new()), |data| {
+                    ops::read_object(&object.keys, data.current())
+                        .map_err(|_| CoreError::NoSuitableReplica)
+                });
+                if content.is_ok() {
+                    session.note_read(object.guid, version);
                 }
+                return Some(content);
             }
-            if !any_live || self.sim.now() >= deadline {
-                return Err(CoreError::NoSuitableReplica);
-            }
-            // Dissemination may simply not have reached anyone yet: let
-            // the tree and anti-entropy run, then retry (read-repair).
-            self.sim.run_for(SimDuration::from_millis(50));
-        }
+            (!any_live).then_some(Err(CoreError::NoSuitableReplica))
+        })
+        .unwrap_or(Err(CoreError::NoSuitableReplica))
     }
 
     /// Reads the *tentative* view (optimistic data, §4.4.3) from a given
@@ -480,7 +399,7 @@ impl OceanStore {
         secondary: NodeId,
         object: &ObjectRef,
     ) -> Result<Vec<Vec<u8>>, CoreError> {
-        let sec = self.sim.node(secondary).replica.as_secondary().expect("secondary role");
+        let sec = self.dep.sim.node(secondary).replica.as_secondary().expect("secondary role");
         let view = sec.tentative_view_or_empty(&object.guid);
         ops::read_object(&object.keys, view.current()).map_err(|_| CoreError::NoSuitableReplica)
     }
@@ -489,10 +408,10 @@ impl OceanStore {
     /// the given secondaries (or all, if empty).
     pub fn publish_location(&mut self, object: &ObjectRef, holders: &[NodeId]) {
         let holders: Vec<NodeId> =
-            if holders.is_empty() { self.secondaries.clone() } else { holders.to_vec() };
+            if holders.is_empty() { self.dep.secondaries.clone() } else { holders.to_vec() };
         let guid = object.guid;
         for h in holders {
-            self.sim.with_node_ctx(h, |server, ctx| {
+            self.dep.sim.with_node_ctx(h, |server, ctx| {
                 server.with_plaxton(ctx, |p, ictx| p.publish(ictx, guid));
             });
         }
@@ -509,27 +428,13 @@ impl OceanStore {
         let id = self.next_locate_id;
         self.next_locate_id += 1;
         let guid = object.guid;
-        self.sim.with_node_ctx(from, |server, ctx| {
+        self.dep.sim.with_node_ctx(from, |server, ctx| {
             server.with_plaxton(ctx, |p, ictx| p.locate(ictx, id, guid));
         });
-        let deadline = self.sim.now() + self.settle_budget;
-        loop {
-            let done = self
-                .sim
-                .node(from)
-                .plaxton
-                .as_ref()
-                .expect("location role")
-                .outcome(id)
-                .map(|o| o.holder);
-            if let Some(holder) = done {
-                return Ok(holder);
-            }
-            if self.sim.now() >= deadline {
-                return Err(CoreError::Timeout);
-            }
-            self.sim.run_for(SimDuration::from_millis(50));
-        }
+        poll(&mut self.dep.sim, self.settle_budget, SimDuration::from_millis(50), |sim| {
+            sim.node(from).plaxton.as_ref().expect("location role").outcome(id).map(|o| o.holder)
+        })
+        .ok_or(CoreError::Timeout)
     }
 
     /// Archives the current committed version of `object` (§4.4.4: "the
@@ -543,12 +448,14 @@ impl OceanStore {
     /// secondary holds the object.
     pub fn archive(&mut self, object: &ObjectRef) -> Result<ArchiveRef, CoreError> {
         let source = self
+            .dep
             .secondaries
             .iter()
             .copied()
             .find(|&s| {
-                !self.sim.is_down(s)
+                !self.dep.sim.is_down(s)
                     && self
+                        .dep
                         .sim
                         .node(s)
                         .replica
@@ -558,30 +465,22 @@ impl OceanStore {
             })
             .ok_or(CoreError::NoSuitableReplica)?;
         let (version_no, bytes) = {
-            let sec = self.sim.node(source).replica.as_secondary().expect("secondary");
+            let sec = self.dep.sim.node(source).replica.as_secondary().expect("secondary");
             let data = sec.committed_view(&object.guid).expect("checked");
             (data.version_number(), version_codec::encode_version(data.current()))
         };
         let codec = ObjectCodec::new(CodeKind::ReedSolomon, self.archival_k, self.archival_n, 0)?;
         let arch = archive_object(&codec, &bytes)?;
-        // Disseminate to servers (primaries + secondaries), round-robin —
-        // every server is a storage site.
-        let sites: Vec<NodeId> = self
-            .primaries
-            .iter()
-            .chain(self.secondaries.iter())
-            .copied()
-            .collect();
+        // Disseminate round-robin over the server pool.
+        let sites = self.servers();
         let fragments = arch.fragments.clone();
-        let holders = self.sim.with_node_ctx(source, |server, ctx| {
+        let holders = self.dep.sim.with_node_ctx(source, |server, ctx| {
             server.with_arch(ctx, |a, ictx| {
                 oceanstore_archival::disseminate(ictx, a, fragments, &sites)
             })
         });
         self.settle(SimDuration::from_secs(1));
-        let aref = ArchiveRef { guid: arch.guid, version: version_no, codec, holders };
-        self.archives.push(aref.clone());
-        Ok(aref)
+        Ok(ArchiveRef { guid: arch.guid, version: version_no, codec, holders })
     }
 
     /// Recovers an archived version's cleartext blocks — even after every
@@ -603,27 +502,16 @@ impl OceanStore {
         let guid = archive.guid;
         let codec = archive.codec.clone();
         let holders = archive.holders.clone();
-        self.sim.with_node_ctx(requester, |server, ctx| {
+        self.dep.sim.with_node_ctx(requester, |server, ctx| {
             server.with_arch(ctx, |a, ictx| a.fetch(ictx, id, guid, codec, &holders, extra));
         });
-        let deadline = self.sim.now() + self.settle_budget;
-        loop {
-            let data = self
-                .sim
-                .node(requester)
-                .arch
-                .outcome(id)
-                .map(|o| o.data.clone());
-            if let Some(bytes) = data {
-                let version =
-                    version_codec::decode_version(&bytes).ok_or(CoreError::CorruptArchive)?;
-                return ops::read_object(keys, &version).map_err(|_| CoreError::CorruptArchive);
-            }
-            if self.sim.now() >= deadline {
-                return Err(CoreError::Timeout);
-            }
-            self.sim.run_for(SimDuration::from_millis(50));
-        }
+        let bytes =
+            poll(&mut self.dep.sim, self.settle_budget, SimDuration::from_millis(50), |sim| {
+                sim.node(requester).arch.outcome(id).map(|o| o.data.clone())
+            })
+            .ok_or(CoreError::Timeout)?;
+        let version = version_codec::decode_version(&bytes).ok_or(CoreError::CorruptArchive)?;
+        ops::read_object(keys, &version).map_err(|_| CoreError::CorruptArchive)
     }
 
     /// Installs a repair sweeper for an archive on `sweeper`.
@@ -634,13 +522,8 @@ impl OceanStore {
         interval: SimDuration,
         repair_threshold: usize,
     ) {
-        let universe: Vec<NodeId> = self
-            .primaries
-            .iter()
-            .chain(self.secondaries.iter())
-            .copied()
-            .collect();
-        let node = self.sim.node_mut(sweeper);
+        let universe = self.servers();
+        let node = self.dep.sim.node_mut(sweeper);
         node.arch.enable_sweeper(interval, universe);
         node.arch.track(TrackedArchive {
             archive: archive.guid,
@@ -650,7 +533,7 @@ impl OceanStore {
         });
         // Restart so the sweep timer arms (enable after start).
         let s = sweeper;
-        self.sim.with_node_ctx(s, |server, ctx| {
+        self.dep.sim.with_node_ctx(s, |server, ctx| {
             server.with_arch(ctx, |a, ictx| a.on_start(ictx));
         });
     }
@@ -660,38 +543,19 @@ impl OceanStore {
     /// (The paper's API "provides a callback feature to notify
     /// applications of relevant events" — poll-based here because the
     /// whole world is a simulation.)
-    pub fn poll_commits(&mut self, object: &ObjectRef) -> Vec<(TentativeIdPub, UpdateOutcome)> {
-        let root = self.secondaries[0];
-        let key = root;
-        let from = *self.reported.get(&key).unwrap_or(&0);
-        let sec = self.sim.node(root).replica.as_secondary().expect("secondary");
+    pub fn poll_commits(&mut self, object: &ObjectRef) -> Vec<(TentativeId, UpdateOutcome)> {
+        let root = self.dep.secondaries[0];
+        let from = *self.reported.get(&root).unwrap_or(&0);
+        let sec = self.dep.sim.node(root).replica.as_secondary().expect("secondary");
         let mut out = Vec::new();
         let mut max_index = from;
         if let Some(st) = sec.store.get(&object.guid) {
-            for r in &st.records {
-                if r.index >= from {
-                    out.push((
-                        TentativeIdPub { client: r.id.client, counter: r.id.counter },
-                        match r.version {
-                            Some(version) => UpdateOutcome::Committed { version },
-                            None => UpdateOutcome::Aborted,
-                        },
-                    ));
-                    max_index = max_index.max(r.index + 1);
-                }
+            for r in st.records.iter().filter(|r| r.index >= from) {
+                out.push((r.id, outcome_of(r.version)));
+                max_index = max_index.max(r.index + 1);
             }
         }
-        self.reported.insert(key, max_index);
+        self.reported.insert(root, max_index);
         out
     }
-}
-
-/// Public mirror of the internal tentative-update identity (for
-/// notifications).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TentativeIdPub {
-    /// Originating client node.
-    pub client: NodeId,
-    /// Client-local counter.
-    pub counter: u64,
 }

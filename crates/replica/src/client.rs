@@ -42,18 +42,13 @@ pub struct UpdateClient {
 }
 
 impl UpdateClient {
-    /// Creates a client of a single tier, seeding tentative updates to
-    /// `secondaries`.
-    pub fn new(cfg: TierConfig, keypair: KeyPair, secondaries: Vec<NodeId>) -> Self {
-        Self::new_sharded(vec![cfg], ShardRouter::new(1), keypair, secondaries)
-    }
-
-    /// Creates a client of `cfgs.len()` rings routed by `router`.
+    /// Creates a client of `cfgs.len()` rings routed by `router`, seeding
+    /// tentative updates to `secondaries`.
     ///
     /// # Panics
     ///
     /// Panics if the ring count disagrees with the router.
-    pub fn new_sharded(
+    pub fn new(
         cfgs: Vec<TierConfig>,
         router: ShardRouter,
         keypair: KeyPair,

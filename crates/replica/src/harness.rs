@@ -1,4 +1,7 @@
-//! Ready-made two-tier deployments for tests, benches, and examples.
+//! The one place a two-tier deployment is assembled: tests, benches,
+//! chaos, the workload harness and `core::OceanStore` (which wraps
+//! location and archival around every role, [`build_deployment_with`])
+//! all get their primaries, secondaries and clients from here.
 //!
 //! One deployment is `rings` independent consensus rings (each a full PBFT
 //! tier of `3m + 1` primaries) sharing a single secondary-tier substrate:
@@ -14,7 +17,7 @@ use oceanstore_consensus::replica::{CheckpointConfig, FaultMode, TierConfig};
 use oceanstore_crypto::schnorr::KeyPair;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::cluster::{tree_children, tree_grandparent, tree_parent, tree_sibling};
-use oceanstore_sim::{ClusterSpec, NodeId, SimDuration, Simulator};
+use oceanstore_sim::{ClusterSpec, NodeId, Protocol, SimDuration, Simulator};
 
 use crate::client::UpdateClient;
 use crate::config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, SecondaryFault};
@@ -82,6 +85,18 @@ impl Default for DeploymentOpts {
     }
 }
 
+impl DeploymentOpts {
+    /// The node-id layout these options build.
+    pub fn spec(&self) -> ClusterSpec {
+        ClusterSpec {
+            rings: self.rings,
+            ring_size: 3 * self.m + 1,
+            secondaries: self.secondaries,
+            clients: self.clients,
+        }
+    }
+}
+
 /// One consensus ring of a deployment.
 pub struct Ring {
     /// Tier configuration of this ring.
@@ -90,10 +105,11 @@ pub struct Ring {
     pub primaries: Vec<NodeId>,
 }
 
-/// A constructed deployment.
-pub struct Deployment {
+/// A constructed deployment of nodes `N`: the bare replication roles by
+/// default, or whatever [`build_deployment_with`] wrapped around them.
+pub struct Deployment<N: Protocol = OceanNode> {
     /// The driving simulator.
-    pub sim: Simulator<OceanNode>,
+    pub sim: Simulator<N>,
     /// The consensus rings (ring 0 is the historical single ring).
     pub rings: Vec<Ring>,
     /// Object → ring assignment shared by clients, primaries, and
@@ -103,9 +119,11 @@ pub struct Deployment {
     pub secondaries: Vec<NodeId>,
     /// Node ids of the clients.
     pub clients: Vec<NodeId>,
+    /// The clients' signing key pairs (parallel to `clients`).
+    pub client_keys: Vec<KeyPair>,
 }
 
-impl Deployment {
+impl<N: Protocol> Deployment<N> {
     /// Ring 0's tier configuration (the only ring in single-ring
     /// deployments, which is every test written before sharding).
     pub fn cfg(&self) -> &TierConfig {
@@ -175,16 +193,22 @@ fn peer_set(secondaries: &[NodeId], j: usize, seed: u64) -> Vec<NodeId> {
 /// `[r·(3m+1), (r+1)·(3m+1))`, secondaries next (in a binary dissemination
 /// tree rooted at secondary 0, which all primaries feed), then clients.
 pub fn build_deployment(opts: &DeploymentOpts) -> Deployment {
+    build_deployment_with(opts, |_, role| role)
+}
+
+/// [`build_deployment`] with every finished role handed to `wrap` (in
+/// node-id order) before the simulator starts — how a caller layers more
+/// per-node protocols around the replication role without assembling the
+/// roles itself.
+pub fn build_deployment_with<N: Protocol>(
+    opts: &DeploymentOpts,
+    mut wrap: impl FnMut(NodeId, OceanNode) -> N,
+) -> Deployment<N> {
     assert!(opts.rings >= 1, "need at least one ring");
-    let n = 3 * opts.m + 1;
+    let spec = opts.spec();
+    let n = spec.ring_size;
     let s = opts.secondaries;
     assert!(s >= 1, "need at least one secondary for the tree root");
-    let spec = ClusterSpec {
-        rings: opts.rings,
-        ring_size: n,
-        secondaries: s,
-        clients: opts.clients,
-    };
     let total = spec.total();
     let topo = spec.mesh(opts.latency);
     let router = ShardRouter::new(opts.rings);
@@ -259,7 +283,7 @@ pub fn build_deployment(opts: &DeploymentOpts) -> Deployment {
     };
     for (r, keys) in ring_keys.into_iter().enumerate() {
         for (i, kp) in keys.into_iter().enumerate() {
-            let mut primary = Primary::with_knobs(
+            let mut primary = Primary::new(
                 rings[r].cfg.clone(),
                 i,
                 kp,
@@ -317,24 +341,21 @@ pub fn build_deployment(opts: &DeploymentOpts) -> Deployment {
             },
             ..defaults
         };
-        nodes.push(OceanNode::Secondary(Secondary::new_sharded(
-            scfg,
-            verify_keys.clone(),
-            router,
-        )));
+        nodes.push(OceanNode::Secondary(Secondary::new(scfg, verify_keys.clone(), router)));
     }
-    for kp in client_keys {
-        let mut c = UpdateClient::new_sharded(
+    for kp in &client_keys {
+        let mut c = UpdateClient::new(
             rings.iter().map(|r| r.cfg.clone()).collect(),
             router,
-            kp,
+            kp.clone(),
             secondaries.clone(),
         );
         c.enable_retransmit(SimDuration::from_micros(opts.latency.as_micros() * 60));
         nodes.push(OceanNode::Client(c));
     }
 
+    let nodes = nodes.into_iter().enumerate().map(|(i, role)| wrap(NodeId(i), role)).collect();
     let mut sim = Simulator::new(topo, nodes, opts.seed);
     sim.start();
-    Deployment { sim, rings, router, secondaries, clients }
+    Deployment { sim, rings, router, secondaries, clients, client_keys }
 }

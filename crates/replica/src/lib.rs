@@ -29,7 +29,7 @@ pub mod store;
 
 pub use client::UpdateClient;
 pub use config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, SecondaryFault};
-pub use harness::{build_deployment, Deployment, DeploymentOpts, Ring};
+pub use harness::{build_deployment, build_deployment_with, Deployment, DeploymentOpts, Ring};
 pub use messages::{CommitRecord, ReplicaMsg, TentativeId};
 pub use node::OceanNode;
 pub use primary::{disseminator_for, Primary};

@@ -158,40 +158,10 @@ pub struct Primary {
 }
 
 impl Primary {
-    /// Creates primary `index` with its embedded PBFT replica.
-    pub fn new(
-        cfg: TierConfig,
-        index: usize,
-        keypair: KeyPair,
-        fault: oceanstore_consensus::replica::FaultMode,
-        children: Vec<(NodeId, ChildMode)>,
-    ) -> Self {
-        Primary::with_knobs(
-            cfg,
-            index,
-            keypair,
-            fault,
-            children,
-            FailoverConfig::default(),
-            RepushConfig::default(),
-        )
-    }
-
-    /// Like [`Primary::new`] with explicit disseminator-failover knobs.
-    pub fn with_failover(
-        cfg: TierConfig,
-        index: usize,
-        keypair: KeyPair,
-        fault: oceanstore_consensus::replica::FaultMode,
-        children: Vec<(NodeId, ChildMode)>,
-        failover: FailoverConfig,
-    ) -> Self {
-        Primary::with_knobs(cfg, index, keypair, fault, children, failover, RepushConfig::default())
-    }
-
-    /// Like [`Primary::new`] with explicit failover *and* re-push knobs.
+    /// Creates primary `index` with its embedded PBFT replica and its
+    /// disseminator-failover and re-push knobs.
     #[allow(clippy::too_many_arguments)]
-    pub fn with_knobs(
+    pub fn new(
         cfg: TierConfig,
         index: usize,
         keypair: KeyPair,

@@ -81,12 +81,6 @@ pub struct Secondary {
 }
 
 impl Secondary {
-    /// Creates a secondary verifying certificates against `tier_keys`
-    /// (threshold `tier_m + 1`) — the single-ring layout.
-    pub fn new(cfg: SecondaryConfig, tier_keys: Vec<PublicKey>, tier_m: usize) -> Self {
-        Self::new_sharded(cfg, vec![(tier_keys, tier_m)], ShardRouter::new(1))
-    }
-
     /// Creates a secondary shared by `ring_keys.len()` rings: records of
     /// an object are verified against the keys of the ring `router`
     /// assigns it to.
@@ -94,7 +88,7 @@ impl Secondary {
     /// # Panics
     ///
     /// Panics if the ring count disagrees with the router.
-    pub fn new_sharded(
+    pub fn new(
         cfg: SecondaryConfig,
         ring_keys: Vec<(Vec<PublicKey>, usize)>,
         router: ShardRouter,
