@@ -121,9 +121,7 @@ pub fn invalidation_bandwidth(update_size: usize, seed: u64) -> Vec<Invalidation
             .expect("client")
             .set_tentative_fanout(0);
         dep.sim.reset_stats();
-        dep.sim.with_node_ctx(client, |node, ctx| {
-            node.as_client_mut().expect("client").submit(ctx, object, &update)
-        });
+        dep.submit(client, object, &update);
         // Let the commit + tree push land, but stop before the leaf's
         // periodic anti-entropy pull (500 ms tick) fires.
         dep.sim.run_for(SimDuration::from_millis(420));

@@ -50,23 +50,14 @@ pub fn run(ms: &[usize], updates: usize, seed: u64) -> Vec<LatencyRow> {
         });
         let object = oceanstore_naming::guid::Guid::from_label(&format!("s4-{m}"));
         let update = Update::unconditional(vec![Action::Append { ciphertext: vec![0; 64] }]);
-        let client = dep.clients[0];
         let start = dep.sim.now();
-        dep.sim.with_node_ctx(client, |node, ctx| {
-            node.as_client_mut().expect("client").submit(ctx, object, &update)
-        });
+        dep.submit(dep.clients[0], object, &update);
         let root = dep.secondaries[0];
         let mut disseminated_ms = f64::NAN;
         for _ in 0..200 {
             dep.sim.run_for(SimDuration::from_millis(50));
-            let done = dep
-                .sim
-                .node(root)
-                .as_secondary()
-                .expect("secondary")
-                .committed_view(&object)
-                .is_some_and(|d| d.version_number() >= 1);
-            if done {
+            let view = dep.secondary(root).committed_view(&object);
+            if view.is_some_and(|d| d.version_number() >= 1) {
                 disseminated_ms =
                     dep.sim.now().saturating_since(start).as_millis() as f64;
                 break;

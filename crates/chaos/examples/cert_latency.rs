@@ -12,12 +12,11 @@
 //! ```
 
 use oceanstore_chaos::runner::run_schedule;
+use oceanstore_chaos::scenarios::append;
 use oceanstore_chaos::schedule::{FaultAction, Schedule};
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, disseminator_for, DeploymentOpts};
 use oceanstore_sim::{SimDuration, SimTime};
-use oceanstore_update::update::Action;
-use oceanstore_update::Update;
 
 fn t(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
@@ -61,20 +60,14 @@ fn main() {
             run_schedule(&mut dep.sim, &sched, t(500));
 
             let submit_at = dep.sim.now();
-            let client = dep.clients[0];
-            let update =
-                Update::unconditional(vec![Action::Append { ciphertext: b"timed".to_vec() }]);
-            dep.sim.with_node_ctx(client, |node, ctx| {
-                node.as_client_mut().expect("client").submit(ctx, object, &update)
-            });
+            dep.submit(dep.clients[0], object, &append(b"timed"));
             let deadline = t(20_000);
             let certified_at = loop {
                 let done = dep
                     .primaries()
                     .iter()
                     .filter(|&&p| !dep.sim.is_down(p))
-                    .filter_map(|&p| dep.sim.node(p).as_primary())
-                    .any(|prim| prim.has_cert(&object, 0));
+                    .any(|&p| dep.primary(p).has_cert(&object, 0));
                 if done {
                     break Some(dep.sim.now());
                 }

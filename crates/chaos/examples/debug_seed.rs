@@ -14,7 +14,7 @@ fn main() {
         println!("  trace {:>9}us {}", e.at_micros, e.description);
     }
     for &p in dep.primaries() {
-        let prim = dep.sim.node(p).as_primary().unwrap();
+        let prim = dep.primary(p);
         println!(
             "  primary {:?}: view={} vc_sent={} next_exec={} down={} pending_push={}",
             p,
@@ -26,11 +26,11 @@ fn main() {
         );
     }
     let c = dep.clients[0];
-    let client = dep.sim.node(c).as_client().unwrap();
+    let client = dep.client(c);
     println!("  client {:?}: pending={}", c, client.pending_count());
     let object = oceanstore_naming::guid::Guid::from_label(&format!("fuzz-{seed}"));
     for &p in dep.primaries() {
-        let prim = dep.sim.node(p).as_primary().unwrap();
+        let prim = dep.primary(p);
         let records: Vec<String> = prim
             .store
             .records_from(&object, 0)
@@ -50,7 +50,7 @@ fn main() {
         );
     }
     for &s in &dep.secondaries {
-        let sec = dep.sim.node(s).as_secondary().unwrap();
+        let sec = dep.secondary(s);
         let records: Vec<u64> =
             sec.store.records_from(&object, 0).iter().map(|r| r.index).collect();
         println!(

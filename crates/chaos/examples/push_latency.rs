@@ -17,11 +17,10 @@
 //! cargo run --release -p oceanstore-chaos --example push_latency
 //! ```
 
+use oceanstore_chaos::scenarios::append;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, disseminator_for, Deployment, DeploymentOpts};
 use oceanstore_sim::{SimDuration, SimTime};
-use oceanstore_update::update::Action;
-use oceanstore_update::Update;
 
 fn run_until_ms(dep: &mut Deployment, ms: u64) {
     dep.sim.run_until(SimTime::ZERO + SimDuration::from_millis(ms));
@@ -60,34 +59,18 @@ fn measure(repush: bool, latency_ms: u64) -> (u64, u64, u64) {
     let clients = dep.clients.clone();
     let fanout = dep.secondaries.len();
     for c in clients {
-        dep.sim.with_node_ctx(c, |node, _ctx| {
-            node.as_client_mut().expect("client").set_tentative_fanout(fanout)
-        });
+        dep.sim.node_mut(c).as_client_mut().expect("client").set_tentative_fanout(fanout);
     }
     // Dead link while the push is sent (drops decide at send time)...
     dep.sim.set_link_drop(dissem, root, 1.0);
-    let client = dep.clients[0];
-    let update = Update::unconditional(vec![Action::Append { ciphertext: b"measured".to_vec() }]);
-    dep.sim.with_node_ctx(client, |node, ctx| {
-        node.as_client_mut().expect("client").submit(ctx, object, &update)
-    });
-    let t_cert = ms_until(&mut dep, |d| {
-        d.primaries()
-            .iter()
-            .any(|&p| d.sim.node(p).as_primary().is_some_and(|pr| pr.has_cert(&object, 0)))
-    });
+    dep.submit(dep.clients[0], object, &append(b"measured"));
+    let t_cert =
+        ms_until(&mut dep, |d| d.primaries().iter().any(|&p| d.primary(p).has_cert(&object, 0)));
     // ...healed the instant the certificate exists: the initial push is
     // already lost, and the clock on recovery starts now.
     dep.sim.set_link_drop(dissem, root, 0.0);
     let t_root = ms_until(&mut dep, |d| {
-        d.sim
-            .node(root)
-            .as_secondary()
-            .expect("root")
-            .store
-            .get(&object)
-            .map_or(0, |st| st.next_index)
-            >= 1
+        d.secondary(root).store.get(&object).is_some_and(|st| st.next_index >= 1)
     });
     (t_cert, t_root, dep.sim.stats().event("repush/resend"))
 }

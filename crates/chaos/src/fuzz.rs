@@ -22,11 +22,10 @@
 //!   end-of-run delivery is stressed (the first fault group is always
 //!   drawn after the final submit to guarantee it).
 
+use oceanstore_consensus::CheckpointConfig;
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::{build_deployment, Deployment, DeploymentOpts};
-use oceanstore_sim::{NodeId, SimDuration, SimTime};
-use oceanstore_update::update::Action;
-use oceanstore_update::Update;
+use oceanstore_replica::{build_deployment, Deployment, DeploymentOpts, RoleHost};
+use oceanstore_sim::{NodeId, SimDuration};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -34,9 +33,10 @@ use rand_chacha::ChaCha8Rng;
 use crate::invariants::{
     check_clients_settled, check_convergence, check_every_commit_certifies,
     check_frontier_stalled, check_no_committed_loss, check_no_uncertified_records,
-    committed_frontier, InvariantReport,
+    InvariantReport,
 };
 use crate::runner::{stats_fingerprint, ScheduleCursor, TraceEntry};
+use crate::scenarios::{append, t};
 use crate::schedule::{FaultAction, Schedule};
 
 /// Knobs of one fuzzing run.
@@ -60,7 +60,10 @@ pub struct FuzzOpts {
     /// The fuzzed deployment; its `seed` is replaced by the run's seed.
     /// With `m >= 2` the schedule generator can (and does) overlap
     /// primary outage windows. `repush: false` and `checkpoint.enabled:
-    /// false` select the degraded modes the sweeps also cover.
+    /// false` select the degraded modes the sweeps also cover. `rings`
+    /// must stay 1: outages and quorum cuts are booked against ring 0
+    /// only, so on a second ring "survivable by construction" does not
+    /// hold and [`fuzz_deployment`] refuses the deployment.
     pub deployment: DeploymentOpts,
     /// Whether quorum-cut windows (islanding `m + 1` primaries) may be
     /// drawn.
@@ -81,6 +84,21 @@ impl Default for FuzzOpts {
     }
 }
 
+/// The deployment modes every sweep runs: the shipped configuration;
+/// acked re-push off, so anti-entropy is the only repair path for a
+/// dropped tier→tree push; and PBFT stable checkpoints off, so there is
+/// no log GC and no consensus-level state transfer (the fuzzer's outages
+/// are short enough never to need either).
+pub fn modes() -> [(&'static str, DeploymentOpts); 3] {
+    let base = DeploymentOpts::default();
+    let unbounded_log = CheckpointConfig { enabled: false, ..base.checkpoint.clone() };
+    [
+        ("default", base.clone()),
+        ("re-push off", DeploymentOpts { repush: false, ..base.clone() }),
+        ("checkpoints off", DeploymentOpts { checkpoint: unbounded_log, ..base }),
+    ]
+}
+
 /// Everything one fuzzing run produces.
 #[derive(Debug, Clone)]
 pub struct FuzzOutcome {
@@ -97,10 +115,6 @@ pub struct FuzzOutcome {
     pub fingerprint: String,
     /// The oracle verdict.
     pub report: InvariantReport,
-}
-
-fn t(ms: u64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_millis(ms)
 }
 
 fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
@@ -162,10 +176,10 @@ const CUT_MIN_LEN_MS: u64 = 2_000;
 /// contains. All fault times land in `[1s, turbulence)` and every
 /// matching repair lands at or before `turbulence`; the first fault
 /// group starts after [`FuzzOpts::final_submit_ms`].
-fn random_schedule(
+fn random_schedule<N: RoleHost>(
     rng: &mut ChaCha8Rng,
     opts: &FuzzOpts,
-    dep: &Deployment,
+    dep: &Deployment<N>,
 ) -> (Schedule, Vec<(u64, u64)>) {
     let turbulence = opts.turbulence_ms;
     let total = dep.sim.len();
@@ -326,14 +340,6 @@ fn random_schedule(
     (sched, book.quorum_cuts)
 }
 
-fn submit(dep: &mut Deployment, object: Guid, payload: Vec<u8>) {
-    let client = dep.clients[0];
-    let update = Update::unconditional(vec![Action::Append { ciphertext: payload }]);
-    dep.sim.with_node_ctx(client, |node, ctx| {
-        node.as_client_mut().expect("client").submit(ctx, object, &update)
-    });
-}
-
 /// One checkpoint of the interleaved replay.
 enum Op {
     /// Submit update number `i`.
@@ -355,13 +361,26 @@ pub fn run_fuzz(seed: u64, opts: &FuzzOpts) -> FuzzOutcome {
 /// seed can be dissected (views, stores, pending queues) instead of just
 /// reported.
 pub fn run_fuzz_with_deployment(seed: u64, opts: &FuzzOpts) -> (FuzzOutcome, Deployment) {
+    let dep = build_deployment(&DeploymentOpts { seed, ..opts.deployment.clone() });
+    fuzz_deployment(seed, opts, dep)
+}
+
+/// One seeded fuzz iteration against a deployment the caller built from
+/// `opts.deployment` with `seed` — the bare roles or whatever was
+/// wrapped around them; schedule and oracle are the same for every node
+/// type. Panics on more than one ring (see [`FuzzOpts::deployment`]).
+pub fn fuzz_deployment<N: RoleHost>(
+    seed: u64,
+    opts: &FuzzOpts,
+    mut dep: Deployment<N>,
+) -> (FuzzOutcome, Deployment<N>) {
+    assert!(dep.rings.len() == 1, "the generator books outages against ring 0 only");
     assert!(opts.updates >= 1, "need at least the final update");
     assert!(
         opts.final_submit_ms + 1_000 < opts.turbulence_ms,
         "no room for post-submit turbulence"
     );
     assert!(opts.horizon_ms > opts.turbulence_ms + 2_000, "settle window too small");
-    let mut dep = build_deployment(&DeploymentOpts { seed, ..opts.deployment.clone() });
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0F0A_A5EE_D0DD_BA11);
     let (schedule, quorum_cuts) = random_schedule(&mut rng, opts, &dep);
     let object = Guid::from_label(&format!("fuzz-{seed}"));
@@ -386,12 +405,13 @@ pub fn run_fuzz_with_deployment(seed: u64, opts: &FuzzOpts) -> (FuzzOutcome, Dep
         trace.extend(cursor.run_to(&mut dep.sim, t(at)));
         match op {
             Op::Submit(i) => {
-                submit(&mut dep, object, format!("fuzz-{seed}-update-{i}").into_bytes())
+                let update = append(format!("fuzz-{seed}-update-{i}").as_bytes());
+                dep.submit(dep.clients[0], object, &update);
             }
-            Op::CutBefore(j) => cut_frontiers[j] = Some(committed_frontier(&dep, &object)),
+            Op::CutBefore(j) => cut_frontiers[j] = Some(dep.frontier(&object)),
             Op::CutAfter(j) => {
                 let before = cut_frontiers[j].expect("before-sample precedes after-sample");
-                let after = committed_frontier(&dep, &object);
+                let after = dep.frontier(&object);
                 let (s, e) = quorum_cuts[j];
                 stall_report = stall_report.merge(check_frontier_stalled(
                     &format!("quorum cut [{s}ms, {e}ms)"),
@@ -430,6 +450,16 @@ mod tests {
 
     fn dep_for(seed: u64, opts: &FuzzOpts) -> Deployment {
         build_deployment(&DeploymentOpts { seed, ..opts.deployment.clone() })
+    }
+
+    #[test]
+    #[should_panic(expected = "ring 0 only")]
+    fn multi_ring_deployments_are_refused() {
+        let opts = FuzzOpts {
+            deployment: DeploymentOpts { rings: 2, ..DeploymentOpts::default() },
+            ..FuzzOpts::default()
+        };
+        run_fuzz(0, &opts);
     }
 
     #[test]

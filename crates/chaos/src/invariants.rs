@@ -6,7 +6,7 @@
 //! failure line.
 
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::Deployment;
+use oceanstore_replica::{Deployment, RoleHost};
 
 /// Outcome of a set of invariant checks.
 #[derive(Debug, Clone, Default)]
@@ -28,30 +28,17 @@ impl InvariantReport {
     }
 }
 
-/// Highest committed index any *live* primary of the object's owning
-/// ring reached for `object` (the tier's authoritative frontier).
-pub fn committed_frontier(dep: &Deployment, object: &Guid) -> u64 {
-    dep.ring_for(object)
-        .primaries
-        .iter()
-        .filter(|&&p| !dep.sim.is_down(p))
-        .filter_map(|&p| dep.sim.node(p).as_primary())
-        .map(|prim| prim.store.get(object).map_or(0, |st| st.next_index))
-        .max()
-        .unwrap_or(0)
-}
-
 /// Eventual convergence: every live secondary holds the full committed
 /// prefix of every listed object.
-pub fn check_convergence(dep: &Deployment, objects: &[Guid]) -> InvariantReport {
+pub fn check_convergence<N: RoleHost>(dep: &Deployment<N>, objects: &[Guid]) -> InvariantReport {
     let mut report = InvariantReport::default();
     for object in objects {
-        let frontier = committed_frontier(dep, object);
+        let frontier = dep.frontier(object);
         for &s in &dep.secondaries {
             if dep.sim.is_down(s) {
                 continue;
             }
-            let sec = dep.sim.node(s).as_secondary().expect("secondary node");
+            let sec = dep.secondary(s);
             let have = sec.store.get(object).map_or(0, |st| st.next_index);
             if have < frontier {
                 report.failures.push(format!(
@@ -66,9 +53,13 @@ pub fn check_convergence(dep: &Deployment, objects: &[Guid]) -> InvariantReport 
 /// No committed-update loss: the tier committed at least `expected`
 /// records for `object`, and every live secondary can replay all of them
 /// (dense record log up to the frontier).
-pub fn check_no_committed_loss(dep: &Deployment, object: &Guid, expected: u64) -> InvariantReport {
+pub fn check_no_committed_loss<N: RoleHost>(
+    dep: &Deployment<N>,
+    object: &Guid,
+    expected: u64,
+) -> InvariantReport {
     let mut report = InvariantReport::default();
-    let frontier = committed_frontier(dep, object);
+    let frontier = dep.frontier(object);
     if frontier < expected {
         report.failures.push(format!(
             "loss: tier committed only {frontier}/{expected} updates of {object:?}"
@@ -78,7 +69,7 @@ pub fn check_no_committed_loss(dep: &Deployment, object: &Guid, expected: u64) -
         if dep.sim.is_down(s) {
             continue;
         }
-        let sec = dep.sim.node(s).as_secondary().expect("secondary node");
+        let sec = dep.secondary(s);
         let records = sec.store.records_from(object, 0).len() as u64;
         if records < expected {
             report.failures.push(format!(
@@ -94,28 +85,27 @@ pub fn check_no_committed_loss(dep: &Deployment, object: &Guid, expected: u64) -
 /// a valid `m + 1`-of-`n` serialization certificate. This is the
 /// disseminator-failover liveness property — a crashed disseminator must
 /// not leave a committed update stuck uncertified in the tier.
-pub fn check_every_commit_certifies(dep: &Deployment, objects: &[Guid]) -> InvariantReport {
+pub fn check_every_commit_certifies<N: RoleHost>(
+    dep: &Deployment<N>,
+    objects: &[Guid],
+) -> InvariantReport {
     let mut report = InvariantReport::default();
     for object in objects {
         let ring = dep.ring_for(object);
         let threshold = ring.cfg.m + 1;
-        let frontier = committed_frontier(dep, object);
+        let frontier = dep.frontier(object);
         for index in 0..frontier {
-            let certified = ring
-                .primaries
-                .iter()
-                .filter(|&&p| !dep.sim.is_down(p))
-                .filter_map(|&p| dep.sim.node(p).as_primary())
-                .any(|prim| {
-                    prim.store.records_from(object, index).iter().any(|r| {
-                        r.index == index
-                            && r.cert.verify_threshold(
-                                &r.signing_bytes(),
-                                &ring.cfg.replica_keys,
-                                threshold,
-                            )
-                    })
-                });
+            let mut live = ring.primaries.iter().filter(|&&p| !dep.sim.is_down(p));
+            let certified = live.any(|&p| {
+                dep.primary(p).store.records_from(object, index).iter().any(|r| {
+                    r.index == index
+                        && r.cert.verify_threshold(
+                            &r.signing_bytes(),
+                            &ring.cfg.replica_keys,
+                            threshold,
+                        )
+                })
+            });
             if !certified {
                 report.failures.push(format!(
                     "certify: no live primary holds a valid cert for {object:?}[{index}]"
@@ -130,13 +120,13 @@ pub fn check_every_commit_certifies(dep: &Deployment, objects: &[Guid]) -> Invar
 /// honest secondary carries a valid `m + 1`-of-`n` certificate. A
 /// Byzantine peer serving forged records must not get a single byte past
 /// the ingest checks.
-pub fn check_no_uncertified_records(dep: &Deployment) -> InvariantReport {
+pub fn check_no_uncertified_records<N: RoleHost>(dep: &Deployment<N>) -> InvariantReport {
     let mut report = InvariantReport::default();
     for &s in &dep.secondaries {
         if dep.sim.is_down(s) {
             continue;
         }
-        let sec = dep.sim.node(s).as_secondary().expect("secondary node");
+        let sec = dep.secondary(s);
         if sec.config().fault != oceanstore_replica::SecondaryFault::Honest {
             continue; // the liar's own store is not part of the promise
         }
@@ -198,23 +188,13 @@ pub fn store_gauge_of(h: &oceanstore_replica::StoreHealth) -> oceanstore_introsp
 /// gauge the long-horizon harnesses watch is the one enforced here.
 ///
 /// [`StoreMonitor`]: oceanstore_introspect::StoreMonitor
-pub fn check_store_memory(dep: &Deployment, max_retained_records: u64) -> InvariantReport {
+pub fn check_store_memory<N: RoleHost>(
+    dep: &Deployment<N>,
+    max_retained_records: u64,
+) -> InvariantReport {
     let mut report = InvariantReport::default();
     let mut monitor = oceanstore_introspect::StoreMonitor::bounded(max_retained_records);
-    let stores = dep
-        .rings
-        .iter()
-        .flat_map(|r| r.primaries.iter())
-        .chain(dep.secondaries.iter())
-        .filter(|&&n| !dep.sim.is_down(n))
-        .filter_map(|&n| {
-            dep.sim
-                .node(n)
-                .as_primary()
-                .map(|p| (n, p.store.health()))
-                .or_else(|| dep.sim.node(n).as_secondary().map(|s| (n, s.store.health())))
-        });
-    for (n, health) in stores {
+    for (n, health) in dep.store_health() {
         monitor.record(store_gauge_of(&health));
         if health.peak_retained_records > max_retained_records {
             report.failures.push(format!(
@@ -235,13 +215,13 @@ pub fn check_store_memory(dep: &Deployment, max_retained_records: u64) -> Invari
 }
 
 /// All clients saw their submissions commit (`m + 1` matching replies).
-pub fn check_clients_settled(dep: &Deployment) -> InvariantReport {
+pub fn check_clients_settled<N: RoleHost>(dep: &Deployment<N>) -> InvariantReport {
     let mut report = InvariantReport::default();
     for &c in &dep.clients {
         if dep.sim.is_down(c) {
             continue;
         }
-        let pending = dep.sim.node(c).as_client().expect("client node").pending_count();
+        let pending = dep.client(c).pending_count();
         if pending > 0 {
             report
                 .failures
@@ -260,7 +240,7 @@ mod tests {
     fn fresh_deployment_passes_vacuously() {
         let dep = build_deployment(&DeploymentOpts::default());
         let object = Guid::from_label("untouched");
-        assert_eq!(committed_frontier(&dep, &object), 0);
+        assert_eq!(dep.frontier(&object), 0);
         let report = check_convergence(&dep, &[object])
             .merge(check_no_committed_loss(&dep, &object, 0))
             .merge(check_clients_settled(&dep));

@@ -20,7 +20,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::invariants::{
     check_clients_settled, check_convergence, check_every_commit_certifies,
     check_frontier_stalled, check_no_committed_loss, check_no_uncertified_records,
-    check_store_memory, committed_frontier, InvariantReport,
+    check_store_memory, InvariantReport,
 };
 use crate::runner::{run_schedule, stats_fingerprint, ScheduleCursor, TraceEntry};
 use crate::schedule::{FaultAction, Schedule};
@@ -36,16 +36,14 @@ pub struct ScenarioOutcome {
     pub report: InvariantReport,
 }
 
-fn t(ms: u64) -> SimTime {
+pub(crate) fn t(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
 }
 
-fn submit(dep: &mut Deployment, object: Guid, payload: &[u8]) {
-    let client = dep.clients[0];
-    let update = Update::unconditional(vec![Action::Append { ciphertext: payload.to_vec() }]);
-    dep.sim.with_node_ctx(client, |node, ctx| {
-        node.as_client_mut().expect("client").submit(ctx, object, &update)
-    });
+/// The traffic every scenario and fuzz schedule submits: one
+/// unconditional append of `payload`.
+pub fn append(payload: &[u8]) -> Update {
+    Update::unconditional(vec![Action::Append { ciphertext: payload.to_vec() }])
 }
 
 /// Crashes an interior dissemination-tree node (secondary 1, which feeds
@@ -73,15 +71,15 @@ pub fn interior_crash(reparent: bool, seed: u64) -> ScenarioOutcome {
     let orphans = [dep.secondaries[3], dep.secondaries[4]];
 
     // First update flows through the intact tree.
-    submit(&mut dep, object, b"before-crash");
+    dep.submit(dep.clients[0], object, &append(b"before-crash"));
     let mut trace = run_schedule(&mut dep.sim, &Schedule::new(), t(3_000));
     // Second update enters the pipeline; the interior node dies while the
     // commit stream is mid-flight.
-    submit(&mut dep, object, b"mid-stream");
+    dep.submit(dep.clients[0], object, &append(b"mid-stream"));
     let sched = Schedule::new().at(t(3_050), FaultAction::Crash(victim));
     trace.extend(run_schedule(&mut dep.sim, &sched, t(10_000)));
     // Third update exercises the (re-wired) tree end to end.
-    submit(&mut dep, object, b"after-rewire");
+    dep.submit(dep.clients[0], object, &append(b"after-rewire"));
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(14_000)));
 
     let mut report = check_convergence(&dep, &[object])
@@ -89,7 +87,7 @@ pub fn interior_crash(reparent: bool, seed: u64) -> ScenarioOutcome {
         .merge(check_clients_settled(&dep));
     if reparent {
         for &o in &orphans {
-            let sec = dep.sim.node(o).as_secondary().expect("secondary");
+            let sec = dep.secondary(o);
             if sec.reparent_count() == 0 {
                 report.failures.push(format!("orphan {o:?} never re-parented"));
             }
@@ -116,13 +114,13 @@ pub fn partition_and_heal(seed: u64) -> ScenarioOutcome {
     groups[dep.secondaries[2].0] = 1;
     groups[dep.secondaries[5].0] = 1;
 
-    submit(&mut dep, object, b"pre-partition");
+    dep.submit(dep.clients[0], object, &append(b"pre-partition"));
     let sched = Schedule::new()
         .at(t(2_000), FaultAction::Partition(groups))
         .at(t(6_000), FaultAction::Heal);
     let mut trace = run_schedule(&mut dep.sim, &sched, t(2_500));
     // Committed while the island is unreachable.
-    submit(&mut dep, object, b"during-partition");
+    dep.submit(dep.clients[0], object, &append(b"during-partition"));
     trace.extend(run_schedule(&mut dep.sim, &sched, t(14_000)));
 
     let report = check_convergence(&dep, &[object])
@@ -148,9 +146,9 @@ pub fn drop_burst(seed: u64) -> ScenarioOutcome {
         .at(t(6_000), FaultAction::DropProb(0.0))
         .at(t(6_000), FaultAction::LatencyFactor(1.0));
     let mut trace = run_schedule(&mut dep.sim, &sched, t(1_500));
-    submit(&mut dep, object, b"through-the-storm");
+    dep.submit(dep.clients[0], object, &append(b"through-the-storm"));
     trace.extend(run_schedule(&mut dep.sim, &sched, t(3_000)));
-    submit(&mut dep, object, b"still-storming");
+    dep.submit(dep.clients[0], object, &append(b"still-storming"));
     trace.extend(run_schedule(&mut dep.sim, &sched, t(20_000)));
 
     let report = check_convergence(&dep, &[object])
@@ -194,7 +192,8 @@ pub fn lossy_tree_interior_down(seed: u64) -> ScenarioOutcome {
 
     for n in 0..200u64 {
         trace.extend(cursor.run_to(&mut dep.sim, t(1_000 + 50 * n)));
-        submit(&mut dep, objects[n as usize % objects.len()], &n.to_le_bytes());
+        let object = objects[n as usize % objects.len()];
+        dep.submit(dep.clients[0], object, &append(&n.to_le_bytes()));
     }
     trace.extend(cursor.run_to(&mut dep.sim, t(20_000)));
 
@@ -228,7 +227,7 @@ pub fn leader_crash_view_change(seed: u64) -> ScenarioOutcome {
     let sched = Schedule::new().at(t(500), FaultAction::Crash(leader));
     let mut trace = run_schedule(&mut dep.sim, &sched, t(1_000));
     for (at, payload) in [(4_000, b"first".as_slice()), (7_000, b"second"), (10_000, b"third")] {
-        submit(&mut dep, object, payload);
+        dep.submit(dep.clients[0], object, &append(payload));
         trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(at)));
     }
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(20_000)));
@@ -236,7 +235,7 @@ pub fn leader_crash_view_change(seed: u64) -> ScenarioOutcome {
     let mut report = check_convergence(&dep, &[object])
         .merge(check_no_committed_loss(&dep, &object, 3))
         .merge(check_clients_settled(&dep));
-    let sec = dep.sim.node(root).as_secondary().expect("root secondary");
+    let sec = dep.secondary(root);
     if sec.parent() == Some(leader) {
         report.failures.push(format!("tree root {root:?} still parented to dead leader"));
     }
@@ -272,7 +271,7 @@ pub fn disseminator_crash(failover: bool, seed: u64) -> ScenarioOutcome {
 
     let sched = Schedule::new().at(t(500), FaultAction::Crash(victim));
     let mut trace = run_schedule(&mut dep.sim, &sched, t(1_000));
-    submit(&mut dep, object, b"orphaned-shares");
+    dep.submit(dep.clients[0], object, &append(b"orphaned-shares"));
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(15_000)));
 
     let mut report = check_convergence(&dep, &[object])
@@ -323,19 +322,19 @@ pub fn quorum_loss(seed: u64) -> ScenarioOutcome {
     let islanded: Vec<NodeId> = dep.primaries()[..dep.cfg().m + 1].to_vec();
 
     // One update commits on the intact tier.
-    submit(&mut dep, object, b"pre-cut");
+    dep.submit(dep.clients[0], object, &append(b"pre-cut"));
     let mut cursor =
         ScheduleCursor::new(Schedule::new().island(total, &islanded, t(3_050), t(9_000)));
     let mut trace = cursor.run_to(&mut dep.sim, t(3_500));
     // This one lands inside the cut: only 2m primaries hear it.
-    submit(&mut dep, object, b"into-the-cut");
+    dep.submit(dep.clients[0], object, &append(b"into-the-cut"));
     trace.extend(cursor.run_to(&mut dep.sim, t(4_000)));
-    let frontier_before = committed_frontier(&dep, &object);
+    let frontier_before = dep.frontier(&object);
     let tier_state = |dep: &Deployment| {
         let mut views = Vec::new();
         let mut vc_sent = 0u64;
         for &p in dep.primaries() {
-            let pbft = dep.sim.node(p).as_primary().expect("primary").pbft();
+            let pbft = dep.primary(p).pbft();
             views.push(pbft.view());
             vc_sent += pbft.view_changes_sent();
         }
@@ -344,7 +343,7 @@ pub fn quorum_loss(seed: u64) -> ScenarioOutcome {
     let (views_before, vc_before) = tier_state(&dep);
     // Just before the heal: the cut has been quorumless for ~5 s.
     trace.extend(cursor.run_to(&mut dep.sim, t(8_900)));
-    let frontier_after = committed_frontier(&dep, &object);
+    let frontier_after = dep.frontier(&object);
     let (views_after, vc_after) = tier_state(&dep);
     // Heal and settle: the stranded update must commit end to end.
     trace.extend(cursor.run_to(&mut dep.sim, t(20_000)));
@@ -387,9 +386,9 @@ pub fn byzantine_secondary(seed: u64) -> ScenarioOutcome {
     let object = Guid::from_label("chaos-byzantine");
     let liar = dep.secondaries[liar_idx];
 
-    submit(&mut dep, object, b"genuine-1");
+    dep.submit(dep.clients[0], object, &append(b"genuine-1"));
     let mut trace = run_schedule(&mut dep.sim, &Schedule::new(), t(4_000));
-    submit(&mut dep, object, b"genuine-2");
+    dep.submit(dep.clients[0], object, &append(b"genuine-2"));
     // Long tail so several anti-entropy rounds spread the liar's bait.
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(15_000)));
 
@@ -402,8 +401,7 @@ pub fn byzantine_secondary(seed: u64) -> ScenarioOutcome {
         .secondaries
         .iter()
         .filter(|&&s| s != liar)
-        .filter_map(|&s| dep.sim.node(s).as_secondary())
-        .map(|sec| sec.rejected_count())
+        .map(|&s| dep.secondary(s).rejected_count())
         .sum();
     if honest_rejects == 0 {
         report.failures.push("no honest node ever saw (and rejected) a forgery".into());
@@ -424,13 +422,13 @@ pub fn rack_failure(seed: u64) -> ScenarioOutcome {
     let object = Guid::from_label("chaos-rack");
     let rack = [dep.secondaries[1], dep.secondaries[3], dep.secondaries[4]];
 
-    submit(&mut dep, object, b"before-outage");
+    dep.submit(dep.clients[0], object, &append(b"before-outage"));
     let sched =
         Schedule::new().crash_rack(t(2_050), &rack).recover_rack(t(8_000), &rack);
     let mut trace = run_schedule(&mut dep.sim, &sched, t(3_000));
-    submit(&mut dep, object, b"during-outage");
+    dep.submit(dep.clients[0], object, &append(b"during-outage"));
     trace.extend(run_schedule(&mut dep.sim, &sched, t(12_000)));
-    submit(&mut dep, object, b"after-recovery");
+    dep.submit(dep.clients[0], object, &append(b"after-recovery"));
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(18_000)));
 
     let report = check_convergence(&dep, &[object])
@@ -461,7 +459,7 @@ pub fn link_flap(seed: u64) -> ScenarioOutcome {
     let p0 = dep.primaries()[0];
     let root = dep.secondaries[0];
 
-    submit(&mut dep, object, b"calm-before");
+    dep.submit(dep.clients[0], object, &append(b"calm-before"));
     let sched = Schedule::new().flapping_link(
         p0,
         root,
@@ -471,9 +469,9 @@ pub fn link_flap(seed: u64) -> ScenarioOutcome {
         t(6_900),
     );
     let mut trace = run_schedule(&mut dep.sim, &sched, t(2_500));
-    submit(&mut dep, object, b"through-the-flap");
+    dep.submit(dep.clients[0], object, &append(b"through-the-flap"));
     trace.extend(run_schedule(&mut dep.sim, &sched, t(8_000)));
-    submit(&mut dep, object, b"calm-after");
+    dep.submit(dep.clients[0], object, &append(b"calm-after"));
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(16_000)));
 
     let mut report = check_convergence(&dep, &[object])
@@ -539,14 +537,14 @@ pub fn provider_loss(seed: u64) -> ScenarioOutcome {
     };
     let (on_a, on_a2, on_b) = (pick(0, "a1"), pick(0, "a2"), pick(1, "b"));
 
-    submit(&mut dep, object, &on_a);
+    dep.submit(dep.clients[0], object, &append(&on_a));
     let mut trace = run_schedule(&mut dep.sim, &Schedule::new(), t(3_000));
-    submit(&mut dep, object, &on_b);
+    dep.submit(dep.clients[0], object, &append(&on_b));
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(6_000)));
     // Provider A dies with two committed blocks in its range…
     provider_a.with(|p| p.set_down(true));
     // …and the tier keeps committing straight through the outage.
-    submit(&mut dep, object, &on_a2);
+    dep.submit(dep.clients[0], object, &append(&on_a2));
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(12_000)));
 
     let mut report = check_convergence(&dep, &[object])

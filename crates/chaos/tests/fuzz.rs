@@ -9,8 +9,7 @@
 //! Every sweep covers three deployment modes from this one build (see
 //! [`modes`]); a failure names the mode beside the seed.
 
-use oceanstore_chaos::fuzz::{run_fuzz, FuzzOpts};
-use oceanstore_consensus::CheckpointConfig;
+use oceanstore_chaos::fuzz::{modes, run_fuzz, FuzzOpts};
 use oceanstore_replica::DeploymentOpts;
 use proptest::prelude::*;
 
@@ -18,21 +17,6 @@ use proptest::prelude::*;
 /// default 50).
 fn sweep_seeds() -> u64 {
     std::env::var("CHAOS_FUZZ_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(50)
-}
-
-/// The deployment modes every sweep runs: the shipped configuration;
-/// acked re-push off, so anti-entropy is the only repair path for a
-/// dropped tier→tree push; and PBFT stable checkpoints off, so there is
-/// no log GC and no consensus-level state transfer (the fuzzer's outages
-/// are short enough never to need either).
-fn modes() -> [(&'static str, DeploymentOpts); 3] {
-    let base = DeploymentOpts::default();
-    let unbounded_log = CheckpointConfig { enabled: false, ..base.checkpoint.clone() };
-    [
-        ("default", base.clone()),
-        ("re-push off", DeploymentOpts { repush: false, ..base.clone() }),
-        ("checkpoints off", DeploymentOpts { checkpoint: unbounded_log, ..base }),
-    ]
 }
 
 fn assert_seed_passes(seed: u64, opts: &FuzzOpts, label: &str) {

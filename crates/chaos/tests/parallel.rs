@@ -7,12 +7,11 @@
 //! byte-for-byte identical. The seed sweep width is tunable: CI sets
 //! `CHAOS_PAR_SEEDS` (the issue bar is 120) without a code change.
 
+use oceanstore_chaos::scenarios::append;
 use oceanstore_chaos::{run_schedule, stats_fingerprint, FaultAction, Schedule};
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::{build_deployment, Deployment, DeploymentOpts};
+use oceanstore_replica::{build_deployment, DeploymentOpts};
 use oceanstore_sim::{ParCoverage, SimDuration, SimTime};
-use oceanstore_update::update::Action;
-use oceanstore_update::Update;
 
 fn t(ms: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(ms)
@@ -21,14 +20,6 @@ fn t(ms: u64) -> SimTime {
 /// Seeds per sweep (env `CHAOS_PAR_SEEDS`, default 12; CI sets 120).
 fn sweep_seeds() -> u64 {
     std::env::var("CHAOS_PAR_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(12)
-}
-
-fn submit(dep: &mut Deployment, object: Guid, payload: &[u8]) {
-    let client = dep.clients[0];
-    let update = Update::unconditional(vec![Action::Append { ciphertext: payload.to_vec() }]);
-    dep.sim.with_node_ctx(client, |node, ctx| {
-        node.as_client_mut().expect("client").submit(ctx, object, &update)
-    });
 }
 
 /// One full chaos run at a given worker count: commit traffic, a crash,
@@ -51,7 +42,7 @@ fn run_matrix_case(seed: u64, threads: usize) -> (String, String, ParCoverage) {
     groups[dep.secondaries[2].0] = 1;
     groups[dep.secondaries[5].0] = 1;
 
-    submit(&mut dep, object, b"pre-fault");
+    dep.submit(dep.clients[0], object, &append(b"pre-fault"));
     let sched = Schedule::new()
         .at(t(1_000), FaultAction::Crash(dep.secondaries[1]))
         .at(t(2_000), FaultAction::Partition(groups))
@@ -64,7 +55,7 @@ fn run_matrix_case(seed: u64, threads: usize) -> (String, String, ParCoverage) {
         .at(t(6_000), FaultAction::LinkDrop(dep.secondaries[0], dep.secondaries[3], 0.0))
         .at(t(6_000), FaultAction::LatencyFactor(1.0));
     let mut trace = run_schedule(&mut dep.sim, &sched, t(3_000));
-    submit(&mut dep, object, b"mid-fault");
+    dep.submit(dep.clients[0], object, &append(b"mid-fault"));
     // Pause exactly around the drop burst so the coverage delta below
     // measures the drops-active phase in isolation.
     trace.extend(run_schedule(&mut dep.sim, &sched, t(5_500)));

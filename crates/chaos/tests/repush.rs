@@ -14,11 +14,10 @@
 //! period (the regression guard that keeps the epidemic fallback alive).
 //! Both set [`DeploymentOpts::repush`] explicitly.
 
+use oceanstore_chaos::scenarios::append;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, disseminator_for, Deployment, DeploymentOpts};
 use oceanstore_sim::{SimDuration, SimTime};
-use oceanstore_update::update::Action;
-use oceanstore_update::Update;
 use proptest::prelude::*;
 
 /// An object whose record-0 disseminator is not primary 0 (the tree
@@ -31,14 +30,6 @@ fn object_off_parent(n: usize, tag: &str) -> Guid {
         .expect("some label dodges primary 0")
 }
 
-fn submit(dep: &mut Deployment, object: Guid, payload: &[u8]) {
-    let client = dep.clients[0];
-    let update = Update::unconditional(vec![Action::Append { ciphertext: payload.to_vec() }]);
-    dep.sim.with_node_ctx(client, |node, ctx| {
-        node.as_client_mut().expect("client").submit(ctx, object, &update)
-    });
-}
-
 /// Steps the simulation until the tree root holds committed record 0 of
 /// `object`; returns the time in ms, or `None` if `deadline_ms` passes
 /// first.
@@ -48,15 +39,7 @@ fn recovery_ms(dep: &mut Deployment, object: &Guid, deadline_ms: u64) -> Option<
     while now < deadline_ms {
         now += 10;
         dep.sim.run_until(SimTime::ZERO + SimDuration::from_millis(now));
-        let have = dep
-            .sim
-            .node(root)
-            .as_secondary()
-            .expect("root")
-            .store
-            .get(object)
-            .map_or(0, |st| st.next_index);
-        if have >= 1 {
+        if dep.secondary(root).store.get(object).is_some_and(|st| st.next_index >= 1) {
             return Some(now);
         }
     }
@@ -83,7 +66,7 @@ fn dropped_push_recovers_via_repush_within_retry_deadlines() {
     let root = dep.secondaries[0];
     dep.sim.set_link_drop(dissem, root, 1.0);
 
-    submit(&mut dep, object, b"pushed-into-a-dead-link");
+    dep.submit(dep.clients[0], object, &append(b"pushed-into-a-dead-link"));
     let rec = recovery_ms(&mut dep, &object, 5_000)
         .expect("re-push never delivered the record to the tree root");
     // Commit + cert ≈ 8 latencies (~160 ms); the observer watchdog adds
@@ -116,13 +99,11 @@ fn dropped_push_recovers_via_anti_entropy_with_repush_disabled() {
     // seed every secondary with the tentative copy (Figure 5a's epidemic
     // side channel), as a wide-area client would.
     for c in clients {
-        dep.sim.with_node_ctx(c, |node, _ctx| {
-            node.as_client_mut().expect("client").set_tentative_fanout(fanout)
-        });
+        dep.sim.node_mut(c).as_client_mut().expect("client").set_tentative_fanout(fanout);
     }
     dep.sim.set_link_drop(dissem, root, 1.0);
 
-    submit(&mut dep, object, b"left-for-anti-entropy");
+    dep.submit(dep.clients[0], object, &append(b"left-for-anti-entropy"));
     let rec = recovery_ms(&mut dep, &object, 5_000)
         .expect("anti-entropy never repaired the dropped push");
     // The default anti-entropy period is 500 ms; the first tick after the
@@ -162,7 +143,7 @@ proptest! {
         let root = dep.secondaries[0];
         dep.sim.set_link_drop(dissem, root, 1.0);
 
-        submit(&mut dep, object, b"property-push");
+        dep.submit(dep.clients[0], object, &append(b"property-push"));
         let rec = recovery_ms(&mut dep, &object, 60_000);
         let bound = 25 * latency_ms + 100;
         prop_assert!(

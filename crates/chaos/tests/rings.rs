@@ -6,15 +6,14 @@
 
 use oceanstore_chaos::invariants::{
     check_clients_settled, check_convergence, check_every_commit_certifies,
-    check_no_uncertified_records, committed_frontier,
+    check_no_uncertified_records,
 };
 use oceanstore_chaos::runner::{stats_fingerprint, ScheduleCursor, TraceEntry};
+use oceanstore_chaos::scenarios::append;
 use oceanstore_chaos::schedule::Schedule;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, Deployment, DeploymentOpts};
 use oceanstore_sim::{SimDuration, SimTime};
-use oceanstore_update::update::Action;
-use oceanstore_update::Update;
 
 const RINGS: usize = 4;
 /// The ring whose entire primary tier goes dark.
@@ -30,14 +29,6 @@ fn object_for_ring(dep: &Deployment, ring: usize) -> Guid {
         .map(|i| Guid::from_label(&format!("ring-obj-{i}")))
         .find(|g| dep.ring_of(g) == ring)
         .expect("router is balanced; every ring owns some object")
-}
-
-fn submit(dep: &mut Deployment, object: Guid, byte: u8) {
-    let client = dep.clients[0];
-    let update = Update::unconditional(vec![Action::Append { ciphertext: vec![byte] }]);
-    dep.sim.with_node_ctx(client, |node, ctx| {
-        node.as_client_mut().expect("client").submit(ctx, object, &update)
-    });
 }
 
 /// One full ring-outage scenario: commit a round everywhere, kill
@@ -64,17 +55,17 @@ fn run_ring_outage(seed: u64) -> (Vec<TraceEntry>, String) {
     // the frontiers just before the crash instant — the victim ring has
     // no live primary afterwards.
     for &obj in &objects {
-        submit(&mut dep, obj, 1);
+        dep.submit(dep.clients[0], obj, &append(&[1]));
     }
     trace.extend(cursor.run_to(&mut dep.sim, t(2_900)));
     for (r, obj) in objects.iter().enumerate() {
-        assert_eq!(committed_frontier(&dep, obj), 1, "ring {r} round-1 commit");
+        assert_eq!(dep.frontier(obj), 1, "ring {r} round-1 commit");
     }
     trace.extend(cursor.run_to(&mut dep.sim, t(3_000)));
 
     // Ring 2 is now entirely dark. Round 2 reaches only the live rings.
     for &obj in &objects {
-        submit(&mut dep, obj, 2);
+        dep.submit(dep.clients[0], obj, &append(&[2]));
     }
     trace.extend(cursor.run_to(&mut dep.sim, t(10_000)));
     for (r, obj) in objects.iter().enumerate() {
@@ -82,7 +73,7 @@ fn run_ring_outage(seed: u64) -> (Vec<TraceEntry>, String) {
             continue;
         }
         assert_eq!(
-            committed_frontier(&dep, obj),
+            dep.frontier(obj),
             2,
             "live ring {r} stalled during ring {VICTIM_RING}'s outage"
         );
@@ -91,14 +82,12 @@ fn run_ring_outage(seed: u64) -> (Vec<TraceEntry>, String) {
     // still holds exactly the round-1 record, and the client's round-2
     // request is still pending.
     for &s in &dep.secondaries {
-        let sec = dep.sim.node(s).as_secondary().expect("secondary");
         assert!(
-            sec.store.records_from(&objects[VICTIM_RING], 0).len() <= 1,
+            dep.secondary(s).store.records_from(&objects[VICTIM_RING], 0).len() <= 1,
             "a committed record appeared while the owning ring was down"
         );
     }
-    let pending =
-        dep.sim.node(dep.clients[0]).as_client().expect("client").pending_count();
+    let pending = dep.client(dep.clients[0]).pending_count();
     assert!(pending >= 1, "the dark ring's request must still be pending");
 
     // Recovery: the tier comes back with state intact; the client's
@@ -106,7 +95,7 @@ fn run_ring_outage(seed: u64) -> (Vec<TraceEntry>, String) {
     trace.extend(cursor.run_to(&mut dep.sim, t(30_000)));
     assert!(cursor.done(), "recovery events must have been applied");
     for (r, obj) in objects.iter().enumerate() {
-        assert_eq!(committed_frontier(&dep, obj), 2, "ring {r} final frontier");
+        assert_eq!(dep.frontier(obj), 2, "ring {r} final frontier");
     }
     let report = check_convergence(&dep, &objects)
         .merge(check_every_commit_certifies(&dep, &objects))
@@ -156,7 +145,7 @@ fn all_rings_commit_and_converge() {
     });
     let objects: Vec<Guid> = (0..RINGS).map(|r| object_for_ring(&dep, r)).collect();
     for &obj in &objects {
-        submit(&mut dep, obj, 9);
+        dep.submit(dep.clients[0], obj, &append(&[9]));
     }
     dep.sim.run_for(SimDuration::from_secs(8));
     let report = check_convergence(&dep, &objects)
@@ -165,18 +154,11 @@ fn all_rings_commit_and_converge() {
         .merge(check_clients_settled(&dep));
     assert!(report.passed(), "invariants broken: {:#?}", report.failures);
     for (r, obj) in objects.iter().enumerate() {
-        assert_eq!(committed_frontier(&dep, obj), 1, "ring {r} never committed");
+        assert_eq!(dep.frontier(obj), 1, "ring {r} never committed");
         // Only the owning ring's primaries hold the object.
         for (r2, ring) in dep.rings.iter().enumerate() {
             for &p in &ring.primaries {
-                let holds = dep
-                    .sim
-                    .node(p)
-                    .as_primary()
-                    .expect("primary")
-                    .store
-                    .get(obj)
-                    .is_some();
+                let holds = dep.primary(p).store.get(obj).is_some();
                 assert_eq!(
                     holds,
                     r2 == r,

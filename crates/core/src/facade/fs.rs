@@ -257,22 +257,10 @@ impl FsFacade {
 
     fn slot_count(&mut self, ocean: &mut OceanStore, obj: &ObjectRef) -> Result<usize, FsError> {
         // Count physical slots from any secondary holding the object.
-        for &s in &ocean.secondaries().to_vec() {
-            if ocean.sim().is_down(s) {
-                continue;
-            }
-            let count = ocean
-                .sim()
-                .node(s)
-                .replica
-                .as_secondary()
-                .and_then(|sec| sec.committed_view(&obj.guid))
-                .map(|d| d.current().slot_count());
-            if let Some(c) = count {
-                return Ok(c);
-            }
-        }
-        Ok(0)
+        let dep = ocean.deployment();
+        let mut live = dep.secondaries.iter().filter(|&&s| !dep.sim.is_down(s));
+        let view = live.find_map(|&s| dep.secondary(s).committed_view(&obj.guid));
+        Ok(view.map_or(0, |d| d.current().slot_count()))
     }
 
     fn read_directory(

@@ -65,20 +65,12 @@ impl Transaction {
         // Reads go to the most up-to-date secondary we can see; the version
         // recorded is what commit will guard on.
         let mut best: Option<(u64, Vec<Vec<u8>>)> = None;
-        for &s in &ocean.secondaries().to_vec() {
-            if ocean.sim().is_down(s) {
-                continue;
-            }
-            let view = ocean
-                .sim()
-                .node(s)
-                .replica
-                .as_secondary()
-                .and_then(|sec| sec.committed_view(&object.guid))
-                .map(|d| (d.version_number(), d.current().clone()));
-            if let Some((v, version)) = view {
+        let dep = ocean.deployment();
+        for &s in dep.secondaries.iter().filter(|&&s| !dep.sim.is_down(s)) {
+            if let Some(d) = dep.secondary(s).committed_view(&object.guid) {
+                let v = d.version_number();
                 if best.as_ref().is_none_or(|(bv, _)| v > *bv) {
-                    let content = oceanstore_update::ops::read_object(&object.keys, &version)
+                    let content = oceanstore_update::ops::read_object(&object.keys, d.current())
                         .map_err(|_| CoreError::NoSuitableReplica)?;
                     best = Some((v, content));
                 }

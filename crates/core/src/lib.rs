@@ -53,7 +53,7 @@ mod tests {
     use crate::facade::fs::FsFacade;
     use crate::facade::txn::{Transaction, TxnOutcome};
     use crate::facade::web::WebGateway;
-    use crate::system::{OceanStore, UpdateOutcome};
+    use crate::system::{ArchiveRef, OceanStore, UpdateOutcome};
 
     #[test]
     fn end_to_end_write_read() {
@@ -176,6 +176,47 @@ mod tests {
         assert!(matches!(events[1].1, UpdateOutcome::Aborted));
         // Drained: nothing new.
         assert!(ocean.poll_commits(&obj).is_empty());
+        // A second object has its own cursor: draining the first (two
+        // records) hides nothing of this one.
+        let other = ocean.create_object(0, "notify-too");
+        ocean
+            .update(0, &other, &ops::initial_write(&other.keys, b"notify-too", &[b"y"], &[]))
+            .unwrap();
+        ocean.settle(SimDuration::from_secs(3));
+        let events = ocean.poll_commits(&other);
+        assert_eq!(events.len(), 1, "the first object's cursor swallowed the second's commit");
+        assert!(matches!(events[0].1, UpdateOutcome::Committed { version: 1 }));
+        assert!(ocean.poll_commits(&other).is_empty());
+        assert!(ocean.poll_commits(&obj).is_empty());
+    }
+
+    #[test]
+    fn archive_sweeper_restores_redundancy() {
+        // `archival`'s repair-sweep scenario through the assembled system:
+        // 16 servers hold one fragment each of an (8, 16) archive.
+        let mut ocean = OceanStore::builder().seed(22).secondaries(12).build();
+        let obj = ocean.create_object(0, "swept");
+        ocean
+            .update(0, &obj, &ops::initial_write(&obj.keys, b"swept", &[b"kept whole"], &[]))
+            .unwrap();
+        ocean.settle(SimDuration::from_secs(2));
+        let archive = ocean.archive(&obj).unwrap();
+        let sweeper = ocean.clients()[1];
+        let threshold = 14;
+        ocean.enable_archive_sweeper(sweeper, &archive, SimDuration::from_secs(2), threshold);
+        // Four holders die: live (12) < threshold (14), so a sweep repairs.
+        for &h in &archive.holders[12..] {
+            ocean.sim().set_down(h, true);
+        }
+        ocean.settle(SimDuration::from_secs(12));
+        let sim = ocean.sim();
+        let tracked = sim.node(sweeper).arch.tracked_holders(&archive.guid).expect("tracked");
+        let live: Vec<_> = tracked.iter().copied().filter(|&h| !sim.is_down(h)).collect();
+        assert!(live.len() >= threshold, "only {} live holders after the sweeps", live.len());
+        // And the version comes back from the repaired placement alone.
+        let repaired = ArchiveRef { holders: live, ..archive };
+        let blocks = ocean.recover_from_archive(sweeper, &repaired, &obj.keys, 4).unwrap();
+        assert_eq!(blocks, vec![b"kept whole".to_vec()]);
     }
 
     #[test]
@@ -198,16 +239,13 @@ mod tests {
                 assert_eq!(out, UpdateOutcome::Committed { version: u64::from(v) });
             }
             ocean.settle(SimDuration::from_secs(3));
-            let resends: u64 = ocean
-                .primaries()
-                .to_vec()
-                .into_iter()
-                .map(|p| ocean.sim().node(p).replica.as_primary().unwrap().repush_resend_count())
-                .sum();
+            let dep = ocean.deployment();
+            let resends: u64 =
+                dep.primaries().iter().map(|&p| dep.primary(p).repush_resend_count()).sum();
             assert_eq!(resends, 0, "acked pushes were re-sent at {latency_ms} ms");
-            for s in ocean.secondaries().to_vec() {
-                let sec = ocean.sim().node(s).replica.as_secondary().unwrap();
-                let version = sec.committed_view(&obj.guid).map(|d| d.version_number());
+            for &s in &dep.secondaries {
+                let view = dep.secondary(s).committed_view(&obj.guid);
+                let version = view.map(|d| d.version_number());
                 assert_eq!(version, Some(8), "secondary {s:?} at {latency_ms} ms");
             }
         }
@@ -226,7 +264,7 @@ mod tests {
         assert_eq!(out, UpdateOutcome::Committed { version: 1 });
         ocean.settle(SimDuration::from_secs(3));
         for orphan in [secondaries[3], secondaries[4]] {
-            let sec = ocean.sim().node(orphan).replica.as_secondary().unwrap();
+            let sec = ocean.deployment().secondary(orphan);
             assert!(sec.reparent_count() >= 1, "{orphan:?} never re-attached");
             assert_eq!(sec.committed_view(&obj.guid).map(|d| d.version_number()), Some(1));
         }

@@ -5,7 +5,7 @@
 
 use oceanstore_archival::ArchNode;
 use oceanstore_plaxton::PlaxtonNode;
-use oceanstore_replica::OceanNode;
+use oceanstore_replica::{OceanNode, ReplicaMsg, RoleHost};
 use oceanstore_sim::{Context, NodeId, Protocol};
 
 use crate::messages::{OceanMsg, TAG_ARCH, TAG_MASK, TAG_PLAXTON, TAG_REPLICA};
@@ -36,17 +36,6 @@ impl OceanServer {
         OceanServer { replica, plaxton, arch: ArchNode::new() }
     }
 
-    /// Runs a closure against the replica role with a properly namespaced
-    /// context.
-    pub fn with_replica<R>(
-        &mut self,
-        ctx: &mut Context<'_, OceanMsg>,
-        f: impl FnOnce(&mut OceanNode, &mut Context<'_, oceanstore_replica::ReplicaMsg>) -> R,
-    ) -> R {
-        let replica = &mut self.replica;
-        ctx.with_inner_mapped(OceanMsg::Replica, |t| t | TAG_REPLICA, |ictx| f(replica, ictx))
-    }
-
     /// Runs a closure against the location-mesh participant.
     ///
     /// # Panics
@@ -72,11 +61,27 @@ impl OceanServer {
     }
 }
 
+/// The replication role, reached with a properly namespaced context.
+impl RoleHost for OceanServer {
+    fn role(&self) -> &OceanNode {
+        &self.replica
+    }
+
+    fn with_role<R>(
+        &mut self,
+        ctx: &mut Context<'_, OceanMsg>,
+        f: impl FnOnce(&mut OceanNode, &mut Context<'_, ReplicaMsg>) -> R,
+    ) -> R {
+        let replica = &mut self.replica;
+        ctx.with_inner_mapped(OceanMsg::Replica, |t| t | TAG_REPLICA, |ictx| f(replica, ictx))
+    }
+}
+
 impl Protocol for OceanServer {
     type Msg = OceanMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, OceanMsg>) {
-        self.with_replica(ctx, |r, ictx| r.on_start(ictx));
+        self.with_role(ctx, |r, ictx| r.on_start(ictx));
         if self.plaxton.is_some() {
             self.with_plaxton(ctx, |p, ictx| p.on_start(ictx));
         }
@@ -85,7 +90,7 @@ impl Protocol for OceanServer {
 
     fn on_message(&mut self, ctx: &mut Context<'_, OceanMsg>, from: NodeId, msg: OceanMsg) {
         match msg {
-            OceanMsg::Replica(m) => self.with_replica(ctx, |r, ictx| r.on_message(ictx, from, m)),
+            OceanMsg::Replica(m) => self.with_role(ctx, |r, ictx| r.on_message(ictx, from, m)),
             OceanMsg::Plaxton(m) => {
                 if self.plaxton.is_some() {
                     self.with_plaxton(ctx, |p, ictx| p.on_message(ictx, from, m));
@@ -104,7 +109,7 @@ impl Protocol for OceanServer {
                 }
             }
             TAG_ARCH => self.with_arch(ctx, |a, ictx| a.on_timer(ictx, inner)),
-            _ => self.with_replica(ctx, |r, ictx| r.on_timer(ictx, inner)),
+            _ => self.with_role(ctx, |r, ictx| r.on_timer(ictx, inner)),
         }
     }
 }

@@ -101,30 +101,20 @@ pub struct ArchiveRef {
     pub holders: Vec<NodeId>,
 }
 
-/// Deployment parameters.
+/// Deployment parameters: the replication layout plus the archival code.
 #[derive(Debug, Clone)]
 pub struct OceanStoreBuilder {
-    m: usize,
-    secondaries: usize,
-    clients: usize,
-    latency: SimDuration,
-    seed: u64,
+    opts: DeploymentOpts,
     archival_k: usize,
     archival_n: usize,
-    invalidate_leaves: Vec<usize>,
 }
 
 impl Default for OceanStoreBuilder {
     fn default() -> Self {
         OceanStoreBuilder {
-            m: 1,
-            secondaries: 6,
-            clients: 2,
-            latency: SimDuration::from_millis(20),
-            seed: 1,
+            opts: DeploymentOpts { clients: 2, ..DeploymentOpts::default() },
             archival_k: 8,
             archival_n: 16,
-            invalidate_leaves: Vec::new(),
         }
     }
 }
@@ -132,31 +122,31 @@ impl Default for OceanStoreBuilder {
 impl OceanStoreBuilder {
     /// Byzantine faults tolerated by the primary tier (n = 3m + 1).
     pub fn faults_tolerated(&mut self, m: usize) -> &mut Self {
-        self.m = m;
+        self.opts.m = m;
         self
     }
 
     /// Number of secondary replicas.
     pub fn secondaries(&mut self, s: usize) -> &mut Self {
-        self.secondaries = s;
+        self.opts.secondaries = s;
         self
     }
 
     /// Number of clients.
     pub fn clients(&mut self, c: usize) -> &mut Self {
-        self.clients = c;
+        self.opts.clients = c;
         self
     }
 
     /// Uniform one-way WAN latency.
     pub fn latency(&mut self, l: SimDuration) -> &mut Self {
-        self.latency = l;
+        self.opts.latency = l;
         self
     }
 
     /// Deterministic seed.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.seed = seed;
+        self.opts.seed = seed;
         self
     }
 
@@ -169,37 +159,25 @@ impl OceanStoreBuilder {
 
     /// Marks secondary indices as bandwidth-limited (invalidation-fed).
     pub fn invalidate_leaves(&mut self, leaves: Vec<usize>) -> &mut Self {
-        self.invalidate_leaves = leaves;
+        self.opts.invalidate_leaves = leaves;
         self
     }
 
-    /// Constructs and starts the deployment: the replication roles come
-    /// assembled from [`build_deployment_with`], and every node gets a
-    /// slot in the location mesh (clients are addressable entities too,
-    /// §4.3.1) and a fragment store around its role.
+    /// Constructs and starts the deployment.
     pub fn build(&self) -> OceanStore {
-        let opts = DeploymentOpts {
-            m: self.m,
-            secondaries: self.secondaries,
-            clients: self.clients,
-            latency: self.latency,
-            invalidate_leaves: self.invalidate_leaves.clone(),
-            seed: self.seed,
-            ..DeploymentOpts::default()
-        };
-        let topo = Arc::new(opts.spec().mesh(self.latency));
-        let (plaxton, _guids) = build_network(&topo, &PlaxtonConfig::default(), self.seed);
-        let mut plaxton = plaxton.into_iter();
-        OceanStore {
-            dep: build_deployment_with(&opts, |_, role| OceanServer::new(role, plaxton.next())),
-            archival_k: self.archival_k,
-            archival_n: self.archival_n,
-            next_locate_id: 1,
-            next_fetch_id: 1,
-            reported: HashMap::new(),
-            settle_budget: SimDuration::from_secs(30),
-        }
+        OceanStore::over(assemble(&self.opts), self.archival_k, self.archival_n)
     }
+}
+
+/// Assembles and starts the whole system for `opts`: the replication
+/// roles come from [`build_deployment_with`], and every node gets a slot
+/// in the location mesh (clients are addressable entities too, §4.3.1)
+/// and a fragment store around its role.
+pub fn assemble(opts: &DeploymentOpts) -> Deployment<OceanServer> {
+    let topo = Arc::new(opts.spec().mesh(opts.latency));
+    let (plaxton, _guids) = build_network(&topo, &PlaxtonConfig::default(), opts.seed);
+    let mut plaxton = plaxton.into_iter();
+    build_deployment_with(opts, |_, role| OceanServer::new(role, plaxton.next()))
 }
 
 /// A full OceanStore deployment under deterministic simulation.
@@ -209,28 +187,29 @@ pub struct OceanStore {
     archival_n: usize,
     next_locate_id: u64,
     next_fetch_id: u64,
-    /// Commits already reported through [`OceanStore::poll_commits`].
-    reported: HashMap<NodeId, u64>,
+    /// Per object, the record index [`OceanStore::poll_commits`] reports
+    /// from next.
+    reported: HashMap<Guid, u64>,
     settle_budget: SimDuration,
 }
 
-/// Runs `sim` in steps of `period` until `probe` yields or `budget` of
+/// Runs `dep` in steps of `period` until `probe` yields or `budget` of
 /// simulated time has passed; the probe runs before every step.
 fn poll<T>(
-    sim: &mut Simulator<OceanServer>,
+    dep: &mut Deployment<OceanServer>,
     budget: SimDuration,
     period: SimDuration,
-    mut probe: impl FnMut(&Simulator<OceanServer>) -> Option<T>,
+    mut probe: impl FnMut(&Deployment<OceanServer>) -> Option<T>,
 ) -> Option<T> {
-    let deadline = sim.now() + budget;
+    let deadline = dep.sim.now() + budget;
     loop {
-        if let Some(found) = probe(sim) {
+        if let Some(found) = probe(dep) {
             return Some(found);
         }
-        if sim.now() >= deadline {
+        if dep.sim.now() >= deadline {
             return None;
         }
-        sim.run_for(period);
+        dep.sim.run_for(period);
     }
 }
 
@@ -244,6 +223,25 @@ impl OceanStore {
     /// A builder with laptop-scale defaults.
     pub fn builder() -> OceanStoreBuilder {
         OceanStoreBuilder::default()
+    }
+
+    /// A client API over an already assembled deployment (see
+    /// [`assemble`]), archiving with an `any k of n` code.
+    pub fn over(dep: Deployment<OceanServer>, archival_k: usize, archival_n: usize) -> Self {
+        OceanStore {
+            dep,
+            archival_k,
+            archival_n,
+            next_locate_id: 1,
+            next_fetch_id: 1,
+            reported: HashMap::new(),
+            settle_budget: SimDuration::from_secs(30),
+        }
+    }
+
+    /// The deployment underneath, for checkers that take one.
+    pub fn deployment(&self) -> &Deployment<OceanServer> {
+        &self.dep
     }
 
     /// The underlying simulator (power users: failure injection, stats).
@@ -314,13 +312,7 @@ impl OceanStore {
     /// Fire-and-forget submission (for concurrency experiments); pair with
     /// [`OceanStore::wait_for`].
     pub fn submit(&mut self, client_idx: usize, object: &ObjectRef, update: &Update) -> RequestId {
-        let client = self.dep.clients[client_idx];
-        let guid = object.guid;
-        self.dep.sim.with_node_ctx(client, |server, ctx| {
-            server.with_replica(ctx, |role, ictx| {
-                role.as_client_mut().expect("client role").submit(ictx, guid, update)
-            })
-        })
+        self.dep.submit(self.dep.clients[client_idx], object.guid, update)
     }
 
     /// Waits for a previously submitted update to serialize.
@@ -329,18 +321,17 @@ impl OceanStore {
     ///
     /// [`CoreError::Timeout`] when the settle budget expires first.
     pub fn wait_for(&mut self, id: RequestId, object: &ObjectRef) -> Result<UpdateOutcome, CoreError> {
-        let client = id.client;
-        poll(&mut self.dep.sim, self.settle_budget, SimDuration::from_millis(10), |sim| {
-            sim.node(client).replica.as_client().expect("client role").outcome(id).map(|_| ())
+        poll(&mut self.dep, self.settle_budget, SimDuration::from_millis(10), |dep| {
+            dep.outcome(id).map(|_| ())
         })
         .ok_or(CoreError::Timeout)?;
         // Commit-vs-abort is in the owning ring's serialized record.
-        let tid = TentativeId { client, counter: id.seq };
+        let tid = TentativeId { client: id.client, counter: id.seq };
         self.dep
             .ring_for(&object.guid)
             .primaries
             .iter()
-            .filter_map(|&p| self.dep.sim.node(p).replica.as_primary()?.store.get(&object.guid))
+            .filter_map(|&p| self.dep.primary(p).store.get(&object.guid))
             .find_map(|st| st.records.iter().find(|r| r.id == tid))
             .map(|rec| outcome_of(rec.version))
             .ok_or(CoreError::Timeout)
@@ -361,17 +352,15 @@ impl OceanStore {
         session: &mut SessionState,
         guarantees: &GuaranteeSet,
     ) -> Result<Vec<Vec<u8>>, CoreError> {
-        let Deployment { sim, secondaries, .. } = &mut self.dep;
         // Closest-first: the uniform mesh makes all equal; keep a
         // deterministic order. Dissemination may simply not have reached
         // anyone yet, so between scans the tree and anti-entropy run
         // (read-repair).
-        poll(sim, self.settle_budget, SimDuration::from_millis(50), |sim| {
+        poll(&mut self.dep, self.settle_budget, SimDuration::from_millis(50), |dep| {
             let mut any_live = false;
-            for &s in secondaries.iter().filter(|&&s| !sim.is_down(s)) {
+            for &s in dep.secondaries.iter().filter(|&&s| !dep.sim.is_down(s)) {
                 any_live = true;
-                let sec = sim.node(s).replica.as_secondary().expect("secondary role");
-                let view = sec.committed_view(&object.guid);
+                let view = dep.secondary(s).committed_view(&object.guid);
                 let version = view.map_or(0, |d| d.version_number());
                 if !session.read_permitted(guarantees, &object.guid, version) {
                     continue;
@@ -399,8 +388,7 @@ impl OceanStore {
         secondary: NodeId,
         object: &ObjectRef,
     ) -> Result<Vec<Vec<u8>>, CoreError> {
-        let sec = self.dep.sim.node(secondary).replica.as_secondary().expect("secondary role");
-        let view = sec.tentative_view_or_empty(&object.guid);
+        let view = self.dep.secondary(secondary).tentative_view_or_empty(&object.guid);
         ops::read_object(&object.keys, view.current()).map_err(|_| CoreError::NoSuitableReplica)
     }
 
@@ -431,8 +419,9 @@ impl OceanStore {
         self.dep.sim.with_node_ctx(from, |server, ctx| {
             server.with_plaxton(ctx, |p, ictx| p.locate(ictx, id, guid));
         });
-        poll(&mut self.dep.sim, self.settle_budget, SimDuration::from_millis(50), |sim| {
-            sim.node(from).plaxton.as_ref().expect("location role").outcome(id).map(|o| o.holder)
+        poll(&mut self.dep, self.settle_budget, SimDuration::from_millis(50), |dep| {
+            let mesh = dep.sim.node(from).plaxton.as_ref().expect("location role");
+            mesh.outcome(id).map(|o| o.holder)
         })
         .ok_or(CoreError::Timeout)
     }
@@ -447,28 +436,13 @@ impl OceanStore {
     /// Archival encoding errors, or [`CoreError::NoSuitableReplica`] if no
     /// secondary holds the object.
     pub fn archive(&mut self, object: &ObjectRef) -> Result<ArchiveRef, CoreError> {
-        let source = self
-            .dep
-            .secondaries
-            .iter()
-            .copied()
-            .find(|&s| {
-                !self.dep.sim.is_down(s)
-                    && self
-                        .dep
-                        .sim
-                        .node(s)
-                        .replica
-                        .as_secondary()
-                        .and_then(|sec| sec.committed_view(&object.guid))
-                        .is_some()
-            })
+        let dep = &self.dep;
+        let mut live = dep.secondaries.iter().filter(|&&s| !dep.sim.is_down(s));
+        let (source, data) = live
+            .find_map(|&s| Some((s, dep.secondary(s).committed_view(&object.guid)?)))
             .ok_or(CoreError::NoSuitableReplica)?;
-        let (version_no, bytes) = {
-            let sec = self.dep.sim.node(source).replica.as_secondary().expect("secondary");
-            let data = sec.committed_view(&object.guid).expect("checked");
-            (data.version_number(), version_codec::encode_version(data.current()))
-        };
+        let version_no = data.version_number();
+        let bytes = version_codec::encode_version(data.current());
         let codec = ObjectCodec::new(CodeKind::ReedSolomon, self.archival_k, self.archival_n, 0)?;
         let arch = archive_object(&codec, &bytes)?;
         // Disseminate round-robin over the server pool.
@@ -505,11 +479,11 @@ impl OceanStore {
         self.dep.sim.with_node_ctx(requester, |server, ctx| {
             server.with_arch(ctx, |a, ictx| a.fetch(ictx, id, guid, codec, &holders, extra));
         });
-        let bytes =
-            poll(&mut self.dep.sim, self.settle_budget, SimDuration::from_millis(50), |sim| {
-                sim.node(requester).arch.outcome(id).map(|o| o.data.clone())
-            })
-            .ok_or(CoreError::Timeout)?;
+        let period = SimDuration::from_millis(50);
+        let bytes = poll(&mut self.dep, self.settle_budget, period, |dep| {
+            dep.sim.node(requester).arch.outcome(id).map(|o| o.data.clone())
+        })
+        .ok_or(CoreError::Timeout)?;
         let version = version_codec::decode_version(&bytes).ok_or(CoreError::CorruptArchive)?;
         ops::read_object(keys, &version).map_err(|_| CoreError::CorruptArchive)
     }
@@ -544,18 +518,15 @@ impl OceanStore {
     /// applications of relevant events" — poll-based here because the
     /// whole world is a simulation.)
     pub fn poll_commits(&mut self, object: &ObjectRef) -> Vec<(TentativeId, UpdateOutcome)> {
-        let root = self.dep.secondaries[0];
-        let from = *self.reported.get(&root).unwrap_or(&0);
-        let sec = self.dep.sim.node(root).replica.as_secondary().expect("secondary");
+        let root = self.dep.secondary(self.dep.secondaries[0]);
+        let next = self.reported.entry(object.guid).or_insert(0);
         let mut out = Vec::new();
-        let mut max_index = from;
-        if let Some(st) = sec.store.get(&object.guid) {
-            for r in st.records.iter().filter(|r| r.index >= from) {
+        if let Some(st) = root.store.get(&object.guid) {
+            for r in st.records.iter().filter(|r| r.index >= *next) {
                 out.push((r.id, outcome_of(r.version)));
-                max_index = max_index.max(r.index + 1);
             }
+            *next = (*next).max(st.next_index);
         }
-        self.reported.insert(root, max_index);
         out
     }
 }

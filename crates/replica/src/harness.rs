@@ -13,18 +13,23 @@
 
 use std::collections::HashMap;
 
+use oceanstore_consensus::client::ClientOutcome;
+use oceanstore_consensus::messages::RequestId;
 use oceanstore_consensus::replica::{CheckpointConfig, FaultMode, TierConfig};
 use oceanstore_crypto::schnorr::KeyPair;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::cluster::{tree_children, tree_grandparent, tree_parent, tree_sibling};
-use oceanstore_sim::{ClusterSpec, NodeId, Protocol, SimDuration, Simulator};
+use oceanstore_sim::{ClusterSpec, Context, NodeId, Protocol, SimDuration, Simulator};
+use oceanstore_update::Update;
 
 use crate::client::UpdateClient;
 use crate::config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, SecondaryFault};
+use crate::messages::ReplicaMsg;
 use crate::node::OceanNode;
 use crate::primary::Primary;
 use crate::secondary::Secondary;
 use crate::shard::ShardRouter;
+use crate::store::StoreHealth;
 
 /// Deployment parameters.
 #[derive(Debug, Clone)]
@@ -148,6 +153,94 @@ impl<N: Protocol> Deployment<N> {
     /// The ring that owns `object`.
     pub fn ring_for(&self, object: &Guid) -> &Ring {
         &self.rings[self.ring_of(object)]
+    }
+}
+
+/// A simulation node that hosts one replication role: the bare
+/// [`OceanNode`], or a composite server that multiplexes other protocols
+/// beside it. What the [`Deployment`] driver methods need to reach the
+/// role inside whatever [`build_deployment_with`] wrapped around it.
+pub trait RoleHost: Protocol {
+    /// The hosted replication role.
+    fn role(&self) -> &OceanNode;
+
+    /// Runs `f` against the role with a context that sends
+    /// [`ReplicaMsg`]s and arms the role's timers through the host.
+    fn with_role<R>(
+        &mut self,
+        ctx: &mut Context<'_, Self::Msg>,
+        f: impl FnOnce(&mut OceanNode, &mut Context<'_, ReplicaMsg>) -> R,
+    ) -> R;
+}
+
+impl RoleHost for OceanNode {
+    fn role(&self) -> &OceanNode {
+        self
+    }
+
+    fn with_role<R>(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        f: impl FnOnce(&mut OceanNode, &mut Context<'_, ReplicaMsg>) -> R,
+    ) -> R {
+        f(self, ctx)
+    }
+}
+
+/// The one driver surface: tests, chaos, the workload harness and
+/// `core::OceanStore` submit, read outcomes, look roles up and sample
+/// frontiers through these, whatever the node type.
+impl<N: RoleHost> Deployment<N> {
+    /// The primary at `id`; panics, like the two lookups below, if `id`
+    /// hosts another role.
+    pub fn primary(&self, id: NodeId) -> &Primary {
+        self.sim.node(id).role().as_primary().expect("node is not a primary")
+    }
+
+    /// The secondary at `id`.
+    pub fn secondary(&self, id: NodeId) -> &Secondary {
+        self.sim.node(id).role().as_secondary().expect("node is not a secondary")
+    }
+
+    /// The client at `id`.
+    pub fn client(&self, id: NodeId) -> &UpdateClient {
+        self.sim.node(id).role().as_client().expect("node is not a client")
+    }
+
+    /// Submits `update` to `object` from the client at node `client`,
+    /// along both paths of Figure 5a.
+    pub fn submit(&mut self, client: NodeId, object: Guid, update: &Update) -> RequestId {
+        self.sim.with_node_ctx(client, |node, ctx| {
+            node.with_role(ctx, |role, ictx| {
+                role.as_client_mut().expect("node is not a client").submit(ictx, object, update)
+            })
+        })
+    }
+
+    /// The committed outcome of a submitted request, once its client saw
+    /// `m + 1` matching replies.
+    pub fn outcome(&self, id: RequestId) -> Option<&ClientOutcome> {
+        self.client(id.client).outcome(id)
+    }
+
+    /// Highest serialization index any *live* primary of the owning ring
+    /// reached for `object` — the tier's authoritative frontier.
+    pub fn frontier(&self, object: &Guid) -> u64 {
+        let live = self.ring_for(object).primaries.iter().filter(|&&p| !self.sim.is_down(p));
+        live.map(|&p| self.primary(p).store.get(object).map_or(0, |st| st.next_index))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Replica-store health of every live primary (ring-major), then
+    /// every live secondary.
+    pub fn store_health(&self) -> impl Iterator<Item = (NodeId, StoreHealth)> + '_ {
+        let primaries = self.all_primaries().map(|p| (p, &self.primary(p).store));
+        let secondaries = self.secondaries.iter().map(|&s| (s, &self.secondary(s).store));
+        primaries
+            .chain(secondaries)
+            .filter(|&(n, _)| !self.sim.is_down(n))
+            .map(|(n, store)| (n, store.health()))
     }
 }
 

@@ -29,7 +29,9 @@ pub mod store;
 
 pub use client::UpdateClient;
 pub use config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, SecondaryFault};
-pub use harness::{build_deployment, build_deployment_with, Deployment, DeploymentOpts, Ring};
+pub use harness::{
+    build_deployment, build_deployment_with, Deployment, DeploymentOpts, Ring, RoleHost,
+};
 pub use messages::{CommitRecord, ReplicaMsg, TentativeId};
 pub use node::OceanNode;
 pub use primary::{disseminator_for, Primary};
@@ -47,18 +49,6 @@ mod tests {
 
     use crate::harness::{build_deployment, Deployment, DeploymentOpts};
 
-    fn submit(
-        dep: &mut Deployment,
-        client_idx: usize,
-        object: Guid,
-        update: &Update,
-    ) -> oceanstore_consensus::messages::RequestId {
-        let client = dep.clients[client_idx];
-        dep.sim.with_node_ctx(client, |node, ctx| {
-            node.as_client_mut().expect("client").submit(ctx, object, update)
-        })
-    }
-
     fn settle(dep: &mut Deployment, secs: u64) {
         dep.sim.run_for(SimDuration::from_secs(secs));
     }
@@ -69,19 +59,19 @@ mod tests {
         let keys = ObjectKeys::from_seed(b"obj");
         let object = Guid::from_label("shared");
         let update = initial_write(&keys, b"shared", &[b"hello world"], &[]);
-        let id = submit(&mut dep, 0, object, &update);
+        let id = dep.submit(dep.clients[0], object, &update);
         settle(&mut dep, 5);
         // Client saw the commit.
-        let outcome = dep.sim.node(dep.clients[0]).as_client().unwrap().outcome(id).copied();
+        let outcome = dep.outcome(id);
         assert!(outcome.is_some(), "client never saw m+1 replies");
         // Every primary executed it.
         for &p in dep.primaries() {
-            let prim = dep.sim.node(p).as_primary().unwrap();
+            let prim = dep.primary(p);
             assert_eq!(prim.store.get(&object).unwrap().data.version_number(), 1);
         }
         // Every secondary converged through the dissemination tree.
         for &s in &dep.secondaries {
-            let sec = dep.sim.node(s).as_secondary().unwrap();
+            let sec = dep.secondary(s);
             let data = sec.committed_view(&object).expect("replicated");
             assert_eq!(data.version_number(), 1, "secondary {s}");
             let content = read_object(&keys, data.current()).unwrap();
@@ -99,41 +89,31 @@ mod tests {
         let object = Guid::from_label("quick");
         let update =
             Update::unconditional(vec![Action::Append { ciphertext: vec![1, 2, 3] }]);
-        submit(&mut dep, 0, object, &update);
+        dep.submit(dep.clients[0], object, &update);
         // One hop (50 ms) delivers tentatives; the commit needs ~5 phases.
         dep.sim.run_for(SimDuration::from_millis(120));
         let tentative_somewhere = dep
             .secondaries
             .iter()
-            .any(|&s| dep.sim.node(s).as_secondary().unwrap().tentative_count(&object) > 0);
+            .any(|&s| dep.secondary(s).tentative_count(&object) > 0);
         assert!(tentative_somewhere, "epidemic path should be ahead of the committed path");
         let committed_anywhere = dep.secondaries.iter().any(|&s| {
-            dep.sim
-                .node(s)
-                .as_secondary()
-                .unwrap()
-                .committed_view(&object)
-                .is_some_and(|d| d.version_number() > 0)
+            dep.secondary(s).committed_view(&object).is_some_and(|d| d.version_number() > 0)
         });
         assert!(!committed_anywhere, "commit cannot have finished yet");
         // Tentative view already shows the data.
         let sec_with_tentative = dep
             .secondaries
             .iter()
-            .find(|&&s| dep.sim.node(s).as_secondary().unwrap().tentative_count(&object) > 0)
+            .find(|&&s| dep.secondary(s).tentative_count(&object) > 0)
             .copied()
             .unwrap();
-        let view = dep
-            .sim
-            .node(sec_with_tentative)
-            .as_secondary()
-            .unwrap()
-            .tentative_view_or_empty(&object);
+        let view = dep.secondary(sec_with_tentative).tentative_view_or_empty(&object);
         assert_eq!(view.version_number(), 1);
         // Eventually everything converges and tentative state drains.
         settle(&mut dep, 10);
         for &s in &dep.secondaries {
-            let sec = dep.sim.node(s).as_secondary().unwrap();
+            let sec = dep.secondary(s);
             assert_eq!(sec.committed_view(&object).unwrap().version_number(), 1);
             assert_eq!(sec.tentative_count(&object), 0);
         }
@@ -148,17 +128,14 @@ mod tests {
         });
         let object = Guid::from_label("gossip");
         let update = Update::unconditional(vec![Action::Append { ciphertext: vec![7] }]);
-        submit(&mut dep, 0, object, &update);
+        dep.submit(dep.clients[0], object, &update);
         // Give the rumor mill a few rounds, well before commits land
         // (commit takes ~1s at 200 ms per phase; gossip+anti-entropy lap it).
         dep.sim.run_for(SimDuration::from_millis(900));
         let holding = dep
             .secondaries
             .iter()
-            .filter(|&&s| {
-                let sec = dep.sim.node(s).as_secondary().unwrap();
-                sec.tentative_count(&object) > 0
-            })
+            .filter(|&&s| dep.secondary(s).tentative_count(&object) > 0)
             .count();
         assert!(
             holding >= dep.secondaries.len() / 2,
@@ -183,29 +160,21 @@ mod tests {
             Predicate::CompareVersion(0),
             vec![Action::Append { ciphertext: vec![2] }],
         );
-        submit(&mut dep, 0, object, &u1);
-        submit(&mut dep, 1, object, &u2);
+        dep.submit(dep.clients[0], object, &u1);
+        dep.submit(dep.clients[1], object, &u2);
         settle(&mut dep, 10);
         // Exactly one commit bumped the version; the loser aborted but was
         // still serialized (two records).
         for &p in dep.primaries() {
-            let st = dep.sim.node(p).as_primary().unwrap().store.get(&object).unwrap();
+            let st = dep.primary(p).store.get(&object).unwrap();
             assert_eq!(st.next_index, 2, "both updates serialized");
             assert_eq!(st.data.version_number(), 1, "only one committed");
         }
         // Secondaries agree bit-for-bit.
-        let reference = dep
-            .sim
-            .node(dep.secondaries[0])
-            .as_secondary()
-            .unwrap()
-            .committed_view(&object)
-            .unwrap()
-            .current()
-            .blocks
-            .clone();
+        let root = dep.secondary(dep.secondaries[0]);
+        let reference = root.committed_view(&object).unwrap().current().blocks.clone();
         for &s in &dep.secondaries[1..] {
-            let sec = dep.sim.node(s).as_secondary().unwrap();
+            let sec = dep.secondary(s);
             assert_eq!(sec.committed_view(&object).unwrap().current().blocks, reference);
         }
     }
@@ -221,12 +190,12 @@ mod tests {
         });
         let object = Guid::from_label("thin-leaf");
         let update = Update::unconditional(vec![Action::Append { ciphertext: vec![9; 1000] }]);
-        submit(&mut dep, 0, object, &update);
+        dep.submit(dep.clients[0], object, &update);
         // Let the commit land but beat the anti-entropy pull (500 ms tick).
         dep.sim.run_for(SimDuration::from_millis(420));
         let leaf = dep.secondaries[5];
         {
-            let sec = dep.sim.node(leaf).as_secondary().unwrap();
+            let sec = dep.secondary(leaf);
             assert!(sec.is_stale(&object), "leaf must know it is behind");
             assert!(
                 sec.committed_view(&object).is_none_or(|d| d.version_number() == 0),
@@ -235,7 +204,7 @@ mod tests {
         }
         // The periodic anti-entropy pull repairs it.
         settle(&mut dep, 5);
-        let sec = dep.sim.node(leaf).as_secondary().unwrap();
+        let sec = dep.secondary(leaf);
         assert_eq!(sec.committed_view(&object).unwrap().version_number(), 1);
         assert!(!sec.is_stale(&object));
     }
@@ -250,21 +219,16 @@ mod tests {
         let groups: Vec<u32> = (0..total).map(|i| u32::from(i == victim.0)).collect();
         dep.sim.set_partitions(Some(groups));
         let update = Update::unconditional(vec![Action::Append { ciphertext: vec![3] }]);
-        submit(&mut dep, 0, object, &update);
+        dep.submit(dep.clients[0], object, &update);
         settle(&mut dep, 5);
         assert!(
-            dep.sim
-                .node(victim)
-                .as_secondary()
-                .unwrap()
-                .committed_view(&object)
-                .is_none_or(|d| d.version_number() == 0),
+            dep.secondary(victim).committed_view(&object).is_none_or(|d| d.version_number() == 0),
             "partitioned replica cannot have the update"
         );
         // Heal; anti-entropy with peers brings it up to date.
         dep.sim.set_partitions(None);
         settle(&mut dep, 5);
-        let sec = dep.sim.node(victim).as_secondary().unwrap();
+        let sec = dep.secondary(victim);
         assert_eq!(sec.committed_view(&object).unwrap().version_number(), 1);
     }
 
@@ -281,16 +245,16 @@ mod tests {
         let victim = dep.secondaries[1];
         let orphans = [dep.secondaries[3], dep.secondaries[4]];
         let update = Update::unconditional(vec![Action::Append { ciphertext: vec![7] }]);
-        submit(&mut dep, 0, object, &update);
+        dep.submit(dep.clients[0], object, &update);
         settle(&mut dep, 3);
         dep.sim.crash_node(victim);
         // Heartbeats time out; the orphans re-attach somewhere alive.
         settle(&mut dep, 6);
         let update2 = Update::unconditional(vec![Action::Append { ciphertext: vec![8] }]);
-        submit(&mut dep, 0, object, &update2);
+        dep.submit(dep.clients[0], object, &update2);
         settle(&mut dep, 6);
         for &o in &orphans {
-            let sec = dep.sim.node(o).as_secondary().unwrap();
+            let sec = dep.secondary(o);
             assert!(sec.reparent_count() > 0, "orphan {o} never re-parented");
             assert_ne!(sec.parent(), Some(victim), "orphan {o} still on the dead parent");
             assert_eq!(
@@ -320,33 +284,23 @@ mod tests {
         // reachable peer is seeded no matter which random subset the
         // client would have picked.
         let n_secondaries = dep.secondaries.len();
-        dep.sim
-            .node_mut(client)
-            .as_client_mut()
-            .unwrap()
-            .set_tentative_fanout(n_secondaries);
+        dep.sim.node_mut(client).as_client_mut().unwrap().set_tentative_fanout(n_secondaries);
         let update = Update::unconditional(vec![Action::Append { ciphertext: vec![5] }]);
-        let id = submit(&mut dep, 0, object, &update);
+        let id = dep.submit(dep.clients[0], object, &update);
         settle(&mut dep, 3);
         {
-            let sec = dep.sim.node(reachable).as_secondary().unwrap();
+            let sec = dep.secondary(reachable);
             assert!(sec.tentative_count(&object) > 0, "tentative data on the near secondary");
             let view = sec.tentative_view_or_empty(&object);
             assert_eq!(view.version_number(), 1, "disconnected reads see the write");
-            assert!(
-                dep.sim.node(client).as_client().unwrap().outcome(id).is_none(),
-                "no commit while disconnected"
-            );
+            assert!(dep.outcome(id).is_none(), "no commit while disconnected");
         }
         // Reconnect: client retransmission pushes the update through.
         dep.sim.set_partitions(None);
         settle(&mut dep, 10);
-        assert!(
-            dep.sim.node(client).as_client().unwrap().outcome(id).is_some(),
-            "update commits after reconnection"
-        );
+        assert!(dep.outcome(id).is_some(), "update commits after reconnection");
         for &s in &dep.secondaries {
-            let sec = dep.sim.node(s).as_secondary().unwrap();
+            let sec = dep.secondary(s);
             assert_eq!(sec.committed_view(&object).unwrap().version_number(), 1);
             assert_eq!(sec.tentative_count(&object), 0);
         }
@@ -364,14 +318,14 @@ mod tests {
         let u_first = Update::unconditional(vec![Action::Append { ciphertext: vec![1] }]);
         let u_second = Update::unconditional(vec![Action::Append { ciphertext: vec![2] }]);
         // Client 0 writes at t=0; client 1 writes 50 ms later.
-        submit(&mut dep, 0, object, &u_first);
+        dep.submit(dep.clients[0], object, &u_first);
         dep.sim.run_for(SimDuration::from_millis(50));
-        submit(&mut dep, 1, object, &u_second);
+        dep.submit(dep.clients[1], object, &u_second);
         // Give the epidemic time to reach everyone, commits still pending.
         dep.sim.run_for(SimDuration::from_millis(1200));
         let mut checked = 0;
         for &s in &dep.secondaries {
-            let sec = dep.sim.node(s).as_secondary().unwrap();
+            let sec = dep.secondary(s);
             if sec.tentative_count(&object) == 2 {
                 let view = sec.tentative_view_or_empty(&object);
                 let v = view.current();
@@ -435,7 +389,7 @@ mod security_tests {
         let source = dep.secondaries[2];
         dep.sim.inject(source, victim, ReplicaMsg::Commit(record));
         dep.sim.run_for(SimDuration::from_secs(2));
-        let sec = dep.sim.node(victim).as_secondary().unwrap();
+        let sec = dep.secondary(victim);
         assert!(
             sec.committed_view(&object).is_none()
                 || sec.committed_view(&object).unwrap().version_number() == 0,
@@ -450,22 +404,11 @@ mod security_tests {
         let mut dep = build_deployment(&DeploymentOpts::default());
         let object = Guid::from_label("tampered");
         let update = Update::unconditional(vec![Action::Append { ciphertext: vec![1, 2, 3] }]);
-        let client = dep.clients[0];
-        dep.sim.with_node_ctx(client, |node, ctx| {
-            node.as_client_mut().unwrap().submit(ctx, object, &update)
-        });
+        dep.submit(dep.clients[0], object, &update);
         dep.sim.run_for(SimDuration::from_secs(5));
         // Steal the genuine certified record from a secondary's log...
-        let genuine = dep
-            .sim
-            .node(dep.secondaries[0])
-            .as_secondary()
-            .unwrap()
-            .store
-            .records_from(&object, 0)
-            .into_iter()
-            .next()
-            .expect("committed");
+        let root = dep.secondary(dep.secondaries[0]);
+        let genuine = root.store.records_from(&object, 0).into_iter().next().expect("committed");
         // ...and tamper with the update bytes while keeping the cert.
         let other = Update::unconditional(vec![Action::Append { ciphertext: vec![9, 9, 9] }]);
         let mut forged = genuine.clone();
@@ -474,7 +417,7 @@ mod security_tests {
         let victim = dep.secondaries[3];
         dep.sim.inject(dep.secondaries[2], victim, ReplicaMsg::Commit(forged));
         dep.sim.run_for(SimDuration::from_secs(2));
-        let sec = dep.sim.node(victim).as_secondary().unwrap();
+        let sec = dep.secondary(victim);
         assert_eq!(
             sec.committed_view(&object).unwrap().version_number(),
             1,

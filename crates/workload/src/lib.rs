@@ -20,8 +20,8 @@ pub mod zipf;
 use std::collections::HashMap;
 
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::{build_deployment, Deployment, DeploymentOpts};
-use oceanstore_sim::{NodeId, ParCoverage, SimDuration, SimTime};
+use oceanstore_replica::{build_deployment, DeploymentOpts};
+use oceanstore_sim::{ParCoverage, SimDuration, SimTime};
 use oceanstore_update::update::Action;
 use oceanstore_update::Update;
 use rand::{Rng, SeedableRng};
@@ -170,38 +170,6 @@ impl WorkloadReport {
     }
 }
 
-/// Sums replica-store health over every primary and secondary in the
-/// deployment; `peak_retained_records` takes the per-store maximum (it is
-/// a per-node memory bound, not a fleet total).
-fn collect_store_health(dep: &Deployment) -> oceanstore_replica::StoreHealth {
-    let mut total = oceanstore_replica::StoreHealth::default();
-    let stores = dep
-        .rings
-        .iter()
-        .flat_map(|r| r.primaries.iter())
-        .filter_map(|&p| dep.sim.node(p).as_primary().map(|n| &n.store))
-        .chain(
-            dep.secondaries
-                .iter()
-                .filter_map(|&s| dep.sim.node(s).as_secondary().map(|n| &n.store)),
-        );
-    for store in stores {
-        let h = store.health();
-        total.objects += h.objects;
-        total.retained_records += h.retained_records;
-        total.peak_retained_records = total.peak_retained_records.max(h.peak_retained_records);
-        total.total_records_applied += h.total_records_applied;
-        total.records_dropped += h.records_dropped;
-        total.blob_count += h.blob_count;
-        total.blob_bytes += h.blob_bytes;
-        total.dedup_hits += h.dedup_hits;
-        total.dedup_bytes_saved += h.dedup_bytes_saved;
-        total.fallback_reads += h.fallback_reads;
-        total.blob_put_failures += h.blob_put_failures;
-    }
-    total
-}
-
 /// One scheduled arrival.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -238,18 +206,6 @@ fn arrival_schedule(spec: &WorkloadSpec) -> Vec<(SimTime, Op)> {
 /// The object GUID of workload rank `i`.
 fn object_guid(i: usize) -> Guid {
     Guid::from_label(&format!("wl-obj-{i}"))
-}
-
-/// Highest committed serialization index for `object` across the owning
-/// ring's primaries — the authoritative frontier reads are judged against.
-fn ring_frontier(dep: &Deployment, object: &Guid) -> u64 {
-    dep.ring_for(object)
-        .primaries
-        .iter()
-        .filter_map(|&p| dep.sim.node(p).as_primary())
-        .filter_map(|prim| prim.store.get(object).map(|st| st.next_index))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Nearest-rank percentile of an ascending latency sample: the value at
@@ -318,10 +274,10 @@ pub fn run_workload_with_coverage(spec: &WorkloadSpec) -> (WorkloadReport, ParCo
     }
 
     // Inject the schedule. Writes rotate over the client population and
-    // are tracked as (client node, request id, object rank) for outcome
-    // collection; reads probe a secondary's committed view against the
-    // owning ring's frontier at that instant.
-    let mut submissions: Vec<(NodeId, RequestId, usize)> = Vec::new();
+    // are tracked as (request id, object rank) for outcome collection;
+    // reads probe a secondary's committed view against the owning ring's
+    // frontier at that instant.
+    let mut submissions: Vec<(RequestId, usize)> = Vec::new();
     let mut reads = 0u64;
     let mut stale_reads = 0u64;
     let mut next_client = 0usize;
@@ -336,23 +292,14 @@ pub fn run_workload_with_coverage(spec: &WorkloadSpec) -> (WorkloadReport, ParCo
                 let update = Update::unconditional(vec![Action::Append {
                     ciphertext: marker.to_le_bytes().to_vec(),
                 }]);
-                let id = dep.sim.with_node_ctx(client, |node, ctx| {
-                    node.as_client_mut().expect("client node").submit(ctx, guid, &update)
-                });
-                submissions.push((client, id, object));
+                submissions.push((dep.submit(client, guid, &update), object));
             }
             Op::Read { object, secondary } => {
                 let guid = object_guid(object);
-                let have = dep
-                    .sim
-                    .node(dep.secondaries[secondary])
-                    .as_secondary()
-                    .expect("secondary node")
-                    .store
-                    .get(&guid)
-                    .map_or(0, |st| st.next_index);
+                let store = &dep.secondary(dep.secondaries[secondary]).store;
+                let have = store.get(&guid).map_or(0, |st| st.next_index);
                 reads += 1;
-                if have < ring_frontier(&dep, &guid) {
+                if have < dep.frontier(&guid) {
                     stale_reads += 1;
                 }
             }
@@ -365,10 +312,8 @@ pub fn run_workload_with_coverage(spec: &WorkloadSpec) -> (WorkloadReport, ParCo
     let mut latencies = Vec::new();
     let mut pending = 0u64;
     let mut committed_per_object: HashMap<usize, u64> = HashMap::new();
-    for &(client, id, object) in &submissions {
-        let outcome =
-            dep.sim.node(client).as_client().expect("client node").outcome(id).copied();
-        match outcome {
+    for &(id, object) in &submissions {
+        match dep.outcome(id) {
             Some(o) => {
                 latencies.push(o.committed_at.saturating_since(o.sent_at).as_micros());
                 *committed_per_object.entry(object).or_default() += 1;
@@ -378,16 +323,23 @@ pub fn run_workload_with_coverage(spec: &WorkloadSpec) -> (WorkloadReport, ParCo
     }
     let lost: u64 = committed_per_object
         .iter()
-        .map(|(&object, &count)| {
-            count.saturating_sub(ring_frontier(&dep, &object_guid(object)))
-        })
+        .map(|(&object, &count)| count.saturating_sub(dep.frontier(&object_guid(object))))
         .sum();
     latencies.sort_unstable();
 
     let offered = submissions.len() as u64;
     let committed = latencies.len() as u64;
     let window = spec.duration.as_micros() as f64 / 1e6;
-    let store = collect_store_health(&dep);
+    // Fleet totals, except the peak: that is a per-node memory bound.
+    let mut store = oceanstore_replica::StoreHealth::default();
+    for (_, h) in dep.store_health() {
+        store.peak_retained_records = store.peak_retained_records.max(h.peak_retained_records);
+        store.total_records_applied += h.total_records_applied;
+        store.records_dropped += h.records_dropped;
+        store.dedup_hits += h.dedup_hits;
+        store.dedup_bytes_saved += h.dedup_bytes_saved;
+        store.fallback_reads += h.fallback_reads;
+    }
     let coverage = dep.sim.par_coverage();
     let report = WorkloadReport {
         offered,

@@ -38,21 +38,12 @@ fn figure5_all_three_phases_observable() {
 
     // Phase (b): before agreement finishes, some secondary already holds
     // the tentative update (the epidemic is ahead of the commit).
-    let secondaries = ocean.secondaries().to_vec();
-    let tentative_holders = {
-        let sim = ocean.sim();
-        secondaries
-            .iter()
-            .filter(|&&s| {
-                sim.node(s)
-                    .replica
-                    .as_secondary()
-                    .expect("secondary")
-                    .tentative_count(&obj.guid)
-                    > 0
-            })
-            .count()
-    };
+    let dep = ocean.deployment();
+    let tentative_holders = dep
+        .secondaries
+        .iter()
+        .filter(|&&s| dep.secondary(s).tentative_count(&obj.guid) > 0)
+        .count();
     assert!(tentative_holders >= 1, "tentative data spreading epidemically");
 
     // The Byzantine agreement itself: prepares and commits are quadratic
@@ -69,23 +60,12 @@ fn figure5_all_three_phases_observable() {
     // Phase (c): the certified result multicasts down the dissemination
     // tree until every secondary has it, and the tentative state drains.
     ocean.settle(SimDuration::from_secs(5));
-    for &s in ocean.secondaries().to_vec().iter() {
-        let sec_version = ocean
-            .sim()
-            .node(s)
-            .replica
-            .as_secondary()
-            .expect("secondary")
-            .committed_view(&obj.guid)
-            .map(|d| d.version_number());
+    let dep = ocean.deployment();
+    for &s in &dep.secondaries {
+        let sec = dep.secondary(s);
+        let sec_version = sec.committed_view(&obj.guid).map(|d| d.version_number());
         assert_eq!(sec_version, Some(1), "secondary {s} converged");
-        let pending = ocean
-            .sim()
-            .node(s)
-            .replica
-            .as_secondary()
-            .expect("secondary")
-            .tentative_count(&obj.guid);
+        let pending = sec.tentative_count(&obj.guid);
         assert_eq!(pending, 0, "secondary {s} reconciled its tentative copy");
     }
     let commits = ocean.sim().stats().class("replica/commit").messages;

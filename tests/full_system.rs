@@ -38,14 +38,8 @@ fn invalidation_leaf_pulls_on_demand() {
     ocean.settle(SimDuration::from_secs(5));
     // The leaf eventually catches up through its anti-entropy pull.
     let leaf = ocean.secondaries()[5];
-    let version = ocean
-        .sim()
-        .node(leaf)
-        .replica
-        .as_secondary()
-        .expect("secondary")
-        .committed_view(&obj.guid)
-        .map(|d| d.version_number());
+    let leaf = ocean.deployment().secondary(leaf);
+    let version = leaf.committed_view(&obj.guid).map(|d| d.version_number());
     assert_eq!(version, Some(1), "invalidation-fed leaf repaired itself");
 }
 
@@ -72,32 +66,12 @@ fn concurrent_clients_converge_identically() {
     }
     ocean.settle(SimDuration::from_secs(8));
     // All secondaries agree on the exact block sequence.
-    let secondaries = ocean.secondaries().to_vec();
-    let reference = ocean
-        .sim()
-        .node(secondaries[0])
-        .replica
-        .as_secondary()
-        .unwrap()
-        .committed_view(&obj.guid)
-        .unwrap()
-        .current()
-        .blocks
-        .clone();
+    let dep = ocean.deployment();
+    let blocks_at = |s| &dep.secondary(s).committed_view(&obj.guid).unwrap().current().blocks;
+    let reference = blocks_at(dep.secondaries[0]);
     assert_eq!(reference.len(), 8);
-    for &s in secondaries.iter().skip(1) {
-        let blocks = ocean
-            .sim()
-            .node(s)
-            .replica
-            .as_secondary()
-            .unwrap()
-            .committed_view(&obj.guid)
-            .unwrap()
-            .current()
-            .blocks
-            .clone();
-        assert_eq!(blocks, reference, "secondary {s} diverged");
+    for &s in &dep.secondaries[1..] {
+        assert_eq!(blocks_at(s), reference, "secondary {s} diverged");
     }
 }
 
@@ -127,24 +101,13 @@ fn optimistic_concurrency_rejects_stale_writers_cleanly() {
     );
     ocean.settle(SimDuration::from_secs(5));
     // The update log records both, in the same order, at every primary.
-    let orders: Vec<Vec<Option<u64>>> = ocean
+    let dep = ocean.deployment();
+    let orders: Vec<Vec<Option<u64>>> = dep
         .primaries()
-        .to_vec()
         .iter()
         .map(|&p| {
-            ocean
-                .sim()
-                .node(p)
-                .replica
-                .as_primary()
-                .unwrap()
-                .store
-                .get(&obj.guid)
-                .unwrap()
-                .records
-                .iter()
-                .map(|r| r.version)
-                .collect()
+            let st = dep.primary(p).store.get(&obj.guid).unwrap();
+            st.records.iter().map(|r| r.version).collect()
         })
         .collect();
     for o in &orders[1..] {
