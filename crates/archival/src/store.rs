@@ -12,6 +12,7 @@
 //! which is the paper's durability argument working as designed.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use oceanstore_crypto::merkle::MerkleProof;
 use oceanstore_naming::guid::Guid;
@@ -119,9 +120,10 @@ impl FragStore {
             let old = self.index.remove(&key).expect("present");
             let _ = self.blobs.delete(&old.cid);
         }
-        match self.blobs.put(&fragment.data) {
-            Ok(stored) => {
-                debug_assert_eq!(stored, cid);
+        // The payload is named above, once; it moves into the `Arc` the
+        // blob layer keeps.
+        match self.blobs.put_shared(cid, &Arc::new(fragment.data)) {
+            Ok(_) => {
                 self.index.insert(
                     key,
                     FragMeta { cid, proof: fragment.proof, root: fragment.root },

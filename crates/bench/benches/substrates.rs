@@ -1,10 +1,14 @@
 //! Criterion microbenchmarks for the cryptographic and coding substrates.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use oceanstore_crypto::cipher::BlockCipherKey;
 use oceanstore_crypto::schnorr::{verify, KeyPair};
 use oceanstore_crypto::sha1::sha1;
 use oceanstore_erasure::{ObjectCodec, CodeKind};
+use oceanstore_naming::guid::Guid;
+use oceanstore_store::{cid_of, BlobStore, DedupStore, MemoryStore};
 
 fn bench_sha1(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha1");
@@ -13,6 +17,40 @@ fn bench_sha1(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function(format!("{size}B"), |b| b.iter(|| sha1(&data)));
     }
+    g.finish();
+}
+
+/// Naming a 4 KiB block: the SHA-1 pass every committed block takes once
+/// per replica.
+fn bench_cid(c: &mut Criterion) {
+    let block = vec![0xC3u8; 4096];
+    let mut g = c.benchmark_group("cid");
+    g.throughput(Throughput::Bytes(4096));
+    g.bench_function("for_content_4k", |b| b.iter(|| Guid::for_content(&block)));
+    g.finish();
+}
+
+/// The call `replica::store::sync_blocks` makes for a freshly committed
+/// 4 KiB block: name it, then hand name and `Arc` to the dedup layer over
+/// the in-RAM backend.
+fn bench_blob_put(c: &mut Criterion) {
+    let mut store = DedupStore::new(Box::new(MemoryStore::new()));
+    let mut counter = 0u64;
+    let mut g = c.benchmark_group("blob_put");
+    g.throughput(Throughput::Bytes(4096));
+    g.bench_function("dedup_memory_fresh_4k", |b| {
+        b.iter_batched(
+            || {
+                // Fresh content every time: an identical blob is a dedup hit.
+                counter += 1;
+                let mut block = vec![0x3Cu8; 4096];
+                block[..8].copy_from_slice(&counter.to_le_bytes());
+                Arc::new(block)
+            },
+            |block| store.put_shared(cid_of(&block), &block).expect("memory never refuses"),
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -30,6 +68,7 @@ fn bench_cipher(c: &mut Criterion) {
     let mut g = c.benchmark_group("position_cipher");
     g.throughput(Throughput::Bytes(4096));
     g.bench_function("encrypt_4k", |b| b.iter(|| key.encrypt_block(7, &block)));
+    g.bench_function("decrypt_4k", |b| b.iter(|| key.decrypt_block(7, &block)));
     g.finish();
 }
 
@@ -65,6 +104,6 @@ fn bench_erasure(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sha1, bench_schnorr, bench_cipher, bench_erasure
+    targets = bench_sha1, bench_cid, bench_blob_put, bench_schnorr, bench_cipher, bench_erasure
 }
 criterion_main!(benches);

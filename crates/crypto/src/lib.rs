@@ -28,9 +28,9 @@
 //! assert!(verify(kp.public(), &digest, &sig));
 //! ```
 
-// `deny` rather than `forbid`: the SHA-NI backend in `sha256` needs a
-// scoped `allow(unsafe_code)` for its CPU intrinsics. Everything else in
-// the crate stays safe Rust.
+// `deny` rather than `forbid`: the SHA-NI backends in `sha1` and `sha256`
+// each need a scoped `allow(unsafe_code)` for their CPU intrinsics.
+// Everything else in the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -9,6 +9,14 @@
 //! reproduction keeps it because the paper specifies it and because none of
 //! the experiments depend on collision resistance against an adaptive
 //! adversary. [`crate::sha256`] is available where a stronger hash is wanted.
+//!
+//! Like [`crate::sha256`], two compression backends produce bit-identical
+//! digests: the scalar loop (`compress_soft`) and an x86-64 SHA-NI backend
+//! (`ni::compress`) chosen per block when the CPU advertises the extension.
+//! Every GUID, CID and commit-record digest is a SHA-1, so this is the
+//! kernel each committed byte passes through on every replica. The scalar
+//! loop is the fallback elsewhere and the oracle `backends_agree` compares
+//! the dispatched hash against.
 
 /// Number of bytes in a SHA-1 digest (160 bits).
 pub const DIGEST_LEN: usize = 20;
@@ -17,6 +25,122 @@ pub const DIGEST_LEN: usize = 20;
 pub type Digest = [u8; DIGEST_LEN];
 
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+
+/// SHA-1 compression via the x86-64 SHA extensions.
+///
+/// Same state transform as `compress_soft`; digests are bit-identical
+/// (asserted by `backends_agree` below). The message schedule is computed
+/// with `sha1msg1`/`sha1msg2` four words at a time and the 80 rounds run
+/// through `sha1rnds4`, four rounds per issue, with `sha1nexte` deriving
+/// each quad's `e` input from the state four rounds back.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)] // CPU intrinsics, as in `sha256::ni`
+mod ni {
+    use core::arch::x86_64::*;
+
+    /// True when the running CPU supports every instruction `compress`
+    /// was compiled with. `is_x86_feature_detected!` caches the cpuid
+    /// result in an atomic, so calling this per-block is cheap.
+    #[inline]
+    pub fn available() -> bool {
+        std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+            && std::arch::is_x86_feature_detected!("ssse3")
+    }
+
+    /// # Safety
+    ///
+    /// Caller must ensure [`available`] returned true on this CPU. Nothing
+    /// else is asked of it: every load and store below stays inside
+    /// `state` and `block`, whose lengths their types fix.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub unsafe fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+        // Four rounds of quad `$i` (rounds 4i..4i+4). The immediate of
+        // `sha1rnds4` picks the round function and constant, so it changes
+        // every five quads. `$e` enters holding the state's `e` input with
+        // the quad's message words already added and leaves holding `abcd`
+        // as it was before the quad: rotated by `sha1nexte`, its top lane
+        // is the `e` input of the next quad.
+        macro_rules! rounds4 {
+            ($abcd:ident, $e:ident, $i:literal) => {{
+                let before = $abcd;
+                $abcd = _mm_sha1rnds4_epu32::<{ $i / 5 }>($abcd, $e);
+                $e = before;
+            }};
+        }
+        // Quad `$i` for 4 <= i < 20: extend the schedule by four words
+        // (W[t] = rol1(W[t-3] ^ W[t-8] ^ W[t-14] ^ W[t-16])), then run
+        // the rounds. `$m` is a ring of the last four word quads, the
+        // oldest at `$i % 4`: `sha1msg1` supplies the t-14 and t-16
+        // terms, the xor the t-8 term, `sha1msg2` the serially dependent
+        // t-3 term and the rotate.
+        macro_rules! quad {
+            ($abcd:ident, $e:ident, $m:ident, $i:literal) => {{
+                $m[$i % 4] = _mm_sha1msg2_epu32(
+                    _mm_xor_si128(
+                        _mm_sha1msg1_epu32($m[$i % 4], $m[($i + 1) % 4]),
+                        $m[($i + 2) % 4],
+                    ),
+                    $m[($i + 3) % 4],
+                );
+                $e = _mm_sha1nexte_epu32($e, $m[$i % 4]);
+                rounds4!($abcd, $e, $i);
+            }};
+        }
+
+        // Full byte reversal: big-endian message words land with W[4i] in
+        // the top lane, the order the SHA instructions expect.
+        let reverse =
+            _mm_set_epi64x(0x0001_0203_0405_0607u64 as i64, 0x0809_0a0b_0c0d_0e0fu64 as i64);
+
+        // `a` in the top lane down to `d` in the bottom one; `e` alone in
+        // the top lane of its register.
+        let mut abcd = _mm_shuffle_epi32(_mm_loadu_si128(state.as_ptr().cast()), 0x1B);
+        let mut e = _mm_set_epi32(state[4] as i32, 0, 0, 0);
+        let abcd_save = abcd;
+        let e_save = e;
+
+        // First 16 message words straight from the block.
+        let mut m = [_mm_setzero_si128(); 4];
+        for (t, lane) in m.iter_mut().enumerate() {
+            let raw = _mm_loadu_si128(block.as_ptr().add(16 * t).cast());
+            *lane = _mm_shuffle_epi8(raw, reverse);
+        }
+        // Quad 0 adds its words to `e` itself; from quad 1 on the
+        // previous `abcd` supplies `e` through `sha1nexte`.
+        e = _mm_add_epi32(e, m[0]);
+        rounds4!(abcd, e, 0);
+        e = _mm_sha1nexte_epu32(e, m[1]);
+        rounds4!(abcd, e, 1);
+        e = _mm_sha1nexte_epu32(e, m[2]);
+        rounds4!(abcd, e, 2);
+        e = _mm_sha1nexte_epu32(e, m[3]);
+        rounds4!(abcd, e, 3);
+        quad!(abcd, e, m, 4);
+        quad!(abcd, e, m, 5);
+        quad!(abcd, e, m, 6);
+        quad!(abcd, e, m, 7);
+        quad!(abcd, e, m, 8);
+        quad!(abcd, e, m, 9);
+        quad!(abcd, e, m, 10);
+        quad!(abcd, e, m, 11);
+        quad!(abcd, e, m, 12);
+        quad!(abcd, e, m, 13);
+        quad!(abcd, e, m, 14);
+        quad!(abcd, e, m, 15);
+        quad!(abcd, e, m, 16);
+        quad!(abcd, e, m, 17);
+        quad!(abcd, e, m, 18);
+        quad!(abcd, e, m, 19);
+
+        // `e` holds `abcd` from before the last quad: its rotated top
+        // lane is the final `e`, which `sha1nexte` adds to the saved one.
+        e = _mm_sha1nexte_epu32(e, e_save);
+        abcd = _mm_add_epi32(abcd, abcd_save);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_shuffle_epi32(abcd, 0x1B));
+        state[4] = _mm_extract_epi32(e, 3) as u32;
+    }
+}
 
 /// Incremental SHA-1 hasher.
 ///
@@ -107,7 +231,19 @@ impl Sha1 {
         out
     }
 
+    #[allow(unsafe_code)] // dispatch into the feature-gated SHA-NI backend
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(target_arch = "x86_64")]
+        if ni::available() {
+            // SAFETY: `ni::available` confirmed the CPU supports every
+            // feature `ni::compress` is compiled with.
+            unsafe { ni::compress(&mut self.state, block) };
+            return;
+        }
+        self.compress_soft(block);
+    }
+
+    fn compress_soft(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("chunks_exact(4)"));
@@ -229,6 +365,36 @@ mod tests {
             h.update(&data[..len]);
             assert_eq!(h.clone().finalize(), finalize_byte_at_a_time(h), "length {len}");
         }
+    }
+
+    /// SHA-1 with the padding laid out by hand and every block fed to the
+    /// scalar loop: what the digest is on a CPU without SHA-NI.
+    fn sha1_soft(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha1::new();
+        for block in padded.chunks_exact(64) {
+            h.compress_soft(block.try_into().expect("chunks_exact(64)"));
+        }
+        h.digest_bytes()
+    }
+
+    /// The dispatched hash and the scalar loop must agree at every length
+    /// around the padding boundaries (55/56, 63/64 and their multiples)
+    /// and on multi-block inputs. On a machine without SHA-NI both sides
+    /// run the scalar loop and this still checks `update`/`finalize`
+    /// against hand-laid padding.
+    #[test]
+    fn backends_agree() {
+        let data: Vec<u8> = (0..4999u32).map(|i| (i.wrapping_mul(31) ^ (i >> 3)) as u8).collect();
+        for len in (0..=300).chain([1000, 4096, 4999]) {
+            assert_eq!(sha1(&data[..len]), sha1_soft(&data[..len]), "length {len}");
+        }
+        assert_eq!(hex(&sha1_soft(b"abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
     }
 
     #[test]

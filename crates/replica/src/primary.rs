@@ -317,7 +317,7 @@ impl Primary {
             }
             let record = self.store.serialize_update(
                 object,
-                &update,
+                update,
                 Arc::new(update_bytes.to_vec()),
                 entry.timestamp,
                 id,

@@ -14,7 +14,7 @@ use oceanstore_crypto::schnorr::PublicKey;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Context, NodeId, SimTime};
 use oceanstore_update::object::DataObject;
-use oceanstore_update::update::apply;
+use oceanstore_update::update::apply_owned;
 use oceanstore_update::decode_update;
 use rand::seq::SliceRandom;
 
@@ -155,7 +155,7 @@ impl Secondary {
         if let Some(pending) = self.tentative.get(object) {
             for enc in pending.values() {
                 if let Ok(u) = decode_update(enc) {
-                    let _ = apply(&mut data, &u);
+                    let _ = apply_owned(&mut data, u);
                 }
             }
         }
@@ -173,7 +173,7 @@ impl Secondary {
         if let Some(pending) = self.tentative.get(object) {
             for enc in pending.values() {
                 if let Ok(u) = decode_update(enc) {
-                    let _ = apply(&mut data, &u);
+                    let _ = apply_owned(&mut data, u);
                 }
             }
         }

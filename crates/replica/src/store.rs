@@ -24,9 +24,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
-use oceanstore_store::{BlobStore, DedupStore};
+use oceanstore_store::{cid_of, BlobStore, DedupStore};
 use oceanstore_update::object::{Block, DataObject};
-use oceanstore_update::update::{apply, Outcome};
+use oceanstore_update::update::{apply_owned, Outcome};
 use oceanstore_update::{decode_update, Update};
 
 use crate::messages::CommitRecord;
@@ -239,7 +239,7 @@ impl ObjectStore {
             return false; // gap
         }
         let outcome = match decode_update(&record.update) {
-            Ok(update) => apply(&mut st.data, &update),
+            Ok(update) => apply_owned(&mut st.data, update),
             Err(_) => Outcome::Aborted(oceanstore_update::update::AbortReason::NoPredicateHeld),
         };
         debug_assert_eq!(
@@ -317,17 +317,18 @@ impl ObjectStore {
 
     /// Serializes and applies `update` directly (primary-tier path, where
     /// the order is already decided). Returns the new record (without
-    /// cert).
+    /// cert). `update` is the caller's decoded copy of `encoded`; its
+    /// ciphertext moves into the object.
     pub fn serialize_update(
         &mut self,
         object: Guid,
-        update: &Update,
+        update: Update,
         encoded: Arc<Vec<u8>>,
         timestamp: u64,
         id: crate::messages::TentativeId,
     ) -> CommitRecord {
         let st = self.objects.entry(object).or_default();
-        let outcome = apply(&mut st.data, update);
+        let outcome = apply_owned(&mut st.data, update);
         let version = match outcome {
             Outcome::Committed { version } => Some(version),
             Outcome::Aborted(_) => None,
@@ -385,7 +386,9 @@ impl ObjectStore {
 
 /// Mirrors the current version's data blocks into the blob store:
 /// changed/new slots are put (dedup-refcounted), replaced/removed slots
-/// drop their reference. Returns the number of refused puts.
+/// drop their reference. A block is named here, once, and handed down
+/// with its own `Arc`, so an in-RAM backend holds the allocation the
+/// object holds. Returns the number of refused puts.
 fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState) -> u64 {
     let version = Arc::clone(st.data.current());
     let blocks = &version.blocks;
@@ -412,7 +415,7 @@ fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState) -> u64 {
             st.slots.push(None);
         }
         if let Block::Data(d) = block {
-            match blobs.put(d) {
+            match blobs.put_shared(cid_of(d), d) {
                 Ok(cid) => {
                     st.slots[i] = Some(SlotSync { ptr: Arc::as_ptr(d) as *const u8 as usize, cid })
                 }
@@ -429,7 +432,6 @@ mod tests {
     use crate::messages::TentativeId;
     use oceanstore_crypto::threshold::SerializationCert;
     use oceanstore_sim::NodeId;
-    use oceanstore_store::cid_of;
     use oceanstore_update::encode_update;
     use oceanstore_update::update::Action;
 
@@ -459,7 +461,7 @@ mod tests {
         let mut secondary = ObjectStore::new();
         for (i, tag) in [1u8, 2, 3].iter().enumerate() {
             let (u, enc) = update(*tag);
-            let rec = primary.serialize_update(obj, &u, enc, i as u64, tid(i as u64));
+            let rec = primary.serialize_update(obj, u, enc, i as u64, tid(i as u64));
             assert!(secondary.apply_record(&rec));
         }
         let p = primary.get(&obj).unwrap();
@@ -476,7 +478,7 @@ mod tests {
         let mut recs = Vec::new();
         for i in 0..4u8 {
             let (u, enc) = update(i);
-            recs.push(primary.serialize_update(obj, &u, enc, i as u64, tid(i as u64)));
+            recs.push(primary.serialize_update(obj, u, enc, i as u64, tid(i as u64)));
         }
         // Deliver out of order: record 2 first.
         assert!(!secondary.apply_record(&recs[2]));
@@ -495,7 +497,7 @@ mod tests {
         let mut primary = ObjectStore::new();
         let mut secondary = ObjectStore::new();
         let (u, enc) = update(1);
-        let rec = primary.serialize_update(obj, &u, enc, 0, tid(0));
+        let rec = primary.serialize_update(obj, u, enc, 0, tid(0));
         assert!(secondary.apply_record(&rec));
         assert!(secondary.apply_record(&rec));
         assert_eq!(secondary.get(&obj).unwrap().next_index, 1);
@@ -509,7 +511,7 @@ mod tests {
         let mut primary = ObjectStore::new();
         let u = Update::default().with_clause(Predicate::CompareVersion(42), vec![]);
         let enc = Arc::new(encode_update(&u));
-        let rec = primary.serialize_update(obj, &u, enc, 0, tid(0));
+        let rec = primary.serialize_update(obj, u, enc, 0, tid(0));
         assert_eq!(rec.version, None);
         let st = primary.get(&obj).unwrap();
         assert_eq!(st.next_index, 1);
@@ -522,7 +524,7 @@ mod tests {
         let mut store = ObjectStore::new();
         for i in 0..3u8 {
             let (u, enc) = update(i);
-            store.serialize_update(obj, &u, enc, i as u64, tid(i as u64));
+            store.serialize_update(obj, u, enc, i as u64, tid(i as u64));
         }
         let health = store.health();
         assert_eq!(health.blob_count, 3, "one blob per distinct appended block");
@@ -539,11 +541,43 @@ mod tests {
     }
 
     #[test]
+    fn a_committed_block_is_one_allocation_with_two_owners() {
+        use oceanstore_store::MemoryStore;
+        let obj = Guid::from_label("one-copy");
+        // The in-RAM backend by name: a disk backend owns no `Arc`.
+        let mut store = ObjectStore::with_backend(Box::new(MemoryStore::new()));
+        let blocks: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 100 + i as usize]).collect();
+        let actions = blocks.iter().map(|b| Action::Append { ciphertext: b.clone() }).collect();
+        let record = CommitRecord {
+            object: obj,
+            index: 0,
+            update: Arc::new(encode_update(&Update::unconditional(actions))),
+            version: Some(1),
+            timestamp: 0,
+            id: tid(0),
+            cert: Default::default(),
+        };
+        assert!(store.apply_record(&record));
+        let version = Arc::clone(store.get(&obj).unwrap().data.current());
+        assert_eq!(version.blocks.len(), blocks.len());
+        for (slot, block) in version.blocks.iter().enumerate() {
+            let Block::Data(bytes) = block else { panic!("appends store data blocks") };
+            assert_eq!(Arc::strong_count(bytes), 2, "slot {slot}: the object and the blob backend");
+            assert_eq!(store.read_block(&obj, slot).unwrap(), blocks[slot]);
+        }
+        // The accounting does not notice the sharing.
+        let health = store.health();
+        assert_eq!(health.blob_count, 5);
+        assert_eq!(health.blob_bytes, blocks.iter().map(|b| b.len() as u64).sum::<u64>());
+        assert_eq!(health.fallback_reads, 0);
+    }
+
+    #[test]
     fn identical_blocks_dedup_across_objects() {
         let mut store = ObjectStore::new();
         for label in ["a", "b", "c"] {
             let (u, enc) = update(7); // same block bytes everywhere
-            store.serialize_update(Guid::from_label(label), &u, enc, 0, tid(0));
+            store.serialize_update(Guid::from_label(label), u, enc, 0, tid(0));
         }
         let health = store.health();
         assert_eq!(health.blob_count, 1, "identical content stored once");
@@ -558,7 +592,7 @@ mod tests {
         let mut store = ObjectStore::with_backend(Box::new(provider.clone()));
         let obj = Guid::from_label("fallback");
         let (u, enc) = update(9);
-        store.serialize_update(obj, &u, enc, 0, tid(0));
+        store.serialize_update(obj, u, enc, 0, tid(0));
         assert_eq!(store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
         assert_eq!(store.health().fallback_reads, 0);
         provider.with(|p| p.set_down(true));
@@ -580,13 +614,13 @@ mod tests {
         let mut store = ObjectStore::with_backend(Box::new(provider.clone()));
         let obj = Guid::from_label("dead-writes");
         let (u, enc) = update(4);
-        store.serialize_update(obj, &u, enc, 0, tid(0));
+        store.serialize_update(obj, u, enc, 0, tid(0));
         assert!(store.health().blob_put_failures > 0);
         assert_eq!(store.read_block(&obj, 0).unwrap(), vec![4u8; 4], "replica serves");
         // Provider revives: the next commit re-syncs everything pending.
         provider.with(|p| p.set_down(false));
         let (u, enc) = update(5);
-        store.serialize_update(obj, &u, enc, 1, tid(1));
+        store.serialize_update(obj, u, enc, 1, tid(1));
         assert_eq!(store.health().blob_count, 2, "missed block re-synced on next commit");
         assert!(provider.clone().has(&cid_of(&[4u8; 4])));
     }
@@ -599,7 +633,7 @@ mod tests {
         let total = 200u64;
         for i in 0..total {
             let (u, enc) = update((i % 251) as u8);
-            store.serialize_update(obj, &u, enc, i, tid(i));
+            store.serialize_update(obj, u, enc, i, tid(i));
             store.set_cert(&obj, i, fake_cert());
         }
         let st = store.get(&obj).unwrap();
@@ -632,7 +666,7 @@ mod tests {
         let mut secondary = ObjectStore::new();
         for i in 0..1000u64 {
             let (u, enc) = update((i % 251) as u8);
-            let rec = primary.serialize_update(obj, &u, enc, i, tid(i));
+            let rec = primary.serialize_update(obj, u, enc, i, tid(i));
             assert!(secondary.apply_record(&rec));
         }
         let data = &secondary.get(&obj).unwrap().data;
@@ -655,7 +689,7 @@ mod tests {
         // history; without them every record is still needed).
         for i in 0..50u64 {
             let (u, enc) = update(i as u8);
-            store.serialize_update(obj, &u, enc, i, tid(i));
+            store.serialize_update(obj, u, enc, i, tid(i));
         }
         assert_eq!(store.get(&obj).unwrap().retained_records(), 50);
         // Certifying up to 40 allows truncation below 40 − retention.
@@ -674,7 +708,7 @@ mod tests {
         store.set_record_retention(2);
         for i in 0..10u64 {
             let (u, enc) = update(i as u8);
-            store.serialize_update(obj, &u, enc, i, tid(i));
+            store.serialize_update(obj, u, enc, i, tid(i));
             store.set_cert(&obj, i, fake_cert());
         }
         assert_eq!(store.get(&obj).unwrap().first_index, 8);
@@ -690,7 +724,7 @@ mod tests {
         let mut store = ObjectStore::new();
         for i in 0..100u64 {
             let (u, enc) = update(i as u8);
-            store.serialize_update(obj, &u, enc, i, tid(i));
+            store.serialize_update(obj, u, enc, i, tid(i));
             store.set_cert(&obj, i, fake_cert());
         }
         // 100 < RECORD_RETENTION: the full log is retained, so every

@@ -9,6 +9,7 @@
 //! dedup hit with its bytes saved.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 
@@ -67,25 +68,40 @@ impl DedupStore {
     pub fn inner_mut(&mut self) -> &mut dyn BlobStore {
         self.inner.as_mut()
     }
-}
 
-impl BlobStore for DedupStore {
-    fn put(&mut self, data: &[u8]) -> Result<Guid, StoreError> {
-        let cid = cid_of(data);
-        self.dedup.logical_bytes += data.len() as u64;
+    /// Takes one more reference to the `len`-byte blob `cid`, running
+    /// `store` against the inner backend only when it is the first.
+    fn reference(
+        &mut self,
+        cid: Guid,
+        len: usize,
+        store: impl FnOnce(&mut dyn BlobStore) -> Result<Guid, StoreError>,
+    ) -> Result<Guid, StoreError> {
+        self.dedup.logical_bytes += len as u64;
         if let Some(rc) = self.refs.get_mut(&cid) {
             *rc += 1;
             self.dedup.hits += 1;
-            self.dedup.bytes_saved += data.len() as u64;
+            self.dedup.bytes_saved += len as u64;
             return Ok(cid);
         }
         // First reference: the inner put must succeed before the
         // reference exists, else a failed provider write would strand a
         // refcount with no blob behind it.
-        self.inner.put(data)?;
+        store(self.inner.as_mut())?;
         self.refs.insert(cid, 1);
         self.dedup.live_cids += 1;
         Ok(cid)
+    }
+}
+
+impl BlobStore for DedupStore {
+    fn put(&mut self, data: &[u8]) -> Result<Guid, StoreError> {
+        self.reference(cid_of(data), data.len(), |inner| inner.put(data))
+    }
+
+    /// Refcounts under the caller's name, then hands name and `Arc` on.
+    fn put_shared(&mut self, cid: Guid, data: &Arc<Vec<u8>>) -> Result<Guid, StoreError> {
+        self.reference(cid, data.len(), |inner| inner.put_shared(cid, data))
     }
 
     fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
@@ -140,6 +156,26 @@ mod tests {
         assert!(s.delete(&cid).unwrap());
         assert!(!s.has(&cid), "last reference dropped; blob gone");
         assert!(!s.delete(&cid).unwrap());
+    }
+
+    #[test]
+    fn put_shared_refcounts_like_put_and_forwards_the_arc() {
+        let mut s = store();
+        let blob = Arc::new(b"shared block".to_vec());
+        let cid = cid_of(&blob);
+        assert_eq!(s.put_shared(cid, &blob).unwrap(), cid);
+        assert_eq!(s.put_shared(cid, &blob).unwrap(), cid);
+        assert_eq!(s.refcount(&cid), 2);
+        assert_eq!(s.put(b"shared block").unwrap(), cid);
+        assert_eq!(s.refcount(&cid), 3);
+        assert_eq!(Arc::strong_count(&blob), 2, "the inner store holds the caller's allocation");
+        let d = s.dedup_stats();
+        assert_eq!((d.hits, d.bytes_saved, d.logical_bytes, d.live_cids), (2, 24, 36, 1));
+        for _ in 0..3 {
+            assert!(s.delete(&cid).unwrap());
+        }
+        assert!(!s.has(&cid));
+        assert_eq!(Arc::strong_count(&blob), 1);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! silently.
 //!
 //! * [`BlobStore`] — the four-verb trait (`put`/`get`/`has`/`delete`)
-//!   every backend implements.
+//!   every backend implements, plus `put_shared` for a caller that
+//!   already holds the blob in an `Arc` under a name it computed.
 //! * [`MemoryStore`] — the in-RAM map the repo always had; the default
-//!   backend, bit-identical to the pre-trait behaviour.
+//!   backend, bit-identical to the pre-trait behaviour. It can share a
+//!   caller's allocation instead of copying it.
 //! * [`DirStore`] — an on-disk directory store: two-hex-digit fan-out
 //!   subdirectories, write-temp-then-rename atomicity (a crash between
 //!   the two steps leaves no torn blob visible), CID verification on
@@ -43,6 +45,7 @@ pub mod rle;
 pub mod shard;
 
 use std::fmt;
+use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 
@@ -121,6 +124,18 @@ pub trait BlobStore: fmt::Debug + Send {
     /// makes it idempotent by construction).
     fn put(&mut self, data: &[u8]) -> Result<Guid, StoreError>;
 
+    /// [`BlobStore::put`] for a caller that already holds the blob in an
+    /// `Arc` and has already computed its name: `cid` must be
+    /// [`cid_of`]`(data)`. A backend that keeps blobs in RAM may file the
+    /// caller's allocation under the caller's name instead of hashing and
+    /// copying again ([`MemoryStore`] does, checking the name in debug
+    /// builds). A backend whose bytes leave the process keeps this
+    /// default, which ignores the hint and names the blob itself.
+    fn put_shared(&mut self, cid: Guid, data: &Arc<Vec<u8>>) -> Result<Guid, StoreError> {
+        let _ = cid;
+        self.put(data)
+    }
+
     /// Fetches the blob named `cid`. `Ok(None)` means provably absent;
     /// [`StoreError::Corrupt`] means bytes were found but fail
     /// verification.
@@ -189,6 +204,18 @@ mod tests {
         assert_eq!(store.get(&a).unwrap().as_deref(), Some(b"alpha".as_ref()));
         // Idempotent re-put.
         assert_eq!(store.put(b"alpha").unwrap(), a);
+        // The same blob from a caller that holds it in an `Arc` under a
+        // name it computed: same CID as `put`, idempotent, served alike.
+        let shared = Arc::new(b"beta".to_vec());
+        let b = cid_of(&shared);
+        assert_eq!(store.put_shared(b, &shared).unwrap(), b);
+        assert_eq!(store.put_shared(b, &shared).unwrap(), b);
+        assert_eq!(store.put(b"beta").unwrap(), b);
+        assert_eq!(store.get(&b).unwrap().as_deref(), Some(b"beta".as_ref()));
+        while store.has(&b) {
+            assert!(store.delete(&b).unwrap());
+        }
+        assert_eq!(store.get(&b).unwrap(), None);
         // Absent CID.
         let ghost = cid_of(b"ghost");
         assert!(!store.has(&ghost));
@@ -230,6 +257,11 @@ mod tests {
             Box::new(MemoryStore::new()),
             Box::new(MemoryStore::new()),
         ]));
+    }
+
+    #[test]
+    fn shared_contract() {
+        contract(&mut SharedStore::new(MemoryStore::new()));
     }
 
     #[test]

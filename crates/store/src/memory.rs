@@ -22,17 +22,29 @@ impl MemoryStore {
     pub fn new() -> Self {
         MemoryStore::default()
     }
+
+    fn file(&mut self, cid: Guid, blob: Arc<Vec<u8>>) -> Guid {
+        let len = blob.len() as u64;
+        if self.blobs.insert(cid, blob).is_none() {
+            self.stats.blobs += 1;
+            self.stats.bytes += len;
+            self.stats.puts += 1;
+        }
+        cid
+    }
 }
 
 impl BlobStore for MemoryStore {
     fn put(&mut self, data: &[u8]) -> Result<Guid, StoreError> {
-        let cid = cid_of(data);
-        if self.blobs.insert(cid, Arc::new(data.to_vec())).is_none() {
-            self.stats.blobs += 1;
-            self.stats.bytes += data.len() as u64;
-            self.stats.puts += 1;
-        }
-        Ok(cid)
+        Ok(self.file(cid_of(data), Arc::new(data.to_vec())))
+    }
+
+    /// Files the caller's allocation under the caller's name: no hash, no
+    /// copy. The bytes never leave RAM, so the name is checked where the
+    /// rest of this backend's invariants are — in debug builds.
+    fn put_shared(&mut self, cid: Guid, data: &Arc<Vec<u8>>) -> Result<Guid, StoreError> {
+        debug_assert_eq!(cid, cid_of(data), "a passed-down CID must name the bytes it comes with");
+        Ok(self.file(cid, Arc::clone(data)))
     }
 
     fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
@@ -80,5 +92,26 @@ mod tests {
         s.delete(&cid_of(b"aaaa")).unwrap();
         assert_eq!(s.stats().blobs, 1);
         assert_eq!(s.stats().bytes, 6);
+    }
+
+    #[test]
+    fn put_shared_keeps_the_callers_allocation() {
+        let mut s = MemoryStore::new();
+        let blob = Arc::new(b"one allocation, two owners".to_vec());
+        let cid = s.put_shared(cid_of(&blob), &blob).unwrap();
+        assert_eq!(Arc::strong_count(&blob), 2);
+        // Counted exactly as `put` counts it.
+        assert_eq!((s.stats().blobs, s.stats().bytes, s.stats().puts), (1, blob.len() as u64, 1));
+        assert_eq!(s.get(&cid).unwrap().as_deref(), Some(blob.as_slice()));
+        s.delete(&cid).unwrap();
+        assert_eq!(Arc::strong_count(&blob), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a passed-down CID must name the bytes")]
+    fn put_shared_refuses_a_wrong_name_in_debug_builds() {
+        let blob = Arc::new(b"these bytes".to_vec());
+        let _ = MemoryStore::new().put_shared(cid_of(b"other bytes"), &blob);
     }
 }

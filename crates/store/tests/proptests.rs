@@ -3,6 +3,7 @@
 //! total, stable, balanced pure function.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_store::{cid_of, shard_of, BlobStore, DedupStore, MemoryStore, ShardedStore};
@@ -21,9 +22,9 @@ fn model_apply(model: &mut HashMap<Vec<u8>, u64>, payload: &[u8], put: bool) {
 }
 
 proptest! {
-    /// Random interleavings of put/delete over a small payload alphabet:
-    /// after every step, a blob is present iff the model says its
-    /// refcount is positive, and its bytes are intact.
+    /// Random interleavings of put/put_shared/delete over a small payload
+    /// alphabet: after every step, a blob is present iff the model says
+    /// its refcount is positive, and its bytes are intact.
     #[test]
     fn dedup_refcounts_match_reference_model(
         ops in proptest::collection::vec((0u8..6, any::<bool>()), 1..200)
@@ -32,7 +33,11 @@ proptest! {
         let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
         for (tag, put) in ops {
             let payload = vec![tag; tag as usize + 3];
-            if put {
+            if put && tag % 2 == 1 {
+                // Odd payloads arrive already named, in an `Arc`.
+                let cid = cid_of(&payload);
+                prop_assert_eq!(store.put_shared(cid, &Arc::new(payload.clone())).unwrap(), cid);
+            } else if put {
                 prop_assert_eq!(store.put(&payload).unwrap(), cid_of(&payload));
             } else {
                 let want = model.get(payload.as_slice()).copied().unwrap_or(0) > 0;

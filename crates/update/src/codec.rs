@@ -4,7 +4,7 @@
 //! digest that replicas agree on is a hash of this encoding, so it must be
 //! canonical (identical updates encode identically) and self-delimiting.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
 
 use crate::update::{Action, Clause, Predicate, Update};
@@ -41,7 +41,9 @@ pub fn encode_update(u: &Update) -> Vec<u8> {
 ///
 /// [`DecodeError`] on truncation or invalid tags.
 pub fn decode_update(bytes: &[u8]) -> Result<Update, DecodeError> {
-    let mut b = Bytes::copy_from_slice(bytes);
+    // A cursor over the caller's buffer: every field is read in place and
+    // only the payloads the update keeps are copied out, once.
+    let mut b = bytes;
     let n = get_u32(&mut b)? as usize;
     if n > 10_000 {
         return Err(DecodeError);
@@ -59,7 +61,7 @@ pub fn decode_update(bytes: &[u8]) -> Result<Update, DecodeError> {
         }
         clauses.push(Clause { predicate, actions });
     }
-    if b.has_remaining() {
+    if !b.is_empty() {
         return Err(DecodeError);
     }
     Ok(Update { clauses })
@@ -92,7 +94,7 @@ fn encode_predicate(b: &mut BytesMut, p: &Predicate) {
     }
 }
 
-fn decode_predicate(b: &mut Bytes) -> Result<Predicate, DecodeError> {
+fn decode_predicate(b: &mut &[u8]) -> Result<Predicate, DecodeError> {
     Ok(match get_u8(b)? {
         0 => Predicate::True,
         1 => Predicate::CompareVersion(get_u64(b)?),
@@ -142,7 +144,7 @@ fn encode_action(b: &mut BytesMut, a: &Action) {
     }
 }
 
-fn decode_action(b: &mut Bytes) -> Result<Action, DecodeError> {
+fn decode_action(b: &mut &[u8]) -> Result<Action, DecodeError> {
     Ok(match get_u8(b)? {
         0 => {
             let position = get_u64(b)? as usize;
@@ -175,43 +177,34 @@ fn decode_action(b: &mut Bytes) -> Result<Action, DecodeError> {
     })
 }
 
-fn get_u8(b: &mut Bytes) -> Result<u8, DecodeError> {
-    if b.remaining() < 1 {
+/// Splits the next `n` bytes off the front of the cursor.
+fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
+    if b.len() < n {
         return Err(DecodeError);
     }
-    Ok(b.get_u8())
+    let (head, rest) = b.split_at(n);
+    *b = rest;
+    Ok(head)
 }
 
-fn get_u32(b: &mut Bytes) -> Result<u32, DecodeError> {
-    if b.remaining() < 4 {
-        return Err(DecodeError);
-    }
-    Ok(b.get_u32())
+fn get_u8(b: &mut &[u8]) -> Result<u8, DecodeError> {
+    Ok(take(b, 1)?[0])
 }
 
-fn get_u64(b: &mut Bytes) -> Result<u64, DecodeError> {
-    if b.remaining() < 8 {
-        return Err(DecodeError);
-    }
-    Ok(b.get_u64())
+fn get_u32(b: &mut &[u8]) -> Result<u32, DecodeError> {
+    Ok(u32::from_be_bytes(get_array(b)?))
 }
 
-fn get_vec(b: &mut Bytes, len: usize) -> Result<Vec<u8>, DecodeError> {
-    if b.remaining() < len {
-        return Err(DecodeError);
-    }
-    let mut v = vec![0u8; len];
-    b.copy_to_slice(&mut v);
-    Ok(v)
+fn get_u64(b: &mut &[u8]) -> Result<u64, DecodeError> {
+    Ok(u64::from_be_bytes(get_array(b)?))
 }
 
-fn get_array<const N: usize>(b: &mut Bytes) -> Result<[u8; N], DecodeError> {
-    if b.remaining() < N {
-        return Err(DecodeError);
-    }
-    let mut v = [0u8; N];
-    b.copy_to_slice(&mut v);
-    Ok(v)
+fn get_vec(b: &mut &[u8], len: usize) -> Result<Vec<u8>, DecodeError> {
+    Ok(take(b, len)?.to_vec())
+}
+
+fn get_array<const N: usize>(b: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    Ok(take(b, N)?.try_into().expect("take(N) yields N bytes"))
 }
 
 #[cfg(test)]

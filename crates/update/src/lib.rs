@@ -21,4 +21,6 @@ pub use codec::{decode_update, encode_update, DecodeError};
 pub use object::{Block, DataObject, Version};
 pub use ops::{ObjectKeys, ReadError};
 pub use session::{Guarantee, GuaranteeSet, SessionState};
-pub use update::{apply, apply_logged, Action, Clause, LogEntry, Outcome, Predicate, Update};
+pub use update::{
+    apply, apply_logged, apply_owned, Action, Clause, LogEntry, Outcome, Predicate, Update,
+};

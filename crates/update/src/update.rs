@@ -198,8 +198,18 @@ pub fn evaluate(object: &DataObject, predicate: &Predicate) -> bool {
 
 /// Applies `update` to `object`, per the §4.4.1 semantics. Deterministic:
 /// replicas applying the same update sequence converge bit-for-bit.
+///
+/// Borrowing form of [`apply_owned`]: it copies the update first, so a
+/// caller that owns its update (a replica that just decoded one) should
+/// hand it over instead.
 pub fn apply(object: &mut DataObject, update: &Update) -> Outcome {
-    let Some(clause) = update.clauses.iter().find(|c| evaluate(object, &c.predicate)) else {
+    apply_owned(object, update.clone())
+}
+
+/// [`apply`] for a caller that is done with `update`: the ciphertext of
+/// every committed block moves into the object instead of being copied.
+pub fn apply_owned(object: &mut DataObject, update: Update) -> Outcome {
+    let Some(clause) = update.clauses.into_iter().find(|c| evaluate(object, &c.predicate)) else {
         return Outcome::Aborted(AbortReason::NoPredicateHeld);
     };
     // Validate before touching anything, so an abort leaves the object as
@@ -237,19 +247,17 @@ pub fn apply(object: &mut DataObject, update: &Update) -> Outcome {
     let mut slots = slots.into_iter();
     let mut slot = || slots.next().expect("validation resolved one slot per positional action");
     let version = object.commit(|next| {
-        for action in &clause.actions {
+        for action in clause.actions {
             match action {
                 Action::ReplaceBlock { ciphertext, .. } => {
-                    next.set(slot(), Block::Data(Arc::new(ciphertext.clone())));
+                    next.set(slot(), Block::Data(Arc::new(ciphertext)));
                 }
-                Action::Append { ciphertext } => {
-                    next.push(Block::Data(Arc::new(ciphertext.clone())));
-                }
+                Action::Append { ciphertext } => next.push(Block::Data(Arc::new(ciphertext))),
                 Action::ReplaceWithIndex { pointers, .. } => {
-                    next.set(slot(), Block::Index(pointers.clone()));
+                    next.set(slot(), Block::Index(pointers));
                 }
                 Action::DeleteBlock { .. } => next.set(slot(), Block::Index(Vec::new())),
-                Action::SetSearchIndex(ix) => next.set_search_index(Arc::new(ix.clone())),
+                Action::SetSearchIndex(ix) => next.set_search_index(Arc::new(ix)),
             }
         }
     });

@@ -8,7 +8,9 @@ use std::sync::Arc;
 use oceanstore_crypto::swp::SearchKey;
 use oceanstore_update::codec::{decode_update, encode_update};
 use oceanstore_update::object::{Block, DataObject, Version};
-use oceanstore_update::update::{apply, evaluate, AbortReason, Action, Outcome, Predicate};
+use oceanstore_update::update::{
+    apply, apply_owned, evaluate, AbortReason, Action, Outcome, Predicate,
+};
 use oceanstore_update::Update;
 use proptest::prelude::*;
 
@@ -173,14 +175,14 @@ proptest! {
     /// that follow it.
     #[test]
     fn object_matches_whole_version_model(
-        steps in proptest::collection::vec((arb_step(), any::<bool>()), 0..40)
+        steps in proptest::collection::vec((arb_step(), any::<bool>(), any::<bool>()), 0..40)
     ) {
         let mut o = DataObject::new();
         // `model[i]` is version `floor + i`.
         let mut model = vec![(**o.current()).clone()];
         let mut floor = 0u64;
         let mut retain = usize::MAX;
-        for (step, hold) in &steps {
+        for (step, hold, owned) in &steps {
             if let Step::Retain(k) = step {
                 o.set_retention(*k);
                 retain = *k;
@@ -191,7 +193,13 @@ proptest! {
                 let held = hold.then(|| Arc::clone(o.current()));
                 let (update, must_abort) = update_for(step, &before);
                 let expected = model_apply(&o, &update);
-                let outcome = apply(&mut o, &update);
+                // A replica that decoded the update hands it over; any
+                // other caller lends it.
+                let outcome = if *owned {
+                    apply_owned(&mut o, update.clone())
+                } else {
+                    apply(&mut o, &update)
+                };
                 if let Some(reason) = must_abort {
                     prop_assert_eq!(&outcome, &Outcome::Aborted(reason));
                 }
