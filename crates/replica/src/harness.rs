@@ -27,7 +27,7 @@ use crate::config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, Se
 use crate::messages::ReplicaMsg;
 use crate::node::OceanNode;
 use crate::primary::Primary;
-use crate::secondary::Secondary;
+use crate::secondary::{RingView, Secondary};
 use crate::shard::ShardRouter;
 use crate::store::StoreHealth;
 
@@ -346,9 +346,16 @@ pub fn build_deployment_with<N: Protocol>(
             primaries: spec.ring(r),
         })
         .collect();
-    // Ring-aware certificate verification for the shared secondary tier.
-    let verify_keys: Vec<(Vec<_>, usize)> =
-        rings.iter().map(|r| (r.cfg.replica_keys.clone(), opts.m)).collect();
+    // What the shared secondary tier knows of each ring: whose keys certify
+    // its records and whom a push of them is acked to.
+    let ring_views: Vec<RingView> = rings
+        .iter()
+        .map(|r| RingView {
+            members: r.primaries.clone(),
+            keys: r.cfg.replica_keys.clone(),
+            m: opts.m,
+        })
+        .collect();
 
     // Binary tree over the secondaries (heap indexing).
     let child_mode = |j: usize| {
@@ -434,7 +441,7 @@ pub fn build_deployment_with<N: Protocol>(
             },
             ..defaults
         };
-        nodes.push(OceanNode::Secondary(Secondary::new(scfg, verify_keys.clone(), router)));
+        nodes.push(OceanNode::Secondary(Secondary::new(scfg, ring_views.clone(), router)));
     }
     for kp in &client_keys {
         let mut c = UpdateClient::new(

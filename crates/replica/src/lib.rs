@@ -35,7 +35,7 @@ pub use harness::{
 pub use messages::{CommitRecord, ReplicaMsg, TentativeId};
 pub use node::OceanNode;
 pub use primary::{disseminator_for, Primary};
-pub use secondary::Secondary;
+pub use secondary::{RingView, Secondary};
 pub use shard::ShardRouter;
 pub use store::{ObjectState, ObjectStore, StoreHealth, RECORD_RETENTION};
 

@@ -130,8 +130,8 @@ pub enum ReplicaMsg {
     Commit(CommitRecord),
     /// Delivery acknowledgment for a tier→tree `Commit` push. A secondary
     /// that holds `(object, index)` certified and received it (or a
-    /// duplicate) from a *primary* acks the whole primary ring, so the
-    /// disseminator's re-push schedule and every observer primary's
+    /// duplicate) from a *primary* of the object's ring acks that whole
+    /// ring, so the disseminator's re-push schedule and every observer's
     /// watchdog stand down together. Acks from deeper tree edges are never
     /// generated (secondary parents repair through anti-entropy instead).
     CommitAck {

@@ -43,6 +43,18 @@ enum Apply {
     Gap,
 }
 
+/// What a secondary knows of one primary ring whose objects it carries.
+#[derive(Debug, Clone)]
+pub struct RingView {
+    /// The ring's member nodes: who a tier→tree push of its records comes
+    /// from, and who the ack goes back to.
+    pub members: Vec<NodeId>,
+    /// The members' public keys, in tier order.
+    pub keys: Vec<PublicKey>,
+    /// The ring's fault bound; a certificate needs `m + 1` signatures.
+    pub m: usize,
+}
+
 /// A secondary replica.
 #[derive(Debug)]
 pub struct Secondary {
@@ -54,11 +66,11 @@ pub struct Secondary {
     tentative: HashMap<Guid, TentativeLog>,
     /// Updates already seen (dedup for the rumor mill).
     seen: HashSet<(Guid, TentativeId)>,
-    /// Per-ring verification material: the owning ring's replica keys and
-    /// fault bound, indexed by [`ShardRouter::ring_of`]. The secondary
-    /// substrate is shared by every ring, so a record is checked against
-    /// the keys of the tier that actually serialized its object.
-    ring_keys: Vec<(Vec<PublicKey>, usize)>,
+    /// The primary rings, indexed by [`ShardRouter::ring_of`]. The
+    /// secondary substrate is shared by every ring, so a record is checked
+    /// against the keys of the tier that actually serialized its object,
+    /// and a push is acked to that tier.
+    rings: Vec<RingView>,
     router: ShardRouter,
     /// Last time the current parent gave any sign of life.
     parent_last_seen: SimTime,
@@ -81,25 +93,21 @@ pub struct Secondary {
 }
 
 impl Secondary {
-    /// Creates a secondary shared by `ring_keys.len()` rings: records of
-    /// an object are verified against the keys of the ring `router`
-    /// assigns it to.
+    /// Creates a secondary shared by `rings.len()` rings: records of an
+    /// object are verified against the keys of the ring `router` assigns
+    /// it to, and pushes of them acked to that ring's members.
     ///
     /// # Panics
     ///
     /// Panics if the ring count disagrees with the router.
-    pub fn new(
-        cfg: SecondaryConfig,
-        ring_keys: Vec<(Vec<PublicKey>, usize)>,
-        router: ShardRouter,
-    ) -> Self {
-        assert_eq!(ring_keys.len(), router.rings(), "one key set per routed ring");
+    pub fn new(cfg: SecondaryConfig, rings: Vec<RingView>, router: ShardRouter) -> Self {
+        assert_eq!(rings.len(), router.rings(), "one view per routed ring");
         Secondary {
             cfg,
             store: ObjectStore::new(),
             tentative: HashMap::new(),
             seen: HashSet::new(),
-            ring_keys,
+            rings,
             router,
             parent_last_seen: SimTime::ZERO,
             pending_attach: None,
@@ -441,21 +449,23 @@ impl Secondary {
     }
 
     fn verify_record(&self, record: &CommitRecord) -> bool {
-        let (keys, m) = &self.ring_keys[self.router.ring_of(&record.object)];
-        record.cert.verify_threshold(&record.signing_bytes(), keys, m + 1)
+        let ring = &self.rings[self.router.ring_of(&record.object)];
+        record.cert.verify_threshold(&record.signing_bytes(), &ring.keys, ring.m + 1)
     }
 
-    /// Acks a tier→tree push back to the primary ring when the sender was
-    /// a primary and we now hold the record certified. The ack goes to
-    /// *every* ring member (it is tiny), so observer primaries whose
-    /// watchdogs armed via `CertFormed` stand down without ever pushing a
-    /// duplicate. Deep tree edges (secondary sender) are never acked —
-    /// secondary parents repair through anti-entropy, not retry state.
+    /// Acks a tier→tree push back to the ring that owns `object` when the
+    /// sender was one of its primaries and we now hold the record
+    /// certified. The ack goes to *every* member of that ring (it is
+    /// tiny), so observer primaries whose watchdogs armed via `CertFormed`
+    /// stand down without ever pushing a duplicate. Deep tree edges
+    /// (secondary sender) are never acked — secondary parents repair
+    /// through anti-entropy, not retry state.
     fn ack_primary_push(&self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, object: Guid, index: u64) {
-        if !self.cfg.fallback_parents.contains(&from) {
+        let members = &self.rings[self.router.ring_of(&object)].members;
+        if !members.contains(&from) {
             return;
         }
-        for &primary in &self.cfg.fallback_parents {
+        for &primary in members {
             ctx.send(primary, ReplicaMsg::CommitAck { object, index });
         }
     }

@@ -6,10 +6,14 @@
 //! somewhere in range), *stable* (any two parties that agree on the ring
 //! count agree on every assignment — a reconfiguration that preserves the
 //! ring count moves no objects), and *balanced* (no ring becomes a
-//! hotspot by construction).
+//! hotspot by construction). The secondaries route by it too: the last
+//! test checks that they ack a push to the ring that owns the object.
 
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::ShardRouter;
+use oceanstore_replica::{build_deployment, DeploymentOpts, ShardRouter};
+use oceanstore_sim::SimDuration;
+use oceanstore_update::update::Action;
+use oceanstore_update::Update;
 use proptest::prelude::*;
 use rand::RngCore;
 use rand::SeedableRng;
@@ -90,4 +94,41 @@ fn labeled_guids_balance_within_ratio() {
     let min = *counts.iter().min().unwrap();
     let ratio = max as f64 / min.max(1) as f64;
     assert!(ratio <= 1.5, "load imbalance {ratio:.3} (counts {counts:?})");
+}
+
+/// The shared tree root acks a push to the ring that sent it. With every
+/// secondary acking ring 0 only, a healthy ring 1 re-pushed each of its
+/// records to the retry cap from all four members (128 resends here).
+#[test]
+fn every_ring_gets_its_pushes_acked() {
+    const RINGS: usize = 2;
+    const PER_RING: usize = 8;
+    let mut dep = build_deployment(&DeploymentOpts {
+        rings: RINGS,
+        secondaries: 14,
+        seed: 17,
+        ..DeploymentOpts::default()
+    });
+    let mut objects: Vec<Vec<Guid>> = vec![Vec::new(); RINGS];
+    for g in (0..).map(|i| Guid::from_label(&format!("acked-{i}"))) {
+        let owned = &mut objects[dep.ring_of(&g)];
+        if owned.len() < PER_RING {
+            owned.push(g);
+        }
+        if objects.iter().all(|o| o.len() == PER_RING) {
+            break;
+        }
+    }
+    for &g in objects.iter().flatten() {
+        let append = Update::unconditional(vec![Action::Append { ciphertext: vec![7; 8] }]);
+        dep.submit(dep.clients[0], g, &append);
+    }
+    dep.sim.run_for(SimDuration::from_secs(30));
+    for (r, ring) in dep.rings.iter().enumerate() {
+        for g in &objects[r] {
+            assert_eq!(dep.frontier(g), 1, "ring {r} committed its append");
+        }
+        let resends: u64 = ring.primaries.iter().map(|&p| dep.primary(p).repush_resend_count()).sum();
+        assert_eq!(resends, 0, "ring {r} re-pushed records the root already held");
+    }
 }
