@@ -206,7 +206,7 @@ mod tests {
     fn forged_signatures_never_counted() {
         // One forger plus one silent replica at m = 1 leaves only two
         // honest replicas: the prepare quorum (3) is unreachable unless a
-        // forged signature slips through the batch drain, and a view
+        // forged signature slips through the check on receipt, and a view
         // change (3 votes) can never complete either. Nothing may commit.
         let mut ts =
             build_tier_with_faults(1, WAN, 12, &[(1, FaultMode::ForgeSigs), (2, FaultMode::Silent)]);

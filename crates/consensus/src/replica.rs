@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use oceanstore_crypto::schnorr::{batch_verify_each, verify, KeyPair, PublicKey, Signature};
+use oceanstore_crypto::schnorr::{verify, KeyPair, PublicKey, Signature};
 use oceanstore_crypto::sha1::{sha1_concat, Digest};
 use oceanstore_sim::{Context, Message, NodeId, SimDuration};
 
@@ -121,8 +121,8 @@ pub enum FaultMode {
     Equivocate,
     /// Participates in every round but signs with a key that is not its
     /// configured one (Byzantine): every signature it emits is a forgery
-    /// against its tier slot. Exercises the verification cache and batch
-    /// drain — none of its messages may ever be counted.
+    /// against its tier slot. Every receiver checks every vote on receipt,
+    /// so none of its messages may ever be counted.
     ForgeSigs,
 }
 
@@ -139,13 +139,6 @@ struct Instance {
     digest_view: u64,
     prepares: HashSet<usize>,
     commits: HashSet<usize>,
-    /// Prepares whose protocol-state checks passed at arrival (view and
-    /// digest match, sender not yet counted) but whose signatures have not
-    /// been verified yet. Drained through one `batch_verify` call when the
-    /// pool could complete a quorum, instead of one `verify` per arrival.
-    pending_prepares: Vec<(usize, Signature)>,
-    /// Commits awaiting deferred signature verification, same scheme.
-    pending_commits: Vec<(usize, Signature)>,
     /// Verified commit signatures, parallel to `commits`: the raw material
     /// of a state-transfer proof. Retained at execution so the slot can be
     /// shipped to a rejoining replica with a self-certifying quorum.
@@ -280,14 +273,6 @@ fn chain_digest(prev: &Digest, seq: u64, digest: &Digest, id: RequestId, timesta
     ])
 }
 
-/// Verification-cache key for a prepare/commit signature. The key is the
-/// full `(phase, view, seq, digest, replica)` tuple that determines the
-/// signing bytes **plus the signature value itself**: keying on the claimed
-/// sender alone would let an attacker poison the cache with a forged
-/// "message from replica i" and have the cached `false` suppress replica
-/// i's real, valid message later.
-type SigCacheKey = (bool, u64, u64, Digest, usize, Signature);
-
 /// A primary-tier replica.
 #[derive(Debug)]
 pub struct Replica {
@@ -360,10 +345,6 @@ pub struct Replica {
     /// can gather `2m + 1` votes — which is exactly the signature the
     /// chaos `quorum_loss` scenario asserts on.
     view_changes_sent: u64,
-    /// Verified-signature cache: retransmissions and re-announcements of a
-    /// `(phase, view, seq, digest, replica, sig)` triple skip verification
-    /// entirely (both the valid and the known-forged direction).
-    sig_cache: HashMap<SigCacheKey, bool>,
 }
 
 impl Replica {
@@ -409,7 +390,6 @@ impl Replica {
             vc_votes: HashMap::new(),
             alarm_armed: false,
             view_changes_sent: 0,
-            sig_cache: HashMap::new(),
         }
     }
 
@@ -514,10 +494,10 @@ impl Replica {
     }
 
     /// Diagnostic: for every agreement slot, the replica indices whose
-    /// prepare and commit signatures were verified and counted toward a
-    /// quorum. Signatures still parked in a pending pool are *not*
-    /// counted. Lets tests assert that a Byzantine signer's votes never
-    /// enter any quorum set.
+    /// prepare and commit votes were counted toward a quorum — its own,
+    /// the leader's pre-prepare, and every peer vote whose signature
+    /// verified on receipt. Lets tests assert that a Byzantine signer's
+    /// votes never enter any quorum set.
     pub fn counted_vote_senders(&self) -> Vec<(u64, Vec<usize>, Vec<usize>)> {
         let mut out: Vec<(u64, Vec<usize>, Vec<usize>)> = self
             .log
@@ -787,11 +767,6 @@ impl Replica {
                 inst.prepares.clear();
                 inst.commits.clear();
                 inst.commit_sigs.clear();
-                // Unverified pools go too: the eager path would have
-                // verified and inserted these at arrival, and the re-seed
-                // would clear them right here — net zero either way.
-                inst.pending_prepares.clear();
-                inst.pending_commits.clear();
                 inst.sent_commit = false;
                 inst.prepared_cert = false;
             } else {
@@ -837,122 +812,22 @@ impl Replica {
         }
     }
 
-    /// Accepts a prepare whose protocol-state checks pass, deferring its
-    /// signature into the slot's pending pool (or resolving it straight
-    /// from the verification cache). The signature is only checked — in a
-    /// batch with its quorum peers — once the pool could complete a
-    /// quorum; a prepare the eager path would discard unused (digest
-    /// mismatch, duplicate sender) is discarded here *without* ever being
-    /// verified, which is where the savings come from.
-    fn on_prepare(
-        &mut self,
-        ctx: &mut Context<'_, PbftMsg>,
-        seq: u64,
-        digest: Digest,
-        replica: usize,
-        sig: Signature,
-    ) {
-        let view = self.view;
+    /// Counts a prepare. The protocol-state checks come first — view and
+    /// window at dispatch, digest match and sender-not-yet-counted here —
+    /// so a vote that cannot count is dropped before its signature is
+    /// looked at; then one `verify`, then the count.
+    fn on_prepare(&mut self, ctx: &mut Context<'_, PbftMsg>, msg: &PbftMsg) {
+        let PbftMsg::Prepare { seq, digest, replica, .. } = *msg else { return };
         let inst = self.log.entry(seq).or_default();
-        if inst.digest == Some(digest) && !inst.prepares.contains(&replica) {
-            match self.sig_cache.get(&(false, view, seq, digest, replica, sig)) {
-                Some(true) => {
-                    inst.prepares.insert(replica);
-                }
-                Some(false) => {} // known forgery: drop
-                None => {
-                    if !inst.pending_prepares.iter().any(|&(r, s)| r == replica && s == sig) {
-                        inst.pending_prepares.push((replica, sig));
-                    }
-                }
-            }
+        let countable = inst.digest == Some(digest) && !inst.prepares.contains(&replica);
+        if countable && self.verify_replica(replica, msg) {
+            self.log.get_mut(&seq).expect("slot exists").prepares.insert(replica);
         }
         self.maybe_commit_phase(ctx, seq);
     }
 
-    /// Batch-verifies a slot's pending prepare or commit signatures,
-    /// moving the valid ones into the counted quorum sets and caching
-    /// every verdict. Verification only — never emits messages, so callers
-    /// decide (exactly as the eager path would) whether a threshold was
-    /// crossed afterwards.
-    fn flush_pending(&mut self, seq: u64, commit_phase: bool) {
-        let view = self.view;
-        let Some(inst) = self.log.get_mut(&seq) else { return };
-        let Some(digest) = inst.digest else { return };
-        let pool = if commit_phase { &mut inst.pending_commits } else { &mut inst.pending_prepares };
-        if pool.is_empty() {
-            return;
-        }
-        let pend = std::mem::take(pool);
-        let bytes: Vec<Vec<u8>> = pend
-            .iter()
-            .map(|&(replica, sig)| {
-                let msg = if commit_phase {
-                    PbftMsg::Commit { view, seq, digest, replica, sig }
-                } else {
-                    PbftMsg::Prepare { view, seq, digest, replica, sig }
-                };
-                signing_bytes(&msg)
-            })
-            .collect();
-        let batch: Vec<(PublicKey, &[u8], Signature)> = pend
-            .iter()
-            .zip(&bytes)
-            .map(|(&(replica, sig), b)| (self.cfg.replica_keys[replica], b.as_slice(), sig))
-            .collect();
-        let verdicts = if batch.len() == 1 {
-            vec![verify(batch[0].0, batch[0].1, &batch[0].2)]
-        } else {
-            batch_verify_each(&batch)
-        };
-        let inst = self.log.get_mut(&seq).expect("slot exists");
-        for (&(replica, sig), ok) in pend.iter().zip(verdicts) {
-            self.sig_cache.insert((commit_phase, view, seq, digest, replica, sig), ok);
-            if ok {
-                if commit_phase {
-                    if inst.commits.insert(replica) {
-                        inst.commit_sigs.push((replica, sig));
-                    }
-                } else {
-                    inst.prepares.insert(replica);
-                }
-            }
-        }
-    }
-
-    /// Flushes both pending pools of every slot (verification only). Run
-    /// before any code path that *observes* quorum sets outside normal
-    /// message processing — view-change vote collection and view teardown
-    /// — so the observed state matches what eager per-arrival verification
-    /// would have produced.
-    fn flush_all_pending(&mut self) {
-        let dirty: Vec<u64> = self
-            .log
-            .iter()
-            .filter(|(_, i)| !i.pending_prepares.is_empty() || !i.pending_commits.is_empty())
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in dirty {
-            self.flush_pending(seq, false);
-            self.flush_pending(seq, true);
-        }
-    }
-
     fn maybe_commit_phase(&mut self, ctx: &mut Context<'_, PbftMsg>, seq: u64) {
         let prepare_quorum = self.cfg.prepare_quorum();
-        // Drain the pending pool iff it could complete the prepare quorum.
-        // The send threshold (`>= 2m + 1` prepares) and the certificate
-        // threshold (`> 2m`) coincide, so one flush trigger covers both;
-        // a flush that falls short (some pending signatures were forged)
-        // re-arms on the next arrival.
-        let need_flush = self.log.get(&seq).is_some_and(|i| {
-            !i.sent_commit
-                && i.digest.is_some()
-                && i.prepares.len() + i.pending_prepares.len() > prepare_quorum
-        });
-        if need_flush {
-            self.flush_pending(seq, false);
-        }
         let Some(inst) = self.log.get_mut(&seq) else { return };
         let Some(digest) = inst.digest else { return };
         if inst.prepares.len() > prepare_quorum {
@@ -981,34 +856,17 @@ impl Replica {
         self.try_execute(ctx);
     }
 
-    /// Accepts a commit, deferring its signature like [`Replica::on_prepare`]
-    /// does for prepares. Commit pools drain lazily at the execution
-    /// frontier (inside [`Replica::try_execute`]) rather than per arrival:
-    /// commits for slots above the frontier cannot change behaviour until
-    /// execution reaches them, so they accumulate into bigger batches.
-    fn on_commit(
-        &mut self,
-        ctx: &mut Context<'_, PbftMsg>,
-        seq: u64,
-        digest: Digest,
-        replica: usize,
-        sig: Signature,
-    ) {
-        let view = self.view;
+    /// Counts a commit, by the same rule as [`Replica::on_prepare`]. The
+    /// signature is kept with the count: the quorum's raw signatures are
+    /// the slot's state-transfer proof.
+    fn on_commit(&mut self, ctx: &mut Context<'_, PbftMsg>, msg: &PbftMsg) {
+        let PbftMsg::Commit { seq, digest, replica, sig, .. } = *msg else { return };
         let inst = self.log.entry(seq).or_default();
-        if inst.digest == Some(digest) && !inst.commits.contains(&replica) {
-            match self.sig_cache.get(&(true, view, seq, digest, replica, sig)) {
-                Some(true) => {
-                    inst.commits.insert(replica);
-                    inst.commit_sigs.push((replica, sig));
-                }
-                Some(false) => {} // known forgery: drop
-                None => {
-                    if !inst.pending_commits.iter().any(|&(r, s)| r == replica && s == sig) {
-                        inst.pending_commits.push((replica, sig));
-                    }
-                }
-            }
+        let countable = inst.digest == Some(digest) && !inst.commits.contains(&replica);
+        if countable && self.verify_replica(replica, msg) {
+            let inst = self.log.get_mut(&seq).expect("slot exists");
+            inst.commits.insert(replica);
+            inst.commit_sigs.push((replica, sig));
         }
         self.try_execute(ctx);
     }
@@ -1016,18 +874,6 @@ impl Replica {
     fn try_execute(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         loop {
             let seq = self.next_exec;
-            // Drain the frontier slot's pending commits iff they could
-            // complete the commit quorum; the execution decision below
-            // then sees exactly the set eager verification would have.
-            let commit_quorum = self.cfg.commit_quorum();
-            let need_flush = self.log.get(&seq).is_some_and(|i| {
-                !i.executed
-                    && i.digest.is_some()
-                    && i.commits.len() + i.pending_commits.len() >= commit_quorum
-            });
-            if need_flush {
-                self.flush_pending(seq, true);
-            }
             let Some(inst) = self.log.get(&seq) else { break };
             if inst.executed
                 || inst.commits.len() < self.cfg.commit_quorum()
@@ -1304,11 +1150,11 @@ impl Replica {
             return false;
         }
         if seq >= self.high_water() {
-            // The message is dropped here, so its signature would never
-            // reach the normal (deferred) verification path — and an
-            // unverified claim must not count as a catch-up witness: one
-            // Byzantine sender could otherwise forge m + 1 distinct
-            // claimant indices and trigger fetch round-trips at will.
+            // The message is dropped here, so its signature never reaches
+            // the vote handlers' check — and an unverified claim must not
+            // count as a catch-up witness: one Byzantine sender could
+            // otherwise forge m + 1 distinct claimant indices and trigger
+            // fetch round-trips at will.
             if self.verify_replica(claimant, msg) {
                 self.note_ahead(ctx, claimant, seq);
             }
@@ -1544,9 +1390,6 @@ impl Replica {
 
     /// Broadcasts (and self-records) a view-change vote for `new_view`.
     fn send_view_change(&mut self, ctx: &mut Context<'_, PbftMsg>, new_view: u64) {
-        // The vote inspects per-slot quorum sets; settle deferred
-        // signatures first so it sees what eager verification would have.
-        self.flush_all_pending();
         self.view_changes_sent += 1;
         // Vouch for every slot we can certify: executed slots and prepared
         // certificates alike. Executed history rides along so a new leader
@@ -1626,11 +1469,6 @@ impl Replica {
     }
 
     fn enter_view(&mut self, view: u64) {
-        // Settle deferred signatures against the *old* view before
-        // teardown: executed slots keep their quorum sets across the view
-        // change, so unflushed-but-valid entries must land in them now,
-        // exactly as eager per-arrival verification would have left them.
-        self.flush_all_pending();
         self.view = view;
         self.alarm_armed = false;
         // Executed slots and prepare certificates survive the view change
@@ -1780,22 +1618,20 @@ impl Replica {
                     self.on_preprepare(ctx, *view, *seq, *digest, *id);
                 }
             }
-            PbftMsg::Prepare { view, seq, digest, replica, sig } => {
-                // Signature verification is deferred into the batch drain;
-                // only the protocol-state checks happen at arrival.
+            PbftMsg::Prepare { view, seq, replica, .. } => {
                 if *view == self.view
                     && *replica < self.cfg.n()
                     && self.admit_seq(ctx, *seq, *replica, &msg)
                 {
-                    self.on_prepare(ctx, *seq, *digest, *replica, *sig);
+                    self.on_prepare(ctx, &msg);
                 }
             }
-            PbftMsg::Commit { view, seq, digest, replica, sig } => {
+            PbftMsg::Commit { view, seq, replica, .. } => {
                 if *view == self.view
                     && *replica < self.cfg.n()
                     && self.admit_seq(ctx, *seq, *replica, &msg)
                 {
-                    self.on_commit(ctx, *seq, *digest, *replica, *sig);
+                    self.on_commit(ctx, &msg);
                 }
             }
             PbftMsg::ViewChange { new_view, last_exec, prepared, stable, replica, .. } => {

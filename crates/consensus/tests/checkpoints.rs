@@ -344,6 +344,47 @@ fn forged_catchup_witnesses_never_trigger_fetch() {
     }
 }
 
+/// A forgery in replica i's name never shadows i's genuine vote: the
+/// forged prepare and commit are dropped on receipt, the genuine ones that
+/// follow for the same slot are counted, and the slot executes. Replicas
+/// 1..3 are silent, so the view-0 leader sees exactly the votes fed here.
+#[test]
+fn forged_vote_does_not_shadow_the_genuine_one() {
+    let seed = 24;
+    let silent = [1, 2, 3].map(|i| (i, FaultMode::Silent));
+    let mut ts = build_tier_custom(1, WAN, seed, &silent, ckpt(8, 16));
+    let id = RequestId { client: NodeId(4), seq: 1 };
+    let payload = Payload::from_bytes(vec![0xcd; 32]);
+    let digest = slot_digest(&payload, id, 7);
+    let request = signed_by(
+        &client_key(seed),
+        PbftMsg::Request { id, timestamp: 7, payload, sig: Signature::default() },
+    );
+    ts.sim.inject(NodeId(4), NodeId(0), request);
+    ts.sim.run_for(WAN);
+    let decoy = KeyPair::from_seed(b"not-a-tier-key");
+    for commit in [false, true] {
+        for forged in [true, false] {
+            for i in [1usize, 2] {
+                let sig = Signature::default();
+                let vote = if commit {
+                    PbftMsg::Commit { view: 0, seq: 0, digest, replica: i, sig }
+                } else {
+                    PbftMsg::Prepare { view: 0, seq: 0, digest, replica: i, sig }
+                };
+                let kp = if forged { decoy.clone() } else { replica_key(seed, i) };
+                ts.sim.inject(NodeId(i), NodeId(0), signed_by(&kp, vote));
+            }
+            ts.sim.run_for(WAN);
+            let (_, prepares, commits) = replica(&ts, 0).counted_vote_senders().remove(0);
+            let counted = if commit { commits } else { prepares };
+            let want: &[usize] = if forged { &[0] } else { &[0, 1, 2] };
+            assert_eq!(counted, want, "commit phase: {commit}, forged: {forged}");
+        }
+    }
+    assert_eq!(replica(&ts, 0).executed_seen(), 1, "the slot must execute");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -76,10 +76,9 @@ proptest! {
     }
 
     /// Replicas that sign every message with the wrong key are the most
-    /// direct adversary for the deferred-verification machinery (the
-    /// signature cache plus the batch drain). Their votes must never enter
-    /// any honest quorum set — not on any slot, not in either phase —
-    /// while the honest 2m+1 still drive every update to commit.
+    /// direct adversary for the per-vote signature check. Their votes must
+    /// never enter any honest quorum set — not on any slot, not in either
+    /// phase — while the honest 2m+1 still drive every update to commit.
     #[test]
     fn forged_signatures_never_counted(
         m in 1usize..3,

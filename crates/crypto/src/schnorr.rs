@@ -14,19 +14,12 @@
 //! reproducible.
 //!
 //! Signatures are in `(R, s)` form — the commitment `R = g^k` travels with
-//! the response instead of the challenge hash. That form admits the batch
-//! verification equation
-//!
-//! ```text
-//! g^(Σ zᵢ·sᵢ)  ==  Π Rᵢ^zᵢ · Π_k y_k^(Σ_{i∈k} zᵢ·eᵢ)      (mod p)
-//! ```
-//!
-//! for random scalars `zᵢ`, which [`batch_verify`] exploits: one fixed-base
-//! exponentiation for `g`, one per *distinct key*, and a Straus interleaved
-//! multi-exponentiation for the `Rᵢ` — far cheaper than `2n` independent
-//! exponentiations. Fixed bases (`g` and every `y` seen by a verifier) get
-//! 16×16 nibble-comb precomputation tables, cutting a single
-//! exponentiation from ~180 modular multiplications to ~15.
+//! the response instead of the challenge hash. Fixed bases (`g` and every
+//! `y` seen by a verifier) get 16×16 nibble-comb precomputation tables,
+//! cutting a single exponentiation from ~180 modular multiplications to
+//! ~15. That leaves the challenge hash as the dominant cost of [`verify`]
+//! — a per-signature cost no batch equation amortises — so
+//! [`batch_verify`] is a loop of [`verify`].
 //!
 //! [`KeyPair::sign_ref`] / [`verify_ref`] are the table-free reference
 //! path (plain square-and-multiply), kept as the oracle tests compare the
@@ -303,8 +296,7 @@ pub fn verify(key: PublicKey, msg: &[u8], sig: &Signature) -> bool {
 
 /// Reference verification path: identical accept/reject behaviour to
 /// [`verify`], but both exponentiations by plain square-and-multiply and
-/// the challenge through the scalar SHA-256. A test oracle for [`verify`]
-/// and [`batch_verify`].
+/// the challenge through the scalar SHA-256. A test oracle for [`verify`].
 pub fn verify_ref(key: PublicKey, msg: &[u8], sig: &Signature) -> bool {
     let grp = group();
     if sig.s >= grp.q || sig.r == 0 || sig.r >= grp.p {
@@ -316,177 +308,10 @@ pub fn verify_ref(key: PublicKey, msg: &[u8], sig: &Signature) -> bool {
     lhs == rhs
 }
 
-/// Per-item state shared by the batch-verification paths: range/subgroup
-/// prechecks and the challenge, computed once per item even when the batch
-/// equation has to bisect.
-struct BatchItem {
-    y: u64,
-    r: u64,
-    s: u64,
-    e: u64,
-    /// Range checks passed and `R` is in the order-`q` subgroup. Items
-    /// failing this are invalid outright, and excluding non-subgroup `R`
-    /// keeps the random-linear-combination equation sound (every remaining
-    /// term lives in the prime-order subgroup).
-    ok: bool,
-}
-
-fn batch_items(items: &[(PublicKey, &[u8], Signature)]) -> Vec<BatchItem> {
-    let grp = group();
-    items
-        .iter()
-        .map(|(key, msg, sig)| {
-            let in_range = sig.s < grp.q && sig.r != 0 && sig.r < grp.p;
-            // Subgroup membership ⟺ quadratic residue (p = 2q+1), decided
-            // by a Jacobi symbol — no exponentiation needed.
-            let ok = in_range && jacobi(sig.r, grp.p) == 1;
-            let e = if ok { challenge(sig.r, key.y, msg) % grp.q } else { 0 };
-            BatchItem { y: key.y, r: sig.r, s: sig.s, e, ok }
-        })
-        .collect()
-}
-
-/// Bit length of the random-linear-combination scalars. Soundness of the
-/// combined batch equation is 2^-Z_BITS per forged batch, independent of
-/// the group size — the same reason production Ed25519 batch verifiers use
-/// 128-bit scalars against a 252-bit group. Shorter scalars halve the
-/// shared multi-exponentiation, the dominant group-math cost; 32 bits is
-/// proportionate to this deliberately breakable 61-bit teaching group.
-const Z_BITS: u32 = 32;
-
-/// Derives the deterministic random-linear-combination scalars for a batch:
-/// a hash chain over every item's `(y, R, s, e)`, expanded 8 scalars per
-/// SHA-256 output and forced nonzero.
-fn batch_scalars(items: &[BatchItem]) -> Vec<u64> {
-    let mut bound = Vec::with_capacity(items.len() * 32);
-    for it in items {
-        bound.extend_from_slice(&it.y.to_be_bytes());
-        bound.extend_from_slice(&it.r.to_be_bytes());
-        bound.extend_from_slice(&it.s.to_be_bytes());
-        bound.extend_from_slice(&it.e.to_be_bytes());
-    }
-    let seed = sha256_concat(&[b"oceanstore-batch-z", &bound]);
-    let mut out = Vec::with_capacity(items.len());
-    let mut ctr = 0u64;
-    'fill: loop {
-        let block = sha256_concat(&[&seed, &ctr.to_be_bytes()]);
-        for chunk in block.chunks_exact(4) {
-            let z = u32::from_be_bytes(chunk.try_into().expect("4 bytes")) as u64;
-            out.push(if z == 0 { 1 } else { z });
-            if out.len() == items.len() {
-                break 'fill;
-            }
-        }
-        ctr += 1;
-    }
-    out
-}
-
-/// Checks the batch equation over a slice of pre-validated items. `true`
-/// means every signature in the slice verifies (up to the 2^-[`Z_BITS`]
-/// soundness error of the random linear combination).
-fn batch_holds(items: &[BatchItem]) -> bool {
-    if items.iter().any(|it| !it.ok) {
-        return false;
-    }
-    if items.is_empty() {
-        return true;
-    }
-    let grp = group();
-    let z = batch_scalars(items);
-
-    // Left side: g^(Σ zᵢ·sᵢ mod q), one comb-table exponentiation.
-    let mut s_sum = 0u64;
-    for (it, &zi) in items.iter().zip(&z) {
-        s_sum = (s_sum + mul_mod(zi, it.s, grp.q)) % grp.q;
-    }
-    let lhs = gen_table().pow(s_sum);
-
-    // Right side, key part: one comb-table exponentiation per distinct key
-    // of y_k^(Σ zᵢ·eᵢ). Batches see a handful of keys, so a flat vec beats
-    // a hash map.
-    let mut per_key: Vec<(u64, u64)> = Vec::new();
-    for (it, &zi) in items.iter().zip(&z) {
-        let ze = mul_mod(zi, it.e, grp.q);
-        match per_key.iter_mut().find(|(y, _)| *y == it.y) {
-            Some((_, acc)) => *acc = (*acc + ze) % grp.q,
-            None => per_key.push((it.y, ze)),
-        }
-    }
-    let mut rhs = 1u64;
-    for &(y, e_sum) in &per_key {
-        rhs = mul_mod(rhs, key_table(y).pow(e_sum), grp.p);
-    }
-
-    // Right side, commitment part: Π Rᵢ^zᵢ by Straus interleaving with
-    // 2-bit windows — Z_BITS shared squarings for the whole batch plus at
-    // most Z_BITS/2 multiplications per item.
-    let tables: Vec<[u64; 3]> = items
-        .iter()
-        .map(|it| {
-            let r2 = mul_mod(it.r, it.r, grp.p);
-            [it.r, r2, mul_mod(r2, it.r, grp.p)]
-        })
-        .collect();
-    let mut acc = 1u64;
-    for w in (0..Z_BITS / 2).rev() {
-        acc = mul_mod(acc, acc, grp.p);
-        acc = mul_mod(acc, acc, grp.p);
-        for (tbl, &zi) in tables.iter().zip(&z) {
-            let d = ((zi >> (2 * w)) & 3) as usize;
-            if d != 0 {
-                acc = mul_mod(acc, tbl[d - 1], grp.p);
-            }
-        }
-    }
-    rhs = mul_mod(rhs, acc, grp.p);
-
-    lhs == rhs
-}
-
-/// Verifies a batch of signatures in one random-linear-combination check.
-///
-/// Returns `true` iff every signature in the batch is valid (the all-valid
-/// case costs one exponentiation for `g`, one per distinct key, and a
-/// shared multi-exponentiation for the commitments). On a mixed batch this
-/// returns `false`; use [`batch_verify_each`] to identify the offenders.
-/// The empty batch is vacuously valid.
+/// Whether every signature in `items` is valid; the empty batch is
+/// vacuously so. One [`verify`] per item, stopping at the first failure.
 pub fn batch_verify(items: &[(PublicKey, &[u8], Signature)]) -> bool {
-    batch_holds(&batch_items(items))
-}
-
-/// Verifies a batch and reports validity per signature.
-///
-/// Fast path: a single batch equation; when it fails, bisects the batch to
-/// isolate the invalid signatures (a sub-batch that passes the equation is
-/// accepted wholesale), bottoming out in per-signature [`verify`] so
-/// callers keep exact per-message accountability.
-pub fn batch_verify_each(items: &[(PublicKey, &[u8], Signature)]) -> Vec<bool> {
-    let pre = batch_items(items);
-    let mut out = vec![false; items.len()];
-    bisect(&pre, 0, &mut out);
-    out
-}
-
-fn bisect(items: &[BatchItem], offset: usize, out: &mut [bool]) {
-    if items.is_empty() {
-        return;
-    }
-    if batch_holds(items) {
-        for slot in &mut out[offset..offset + items.len()] {
-            *slot = true;
-        }
-        return;
-    }
-    if items.len() == 1 {
-        // A failing singleton batch is exactly a failing `verify` (the
-        // batch equation with one term is the verify equation times z).
-        out[offset] = false;
-        return;
-    }
-    let mid = items.len() / 2;
-    bisect(&items[..mid], offset, out);
-    bisect(&items[mid..], offset + mid, out);
+    items.iter().all(|(key, msg, sig)| verify(*key, msg, sig))
 }
 
 fn challenge(r: u64, y: u64, msg: &[u8]) -> u64 {
@@ -519,35 +344,6 @@ pub(crate) fn pow_mod(base: u64, mut exp: u64, m: u64) -> u64 {
         exp >>= 1;
     }
     acc
-}
-
-/// Jacobi symbol `(a/n)` for odd `n`; `(a/p) == 1` ⟺ `a` is a quadratic
-/// residue mod prime `p`, which for a safe prime is exactly membership in
-/// the order-`q` subgroup.
-pub(crate) fn jacobi(mut a: u64, mut n: u64) -> i32 {
-    debug_assert!(n & 1 == 1);
-    let mut t = 1i32;
-    a %= n;
-    while a != 0 {
-        // Strip all factors of two at once; the sign flips once per factor
-        // when n ≡ 3,5 (mod 8), so only the parity of the count matters.
-        let tz = a.trailing_zeros();
-        a >>= tz;
-        let r = n & 7;
-        if tz & 1 == 1 && (r == 3 || r == 5) {
-            t = -t;
-        }
-        std::mem::swap(&mut a, &mut n);
-        if a & 3 == 3 && n & 3 == 3 {
-            t = -t;
-        }
-        a %= n;
-    }
-    if n == 1 {
-        t
-    } else {
-        0
-    }
 }
 
 /// Deterministic Miller–Rabin, exact for all `u64` with this witness set.
@@ -588,63 +384,6 @@ pub(crate) fn is_prime_u64(n: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Not a correctness test: times the batch-verify building blocks so
-    /// hot-path tuning has per-component numbers. Run with `cargo test -p
-    /// oceanstore-crypto --release batch_component_profile -- --ignored
-    /// --nocapture`.
-    #[test]
-    #[ignore]
-    fn batch_component_profile() {
-        const BATCH: usize = 32;
-        let keys: Vec<KeyPair> =
-            (0..7).map(|i| KeyPair::from_seed(format!("prof-{i}").as_bytes())).collect();
-        let msgs: Vec<Vec<u8>> =
-            (0..BATCH).map(|i| format!("profile message {i}").into_bytes()).collect();
-        let signed: Vec<(PublicKey, &[u8], Signature)> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let kp = &keys[i % keys.len()];
-                (kp.public(), m.as_slice(), kp.sign(m))
-            })
-            .collect();
-        let time = |label: &str, mut f: Box<dyn FnMut() -> u64>| {
-            let iters = 20_000u32;
-            f();
-            let start = std::time::Instant::now();
-            let mut sink = 0u64;
-            for _ in 0..iters {
-                sink = sink.wrapping_add(f());
-            }
-            let per = start.elapsed().as_secs_f64() / iters as f64;
-            println!("{label:<32} {:>9.1} ns  (sink {sink})", per * 1e9);
-        };
-        let grp = group();
-        let items = batch_items(&signed);
-        let one = signed[0];
-        time("challenge", Box::new(move || challenge(one.2.r, one.0.y, one.1)));
-        time("sha256 32B", Box::new(|| sha256_concat(&[&[0u8; 32]])[0] as u64));
-        time("jacobi", Box::new(move || jacobi(one.2.r, grp.p) as u64));
-        time("mul_mod x100", Box::new(move || {
-            let mut a = one.2.r;
-            for _ in 0..100 {
-                a = mul_mod(a, a, grp.p);
-            }
-            a
-        }));
-        time("gen comb pow", Box::new(move || gen_table().pow(one.2.s)));
-        time("pow_mod ref", Box::new(move || pow_mod(grp.g, one.2.s, grp.p)));
-        time("verify fast", Box::new(move || verify(one.0, one.1, &one.2) as u64));
-        time("verify ref", Box::new(move || verify_ref(one.0, one.1, &one.2) as u64));
-        let it2 = batch_items(&signed);
-        time("batch_scalars/32", Box::new(move || batch_scalars(&it2)[0]));
-        let signed2 = signed.clone();
-        time("batch_items/32", Box::new(move || batch_items(&signed2)[0].e));
-        time("batch_holds/32", Box::new(move || batch_holds(&items) as u64));
-        let signed3 = signed.clone();
-        time("batch_verify/32", Box::new(move || batch_verify(&signed3) as u64));
-    }
 
     #[test]
     fn group_parameters_are_sound() {
@@ -765,27 +504,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_accepts_all_valid() {
-        let msgs: Vec<Vec<u8>> = (0..32u32).map(|i| i.to_be_bytes().to_vec()).collect();
-        let kps: Vec<KeyPair> =
-            (0..7u32).map(|i| KeyPair::from_seed(&i.to_be_bytes())).collect();
-        let batch: Vec<(PublicKey, &[u8], Signature)> = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let kp = &kps[i % kps.len()];
-                (kp.public(), m.as_slice(), kp.sign(m))
-            })
-            .collect();
-        assert!(batch_verify(&batch));
-        assert!(batch_verify_each(&batch).iter().all(|&v| v));
+    fn non_subgroup_commitment_rejected() {
+        // R' = p - R flips the quadratic-residue bit: the same value up to
+        // sign, outside the order-q subgroup.
+        let grp = group();
+        let kp = KeyPair::from_seed(b"server-1");
+        let mut sig = kp.sign(b"m1");
+        sig.r = grp.p - sig.r;
+        assert!(!verify(kp.public(), b"m1", &sig));
+        assert!(!verify_ref(kp.public(), b"m1", &sig));
     }
 
     #[test]
-    fn batch_verify_rejects_and_bisects_offenders() {
-        let msgs: Vec<Vec<u8>> = (0..17u32).map(|i| i.to_be_bytes().to_vec()).collect();
+    fn batch_verify_is_all_of_verify() {
         let kps: Vec<KeyPair> =
             (0..3u32).map(|i| KeyPair::from_seed(&i.to_be_bytes())).collect();
+        let msgs: Vec<Vec<u8>> = (0..5u32).map(|i| i.to_be_bytes().to_vec()).collect();
         let mut batch: Vec<(PublicKey, &[u8], Signature)> = msgs
             .iter()
             .enumerate()
@@ -794,50 +528,10 @@ mod tests {
                 (kp.public(), m.as_slice(), kp.sign(m))
             })
             .collect();
-        // Corrupt items 3 (response), 9 (commitment), 14 (wrong key).
-        batch[3].2.s ^= 0x10;
-        batch[9].2.r ^= 0x4;
-        batch[14].0 = kps[(14 + 1) % 3].public();
-        assert!(!batch_verify(&batch));
-        let each = batch_verify_each(&batch);
-        for (i, &ok) in each.iter().enumerate() {
-            let expect = !matches!(i, 3 | 9 | 14);
-            assert_eq!(ok, expect, "item {i}");
-            assert_eq!(ok, verify(batch[i].0, batch[i].1, &batch[i].2), "oracle {i}");
-        }
-    }
-
-    #[test]
-    fn batch_verify_empty_is_vacuously_true() {
+        assert!(batch_verify(&batch));
         assert!(batch_verify(&[]));
-        assert!(batch_verify_each(&[]).is_empty());
-    }
-
-    #[test]
-    fn batch_verify_rejects_non_subgroup_commitment() {
-        // R' = p - R flips the quadratic-residue bit; an RLC without the
-        // subgroup precheck could accept pairs of such forgeries.
-        let grp = group();
-        let kp = KeyPair::from_seed(b"server-1");
-        let mut a = kp.sign(b"m1");
-        let mut b = kp.sign(b"m2");
-        a.r = grp.p - a.r;
-        b.r = grp.p - b.r;
-        let batch: Vec<(PublicKey, &[u8], Signature)> =
-            vec![(kp.public(), b"m1", a), (kp.public(), b"m2", b)];
+        batch[3].2.s ^= 0x10;
         assert!(!batch_verify(&batch));
-        assert_eq!(batch_verify_each(&batch), vec![false, false]);
-    }
-
-    #[test]
-    fn jacobi_symbol_matches_euler_criterion() {
-        let grp = group();
-        for a in [2u64, 3, 5, 7, 1000, grp.g, grp.p - 1] {
-            let euler = pow_mod(a, grp.q, grp.p);
-            let expect = if euler == 1 { 1 } else { -1 };
-            assert_eq!(jacobi(a, grp.p), expect, "a={a}");
-        }
-        assert_eq!(jacobi(grp.p, grp.p), 0);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use oceanstore_crypto::cipher::BlockCipherKey;
 use oceanstore_crypto::merkle::MerkleTree;
-use oceanstore_crypto::schnorr::{
-    batch_verify, batch_verify_each, verify, verify_ref, KeyPair, PublicKey, Signature,
-};
+use oceanstore_crypto::schnorr::{verify, verify_ref, KeyPair, Signature};
 use oceanstore_crypto::sha1::{sha1, Sha1};
 use oceanstore_crypto::swp::SearchKey;
 use proptest::prelude::*;
@@ -94,14 +92,11 @@ proptest! {
         }
     }
 
-    /// Batch verification agrees exactly with per-signature verification
+    /// The table-driven verifier agrees with the frozen reference verifier
     /// on arbitrary mixes of valid, forged, bit-mutated, and wrong-message
-    /// signatures — including repeats of one (key, msg) pair where one
-    /// copy is valid and another forged, so a bad entry can never shadow a
-    /// good one. The fast single verifier also agrees with the frozen
-    /// reference verifier on every entry.
+    /// signatures, and accepts every honest one.
     #[test]
-    fn batch_verify_agrees_with_per_sig(
+    fn verify_agrees_with_reference(
         specs in proptest::collection::vec(
             (0u8..4, 0usize..4, any::<(usize, u8)>()), 0..12),
         msgs in proptest::collection::vec(
@@ -110,38 +105,27 @@ proptest! {
         let keys: Vec<KeyPair> =
             (0u8..4).map(|i| KeyPair::from_seed(&[b'k', i])).collect();
         let decoy = KeyPair::from_seed(b"decoy");
-        let mut batch: Vec<(PublicKey, Vec<u8>, Signature)> = Vec::new();
         for (mode, ki, (flip_pos, flip_mask)) in specs {
             let kp = &keys[ki];
-            let msg = msgs[ki].clone();
+            let msg = &msgs[ki];
             let sig = match mode {
                 // Honestly signed.
-                0 => kp.sign(&msg),
+                0 => kp.sign(msg),
                 // Forged: signed by a key that is not the claimed one.
-                1 => decoy.sign(&msg),
+                1 => decoy.sign(msg),
                 // A valid signature with one wire bit flipped.
                 2 => {
-                    let mut b = kp.sign(&msg).to_bytes();
+                    let mut b = kp.sign(msg).to_bytes();
                     b[flip_pos % 16] ^= if flip_mask == 0 { 1 } else { flip_mask };
                     Signature::from_bytes(b)
                 }
                 // A valid signature transplanted onto another message.
                 _ => kp.sign(&msgs[(ki + 1) % 4]),
             };
-            batch.push((kp.public(), msg, sig));
+            let ok = verify(kp.public(), msg, &sig);
+            prop_assert_eq!(ok, verify_ref(kp.public(), msg, &sig));
+            prop_assert!(ok || mode != 0);
         }
-        let borrowed: Vec<(PublicKey, &[u8], Signature)> =
-            batch.iter().map(|(k, m, s)| (*k, m.as_slice(), *s)).collect();
-        let expect: Vec<bool> =
-            borrowed.iter().map(|(k, m, s)| verify(*k, m, s)).collect();
-        for ((k, m, s), e) in borrowed.iter().zip(&expect) {
-            prop_assert_eq!(verify_ref(*k, m, s), *e);
-        }
-        // The whole-batch check accepts iff every signature verifies
-        // (vacuously true for the empty batch)...
-        prop_assert_eq!(batch_verify(&borrowed), expect.iter().all(|&b| b));
-        // ...and bisection attributes validity per signature exactly.
-        prop_assert_eq!(batch_verify_each(&borrowed), expect);
     }
 
     /// Searchable encryption: every indexed word is findable with its

@@ -9,6 +9,7 @@
 //! certificate — the offline-verifiable artifact of §4.4.3 — and pushes the
 //! certified record into the dissemination tree.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -261,9 +262,7 @@ impl Primary {
 
     /// Whether a valid certificate for `(object, index)` is stored here.
     pub fn has_cert(&self, object: &Guid, index: u64) -> bool {
-        self.store
-            .get(object)
-            .is_some_and(|st| st.records.iter().any(|r| r.index == index && !r.cert.is_empty()))
+        self.store.record(object, index).is_some_and(|r| !r.cert.is_empty())
     }
 
     /// Handles an embedded agreement message, then turns any newly
@@ -389,15 +388,7 @@ impl Primary {
                 return;
             }
         };
-        let Some(record) = self
-            .store
-            .records_from(&object, index)
-            .into_iter()
-            .next()
-            .filter(|r| r.index == index)
-        else {
-            return;
-        };
+        let Some(record) = self.store.record(&object, index) else { return };
         self.share_retries += 1;
         let target = self.disseminator(&object, index, attempt);
         if target == self.index {
@@ -506,12 +497,7 @@ impl Primary {
                 return;
             }
         };
-        let record = self
-            .store
-            .records_from(&object, index)
-            .into_iter()
-            .next()
-            .filter(|r| r.index == index && !r.cert.is_empty());
+        let record = self.store.record(&object, index).filter(|r| !r.cert.is_empty());
         let Some(record) = record else {
             // Certified elsewhere but not locally attached yet; try again
             // at the next deadline.
@@ -568,13 +554,7 @@ impl Primary {
             return;
         }
         let key = (object, index);
-        let record = self
-            .store
-            .records_from(&object, index)
-            .into_iter()
-            .next()
-            .filter(|r| r.index == index);
-        match record {
+        match self.store.record(&object, index) {
             Some(record) => {
                 if !cert.verify_threshold(
                     &record.signing_bytes(),
@@ -595,6 +575,9 @@ impl Primary {
                     self.repush_deadline(0).mul_f64(f64::from(self.repush.observer_grace.max(1)));
                 self.arm_repush(ctx, object, index, grace);
             }
+            // Certified and truncated long ago: a late announcement that
+            // `drain_executed` would never come back to collect.
+            None if self.store.get(&object).is_some_and(|st| index < st.first_index) => {}
             None => {
                 // Not executed this far yet; verified once the record
                 // exists (drain_executed).
@@ -619,8 +602,7 @@ impl Primary {
             return;
         }
         // Only meaningful once we executed the same record ourselves.
-        let our: Vec<CommitRecord> = self.store.records_from(&object, index);
-        let Some(record) = our.first().filter(|r| r.index == index) else {
+        let Some(record) = self.store.record(&object, index) else {
             // We haven't executed this far yet; shares from faster peers
             // will be re-derived when we do (they also resend via fetch).
             return;
@@ -650,14 +632,8 @@ impl Primary {
             // (possibly a crash-recovered straggler) that never saw it —
             // answer with the certificate so its retry loop stops.
             if replica != self.index {
-                let cert = self
-                    .store
-                    .records_from(&object, index)
-                    .into_iter()
-                    .next()
-                    .filter(|r| r.index == index && !r.cert.is_empty())
-                    .map(|r| r.cert);
-                if let Some(cert) = cert {
+                let record = self.store.record(&object, index).filter(|r| !r.cert.is_empty());
+                if let Some(cert) = record.map(|r| r.cert.clone()) {
                     ctx.send(
                         self.cfg.members[replica],
                         ReplicaMsg::CertFormed { object, index, cert },
@@ -666,24 +642,21 @@ impl Primary {
             }
             return;
         }
-        let record = {
-            let recs = self.store.records_from(&object, index);
-            match recs.into_iter().next() {
-                Some(r) if r.index == index => r,
-                _ => return,
+        // Every share in the pool was verified where it arrived
+        // (`on_result_share`) or is our own, signed once when the pool
+        // opens; the pool is keyed by signer, so its size is the count of
+        // valid shares.
+        let entry = match self.assembling.entry((object, index)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(v) => {
+                let Some(record) = self.store.record(&object, index) else { return };
+                let mut cert = SerializationCert::new();
+                cert.add(self.keypair.public(), self.keypair.sign(&record.signing_bytes()));
+                v.insert((record.clone(), cert))
             }
         };
-        let entry = self
-            .assembling
-            .entry((object, index))
-            .or_insert_with(|| (record, SerializationCert::new()));
         entry.1.add(self.cfg.replica_keys[replica], sig);
-        // Make sure our own share is always in the pool.
-        let own = self.keypair.sign(&entry.0.signing_bytes());
-        entry.1.add(self.keypair.public(), own);
-        if entry.1.valid_count(&entry.0.signing_bytes(), &self.cfg.replica_keys)
-            > self.cfg.m
-        {
+        if entry.1.len() > self.cfg.m {
             let (mut record, cert) = self
                 .assembling
                 .remove(&(object, index))
@@ -931,6 +904,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn cert_for_truncated_history_is_not_parked() {
+        use crate::harness::{build_deployment, DeploymentOpts};
+        use oceanstore_sim::SimDuration;
+        use oceanstore_update::update::{Action, Predicate};
+        use oceanstore_update::Update;
+
+        let mut dep = build_deployment(&DeploymentOpts::default());
+        let (p0, p1) = (dep.primaries()[0], dep.primaries()[1]);
+        let role = dep.sim.node_mut(p0).as_primary_mut().expect("node is a primary");
+        role.store.set_record_retention(2);
+        let object = Guid::from_label("late-cert");
+        for i in 0..6u8 {
+            let update = Update::default()
+                .with_clause(Predicate::True, vec![Action::Append { ciphertext: vec![i] }]);
+            dep.submit(dep.clients[0], object, &update);
+            dep.sim.run_for(SimDuration::from_secs(2));
+        }
+        assert_eq!(dep.primary(p0).store.get(&object).expect("executed").first_index, 4);
+        assert!(dep.primary(p0).early_certs.is_empty());
+        // A peer that kept its whole log re-announces the first record —
+        // the answer a straggler's late share gets.
+        let cert = dep.primary(p1).store.record(&object, 0).expect("retained").cert.clone();
+        assert!(!cert.is_empty());
+        dep.sim.with_node_ctx(p0, |node, ctx| {
+            node.as_primary_mut().expect("node is a primary").on_cert_formed(ctx, object, 0, cert)
+        });
+        assert!(dep.primary(p0).early_certs.is_empty(), "parked a cert nothing will collect");
     }
 
     #[test]

@@ -157,20 +157,7 @@ impl Secondary {
 
     /// The tentative view: committed state plus tentative updates applied
     /// in timestamp order (what an optimistic reader sees, e.g. for
-    /// disconnected operation).
-    pub fn tentative_view(&self, object: &Guid) -> Option<DataObject> {
-        let mut data = self.store.get(object).map(|s| s.data.fork())?;
-        if let Some(pending) = self.tentative.get(object) {
-            for enc in pending.values() {
-                if let Ok(u) = decode_update(enc) {
-                    let _ = apply_owned(&mut data, u);
-                }
-            }
-        }
-        Some(data)
-    }
-
-    /// Like [`Secondary::tentative_view`] but creates the object if this
+    /// disconnected operation). Starts from an empty object if this
     /// replica has only tentative data for it (fully disconnected write).
     pub fn tentative_view_or_empty(&self, object: &Guid) -> DataObject {
         let mut data = self
@@ -559,15 +546,6 @@ impl Secondary {
             }
         }
         let _ = ctx;
-    }
-
-    /// Explicit read-repair: pull latest commits from the parent (or a
-    /// fallback peer) before serving a strong read.
-    pub fn pull_now(&mut self, ctx: &mut Context<'_, ReplicaMsg>, object: Guid) {
-        let from_index = self.store.get(&object).map_or(0, |s| s.next_index);
-        if let Some(target) = self.pull_target(ctx) {
-            ctx.send(target, ReplicaMsg::FetchCommits { object, from_index });
-        }
     }
 
     /// A forged, uncertified record a Byzantine replica serves in place of

@@ -82,6 +82,12 @@ impl ObjectState {
     pub fn retained_records(&self) -> u64 {
         self.records.len() as u64
     }
+
+    /// Position of record `index` in `records` (the log is dense from
+    /// `first_index`); `None` below the floor, possibly out of range above.
+    fn position(&self, index: u64) -> Option<usize> {
+        usize::try_from(index.checked_sub(self.first_index)?).ok()
+    }
 }
 
 /// Aggregate store-health counters, exported field-by-field to the
@@ -271,7 +277,7 @@ impl ObjectStore {
         cert: oceanstore_crypto::threshold::SerializationCert,
     ) {
         if let Some(st) = self.objects.get_mut(object) {
-            if let Some(r) = st.records.iter_mut().find(|r| r.index == index) {
+            if let Some(r) = st.position(index).and_then(|at| st.records.get_mut(at)) {
                 r.cert = cert;
             }
         }
@@ -302,6 +308,13 @@ impl ObjectStore {
             self.retained_total -= drop as u64;
             self.dropped += drop as u64;
         }
+    }
+
+    /// The retained record at `index`: `None` below the log floor or past
+    /// the end.
+    pub fn record(&self, object: &Guid, index: u64) -> Option<&CommitRecord> {
+        let st = self.objects.get(object)?;
+        st.records.get(st.position(index)?)
     }
 
     /// Serialized-but-unapplied catch-up: retained commit records from
@@ -716,6 +729,24 @@ mod tests {
         store.set_cert(&obj, 1, fake_cert());
         assert_eq!(store.get(&obj).unwrap().first_index, 8);
         assert_eq!(store.get(&obj).unwrap().retained_records(), 2);
+    }
+
+    #[test]
+    fn record_lookup_covers_exactly_the_retained_window() {
+        let obj = Guid::from_label("lookup");
+        let mut store = ObjectStore::new();
+        store.set_record_retention(2);
+        for i in 0..10u64 {
+            let (u, enc) = update(i as u8);
+            store.serialize_update(obj, u, enc, i, tid(i));
+            store.set_cert(&obj, i, fake_cert());
+        }
+        assert_eq!(store.get(&obj).unwrap().first_index, 8);
+        assert!(store.record(&obj, 7).is_none(), "below the floor");
+        assert_eq!(store.record(&obj, 8).map(|r| r.index), Some(8), "at the floor");
+        assert_eq!(store.record(&obj, 9).map(|r| r.index), Some(9), "last");
+        assert!(store.record(&obj, 10).is_none(), "one past the end");
+        assert!(store.record(&Guid::from_label("absent"), 0).is_none());
     }
 
     #[test]

@@ -100,31 +100,6 @@ impl DirStore {
         self.root.join(&hex[..2]).join(hex)
     }
 
-    /// Encodes logical bytes into the on-disk file format.
-    fn encode(data: &[u8]) -> Vec<u8> {
-        #[cfg(feature = "compress")]
-        {
-            crate::rle::compress(data)
-        }
-        #[cfg(not(feature = "compress"))]
-        {
-            data.to_vec()
-        }
-    }
-
-    /// Decodes an on-disk file back into logical bytes.
-    fn decode(raw: Vec<u8>) -> Result<Vec<u8>, StoreError> {
-        #[cfg(feature = "compress")]
-        {
-            crate::rle::decompress(&raw)
-                .ok_or_else(|| StoreError::Io("undecodable compressed blob".into()))
-        }
-        #[cfg(not(feature = "compress"))]
-        {
-            Ok(raw)
-        }
-    }
-
     /// First phase of a put: the temp-file write, without the rename that
     /// publishes it. Exposed so the crash-atomicity tests can model a
     /// kill between the two steps; production code always goes through
@@ -135,7 +110,7 @@ impl DirStore {
         self.tmp_seq += 1;
         let tmp = self.root.join("tmp").join(format!("{}-{}.tmp", cid.to_hex(), self.tmp_seq));
         let mut f = fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(&Self::encode(data)).map_err(io_err)?;
+        f.write_all(data).map_err(io_err)?;
         Ok((cid, tmp))
     }
 }
@@ -165,12 +140,11 @@ impl BlobStore for DirStore {
     }
 
     fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
-        let raw = match fs::read(self.blob_path(cid)) {
-            Ok(raw) => raw,
+        let data = match fs::read(self.blob_path(cid)) {
+            Ok(data) => data,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(io_err(e)),
         };
-        let data = Self::decode(raw)?;
         let got = cid_of(&data);
         if got != *cid {
             return Err(StoreError::Corrupt { want: *cid, got });
@@ -189,8 +163,6 @@ impl BlobStore for DirStore {
             Ok(meta) => {
                 fs::remove_file(&path).map_err(io_err)?;
                 self.stats.blobs = self.stats.blobs.saturating_sub(1);
-                // `meta.len()` is the on-disk (possibly compressed) size;
-                // without compression it equals the logical size.
                 self.stats.bytes = self.stats.bytes.saturating_sub(meta.len());
                 Ok(true)
             }
@@ -249,8 +221,7 @@ mod tests {
         let cid = store.put(b"honest bytes").unwrap();
         // Corrupt the stored file in place (bit rot / malicious disk).
         let path = store.blob_path(&cid);
-        let evil = DirStore::encode(b"evil bytes!!");
-        fs::write(&path, evil).unwrap();
+        fs::write(&path, b"evil bytes!!").unwrap();
         match store.get(&cid) {
             Err(StoreError::Corrupt { want, got }) => {
                 assert_eq!(want, cid);
@@ -278,16 +249,5 @@ mod tests {
         assert!(root.exists());
         drop(store);
         assert!(!root.exists());
-    }
-
-    #[cfg(feature = "compress")]
-    #[test]
-    fn compressed_files_round_trip_and_shrink_runs() {
-        let mut store = DirStore::new_ephemeral();
-        let data = vec![0x42u8; 4096];
-        let cid = store.put(&data).unwrap();
-        assert_eq!(store.get(&cid).unwrap().as_deref(), Some(data.as_slice()));
-        let on_disk = fs::metadata(store.blob_path(&cid)).unwrap().len();
-        assert!(on_disk < 128, "4 KiB run must compress, stored {on_disk} bytes");
     }
 }

@@ -40,8 +40,6 @@ pub mod dedup;
 pub mod dir;
 pub mod memory;
 pub mod remote;
-#[cfg(feature = "compress")]
-pub mod rle;
 pub mod shard;
 
 use std::fmt;
