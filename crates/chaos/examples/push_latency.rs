@@ -9,7 +9,7 @@
 //!   `ack_timeout` (3 × link latency) after the push went unacked and
 //!   resends: recovery ≈ `ack_timeout + latency` ≈ 2 × RTT.
 //! * **re-push off** — nothing retries; the root's next anti-entropy
-//!   summary to its tier parent (500 ms period) triggers the repair.
+//!   digest to its tier parent (500 ms period) triggers the repair.
 //!
 //! Run with:
 //!
@@ -54,8 +54,8 @@ fn measure(repush: bool, latency_ms: u64) -> (u64, u64, u64) {
         .expect("some label dodges primary 0");
     let dissem = dep.primaries()[disseminator_for(n, &object, 0, 0)];
     let root = dep.secondaries[0];
-    // Seed every secondary with the tentative copy so the root's
-    // summaries mention the object even before any commit reaches it.
+    // Seed every secondary with the tentative copy, as a wide-area
+    // client would.
     let clients = dep.clients.clone();
     let fanout = dep.secondaries.len();
     for c in clients {

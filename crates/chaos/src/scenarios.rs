@@ -371,10 +371,11 @@ pub fn quorum_loss(seed: u64) -> ScenarioOutcome {
 }
 
 /// One secondary turns Byzantine: it inflates its anti-entropy summaries
-/// to bait peers into pulling, then serves forged, uncertified commit
-/// records. Honest nodes must reject every forgery (certificates are
-/// verified on all ingest paths), keep converging on the genuine stream,
-/// and store nothing uncertified.
+/// (sent unasked every tick, and in answer to every digest) to bait peers
+/// into pulling, then serves forged, uncertified commit records. Honest
+/// nodes must reject every forgery (certificates are verified on all
+/// ingest paths), keep converging on the genuine stream, and store
+/// nothing uncertified.
 pub fn byzantine_secondary(seed: u64) -> ScenarioOutcome {
     let liar_idx = 5;
     let mut dep = build_deployment(&DeploymentOpts {

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 /// An object whose record-0 disseminator is not primary 0 (the tree
 /// root's anti-entropy parent): the dead link must isolate the *push*
-/// path without also cutting the root's summary path.
+/// path without also cutting the root's anti-entropy path.
 fn object_off_parent(n: usize, tag: &str) -> Guid {
     (0..)
         .map(|k| Guid::from_label(&format!("{tag}-{k}")))
@@ -79,7 +79,7 @@ fn dropped_push_recovers_via_repush_within_retry_deadlines() {
 
 /// Regression guard for the epidemic fallback: with re-push disabled the
 /// same dead link must still recover — via the root's anti-entropy
-/// summary to its tier parent — within about one anti-entropy period,
+/// exchange with its tier parent — within about one anti-entropy period,
 /// and without a single re-push resend.
 #[test]
 fn dropped_push_recovers_via_anti_entropy_with_repush_disabled() {
@@ -95,9 +95,9 @@ fn dropped_push_recovers_via_anti_entropy_with_repush_disabled() {
     let root = dep.secondaries[0];
     let clients = dep.clients.clone();
     let fanout = dep.secondaries.len();
-    // The root must know the object exists for its summary to mention it:
-    // seed every secondary with the tentative copy (Figure 5a's epidemic
-    // side channel), as a wide-area client would.
+    // Seed every secondary with the tentative copy (Figure 5a's epidemic
+    // side channel), as a wide-area client would. (Per-object summaries
+    // needed it: the root could only mention an object it knew of.)
     for c in clients {
         dep.sim.node_mut(c).as_client_mut().expect("client").set_tentative_fanout(fanout);
     }
@@ -107,8 +107,8 @@ fn dropped_push_recovers_via_anti_entropy_with_repush_disabled() {
     let rec = recovery_ms(&mut dep, &object, 5_000)
         .expect("anti-entropy never repaired the dropped push");
     // The default anti-entropy period is 500 ms; the first tick after the
-    // commit carries the root's summary to its parent, whose suffix push
-    // repairs the gap. Two periods is the tolerance.
+    // commit carries the root's digest to its parent, whose summary tells
+    // the root what to fetch. Two periods is the tolerance.
     assert!(rec > 200, "recovery at {rec} ms is too fast for the anti-entropy path");
     assert!(rec <= 1_200, "recovery took {rec} ms — more than ~two anti-entropy periods");
     assert_eq!(

@@ -28,7 +28,7 @@ use crate::messages::ReplicaMsg;
 use crate::node::OceanNode;
 use crate::primary::Primary;
 use crate::secondary::{RingView, Secondary};
-use crate::shard::ShardRouter;
+use crate::shard::{mix, ShardRouter};
 use crate::store::StoreHealth;
 
 /// Deployment parameters.
@@ -251,15 +251,6 @@ impl<N: RoleHost> Deployment<N> {
 const PEER_FULL_LIMIT: usize = 128;
 /// Sampled peer-set size above [`PEER_FULL_LIMIT`].
 const PEER_SAMPLE: usize = 16;
-
-/// splitmix64 finalizer: the peer sampler's stateless RNG.
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// The epidemic peer set of secondary `j` out of `s`: everyone else when
 /// the tier is small, otherwise a deterministic `PEER_SAMPLE`-sized sample

@@ -32,7 +32,7 @@ pub use config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, Secon
 pub use harness::{
     build_deployment, build_deployment_with, Deployment, DeploymentOpts, Ring, RoleHost,
 };
-pub use messages::{CommitRecord, ReplicaMsg, TentativeId};
+pub use messages::{frontier_digest, CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
 pub use node::OceanNode;
 pub use primary::{disseminator_for, Primary};
 pub use secondary::{RingView, Secondary};

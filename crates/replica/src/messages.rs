@@ -8,6 +8,8 @@ use oceanstore_crypto::threshold::SerializationCert;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Message, NodeId};
 
+use crate::shard::mix;
+
 /// Identity of a tentative update: (origin client, client-local counter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TentativeId {
@@ -59,6 +61,57 @@ impl CommitRecord {
     pub fn wire_size(&self) -> usize {
         Guid::WIRE_SIZE + 8 + self.update.len() + 9 + 8 + 16 + self.cert.wire_size()
     }
+}
+
+/// One object's line in an anti-entropy summary.
+#[derive(Debug, Clone)]
+pub struct SummaryEntry {
+    /// Object being summarized.
+    pub object: Guid,
+    /// Sender's next expected commit index.
+    pub committed_index: u64,
+    /// Tentative updates the sender holds.
+    pub tentative_ids: Vec<TentativeId>,
+}
+
+impl SummaryEntry {
+    /// Wire size of the entry inside a summary.
+    pub fn wire_size(&self) -> usize {
+        Guid::WIRE_SIZE + 16 + self.tentative_ids.len() * 16
+    }
+}
+
+/// An object's term in [`frontier_digest`]; an object with no commit
+/// contributes nothing. A GUID is SHA-1 output, so its low word stands
+/// for it, and `mix` is a bijection: moving the index moves the term.
+pub(crate) fn committed_term(object: &Guid, next_index: u64) -> u64 {
+    if next_index == 0 {
+        return 0;
+    }
+    mix(object.low_u64() ^ next_index.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
+/// A held tentative update's term in [`frontier_digest`].
+fn tentative_term(object: &Guid, id: &TentativeId) -> u64 {
+    let origin = mix(object.low_u64() ^ (id.client.0 as u64).wrapping_mul(0xd6e8_feb8_6659_fd93));
+    mix(origin ^ !id.counter)
+}
+
+/// The anti-entropy digest of one node's holdings: a wrapping sum of one
+/// mixed 64-bit term per `(object, next_index)` with `next_index > 0` and
+/// one per held `(object, tentative id)`, so it does not depend on
+/// iteration order and needs neither a sort nor an allocation — and a
+/// store can keep its committed half up to date as indices advance
+/// ([`crate::ObjectStore::committed_digest`]). It is not cryptographic
+/// and does not need to be: it decides only whether two nodes exchange
+/// summaries, never what either accepts.
+pub fn frontier_digest<'a>(
+    committed: impl Iterator<Item = (&'a Guid, u64)>,
+    tentative: impl Iterator<Item = (&'a Guid, &'a TentativeId)>,
+) -> u64 {
+    let committed = committed.map(|(g, next_index)| committed_term(g, next_index));
+    let tentative = tentative.map(|(g, id)| tentative_term(g, id));
+    committed.chain(tentative).fold(0, u64::wrapping_add)
 }
 
 /// Messages of the replication layer.
@@ -163,14 +216,19 @@ pub enum ReplicaMsg {
         /// The records, in index order.
         records: Vec<CommitRecord>,
     },
-    /// Periodic anti-entropy summary between secondaries.
-    AntiEntropy {
-        /// Object being summarized.
-        object: Guid,
-        /// Sender's next expected commit index.
-        committed_index: u64,
-        /// Tentative updates the sender holds.
-        tentative_ids: Vec<TentativeId>,
+    /// Periodic anti-entropy probe: the sender's [`frontier_digest`] over
+    /// everything it holds. A receiver whose own digest is equal stays
+    /// silent; any other answers with an [`ReplicaMsg::AntiEntropySummary`].
+    AntiEntropyDigest {
+        /// The sender's frontier digest.
+        digest: u64,
+    },
+    /// What the sender holds, object by object — the answer to a digest
+    /// that differed. The receiver pushes what the sender lacks and
+    /// fetches what it lacks itself.
+    AntiEntropySummary {
+        /// One entry per object, in GUID order.
+        entries: Vec<SummaryEntry>,
     },
     /// Liveness probe from a dissemination-tree child to its parent.
     Ping,
@@ -206,8 +264,9 @@ impl Message for ReplicaMsg {
             ReplicaMsg::Commits { records } => {
                 16 + records.iter().map(CommitRecord::wire_size).sum::<usize>()
             }
-            ReplicaMsg::AntiEntropy { tentative_ids, .. } => {
-                Guid::WIRE_SIZE + 16 + tentative_ids.len() * 16
+            ReplicaMsg::AntiEntropyDigest { .. } => 16,
+            ReplicaMsg::AntiEntropySummary { entries } => {
+                8 + entries.iter().map(SummaryEntry::wire_size).sum::<usize>()
             }
             ReplicaMsg::Ping | ReplicaMsg::Pong => 8,
             ReplicaMsg::Attach => 8,
@@ -227,7 +286,9 @@ impl Message for ReplicaMsg {
             ReplicaMsg::Invalidate { .. } => "replica/invalidate",
             ReplicaMsg::FetchCommits { .. } => "replica/fetch",
             ReplicaMsg::Commits { .. } => "replica/commits",
-            ReplicaMsg::AntiEntropy { .. } => "replica/antientropy",
+            ReplicaMsg::AntiEntropyDigest { .. } | ReplicaMsg::AntiEntropySummary { .. } => {
+                "replica/antientropy"
+            }
             ReplicaMsg::Ping | ReplicaMsg::Pong => "replica/heartbeat",
             ReplicaMsg::Attach | ReplicaMsg::AttachOk { .. } => "replica/attach",
         }

@@ -108,9 +108,8 @@ impl Protocol for OceanNode {
                     p.on_fetch(ctx, from, object, from_index);
                 }
                 ReplicaMsg::Commits { records } => p.on_commits(ctx, records),
-                ReplicaMsg::AntiEntropy { object, committed_index, .. } => {
-                    p.on_anti_entropy(ctx, from, object, committed_index);
-                }
+                ReplicaMsg::AntiEntropyDigest { digest } => p.on_digest(ctx, from, digest),
+                ReplicaMsg::AntiEntropySummary { entries } => p.on_summary(ctx, from, entries),
                 ReplicaMsg::Ping => ctx.send(from, ReplicaMsg::Pong),
                 ReplicaMsg::Attach => p.on_attach(ctx, from),
                 _ => {}
@@ -132,9 +131,8 @@ impl Protocol for OceanNode {
                     ReplicaMsg::FetchCommits { object, from_index } => {
                         s.on_fetch(ctx, from, object, from_index);
                     }
-                    ReplicaMsg::AntiEntropy { object, committed_index, tentative_ids } => {
-                        s.on_anti_entropy(ctx, from, object, committed_index, tentative_ids);
-                    }
+                    ReplicaMsg::AntiEntropyDigest { digest } => s.on_digest(ctx, from, digest),
+                    ReplicaMsg::AntiEntropySummary { entries } => s.on_summary(ctx, from, entries),
                     ReplicaMsg::Ping => s.on_ping(ctx, from),
                     ReplicaMsg::Pong => {}
                     ReplicaMsg::Attach => s.on_attach(ctx, from),

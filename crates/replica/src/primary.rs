@@ -20,10 +20,10 @@ use oceanstore_crypto::threshold::SerializationCert;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Context, NodeId};
 use oceanstore_update::decode_update;
-use rand::seq::SliceRandom;
+use rand::Rng;
 
 use crate::config::{ChildMode, FailoverConfig, RepushConfig};
-use crate::messages::{CommitRecord, ReplicaMsg, TentativeId};
+use crate::messages::{CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
 use crate::store::ObjectStore;
 
 /// Timer tag namespace claimed by the share-retry machinery. The embedded
@@ -707,60 +707,69 @@ impl Primary {
         ctx.send(from, ReplicaMsg::AttachOk { grandparent: None });
     }
 
-    /// Tier-internal anti-entropy tick: summarize every object we hold to
-    /// one random peer primary. A peer that is ahead pushes the certified
-    /// suffix back; a peer that is behind pulls from us in turn when it
-    /// handles the summary. This is the tier's only catch-up path for a
-    /// primary whose embedded agreement replica missed commits and cannot
-    /// rejoin (crash recovery with lost state, quorum-loss islanding) —
-    /// certified records are offline-verifiable, so no agreement round is
-    /// needed to adopt them.
+    /// Tier-internal anti-entropy tick: send our store's digest to one
+    /// random peer primary. A peer that holds something else answers with its
+    /// summary, and handling that pushes the certified suffix it lacks
+    /// and pulls the one we lack. This is the tier's only catch-up path
+    /// for a primary whose embedded agreement replica missed commits and
+    /// cannot rejoin (crash recovery with lost state, quorum-loss
+    /// islanding) — certified records are offline-verifiable, so no
+    /// agreement round is needed to adopt them.
     fn on_tier_ae_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
-        let peers: Vec<NodeId> = self
-            .cfg
-            .members
-            .iter()
-            .copied()
-            .filter(|&p| p != self.cfg.members[self.index])
-            .collect();
-        if let Some(&peer) = peers[..].choose(ctx.rng()) {
-            let mut objects: Vec<Guid> = self.store.guids().copied().collect();
-            // Deterministic send order (hash-map iteration is not).
-            objects.sort();
-            for object in objects {
-                let committed_index = self.store.get(&object).map_or(0, |s| s.next_index);
-                ctx.send(
-                    peer,
-                    ReplicaMsg::AntiEntropy { object, committed_index, tentative_ids: Vec::new() },
-                );
-            }
+        let others = self.cfg.members.len() - 1;
+        if others > 0 {
+            // Uniform over the members but ourselves.
+            let k = ctx.rng().gen_range(0..others);
+            let peer = self.cfg.members[k + usize::from(k >= self.index)];
+            ctx.send(peer, ReplicaMsg::AntiEntropyDigest { digest: self.store.committed_digest() });
         }
         if let Some(interval) = self.tier_anti_entropy {
             ctx.set_timer(interval, TIMER_TIER_AE);
         }
     }
 
-    /// Handles an anti-entropy summary from a child secondary or a peer
-    /// primary: a sender behind this primary's certified frontier gets
-    /// the suffix pushed — this repairs a dropped `Commit` push on the
-    /// tier→tree edge (a record no secondary ever received cannot spread
-    /// epidemically: nobody holds it). A sender *ahead* of us is asked
-    /// for the suffix we lack, which is how a behind primary catches up
-    /// through the tier anti-entropy tick.
-    pub fn on_anti_entropy(
+    /// Handles an anti-entropy digest from a child secondary or a peer
+    /// primary: silence if it is our store's (a secondary that holds no
+    /// tentative and no other ring's object has the same), otherwise a
+    /// summary of the objects this ring owns, in GUID order.
+    pub fn on_digest(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, digest: u64) {
+        if digest == self.store.committed_digest() {
+            return;
+        }
+        let mut entries: Vec<SummaryEntry> = self
+            .store
+            .iter()
+            .filter(|(g, _)| self.owns(g))
+            .map(|(g, s)| SummaryEntry {
+                object: *g,
+                committed_index: s.next_index,
+                tentative_ids: Vec::new(),
+            })
+            .collect();
+        entries.sort_unstable_by_key(|e| e.object);
+        ctx.send(from, ReplicaMsg::AntiEntropySummary { entries });
+    }
+
+    /// Handles a summary from a peer primary (or a forging secondary's
+    /// bait), entry by entry: a sender behind this primary's certified
+    /// frontier gets the suffix pushed, a sender *ahead* of us is asked
+    /// for the suffix we lack — how a behind primary catches up through
+    /// the tier anti-entropy tick.
+    pub fn on_summary(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
-        object: Guid,
-        committed_index: u64,
+        entries: Vec<SummaryEntry>,
     ) {
-        if !self.owns(&object) {
-            return;
-        }
-        self.on_fetch(ctx, from, object, committed_index);
-        let ours = self.store.get(&object).map_or(0, |s| s.next_index);
-        if committed_index > ours {
-            ctx.send(from, ReplicaMsg::FetchCommits { object, from_index: ours });
+        for SummaryEntry { object, committed_index, .. } in entries {
+            if !self.owns(&object) {
+                continue;
+            }
+            self.on_fetch(ctx, from, object, committed_index);
+            let ours = self.store.get(&object).map_or(0, |s| s.next_index);
+            if committed_index > ours {
+                ctx.send(from, ReplicaMsg::FetchCommits { object, from_index: ours });
+            }
         }
     }
 

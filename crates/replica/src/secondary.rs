@@ -19,7 +19,7 @@ use oceanstore_update::decode_update;
 use rand::seq::SliceRandom;
 
 use crate::config::{ChildMode, SecondaryConfig, SecondaryFault};
-use crate::messages::{CommitRecord, ReplicaMsg, TentativeId};
+use crate::messages::{frontier_digest, CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
 use crate::shard::ShardRouter;
 use crate::store::ObjectStore;
 
@@ -203,62 +203,95 @@ impl Secondary {
         }
     }
 
-    fn on_anti_entropy_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
-        // One summary per known object, to one random peer — and to the
-        // tree parent, so a commit push dropped on the tier→tree edge is
-        // repaired top-down (a record no secondary ever received cannot
-        // be healed epidemically: nobody holds it).
-        let peer = (!self.cfg.peers.is_empty())
-            .then(|| *self.cfg.peers[..].choose(ctx.rng()).expect("nonempty"));
-        let targets: Vec<NodeId> = peer.into_iter().chain(self.cfg.parent).collect();
-        if !targets.is_empty() {
-            let mut objects: Vec<Guid> = self
-                .store
-                .guids()
-                .copied()
-                .chain(self.tentative.keys().copied())
-                .collect::<HashSet<_>>()
-                .into_iter()
-                .collect();
-            // Deterministic send order (hash-map iteration is not).
-            objects.sort();
-            for object in objects {
-                let mut committed_index = self.store.get(&object).map_or(0, |s| s.next_index);
-                if self.cfg.fault == SecondaryFault::ForgeOnServe {
-                    // Byzantine bait: claim commits that do not exist so
-                    // peers pull from us and receive forgeries.
-                    committed_index += 3;
-                }
-                let tentative_ids: Vec<TentativeId> = self
-                    .tentative
-                    .get(&object)
-                    .map(|m| m.keys().map(|(_, id)| *id).collect())
-                    .unwrap_or_default();
-                for &target in &targets {
-                    ctx.send(
-                        target,
-                        ReplicaMsg::AntiEntropy {
-                            object,
-                            committed_index,
-                            tentative_ids: tentative_ids.clone(),
-                        },
-                    );
-                }
+    /// Our [`frontier_digest`]: the store's running half plus one pass
+    /// over the tentative updates in flight.
+    fn digest(&self) -> u64 {
+        let tentative =
+            self.tentative.iter().flat_map(|(g, log)| log.keys().map(move |(_, id)| (g, id)));
+        self.store.committed_digest().wrapping_add(frontier_digest(std::iter::empty(), tentative))
+    }
+
+    /// Objects we hold nothing committed of, only tentative updates.
+    fn tentative_only(&self) -> impl Iterator<Item = &Guid> {
+        self.tentative.keys().filter(|g| self.store.get(g).is_none())
+    }
+
+    /// Everything we hold, object by object, in GUID order (hash-map
+    /// iteration is not deterministic, and the receiver answers entry by
+    /// entry). A Byzantine replica claims commits that do not exist so
+    /// peers pull from it and receive forgeries.
+    fn summary(&self) -> Vec<SummaryEntry> {
+        let bait = if self.cfg.fault == SecondaryFault::ForgeOnServe { 3 } else { 0 };
+        let entry = |object: &Guid, next_index: u64| SummaryEntry {
+            object: *object,
+            committed_index: next_index + bait,
+            tentative_ids: self
+                .tentative
+                .get(object)
+                .map(|log| log.keys().map(|(_, id)| *id).collect())
+                .unwrap_or_default(),
+        };
+        let mut entries: Vec<SummaryEntry> = self
+            .store
+            .iter()
+            .map(|(g, s)| entry(g, s.next_index))
+            .chain(self.tentative_only().map(|g| entry(g, 0)))
+            .collect();
+        entries.sort_unstable_by_key(|e| e.object);
+        entries
+    }
+
+    /// The primary at the parent's seat in every ring but the parent's
+    /// own, when the parent is a primary: a primary answers only for the
+    /// objects its ring owns, so the tree root asks one member of each
+    /// ring or a lost push from any ring but the parent's is never
+    /// repaired.
+    fn parent_seat_in_other_rings(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let parent = self.cfg.parent;
+        let seat = parent.and_then(|p| {
+            self.rings.iter().find_map(|r| r.members.iter().position(|&m| m == p))
+        });
+        let same_seat = self.rings.iter().filter_map(move |r| r.members.get(seat?).copied());
+        same_seat.filter(move |&m| Some(m) != parent)
+    }
+
+    /// Opens this tick's exchanges: our digest to one random peer — and to
+    /// the tree parent, so a commit push dropped on the tier→tree edge is
+    /// repaired top-down (a record no secondary ever received cannot be
+    /// healed epidemically: nobody holds it). Whoever holds something
+    /// else answers with its summary. A secondary that holds nothing —
+    /// digest 0 — stays silent, as it always did: a tier nobody has
+    /// written to has no background traffic, and what an empty secondary
+    /// lacks reaches it by the tree, or by a peer's digest, which its
+    /// empty summary answers.
+    fn send_digest(&self, ctx: &mut Context<'_, ReplicaMsg>, peer: Option<NodeId>) {
+        let targets =
+            peer.into_iter().chain(self.cfg.parent).chain(self.parent_seat_in_other_rings());
+        if self.cfg.fault == SecondaryFault::ForgeOnServe {
+            // Byzantine bait needs no invitation.
+            let entries = self.summary();
+            ctx.broadcast(targets, ReplicaMsg::AntiEntropySummary { entries });
+            return;
+        }
+        let digest = self.digest();
+        if digest != 0 {
+            for target in targets {
+                ctx.send(target, ReplicaMsg::AntiEntropyDigest { digest });
             }
         }
+    }
+
+    fn on_anti_entropy_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
+        let peer = self.cfg.peers[..].choose(ctx.rng()).copied();
+        self.send_digest(ctx, peer);
         // Re-pull anything stale — from the parent while it answers, from a
         // random live peer once too many pulls have gone unanswered, with
         // backoff so a long outage doesn't turn into a fetch storm.
         let mut stale: Vec<(Guid, u64)> = self
             .store
-            .guids()
-            .copied()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .filter_map(|g| {
-                let s = self.store.get(&g).expect("just listed");
-                (s.known_index > s.next_index).then_some((g, s.next_index))
-            })
+            .iter()
+            .filter(|(_, s)| s.is_stale())
+            .map(|(g, s)| (*g, s.next_index))
             .collect();
         stale.sort();
         if !stale.is_empty() {
@@ -390,11 +423,8 @@ impl Secondary {
         self.reparented += 1;
         // Catch up through the new parent immediately: everything we hold
         // is suspect after an outage, so pull from our committed frontier.
-        let mut objects: Vec<(Guid, u64)> = self
-            .store
-            .guids()
-            .map(|g| (*g, self.store.get(g).expect("just listed").next_index))
-            .collect();
+        let mut objects: Vec<(Guid, u64)> =
+            self.store.iter().map(|(g, s)| (*g, s.next_index)).collect();
         // Deterministic send order (hash-map iteration is not): on a
         // lossy link the drop verdict goes by a message's position.
         objects.sort();
@@ -512,6 +542,9 @@ impl Secondary {
         // Reconcile the optimistic path: this update is now final.
         if let Some(pending) = self.tentative.get_mut(&record.object) {
             pending.retain(|(_, id), _| *id != record.id);
+            if pending.is_empty() {
+                self.tentative.remove(&record.object);
+            }
         }
         // Stream onward per child mode.
         for &(child, mode) in &self.cfg.children {
@@ -616,18 +649,50 @@ impl Secondary {
         }
     }
 
-    /// Handles a peer's anti-entropy summary.
-    pub fn on_anti_entropy(
+    /// Handles an anti-entropy digest: silence if we hold the same,
+    /// otherwise our summary, for the sender to act on.
+    pub fn on_digest(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, digest: u64) {
+        if digest != self.digest() || self.cfg.fault == SecondaryFault::ForgeOnServe {
+            ctx.send(from, ReplicaMsg::AntiEntropySummary { entries: self.summary() });
+        }
+    }
+
+    /// Handles a summary: entry by entry, then — a secondary lists all it
+    /// holds, a primary only what its ring owns — everything we hold that
+    /// a secondary did not list, as if listed at index 0.
+    pub fn on_summary(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        from: NodeId,
+        entries: Vec<SummaryEntry>,
+    ) {
+        let mut unlisted: Vec<Guid> = Vec::new();
+        if !self.rings.iter().any(|r| r.members.contains(&from)) {
+            let listed: HashSet<Guid> = entries.iter().map(|e| e.object).collect();
+            let held = self.store.guids().chain(self.tentative_only());
+            unlisted.extend(held.filter(|g| !listed.contains(g)));
+            unlisted.sort_unstable();
+        }
+        for e in entries {
+            self.on_anti_entropy(ctx, from, e.object, e.committed_index, &e.tentative_ids);
+        }
+        for object in unlisted {
+            self.on_anti_entropy(ctx, from, object, 0, &[]);
+        }
+    }
+
+    /// One object of a peer's summary: send the tentatives and push the
+    /// commits the peer lacks, fetch the commits we lack.
+    fn on_anti_entropy(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
         object: Guid,
         committed_index: u64,
-        tentative_ids: Vec<TentativeId>,
+        tentative_ids: &[TentativeId],
     ) {
-        // Send tentatives the peer lacks.
-        let their: HashSet<TentativeId> = tentative_ids.into_iter().collect();
-        if let Some(ours) = self.tentative.get(&object) {
+        if let Some(ours) = self.tentative.get(&object).filter(|ours| !ours.is_empty()) {
+            let their: HashSet<&TentativeId> = tentative_ids.iter().collect();
             for ((timestamp, id), update) in ours {
                 if !their.contains(id) {
                     ctx.send(

@@ -13,7 +13,9 @@ use oceanstore_naming::guid::Guid;
 /// Finalizing mix of splitmix64. GUIDs are already SHA-1 output, but the
 /// low 64 bits feed other modular decisions (disseminator choice is
 /// `guid.low_u64() % n`); mixing decorrelates the ring choice from those.
-fn mix(mut x: u64) -> u64 {
+/// Also the peer sampler's stateless RNG and the anti-entropy digest's
+/// per-term hash.
+pub(crate) fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;

@@ -29,7 +29,7 @@ use oceanstore_update::object::{Block, DataObject};
 use oceanstore_update::update::{apply_owned, Outcome};
 use oceanstore_update::{decode_update, Update};
 
-use crate::messages::CommitRecord;
+use crate::messages::{committed_term, CommitRecord};
 
 /// Commit records retained *below* the certified frontier. Matches the
 /// consensus admission window (PR 6), so a peer the agreement protocol
@@ -129,6 +129,9 @@ pub struct ObjectStore {
     blobs: DedupStore,
     /// Records kept below the certified frontier.
     retention: u64,
+    /// [`crate::frontier_digest`] of every object's `next_index` (kept
+    /// incrementally).
+    committed_digest: u64,
     /// Σ `records.len()` across objects (kept incrementally).
     retained_total: u64,
     peak_retained: u64,
@@ -157,6 +160,7 @@ impl ObjectStore {
             objects: HashMap::new(),
             blobs: DedupStore::new(backend),
             retention: RECORD_RETENTION,
+            committed_digest: 0,
             retained_total: 0,
             peak_retained: 0,
             total_applied: 0,
@@ -197,6 +201,19 @@ impl ObjectStore {
     /// All object GUIDs present.
     pub fn guids(&self) -> impl Iterator<Item = &Guid> {
         self.objects.keys()
+    }
+
+    /// Every object present with its state, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Guid, &ObjectState)> {
+        self.objects.iter()
+    }
+
+    /// [`crate::frontier_digest`] over every object's `next_index`, with
+    /// no tentatives: what an anti-entropy digest says of this store.
+    /// [`ObjectStore::apply_record`] and [`ObjectStore::serialize_update`]
+    /// keep it in step as they move an index.
+    pub fn committed_digest(&self) -> u64 {
+        self.committed_digest
     }
 
     /// Number of objects stored.
@@ -257,7 +274,7 @@ impl ObjectStore {
             "deterministic replay must match the tier's outcome"
         );
         st.records.push(record.clone());
-        st.next_index += 1;
+        advance(&mut self.committed_digest, &record.object, st);
         self.retained_total += 1;
         self.total_applied += 1;
         self.peak_retained = self.peak_retained.max(self.retained_total);
@@ -356,7 +373,7 @@ impl ObjectStore {
             cert: Default::default(),
         };
         st.records.push(record.clone());
-        st.next_index += 1;
+        advance(&mut self.committed_digest, &record.object, st);
         st.known_index = st.known_index.max(st.next_index);
         self.retained_total += 1;
         self.total_applied += 1;
@@ -395,6 +412,15 @@ impl ObjectStore {
         }
         Some(out)
     }
+}
+
+/// Moves `object`'s state one index on and swaps its old term in the
+/// store's digest for its new one.
+fn advance(committed_digest: &mut u64, object: &Guid, st: &mut ObjectState) {
+    *committed_digest = committed_digest
+        .wrapping_sub(committed_term(object, st.next_index))
+        .wrapping_add(committed_term(object, st.next_index + 1));
+    st.next_index += 1;
 }
 
 /// Mirrors the current version's data blocks into the blob store:

@@ -7,7 +7,8 @@
 //! count agree on every assignment — a reconfiguration that preserves the
 //! ring count moves no objects), and *balanced* (no ring becomes a
 //! hotspot by construction). The secondaries route by it too: the last
-//! test checks that they ack a push to the ring that owns the object.
+//! two tests check that they ack a push to the ring that owns the object
+//! and ask that ring to repair one that was lost.
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, DeploymentOpts, ShardRouter};
@@ -130,5 +131,44 @@ fn every_ring_gets_its_pushes_acked() {
         }
         let resends: u64 = ring.primaries.iter().map(|&p| dep.primary(p).repush_resend_count()).sum();
         assert_eq!(resends, 0, "ring {r} re-pushed records the root already held");
+    }
+}
+
+/// A push lost on the tier→tree edge is repaired whichever ring it came
+/// from. With the root's anti-entropy going to its parent only — a ring-0
+/// primary, which answers for ring 0's objects alone — a ring-1 record
+/// that missed the root was never repaired: nobody below the root holds
+/// it either.
+#[test]
+fn lost_push_is_repaired_for_every_ring() {
+    const RINGS: usize = 2;
+    for lossy in 0..RINGS {
+        let mut dep = build_deployment(&DeploymentOpts {
+            rings: RINGS,
+            repush: false,
+            seed: 23,
+            ..DeploymentOpts::default()
+        });
+        let object = (0..)
+            .map(|i| Guid::from_label(&format!("lost-push-{i}")))
+            .find(|g| dep.ring_of(g) == lossy)
+            .expect("some label routes to each ring");
+        let root = dep.secondaries[0];
+        let links = dep.rings[lossy].primaries.clone();
+        for &p in &links {
+            dep.sim.set_link_drop(p, root, 1.0);
+        }
+        let append = Update::unconditional(vec![Action::Append { ciphertext: vec![7; 8] }]);
+        dep.submit(dep.clients[0], object, &append);
+        dep.sim.run_for(SimDuration::from_millis(400));
+        assert_eq!(dep.frontier(&object), 1, "ring {lossy} committed its append");
+        for &p in &links {
+            dep.sim.set_link_drop(p, root, 0.0);
+        }
+        dep.sim.run_for(SimDuration::from_secs(20));
+        for &s in &dep.secondaries {
+            let held = dep.secondary(s).store.get(&object).map_or(0, |st| st.next_index);
+            assert_eq!(held, 1, "ring {lossy}'s record never reached secondary {s:?}");
+        }
     }
 }
