@@ -180,12 +180,12 @@ fn ring_outage_fingerprint_pinned() {
     let (_, fp) = run_ring_outage(1);
     assert_eq!(
         fp,
-        "now=30000000 msgs=8997 bytes=249060 drop[NodeDown]=16 drop[Partition]=0 \
+        "now=30000000 msgs=6879 bytes=132506 drop[NodeDown]=32 drop[Partition]=0 \
          drop[Random]=0 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=96/10368 \
          pbft/prepare=72/7776 pbft/preprepare=24/2592 pbft/reply=32/3456 \
-         pbft/request=44/5412 replica/antientropy=4256/157024 \
+         pbft/request=44/5412 replica/antientropy=2136/40336 \
          replica/certformed=40/5920 replica/commit=56/10976 \
          replica/commitack=32/896 replica/heartbeat=4193/33544 \
-         replica/resultshare=24/2520 replica/tentative=128/8576"
+         replica/resultshare=24/2520 replica/tentative=130/8710"
     );
 }
