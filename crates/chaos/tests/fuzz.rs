@@ -93,7 +93,8 @@ fn fuzz_runs_are_deterministic() {
 
 /// Pins the exact network fingerprint of four representative seeds, as
 /// captured before the PR-4 engine overhaul (`Arc` multicast payloads,
-/// hierarchical timer wheel, pooled action buffers) and deliberately
+/// pooled action buffers, and a hierarchical timer wheel that PR 22
+/// replaced by a binary heap without moving them) and deliberately
 /// re-frozen twice since. First when drop decisions moved to
 /// counter-mode per-link hashing (DESIGN.md §11): the drop-active seeds
 /// (7, 13, 42) flipped different coins — at statistically unchanged

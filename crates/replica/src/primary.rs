@@ -112,9 +112,6 @@ pub struct Primary {
     drained: u64,
     /// Certificate assembly: (object, index) → (record, cert so far).
     assembling: HashMap<(Guid, u64), (CommitRecord, SerializationCert)>,
-    /// Records whose certificate exists (assembled here or observed via
-    /// `CertFormed`), so late shares don't trigger a second dissemination.
-    disseminated: std::collections::HashSet<(Guid, u64)>,
     /// Disseminator-failover knobs.
     failover: FailoverConfig,
     /// Shares we signed that still lack a certificate, keyed by record.
@@ -181,7 +178,6 @@ impl Primary {
             children,
             drained: 0,
             assembling: HashMap::new(),
-            disseminated: Default::default(),
             failover,
             pending: HashMap::new(),
             retry_tokens: HashMap::new(),
@@ -332,7 +328,6 @@ impl Primary {
                     self.cfg.m + 1,
                 ) {
                     self.store.set_cert(&object, record.index, cert);
-                    self.disseminated.insert(key);
                     // Same observer watchdog as `on_cert_formed` — the
                     // cert beat our own execution here, so the arming
                     // there never ran.
@@ -356,7 +351,7 @@ impl Primary {
             };
             // Arm the failover deadline before routing: if no certificate
             // materializes, the share walks the fallback rotation.
-            if self.failover.enabled && !self.disseminated.contains(&key) {
+            if self.failover.enabled {
                 let token = self.next_token;
                 self.next_token += 1;
                 self.pending.insert(key, PendingShare { sig, attempt: 0, token });
@@ -564,7 +559,6 @@ impl Primary {
                     return; // forged or partial certificate
                 }
                 self.store.set_cert(&object, index, cert);
-                self.disseminated.insert(key);
                 self.assembling.remove(&key);
                 self.clear_pending(&key);
                 // Observer watchdog: the disseminator pushed this record
@@ -627,18 +621,16 @@ impl Primary {
         replica: usize,
         sig: Signature,
     ) {
-        if self.disseminated.contains(&(object, index)) {
-            // The cert already exists; a share arriving now is a signer
-            // (possibly a crash-recovered straggler) that never saw it —
-            // answer with the certificate so its retry loop stops.
+        // Every caller found the record in the store before coming here.
+        let Some(record) = self.store.record(&object, index) else { return };
+        if !record.cert.is_empty() {
+            // The cert already exists, so a late share must not trigger a
+            // second dissemination; it is a signer (possibly a
+            // crash-recovered straggler) that never saw the cert — answer
+            // with it so its retry loop stops.
             if replica != self.index {
-                let record = self.store.record(&object, index).filter(|r| !r.cert.is_empty());
-                if let Some(cert) = record.map(|r| r.cert.clone()) {
-                    ctx.send(
-                        self.cfg.members[replica],
-                        ReplicaMsg::CertFormed { object, index, cert },
-                    );
-                }
+                let cert = record.cert.clone();
+                ctx.send(self.cfg.members[replica], ReplicaMsg::CertFormed { object, index, cert });
             }
             return;
         }
@@ -649,7 +641,6 @@ impl Primary {
         let entry = match self.assembling.entry((object, index)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
-                let Some(record) = self.store.record(&object, index) else { return };
                 let mut cert = SerializationCert::new();
                 cert.add(self.keypair.public(), self.keypair.sign(&record.signing_bytes()));
                 v.insert((record.clone(), cert))
@@ -664,7 +655,6 @@ impl Primary {
             record.cert = cert.clone();
             // Persist the cert so fetch responses serve verifiable records.
             self.store.set_cert(&object, index, cert.clone());
-            self.disseminated.insert((object, index));
             self.clear_pending(&(object, index));
             // Tell the rest of the tier: signers stop their failover
             // retries, and every member becomes able to serve the
@@ -798,7 +788,6 @@ impl Primary {
             ctx.count("tier-ae/adopt");
             // The record arrived certified: the share/assembly machinery
             // for it (if any was armed) is moot.
-            self.disseminated.insert(key);
             self.assembling.remove(&key);
             self.early_certs.remove(&key);
             self.clear_pending(&key);

@@ -578,7 +578,6 @@ impl Secondary {
                 );
             }
         }
-        let _ = ctx;
     }
 
     /// A forged, uncertified record a Byzantine replica serves in place of

@@ -1,11 +1,12 @@
 //! The window commit: a loser-tree merge of the per-domain dispatch records
 //! that replays every emission in global order and hands out the real seqs.
 
+use std::cmp::Reverse;
+
 use super::window::{DeliveryBody, DispatchRecord, Emission, PROVISIONAL};
 use super::{Protocol, Simulator};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
-use crate::wheel::TimerEntry;
 
 /// Reusable state of one commit: per-domain record cursors, the loser tree
 /// and its external keys, and the provisional→real seq tables.
@@ -160,12 +161,7 @@ impl<P: Protocol> Simulator<P> {
                         part.domains[td].push_with_seq(at, seq, DeliveryBody { from, to, msg: body });
                     }
                     Emission::ArmTimer { at, tag } => {
-                        part.domains[d].wheel.insert(TimerEntry {
-                            at,
-                            seq,
-                            node: r.node as usize,
-                            tag,
-                        });
+                        part.domains[d].timers.push(Reverse((at, seq, r.node as usize, tag)));
                     }
                 }
             }

@@ -14,7 +14,7 @@
 //! # One execution path
 //!
 //! Every handler runs inside a *window* on a *domain* (a contiguous block
-//! of nodes with its own delivery queue and timer wheel): the domain
+//! of nodes with its own delivery queue and timer heap): the domain
 //! executes its events in `(at, seq)` order up to the window's end key,
 //! logs what they emit, and a commit replays the logs in global dispatch
 //! order to hand out the real seqs. With one domain — the default —
@@ -29,7 +29,7 @@
 //!
 //! # Hot-path structure
 //!
-//! Four things keep the event loop cheap without changing its observable
+//! Three things keep the event loop cheap without changing its observable
 //! order (a single global `(at, seq)` sequence, `seq` assigned in emission
 //! order):
 //!
@@ -38,10 +38,6 @@
 //!   [`Protocol::on_message_ref`] (the last one gets it by value for free),
 //!   and its byte accounting is folded into one
 //!   [`NetStats::record_multicast`] batch instead of n counter updates.
-//! * **Timer wheel** — timers live in a hierarchical wheel
-//!   ([`crate::wheel`]) instead of the delivery heap; a domain pops the
-//!   `(at, seq)` minimum across both structures, which is exactly the order
-//!   a single heap would produce.
 //! * **Key-slab delivery queue** — the heap sifts compact 24-byte
 //!   `(at, seq, slab)` keys while the fat delivery bodies (sender,
 //!   destination, payload) sit still in a slab with a free list, so every
@@ -49,6 +45,11 @@
 //! * **Pooled action buffers** — every callback writes into one reusable
 //!   `Vec<Action>` owned by its domain rather than a fresh allocation per
 //!   dispatch.
+//!
+//! Timers get no structure of their own kind: a domain's armed timers are a
+//! second `BinaryHeap`, of `(at, seq, node, tag)` — four words, so no slab —
+//! and the domain pops the `(at, seq)` minimum of the two heads, which is
+//! exactly the order a single heap would produce.
 
 mod commit;
 #[cfg(test)]
@@ -282,8 +283,8 @@ struct Partition<M> {
 }
 
 impl<M> Partition<M> {
-    /// An empty `count`-way partition of `n` nodes whose wheels start at
-    /// `now` µs.
+    /// An empty `count`-way partition of `n` nodes whose domain clocks
+    /// start at `now` µs.
     fn new(n: usize, count: usize, now: u64) -> Self {
         let mut domains = Vec::new();
         let mut base = 0;
@@ -301,9 +302,9 @@ impl<M> Partition<M> {
 
     /// The globally next event: minimum `(at, seq)` over every domain's
     /// head, with the domain that holds it.
-    fn earliest(&mut self) -> Option<(u64, u64, usize)> {
+    fn earliest(&self) -> Option<(u64, u64, usize)> {
         self.domains
-            .iter_mut()
+            .iter()
             .enumerate()
             .filter_map(|(d, dom)| dom.peek_next().map(|(at, seq, _)| (at, seq, d)))
             .min()
@@ -530,8 +531,7 @@ impl<P: Protocol> Simulator<P> {
     ///
     /// Note that flipping a node back up this way does **not** re-run
     /// [`Protocol::on_start`], so periodic timers stay dead — use
-    /// [`Simulator::recover_node`] for a crash-recovery that restarts the
-    /// protocol's timer wheels.
+    /// [`Simulator::recover_node`] for a crash-recovery that re-arms them.
     pub fn set_down(&mut self, node: NodeId, down: bool) {
         self.net.down[node.0] = down;
     }
@@ -747,12 +747,7 @@ impl<P: Protocol> Simulator<P> {
         if let Some(s) = epoch_start {
             self.coverage.epoch_nanos += s.elapsed().as_nanos() as u64;
         }
-        if self.clock < until {
-            self.clock = until;
-            for dom in &mut self.part.domains {
-                dom.wheel.advance(bound);
-            }
-        }
+        self.clock = self.clock.max(until);
     }
 
     /// Runs for a span of simulated time from the current clock.
@@ -798,8 +793,9 @@ impl<P: Protocol> Simulator<P> {
                     dom.slab[slot as usize].take().expect("queued key points at a parked body");
                 next.domains[next.of_node[body.to.0] as usize].push_with_seq(at, seq, body);
             }
-            for e in dom.wheel.drain_sorted() {
-                next.domains[next.of_node[e.node] as usize].wheel.insert(e);
+            for timer in dom.timers.drain() {
+                let Reverse((_, _, node, _)) = timer;
+                next.domains[next.of_node[node] as usize].timers.push(timer);
             }
             // Drop counters live with the *sender*: every attempt on a
             // directed link happens while its source node dispatches.

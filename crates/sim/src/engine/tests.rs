@@ -248,9 +248,9 @@ fn timers_fire_in_order() {
 }
 
 #[test]
-fn far_future_timers_survive_the_wheel_horizon() {
-    // A timer past the wheel's in-range horizon (~16.7 s) lands in the
-    // overflow heap and still fires in order with near-term timers.
+fn far_future_timers_fire_in_order_with_near_ones() {
+    // Timers 20 and 60 simulated seconds out fire, in order, after a
+    // near-term one armed between them.
     #[derive(Debug, Default)]
     struct T {
         fired: Vec<(u64, u64)>,
@@ -282,6 +282,77 @@ fn far_future_timers_survive_the_wheel_horizon() {
         sim.node(NodeId(0)).fired,
         vec![(1_000, 1), (20_000_000, 20), (60_000_000, 60)]
     );
+}
+
+#[test]
+fn same_instant_timers_and_deliveries_fire_in_arming_order() {
+    // Four handlers each put one event on node 0 at t = 30 ms: two timers,
+    // a delivery, a third timer. They fire in the order they were armed or
+    // sent (one seq counter for both kinds) — also when `set_threads(2)`
+    // moves the parked timers to new domains at t = 15 ms.
+    #[derive(Debug, Default)]
+    struct T {
+        log: Vec<(u64, &'static str, u64)>,
+    }
+    #[derive(Debug, Clone)]
+    struct Note(u64);
+    impl Message for Note {
+        fn wire_size(&self) -> usize {
+            8
+        }
+    }
+    impl Protocol for T {
+        type Msg = Note;
+        fn on_start(&mut self, ctx: &mut Context<'_, Note>) {
+            if ctx.node() == NodeId(0) {
+                ctx.set_timer(SimDuration::from_millis(10), 1);
+                ctx.set_timer(SimDuration::from_millis(25), 4);
+            } else {
+                ctx.send(NodeId(0), Note(2));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Note>, _: NodeId, msg: Note) {
+            self.log.push((ctx.now().as_millis(), "msg", msg.0));
+            match msg.0 {
+                2 => ctx.set_timer(SimDuration::from_millis(20), 12),
+                3 => ctx.send(NodeId(0), Note(13)),
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Note>, tag: u64) {
+            self.log.push((ctx.now().as_millis(), "timer", tag));
+            match tag {
+                1 => {
+                    ctx.set_timer(SimDuration::from_millis(20), 11);
+                    ctx.send(NodeId(1), Note(3));
+                }
+                4 => ctx.set_timer(SimDuration::from_millis(5), 14),
+                _ => {}
+            }
+        }
+    }
+    let run = |threads_at_15ms: usize| {
+        let topo = crate::topology::Topology::full_mesh(2, SimDuration::from_millis(10));
+        let mut sim = Simulator::new(topo, vec![T::default(), T::default()], 0);
+        sim.start();
+        sim.run_for(SimDuration::from_millis(15));
+        assert_eq!(sim.pending_events(), 4, "timers 11, 12 and 4 parked, Note(3) in flight");
+        sim.set_threads(threads_at_15ms);
+        sim.run_for(SimDuration::from_millis(15));
+        assert_eq!(sim.pending_events(), 0);
+        sim.node(NodeId(0)).log.clone()
+    };
+    let expected = vec![
+        (10, "timer", 1),
+        (10, "msg", 2),
+        (25, "timer", 4),
+        (30, "timer", 11),
+        (30, "timer", 12),
+        (30, "msg", 13),
+        (30, "timer", 14),
+    ];
+    assert_eq!(run(1), expected);
+    assert_eq!(run(2), expected);
 }
 
 #[test]
@@ -634,6 +705,17 @@ fn parallel_gossip_is_bit_identical_across_thread_counts() {
     for threads in [2, 3, 8] {
         assert_eq!(run(threads), sequential, "threads={threads} diverged");
     }
+    // Re-partitioning mid-run carries every parked timer and delivery to
+    // its new domain under its old key.
+    let mut sim = gossip_sim(24, 42);
+    sim.start();
+    for threads in [2, 8, 3, 1] {
+        sim.run_for(SimDuration::from_millis(12));
+        assert!(sim.pending_events() > 24, "timers and deliveries are parked");
+        sim.set_threads(threads);
+    }
+    sim.run_until(SimTime::ZERO + SimDuration::from_millis(500));
+    assert_eq!(gossip_fingerprint(&sim), sequential);
 }
 
 #[test]

@@ -11,13 +11,17 @@ use super::{Action, Context, Message, Network, Payload, Protocol, Simulator};
 use crate::stats::{DropCause, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
-use crate::wheel::{TimerEntry, TimerWheel};
 
 /// Heap key of one pending delivery: `(at µs, seq, slab index)`. Wrapped in
 /// [`Reverse`] so the `BinaryHeap` max-heap pops the earliest `(at, seq)`
 /// first, ties broken by insertion order for determinism. Seqs are unique,
 /// so the slab index never participates in an ordering decision.
 type DeliveryKey = Reverse<(u64, u64, u32)>;
+
+/// One armed timer: `(at µs, seq, node, tag)`, ordered like a
+/// [`DeliveryKey`]. Timers share the engine's seq counter with deliveries,
+/// so `node` and `tag` never participate in an ordering decision either.
+type TimerKey = Reverse<(u64, u64, usize, u64)>;
 
 /// The fat part of a pending delivery, parked in the delivery slab while
 /// its compact [`DeliveryKey`] sifts through the heap.
@@ -113,8 +117,8 @@ pub(super) enum Emission<M> {
     /// window end): enqueued into the target domain at commit with its real
     /// seq.
     Park { to: NodeId, at: u64, body: Payload<M> },
-    /// A timer keyed past the window end: inserted into this domain's wheel
-    /// at commit with its real seq.
+    /// A timer keyed past the window end: armed in this domain at commit
+    /// with its real seq.
     ArmTimer { at: u64, tag: u64 },
 }
 
@@ -132,7 +136,7 @@ pub(super) struct DispatchRecord {
 }
 
 /// One spatial domain of the scheduler: a contiguous node block with its
-/// own delivery queue, slab, and timer wheel, plus the per-window logs the
+/// own delivery queue, slab, and timer heap, plus the per-window logs the
 /// commit consumes.
 pub(super) struct Domain<M> {
     /// First node id in this domain's contiguous block.
@@ -145,7 +149,8 @@ pub(super) struct Domain<M> {
     pub(super) slab: Vec<Option<DeliveryBody<M>>>,
     /// Free slots in `slab`, reused LIFO for cache locality.
     pub(super) free: Vec<u32>,
-    pub(super) wheel: TimerWheel,
+    /// Armed timers of this domain's nodes.
+    pub(super) timers: BinaryHeap<TimerKey>,
     /// Dispatches with emissions, in domain execution order.
     pub(super) records: Vec<DispatchRecord>,
     /// Flat emission log; records hold ranges into it.
@@ -166,15 +171,13 @@ pub(super) struct Domain<M> {
 
 impl<M> Domain<M> {
     pub(super) fn new(base: usize, end: usize, now: u64) -> Self {
-        let mut wheel = TimerWheel::new();
-        wheel.advance(now);
         Domain {
             base,
             end,
             queue: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            wheel,
+            timers: BinaryHeap::new(),
             records: Vec::new(),
             emissions: Vec::new(),
             link_ctrs: HashMap::new(),
@@ -205,15 +208,16 @@ impl<M> Domain<M> {
     }
 
     pub(super) fn pending(&self) -> usize {
-        self.queue.len() + self.wheel.len()
+        self.queue.len() + self.timers.len()
     }
 
     /// The next-event decision: the `(at, seq)` minimum across the delivery
-    /// queue and the timer wheel. Seqs are unique across both sources, so
+    /// queue and the timer heap. Seqs are unique across both sources, so
     /// the two never tie. Returns `(at, seq, take_timer)`.
-    pub(super) fn peek_next(&mut self) -> Option<(u64, u64, bool)> {
+    pub(super) fn peek_next(&self) -> Option<(u64, u64, bool)> {
         let msg = self.queue.peek().map(|&Reverse((at, seq, _))| (at, seq));
-        match (msg, self.wheel.peek()) {
+        let timer = self.timers.peek().map(|&Reverse((at, seq, ..))| (at, seq));
+        match (msg, timer) {
             (None, None) => None,
             (Some((at, seq)), None) => Some((at, seq, false)),
             (Some(m), Some(t)) if m < t => Some((m.0, m.1, false)),
@@ -376,20 +380,15 @@ pub(super) fn run_domain_window<P: Protocol>(job: &mut Job<'_, P>, env: &WindowE
         job.dom.now = at;
         job.dom.events_processed += 1;
         if take_timer {
-            let entry = job.dom.wheel.pop_earliest().expect("peeked");
-            if !env.net.down[entry.node] {
-                dispatch_window(job, env, (at, seq), NodeId(entry.node), |p, ctx| {
-                    p.on_timer(ctx, entry.tag)
-                });
+            let Reverse((_, _, node, tag)) = job.dom.timers.pop().expect("peeked");
+            if !env.net.down[node] {
+                dispatch_window(job, env, (at, seq), NodeId(node), |p, ctx| p.on_timer(ctx, tag));
             }
         } else {
             let Reverse((_, _, slot)) = job.dom.queue.pop().expect("peeked");
             let DeliveryBody { from, to, msg } =
                 job.dom.slab[slot as usize].take().expect("queued key points at a parked body");
             job.dom.free.push(slot);
-            // Timers armed by this delivery's handler must be placeable
-            // relative to the new local time.
-            job.dom.wheel.advance(at);
             if env.net.down[to.0] {
                 job.stats.record_drop(DropCause::NodeDown);
                 continue;
@@ -452,7 +451,7 @@ pub(super) fn dispatch_window<P: Protocol, R>(
             Action::Timer { delay, tag } => {
                 let at = (now + delay).as_micros();
                 match dom.claim_in_window(env, at) {
-                    Some(seq) => dom.wheel.insert(TimerEntry { at, seq, node: node.0, tag }),
+                    Some(seq) => dom.timers.push(Reverse((at, seq, node.0, tag))),
                     None => dom.emissions.push(Emission::ArmTimer { at, tag }),
                 }
             }

@@ -55,7 +55,6 @@ pub mod engine;
 pub mod stats;
 pub mod time;
 pub mod topology;
-mod wheel;
 
 pub use cluster::ClusterSpec;
 pub use engine::{Context, Message, ParCoverage, Protocol, Simulator};

@@ -17,8 +17,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
 use rand::Rng;
 
 use crate::time::SimDuration;
@@ -68,8 +68,8 @@ impl Clone for Topology {
             adj: self.adj.clone(),
             uniform: self.uniform,
             positions: self.positions.clone(),
-            dist_cache: Mutex::new(self.dist_cache.lock().clone()),
-            hop_cache: Mutex::new(self.hop_cache.lock().clone()),
+            dist_cache: Mutex::new(self.dist_cache.lock().expect("cache lock poisoned").clone()),
+            hop_cache: Mutex::new(self.hop_cache.lock().expect("cache lock poisoned").clone()),
             dijkstra_runs: AtomicU64::new(self.dijkstra_runs.load(Ordering::Relaxed)),
             bfs_runs: AtomicU64::new(self.bfs_runs.load(Ordering::Relaxed)),
         }
@@ -267,26 +267,12 @@ impl Topology {
         if let Some(lat) = self.uniform {
             return (u.0 < self.adj.len() && v.0 < self.adj.len()).then_some(lat);
         }
-        let mut cache = self.dist_cache.lock();
+        let mut cache = self.dist_cache.lock().expect("cache lock poisoned");
         if cache[u.0].is_none() {
             cache[u.0] = Some(self.dijkstra(u));
         }
         let d = cache[u.0].as_ref().expect("just filled")[v.0];
         (d != u64::MAX).then(|| SimDuration::from_micros(d))
-    }
-
-    /// Runs the Dijkstra sweep for every source now, so later
-    /// [`Topology::dist`] calls — and calls on clones of this topology —
-    /// are pure cache reads. Benchmarks warm once outside the timed
-    /// region; simulations that only ever touch a few sources should skip
-    /// this and keep the lazy per-source behaviour.
-    pub fn warm_dist(&self) {
-        let mut cache = self.dist_cache.lock();
-        for u in 0..self.adj.len() {
-            if cache[u].is_none() {
-                cache[u] = Some(self.dijkstra(NodeId(u)));
-            }
-        }
     }
 
     /// Hop count of the shortest unweighted path from `u` to `v` (the
@@ -299,7 +285,7 @@ impl Topology {
         if self.uniform.is_some() {
             return (u.0 < self.adj.len() && v.0 < self.adj.len()).then_some(1);
         }
-        let mut cache = self.hop_cache.lock();
+        let mut cache = self.hop_cache.lock().expect("cache lock poisoned");
         if cache[u.0].is_none() {
             cache[u.0] = Some(self.bfs(u));
         }

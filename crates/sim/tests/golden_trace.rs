@@ -1,8 +1,9 @@
 //! Golden event-trace test: pins the engine's exact event ordering.
 //!
-//! The first trace below was originally captured from the pre-timer-wheel
-//! engine (a single `BinaryHeap` of owned events) and survived the engine
-//! overhaul (Arc multicast, hierarchical timer wheel, pooled action
+//! The first trace below was originally captured from the first engine (a
+//! single `BinaryHeap` of owned events) and survived every change of queue
+//! structure since (Arc multicast, a hierarchical timer wheel and its
+//! retirement for a timer heap beside the delivery heap, pooled action
 //! buffers) bit for bit. It was re-frozen exactly once, when drop
 //! decisions switched from a shared engine-RNG stream to counter-mode
 //! per-link hashing (DESIGN.md §11) — a deliberate, documented re-freeze:
@@ -198,14 +199,14 @@ fn golden_run_is_reproducible() {
 // queue's rarer paths so a storage change (e.g. sifting compact keys with
 // payloads in a slab) cannot reorder them undetected:
 //
-// * **Overflow heap** — timers armed ≥ ~16.7 s ahead of the wheel clock
-//   bypass the wheel levels entirely.
+// * **Far-future timers** — armed 20 s and more ahead, parked under
+//   everything else for the whole run.
 // * **Same-instant cohorts** — every node arms timers for one shared
 //   instant, and a broadcast lands same-instant deliveries; both must pop
 //   in global `seq` (insertion) order.
-// * **Cross-level same-instant firing** — two timers expire at the same
-//   microsecond but were armed at different times, so they live at
-//   different wheel levels until the instant arrives.
+// * **Same instant, armed apart** — two timers expire at the same
+//   microsecond but were armed 350 ms apart, with other events keyed
+//   between their seqs.
 
 struct ParkNode {
     id: usize,
@@ -219,13 +220,13 @@ impl Protocol for ParkNode {
         // Same-instant timer cohort: every node, two timers, one instant.
         ctx.set_timer(SimDuration::from_millis(10), 400 + self.id as u64);
         ctx.set_timer(SimDuration::from_millis(10), 500 + self.id as u64);
-        // Overflow heap: far beyond the wheel horizon (~16.7 s).
+        // Far future: 20 s and more out.
         ctx.set_timer(SimDuration::from_secs(20 + self.id as u64), 900 + self.id as u64);
-        // Mid-level slot that must cascade down before firing.
+        // A mid-range timer that shares its instant with a later-armed one.
         if self.id == 0 {
             ctx.set_timer(SimDuration::from_millis(400), 600);
-            // Stager: at 350 ms, arm a +50 ms timer so two timers fire at
-            // t=400 ms from different wheel levels.
+            // Stager: at 350 ms, arm a +50 ms timer so two timers armed
+            // 350 ms apart fire at t=400 ms.
             ctx.set_timer(SimDuration::from_millis(350), 700);
         }
         // Same-instant delivery cohort via one multicast.
@@ -265,7 +266,7 @@ impl Protocol for ParkNode {
                 });
             }
             700 => ctx.set_timer(SimDuration::from_millis(50), 800),
-            // Far timers respond so post-overflow dispatch is pinned too.
+            // Far timers respond so dispatch after the 20 s gap is pinned too.
             900..=904 => ctx.send(NodeId((self.id + 1) % 5), Flood { id: 90, ttl: 0 }),
             _ => {}
         }

@@ -64,11 +64,6 @@ impl DedupStore {
         self.refs.get(cid).copied().unwrap_or(0)
     }
 
-    /// The wrapped backend (e.g. to reach a provider's failure switch).
-    pub fn inner_mut(&mut self) -> &mut dyn BlobStore {
-        self.inner.as_mut()
-    }
-
     /// Takes one more reference to the `len`-byte blob `cid`, running
     /// `store` against the inner backend only when it is the first.
     fn reference(

@@ -9,9 +9,7 @@
 //! already uniform secure hashes, so the range split reads directly off
 //! the first byte: with two shards, `00-7f → A` and `80-ff → B`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use oceanstore_naming::guid::Guid;
 
@@ -42,11 +40,6 @@ impl ShardedStore {
     pub fn new(shards: Vec<Box<dyn BlobStore>>) -> Self {
         assert!(!shards.is_empty(), "a sharded store needs at least one shard");
         ShardedStore { shards }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard_for(&mut self, cid: &Guid) -> &mut dyn BlobStore {
@@ -109,29 +102,33 @@ impl<S: BlobStore> SharedStore<S> {
     /// Runs `f` with exclusive access to the wrapped store (e.g. to flip
     /// a provider's failure switch).
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.0.lock())
+        f(&mut self.lock())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, S> {
+        self.0.lock().expect("an owner panicked inside the shared store")
     }
 }
 
 impl<S: BlobStore> BlobStore for SharedStore<S> {
     fn put(&mut self, data: &[u8]) -> Result<Guid, StoreError> {
-        self.0.lock().put(data)
+        self.lock().put(data)
     }
 
     fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
-        self.0.lock().get(cid)
+        self.lock().get(cid)
     }
 
     fn has(&mut self, cid: &Guid) -> bool {
-        self.0.lock().has(cid)
+        self.lock().has(cid)
     }
 
     fn delete(&mut self, cid: &Guid) -> Result<bool, StoreError> {
-        self.0.lock().delete(cid)
+        self.lock().delete(cid)
     }
 
     fn stats(&self) -> StoreStats {
-        self.0.lock().stats()
+        self.lock().stats()
     }
 }
 

@@ -4,7 +4,6 @@
 //! digest that replicas agree on is a hash of this encoding, so it must be
 //! canonical (identical updates encode identically) and self-delimiting.
 
-use bytes::{BufMut, BytesMut};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
 
 use crate::update::{Action, Clause, Predicate, Update};
@@ -23,16 +22,16 @@ impl std::error::Error for DecodeError {}
 
 /// Encodes an update canonically.
 pub fn encode_update(u: &Update) -> Vec<u8> {
-    let mut b = BytesMut::new();
-    b.put_u32(u.clauses.len() as u32);
+    let mut b = Vec::new();
+    put_u32(&mut b, u.clauses.len() as u32);
     for c in &u.clauses {
         encode_predicate(&mut b, &c.predicate);
-        b.put_u32(c.actions.len() as u32);
+        put_u32(&mut b, c.actions.len() as u32);
         for a in &c.actions {
             encode_action(&mut b, a);
         }
     }
-    b.to_vec()
+    b
 }
 
 /// Decodes an update previously produced by [`encode_update`].
@@ -67,29 +66,29 @@ pub fn decode_update(bytes: &[u8]) -> Result<Update, DecodeError> {
     Ok(Update { clauses })
 }
 
-fn encode_predicate(b: &mut BytesMut, p: &Predicate) {
+fn encode_predicate(b: &mut Vec<u8>, p: &Predicate) {
     match p {
-        Predicate::True => b.put_u8(0),
+        Predicate::True => b.push(0),
         Predicate::CompareVersion(v) => {
-            b.put_u8(1);
-            b.put_u64(*v);
+            b.push(1);
+            put_u64(b, *v);
         }
         Predicate::CompareSize(s) => {
-            b.put_u8(2);
-            b.put_u64(*s as u64);
+            b.push(2);
+            put_u64(b, *s as u64);
         }
         Predicate::CompareBlock { position, hash } => {
-            b.put_u8(3);
-            b.put_u64(*position as u64);
-            b.put_slice(hash);
+            b.push(3);
+            put_u64(b, *position as u64);
+            b.extend_from_slice(hash);
         }
         Predicate::Search(t) => {
-            b.put_u8(4);
-            b.put_slice(&t.to_bytes());
+            b.push(4);
+            b.extend_from_slice(&t.to_bytes());
         }
         Predicate::SearchAbsent(t) => {
-            b.put_u8(5);
-            b.put_slice(&t.to_bytes());
+            b.push(5);
+            b.extend_from_slice(&t.to_bytes());
         }
     }
 }
@@ -110,36 +109,36 @@ fn decode_predicate(b: &mut &[u8]) -> Result<Predicate, DecodeError> {
     })
 }
 
-fn encode_action(b: &mut BytesMut, a: &Action) {
+fn encode_action(b: &mut Vec<u8>, a: &Action) {
     match a {
         Action::ReplaceBlock { position, ciphertext } => {
-            b.put_u8(0);
-            b.put_u64(*position as u64);
-            b.put_u32(ciphertext.len() as u32);
-            b.put_slice(ciphertext);
+            b.push(0);
+            put_u64(b, *position as u64);
+            put_u32(b, ciphertext.len() as u32);
+            b.extend_from_slice(ciphertext);
         }
         Action::Append { ciphertext } => {
-            b.put_u8(1);
-            b.put_u32(ciphertext.len() as u32);
-            b.put_slice(ciphertext);
+            b.push(1);
+            put_u32(b, ciphertext.len() as u32);
+            b.extend_from_slice(ciphertext);
         }
         Action::ReplaceWithIndex { position, pointers } => {
-            b.put_u8(2);
-            b.put_u64(*position as u64);
-            b.put_u32(pointers.len() as u32);
+            b.push(2);
+            put_u64(b, *position as u64);
+            put_u32(b, pointers.len() as u32);
             for p in pointers {
-                b.put_u64(*p as u64);
+                put_u64(b, *p as u64);
             }
         }
         Action::DeleteBlock { position } => {
-            b.put_u8(3);
-            b.put_u64(*position as u64);
+            b.push(3);
+            put_u64(b, *position as u64);
         }
         Action::SetSearchIndex(ix) => {
-            b.put_u8(4);
+            b.push(4);
             let raw = ix.to_bytes();
-            b.put_u32(raw.len() as u32);
-            b.put_slice(&raw);
+            put_u32(b, raw.len() as u32);
+            b.extend_from_slice(&raw);
         }
     }
 }
@@ -175,6 +174,14 @@ fn decode_action(b: &mut &[u8]) -> Result<Action, DecodeError> {
         }
         _ => return Err(DecodeError),
     })
+}
+
+fn put_u32(b: &mut Vec<u8>, v: u32) {
+    b.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_u64(b: &mut Vec<u8>, v: u64) {
+    b.extend_from_slice(&v.to_be_bytes());
 }
 
 /// Splits the next `n` bytes off the front of the cursor.
@@ -275,8 +282,6 @@ mod tests {
 
     #[test]
     fn absurd_counts_rejected() {
-        let mut b = BytesMut::new();
-        b.put_u32(u32::MAX);
-        assert!(decode_update(&b).is_err());
+        assert!(decode_update(&u32::MAX.to_be_bytes()).is_err());
     }
 }
