@@ -68,8 +68,8 @@ pub fn xtea_decrypt(key: &[u32; 4], block: [u8; 8]) -> [u8; 8] {
 }
 
 /// Key for the position-dependent cipher: an XTEA data key plus an
-/// independent tweak key, XEX-style.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// independent tweak key, XEX-style. `Debug` prints no key material.
+#[derive(Clone, PartialEq, Eq)]
 pub struct BlockCipherKey {
     data_key: [u32; 4],
     tweak_key: [u32; 4],
@@ -77,6 +77,12 @@ pub struct BlockCipherKey {
     /// are expanded once here and serve every cell of every block.
     data_rounds: RoundKeys,
     tweak_rounds: RoundKeys,
+}
+
+impl std::fmt::Debug for BlockCipherKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlockCipherKey").finish_non_exhaustive()
+    }
 }
 
 impl BlockCipherKey {
@@ -123,6 +129,7 @@ impl BlockCipherKey {
     /// Enciphers (or deciphers) the `L` whole cells of `src`, the first of
     /// which is cell number `first`, into `dst`: tweak XTEA, XOR, data
     /// XTEA, XOR, each step on all `L` cells at once.
+    #[inline(always)]
     fn xex_cells<const L: usize>(
         &self,
         position: u32,
@@ -147,10 +154,44 @@ impl BlockCipherKey {
         }
     }
 
+    /// The widest build of [`BlockCipherKey::apply_lanes`] this CPU runs:
+    /// the AVX2 one, else the portable one (the body as the crate's
+    /// target compiles it).
     fn apply(&self, position: u64, data: &[u8], encrypt: bool) -> Vec<u8> {
+        self.apply_avx2(position, data, encrypt)
+            .unwrap_or_else(|| self.apply_lanes(position, data, encrypt))
+    }
+
+    /// [`BlockCipherKey::apply_lanes`] built with AVX2 enabled, or `None`
+    /// when the running CPU lacks it. `is_x86_feature_detected!` caches the
+    /// cpuid result in an atomic, so asking per call is cheap.
+    #[allow(unsafe_code)] // dispatch into the feature-gated build
+    fn apply_avx2(&self, position: u64, data: &[u8], encrypt: bool) -> Option<Vec<u8>> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just confirmed at runtime, and
+            // `apply_lanes_avx2` is safe code apart from that requirement.
+            return Some(unsafe { self.apply_lanes_avx2(position, data, encrypt) });
+        }
+        let _ = (position, data, encrypt); // unused off x86_64
+        None
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn apply_lanes_avx2(&self, position: u64, data: &[u8], encrypt: bool) -> Vec<u8> {
+        self.apply_lanes(position, data, encrypt)
+    }
+
+    /// The cipher's one body. `#[inline(always)]` down to the Feistel
+    /// rounds, so `apply` and `apply_lanes_avx2` each get their own copy,
+    /// vectorised for the instruction set that build enables.
+    #[inline(always)]
+    fn apply_lanes(&self, position: u64, data: &[u8], encrypt: bool) -> Vec<u8> {
         let folded = fold(position);
         let mut out = vec![0u8; data.len()];
-        // Whole groups of `LANES` cells, then the remaining cells singly.
+        // Whole groups of `LANES` cells, then the remaining whole cells,
+        // then a partial trailing cell.
         let group = 8 * LANES;
         let (groups, rest) = data.split_at(data.len() - data.len() % group);
         let (out_groups, out_rest) = out.split_at_mut(groups.len());
@@ -159,17 +200,25 @@ impl BlockCipherKey {
             self.xex_cells::<LANES>(folded, cell, src, dst, encrypt);
             cell += LANES as u64;
         }
-        let mut cells = rest.chunks_exact(8);
-        for (src, dst) in cells.by_ref().zip(out_rest.chunks_exact_mut(8)) {
-            self.xex_cells::<1>(folded, cell, src, dst, encrypt);
-            cell += 1;
+        let (cells, tail) = rest.split_at(rest.len() / 8 * 8);
+        let (out_cells, out_tail) = out_rest.split_at_mut(cells.len());
+        if cells.len() < 8 * FEW_CELLS {
+            for (src, dst) in cells.chunks_exact(8).zip(out_cells.chunks_exact_mut(8)) {
+                self.xex_cells::<1>(folded, cell, src, dst, encrypt);
+                cell += 1;
+            }
+        } else {
+            // One group zero-padded to `LANES` cells. Lanes are
+            // independent, so the padding's output is simply dropped.
+            let (mut src, mut dst) = ([0u8; 8 * LANES], [0u8; 8 * LANES]);
+            src[..cells.len()].copy_from_slice(cells);
+            self.xex_cells::<LANES>(folded, cell, &src, &mut dst, encrypt);
+            out_cells.copy_from_slice(&dst[..cells.len()]);
         }
-        let tail = cells.remainder();
         if !tail.is_empty() {
             // Partial trailing cell: XOR with a position-bound keystream
             // (encryption of the tweak for a sentinel cell index).
             let ks = xtea_encrypt(&self.data_key, self.tweak(position, u64::MAX));
-            let out_tail = &mut out[data.len() - tail.len()..];
             for ((o, b), k) in out_tail.iter_mut().zip(tail).zip(ks) {
                 *o = b ^ k;
             }
@@ -181,8 +230,18 @@ impl BlockCipherKey {
 /// Cells enciphered side by side. XEX cells are independent, so the 64
 /// Feistel rounds of `LANES` of them advance as one loop over `[u32; LANES]`
 /// arrays, which the compiler turns into vector instructions; a single
-/// cell is one serial dependency chain 128 operations long.
-const LANES: usize = 8;
+/// cell is one serial dependency chain 128 operations long. 32 lanes are
+/// four 256-bit registers per array under AVX2 (eight 128-bit ones in the
+/// portable build): enough independent work to hide each round's latency.
+/// Narrower groups leave the AVX2 build slower than 8 lanes without it
+/// (EXPERIMENTS.md, PR 25).
+const LANES: usize = 32;
+
+/// Fewer whole cells than this after the last full group go one at a
+/// time (about 0.25 µs a cell); from this many on, one padded group of
+/// `LANES` costs no more (about 0.5 µs under AVX2, 0.9 µs portable). An
+/// 8-byte append is one cell.
+const FEW_CELLS: usize = 4;
 
 /// An XTEA key schedule: the two subkeys of each of the 32 cycles.
 type RoundKeys = [[u32; 2]; ROUNDS as usize];
@@ -292,24 +351,40 @@ mod tests {
 
     /// Every lane, the single-cell remainder and the partial-cell
     /// keystream against the per-cell reference, at positions that
-    /// exercise the `position >> 32` fold.
+    /// exercise the `position >> 32` fold. Both builds are called
+    /// directly (the AVX2 one when this CPU has it): the public API only
+    /// ever reaches one of them. Lengths 0–520 take in every remainder
+    /// around one and two 256-byte groups.
     #[test]
     fn lanes_match_per_cell_reference() {
         let key = BlockCipherKey::from_seed(b"object-key");
         let data: Vec<u8> = (0..4099u32).map(|i| (i.wrapping_mul(73) ^ (i >> 5)) as u8).collect();
-        for position in [0u64, 7, 1 << 40] {
-            for len in (0..=200).chain([1024, 4096, 4099]) {
-                let pt = &data[..len];
-                let ct = key.encrypt_block(position, pt);
-                assert_eq!(ct, per_cell(&key, position, pt, true), "encrypt {len} at {position}");
-                assert_eq!(
-                    key.decrypt_block(position, pt),
-                    per_cell(&key, position, pt, false),
-                    "decrypt {len} at {position}"
-                );
-                assert_eq!(key.decrypt_block(position, &ct), pt, "round trip {len} at {position}");
+        let apply = |build: &str, position: u64, data: &[u8], encrypt: bool| match build {
+            "portable" => Some(key.apply_lanes(position, data, encrypt)),
+            _ => key.apply_avx2(position, data, encrypt),
+        };
+        for build in ["portable", "avx2"] {
+            for position in [0u64, 7, 1 << 40] {
+                for len in (0..=520).chain([1024, 4096, 4099]) {
+                    let pt = &data[..len];
+                    let Some(ct) = apply(build, position, pt, true) else { continue };
+                    let at = format!("{build}, {len} bytes at {position}");
+                    assert_eq!(ct, per_cell(&key, position, pt, true), "encrypt, {at}");
+                    assert_eq!(
+                        apply(build, position, pt, false),
+                        Some(per_cell(&key, position, pt, false)),
+                        "decrypt, {at}"
+                    );
+                    assert_eq!(key.decrypt_block(position, &ct), pt, "round trip, {at}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let key = BlockCipherKey::from_seed(b"object-key");
+        assert_eq!(format!("{key:?}"), "BlockCipherKey { .. }");
     }
 
     #[test]

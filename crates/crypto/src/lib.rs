@@ -29,8 +29,9 @@
 //! ```
 
 // `deny` rather than `forbid`: the SHA-NI backends in `sha1` and `sha256`
-// each need a scoped `allow(unsafe_code)` for their CPU intrinsics.
-// Everything else in the crate stays safe Rust.
+// each need a scoped `allow(unsafe_code)` for their CPU intrinsics, and
+// `cipher`'s dispatch needs a third to call its AVX2 build of the same
+// safe body. Everything else in the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

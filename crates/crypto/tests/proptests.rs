@@ -33,7 +33,7 @@ proptest! {
     fn cipher_roundtrip_and_position_binding(
         seed in proptest::collection::vec(any::<u8>(), 1..32),
         position in any::<u64>(),
-        data in proptest::collection::vec(any::<u8>(), 0..512),
+        data in proptest::collection::vec(any::<u8>(), 0..1100),
     ) {
         let key = BlockCipherKey::from_seed(&seed);
         let ct = key.encrypt_block(position, &data);

@@ -129,11 +129,11 @@ pub fn insert_after_op(
     let order = v.logical_order();
     let displaced_slot = order[position + 1];
     let displaced_ct = match &v.blocks[displaced_slot] {
-        Block::Data(ct) => (**ct).clone(),
+        Block::Data(ct) => ct,
         Block::Index(_) => panic!("cannot displace an index block"),
     };
     // Decrypt at the old slot, re-encrypt at the new physical slot.
-    let displaced_clear = keys.cipher.decrypt_block(displaced_slot as u64, &displaced_ct);
+    let displaced_clear = keys.cipher.decrypt_block(displaced_slot as u64, displaced_ct);
     let n = v.slot_count();
     let displaced_new_slot = n;
     let inserted_slot = n + 1;
