@@ -11,8 +11,8 @@
 //! [`Event`] of kind `"store_mem"` for the handler DSL.
 //!
 //! The crate stays dependency-free: producers (the replica crate's
-//! `StoreHealth`, the archival crate's `FragStoreHealth`, the workload
-//! harness) copy their counters into a gauge field by field.
+//! `StoreHealth`, the archival crate's `FragStoreHealth`) copy their
+//! counters into a gauge field by field.
 
 use crate::event::Event;
 

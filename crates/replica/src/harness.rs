@@ -1,7 +1,7 @@
 //! The one place a two-tier deployment is assembled: tests, benches,
-//! chaos, the workload harness and `core::OceanStore` (which wraps
-//! location and archival around every role, [`build_deployment_with`])
-//! all get their primaries, secondaries and clients from here.
+//! chaos and `core::OceanStore` (which wraps location and archival
+//! around every role, [`build_deployment_with`]) all get their
+//! primaries, secondaries and clients from here.
 //!
 //! One deployment is `rings` independent consensus rings (each a full PBFT
 //! tier of `3m + 1` primaries) sharing a single secondary-tier substrate:
@@ -187,7 +187,7 @@ impl RoleHost for OceanNode {
     }
 }
 
-/// The one driver surface: tests, chaos, the workload harness and
+/// The one driver surface: tests, chaos, the benchmark and
 /// `core::OceanStore` submit, read outcomes, look roles up and sample
 /// frontiers through these, whatever the node type.
 impl<N: RoleHost> Deployment<N> {
@@ -246,8 +246,8 @@ impl<N: RoleHost> Deployment<N> {
 
 /// Above this many secondaries the epidemic peer list is a deterministic
 /// sample instead of "everyone else" — all-to-all peer lists are O(s²)
-/// memory, which matters at the 10k-node scale the workload harness
-/// drives. Below the cap the historical full list is kept bit-identical.
+/// memory, which matters at the 2 000-node scale the benchmark drives.
+/// Below the cap the historical full list is kept bit-identical.
 const PEER_FULL_LIMIT: usize = 128;
 /// Sampled peer-set size above [`PEER_FULL_LIMIT`].
 const PEER_SAMPLE: usize = 16;

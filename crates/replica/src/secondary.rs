@@ -622,8 +622,8 @@ impl Secondary {
     /// certificate holes answers with a gapped batch, every record past
     /// the hole fails to apply, and one fetch per failed record yields the
     /// same gapped batch again — the fetch volume multiplies by the batch
-    /// length every round trip until the hole closes. The workload
-    /// harness's Zipf-hot objects hit exactly this within seconds.
+    /// length every round trip until the hole closes. An open loop's
+    /// Zipf-hot objects hit exactly this within seconds.
     pub fn on_commits(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,

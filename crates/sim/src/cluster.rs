@@ -6,8 +6,8 @@
 //! secondaries, then clients — and each used to recompute the id ranges
 //! and binary-heap tree arithmetic by hand. [`ClusterSpec`] is the single
 //! source of that geometry, so the replica harness, the consensus tier
-//! harness, the chaos runner, the workload generator, and the benches all
-//! drive one deployment code path.
+//! harness, the chaos runner and the benches all drive one deployment
+//! code path.
 //!
 //! The layout is purely positional: ring `r` occupies ids
 //! `[r·ring_size, (r+1)·ring_size)`, secondaries follow all rings, clients

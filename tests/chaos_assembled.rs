@@ -4,7 +4,7 @@
 //! Same generator, same schedules, same oracle as the bare-role sweeps,
 //! but every node is a `core::OceanServer`: the Plaxton mesh beacons and
 //! the fragment stores share the links the faults hit. A failing seed is
-//! a finding about the assembled system — name it in ROADMAP item 5 and
+//! a finding about the assembled system — name it in ROADMAP item 7 and
 //! pin the passing range; do not loosen a checker. `CHAOS_FUZZ_SEEDS`
 //! widens the range (default 20; CI sets 120).
 
