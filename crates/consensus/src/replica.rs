@@ -338,8 +338,9 @@ pub struct Replica {
     st_fetches: u64,
     /// View-change votes: new_view → voter → prepared set.
     vc_votes: HashMap<u64, VcVotes>,
-    /// Whether a view-change alarm is armed for the current view.
-    alarm_armed: bool,
+    /// The execution frontier (`next_exec`) the armed view-change alarm
+    /// was set at; `None` while no alarm is armed in the current view.
+    alarm: Option<u64>,
     /// Total view-change votes this replica has broadcast. During a
     /// quorum-loss partition this climbs while `view` stays put — no side
     /// can gather `2m + 1` votes — which is exactly the signature the
@@ -388,7 +389,7 @@ impl Replica {
             st_rejects: 0,
             st_fetches: 0,
             vc_votes: HashMap::new(),
-            alarm_armed: false,
+            alarm: None,
             view_changes_sent: 0,
         }
     }
@@ -669,21 +670,32 @@ impl Replica {
         self.requests.insert(id, (payload, timestamp));
         if self.assigned.contains_key(&id) {
             // Duplicate of an in-flight request (likely a retransmission):
-            // re-guard the stuck agreement with a view-change alarm
-            // (messages of the original round may all have been lost).
-            if !self.alarm_armed {
-                self.alarm_armed = true;
-                ctx.set_timer(self.cfg.view_timeout, TIMER_VIEW_BASE + self.view);
-            }
+            // guard the stuck agreement with a view-change alarm (messages
+            // of the original round may all have been lost).
+            self.watch(ctx);
             return;
         }
         if self.am_leader() {
             self.propose(ctx, id);
-        } else if !self.alarm_armed {
-            // Guard the request with a view-change alarm.
-            self.alarm_armed = true;
+        } else {
+            self.watch(ctx);
+        }
+    }
+
+    /// Guards progress with a view-change alarm, unless one is armed
+    /// already. The alarm remembers the execution frontier it was set at.
+    fn watch(&mut self, ctx: &mut Context<'_, PbftMsg>) {
+        if self.alarm.is_none() {
+            self.alarm = Some(self.next_exec);
             ctx.set_timer(self.cfg.view_timeout, TIMER_VIEW_BASE + self.view);
         }
+    }
+
+    /// Whether a request this replica holds waits on the leader: assigned
+    /// a slot that has not executed, or not assigned one yet.
+    fn waiting(&self) -> bool {
+        self.assigned.values().any(|&seq| self.log.get(&seq).is_none_or(|i| !i.executed))
+            || self.requests.keys().any(|id| !self.assigned.contains_key(id))
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, PbftMsg>, id: RequestId) {
@@ -700,10 +712,7 @@ impl Replica {
         // slot. The request stays unassigned; if the window fails to
         // advance, the view-change alarm (armed below) takes over.
         if self.ckpt_active() && seq >= self.high_water() {
-            if !self.alarm_armed {
-                self.alarm_armed = true;
-                ctx.set_timer(self.cfg.view_timeout, TIMER_VIEW_BASE + self.view);
-            }
+            self.watch(ctx);
             return;
         }
         self.next_seq = seq + 1;
@@ -806,10 +815,7 @@ impl Replica {
             }
         });
         self.maybe_commit_phase(ctx, seq);
-        if !self.alarm_armed {
-            self.alarm_armed = true;
-            ctx.set_timer(self.cfg.view_timeout, TIMER_VIEW_BASE + self.view);
-        }
+        self.watch(ctx);
     }
 
     /// Counts a prepare. The protocol-state checks come first — view and
@@ -898,7 +904,6 @@ impl Replica {
             // self-certifying proof a state-transfer receiver can check.
             let proof = inst.commit_sigs.clone();
             self.next_exec += 1;
-            self.alarm_armed = false;
             self.state_digest = chain_digest(&self.state_digest, seq, &digest, id, timestamp);
             if self.ckpt_active() {
                 self.exec_proofs.insert(seq, (self.view, proof));
@@ -1364,28 +1369,26 @@ impl Replica {
         self.maybe_checkpoint(ctx);
     }
 
-    /// View-change alarm fired.
+    /// View-change alarm fired. The leader failed us only if something
+    /// still waits on it *and* nothing executed since the alarm was set:
+    /// a loaded ring always has requests in flight, so waiting alone is
+    /// no evidence.
     pub fn on_view_alarm(&mut self, ctx: &mut Context<'_, PbftMsg>, guarded_view: u64) {
         if guarded_view != self.view {
             return; // stale alarm from an earlier view
         }
-        // Anything accepted but not executed? Then the leader failed us.
-        let stuck = self
-            .assigned
-            .values()
-            .any(|&seq| self.log.get(&seq).is_none_or(|i| !i.executed))
-            || self.requests.keys().any(|id| !self.assigned.contains_key(id));
-        self.alarm_armed = false;
-        if !stuck {
+        let Some(armed_at) = self.alarm.take() else { return };
+        if !self.waiting() {
             return;
         }
-        // Re-arm the alarm before voting: if the view change itself stalls
-        // (votes lost on a lossy network), the next expiry rebroadcasts it.
-        // Entering the new view invalidates the re-armed alarm's guard.
-        self.alarm_armed = true;
-        ctx.set_timer(self.cfg.view_timeout, TIMER_VIEW_BASE + self.view);
-        let new_view = self.view + 1;
-        self.send_view_change(ctx, new_view);
+        // Re-arm at the current frontier, before voting: if the view
+        // change itself stalls (votes lost on a lossy network), the next
+        // expiry rebroadcasts it. Entering the new view disarms it.
+        self.watch(ctx);
+        if self.next_exec == armed_at {
+            let new_view = self.view + 1;
+            self.send_view_change(ctx, new_view);
+        }
     }
 
     /// Broadcasts (and self-records) a view-change vote for `new_view`.
@@ -1470,7 +1473,7 @@ impl Replica {
 
     fn enter_view(&mut self, view: u64) {
         self.view = view;
-        self.alarm_armed = false;
+        self.alarm = None;
         // Executed slots and prepare certificates survive the view change
         // (a certificate may underpin a commit somewhere, so it must keep
         // circulating in votes until the slot executes). Anything weaker
@@ -1653,12 +1656,7 @@ impl Replica {
                         .vc_votes
                         .get(&nv)
                         .is_some_and(|votes| votes.contains_key(&self.index));
-                    let stuck = self
-                        .assigned
-                        .values()
-                        .any(|&seq| self.log.get(&seq).is_none_or(|i| !i.executed))
-                        || self.requests.keys().any(|id| !self.assigned.contains_key(id));
-                    if nv > self.view && !already_voted && stuck {
+                    if nv > self.view && !already_voted && self.waiting() {
                         self.send_view_change(ctx, nv);
                     }
                 }
@@ -1669,11 +1667,9 @@ impl Replica {
                     && self.verify_replica(*replica, &msg)
                 {
                     self.enter_view(*view);
-                    // Re-arm the alarm if we still have unexecuted requests.
-                    let pending = self.requests.keys().any(|id| !self.assigned.contains_key(id));
-                    if pending {
-                        self.alarm_armed = true;
-                        ctx.set_timer(self.cfg.view_timeout, TIMER_VIEW_BASE + self.view);
+                    // Re-arm the alarm if we still have unassigned requests.
+                    if self.requests.keys().any(|id| !self.assigned.contains_key(id)) {
+                        self.watch(ctx);
                     }
                 }
             }
