@@ -98,12 +98,7 @@ pub fn check_every_commit_certifies<N: RoleHost>(
             let mut live = ring.primaries.iter().filter(|&&p| !dep.sim.is_down(p));
             let certified = live.any(|&p| {
                 dep.primary(p).store.records_from(object, index).iter().any(|r| {
-                    r.index == index
-                        && r.cert.verify_threshold(
-                            &r.signing_bytes(),
-                            &ring.cfg.replica_keys,
-                            threshold,
-                        )
+                    r.index == index && r.verified(&ring.cfg.replica_keys, threshold).is_some()
                 })
             });
             if !certified {
@@ -136,7 +131,7 @@ pub fn check_no_uncertified_records<N: RoleHost>(dep: &Deployment<N>) -> Invaria
             let ring = dep.ring_for(&object);
             let threshold = ring.cfg.m + 1;
             for r in sec.store.records_from(&object, 0) {
-                if !r.cert.verify_threshold(&r.signing_bytes(), &ring.cfg.replica_keys, threshold) {
+                if r.verified(&ring.cfg.replica_keys, threshold).is_none() {
                     report.failures.push(format!(
                         "uncertified: secondary {s:?} stored {object:?}[{}] without a valid cert",
                         r.index

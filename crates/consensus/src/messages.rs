@@ -65,8 +65,9 @@ pub struct RequestId {
     pub seq: u64,
 }
 
-/// The digest agreement actually runs over: the payload digest bound to
-/// the request identity and the client's optimistic timestamp.
+/// The digest agreement actually runs over: the payload digest
+/// ([`Payload::digest`]) bound to the request identity and the client's
+/// optimistic timestamp.
 ///
 /// Pre-prepares, prepares, and commits all sign this value, so a `2m + 1`
 /// commit quorum certifies *which request* (and which timestamp) a slot
@@ -77,9 +78,9 @@ pub struct RequestId {
 /// leader cannot pair one payload with different request ids at different
 /// replicas (the ids would hash to different digests and never cross-count
 /// toward one quorum).
-pub fn slot_digest(payload: &Payload, id: RequestId, timestamp: u64) -> Digest {
+pub fn slot_digest(payload_digest: &Digest, id: RequestId, timestamp: u64) -> Digest {
     sha1_concat(&[
-        &payload.digest(),
+        payload_digest,
         &(id.client.0 as u64).to_be_bytes(),
         &id.seq.to_be_bytes(),
         &timestamp.to_be_bytes(),
@@ -350,17 +351,29 @@ fn extend_cert(out: &mut Vec<u8>, cert: &StableCert) {
     }
 }
 
+/// [`signing_bytes`] of a [`PbftMsg::Request`] whose payload digest is
+/// already known: a replica hashes each admitted payload once.
+pub(crate) fn request_signing_bytes(
+    id: RequestId,
+    timestamp: u64,
+    payload_digest: &Digest,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(b"req");
+    out.extend_from_slice(&(id.client.0 as u64).to_be_bytes());
+    out.extend_from_slice(&id.seq.to_be_bytes());
+    out.extend_from_slice(&timestamp.to_be_bytes());
+    out.extend_from_slice(payload_digest);
+    out
+}
+
 /// Canonical signing bytes for each message kind (what the signature
 /// covers).
 pub fn signing_bytes(msg: &PbftMsg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match msg {
         PbftMsg::Request { id, timestamp, payload, .. } => {
-            out.extend_from_slice(b"req");
-            out.extend_from_slice(&(id.client.0 as u64).to_be_bytes());
-            out.extend_from_slice(&id.seq.to_be_bytes());
-            out.extend_from_slice(&timestamp.to_be_bytes());
-            out.extend_from_slice(&payload.digest());
+            return request_signing_bytes(*id, *timestamp, &payload.digest());
         }
         PbftMsg::PrePrepare { view, seq, digest, id, .. } => {
             out.extend_from_slice(b"ppr");

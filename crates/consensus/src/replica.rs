@@ -20,7 +20,8 @@ use oceanstore_crypto::sha1::{sha1_concat, Digest};
 use oceanstore_sim::{Context, Message, NodeId, SimDuration};
 
 use crate::messages::{
-    set_sig, signing_bytes, slot_digest, Payload, PbftMsg, RequestId, StableCert, StateEntry,
+    request_signing_bytes, set_sig, signing_bytes, slot_digest, Payload, PbftMsg, RequestId,
+    StableCert, StateEntry,
 };
 
 /// Timer tag: view-change alarm (low bits carry the view it guards).
@@ -285,8 +286,10 @@ pub struct Replica {
     next_seq: u64,
     /// Agreement slots by sequence.
     log: BTreeMap<u64, Instance>,
-    /// Request payloads by id (from Request messages).
-    requests: HashMap<RequestId, (Payload, u64)>,
+    /// Request payloads by id (from Request messages), each with its
+    /// client timestamp and its [`Payload::digest`], taken once, on
+    /// admission.
+    requests: HashMap<RequestId, (Payload, u64, Digest)>,
     /// Requests assigned to a sequence (leader bookkeeping / dedup).
     assigned: HashMap<RequestId, u64>,
     /// Highest sequence executed + 1 == next to execute.
@@ -638,8 +641,8 @@ impl Replica {
         // Writer restriction at the transport level: unknown or bad
         // signatures are ignored.
         let Some(key) = self.cfg.client_keys.get(&id.client) else { return };
-        let check = PbftMsg::Request { id, timestamp, payload: payload.clone(), sig: *sig };
-        if !verify(*key, &signing_bytes(&check), sig) {
+        let payload_digest = payload.digest();
+        if !verify(*key, &request_signing_bytes(id, timestamp, &payload_digest), sig) {
             return;
         }
         // Already executed — possibly at a slot truncated below the
@@ -667,7 +670,7 @@ impl Replica {
             }
             return;
         }
-        self.requests.insert(id, (payload, timestamp));
+        self.requests.insert(id, (payload, timestamp, payload_digest));
         if self.assigned.contains_key(&id) {
             // Duplicate of an in-flight request (likely a retransmission):
             // guard the stuck agreement with a view-change alarm (messages
@@ -699,8 +702,8 @@ impl Replica {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, PbftMsg>, id: RequestId) {
-        let Some((payload, ts)) = self.requests.get(&id) else { return };
-        let digest = slot_digest(payload, id, *ts);
+        let Some((_, ts, payload_digest)) = self.requests.get(&id) else { return };
+        let digest = slot_digest(payload_digest, id, *ts);
         // Skip slots already seeded by re-proposal: after a view change
         // `next_seq` points at the lowest unfilled slot, and the slots
         // above it may hold adopted certificates.
@@ -889,11 +892,13 @@ impl Replica {
             }
             let digest = inst.digest.expect("checked above");
             let id = inst.request.expect("digest implies request");
-            let Some((payload, timestamp)) = self.requests.get(&id).cloned() else { break };
+            let Some((payload, timestamp, payload_digest)) = self.requests.get(&id).cloned() else {
+                break;
+            };
             // A faulty leader could propose a digest that doesn't match
             // the request payload (or its id/timestamp — the slot digest
             // binds all three); never execute such a slot.
-            if slot_digest(&payload, id, timestamp) != digest {
+            if slot_digest(&payload_digest, id, timestamp) != digest {
                 break;
             }
             let inst = self.log.get_mut(&seq).expect("present");
@@ -1063,7 +1068,7 @@ impl Replica {
                     && !self.executed_ids.contains_key(*id)
                     && !self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq))
             })
-            .map(|(id, (_, ts))| (*ts, *id))
+            .map(|(id, (_, ts, _))| (*ts, *id))
             .collect();
         waiting.sort_unstable();
         for (_, id) in waiting {
@@ -1225,7 +1230,7 @@ impl Replica {
             else {
                 break;
             };
-            let Some((payload, timestamp)) = self.requests.get(&id).cloned() else { break };
+            let Some((payload, timestamp, _)) = self.requests.get(&id).cloned() else { break };
             let Some((proof_view, proof)) = self.exec_proofs.get(&seq).cloned() else { break };
             entries.push(StateEntry { seq, digest, id, timestamp, payload, proof_view, proof });
         }
@@ -1286,11 +1291,12 @@ impl Replica {
             if entry.seq > self.next_exec {
                 break; // gap: cannot chain the rolling digest across it
             }
-            if !self.verify_state_entry(&entry) {
+            let payload_digest = entry.payload.digest();
+            if !self.verify_state_entry(&entry, &payload_digest) {
                 self.st_rejects += 1;
                 break;
             }
-            self.install_entry(ctx, entry);
+            self.install_entry(ctx, entry, payload_digest);
             progressed = true;
         }
         if progressed {
@@ -1308,8 +1314,8 @@ impl Replica {
     /// the quorum below, so a Byzantine state server cannot ship a valid
     /// slot with a forged id or timestamp — and the commit certificate
     /// holds `2m + 1` distinct valid signers over that digest.
-    fn verify_state_entry(&self, entry: &StateEntry) -> bool {
-        if slot_digest(&entry.payload, entry.id, entry.timestamp) != entry.digest {
+    fn verify_state_entry(&self, entry: &StateEntry, payload_digest: &Digest) -> bool {
+        if slot_digest(payload_digest, entry.id, entry.timestamp) != entry.digest {
             return false;
         }
         let mut seen = HashSet::new();
@@ -1337,12 +1343,17 @@ impl Replica {
     /// onward), the output gains an entry unless the request already
     /// executed, and the rolling digest advances. No client reply — the
     /// client was answered by the replicas that executed live.
-    fn install_entry(&mut self, ctx: &mut Context<'_, PbftMsg>, entry: StateEntry) {
+    fn install_entry(
+        &mut self,
+        ctx: &mut Context<'_, PbftMsg>,
+        entry: StateEntry,
+        payload_digest: Digest,
+    ) {
         let StateEntry { seq, digest, id, timestamp, payload, proof_view, proof } = entry;
         self.st_installed += payload.wire_len() as u64
             + (8 + crate::messages::DIGEST_SIZE + 16 + 8) as u64
             + (proof.len() * (8 + Signature::WIRE_SIZE)) as u64;
-        self.requests.insert(id, (payload.clone(), timestamp));
+        self.requests.insert(id, (payload.clone(), timestamp, payload_digest));
         self.assigned.insert(id, seq);
         let inst = self.log.entry(seq).or_default();
         inst.digest = Some(digest);
@@ -1574,7 +1585,7 @@ impl Replica {
                     && !self.executed_ids.contains_key(*id)
                     && !self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq))
             })
-            .map(|(id, (_, ts))| (*ts, *id))
+            .map(|(id, (_, ts, _))| (*ts, *id))
             .collect();
         unassigned.sort_unstable();
         let mut unassigned = unassigned.into_iter().map(|(_, id)| id);
@@ -1584,8 +1595,8 @@ impl Replica {
                     Some((d, id)) => self.propose_at(ctx, s, d, id),
                     None => {
                         if let Some(id) = unassigned.next() {
-                            let (payload, ts) = &self.requests[&id];
-                            let d = slot_digest(payload, id, *ts);
+                            let (_, ts, payload_digest) = &self.requests[&id];
+                            let d = slot_digest(payload_digest, id, *ts);
                             self.propose_at(ctx, s, d, id);
                         }
                     }

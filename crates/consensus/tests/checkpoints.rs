@@ -355,7 +355,7 @@ fn forged_vote_does_not_shadow_the_genuine_one() {
     let mut ts = build_tier_custom(1, WAN, seed, &silent, ckpt(8, 16));
     let id = RequestId { client: NodeId(4), seq: 1 };
     let payload = Payload::from_bytes(vec![0xcd; 32]);
-    let digest = slot_digest(&payload, id, 7);
+    let digest = slot_digest(&payload.digest(), id, 7);
     let request = signed_by(
         &client_key(seed),
         PbftMsg::Request { id, timestamp: 7, payload, sig: Signature::default() },
@@ -442,7 +442,7 @@ proptest! {
         // cases 4 and 5 then ship *different* metadata in the entry.
         let signed_id = RequestId { client: NodeId(4), seq: 999 };
         let signed_ts = 7;
-        let mut digest = slot_digest(&payload, signed_id, signed_ts);
+        let mut digest = slot_digest(&payload.digest(), signed_id, signed_ts);
         if case == 0 {
             digest[0] ^= 0xff; // payload no longer hashes to the digest
         }

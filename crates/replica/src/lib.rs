@@ -353,9 +353,8 @@ mod security_tests {
     use oceanstore_crypto::threshold::SerializationCert;
     use oceanstore_naming::guid::Guid;
     use oceanstore_sim::{NodeId, SimDuration};
-    use oceanstore_update::encode_update;
     use oceanstore_update::update::Action;
-    use oceanstore_update::Update;
+    use oceanstore_update::{encode_update, update_digest, Update};
 
     use crate::harness::{build_deployment, DeploymentOpts};
     use crate::messages::{CommitRecord, ReplicaMsg, TentativeId};
@@ -381,7 +380,7 @@ mod security_tests {
             cert: SerializationCert::new(),
         };
         // The attacker signs with keys that are NOT the tier's.
-        let msg = record.signing_bytes();
+        let msg = record.signing_bytes(&update_digest(&evil_update).digest);
         for kp in &attacker_keys {
             record.cert.add(kp.public(), kp.sign(&msg));
         }

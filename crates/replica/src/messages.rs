@@ -3,10 +3,12 @@
 use std::sync::Arc;
 
 use oceanstore_consensus::messages::PbftMsg;
-use oceanstore_crypto::schnorr::Signature;
+use oceanstore_crypto::schnorr::{PublicKey, Signature};
+use oceanstore_crypto::sha1::Digest;
 use oceanstore_crypto::threshold::SerializationCert;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Message, NodeId};
+use oceanstore_update::{decode_update, update_digest, Update, UpdateDigest};
 
 use crate::shard::mix;
 
@@ -40,21 +42,54 @@ pub struct CommitRecord {
     pub cert: SerializationCert,
 }
 
+/// Length of [`CommitRecord::signing_bytes`].
+pub const SIGNING_LEN: usize = 94;
+
 impl CommitRecord {
-    /// The bytes the tier signs for this record.
-    pub fn signing_bytes(&self) -> Vec<u8> {
-        let mut out = b"commit-record".to_vec();
-        out.extend_from_slice(self.object.as_bytes());
-        out.extend_from_slice(&self.index.to_be_bytes());
-        out.extend_from_slice(&oceanstore_crypto::sha1::sha1(&self.update));
-        match self.version {
-            Some(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_be_bytes());
-            }
-            None => out.push(0),
+    /// The bytes the tier signs for this record: its place in the
+    /// object's log, its update by [`update_digest`], the outcome, and
+    /// the timestamp and tentative identity the optimistic path
+    /// reconciles by — a relay can rewrite none of them.
+    pub fn signing_bytes(&self, update_digest: &Digest) -> [u8; SIGNING_LEN] {
+        let (outcome, version) = match self.version {
+            Some(v) => (1, v),
+            None => (0, 0),
+        };
+        let parts: [&[u8]; 9] = [
+            b"commit-record",
+            self.object.as_bytes(),
+            &self.index.to_be_bytes(),
+            update_digest,
+            &[outcome],
+            &version.to_be_bytes(),
+            &self.timestamp.to_be_bytes(),
+            &(self.id.client.0 as u64).to_be_bytes(),
+            &self.id.counter.to_be_bytes(),
+        ];
+        let mut out = [0; SIGNING_LEN];
+        let mut at = 0;
+        for part in parts {
+            out[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
         }
+        debug_assert_eq!(at, SIGNING_LEN);
         out
+    }
+
+    /// Decodes this record's update, names it ([`update_digest`]) and
+    /// checks the certificate against that name: the update and its name
+    /// if at least `threshold` of `keys` signed this very record, `None`
+    /// otherwise. A node derives the digest of every record it is handed
+    /// here, itself; none is taken from the wire. No honest tier
+    /// certifies bytes that do not decode.
+    pub fn verified(&self, keys: &[PublicKey], threshold: usize) -> Option<(Update, UpdateDigest)> {
+        if self.cert.len() < threshold {
+            return None; // too few signatures to be worth decoding
+        }
+        let update = decode_update(&self.update).ok()?;
+        let name = update_digest(&update);
+        let msg = self.signing_bytes(&name.digest);
+        self.cert.verify_threshold(&msg, keys, threshold).then_some((update, name))
     }
 
     /// Wire size of the record inside messages.
@@ -138,7 +173,7 @@ pub enum ReplicaMsg {
         object: Guid,
         /// Per-object serialization index.
         index: u64,
-        /// Digest of the encoded update.
+        /// The update's digest ([`update_digest`]) as the signer derived it.
         update_digest: [u8; 20],
         /// Resulting version (None = abort).
         version: Option<u64>,
@@ -156,7 +191,7 @@ pub enum ReplicaMsg {
         object: Guid,
         /// Per-object serialization index.
         index: u64,
-        /// Digest of the encoded update.
+        /// The update's digest ([`update_digest`]) as the signer derived it.
         update_digest: [u8; 20],
         /// Resulting version (None = abort).
         version: Option<u64>,

@@ -19,7 +19,7 @@ use oceanstore_crypto::schnorr::{verify, KeyPair, Signature};
 use oceanstore_crypto::threshold::SerializationCert;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Context, NodeId};
-use oceanstore_update::decode_update;
+use oceanstore_update::{decode_update, update_digest};
 use rand::Rng;
 
 use crate::config::{ChildMode, FailoverConfig, RepushConfig};
@@ -169,12 +169,14 @@ impl Primary {
         repush: RepushConfig,
     ) -> Self {
         let pbft = Replica::new(cfg.clone(), index, keypair.clone(), fault);
+        let mut store = ObjectStore::new();
+        store.keep_record_digests();
         Primary {
             pbft,
             cfg,
             index,
             keypair,
-            store: ObjectStore::new(),
+            store,
             children,
             drained: 0,
             assembling: HashMap::new(),
@@ -310,23 +312,26 @@ impl Primary {
             if self.store.get(&object).is_some_and(|st| st.records.iter().any(|r| r.id == id)) {
                 continue;
             }
+            // The one pass over the update's bytes on this node: the
+            // digest every signature below covers, and the CIDs the store
+            // files its blocks under.
+            let name = update_digest(&update);
+            let digest = name.digest;
             let record = self.store.serialize_update(
                 object,
                 update,
+                name,
                 Arc::new(update_bytes.to_vec()),
                 entry.timestamp,
                 id,
             );
             let key = (object, record.index);
+            let msg = record.signing_bytes(&digest);
             // A certificate may have been observed (via `CertFormed`)
             // before we executed this far; attach it and skip the share
             // routing — the record is already certified tier-wide.
             if let Some(cert) = self.early_certs.remove(&key) {
-                if cert.verify_threshold(
-                    &record.signing_bytes(),
-                    &self.cfg.replica_keys,
-                    self.cfg.m + 1,
-                ) {
+                if cert.verify_threshold(&msg, &self.cfg.replica_keys, self.cfg.m + 1) {
                     self.store.set_cert(&object, record.index, cert);
                     // Same observer watchdog as `on_cert_formed` — the
                     // cert beat our own execution here, so the arming
@@ -339,12 +344,12 @@ impl Primary {
                 }
             }
             // Sign and route the share to the disseminator.
-            let sig = self.keypair.sign(&record.signing_bytes());
+            let sig = self.keypair.sign(&msg);
             let diss = self.disseminator(&object, record.index, 0);
             let share = ReplicaMsg::ResultShare {
                 object,
                 index: record.index,
-                update_digest: oceanstore_crypto::sha1::sha1(&record.update),
+                update_digest: digest,
                 version: record.version,
                 replica: self.index,
                 sig,
@@ -383,7 +388,9 @@ impl Primary {
                 return;
             }
         };
-        let Some(record) = self.store.record(&object, index) else { return };
+        let Some((record, &update_digest)) = self.store.record_with_digest(&object, index) else {
+            return;
+        };
         self.share_retries += 1;
         let target = self.disseminator(&object, index, attempt);
         if target == self.index {
@@ -394,7 +401,7 @@ impl Primary {
                 ReplicaMsg::ShareRebroadcast {
                     object,
                     index,
-                    update_digest: oceanstore_crypto::sha1::sha1(&record.update),
+                    update_digest,
                     version: record.version,
                     replica: self.index,
                     sig,
@@ -549,13 +556,10 @@ impl Primary {
             return;
         }
         let key = (object, index);
-        match self.store.record(&object, index) {
-            Some(record) => {
-                if !cert.verify_threshold(
-                    &record.signing_bytes(),
-                    &self.cfg.replica_keys,
-                    self.cfg.m + 1,
-                ) {
+        match self.store.record_with_digest(&object, index) {
+            Some((record, digest)) => {
+                let msg = record.signing_bytes(digest);
+                if !cert.verify_threshold(&msg, &self.cfg.replica_keys, self.cfg.m + 1) {
                     return; // forged or partial certificate
                 }
                 self.store.set_cert(&object, index, cert);
@@ -596,18 +600,16 @@ impl Primary {
             return;
         }
         // Only meaningful once we executed the same record ourselves.
-        let Some(record) = self.store.record(&object, index) else {
+        let Some((record, digest)) = self.store.record_with_digest(&object, index) else {
             // We haven't executed this far yet; shares from faster peers
             // will be re-derived when we do (they also resend via fetch).
             return;
         };
-        if oceanstore_crypto::sha1::sha1(&record.update) != update_digest
-            || record.version != version
-        {
+        if *digest != update_digest || record.version != version {
             return; // share disagrees with our deterministic result
         }
         let Some(key) = self.cfg.replica_keys.get(replica) else { return };
-        if !verify(*key, &record.signing_bytes(), &sig) {
+        if !verify(*key, &record.signing_bytes(digest), &sig) {
             return;
         }
         self.accept_share(ctx, object, index, replica, sig);
@@ -622,7 +624,7 @@ impl Primary {
         sig: Signature,
     ) {
         // Every caller found the record in the store before coming here.
-        let Some(record) = self.store.record(&object, index) else { return };
+        let Some((record, digest)) = self.store.record_with_digest(&object, index) else { return };
         if !record.cert.is_empty() {
             // The cert already exists, so a late share must not trigger a
             // second dissemination; it is a signer (possibly a
@@ -642,7 +644,7 @@ impl Primary {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
                 let mut cert = SerializationCert::new();
-                cert.add(self.keypair.public(), self.keypair.sign(&record.signing_bytes()));
+                cert.add(self.keypair.public(), self.keypair.sign(&record.signing_bytes(digest)));
                 v.insert((record.clone(), cert))
             }
         };
@@ -772,17 +774,12 @@ impl Primary {
             if !self.owns(&record.object) {
                 continue; // another ring's object on the shared substrate
             }
-            if record.cert.is_empty()
-                || !record.cert.verify_threshold(
-                    &record.signing_bytes(),
-                    &self.cfg.replica_keys,
-                    self.cfg.m + 1,
-                )
-            {
+            let Some((update, name)) = record.verified(&self.cfg.replica_keys, self.cfg.m + 1)
+            else {
                 continue; // forged or partial certificate
-            }
+            };
             let key = (record.object, record.index);
-            if !self.store.apply_record(&record) {
+            if !self.store.apply_record(&record, update, name) {
                 continue; // gap: the prefix arrives first or not at all
             }
             ctx.count("tier-ae/adopt");

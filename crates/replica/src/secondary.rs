@@ -465,11 +465,6 @@ impl Secondary {
         }
     }
 
-    fn verify_record(&self, record: &CommitRecord) -> bool {
-        let ring = &self.rings[self.router.ring_of(&record.object)];
-        record.cert.verify_threshold(&record.signing_bytes(), &ring.keys, ring.m + 1)
-    }
-
     /// Acks a tier→tree push back to the ring that owns `object` when the
     /// sender was one of its primaries and we now hold the record
     /// certified. The ack goes to *every* member of that ring (it is
@@ -521,10 +516,14 @@ impl Secondary {
         from: NodeId,
         record: CommitRecord,
     ) -> Apply {
-        if !self.verify_record(&record) {
+        // Decode, name, then verify: the digest the certificate is checked
+        // against is this node's own, and so are the CIDs the store files
+        // the blocks under.
+        let ring = &self.rings[self.router.ring_of(&record.object)];
+        let Some((update, name)) = record.verified(&ring.keys, ring.m + 1) else {
             self.rejected += 1;
             return Apply::Rejected; // forged or partial certificate
-        }
+        };
         // Duplicate suppression: a record below our committed frontier was
         // already applied *and* already streamed to our children — two
         // disseminators racing after a failover must not re-flood the
@@ -535,7 +534,7 @@ impl Secondary {
             self.ack_primary_push(ctx, from, record.object, record.index);
             return Apply::Applied;
         }
-        if !self.store.apply_record(&record) {
+        if !self.store.apply_record(&record, update, name) {
             return Apply::Gap;
         }
         self.ack_primary_push(ctx, from, record.object, record.index);

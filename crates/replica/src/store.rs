@@ -23,11 +23,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use oceanstore_crypto::sha1::Digest;
 use oceanstore_naming::guid::Guid;
 use oceanstore_store::{cid_of, BlobStore, DedupStore};
 use oceanstore_update::object::{Block, DataObject};
-use oceanstore_update::update::{apply_owned, Outcome};
-use oceanstore_update::{decode_update, Update};
+use oceanstore_update::update::{apply_placing, Outcome};
+use oceanstore_update::{Update, UpdateDigest};
 
 use crate::messages::{committed_term, CommitRecord};
 
@@ -129,6 +130,10 @@ pub struct ObjectStore {
     blobs: DedupStore,
     /// Records kept below the certified frontier.
     retention: u64,
+    /// On a store that keeps them, each object's retained records'
+    /// update digests, parallel to its `records`. Kept out of
+    /// [`ObjectState`], which every secondary holds once per object.
+    digests: Option<HashMap<Guid, Vec<Digest>>>,
     /// [`crate::frontier_digest`] of every object's `next_index` (kept
     /// incrementally).
     committed_digest: u64,
@@ -160,6 +165,7 @@ impl ObjectStore {
             objects: HashMap::new(),
             blobs: DedupStore::new(backend),
             retention: RECORD_RETENTION,
+            digests: None,
             committed_digest: 0,
             retained_total: 0,
             peak_retained: 0,
@@ -177,8 +183,7 @@ impl ObjectStore {
         self.blobs = DedupStore::new(backend);
         for st in self.objects.values_mut() {
             st.slots.clear();
-            self.blob_put_failures +=
-                sync_blocks(&mut self.blobs, st);
+            self.blob_put_failures += sync_blocks(&mut self.blobs, st, &[]);
         }
     }
 
@@ -186,6 +191,15 @@ impl ObjectStore {
     /// deployments keep [`RECORD_RETENTION`]).
     pub fn set_record_retention(&mut self, retention: u64) {
         self.retention = retention;
+    }
+
+    /// Keeps each retained record's update digest beside it, for
+    /// [`ObjectStore::record_with_digest`]: a primary signs, checks shares
+    /// and checks certificates against it for as long as the record is
+    /// retained. A secondary checks each record once, on arrival, and
+    /// keeps none.
+    pub fn keep_record_digests(&mut self) {
+        self.digests.get_or_insert_with(HashMap::new);
     }
 
     /// State for `object`, creating an empty one on first touch.
@@ -247,12 +261,20 @@ impl ObjectStore {
 
     /// Applies `record` if it is the next expected index. Returns `true`
     /// if applied (or already applied), `false` if a gap remains.
+    /// `update` and `name` are the caller's own decoding and naming of
+    /// `record.update` ([`CommitRecord::verified`]); the blocks the update
+    /// stores are filed under `name.cids`, not hashed again.
     ///
     /// The record's embedded outcome is **recomputed locally** — a correct
     /// replica never trusts the claimed version without the deterministic
     /// re-execution matching (the cert's job is authenticating the
     /// *serialization order*, determinism does the rest).
-    pub fn apply_record(&mut self, record: &CommitRecord) -> bool {
+    pub fn apply_record(
+        &mut self,
+        record: &CommitRecord,
+        update: Update,
+        name: UpdateDigest,
+    ) -> bool {
         let st = self.objects.entry(record.object).or_default();
         st.known_index = st.known_index.max(record.index + 1);
         if record.index < st.next_index {
@@ -261,10 +283,7 @@ impl ObjectStore {
         if record.index > st.next_index {
             return false; // gap
         }
-        let outcome = match decode_update(&record.update) {
-            Ok(update) => apply_owned(&mut st.data, update),
-            Err(_) => Outcome::Aborted(oceanstore_update::update::AbortReason::NoPredicateHeld),
-        };
+        let (outcome, failures) = execute(&mut self.blobs, st, update, &name.cids);
         debug_assert_eq!(
             match &outcome {
                 Outcome::Committed { version } => Some(*version),
@@ -274,11 +293,14 @@ impl ObjectStore {
             "deterministic replay must match the tier's outcome"
         );
         st.records.push(record.clone());
+        if let Some(digests) = &mut self.digests {
+            digests.entry(record.object).or_default().push(name.digest);
+        }
         advance(&mut self.committed_digest, &record.object, st);
         self.retained_total += 1;
         self.total_applied += 1;
         self.peak_retained = self.peak_retained.max(self.retained_total);
-        self.blob_put_failures += sync_blocks(&mut self.blobs, st);
+        self.blob_put_failures += failures;
         self.note_certs(record.object);
         true
     }
@@ -321,6 +343,9 @@ impl ObjectStore {
         if low_water > st.first_index {
             let drop = (low_water - st.first_index) as usize;
             st.records.drain(..drop);
+            if let Some(kept) = self.digests.as_mut().and_then(|d| d.get_mut(&object)) {
+                kept.drain(..drop);
+            }
             st.first_index = low_water;
             self.retained_total -= drop as u64;
             self.dropped += drop as u64;
@@ -332,6 +357,26 @@ impl ObjectStore {
     pub fn record(&self, object: &Guid, index: u64) -> Option<&CommitRecord> {
         let st = self.objects.get(object)?;
         st.records.get(st.position(index)?)
+    }
+
+    /// The retained record at `index` with its update digest, on a store
+    /// that keeps them ([`ObjectStore::keep_record_digests`]).
+    pub fn record_with_digest(
+        &self,
+        object: &Guid,
+        index: u64,
+    ) -> Option<(&CommitRecord, &Digest)> {
+        let st = self.objects.get(object)?;
+        let at = st.position(index)?;
+        let digest = self.digests.as_ref()?.get(object)?.get(at)?;
+        Some((st.records.get(at)?, digest))
+    }
+
+    /// The CID the blob layer holds `slot` of `object`'s committed
+    /// version under: `None` for an index block, or a block whose put the
+    /// backend refused.
+    pub fn slot_cid(&self, object: &Guid, slot: usize) -> Option<Guid> {
+        Some(self.objects.get(object)?.slots.get(slot)?.as_ref()?.cid)
     }
 
     /// Serialized-but-unapplied catch-up: retained commit records from
@@ -347,18 +392,20 @@ impl ObjectStore {
 
     /// Serializes and applies `update` directly (primary-tier path, where
     /// the order is already decided). Returns the new record (without
-    /// cert). `update` is the caller's decoded copy of `encoded`; its
-    /// ciphertext moves into the object.
+    /// cert). `update` is the caller's decoded copy of `encoded` and
+    /// `name` its naming; its ciphertext moves into the object, filed
+    /// under `name.cids`.
     pub fn serialize_update(
         &mut self,
         object: Guid,
         update: Update,
+        name: UpdateDigest,
         encoded: Arc<Vec<u8>>,
         timestamp: u64,
         id: crate::messages::TentativeId,
     ) -> CommitRecord {
         let st = self.objects.entry(object).or_default();
-        let outcome = apply_owned(&mut st.data, update);
+        let (outcome, failures) = execute(&mut self.blobs, st, update, &name.cids);
         let version = match outcome {
             Outcome::Committed { version } => Some(version),
             Outcome::Aborted(_) => None,
@@ -373,12 +420,15 @@ impl ObjectStore {
             cert: Default::default(),
         };
         st.records.push(record.clone());
+        if let Some(digests) = &mut self.digests {
+            digests.entry(object).or_default().push(name.digest);
+        }
         advance(&mut self.committed_digest, &record.object, st);
         st.known_index = st.known_index.max(st.next_index);
         self.retained_total += 1;
         self.total_applied += 1;
         self.peak_retained = self.peak_retained.max(self.retained_total);
-        self.blob_put_failures += sync_blocks(&mut self.blobs, st);
+        self.blob_put_failures += failures;
         record
     }
 
@@ -423,12 +473,34 @@ fn advance(committed_digest: &mut u64, object: &Guid, st: &mut ObjectState) {
     st.next_index += 1;
 }
 
+/// Applies `update` to `st`'s object and mirrors the result into
+/// `blobs`, each stored ciphertext under its CID in `cids` (encoding
+/// order). Returns the outcome and the number of refused puts.
+fn execute(
+    blobs: &mut DedupStore,
+    st: &mut ObjectState,
+    update: Update,
+    cids: &[Guid],
+) -> (Outcome, u64) {
+    let mut named = Vec::new();
+    let outcome = apply_placing(&mut st.data, update, |k, slot| {
+        if let Some(&cid) = cids.get(k) {
+            named.push((slot, cid));
+        }
+    });
+    // Stable: a slot written twice keeps its later name last.
+    named.sort_by_key(|&(slot, _)| slot);
+    (outcome, sync_blocks(blobs, st, &named))
+}
+
 /// Mirrors the current version's data blocks into the blob store:
 /// changed/new slots are put (dedup-refcounted), replaced/removed slots
-/// drop their reference. A block is named here, once, and handed down
-/// with its own `Arc`, so an in-RAM backend holds the allocation the
-/// object holds. Returns the number of refused puts.
-fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState) -> u64 {
+/// drop their reference. A block is named once: by `named` — `(slot,
+/// CID)` pairs in slot order, where the last pair for a slot names what
+/// the commit left there — when the commit stored it, else hashed here.
+/// It is handed down with its own `Arc`, so an in-RAM backend holds the
+/// allocation the object holds. Returns the number of refused puts.
+fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState, named: &[(usize, Guid)]) -> u64 {
     let version = Arc::clone(st.data.current());
     let blocks = &version.blocks;
     let mut failures = 0;
@@ -454,7 +526,12 @@ fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState) -> u64 {
             st.slots.push(None);
         }
         if let Block::Data(d) = block {
-            match blobs.put_shared(cid_of(d), d) {
+            let after = named.partition_point(|&(slot, _)| slot <= i);
+            let cid = match after.checked_sub(1).map(|at| named[at]) {
+                Some((slot, cid)) if slot == i => cid,
+                _ => cid_of(d),
+            };
+            match blobs.put_shared(cid, d) {
                 Ok(cid) => {
                     st.slots[i] = Some(SlotSync { ptr: Arc::as_ptr(d) as *const u8 as usize, cid })
                 }
@@ -471,13 +548,21 @@ mod tests {
     use crate::messages::TentativeId;
     use oceanstore_crypto::threshold::SerializationCert;
     use oceanstore_sim::NodeId;
-    use oceanstore_update::encode_update;
     use oceanstore_update::update::Action;
+    use oceanstore_update::{decode_update, encode_update, update_digest};
 
-    fn update(tag: u8) -> (Update, Arc<Vec<u8>>) {
+    fn update(tag: u8) -> (Update, UpdateDigest, Arc<Vec<u8>>) {
         let u = Update::unconditional(vec![Action::Append { ciphertext: vec![tag; 4] }]);
-        let enc = Arc::new(encode_update(&u));
-        (u, enc)
+        let (name, enc) = (update_digest(&u), Arc::new(encode_update(&u)));
+        (u, name, enc)
+    }
+
+    /// Replays `record` the way a secondary does, minus the certificate
+    /// check: decode, name, apply.
+    fn replay(store: &mut ObjectStore, record: &CommitRecord) -> bool {
+        let update = decode_update(&record.update).expect("decodes");
+        let name = update_digest(&update);
+        store.apply_record(record, update, name)
     }
 
     fn tid(c: u64) -> TentativeId {
@@ -499,9 +584,9 @@ mod tests {
         let mut primary = ObjectStore::new();
         let mut secondary = ObjectStore::new();
         for (i, tag) in [1u8, 2, 3].iter().enumerate() {
-            let (u, enc) = update(*tag);
-            let rec = primary.serialize_update(obj, u, enc, i as u64, tid(i as u64));
-            assert!(secondary.apply_record(&rec));
+            let (u, name, enc) = update(*tag);
+            let rec = primary.serialize_update(obj, u, name, enc, i as u64, tid(i as u64));
+            assert!(replay(&mut secondary, &rec));
         }
         let p = primary.get(&obj).unwrap();
         let s = secondary.get(&obj).unwrap();
@@ -516,15 +601,15 @@ mod tests {
         let mut secondary = ObjectStore::new();
         let mut recs = Vec::new();
         for i in 0..4u8 {
-            let (u, enc) = update(i);
-            recs.push(primary.serialize_update(obj, u, enc, i as u64, tid(i as u64)));
+            let (u, name, enc) = update(i);
+            recs.push(primary.serialize_update(obj, u, name, enc, i as u64, tid(i as u64)));
         }
         // Deliver out of order: record 2 first.
-        assert!(!secondary.apply_record(&recs[2]));
+        assert!(!replay(&mut secondary, &recs[2]));
         assert!(secondary.entry(obj).is_stale());
         // Catch up from the primary's log.
         for r in primary.records_from(&obj, 0) {
-            assert!(secondary.apply_record(&r));
+            assert!(replay(&mut secondary, &r));
         }
         assert_eq!(secondary.get(&obj).unwrap().next_index, 4);
         assert!(!secondary.entry(obj).is_stale());
@@ -535,10 +620,10 @@ mod tests {
         let obj = Guid::from_label("o");
         let mut primary = ObjectStore::new();
         let mut secondary = ObjectStore::new();
-        let (u, enc) = update(1);
-        let rec = primary.serialize_update(obj, u, enc, 0, tid(0));
-        assert!(secondary.apply_record(&rec));
-        assert!(secondary.apply_record(&rec));
+        let (u, name, enc) = update(1);
+        let rec = primary.serialize_update(obj, u, name, enc, 0, tid(0));
+        assert!(replay(&mut secondary, &rec));
+        assert!(replay(&mut secondary, &rec));
         assert_eq!(secondary.get(&obj).unwrap().next_index, 1);
         assert_eq!(secondary.get(&obj).unwrap().data.version_number(), 1);
     }
@@ -549,8 +634,8 @@ mod tests {
         let obj = Guid::from_label("o");
         let mut primary = ObjectStore::new();
         let u = Update::default().with_clause(Predicate::CompareVersion(42), vec![]);
-        let enc = Arc::new(encode_update(&u));
-        let rec = primary.serialize_update(obj, u, enc, 0, tid(0));
+        let (name, enc) = (update_digest(&u), Arc::new(encode_update(&u)));
+        let rec = primary.serialize_update(obj, u, name, enc, 0, tid(0));
         assert_eq!(rec.version, None);
         let st = primary.get(&obj).unwrap();
         assert_eq!(st.next_index, 1);
@@ -562,8 +647,8 @@ mod tests {
         let obj = Guid::from_label("blobs");
         let mut store = ObjectStore::new();
         for i in 0..3u8 {
-            let (u, enc) = update(i);
-            store.serialize_update(obj, u, enc, i as u64, tid(i as u64));
+            let (u, name, enc) = update(i);
+            store.serialize_update(obj, u, name, enc, i as u64, tid(i as u64));
         }
         let health = store.health();
         assert_eq!(health.blob_count, 3, "one blob per distinct appended block");
@@ -596,7 +681,7 @@ mod tests {
             id: tid(0),
             cert: Default::default(),
         };
-        assert!(store.apply_record(&record));
+        assert!(replay(&mut store, &record));
         let version = Arc::clone(store.get(&obj).unwrap().data.current());
         assert_eq!(version.blocks.len(), blocks.len());
         for (slot, block) in version.blocks.iter().enumerate() {
@@ -612,11 +697,42 @@ mod tests {
     }
 
     #[test]
+    fn each_stored_block_is_filed_under_the_name_its_update_gave_it() {
+        use oceanstore_store::MemoryStore;
+        use oceanstore_update::update::Predicate;
+        let obj = Guid::from_label("named");
+        let mut store = ObjectStore::with_backend(Box::new(MemoryStore::new()));
+        let (u, name, enc) = update(1);
+        store.serialize_update(obj, u, name, enc, 0, tid(0));
+        // A skipped clause's ciphertext comes first in encoding order; the
+        // chosen clause writes slot 0 twice, then appends.
+        let block = |tag: u8| vec![tag; 4];
+        let skipped = vec![Action::Append { ciphertext: block(9) }];
+        let u = Update::default()
+            .with_clause(Predicate::CompareVersion(7), skipped)
+            .with_clause(
+                Predicate::True,
+                vec![
+                    Action::ReplaceBlock { position: 0, ciphertext: block(2) },
+                    Action::ReplaceBlock { position: 0, ciphertext: block(3) },
+                    Action::Append { ciphertext: block(4) },
+                ],
+            );
+        let (name, enc) = (update_digest(&u), Arc::new(encode_update(&u)));
+        assert_eq!(name.cids.len(), 4);
+        store.serialize_update(obj, u, name, enc, 1, tid(1));
+        assert_eq!(store.slot_cid(&obj, 0), Some(cid_of(&block(3))), "the later write names it");
+        assert_eq!(store.slot_cid(&obj, 1), Some(cid_of(&block(4))));
+        assert_eq!(store.health().blob_count, 2, "only what the object holds is stored");
+        assert_eq!(store.read_block(&obj, 0), Some(block(3)));
+    }
+
+    #[test]
     fn identical_blocks_dedup_across_objects() {
         let mut store = ObjectStore::new();
         for label in ["a", "b", "c"] {
-            let (u, enc) = update(7); // same block bytes everywhere
-            store.serialize_update(Guid::from_label(label), u, enc, 0, tid(0));
+            let (u, name, enc) = update(7); // same block bytes everywhere
+            store.serialize_update(Guid::from_label(label), u, name, enc, 0, tid(0));
         }
         let health = store.health();
         assert_eq!(health.blob_count, 1, "identical content stored once");
@@ -630,8 +746,8 @@ mod tests {
         let provider = SharedStore::new(SimRemoteStore::new(1, 0, 0.0));
         let mut store = ObjectStore::with_backend(Box::new(provider.clone()));
         let obj = Guid::from_label("fallback");
-        let (u, enc) = update(9);
-        store.serialize_update(obj, u, enc, 0, tid(0));
+        let (u, name, enc) = update(9);
+        store.serialize_update(obj, u, name, enc, 0, tid(0));
         assert_eq!(store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
         assert_eq!(store.health().fallback_reads, 0);
         provider.with(|p| p.set_down(true));
@@ -652,14 +768,14 @@ mod tests {
         provider.with(|p| p.set_down(true));
         let mut store = ObjectStore::with_backend(Box::new(provider.clone()));
         let obj = Guid::from_label("dead-writes");
-        let (u, enc) = update(4);
-        store.serialize_update(obj, u, enc, 0, tid(0));
+        let (u, name, enc) = update(4);
+        store.serialize_update(obj, u, name, enc, 0, tid(0));
         assert!(store.health().blob_put_failures > 0);
         assert_eq!(store.read_block(&obj, 0).unwrap(), vec![4u8; 4], "replica serves");
         // Provider revives: the next commit re-syncs everything pending.
         provider.with(|p| p.set_down(false));
-        let (u, enc) = update(5);
-        store.serialize_update(obj, u, enc, 1, tid(1));
+        let (u, name, enc) = update(5);
+        store.serialize_update(obj, u, name, enc, 1, tid(1));
         assert_eq!(store.health().blob_count, 2, "missed block re-synced on next commit");
         assert!(provider.clone().has(&cid_of(&[4u8; 4])));
     }
@@ -671,8 +787,8 @@ mod tests {
         store.set_record_retention(16);
         let total = 200u64;
         for i in 0..total {
-            let (u, enc) = update((i % 251) as u8);
-            store.serialize_update(obj, u, enc, i, tid(i));
+            let (u, name, enc) = update((i % 251) as u8);
+            store.serialize_update(obj, u, name, enc, i, tid(i));
             store.set_cert(&obj, i, fake_cert());
         }
         let st = store.get(&obj).unwrap();
@@ -704,9 +820,9 @@ mod tests {
         let mut primary = ObjectStore::new();
         let mut secondary = ObjectStore::new();
         for i in 0..1000u64 {
-            let (u, enc) = update((i % 251) as u8);
-            let rec = primary.serialize_update(obj, u, enc, i, tid(i));
-            assert!(secondary.apply_record(&rec));
+            let (u, name, enc) = update((i % 251) as u8);
+            let rec = primary.serialize_update(obj, u, name, enc, i, tid(i));
+            assert!(replay(&mut secondary, &rec));
         }
         let data = &secondary.get(&obj).unwrap().data;
         let (v1, v1000) = (data.version(1).unwrap(), data.current());
@@ -727,8 +843,8 @@ mod tests {
         // nothing may be dropped (certs are the proof the tier has the
         // history; without them every record is still needed).
         for i in 0..50u64 {
-            let (u, enc) = update(i as u8);
-            store.serialize_update(obj, u, enc, i, tid(i));
+            let (u, name, enc) = update(i as u8);
+            store.serialize_update(obj, u, name, enc, i, tid(i));
         }
         assert_eq!(store.get(&obj).unwrap().retained_records(), 50);
         // Certifying up to 40 allows truncation below 40 − retention.
@@ -746,8 +862,8 @@ mod tests {
         let mut store = ObjectStore::new();
         store.set_record_retention(2);
         for i in 0..10u64 {
-            let (u, enc) = update(i as u8);
-            store.serialize_update(obj, u, enc, i, tid(i));
+            let (u, name, enc) = update(i as u8);
+            store.serialize_update(obj, u, name, enc, i, tid(i));
             store.set_cert(&obj, i, fake_cert());
         }
         assert_eq!(store.get(&obj).unwrap().first_index, 8);
@@ -763,8 +879,8 @@ mod tests {
         let mut store = ObjectStore::new();
         store.set_record_retention(2);
         for i in 0..10u64 {
-            let (u, enc) = update(i as u8);
-            store.serialize_update(obj, u, enc, i, tid(i));
+            let (u, name, enc) = update(i as u8);
+            store.serialize_update(obj, u, name, enc, i, tid(i));
             store.set_cert(&obj, i, fake_cert());
         }
         assert_eq!(store.get(&obj).unwrap().first_index, 8);
@@ -780,8 +896,8 @@ mod tests {
         let obj = Guid::from_label("short-run");
         let mut store = ObjectStore::new();
         for i in 0..100u64 {
-            let (u, enc) = update(i as u8);
-            store.serialize_update(obj, u, enc, i, tid(i));
+            let (u, name, enc) = update(i as u8);
+            store.serialize_update(obj, u, name, enc, i, tid(i));
             store.set_cert(&obj, i, fake_cert());
         }
         // 100 < RECORD_RETENTION: the full log is retained, so every

@@ -20,7 +20,7 @@ use oceanstore_replica::{
 };
 use oceanstore_sim::{NodeId, SimDuration};
 use oceanstore_update::update::Action;
-use oceanstore_update::{encode_update, Update};
+use oceanstore_update::{encode_update, update_digest, Update};
 use proptest::prelude::*;
 
 /// One node's holdings: committed frontier and tentative ids per object.
@@ -114,13 +114,14 @@ proptest! {
                 replica.entry(object);
             } else {
                 let id = TentativeId { client: NodeId(9), counter: counter as u64 };
-                let encoded = Arc::new(encode_update(&append()));
-                log[o].push(primary.serialize_update(object, append(), encoded, 0, id));
+                let (update, encoded) = (append(), Arc::new(encode_update(&append())));
+                let name = update_digest(&update);
+                log[o].push(primary.serialize_update(object, update, name, encoded, 0, id));
             }
             // Replay some record of this object — the next one, an old
             // one again, or one past a gap.
             if let Some(record) = log[o].len().checked_sub(1 + back).map(|at| &log[o][at]) {
-                replica.apply_record(record);
+                replica.apply_record(record, append(), update_digest(&append()));
             }
             prop_assert_eq!(primary.committed_digest(), recomputed(&primary));
             prop_assert_eq!(replica.committed_digest(), recomputed(&replica));

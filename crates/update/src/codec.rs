@@ -1,10 +1,13 @@
-//! Canonical binary encoding of updates.
+//! Canonical binary encoding of updates, and the digest a serialization
+//! certificate names an update by.
 //!
 //! Updates travel through Byzantine agreement as opaque payload bytes; the
 //! digest that replicas agree on is a hash of this encoding, so it must be
 //! canonical (identical updates encode identically) and self-delimiting.
 
+use oceanstore_crypto::sha1::{Digest, Sha1};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
+use oceanstore_naming::guid::Guid;
 
 use crate::update::{Action, Clause, Predicate, Update};
 
@@ -20,18 +23,82 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Where an encoding goes: the wire buffer, or the hasher of
+/// [`update_digest`], which takes each ciphertext by its content id.
+trait Sink {
+    /// Structure: tags, counts, positions, predicate operands.
+    fn put(&mut self, bytes: &[u8]);
+    /// One block's ciphertext.
+    fn ciphertext(&mut self, ct: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn ciphertext(&mut self, ct: &[u8]) {
+        self.extend_from_slice(ct);
+    }
+}
+
+/// An update's name: SHA-1 over its canonical encoding with each
+/// ciphertext replaced by its content id, and those content ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UpdateDigest {
+    /// The digest a serialization certificate signs.
+    pub digest: Digest,
+    /// [`Guid::for_content`] of every ciphertext, in encoding order: the
+    /// names the blob store files the update's blocks under.
+    pub cids: Vec<Guid>,
+}
+
+/// The sink of [`update_digest`]: hashes each ciphertext into its CID,
+/// and the CID with everything else into the digest.
+struct Namer {
+    sha: Sha1,
+    cids: Vec<Guid>,
+}
+
+impl Sink for Namer {
+    fn put(&mut self, bytes: &[u8]) {
+        self.sha.update(bytes);
+    }
+
+    fn ciphertext(&mut self, ct: &[u8]) {
+        let cid = Guid::for_content(ct);
+        self.sha.update(cid.as_bytes());
+        self.cids.push(cid);
+    }
+}
+
 /// Encodes an update canonically.
 pub fn encode_update(u: &Update) -> Vec<u8> {
     let mut b = Vec::new();
-    put_u32(&mut b, u.clauses.len() as u32);
+    encode(&mut b, u);
+    b
+}
+
+/// Names `u` in one streaming pass over its encoding: each ciphertext is
+/// hashed once, into its content id, and the content ids are hashed with
+/// the rest of the encoding into the digest. A Merkle DAG of depth one —
+/// the digest covers every byte, and every block is already named by the
+/// CID the blob store keeps it under.
+pub fn update_digest(u: &Update) -> UpdateDigest {
+    let mut namer = Namer { sha: Sha1::new(), cids: Vec::new() };
+    encode(&mut namer, u);
+    UpdateDigest { digest: namer.sha.finalize(), cids: namer.cids }
+}
+
+fn encode(b: &mut impl Sink, u: &Update) {
+    put_u32(b, u.clauses.len() as u32);
     for c in &u.clauses {
-        encode_predicate(&mut b, &c.predicate);
-        put_u32(&mut b, c.actions.len() as u32);
+        encode_predicate(b, &c.predicate);
+        put_u32(b, c.actions.len() as u32);
         for a in &c.actions {
-            encode_action(&mut b, a);
+            encode_action(b, a);
         }
     }
-    b
 }
 
 /// Decodes an update previously produced by [`encode_update`].
@@ -66,29 +133,29 @@ pub fn decode_update(bytes: &[u8]) -> Result<Update, DecodeError> {
     Ok(Update { clauses })
 }
 
-fn encode_predicate(b: &mut Vec<u8>, p: &Predicate) {
+fn encode_predicate(b: &mut impl Sink, p: &Predicate) {
     match p {
-        Predicate::True => b.push(0),
+        Predicate::True => b.put(&[0]),
         Predicate::CompareVersion(v) => {
-            b.push(1);
+            b.put(&[1]);
             put_u64(b, *v);
         }
         Predicate::CompareSize(s) => {
-            b.push(2);
+            b.put(&[2]);
             put_u64(b, *s as u64);
         }
         Predicate::CompareBlock { position, hash } => {
-            b.push(3);
+            b.put(&[3]);
             put_u64(b, *position as u64);
-            b.extend_from_slice(hash);
+            b.put(hash);
         }
         Predicate::Search(t) => {
-            b.push(4);
-            b.extend_from_slice(&t.to_bytes());
+            b.put(&[4]);
+            b.put(&t.to_bytes());
         }
         Predicate::SearchAbsent(t) => {
-            b.push(5);
-            b.extend_from_slice(&t.to_bytes());
+            b.put(&[5]);
+            b.put(&t.to_bytes());
         }
     }
 }
@@ -109,21 +176,21 @@ fn decode_predicate(b: &mut &[u8]) -> Result<Predicate, DecodeError> {
     })
 }
 
-fn encode_action(b: &mut Vec<u8>, a: &Action) {
+fn encode_action(b: &mut impl Sink, a: &Action) {
     match a {
         Action::ReplaceBlock { position, ciphertext } => {
-            b.push(0);
+            b.put(&[0]);
             put_u64(b, *position as u64);
             put_u32(b, ciphertext.len() as u32);
-            b.extend_from_slice(ciphertext);
+            b.ciphertext(ciphertext);
         }
         Action::Append { ciphertext } => {
-            b.push(1);
+            b.put(&[1]);
             put_u32(b, ciphertext.len() as u32);
-            b.extend_from_slice(ciphertext);
+            b.ciphertext(ciphertext);
         }
         Action::ReplaceWithIndex { position, pointers } => {
-            b.push(2);
+            b.put(&[2]);
             put_u64(b, *position as u64);
             put_u32(b, pointers.len() as u32);
             for p in pointers {
@@ -131,14 +198,14 @@ fn encode_action(b: &mut Vec<u8>, a: &Action) {
             }
         }
         Action::DeleteBlock { position } => {
-            b.push(3);
+            b.put(&[3]);
             put_u64(b, *position as u64);
         }
         Action::SetSearchIndex(ix) => {
-            b.push(4);
+            b.put(&[4]);
             let raw = ix.to_bytes();
             put_u32(b, raw.len() as u32);
-            b.extend_from_slice(&raw);
+            b.put(&raw);
         }
     }
 }
@@ -176,12 +243,12 @@ fn decode_action(b: &mut &[u8]) -> Result<Action, DecodeError> {
     })
 }
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_be_bytes());
+fn put_u32(b: &mut impl Sink, v: u32) {
+    b.put(&v.to_be_bytes());
 }
 
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_be_bytes());
+fn put_u64(b: &mut impl Sink, v: u64) {
+    b.put(&v.to_be_bytes());
 }
 
 /// Splits the next `n` bytes off the front of the cursor.

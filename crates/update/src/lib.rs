@@ -17,10 +17,11 @@ pub mod ops;
 pub mod session;
 pub mod update;
 
-pub use codec::{decode_update, encode_update, DecodeError};
+pub use codec::{decode_update, encode_update, update_digest, DecodeError, UpdateDigest};
 pub use object::{Block, DataObject, Version};
 pub use ops::{ObjectKeys, ReadError};
 pub use session::{Guarantee, GuaranteeSet, SessionState};
 pub use update::{
-    apply, apply_logged, apply_owned, Action, Clause, LogEntry, Outcome, Predicate, Update,
+    apply, apply_logged, apply_owned, apply_placing, Action, Clause, LogEntry, Outcome, Predicate,
+    Update,
 };

@@ -83,6 +83,18 @@ pub enum Action {
     SetSearchIndex(EncryptedIndex),
 }
 
+impl Action {
+    /// The block ciphertext this action stores, if it stores one.
+    pub fn ciphertext(&self) -> Option<&[u8]> {
+        match self {
+            Action::ReplaceBlock { ciphertext, .. } | Action::Append { ciphertext } => {
+                Some(ciphertext)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// One guarded clause: if `predicate` holds, apply `actions`.
 #[derive(Debug, Clone)]
 pub struct Clause {
@@ -209,7 +221,29 @@ pub fn apply(object: &mut DataObject, update: &Update) -> Outcome {
 /// [`apply`] for a caller that is done with `update`: the ciphertext of
 /// every committed block moves into the object instead of being copied.
 pub fn apply_owned(object: &mut DataObject, update: Update) -> Outcome {
-    let Some(clause) = update.clauses.into_iter().find(|c| evaluate(object, &c.predicate)) else {
+    apply_placing(object, update, |_, _| {})
+}
+
+/// [`apply_owned`] that says where each ciphertext it stores lands:
+/// `placed(k, slot)` for the `k`-th ciphertext of the update's encoding
+/// order — the order of [`crate::update_digest`]'s CIDs — in the order the
+/// slots are written. A slot written twice is named by its later call.
+pub fn apply_placing(
+    object: &mut DataObject,
+    update: Update,
+    mut placed: impl FnMut(usize, usize),
+) -> Outcome {
+    // The chosen clause's first ciphertext is preceded, in encoding order,
+    // by every ciphertext of the clauses skipped before it.
+    let mut k = 0;
+    let chosen = update.clauses.into_iter().find(|c| {
+        let holds = evaluate(object, &c.predicate);
+        if !holds {
+            k += c.actions.iter().filter(|a| a.ciphertext().is_some()).count();
+        }
+        holds
+    });
+    let Some(clause) = chosen else {
         return Outcome::Aborted(AbortReason::NoPredicateHeld);
     };
     // Validate before touching anything, so an abort leaves the object as
@@ -246,13 +280,24 @@ pub fn apply_owned(object: &mut DataObject, update: Update) -> Outcome {
     }
     let mut slots = slots.into_iter();
     let mut slot = || slots.next().expect("validation resolved one slot per positional action");
+    let mut appended = cur.blocks.len();
+    let mut place = |slot| {
+        placed(k, slot);
+        k += 1;
+    };
     let version = object.commit(|next| {
         for action in clause.actions {
             match action {
                 Action::ReplaceBlock { ciphertext, .. } => {
-                    next.set(slot(), Block::Data(Arc::new(ciphertext)));
+                    let at = slot();
+                    place(at);
+                    next.set(at, Block::Data(Arc::new(ciphertext)));
                 }
-                Action::Append { ciphertext } => next.push(Block::Data(Arc::new(ciphertext))),
+                Action::Append { ciphertext } => {
+                    place(appended);
+                    appended += 1;
+                    next.push(Block::Data(Arc::new(ciphertext)));
+                }
                 Action::ReplaceWithIndex { pointers, .. } => {
                     next.set(slot(), Block::Index(pointers));
                 }

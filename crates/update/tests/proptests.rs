@@ -1,12 +1,14 @@
-//! Property-based tests for the update model: codec canonicity;
-//! deterministic replay, the invariant the whole replication layer rests
-//! on; and equivalence of the snapshot-plus-reverse-deltas object with a
-//! model that keeps every version whole.
+//! Property-based tests for the update model: codec canonicity; the
+//! update digest a certificate signs; deterministic replay, the invariant
+//! the whole replication layer rests on; and equivalence of the
+//! snapshot-plus-reverse-deltas object with a model that keeps every
+//! version whole.
 
 use std::sync::Arc;
 
 use oceanstore_crypto::swp::SearchKey;
-use oceanstore_update::codec::{decode_update, encode_update};
+use oceanstore_naming::guid::Guid;
+use oceanstore_update::codec::{decode_update, encode_update, update_digest};
 use oceanstore_update::object::{Block, DataObject, Version};
 use oceanstore_update::update::{
     apply, apply_owned, evaluate, AbortReason, Action, Outcome, Predicate,
@@ -313,6 +315,138 @@ proptest! {
             prop_assert!(slot < v.blocks.len());
             prop_assert!(matches!(v.blocks[slot], Block::Data(_)));
             prop_assert!(seen.insert(slot), "slot repeated in logical order");
+        }
+    }
+}
+
+/// `(clause, action)` of every action of `u` that `keep` accepts.
+fn actions_where(u: &Update, keep: impl Fn(&Action) -> bool) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (c, clause) in u.clauses.iter().enumerate() {
+        for (a, action) in clause.actions.iter().enumerate() {
+            if keep(action) {
+                out.push((c, a));
+            }
+        }
+    }
+    out
+}
+
+/// The ciphertext at a `(clause, action)` site that carries one.
+fn ciphertext_at(u: &mut Update, (c, a): (usize, usize)) -> &mut Vec<u8> {
+    match &mut u.clauses[c].actions[a] {
+        Action::ReplaceBlock { ciphertext, .. } | Action::Append { ciphertext } => ciphertext,
+        _ => unreachable!("a ciphertext site"),
+    }
+}
+
+fn search_index(word: u8) -> Action {
+    let key = SearchKey::from_seed(b"digest");
+    Action::SetSearchIndex(key.build_index(b"doc", vec![[word].as_slice()]))
+}
+
+/// One single mutation of kind `kind` (0..7), as `(before, after)`: the
+/// two differ in exactly that, or `None` where `u` offers nothing to
+/// mutate. `pick` chooses the site, `salt` (never 0) the new value.
+fn mutation(u: &Update, kind: usize, pick: usize, salt: u8) -> Option<(Update, Update)> {
+    let mut m = u.clone();
+    let choose = |sites: Vec<(usize, usize)>| sites.get(pick % sites.len().max(1)).copied();
+    let nonempty = |a: &Action| a.ciphertext().is_some_and(|ct| !ct.is_empty());
+    match kind {
+        // One ciphertext byte.
+        0 => {
+            let ct = ciphertext_at(&mut m, choose(actions_where(u, nonempty))?);
+            let at = pick % ct.len();
+            ct[at] ^= salt;
+        }
+        // One block swapped for another of the same length.
+        1 => {
+            let ct = ciphertext_at(&mut m, choose(actions_where(u, nonempty))?);
+            *ct = ct.iter().map(|b| b ^ salt).collect();
+        }
+        // Two appends of one clause, reordered.
+        2 => {
+            let appends = actions_where(u, |a| matches!(a, Action::Append { .. }));
+            let ct = |(c, a): (usize, usize)| u.clauses[c].actions[a].ciphertext();
+            let (c, first, second) = appends.iter().enumerate().find_map(|(i, &x)| {
+                let y = appends[i + 1..].iter().find(|&&y| y.0 == x.0 && ct(x) != ct(y))?;
+                Some((x.0, x.1, y.1))
+            })?;
+            m.clauses[c].actions.swap(first, second);
+        }
+        // A position.
+        3 => {
+            let positioned =
+                |a: &Action| !matches!(a, Action::Append { .. } | Action::SetSearchIndex(_));
+            let (c, a) = choose(actions_where(u, positioned))?;
+            let (Action::ReplaceBlock { position, .. }
+            | Action::ReplaceWithIndex { position, .. }
+            | Action::DeleteBlock { position }) = &mut m.clauses[c].actions[a]
+            else {
+                unreachable!("a positioned action")
+            };
+            *position = position.wrapping_add(usize::from(salt));
+        }
+        // A predicate operand.
+        4 => {
+            let with_operand: Vec<usize> = (0..u.clauses.len())
+                .filter(|&c| !matches!(u.clauses[c].predicate, Predicate::True))
+                .collect();
+            let c = *with_operand.get(pick % with_operand.len().max(1))?;
+            match &mut m.clauses[c].predicate {
+                Predicate::CompareVersion(v) => *v = v.wrapping_add(u64::from(salt)),
+                Predicate::CompareSize(s) => *s = s.wrapping_add(usize::from(salt)),
+                Predicate::CompareBlock { hash, .. } => hash[pick % 32] ^= salt,
+                _ => return None,
+            }
+        }
+        // A clause boundary: the last action of one clause becomes the
+        // first of the next, so the action sequence is the same.
+        5 => {
+            let before_another: Vec<usize> = (0..u.clauses.len().saturating_sub(1))
+                .filter(|&c| !u.clauses[c].actions.is_empty())
+                .collect();
+            let c = *before_another.get(pick % before_another.len().max(1))?;
+            let moved = m.clauses[c].actions.pop().expect("non-empty");
+            m.clauses[c + 1].actions.insert(0, moved);
+        }
+        // The search index.
+        6 => {
+            let before = u.clone().with_clause(Predicate::True, vec![search_index(0)]);
+            let after = u.clone().with_clause(Predicate::True, vec![search_index(salt)]);
+            return Some((before, after));
+        }
+        _ => unreachable!("seven kinds"),
+    }
+    Some((u.clone(), m))
+}
+
+proptest! {
+    /// The update digest names the update: equal updates have equal
+    /// digests (through the codec too), any single mutation changes it —
+    /// one ciphertext byte, one block swapped for another of the same
+    /// length, two appends reordered, a position, a predicate operand, a
+    /// clause boundary, the search index — and the CIDs it returns are the
+    /// blob store's names (`cid_of` is `Guid::for_content`) of every
+    /// ciphertext, in encoding order.
+    #[test]
+    fn digest_covers_every_field_and_every_block(
+        u in arb_update(),
+        kind in 0usize..7,
+        pick in any::<usize>(),
+        salt in 1u8..=255,
+    ) {
+        let name = update_digest(&u);
+        prop_assert_eq!(&name, &update_digest(&u.clone()));
+        let decoded = decode_update(&encode_update(&u)).expect("round-trips");
+        prop_assert_eq!(&name, &update_digest(&decoded));
+        let actions = u.clauses.iter().flat_map(|c| &c.actions);
+        let cids: Vec<Guid> = actions.filter_map(Action::ciphertext).map(Guid::for_content).collect();
+        prop_assert_eq!(&name.cids, &cids);
+        if let Some((before, after)) = mutation(&u, kind, pick, salt) {
+            prop_assert_ne!(encode_update(&before), encode_update(&after), "not a mutation");
+            let (before, after) = (update_digest(&before), update_digest(&after));
+            prop_assert_ne!(before.digest, after.digest, "mutation {} went unseen", kind);
         }
     }
 }
