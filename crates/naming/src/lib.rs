@@ -2,7 +2,8 @@
 //!
 //! * [`guid`] — 160-bit self-certifying GUIDs for objects, servers, and
 //!   archival fragments, with the digit-extraction helpers the Plaxton
-//!   location mesh routes by.
+//!   location mesh routes by, and the keyed hash tables ([`IdMap`],
+//!   [`IdSet`]) for identifier keys.
 //! * [`directory`] — directory objects mapping human-readable names to
 //!   GUIDs, with client-chosen roots ("the system as a whole has no one
 //!   root").
@@ -33,5 +34,5 @@ pub mod namespace;
 
 pub use acl::{Acl, AclCertificate, AclChoice, Privilege};
 pub use directory::{DirEntry, Directory};
-pub use guid::Guid;
+pub use guid::{Guid, IdMap, IdSet};
 pub use namespace::LocalNamespace;

@@ -9,13 +9,11 @@
 //! `RequestId` (and the `TentativeId` derived from it) stays unique
 //! per-client no matter which ring served it.
 
-use std::collections::HashMap;
-
 use oceanstore_consensus::client::{Client as PbftClient, ClientOutcome};
 use oceanstore_consensus::messages::{Payload, PbftMsg, RequestId};
 use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
-use oceanstore_naming::guid::Guid;
+use oceanstore_naming::guid::{Guid, IdMap};
 use oceanstore_sim::{Context, NodeId, SimDuration};
 use oceanstore_update::{encode_update, Update};
 use rand::seq::SliceRandom;
@@ -34,7 +32,7 @@ pub struct UpdateClient {
     /// Next client sequence, shared across rings.
     next_seq: u64,
     /// Client sequence → ring that serialized it (reply/timer routing).
-    routes: HashMap<u64, usize>,
+    routes: IdMap<u64, usize>,
     /// Known secondary replicas to seed the epidemic path.
     secondaries: Vec<NodeId>,
     /// How many random secondaries receive the tentative copy.
@@ -59,7 +57,7 @@ impl UpdateClient {
             rings: cfgs.into_iter().map(|cfg| PbftClient::new(cfg, keypair.clone())).collect(),
             router,
             next_seq: 0,
-            routes: HashMap::new(),
+            routes: IdMap::default(),
             secondaries,
             tentative_fanout: 3,
         }

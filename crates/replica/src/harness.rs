@@ -17,7 +17,7 @@ use oceanstore_consensus::client::ClientOutcome;
 use oceanstore_consensus::messages::RequestId;
 use oceanstore_consensus::replica::{CheckpointConfig, FaultMode, TierConfig};
 use oceanstore_crypto::schnorr::KeyPair;
-use oceanstore_naming::guid::Guid;
+use oceanstore_naming::guid::{Guid, IdSet};
 use oceanstore_sim::cluster::{tree_children, tree_grandparent, tree_parent, tree_sibling};
 use oceanstore_sim::{ClusterSpec, Context, NodeId, Protocol, SimDuration, Simulator};
 use oceanstore_update::Update;
@@ -261,7 +261,7 @@ fn peer_set(secondaries: &[NodeId], j: usize, seed: u64) -> Vec<NodeId> {
         return secondaries.iter().copied().filter(|&p| p != secondaries[j]).collect();
     }
     let mut peers = Vec::with_capacity(PEER_SAMPLE);
-    let mut chosen = std::collections::HashSet::with_capacity(PEER_SAMPLE);
+    let mut chosen = IdSet::with_capacity_and_hasher(PEER_SAMPLE, Default::default());
     let mut k = 0u64;
     while peers.len() < PEER_SAMPLE.min(s - 1) {
         let cand = (mix(seed ^ ((j as u64) << 32) ^ k) % s as u64) as usize;
@@ -319,6 +319,7 @@ pub fn build_deployment_with<N: Protocol>(
     let client_keys: Vec<KeyPair> = (0..opts.clients)
         .map(|i| KeyPair::from_seed(format!("dep-{}-client-{i}", opts.seed).as_bytes()))
         .collect();
+    // The agreement layer's own type, keyed as it chooses.
     let client_key_map: HashMap<NodeId, _> = clients
         .iter()
         .zip(&client_keys)

@@ -10,14 +10,13 @@
 //! certified record into the dissemination tree.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use oceanstore_consensus::messages::PbftMsg;
 use oceanstore_consensus::replica::{Replica, TierConfig};
 use oceanstore_crypto::schnorr::{verify, KeyPair, Signature};
 use oceanstore_crypto::threshold::SerializationCert;
-use oceanstore_naming::guid::Guid;
+use oceanstore_naming::guid::{Guid, IdMap, IdSet};
 use oceanstore_sim::{Context, NodeId};
 use oceanstore_update::{decode_update, update_digest};
 use rand::Rng;
@@ -111,32 +110,32 @@ pub struct Primary {
     /// output index — stable across the agreement log's checkpoint GC).
     drained: u64,
     /// Certificate assembly: (object, index) → (record, cert so far).
-    assembling: HashMap<(Guid, u64), (CommitRecord, SerializationCert)>,
+    assembling: IdMap<(Guid, u64), (CommitRecord, SerializationCert)>,
     /// Disseminator-failover knobs.
     failover: FailoverConfig,
     /// Shares we signed that still lack a certificate, keyed by record.
-    pending: HashMap<(Guid, u64), PendingShare>,
+    pending: IdMap<(Guid, u64), PendingShare>,
     /// Retry-timer token → the record it guards.
-    retry_tokens: HashMap<u64, (Guid, u64)>,
+    retry_tokens: IdMap<u64, (Guid, u64)>,
     /// Next retry-timer token.
     next_token: u64,
     /// Certificates observed via `CertFormed` before we executed the
     /// record ourselves (verified and attached at execution time).
-    early_certs: HashMap<(Guid, u64), SerializationCert>,
+    early_certs: IdMap<(Guid, u64), SerializationCert>,
     /// Total share re-broadcasts sent (failover engagement accounting).
     share_retries: u64,
     /// Tier→tree acked-re-push knobs.
     repush: RepushConfig,
     /// Certified records not yet acked by every `Push` child.
-    pending_push: HashMap<(Guid, u64), PendingPush>,
+    pending_push: IdMap<(Guid, u64), PendingPush>,
     /// Re-push-timer token → the record it guards.
-    push_tokens: HashMap<u64, (Guid, u64)>,
+    push_tokens: IdMap<u64, (Guid, u64)>,
     /// Next re-push-timer token.
     next_push_token: u64,
     /// Children known (via `CommitAck`) to hold each record — consulted
     /// when arming so an ack that raced ahead of `CertFormed` still
     /// cancels the watchdog.
-    push_acked: HashMap<(Guid, u64), HashSet<NodeId>>,
+    push_acked: IdMap<(Guid, u64), IdSet<NodeId>>,
     /// Total `Commit` re-pushes sent (re-push engagement accounting).
     repush_resends: u64,
     /// Period of the tier-internal anti-entropy tick (`None` disables
@@ -179,18 +178,18 @@ impl Primary {
             store,
             children,
             drained: 0,
-            assembling: HashMap::new(),
+            assembling: IdMap::default(),
             failover,
-            pending: HashMap::new(),
-            retry_tokens: HashMap::new(),
+            pending: IdMap::default(),
+            retry_tokens: IdMap::default(),
             next_token: 0,
-            early_certs: HashMap::new(),
+            early_certs: IdMap::default(),
             share_retries: 0,
             repush,
-            pending_push: HashMap::new(),
-            push_tokens: HashMap::new(),
+            pending_push: IdMap::default(),
+            push_tokens: IdMap::default(),
             next_push_token: 0,
-            push_acked: HashMap::new(),
+            push_acked: IdMap::default(),
             repush_resends: 0,
             tier_anti_entropy: None,
             router: crate::shard::ShardRouter::new(1),
@@ -309,7 +308,7 @@ impl Primary {
             // Tier anti-entropy may have adopted this record (certified)
             // before our own agreement replica caught up to it; appending
             // a second copy would fork the per-object index sequence.
-            if self.store.get(&object).is_some_and(|st| st.records.iter().any(|r| r.id == id)) {
+            if self.store.holds_record(&object, entry.timestamp, id) {
                 continue;
             }
             // The one pass over the update's bytes on this node: the
@@ -870,7 +869,7 @@ mod tests {
             for k in 0..40u64 {
                 let object = Guid::from_label(&format!("cover-{k}"));
                 for index in 0..4u64 {
-                    let members: std::collections::HashSet<usize> = (0..=m as u64)
+                    let members: IdSet<usize> = (0..=m as u64)
                         .map(|attempt| disseminator_for(n, &object, index, attempt))
                         .collect();
                     assert_eq!(members.len(), m + 1, "f+1 attempts must be distinct members");

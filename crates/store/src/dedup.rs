@@ -8,10 +8,9 @@
 //! the first put and the last delete, counting every elided write as a
 //! dedup hit with its bytes saved.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use oceanstore_naming::guid::Guid;
+use oceanstore_naming::guid::{Guid, IdMap};
 
 use crate::{cid_of, BlobStore, StoreError, StoreStats};
 
@@ -44,14 +43,14 @@ impl DedupStats {
 #[derive(Debug)]
 pub struct DedupStore {
     inner: Box<dyn BlobStore>,
-    refs: HashMap<Guid, u64>,
+    refs: IdMap<Guid, u64>,
     dedup: DedupStats,
 }
 
 impl DedupStore {
     /// Wraps `inner` with refcounted dedup.
     pub fn new(inner: Box<dyn BlobStore>) -> Self {
-        DedupStore { inner, refs: HashMap::new(), dedup: DedupStats::default() }
+        DedupStore { inner, refs: IdMap::default(), dedup: DedupStats::default() }
     }
 
     /// Dedup counters.

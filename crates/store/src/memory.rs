@@ -3,17 +3,16 @@
 //! backend and must stay bit-identical in behaviour — it never fails, and
 //! it performs no verification on read because the bytes never left RAM.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use oceanstore_naming::guid::Guid;
+use oceanstore_naming::guid::{Guid, IdMap};
 
 use crate::{cid_of, BlobStore, StoreError, StoreStats};
 
 /// An in-RAM content-addressed store.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    blobs: HashMap<Guid, Arc<Vec<u8>>>,
+    blobs: IdMap<Guid, Arc<Vec<u8>>>,
     stats: StoreStats,
 }
 

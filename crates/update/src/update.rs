@@ -224,14 +224,16 @@ pub fn apply_owned(object: &mut DataObject, update: Update) -> Outcome {
     apply_placing(object, update, |_, _| {})
 }
 
-/// [`apply_owned`] that says where each ciphertext it stores lands:
-/// `placed(k, slot)` for the `k`-th ciphertext of the update's encoding
-/// order — the order of [`crate::update_digest`]'s CIDs — in the order the
-/// slots are written. A slot written twice is named by its later call.
+/// [`apply_owned`] that reports every slot it writes, in the order written:
+/// `written(Some(k), slot)` when the slot receives the `k`-th ciphertext of
+/// the update's encoding order — the order of [`crate::update_digest`]'s
+/// CIDs — and `written(None, slot)` when it receives an index block or a
+/// tombstone. A slot written twice is reported twice; the later call says
+/// what it holds. An aborted update writes nothing.
 pub fn apply_placing(
     object: &mut DataObject,
     update: Update,
-    mut placed: impl FnMut(usize, usize),
+    mut written: impl FnMut(Option<usize>, usize),
 ) -> Outcome {
     // The chosen clause's first ciphertext is preceded, in encoding order,
     // by every ciphertext of the clauses skipped before it.
@@ -281,27 +283,35 @@ pub fn apply_placing(
     let mut slots = slots.into_iter();
     let mut slot = || slots.next().expect("validation resolved one slot per positional action");
     let mut appended = cur.blocks.len();
-    let mut place = |slot| {
-        placed(k, slot);
-        k += 1;
+    // Reports `slot` written, with the next ciphertext ordinal if it
+    // received a ciphertext.
+    let mut report = |ciphertext: bool, slot| {
+        written(ciphertext.then_some(k), slot);
+        k += usize::from(ciphertext);
     };
     let version = object.commit(|next| {
         for action in clause.actions {
             match action {
                 Action::ReplaceBlock { ciphertext, .. } => {
                     let at = slot();
-                    place(at);
+                    report(true, at);
                     next.set(at, Block::Data(Arc::new(ciphertext)));
                 }
                 Action::Append { ciphertext } => {
-                    place(appended);
+                    report(true, appended);
                     appended += 1;
                     next.push(Block::Data(Arc::new(ciphertext)));
                 }
                 Action::ReplaceWithIndex { pointers, .. } => {
-                    next.set(slot(), Block::Index(pointers));
+                    let at = slot();
+                    report(false, at);
+                    next.set(at, Block::Index(pointers));
                 }
-                Action::DeleteBlock { .. } => next.set(slot(), Block::Index(Vec::new())),
+                Action::DeleteBlock { .. } => {
+                    let at = slot();
+                    report(false, at);
+                    next.set(at, Block::Index(Vec::new()));
+                }
                 Action::SetSearchIndex(ix) => next.set_search_index(Arc::new(ix)),
             }
         }
