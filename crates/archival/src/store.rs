@@ -12,9 +12,9 @@
 //! which is the paper's durability argument working as designed.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use oceanstore_crypto::merkle::MerkleProof;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_store::{BlobStore, DedupStore};
 
@@ -120,9 +120,9 @@ impl FragStore {
             let old = self.index.remove(&key).expect("present");
             let _ = self.blobs.delete(&old.cid);
         }
-        // The payload is named above, once; it moves into the `Arc` the
+        // The payload is named above, once; it moves into the view the
         // blob layer keeps.
-        match self.blobs.put_shared(cid, &Arc::new(fragment.data)) {
+        match self.blobs.put_shared(cid, &Bytes::from(fragment.data)) {
             Ok(_) => {
                 self.index.insert(
                     key,

@@ -1,12 +1,11 @@
 //! Criterion microbenchmarks for the cryptographic and coding substrates.
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use oceanstore_crypto::cipher::BlockCipherKey;
 use oceanstore_crypto::schnorr::{verify, KeyPair};
 use oceanstore_crypto::sha1::sha1;
 use oceanstore_erasure::{ObjectCodec, CodeKind};
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_store::{cid_of, BlobStore, DedupStore, MemoryStore};
 
@@ -31,7 +30,7 @@ fn bench_cid(c: &mut Criterion) {
 }
 
 /// The call `replica::store::sync_blocks` makes for a freshly committed
-/// 4 KiB block: name it, then hand name and `Arc` to the dedup layer over
+/// 4 KiB block: name it, then hand name and view to the dedup layer over
 /// the in-RAM backend.
 fn bench_blob_put(c: &mut Criterion) {
     let mut store = DedupStore::new(Box::new(MemoryStore::new()));
@@ -45,7 +44,7 @@ fn bench_blob_put(c: &mut Criterion) {
                 counter += 1;
                 let mut block = vec![0x3Cu8; 4096];
                 block[..8].copy_from_slice(&counter.to_le_bytes());
-                Arc::new(block)
+                Bytes::from(block)
             },
             |block| store.put_shared(cid_of(&block), &block).expect("memory never refuses"),
             BatchSize::SmallInput,

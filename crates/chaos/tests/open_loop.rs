@@ -7,8 +7,9 @@
 //! Oracles: no committed write is lost (per object, committed outcomes
 //! never exceed the owning ring's frontier), every write is committed or
 //! still pending, the replica record log stays inside its retention
-//! window, a run is identical at every simulator thread count, and a
-//! fault-free loaded ring never leaves view 0.
+//! window and so does each secondary's memory of rumors, a run is
+//! identical at every simulator thread count, and a fault-free loaded
+//! ring never leaves view 0.
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
@@ -232,8 +233,9 @@ fn saturated_shard_sweep_scales_with_rings() {
 
 /// Two objects hammered with writes long enough that each certifies
 /// several retention windows' worth of commits: the record log must
-/// truncate while committed data stays lossless. The one open-loop test
-/// of the replica store's retention window.
+/// truncate while committed data stays lossless, and a secondary forgets
+/// the rumors of what it truncated. The one open-loop test of the replica
+/// store's retention window.
 #[test]
 fn long_horizon_record_log_stays_bounded() {
     let load = Load {
@@ -245,7 +247,7 @@ fn long_horizon_record_log_stays_bounded() {
         duration: SimDuration::from_secs(20),
         ..Load::default()
     };
-    let (_, seen) = run(&load, poisson(&load));
+    let (dep, seen) = run(&load, poisson(&load));
     assert!(seen.offered() > 600, "20 s at 40/s must offer real load");
     assert_eq!(seen.lost, 0, "truncation must never lose committed updates");
     let applied: u64 = seen.stores.iter().map(|h| h.total_records_applied).sum();
@@ -263,6 +265,23 @@ fn long_horizon_record_log_stays_bounded() {
         "replica memory unbounded: peak {peak} retained records"
     );
     assert!(seen.stores.iter().all(|h| h.fallback_reads == 0), "healthy backend serves all blocks");
+    // A rumor is remembered while its record is retained, or while it is
+    // still in flight: tentative, its record not applied here yet.
+    for &s in &dep.secondaries {
+        let secondary = dep.secondary(s);
+        let held: usize = (0..load.objects)
+            .map(object_guid)
+            .map(|g| {
+                let retained = secondary.store.get(&g).map_or(0, |st| st.retained_records());
+                retained as usize + secondary.tentative_count(&g)
+            })
+            .sum();
+        assert!(
+            secondary.rumors_seen() <= held,
+            "secondary {s:?} remembers {} rumors, holds {held} records and tentatives",
+            secondary.rumors_seen()
+        );
+    }
 }
 
 /// A run with a mid-run 10 % drop burst is identical at 1, 2 and 8

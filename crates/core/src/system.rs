@@ -484,7 +484,8 @@ impl OceanStore {
             dep.sim.node(requester).arch.outcome(id).map(|o| o.data.clone())
         })
         .ok_or(CoreError::Timeout)?;
-        let version = version_codec::decode_version(&bytes).ok_or(CoreError::CorruptArchive)?;
+        let version =
+            version_codec::decode_version(&bytes.into()).ok_or(CoreError::CorruptArchive)?;
         ops::read_object(keys, &version).map_err(|_| CoreError::CorruptArchive)
     }
 

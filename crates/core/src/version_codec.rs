@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use oceanstore_crypto::swp::EncryptedIndex;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_update::object::{Block, Version};
 
 /// Encodes a version canonically.
@@ -38,10 +39,11 @@ pub fn encode_version(v: &Version) -> Vec<u8> {
 }
 
 /// Decodes bytes produced by [`encode_version`]; `None` on corruption.
-pub fn decode_version(bytes: &[u8]) -> Option<Version> {
+/// Each data block of the result is a view of `bytes`' buffer.
+pub fn decode_version(bytes: &Bytes) -> Option<Version> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = bytes.get(*pos..*pos + n)?;
+        let s = bytes.get(*pos..pos.checked_add(n)?)?;
         *pos += n;
         Some(s)
     };
@@ -55,7 +57,8 @@ pub fn decode_version(bytes: &[u8]) -> Option<Version> {
         match take(&mut pos, 1)?[0] {
             0 => {
                 let len = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-                blocks.push(Block::Data(Arc::new(take(&mut pos, len)?.to_vec())));
+                take(&mut pos, len)?;
+                blocks.push(Block::Data(bytes.slice(pos - len..pos)));
             }
             1 => {
                 let n = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
@@ -89,9 +92,9 @@ mod tests {
         Version {
             number: 7,
             blocks: vec![
-                Block::Data(Arc::new(vec![1, 2, 3])),
+                Block::Data(vec![1, 2, 3].into()),
                 Block::Index(vec![4, 5]),
-                Block::Data(Arc::new(Vec::new())),
+                Block::Data(Bytes::default()),
                 Block::Index(Vec::new()),
             ],
             search_index: Arc::new(
@@ -103,18 +106,23 @@ mod tests {
     #[test]
     fn roundtrip() {
         let v = sample();
-        let enc = encode_version(&v);
+        let enc = Bytes::from(encode_version(&v));
         let dec = decode_version(&enc).expect("decodes");
         assert_eq!(dec.number, v.number);
         assert_eq!(dec.blocks, v.blocks);
         assert_eq!(*dec.search_index, *v.search_index);
+        for block in &dec.blocks {
+            if let Block::Data(d) = block {
+                assert!(Arc::ptr_eq(d.buffer(), enc.buffer()), "a block copied out of the archive");
+            }
+        }
     }
 
     #[test]
     fn truncation_rejected() {
-        let enc = encode_version(&sample());
+        let enc = Bytes::from(encode_version(&sample()));
         for cut in [0, 5, enc.len() / 2, enc.len() - 1] {
-            assert!(decode_version(&enc[..cut]).is_none(), "cut {cut}");
+            assert!(decode_version(&enc.slice(0..cut)).is_none(), "cut {cut}");
         }
     }
 
@@ -122,14 +130,14 @@ mod tests {
     fn trailing_garbage_rejected() {
         let mut enc = encode_version(&sample());
         enc.push(0xFF);
-        assert!(decode_version(&enc).is_none());
+        assert!(decode_version(&enc.into()).is_none());
     }
 
     #[test]
     fn bad_tag_rejected() {
         let mut enc = encode_version(&sample());
         enc[12] = 9; // first block tag
-        assert!(decode_version(&enc).is_none());
+        assert!(decode_version(&enc.into()).is_none());
     }
 
     #[test]
@@ -139,7 +147,7 @@ mod tests {
             blocks: Vec::new(),
             search_index: Arc::new(EncryptedIndex::default()),
         };
-        let dec = decode_version(&encode_version(&v)).unwrap();
+        let dec = decode_version(&encode_version(&v).into()).unwrap();
         assert_eq!(dec.blocks.len(), 0);
         assert_eq!(dec.number, 0);
     }

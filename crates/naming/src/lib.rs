@@ -4,6 +4,8 @@
 //!   archival fragments, with the digit-extraction helpers the Plaxton
 //!   location mesh routes by, and the keyed hash tables ([`IdMap`],
 //!   [`IdSet`]) for identifier keys.
+//! * [`bytes`] — [`Bytes`], an immutable view of a shared buffer: the
+//!   one type servers hold content-named ciphertext in.
 //! * [`directory`] — directory objects mapping human-readable names to
 //!   GUIDs, with client-chosen roots ("the system as a whole has no one
 //!   root").
@@ -28,11 +30,13 @@
 #![warn(missing_docs)]
 
 pub mod acl;
+pub mod bytes;
 pub mod directory;
 pub mod guid;
 pub mod namespace;
 
 pub use acl::{Acl, AclCertificate, AclChoice, Privilege};
+pub use bytes::Bytes;
 pub use directory::{DirEntry, Directory};
 pub use guid::{Guid, IdMap, IdSet};
 pub use namespace::LocalNamespace;

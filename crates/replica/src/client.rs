@@ -13,14 +13,14 @@ use oceanstore_consensus::client::{Client as PbftClient, ClientOutcome};
 use oceanstore_consensus::messages::{Payload, PbftMsg, RequestId};
 use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};
 use oceanstore_sim::{Context, NodeId, SimDuration};
-use oceanstore_update::{encode_update, Update};
+use oceanstore_update::Update;
 use rand::seq::SliceRandom;
-use std::sync::Arc;
 
 use crate::messages::{ReplicaMsg, TentativeId};
-use crate::primary::encode_payload;
+use crate::primary::{encode_payload, PAYLOAD_UPDATE_AT};
 use crate::shard::ShardRouter;
 
 /// An update-submitting client.
@@ -79,6 +79,9 @@ impl UpdateClient {
 
     /// Submits an update along both paths of Figure 5a, to the ring that
     /// owns `object`. Returns the request id for [`UpdateClient::outcome`].
+    ///
+    /// The update is encoded once, into the agreement payload; the
+    /// tentative copies are views of that payload's update bytes.
     pub fn submit(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -91,8 +94,9 @@ impl UpdateClient {
         if self.rings.len() > 1 {
             self.routes.insert(seq, ring);
         }
-        let encoded = Arc::new(encode_update(update));
-        let payload = Payload::from_bytes(encode_payload(&object, &encoded));
+        let payload = Payload::from_bytes(encode_payload(&object, update));
+        let whole = Bytes::from(payload.bytes.clone());
+        let encoded = whole.slice(PAYLOAD_UPDATE_AT..whole.len());
         let timestamp = ctx.now().as_micros();
         let id =
             ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.rings[ring].submit_at(ictx, payload, seq));
@@ -103,7 +107,7 @@ impl UpdateClient {
         for s in secondaries.into_iter().take(self.tentative_fanout) {
             ctx.send(
                 s,
-                ReplicaMsg::Tentative { object, update: Arc::clone(&encoded), timestamp, id: tid },
+                ReplicaMsg::Tentative { object, update: encoded.clone(), timestamp, id: tid },
             );
         }
         id

@@ -347,8 +347,6 @@ mod tests {
 
 #[cfg(test)]
 mod security_tests {
-    use std::sync::Arc;
-
     use oceanstore_crypto::schnorr::KeyPair;
     use oceanstore_crypto::threshold::SerializationCert;
     use oceanstore_naming::guid::Guid;
@@ -373,7 +371,7 @@ mod security_tests {
         let mut record = CommitRecord {
             object,
             index: 0,
-            update: Arc::new(encode_update(&evil_update)),
+            update: encode_update(&evil_update).into(),
             version: Some(1),
             timestamp: 0,
             id: TentativeId { client: NodeId(99), counter: 0 },
@@ -411,7 +409,7 @@ mod security_tests {
         // ...and tamper with the update bytes while keeping the cert.
         let other = Update::unconditional(vec![Action::Append { ciphertext: vec![9, 9, 9] }]);
         let mut forged = genuine.clone();
-        forged.update = Arc::new(encode_update(&other));
+        forged.update = encode_update(&other).into();
         forged.index = 1; // next slot, so the gap check doesn't mask the cert check
         let victim = dep.secondaries[3];
         dep.sim.inject(dep.secondaries[2], victim, ReplicaMsg::Commit(forged));

@@ -1,14 +1,13 @@
 //! Wire messages of the two-tier replication layer (§4.4.3, §4.4.4).
 
-use std::sync::Arc;
-
 use oceanstore_consensus::messages::PbftMsg;
 use oceanstore_crypto::schnorr::{PublicKey, Signature};
 use oceanstore_crypto::sha1::Digest;
 use oceanstore_crypto::threshold::SerializationCert;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Message, NodeId};
-use oceanstore_update::{decode_update, update_digest, Update, UpdateDigest};
+use oceanstore_update::{decode_view, update_digest, Update, UpdateDigest};
 
 use crate::shard::mix;
 
@@ -30,8 +29,9 @@ pub struct CommitRecord {
     /// Per-object serialization index (dense, starting at 0; counts aborts
     /// too — "the update itself is logged regardless").
     pub index: u64,
-    /// The encoded update.
-    pub update: Arc<Vec<u8>>,
+    /// The encoded update: a view of the agreement payload it was
+    /// serialized from.
+    pub update: Bytes,
     /// Resulting version if the update committed; `None` if it aborted.
     pub version: Option<u64>,
     /// Client timestamp (tentative-order hint).
@@ -81,12 +81,17 @@ impl CommitRecord {
     /// if at least `threshold` of `keys` signed this very record, `None`
     /// otherwise. A node derives the digest of every record it is handed
     /// here, itself; none is taken from the wire. No honest tier
-    /// certifies bytes that do not decode.
-    pub fn verified(&self, keys: &[PublicKey], threshold: usize) -> Option<(Update, UpdateDigest)> {
+    /// certifies bytes that do not decode. The update's ciphertexts are
+    /// views of the record's buffer.
+    pub fn verified(
+        &self,
+        keys: &[PublicKey],
+        threshold: usize,
+    ) -> Option<(Update<Bytes>, UpdateDigest)> {
         if self.cert.len() < threshold {
             return None; // too few signatures to be worth decoding
         }
-        let update = decode_update(&self.update).ok()?;
+        let update = decode_view(&self.update).ok()?;
         let name = update_digest(&update);
         let msg = self.signing_bytes(&name.digest);
         self.cert.verify_threshold(&msg, keys, threshold).then_some((update, name))
@@ -159,8 +164,8 @@ pub enum ReplicaMsg {
     Tentative {
         /// Target object.
         object: Guid,
-        /// Encoded update.
-        update: Arc<Vec<u8>>,
+        /// Encoded update: a view of the client's agreement payload.
+        update: Bytes,
         /// Client's optimistic timestamp.
         timestamp: u64,
         /// Identity for dedup/reconciliation.

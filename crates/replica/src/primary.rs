@@ -10,15 +10,15 @@
 //! certified record into the dissemination tree.
 
 use std::collections::hash_map::Entry;
-use std::sync::Arc;
 
 use oceanstore_consensus::messages::PbftMsg;
 use oceanstore_consensus::replica::{Replica, TierConfig};
 use oceanstore_crypto::schnorr::{verify, KeyPair, Signature};
 use oceanstore_crypto::threshold::SerializationCert;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap, IdSet};
 use oceanstore_sim::{Context, NodeId};
-use oceanstore_update::{decode_update, update_digest};
+use oceanstore_update::{decode_view, encode_after, update_digest, Update};
 use rand::Rng;
 
 use crate::config::{ChildMode, FailoverConfig, RepushConfig};
@@ -75,22 +75,22 @@ struct PendingShare {
     token: u64,
 }
 
+/// Where an agreement payload's update encoding starts: after the object
+/// GUID.
+pub const PAYLOAD_UPDATE_AT: usize = Guid::WIRE_SIZE;
+
 /// Encodes an agreement payload: object GUID followed by the encoded
-/// update.
-pub fn encode_payload(object: &Guid, update_bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + update_bytes.len());
-    out.extend_from_slice(object.as_bytes());
-    out.extend_from_slice(update_bytes);
-    out
+/// update, in one buffer.
+pub fn encode_payload(object: &Guid, update: &Update) -> Vec<u8> {
+    encode_after(object.as_bytes(), update)
 }
 
-/// Splits an agreement payload back into GUID and update bytes.
-pub fn decode_payload(bytes: &[u8]) -> Option<(Guid, &[u8])> {
-    if bytes.len() < 20 {
-        return None;
-    }
-    let guid = Guid::from_bytes(bytes[..20].try_into().expect("20 bytes"));
-    Some((guid, &bytes[20..]))
+/// Splits an agreement payload back into GUID and update bytes, the latter
+/// a view of the payload's buffer.
+pub fn decode_payload(payload: &Bytes) -> Option<(Guid, Bytes)> {
+    let guid = payload.get(..PAYLOAD_UPDATE_AT)?;
+    let guid = Guid::from_bytes(guid.try_into().expect("a GUID's bytes"));
+    Some((guid, payload.slice(PAYLOAD_UPDATE_AT..payload.len())))
 }
 
 /// A primary-tier server.
@@ -300,10 +300,13 @@ impl Primary {
                 continue;
             };
             self.drained += 1;
-            let Some((object, update_bytes)) = decode_payload(&entry.payload.bytes) else {
+            // The agreed payload is the buffer the client encoded; the
+            // record and every block the update stores are views of it.
+            let payload = Bytes::from(entry.payload.bytes.clone());
+            let Some((object, encoded)) = decode_payload(&payload) else {
                 continue; // malformed payload agreed on; logged nowhere to go
             };
-            let Ok(update) = decode_update(update_bytes) else { continue };
+            let Ok(update) = decode_view(&encoded) else { continue };
             let id = TentativeId { client: entry.request.client, counter: entry.request.seq };
             // Tier anti-entropy may have adopted this record (certified)
             // before our own agreement replica caught up to it; appending
@@ -316,14 +319,8 @@ impl Primary {
             // files its blocks under.
             let name = update_digest(&update);
             let digest = name.digest;
-            let record = self.store.serialize_update(
-                object,
-                update,
-                name,
-                Arc::new(update_bytes.to_vec()),
-                entry.timestamp,
-                id,
-            );
+            let record =
+                self.store.serialize_update(object, update, name, encoded, entry.timestamp, id);
             let key = (object, record.index);
             let msg = record.signing_bytes(&digest);
             // A certificate may have been observed (via `CertFormed`)
@@ -778,7 +775,8 @@ impl Primary {
                 continue; // forged or partial certificate
             };
             let key = (record.object, record.index);
-            if !self.store.apply_record(&record, update, name) {
+            // A primary keeps no rumors to forget when its log truncates.
+            if !self.store.apply_record(&record, update, name, |_| {}) {
                 continue; // gap: the prefix arrives first or not at all
             }
             ctx.count("tier-ae/adopt");

@@ -8,14 +8,14 @@
 //! timestamp order."
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use oceanstore_crypto::schnorr::PublicKey;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap, IdSet};
 use oceanstore_sim::{Context, NodeId, SimTime};
 use oceanstore_update::object::DataObject;
 use oceanstore_update::update::apply_owned;
-use oceanstore_update::decode_update;
+use oceanstore_update::decode_view;
 use rand::seq::SliceRandom;
 
 use crate::config::{ChildMode, SecondaryConfig, SecondaryFault};
@@ -30,7 +30,7 @@ const TIMER_HEARTBEAT: u64 = 11;
 
 /// Tentative updates for one object in (timestamp, id) order — the
 /// tentative serialization order.
-type TentativeLog = BTreeMap<(u64, TentativeId), Arc<Vec<u8>>>;
+type TentativeLog = BTreeMap<(u64, TentativeId), Bytes>;
 
 /// What became of one certified record offered to the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +64,9 @@ pub struct Secondary {
     /// Tentative updates per object, in (timestamp, id) order — the
     /// tentative serialization order.
     tentative: IdMap<Guid, TentativeLog>,
-    /// Updates already seen (dedup for the rumor mill).
+    /// Updates already seen (dedup for the rumor mill). An entry leaves
+    /// with its record's truncation from the log: the stale-rumor rule
+    /// refuses every later rumor of it before this set is consulted.
     seen: IdSet<(Guid, TentativeId)>,
     /// The primary rings, indexed by [`ShardRouter::ring_of`]. The
     /// secondary substrate is shared by every ring, so a record is checked
@@ -167,7 +169,7 @@ impl Secondary {
             .unwrap_or_default();
         if let Some(pending) = self.tentative.get(object) {
             for enc in pending.values() {
-                if let Ok(u) = decode_update(enc) {
+                if let Ok(u) = decode_view(enc) {
                     let _ = apply_owned(&mut data, u);
                 }
             }
@@ -178,6 +180,11 @@ impl Secondary {
     /// Number of tentative updates held for `object`.
     pub fn tentative_count(&self, object: &Guid) -> usize {
         self.tentative.get(object).map_or(0, BTreeMap::len)
+    }
+
+    /// Rumors this replica remembers having seen, across all objects.
+    pub fn rumors_seen(&self) -> usize {
+        self.seen.len()
     }
 
     /// Whether this replica knows it is behind on `object`.
@@ -439,7 +446,7 @@ impl Secondary {
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         object: Guid,
-        update: Arc<Vec<u8>>,
+        update: Bytes,
         timestamp: u64,
         id: TentativeId,
     ) {
@@ -454,13 +461,13 @@ impl Secondary {
             self.tentative
                 .entry(object)
                 .or_default()
-                .insert((timestamp, id), Arc::clone(&update));
+                .insert((timestamp, id), update.clone());
         }
         // Rumor mongering to a few random peers.
         let mut peers = self.cfg.peers.clone();
         peers.shuffle(ctx.rng());
         for peer in peers.into_iter().take(self.cfg.gossip_fanout) {
-            ctx.send(peer, ReplicaMsg::Tentative { object, update: Arc::clone(&update), timestamp, id });
+            ctx.send(peer, ReplicaMsg::Tentative { object, update: update.clone(), timestamp, id });
         }
     }
 
@@ -533,7 +540,11 @@ impl Secondary {
             self.ack_primary_push(ctx, from, record.object, record.index);
             return Apply::Applied;
         }
-        if !self.store.apply_record(&record, update, name) {
+        let seen = &mut self.seen;
+        let forget = |dropped: &CommitRecord| {
+            seen.remove(&(dropped.object, dropped.id));
+        };
+        if !self.store.apply_record(&record, update, name, forget) {
             return Apply::Gap;
         }
         self.ack_primary_push(ctx, from, record.object, record.index);
@@ -585,7 +596,7 @@ impl Secondary {
         CommitRecord {
             object,
             index,
-            update: Arc::new(vec![0xEE; 8]),
+            update: vec![0xEE; 8].into(),
             version: Some(9_999),
             timestamp: 0,
             id: TentativeId { client: NodeId(0), counter: u64::MAX },
@@ -696,7 +707,7 @@ impl Secondary {
                         from,
                         ReplicaMsg::Tentative {
                             object,
-                            update: Arc::clone(update),
+                            update: update.clone(),
                             timestamp: *timestamp,
                             id: *id,
                         },

@@ -23,6 +23,7 @@
 use std::sync::Arc;
 
 use oceanstore_crypto::sha1::Digest;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};
 use oceanstore_store::{cid_of, BlobStore, DedupStore};
 use oceanstore_update::object::{Block, DataObject};
@@ -291,17 +292,19 @@ impl ObjectStore {
     /// if applied (or already applied), `false` if a gap remains.
     /// `update` and `name` are the caller's own decoding and naming of
     /// `record.update` ([`CommitRecord::verified`]); the blocks the update
-    /// stores are filed under `name.cids`, not hashed again.
+    /// stores are filed under `name.cids`, not hashed again. Each record
+    /// the log then truncates is handed to `dropped`, oldest first.
     ///
     /// The record's embedded outcome is **recomputed locally** — a correct
     /// replica never trusts the claimed version without the deterministic
     /// re-execution matching (the cert's job is authenticating the
     /// *serialization order*, determinism does the rest).
-    pub fn apply_record(
+    pub fn apply_record<C: Into<Bytes>>(
         &mut self,
         record: &CommitRecord,
-        update: Update,
+        update: Update<C>,
         name: UpdateDigest,
+        dropped: impl FnMut(&CommitRecord),
     ) -> bool {
         let st = self.objects.entry(record.object).or_default();
         st.known_index = st.known_index.max(record.index + 1);
@@ -330,7 +333,7 @@ impl ObjectStore {
         self.total_applied += 1;
         self.peak_retained = self.peak_retained.max(self.retained_total);
         self.blob_put_failures += failures;
-        self.note_certs(record.object);
+        self.note_certs(record.object, dropped);
         true
     }
 
@@ -349,13 +352,14 @@ impl ObjectStore {
                 r.cert = cert;
             }
         }
-        self.note_certs(*object);
+        self.note_certs(*object, |_| {});
     }
 
     /// Advances the certified frontier past every dense leading cert and
-    /// truncates history below `frontier − retention`. Serving stays on
-    /// the retained suffix; everything dropped was certified tier-wide.
-    fn note_certs(&mut self, object: Guid) {
+    /// truncates history below `frontier − retention`, handing each record
+    /// dropped to `dropped`. Serving stays on the retained suffix;
+    /// everything dropped was certified tier-wide.
+    fn note_certs(&mut self, object: Guid, mut dropped: impl FnMut(&CommitRecord)) {
         let Some(st) = self.objects.get_mut(&object) else { return };
         if st.certified_upto < st.first_index {
             // A fresh entry starts at 0; certification is only tracked
@@ -371,8 +375,10 @@ impl ObjectStore {
         let low_water = st.certified_upto.saturating_sub(self.retention);
         if low_water > st.first_index {
             let drop = (low_water - st.first_index) as usize;
-            let dropped = st.records.drain(..drop).map(|r| r.timestamp.saturating_add(1));
-            st.rumor_floor = dropped.fold(st.rumor_floor, u64::max);
+            for r in st.records.drain(..drop) {
+                st.rumor_floor = st.rumor_floor.max(r.timestamp.saturating_add(1));
+                dropped(&r);
+            }
             if let Some(kept) = self.digests.as_mut().and_then(|d| d.get_mut(&object)) {
                 kept.drain(..drop);
             }
@@ -422,15 +428,15 @@ impl ObjectStore {
 
     /// Serializes and applies `update` directly (primary-tier path, where
     /// the order is already decided). Returns the new record (without
-    /// cert). `update` is the caller's decoded copy of `encoded` and
-    /// `name` its naming; its ciphertext moves into the object, filed
-    /// under `name.cids`.
-    pub fn serialize_update(
+    /// cert). `update` is the caller's decoding of `encoded` and `name`
+    /// its naming; its ciphertext moves into the object, filed under
+    /// `name.cids`, and `encoded` becomes the record's update.
+    pub fn serialize_update<C: Into<Bytes>>(
         &mut self,
         object: Guid,
-        update: Update,
+        update: Update<C>,
         name: UpdateDigest,
-        encoded: Arc<Vec<u8>>,
+        encoded: Bytes,
         timestamp: u64,
         id: crate::messages::TentativeId,
     ) -> CommitRecord {
@@ -472,14 +478,14 @@ impl ObjectStore {
         let st = self.objects.get(object)?;
         let version = Arc::clone(st.data.current());
         let Block::Data(mem) = version.blocks.get(slot)? else { return None };
-        let mem = Arc::clone(mem);
+        let mem = mem.clone();
         if let Some(cid) = st.slots.get(slot).copied().flatten() {
             if let Ok(Some(bytes)) = self.blobs.get(&cid) {
                 return Some(bytes);
             }
         }
         self.fallback_reads += 1;
-        Some(mem.as_ref().clone())
+        Some(mem.to_vec())
     }
 
     /// Reads `object`'s full committed byte sequence (logical block
@@ -506,10 +512,10 @@ fn advance(committed_digest: &mut u64, object: &Guid, st: &mut ObjectState) {
 /// Applies `update` to `st`'s object and mirrors the result into
 /// `blobs`, each stored ciphertext under its CID in `cids` (encoding
 /// order). Returns the outcome and the number of refused puts.
-fn execute(
+fn execute<C: Into<Bytes>>(
     blobs: &mut DedupStore,
     st: &mut ObjectState,
-    update: Update,
+    update: Update<C>,
     cids: &[Guid],
 ) -> (Outcome, u64) {
     let mut written = Vec::new();
@@ -525,8 +531,9 @@ fn execute(
 /// ascending slot order: each drops the reference to what it held, and a
 /// data block is put (dedup-refcounted). A block is named once: by its
 /// update (a refused one keeps that name until it is put), else hashed
-/// here. It is handed down with its own `Arc`, so an in-RAM backend holds
-/// the allocation the object holds. Returns the number of refused puts.
+/// here. It is handed down as the object's own view, so an in-RAM backend
+/// holds the allocation the object holds. Returns the number of refused
+/// puts.
 fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState, mut visit: Vec<Write>) -> u64 {
     let blocks = &st.data.current().blocks;
     debug_assert!(st.slots.len() <= blocks.len(), "a version never loses slots");
@@ -564,20 +571,20 @@ mod tests {
     use oceanstore_crypto::threshold::SerializationCert;
     use oceanstore_sim::NodeId;
     use oceanstore_update::update::Action;
-    use oceanstore_update::{decode_update, encode_update, update_digest};
+    use oceanstore_update::{decode_view, encode_update, update_digest};
 
-    fn update(tag: u8) -> (Update, UpdateDigest, Arc<Vec<u8>>) {
+    fn update(tag: u8) -> (Update, UpdateDigest, Bytes) {
         let u = Update::unconditional(vec![Action::Append { ciphertext: vec![tag; 4] }]);
-        let (name, enc) = (update_digest(&u), Arc::new(encode_update(&u)));
+        let (name, enc) = (update_digest(&u), Bytes::from(encode_update(&u)));
         (u, name, enc)
     }
 
     /// Replays `record` the way a secondary does, minus the certificate
     /// check: decode, name, apply.
     fn replay(store: &mut ObjectStore, record: &CommitRecord) -> bool {
-        let update = decode_update(&record.update).expect("decodes");
+        let update = decode_view(&record.update).expect("decodes");
         let name = update_digest(&update);
-        store.apply_record(record, update, name)
+        store.apply_record(record, update, name, |_| {})
     }
 
     fn tid(c: u64) -> TentativeId {
@@ -649,7 +656,7 @@ mod tests {
         let obj = Guid::from_label("o");
         let mut primary = ObjectStore::new();
         let u = Update::default().with_clause(Predicate::CompareVersion(42), vec![]);
-        let (name, enc) = (update_digest(&u), Arc::new(encode_update(&u)));
+        let (name, enc) = (update_digest(&u), Bytes::from(encode_update(&u)));
         let rec = primary.serialize_update(obj, u, name, enc, 0, tid(0));
         assert_eq!(rec.version, None);
         let st = primary.get(&obj).unwrap();
@@ -680,17 +687,17 @@ mod tests {
     }
 
     #[test]
-    fn a_committed_block_is_one_allocation_with_two_owners() {
+    fn every_committed_block_is_a_view_of_its_records_buffer() {
         use oceanstore_store::MemoryStore;
         let obj = Guid::from_label("one-copy");
-        // The in-RAM backend by name: a disk backend owns no `Arc`.
+        // The in-RAM backend by name: a disk backend holds no view.
         let mut store = ObjectStore::with_backend(Box::new(MemoryStore::new()));
         let blocks: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 100 + i as usize]).collect();
         let actions = blocks.iter().map(|b| Action::Append { ciphertext: b.clone() }).collect();
         let record = CommitRecord {
             object: obj,
             index: 0,
-            update: Arc::new(encode_update(&Update::unconditional(actions))),
+            update: encode_update(&Update::unconditional(actions)).into(),
             version: Some(1),
             timestamp: 0,
             id: tid(0),
@@ -699,11 +706,15 @@ mod tests {
         assert!(replay(&mut store, &record));
         let version = Arc::clone(store.get(&obj).unwrap().data.current());
         assert_eq!(version.blocks.len(), blocks.len());
+        let buffer = record.update.buffer();
         for (slot, block) in version.blocks.iter().enumerate() {
             let Block::Data(bytes) = block else { panic!("appends store data blocks") };
-            assert_eq!(Arc::strong_count(bytes), 2, "slot {slot}: the object and the blob backend");
+            assert!(Arc::ptr_eq(bytes.buffer(), buffer), "slot {slot}: a copy of the record");
             assert_eq!(store.read_block(&obj, slot).unwrap(), blocks[slot]);
         }
+        // The record here and in the log, and each block twice: in the
+        // object and in the blob backend.
+        assert_eq!(Arc::strong_count(buffer), 2 + 2 * blocks.len());
         // The accounting does not notice the sharing.
         let health = store.health();
         assert_eq!(health.blob_count, 5);
@@ -733,7 +744,7 @@ mod tests {
                     Action::Append { ciphertext: block(4) },
                 ],
             );
-        let (name, enc) = (update_digest(&u), Arc::new(encode_update(&u)));
+        let (name, enc) = (update_digest(&u), Bytes::from(encode_update(&u)));
         assert_eq!(name.cids.len(), 4);
         store.serialize_update(obj, u, name, enc, 1, tid(1));
         assert_eq!(store.slot_cid(&obj, 0), Some(cid_of(&block(3))), "the later write names it");
@@ -846,7 +857,7 @@ mod tests {
         let (Block::Data(old), Block::Data(new)) = (&v1.blocks[0], &v1000.blocks[0]) else {
             panic!("appends store data blocks");
         };
-        assert!(Arc::ptr_eq(old, new), "999 later commits never copied block 0");
+        assert!(Arc::ptr_eq(old.buffer(), new.buffer()), "999 later commits never copied block 0");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! reaches it).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
@@ -114,14 +113,14 @@ proptest! {
                 replica.entry(object);
             } else {
                 let id = TentativeId { client: NodeId(9), counter: counter as u64 };
-                let (update, encoded) = (append(), Arc::new(encode_update(&append())));
+                let (update, encoded) = (append(), encode_update(&append()).into());
                 let name = update_digest(&update);
                 log[o].push(primary.serialize_update(object, update, name, encoded, 0, id));
             }
             // Replay some record of this object — the next one, an old
             // one again, or one past a gap.
             if let Some(record) = log[o].len().checked_sub(1 + back).map(|at| &log[o][at]) {
-                replica.apply_record(record, append(), update_digest(&append()));
+                replica.apply_record(record, append(), update_digest(&append()), |_| {});
             }
             prop_assert_eq!(primary.committed_digest(), recomputed(&primary));
             prop_assert_eq!(replica.committed_digest(), recomputed(&replica));

@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use oceanstore_crypto::swp::SearchKey;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{ObjectStore, TentativeId};
 use oceanstore_sim::NodeId;
@@ -21,7 +22,7 @@ use proptest::prelude::*;
 
 /// Serializes `update` into `object`'s log as commit `n`.
 fn commit(store: &mut ObjectStore, object: Guid, update: Update, n: u64) {
-    let (name, encoded) = (update_digest(&update), Arc::new(encode_update(&update)));
+    let (name, encoded) = (update_digest(&update), Bytes::from(encode_update(&update)));
     let id = TentativeId { client: NodeId(1), counter: n };
     store.serialize_update(object, update, name, encoded, n, id);
 }
@@ -155,7 +156,7 @@ impl BlobStore for Counted {
         self.call().put(data)
     }
 
-    fn put_shared(&mut self, cid: Guid, data: &Arc<Vec<u8>>) -> Result<Guid, StoreError> {
+    fn put_shared(&mut self, cid: Guid, data: &Bytes) -> Result<Guid, StoreError> {
         self.call().put_shared(cid, data)
     }
 

@@ -117,7 +117,7 @@ fn a_swapped_block_is_refused_on_both_paths() {
     let Action::Append { ciphertext } = &mut update.clauses[0].actions[0] else {
         panic!("an append")
     };
-    *ciphertext = vec![3; 16];
+    *ciphertext = vec![3; 16].into();
     let mut forged = r.genuine.clone();
     forged.update = encode_update(&update).into();
     r.refuses(forged, "swapped block");

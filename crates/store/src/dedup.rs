@@ -8,8 +8,7 @@
 //! the first put and the last delete, counting every elided write as a
 //! dedup hit with its bytes saved.
 
-use std::sync::Arc;
-
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};
 
 use crate::{cid_of, BlobStore, StoreError, StoreStats};
@@ -93,8 +92,8 @@ impl BlobStore for DedupStore {
         self.reference(cid_of(data), data.len(), |inner| inner.put(data))
     }
 
-    /// Refcounts under the caller's name, then hands name and `Arc` on.
-    fn put_shared(&mut self, cid: Guid, data: &Arc<Vec<u8>>) -> Result<Guid, StoreError> {
+    /// Refcounts under the caller's name, then hands name and view on.
+    fn put_shared(&mut self, cid: Guid, data: &Bytes) -> Result<Guid, StoreError> {
         self.reference(cid, data.len(), |inner| inner.put_shared(cid, data))
     }
 
@@ -153,23 +152,24 @@ mod tests {
     }
 
     #[test]
-    fn put_shared_refcounts_like_put_and_forwards_the_arc() {
+    fn put_shared_refcounts_like_put_and_forwards_the_view() {
+        use std::sync::Arc;
         let mut s = store();
-        let blob = Arc::new(b"shared block".to_vec());
+        let blob = Bytes::copy_from_slice(b"shared block");
         let cid = cid_of(&blob);
         assert_eq!(s.put_shared(cid, &blob).unwrap(), cid);
         assert_eq!(s.put_shared(cid, &blob).unwrap(), cid);
         assert_eq!(s.refcount(&cid), 2);
         assert_eq!(s.put(b"shared block").unwrap(), cid);
         assert_eq!(s.refcount(&cid), 3);
-        assert_eq!(Arc::strong_count(&blob), 2, "the inner store holds the caller's allocation");
+        assert_eq!(Arc::strong_count(blob.buffer()), 2, "the inner store holds the caller's view");
         let d = s.dedup_stats();
         assert_eq!((d.hits, d.bytes_saved, d.logical_bytes, d.live_cids), (2, 24, 36, 1));
         for _ in 0..3 {
             assert!(s.delete(&cid).unwrap());
         }
         assert!(!s.has(&cid));
-        assert_eq!(Arc::strong_count(&blob), 1);
+        assert_eq!(Arc::strong_count(blob.buffer()), 1);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! * [`BlobStore`] — the four-verb trait (`put`/`get`/`has`/`delete`)
 //!   every backend implements, plus `put_shared` for a caller that
-//!   already holds the blob in an `Arc` under a name it computed.
+//!   already holds the blob as a [`Bytes`] view under a name it computed.
 //! * [`MemoryStore`] — the in-RAM map the repo always had; the default
-//!   backend, bit-identical to the pre-trait behaviour. It can share a
-//!   caller's allocation instead of copying it.
+//!   backend, bit-identical to the pre-trait behaviour. It can keep a
+//!   caller's view instead of copying the bytes.
 //! * [`DirStore`] — an on-disk directory store: two-hex-digit fan-out
 //!   subdirectories, write-temp-then-rename atomicity (a crash between
 //!   the two steps leaves no torn blob visible), CID verification on
@@ -43,8 +43,8 @@ pub mod remote;
 pub mod shard;
 
 use std::fmt;
-use std::sync::Arc;
 
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 
 pub use dedup::DedupStore;
@@ -122,14 +122,14 @@ pub trait BlobStore: fmt::Debug + Send {
     /// makes it idempotent by construction).
     fn put(&mut self, data: &[u8]) -> Result<Guid, StoreError>;
 
-    /// [`BlobStore::put`] for a caller that already holds the blob in an
-    /// `Arc` and has already computed its name: `cid` must be
-    /// [`cid_of`]`(data)`. A backend that keeps blobs in RAM may file the
-    /// caller's allocation under the caller's name instead of hashing and
-    /// copying again ([`MemoryStore`] does, checking the name in debug
-    /// builds). A backend whose bytes leave the process keeps this
-    /// default, which ignores the hint and names the blob itself.
-    fn put_shared(&mut self, cid: Guid, data: &Arc<Vec<u8>>) -> Result<Guid, StoreError> {
+    /// [`BlobStore::put`] for a caller that already holds the blob as a
+    /// view and has already computed its name: `cid` must be
+    /// [`cid_of`]`(data)`. A backend that keeps blobs in RAM may file a
+    /// clone of the caller's view under the caller's name instead of
+    /// hashing and copying again ([`MemoryStore`] does, checking the name
+    /// in debug builds). A backend whose bytes leave the process keeps
+    /// this default, which ignores the hint and names the blob itself.
+    fn put_shared(&mut self, cid: Guid, data: &Bytes) -> Result<Guid, StoreError> {
         let _ = cid;
         self.put(data)
     }
@@ -202,9 +202,9 @@ mod tests {
         assert_eq!(store.get(&a).unwrap().as_deref(), Some(b"alpha".as_ref()));
         // Idempotent re-put.
         assert_eq!(store.put(b"alpha").unwrap(), a);
-        // The same blob from a caller that holds it in an `Arc` under a
-        // name it computed: same CID as `put`, idempotent, served alike.
-        let shared = Arc::new(b"beta".to_vec());
+        // The same blob from a caller that holds it as a view under a name
+        // it computed: same CID as `put`, idempotent, served alike.
+        let shared = Bytes::from(b"xbetax".to_vec()).slice(1..5);
         let b = cid_of(&shared);
         assert_eq!(store.put_shared(b, &shared).unwrap(), b);
         assert_eq!(store.put_shared(b, &shared).unwrap(), b);

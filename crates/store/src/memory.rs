@@ -3,8 +3,7 @@
 //! backend and must stay bit-identical in behaviour — it never fails, and
 //! it performs no verification on read because the bytes never left RAM.
 
-use std::sync::Arc;
-
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};
 
 use crate::{cid_of, BlobStore, StoreError, StoreStats};
@@ -12,7 +11,7 @@ use crate::{cid_of, BlobStore, StoreError, StoreStats};
 /// An in-RAM content-addressed store.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    blobs: IdMap<Guid, Arc<Vec<u8>>>,
+    blobs: IdMap<Guid, Bytes>,
     stats: StoreStats,
 }
 
@@ -22,7 +21,7 @@ impl MemoryStore {
         MemoryStore::default()
     }
 
-    fn file(&mut self, cid: Guid, blob: Arc<Vec<u8>>) -> Guid {
+    fn file(&mut self, cid: Guid, blob: Bytes) -> Guid {
         let len = blob.len() as u64;
         if self.blobs.insert(cid, blob).is_none() {
             self.stats.blobs += 1;
@@ -35,22 +34,22 @@ impl MemoryStore {
 
 impl BlobStore for MemoryStore {
     fn put(&mut self, data: &[u8]) -> Result<Guid, StoreError> {
-        Ok(self.file(cid_of(data), Arc::new(data.to_vec())))
+        Ok(self.file(cid_of(data), Bytes::copy_from_slice(data)))
     }
 
-    /// Files the caller's allocation under the caller's name: no hash, no
-    /// copy. The bytes never leave RAM, so the name is checked where the
-    /// rest of this backend's invariants are — in debug builds.
-    fn put_shared(&mut self, cid: Guid, data: &Arc<Vec<u8>>) -> Result<Guid, StoreError> {
+    /// Files the caller's view under the caller's name: no hash, no copy.
+    /// The bytes never leave RAM, so the name is checked where the rest of
+    /// this backend's invariants are — in debug builds.
+    fn put_shared(&mut self, cid: Guid, data: &Bytes) -> Result<Guid, StoreError> {
         debug_assert_eq!(cid, cid_of(data), "a passed-down CID must name the bytes it comes with");
-        Ok(self.file(cid, Arc::clone(data)))
+        Ok(self.file(cid, data.clone()))
     }
 
     fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
         match self.blobs.get(cid) {
             Some(b) => {
                 self.stats.gets += 1;
-                Ok(Some(b.as_ref().clone()))
+                Ok(Some(b.to_vec()))
             }
             None => Ok(None),
         }
@@ -95,22 +94,24 @@ mod tests {
 
     #[test]
     fn put_shared_keeps_the_callers_allocation() {
+        use std::sync::Arc;
         let mut s = MemoryStore::new();
-        let blob = Arc::new(b"one allocation, two owners".to_vec());
+        let whole = Bytes::from(b"[one allocation, two owners]".to_vec());
+        let blob = whole.slice(1..whole.len() - 1);
         let cid = s.put_shared(cid_of(&blob), &blob).unwrap();
-        assert_eq!(Arc::strong_count(&blob), 2);
-        // Counted exactly as `put` counts it.
+        assert_eq!(Arc::strong_count(blob.buffer()), 3, "the whole, the view and the store's");
+        // Counted exactly as `put` counts it: the view's bytes, not its buffer's.
         assert_eq!((s.stats().blobs, s.stats().bytes, s.stats().puts), (1, blob.len() as u64, 1));
         assert_eq!(s.get(&cid).unwrap().as_deref(), Some(blob.as_slice()));
         s.delete(&cid).unwrap();
-        assert_eq!(Arc::strong_count(&blob), 1);
+        assert_eq!(Arc::strong_count(blob.buffer()), 2);
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "a passed-down CID must name the bytes")]
     fn put_shared_refuses_a_wrong_name_in_debug_builds() {
-        let blob = Arc::new(b"these bytes".to_vec());
+        let blob = Bytes::copy_from_slice(b"these bytes");
         let _ = MemoryStore::new().put_shared(cid_of(b"other bytes"), &blob);
     }
 }

@@ -3,7 +3,6 @@
 //! total, stable, balanced pure function.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_store::{cid_of, shard_of, BlobStore, DedupStore, MemoryStore, ShardedStore};
@@ -34,9 +33,9 @@ proptest! {
         for (tag, put) in ops {
             let payload = vec![tag; tag as usize + 3];
             if put && tag % 2 == 1 {
-                // Odd payloads arrive already named, in an `Arc`.
+                // Odd payloads arrive already named, as a view.
                 let cid = cid_of(&payload);
-                prop_assert_eq!(store.put_shared(cid, &Arc::new(payload.clone())).unwrap(), cid);
+                prop_assert_eq!(store.put_shared(cid, &payload.clone().into()).unwrap(), cid);
             } else if put {
                 prop_assert_eq!(store.put(&payload).unwrap(), cid_of(&payload));
             } else {

@@ -4,9 +4,13 @@
 //! Updates travel through Byzantine agreement as opaque payload bytes; the
 //! digest that replicas agree on is a hash of this encoding, so it must be
 //! canonical (identical updates encode identically) and self-delimiting.
+//!
+//! A server decodes the buffer an update arrived in, [`decode_view`]: every
+//! ciphertext of the result is a view of that buffer, not a copy of it.
 
 use oceanstore_crypto::sha1::{Digest, Sha1};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 
 use crate::update::{Action, Clause, Predicate, Update};
@@ -42,6 +46,17 @@ impl Sink for Vec<u8> {
     }
 }
 
+/// Counts an encoding's length, so its buffer is allocated once, exactly.
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+
+    fn ciphertext(&mut self, ct: &[u8]) {
+        *self += ct.len();
+    }
+}
+
 /// An update's name: SHA-1 over its canonical encoding with each
 /// ciphertext replaced by its content id, and those content ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,9 +88,19 @@ impl Sink for Namer {
 }
 
 /// Encodes an update canonically.
-pub fn encode_update(u: &Update) -> Vec<u8> {
-    let mut b = Vec::new();
+pub fn encode_update<C: AsRef<[u8]>>(u: &Update<C>) -> Vec<u8> {
+    encode_after(&[], u)
+}
+
+/// `prefix`, then the canonical encoding of `u`, in one buffer allocated
+/// once at its exact length: how a client lays out an agreement payload.
+pub fn encode_after<C: AsRef<[u8]>>(prefix: &[u8], u: &Update<C>) -> Vec<u8> {
+    let mut len = prefix.len();
+    encode(&mut len, u);
+    let mut b = Vec::with_capacity(len);
+    b.extend_from_slice(prefix);
     encode(&mut b, u);
+    debug_assert_eq!(b.len(), len);
     b
 }
 
@@ -84,13 +109,13 @@ pub fn encode_update(u: &Update) -> Vec<u8> {
 /// the rest of the encoding into the digest. A Merkle DAG of depth one —
 /// the digest covers every byte, and every block is already named by the
 /// CID the blob store keeps it under.
-pub fn update_digest(u: &Update) -> UpdateDigest {
+pub fn update_digest<C: AsRef<[u8]>>(u: &Update<C>) -> UpdateDigest {
     let mut namer = Namer { sha: Sha1::new(), cids: Vec::new() };
     encode(&mut namer, u);
     UpdateDigest { digest: namer.sha.finalize(), cids: namer.cids }
 }
 
-fn encode(b: &mut impl Sink, u: &Update) {
+fn encode<C: AsRef<[u8]>>(b: &mut impl Sink, u: &Update<C>) {
     put_u32(b, u.clauses.len() as u32);
     for c in &u.clauses {
         encode_predicate(b, &c.predicate);
@@ -101,15 +126,28 @@ fn encode(b: &mut impl Sink, u: &Update) {
     }
 }
 
-/// Decodes an update previously produced by [`encode_update`].
+/// Decodes an update previously produced by [`encode_update`] from a
+/// borrowed buffer: copies it once into a buffer of its own and decodes a
+/// view of that ([`decode_view`]).
 ///
 /// # Errors
 ///
 /// [`DecodeError`] on truncation or invalid tags.
-pub fn decode_update(bytes: &[u8]) -> Result<Update, DecodeError> {
-    // A cursor over the caller's buffer: every field is read in place and
-    // only the payloads the update keeps are copied out, once.
-    let mut b = bytes;
+pub fn decode_update(bytes: &[u8]) -> Result<Update<Bytes>, DecodeError> {
+    decode_view(&Bytes::copy_from_slice(bytes))
+}
+
+/// Decodes the update `bytes` encodes. Every ciphertext of the result is
+/// a view of `bytes`' buffer: no byte is copied, and each block the update
+/// stores keeps that buffer alive.
+///
+/// # Errors
+///
+/// [`DecodeError`] on truncation or invalid tags.
+pub fn decode_view(bytes: &Bytes) -> Result<Update<Bytes>, DecodeError> {
+    // A cursor over the view: every field is read in place, and a
+    // ciphertext is the view of where the cursor stood.
+    let mut b = bytes.as_slice();
     let n = get_u32(&mut b)? as usize;
     if n > 10_000 {
         return Err(DecodeError);
@@ -123,7 +161,7 @@ pub fn decode_update(bytes: &[u8]) -> Result<Update, DecodeError> {
         }
         let mut actions = Vec::with_capacity(an);
         for _ in 0..an {
-            actions.push(decode_action(&mut b)?);
+            actions.push(decode_action(bytes, &mut b)?);
         }
         clauses.push(Clause { predicate, actions });
     }
@@ -176,15 +214,17 @@ fn decode_predicate(b: &mut &[u8]) -> Result<Predicate, DecodeError> {
     })
 }
 
-fn encode_action(b: &mut impl Sink, a: &Action) {
+fn encode_action<C: AsRef<[u8]>>(b: &mut impl Sink, a: &Action<C>) {
     match a {
         Action::ReplaceBlock { position, ciphertext } => {
+            let ciphertext = ciphertext.as_ref();
             b.put(&[0]);
             put_u64(b, *position as u64);
             put_u32(b, ciphertext.len() as u32);
             b.ciphertext(ciphertext);
         }
         Action::Append { ciphertext } => {
+            let ciphertext = ciphertext.as_ref();
             b.put(&[1]);
             put_u32(b, ciphertext.len() as u32);
             b.ciphertext(ciphertext);
@@ -210,16 +250,17 @@ fn encode_action(b: &mut impl Sink, a: &Action) {
     }
 }
 
-fn decode_action(b: &mut &[u8]) -> Result<Action, DecodeError> {
+/// One action at the cursor `b`, which stands inside `whole`.
+fn decode_action(whole: &Bytes, b: &mut &[u8]) -> Result<Action<Bytes>, DecodeError> {
     Ok(match get_u8(b)? {
         0 => {
             let position = get_u64(b)? as usize;
             let len = get_u32(b)? as usize;
-            Action::ReplaceBlock { position, ciphertext: get_vec(b, len)? }
+            Action::ReplaceBlock { position, ciphertext: get_view(whole, b, len)? }
         }
         1 => {
             let len = get_u32(b)? as usize;
-            Action::Append { ciphertext: get_vec(b, len)? }
+            Action::Append { ciphertext: get_view(whole, b, len)? }
         }
         2 => {
             let position = get_u64(b)? as usize;
@@ -236,8 +277,8 @@ fn decode_action(b: &mut &[u8]) -> Result<Action, DecodeError> {
         3 => Action::DeleteBlock { position: get_u64(b)? as usize },
         4 => {
             let len = get_u32(b)? as usize;
-            let raw = get_vec(b, len)?;
-            Action::SetSearchIndex(EncryptedIndex::from_bytes(&raw).ok_or(DecodeError)?)
+            let raw = take(b, len)?;
+            Action::SetSearchIndex(EncryptedIndex::from_bytes(raw).ok_or(DecodeError)?)
         }
         _ => return Err(DecodeError),
     })
@@ -273,8 +314,12 @@ fn get_u64(b: &mut &[u8]) -> Result<u64, DecodeError> {
     Ok(u64::from_be_bytes(get_array(b)?))
 }
 
-fn get_vec(b: &mut &[u8], len: usize) -> Result<Vec<u8>, DecodeError> {
-    Ok(take(b, len)?.to_vec())
+/// The next `len` bytes of the cursor `b`, which stands inside `whole`, as
+/// a view of `whole`'s buffer.
+fn get_view(whole: &Bytes, b: &mut &[u8], len: usize) -> Result<Bytes, DecodeError> {
+    let at = whole.len() - b.len();
+    take(b, len)?;
+    Ok(whole.slice(at..at + len))
 }
 
 fn get_array<const N: usize>(b: &mut &[u8]) -> Result<[u8; N], DecodeError> {

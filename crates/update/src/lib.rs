@@ -17,7 +17,10 @@ pub mod ops;
 pub mod session;
 pub mod update;
 
-pub use codec::{decode_update, encode_update, update_digest, DecodeError, UpdateDigest};
+pub use codec::{
+    decode_update, decode_view, encode_after, encode_update, update_digest, DecodeError,
+    UpdateDigest,
+};
 pub use object::{Block, DataObject, Version};
 pub use ops::{ObjectKeys, ReadError};
 pub use session::{Guarantee, GuaranteeSet, SessionState};

@@ -9,7 +9,8 @@
 //! "In principle, every update to an OceanStore object creates a new
 //! version" (§2). An object keeps its current version and, per older
 //! version, only what the next commit overwrote; every retained version
-//! is rebuilt on demand and shares block storage via `Arc`. A retirement
+//! is rebuilt on demand and shares block storage: a data block is a
+//! [`Bytes`] view, cloned without copying a byte. A retirement
 //! policy trims ancient versions (the Elephant-style interfaces the paper
 //! cites \[44\]).
 
@@ -17,12 +18,14 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use oceanstore_crypto::swp::EncryptedIndex;
+use oceanstore_naming::bytes::Bytes;
 
 /// One stored block slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Block {
-    /// An encrypted data block (opaque to servers).
-    Data(Arc<Vec<u8>>),
+    /// An encrypted data block (opaque to servers): a view of the buffer
+    /// its update arrived in.
+    Data(Bytes),
     /// An index block splicing other slots into the logical sequence.
     /// An empty pointer list is a deletion tombstone.
     Index(Vec<usize>),
@@ -265,7 +268,7 @@ mod tests {
     use super::*;
 
     fn data(tag: u8) -> Block {
-        Block::Data(Arc::new(vec![tag; 4]))
+        Block::Data(vec![tag; 4].into())
     }
 
     fn version(number: u64, blocks: Vec<Block>) -> Version {

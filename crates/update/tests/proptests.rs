@@ -1,14 +1,17 @@
-//! Property-based tests for the update model: codec canonicity; the
-//! update digest a certificate signs; deterministic replay, the invariant
-//! the whole replication layer rests on; and equivalence of the
-//! snapshot-plus-reverse-deltas object with a model that keeps every
-//! version whole.
+//! Property-based tests for the update model: codec canonicity; decoding
+//! that slices the buffer it is handed; the update digest a certificate
+//! signs; deterministic replay, the invariant the whole replication layer
+//! rests on; and equivalence of the snapshot-plus-reverse-deltas object
+//! with a model that keeps every version whole.
 
 use std::sync::Arc;
 
 use oceanstore_crypto::swp::SearchKey;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
-use oceanstore_update::codec::{decode_update, encode_update, update_digest};
+use oceanstore_update::codec::{
+    decode_update, decode_view, encode_after, encode_update, update_digest,
+};
 use oceanstore_update::object::{Block, DataObject, Version};
 use oceanstore_update::update::{
     apply, apply_owned, evaluate, AbortReason, Action, Outcome, Predicate,
@@ -105,7 +108,7 @@ fn update_for(step: &Step, cur: &Version) -> (Update, Option<AbortReason>) {
             let Block::Data(old) = &cur.blocks[order[at(*p)]] else { unreachable!("logical order") };
             let n = cur.slot_count();
             vec![
-                append(old),
+                append(&old.to_vec()),
                 append(b),
                 Action::ReplaceWithIndex { position: at(*p), pointers: vec![n + 1, n] },
             ]
@@ -149,10 +152,10 @@ fn model_apply(object: &DataObject, update: &Update) -> Result<Version, AbortRea
     for action in &clause.actions {
         match action {
             Action::ReplaceBlock { position, ciphertext } => {
-                next.blocks[slot_at(position)?] = Block::Data(Arc::new(ciphertext.clone()));
+                next.blocks[slot_at(position)?] = Block::Data(ciphertext.clone().into());
             }
             Action::Append { ciphertext } => {
-                next.blocks.push(Block::Data(Arc::new(ciphertext.clone())));
+                next.blocks.push(Block::Data(ciphertext.clone().into()));
             }
             Action::ReplaceWithIndex { position, pointers } => {
                 let slot = slot_at(position)?;
@@ -315,6 +318,44 @@ proptest! {
             prop_assert!(slot < v.blocks.len());
             prop_assert!(matches!(v.blocks[slot], Block::Data(_)));
             prop_assert!(seen.insert(slot), "slot repeated in logical order");
+        }
+    }
+}
+
+proptest! {
+    /// A server decodes a view of the buffer an update arrived in, at an
+    /// offset, as in an agreement payload: the result is the update the
+    /// client built, field for field, as is the decode of a borrowed copy;
+    /// every ciphertext is a view inside the update's bytes of that very
+    /// buffer; and every truncation of the encoding is refused.
+    #[test]
+    fn decoding_a_view_slices_the_buffer(
+        u in arb_update(),
+        prefix in 0usize..24,
+        word in any::<u8>(),
+        indexed in any::<bool>(),
+    ) {
+        let u = if indexed { u.with_clause(Predicate::True, vec![search_index(word)]) } else { u };
+        let whole = Bytes::from(encode_after(&vec![0xA5; prefix], &u));
+        let encoded = whole.slice(prefix..whole.len());
+        let shared = decode_view(&encoded).expect("decodes");
+        let plain = decode_update(&encode_update(&u)).expect("decodes");
+        prop_assert_eq!(format!("{shared:?}"), format!("{u:?}"));
+        prop_assert_eq!(format!("{plain:?}"), format!("{u:?}"));
+        prop_assert_eq!(encode_update(&shared), encoded.to_vec());
+        let inside = encoded.as_ptr_range();
+        let actions = shared.clauses.iter().flat_map(|c| &c.actions);
+        for action in actions {
+            let (Action::Append { ciphertext } | Action::ReplaceBlock { ciphertext, .. }) = action
+            else {
+                continue;
+            };
+            prop_assert!(Arc::ptr_eq(ciphertext.buffer(), whole.buffer()), "a ciphertext copied");
+            let at = ciphertext.as_ptr_range();
+            prop_assert!(inside.start <= at.start && at.end <= inside.end, "a view outside");
+        }
+        for cut in 0..encoded.len() {
+            prop_assert!(decode_view(&encoded.slice(0..cut)).is_err(), "cut at {}", cut);
         }
     }
 }
