@@ -70,6 +70,8 @@ fn run_matrix_case(seed: u64, threads: usize) -> (String, String, ParCoverage) {
         fallback_events: during.fallback_events - before.fallback_events,
         serial_nanos: during.serial_nanos - before.serial_nanos,
         epoch_nanos: during.epoch_nanos - before.epoch_nanos,
+        busy_nanos: during.busy_nanos - before.busy_nanos,
+        window_nanos: during.window_nanos - before.window_nanos,
     };
     (format!("{trace:?}"), stats_fingerprint(&dep.sim), drop_phase)
 }

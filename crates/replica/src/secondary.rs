@@ -92,6 +92,9 @@ pub struct Secondary {
     /// Duplicate commits suppressed instead of re-forwarded (two
     /// disseminators racing after a failover is safe but redundant).
     dup_suppressed: u64,
+    /// Reused copy of the gossip peers, shuffled to pick each rumor's
+    /// targets.
+    rumor_peers: Vec<NodeId>,
 }
 
 impl Secondary {
@@ -119,6 +122,7 @@ impl Secondary {
             reparented: 0,
             rejected: 0,
             dup_suppressed: 0,
+            rumor_peers: Vec::new(),
         }
     }
 
@@ -464,9 +468,9 @@ impl Secondary {
                 .insert((timestamp, id), update.clone());
         }
         // Rumor mongering to a few random peers.
-        let mut peers = self.cfg.peers.clone();
-        peers.shuffle(ctx.rng());
-        for peer in peers.into_iter().take(self.cfg.gossip_fanout) {
+        self.rumor_peers.clone_from(&self.cfg.peers);
+        self.rumor_peers.shuffle(ctx.rng());
+        for &peer in self.rumor_peers.iter().take(self.cfg.gossip_fanout) {
             ctx.send(peer, ReplicaMsg::Tentative { object, update: update.clone(), timestamp, id });
         }
     }

@@ -38,16 +38,6 @@ impl ClusterSpec {
         self.rings * self.ring_size + self.secondaries + self.clients
     }
 
-    /// The contiguous domain assignment the parallel scheduler uses for
-    /// this deployment at `threads` workers (`domains[i]` = the domain of
-    /// node `i`). Node ids are laid out positionally — ring replicas
-    /// first, then tree-ordered secondaries, then clients — so contiguous
-    /// blocks keep ring peers and tree neighbours, the heaviest-traffic
-    /// pairs, inside one domain wherever the block boundaries allow.
-    pub fn domains(&self, threads: usize) -> Vec<u32> {
-        crate::engine::contiguous_domains(self.total(), threads)
-    }
-
     /// Members of ring `r` (tier order).
     pub fn ring(&self, r: usize) -> Vec<NodeId> {
         assert!(r < self.rings, "ring {r} out of range ({} rings)", self.rings);
@@ -169,22 +159,5 @@ mod tests {
                 assert_eq!(ts.hops(u, v), explicit.hops(u, v));
             }
         }
-    }
-
-    #[test]
-    fn domain_assignment_is_contiguous_and_covers_every_node() {
-        let spec = ClusterSpec { rings: 4, ring_size: 4, secondaries: 100, clients: 4 };
-        let domains = spec.domains(8);
-        assert_eq!(domains.len(), spec.total());
-        // Contiguous blocks: domain ids are non-decreasing along the
-        // positional layout, and all 8 domains are populated.
-        assert!(domains.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(domains.last(), Some(&7));
-        // A whole ring (4 consecutive nodes in a ~15-node block) stays in
-        // one domain here: ring 0 occupies nodes 0..4.
-        let ring0: Vec<u32> = spec.ring(0).iter().map(|n| domains[n.0]).collect();
-        assert!(ring0.windows(2).all(|w| w[0] == w[1]), "ring 0 split: {ring0:?}");
-        // One worker degenerates to a single domain.
-        assert!(spec.domains(1).iter().all(|&d| d == 0));
     }
 }

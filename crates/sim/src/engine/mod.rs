@@ -19,8 +19,9 @@
 //! logs what they emit, and a commit replays the logs in global dispatch
 //! order to hand out the real seqs. With one domain — the default —
 //! nothing bounds a window and `run_until` cuts its span into fixed-length
-//! ones; with `set_threads(n)` the same loop runs `n` domains per window
-//! under a conservative lookahead.
+//! ones; with `set_threads(n)` the same loop runs several domains per
+//! thread (`DOMAINS_PER_THREAD`) in each window under a conservative
+//! lookahead, and the `n` threads pull them from one queue.
 //! [`Simulator::step`] is a window that ends right after one key, and
 //! external stimulus ([`Simulator::start`], [`Simulator::with_node_ctx`],
 //! [`Simulator::inject`]) is a dispatch whose window executes nothing, so
@@ -70,8 +71,7 @@ use crate::topology::{NodeId, Topology};
 
 use commit::MergeScratch;
 use window::{
-    dispatch_window, mix64, run_domain_window, run_jobs_inline, run_jobs_scoped, Domain, Emission,
-    RunJobs,
+    dispatch_window, mix64, run_domain_window, run_jobs_scoped, Domain, Emission, RunJobs,
 };
 
 /// A protocol message that can travel over the simulated network.
@@ -257,7 +257,7 @@ fn domain_sizes(n: usize, count: usize) -> impl Iterator<Item = usize> {
 /// scheduling. Contiguity matters twice over — it matches the positional
 /// rack/ring layout [`crate::cluster::ClusterSpec`] assigns (so domains
 /// align with cluster structure), and it lets the window runner hand each
-/// worker a disjoint `&mut` slice of the node and RNG vectors.
+/// job a disjoint `&mut` slice of the node and RNG vectors.
 pub(crate) fn contiguous_domains(n: usize, count: usize) -> Vec<u32> {
     domain_sizes(n, count)
         .enumerate()
@@ -337,6 +337,11 @@ pub struct ParCoverage {
     /// Wall-clock nanoseconds across entire `run_until` calls (windows,
     /// commits, and scheduling glue).
     pub epoch_nanos: u64,
+    /// Wall-clock nanoseconds summed over every job of the windows fanned
+    /// out across threads: the time threads spent running domains.
+    pub busy_nanos: u64,
+    /// Wall-clock nanoseconds of those windows, from fan-out to join.
+    pub window_nanos: u64,
 }
 
 impl ParCoverage {
@@ -346,6 +351,17 @@ impl ParCoverage {
             0.0
         } else {
             self.serial_nanos as f64 / self.epoch_nanos as f64
+        }
+    }
+
+    /// Share of the fanned-out windows' thread time spent running domains,
+    /// `busy_nanos / (threads × window_nanos)`: 1.0 when no thread ever
+    /// waits at a window's join. Pass [`Simulator::threads`].
+    pub fn parallel_efficiency(&self, threads: usize) -> f64 {
+        if self.window_nanos == 0 {
+            0.0
+        } else {
+            self.busy_nanos as f64 / (threads as f64 * self.window_nanos as f64)
         }
     }
 }
@@ -390,6 +406,17 @@ impl Network {
 /// 10 ms, against ~50 ns of glue per window).
 const UNBOUNDED_WINDOW_SPAN: u64 = 10_000;
 
+/// Domains per thread of a multi-threaded partition. Finer blocks let a
+/// thread that drew light domains take more, so a block holding the busy
+/// end of the dissemination tree no longer keeps the other core waiting.
+/// Measured on `scaleout_t2` at two threads on a 2-vCPU host (ops per
+/// wall-second, seeds 31/32, mean of two runs each): 1 → 175/173,
+/// 2 → 190/188, 4 → 207/213, 8 → 202/205, 16 → 201/195, 32 → 179/182.
+/// The threads' busy share of the fanned-out windows climbs 0.73 → 0.95
+/// across the sweep, but past 4 the serial commit (5 → 10 % of the run)
+/// merges more runs and parks more sends than balance wins back.
+const DOMAINS_PER_THREAD: usize = 4;
+
 /// The discrete-event simulator driving one [`Protocol`] instance per node.
 pub struct Simulator<P: Protocol> {
     nodes: Vec<P>,
@@ -403,14 +430,17 @@ pub struct Simulator<P: Protocol> {
     events_processed: u64,
     /// Multi-domain scheduler coverage counters; see [`ParCoverage`].
     coverage: ParCoverage,
-    /// Configured worker count = domain count of the partition, except
-    /// while a run is collapsed to one domain for lack of lookahead.
+    /// Configured thread count: the driver plus `threads - 1` workers.
     threads: usize,
-    /// Unscaled lookahead of the `threads`-way partition in µs: the minimum
+    /// Domain count of the configured partition, which the live one has
+    /// except while a run is collapsed to one domain for lack of lookahead.
+    domains: usize,
+    /// Unscaled lookahead of the `domains`-way partition in µs: the minimum
     /// latency of a link that crosses it. `u64::MAX` when none does.
     base_lookahead: u64,
     part: Partition<P::Msg>,
-    run_jobs: RunJobs<P>,
+    /// The threaded job runner, installed by `set_threads`.
+    run_jobs: Option<RunJobs<P>>,
 }
 
 impl<P: Protocol> std::fmt::Debug for Simulator<P> {
@@ -455,9 +485,10 @@ impl<P: Protocol> Simulator<P> {
             events_processed: 0,
             coverage: ParCoverage::default(),
             threads: 1,
+            domains: 1,
             base_lookahead: u64::MAX,
             part: Partition::new(n, 1, 0),
-            run_jobs: run_jobs_inline::<P>,
+            run_jobs: None,
         }
     }
 
@@ -718,7 +749,7 @@ impl<P: Protocol> Simulator<P> {
         // collapses to one domain, which needs no lookahead.
         let fallback = lookahead == 0;
         let (count, span) =
-            if fallback { (1, UNBOUNDED_WINDOW_SPAN) } else { (self.threads, lookahead) };
+            if fallback { (1, UNBOUNDED_WINDOW_SPAN) } else { (self.domains, lookahead) };
         self.repartition(count);
         while let Some((t, _, _)) = self.part.earliest() {
             if t > bound {
@@ -766,7 +797,7 @@ impl<P: Protocol> Simulator<P> {
         self.part.domains.iter().map(Domain::pending).sum()
     }
 
-    /// The configured worker count (1 = one domain, no worker threads).
+    /// The configured thread count (1 = one domain, no worker threads).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -815,9 +846,11 @@ where
     P: Protocol + Send,
     P::Msg: Send + Sync,
 {
-    /// Sets the worker-thread count for [`Simulator::run_until`] /
-    /// [`Simulator::run_for`]: the node set is re-partitioned into that
-    /// many domains, one window job each.
+    /// Sets the thread count for [`Simulator::run_until`] /
+    /// [`Simulator::run_for`]. Above one thread the node set is
+    /// re-partitioned into `DOMAINS_PER_THREAD` domains per thread (at most
+    /// one per node), one window job each, which the threads pull from a
+    /// shared queue; one thread keeps one domain.
     ///
     /// The observable schedule — traces, stats, fingerprints, RNG streams —
     /// is bit-identical at every thread count; threads only change
@@ -830,17 +863,28 @@ where
         assert!(threads >= 1, "thread count must be at least 1");
         // A fn pointer, so the unbounded `run_window` can spawn without
         // carrying these bounds itself.
-        self.run_jobs = run_jobs_scoped::<P>;
-        let threads = threads.min(self.nodes.len().max(1));
+        self.run_jobs = Some(run_jobs_scoped::<P>);
+        let n = self.nodes.len();
+        let threads = threads.min(n.max(1));
         if threads == self.threads {
             return;
         }
+        let lookahead = |count| {
+            self.net
+                .topo
+                .min_cross_group_latency(&contiguous_domains(n, count))
+                .map_or(u64::MAX, |l| l.as_micros())
+        };
+        let finer = if threads > 1 { (threads * DOMAINS_PER_THREAD).min(n) } else { 1 };
+        let (coarse_lookahead, finer_lookahead) = (lookahead(threads), lookahead(finer));
+        // A finer cut crosses more links. If one of them is faster, it
+        // would shorten every window: keep one domain per thread instead.
+        (self.domains, self.base_lookahead) = if finer_lookahead < coarse_lookahead {
+            (threads, coarse_lookahead)
+        } else {
+            (finer, finer_lookahead)
+        };
         self.threads = threads;
-        self.repartition(threads);
-        self.base_lookahead = self
-            .net
-            .topo
-            .min_cross_group_latency(&self.part.of_node)
-            .map_or(u64::MAX, |l| l.as_micros());
+        self.repartition(self.domains);
     }
 }

@@ -760,6 +760,12 @@ fn parallel_random_drops_stay_parallel_and_match_sequential() {
     assert_eq!(par_cov.fallback_events, 0);
     assert!(par_cov.epoch_nanos > 0);
     assert!(par_cov.serial_nanos <= par_cov.epoch_nanos);
+    // Fanned-out windows time their jobs; no thread is busy longer than
+    // the window it ran in.
+    assert!(par_cov.windows_parallel > 0);
+    assert!(par_cov.busy_nanos > 0 && par_cov.window_nanos > 0);
+    let efficiency = par_cov.parallel_efficiency(8);
+    assert!(efficiency > 0.0 && efficiency <= 1.0, "efficiency {efficiency}");
 }
 
 #[test]
@@ -840,6 +846,57 @@ fn contiguous_domains_partitions_evenly() {
     assert_eq!(contiguous_domains(3, 8), [0, 1, 2]);
     assert_eq!(contiguous_domains(4, 1), [0, 0, 0, 0]);
     assert!(contiguous_domains(0, 4).is_empty());
+}
+
+#[test]
+fn set_threads_cuts_finer_than_threads_unless_that_shortens_the_lookahead() {
+    // A uniform mesh: every cut crosses only 10 ms links, so two threads
+    // get four domains each and the two-way lookahead.
+    let mesh = |n| {
+        let topo = crate::topology::Topology::uniform_mesh(n, SimDuration::from_millis(10));
+        let nodes = (0..n)
+            .map(|id| Gossip { id, n, rounds_left: 4, heard: 0, rng_sum: 0 })
+            .collect();
+        Simulator::new(topo, nodes, 3)
+    };
+    let mut sim = mesh(64);
+    sim.set_threads(2);
+    assert_eq!(sim.threads(), 2);
+    assert_eq!(sim.domains, 8);
+    assert_eq!((0..64).map(|i| sim.domain_of(NodeId(i))).max(), Some(7));
+    assert_eq!(sim.base_lookahead, 10_000);
+    // Fewer nodes than that cap the domain count.
+    let mut small = mesh(5);
+    small.set_threads(2);
+    assert_eq!(small.domains, 5);
+
+    // A 10 ms ring with one 1 ms link between nodes 7 and 8: the 8-way
+    // cut crosses it, the 2-way cut (at 32 and 64) does not, so two
+    // threads keep two domains and the 10 ms lookahead.
+    let ring = || {
+        let mut b = crate::topology::Topology::builder(64);
+        for i in 0..64 {
+            let lat = if i == 7 { 1 } else { 10 };
+            b.edge(NodeId(i), NodeId((i + 1) % 64), SimDuration::from_millis(lat));
+        }
+        let nodes = (0..64)
+            .map(|id| Gossip { id, n: 64, rounds_left: 4, heard: 0, rng_sum: 0 })
+            .collect();
+        Simulator::new(b.build(), nodes, 3)
+    };
+    let run = |threads: usize| {
+        let mut sim: Simulator<Gossip> = ring();
+        sim.set_threads(threads);
+        let shape = (sim.domains, sim.base_lookahead);
+        sim.start();
+        sim.run_for(SimDuration::from_millis(100));
+        (shape, gossip_fingerprint(&sim))
+    };
+    let (one_shape, one_fp) = run(1);
+    assert_eq!(one_shape, (1, u64::MAX));
+    let (shape, fp) = run(2);
+    assert_eq!(shape, (2, 10_000));
+    assert_eq!(fp, one_fp);
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! routing decision for everything a handler emits.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use rand_chacha::ChaCha8Rng;
 
@@ -272,10 +273,11 @@ pub(super) struct Job<'a, P: Protocol> {
     pub(super) rngs: &'a mut [ChaCha8Rng],
 }
 
-/// How a multi-domain window's jobs are executed: inline by default,
-/// on scoped threads once [`Simulator::set_threads`] has supplied the
-/// `Send` bounds that needs.
-pub(super) type RunJobs<P> = fn(Vec<Job<'_, P>>, &WindowEnv<'_>);
+/// How a multi-domain window's jobs run on `threads` scoped threads,
+/// returning the wall time summed over the jobs. A fn pointer that
+/// [`Simulator::set_threads`] installs, since it alone has the `Send`
+/// bounds that needs.
+pub(super) type RunJobs<P> = fn(Vec<Job<'_, P>>, &WindowEnv<'_>, usize) -> u64;
 
 /// Below this many pending events across all domains, a window runs inline
 /// on the driver thread: results are identical either way (domains are
@@ -309,8 +311,8 @@ impl<P: Protocol> Simulator<P> {
     /// Executes one window across all domains, on worker threads when
     /// there are several domains and enough work is pending. Domains are
     /// contiguous node blocks, so `split_at_mut` hands each job disjoint
-    /// `&mut` slices of protocol state and per-node RNGs without any
-    /// locking.
+    /// `&mut` slices of protocol state and per-node RNGs; the only lock
+    /// is the one on the queue the threads take whole jobs from.
     pub(super) fn run_window(&mut self, end: (u64, u64)) {
         let env = WindowEnv { net: &self.net, end };
         let part = &mut self.part;
@@ -334,38 +336,71 @@ impl<P: Protocol> Simulator<P> {
         }
         // Tiny windows aren't worth thread wake-ups. Domains are
         // independent within a window, so inline execution produces
-        // byte-identical results.
-        if spawn {
-            (self.run_jobs)(jobs, &env);
-        } else {
-            run_jobs_inline(jobs, &env);
+        // byte-identical results. Several domains exist only after
+        // `set_threads`, which installs the threaded runner.
+        match self.run_jobs {
+            Some(run) if spawn => {
+                let start = Instant::now();
+                self.coverage.busy_nanos += run(jobs, &env, self.threads);
+                self.coverage.window_nanos += start.elapsed().as_nanos() as u64;
+            }
+            _ => {
+                for mut job in jobs {
+                    run_domain_window(&mut job, &env);
+                }
+            }
         }
     }
 }
 
-pub(super) fn run_jobs_inline<P: Protocol>(jobs: Vec<Job<'_, P>>, env: &WindowEnv<'_>) {
-    for mut job in jobs {
-        run_domain_window(&mut job, env);
-    }
-}
-
-pub(super) fn run_jobs_scoped<P>(jobs: Vec<Job<'_, P>>, env: &WindowEnv<'_>)
+/// Runs a window's jobs on `threads` threads that take them from one
+/// locked queue, and returns the wall time summed over the jobs. The
+/// driver thread takes jobs from the front and the `threads - 1` workers
+/// from the back, so a domain mostly stays on the same core from window
+/// to window, and whichever thread finishes first takes what is left.
+/// Which thread runs a domain never shows in the schedule: domains are
+/// independent within a window.
+pub(super) fn run_jobs_scoped<P>(
+    jobs: Vec<Job<'_, P>>,
+    env: &WindowEnv<'_>,
+    threads: usize,
+) -> u64
 where
     P: Protocol + Send,
     P::Msg: Send + Sync,
 {
+    let queue = Mutex::new(VecDeque::from(jobs));
     std::thread::scope(|s| {
-        let mut jobs = jobs.into_iter();
-        let first = jobs.next();
-        for mut job in jobs {
-            s.spawn(move || run_domain_window(&mut job, env));
-        }
-        // The driver thread works the first domain instead of idling at
-        // the join.
-        if let Some(mut job) = first {
-            run_domain_window(&mut job, env);
-        }
-    });
+        let workers: Vec<_> = (1..threads)
+            .map(|_| s.spawn(|| drain_jobs(&queue, env, VecDeque::pop_back)))
+            .collect();
+        let driver = drain_jobs(&queue, env, VecDeque::pop_front);
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .sum::<u64>()
+            + driver
+    })
+}
+
+/// One thread's share of a window: takes jobs with `pop` until the queue
+/// is empty, and returns the wall time it spent running them.
+fn drain_jobs<'a, P: Protocol>(
+    queue: &Mutex<VecDeque<Job<'a, P>>>,
+    env: &WindowEnv<'_>,
+    pop: fn(&mut VecDeque<Job<'a, P>>) -> Option<Job<'a, P>>,
+) -> u64 {
+    let mut busy = 0;
+    loop {
+        // The guard drops at the end of this statement: no job runs under
+        // the lock.
+        let Some(mut job) = pop(&mut queue.lock().expect("no job runs under the lock")) else {
+            return busy;
+        };
+        let start = Instant::now();
+        run_domain_window(&mut job, env);
+        busy += start.elapsed().as_nanos() as u64;
+    }
 }
 
 /// One domain's event loop for one window: run every local event keyed

@@ -188,6 +188,24 @@ fn repeated_parallel_runs_are_identical() {
     assert_eq!(a, b, "same seed + same threads must reproduce exactly");
 }
 
+/// Threads take domains from one shared queue, so which thread runs which
+/// domain changes from run to run. None of it may show: eight runs each at
+/// two and three threads all reproduce the one-thread trace.
+#[test]
+fn repeated_runs_reproduce_one_thread_whichever_thread_takes_a_domain() {
+    let (n, seed, horizon_ms) = (120, 0xBA1A, 200);
+    let sequential = run_trace(n, seed, 1, horizon_ms);
+    for threads in [2usize, 3] {
+        for run in 0..8 {
+            let mut sim = logger_sim(n, seed, threads);
+            sim.start();
+            sim.run_for(SimDuration::from_millis(horizon_ms));
+            assert!(sim.par_coverage().windows_parallel > 0, "the queue was never shared");
+            assert_eq!(observe(&sim), sequential, "threads={threads} run {run} diverged");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
