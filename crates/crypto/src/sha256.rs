@@ -61,11 +61,16 @@ mod ni {
             && std::arch::is_x86_feature_detected!("ssse3")
     }
 
+    /// Runs every block of `blocks` through the state in turn, which stays
+    /// in registers from the first block to the last.
+    ///
     /// # Safety
     ///
-    /// Caller must ensure [`available`] returned true on this CPU.
+    /// Caller must ensure [`available`] returned true on this CPU. Every
+    /// load and store below stays inside `state` and one block of
+    /// `blocks`, whose lengths their types fix.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    pub unsafe fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         // Round-constant quad t (K[4t..4t+4]) packed for `sha256rnds2`.
         #[inline]
         unsafe fn k4(t: usize) -> __m128i {
@@ -100,33 +105,35 @@ mod ni {
         let mut abef = _mm_alignr_epi8(badc, hgfe, 8);
         let mut cdgh = _mm_blend_epi16(hgfe, badc, 0xF0);
 
-        let abef_save = abef;
-        let cdgh_save = cdgh;
+        for block in blocks {
+            let abef_save = abef;
+            let cdgh_save = cdgh;
 
-        // First 16 message words straight from the block.
-        let mut m = [_mm_setzero_si128(); 4];
-        for (t, lane) in m.iter_mut().enumerate() {
-            let raw = _mm_loadu_si128(block.as_ptr().add(16 * t).cast());
-            *lane = _mm_shuffle_epi8(raw, be_shuffle);
-        }
-        for (t, &lane) in m.iter().enumerate() {
-            rounds4!(abef, cdgh, _mm_add_epi32(lane, k4(t)));
-        }
+            // First 16 message words straight from the block.
+            let mut m = [_mm_setzero_si128(); 4];
+            for (t, lane) in m.iter_mut().enumerate() {
+                let raw = _mm_loadu_si128(block.as_ptr().add(16 * t).cast());
+                *lane = _mm_shuffle_epi8(raw, be_shuffle);
+            }
+            for (t, &lane) in m.iter().enumerate() {
+                rounds4!(abef, cdgh, _mm_add_epi32(lane, k4(t)));
+            }
 
-        // Rounds 16..64: extend the schedule one lane quad at a time.
-        // W[i] = W[i-16] + s0(W[i-15]) + W[i-7] + s1(W[i-2]); `sha256msg1`
-        // covers the s0 term, `alignr` supplies W[i-7..i-4], `sha256msg2`
-        // folds in the serially-dependent s1 term.
-        for t in 4..16 {
-            let mut w = _mm_sha256msg1_epu32(m[0], m[1]);
-            w = _mm_add_epi32(w, _mm_alignr_epi8(m[3], m[2], 4));
-            w = _mm_sha256msg2_epu32(w, m[3]);
-            rounds4!(abef, cdgh, _mm_add_epi32(w, k4(t)));
-            m = [m[1], m[2], m[3], w];
-        }
+            // Rounds 16..64: extend the schedule one lane quad at a time.
+            // W[i] = W[i-16] + s0(W[i-15]) + W[i-7] + s1(W[i-2]); `sha256msg1`
+            // covers the s0 term, `alignr` supplies W[i-7..i-4], `sha256msg2`
+            // folds in the serially-dependent s1 term.
+            for t in 4..16 {
+                let mut w = _mm_sha256msg1_epu32(m[0], m[1]);
+                w = _mm_add_epi32(w, _mm_alignr_epi8(m[3], m[2], 4));
+                w = _mm_sha256msg2_epu32(w, m[3]);
+                rounds4!(abef, cdgh, _mm_add_epi32(w, k4(t)));
+                m = [m[1], m[2], m[3], w];
+            }
 
-        abef = _mm_add_epi32(abef, abef_save);
-        cdgh = _mm_add_epi32(cdgh, cdgh_save);
+            abef = _mm_add_epi32(abef, abef_save);
+            cdgh = _mm_add_epi32(cdgh, cdgh_save);
+        }
 
         // Invert the initial repack and store.
         let feba = _mm_shuffle_epi32(abef, 0x1B);
@@ -179,19 +186,17 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                self.compress(&[self.buf]);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            self.compress(block.try_into().expect("split_at(64) yields 64 bytes"));
-            rest = tail;
+        let (blocks, tail) = rest.as_chunks::<64>();
+        if !blocks.is_empty() {
+            self.compress(blocks);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
@@ -210,29 +215,31 @@ impl Sha256 {
             self.buf[n] = 0x80;
             if n + 1 > 56 {
                 self.buf[n + 1..].fill(0);
-                let block = self.buf;
-                self.compress(&block);
+                self.compress(&[self.buf]);
                 self.buf = [0; 64];
             } else {
                 self.buf[n + 1..56].fill(0);
             }
         }
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.compress(&[self.buf]);
         digest_bytes(&self.state)
     }
 
+    /// Runs `blocks` through the state in order: one backend check per
+    /// run, not per block.
     #[allow(unsafe_code)] // dispatch into the feature-gated SHA-NI backend
-    fn compress(&mut self, block: &[u8; 64]) {
+    fn compress(&mut self, blocks: &[[u8; 64]]) {
         #[cfg(target_arch = "x86_64")]
         if !self.soft_only && ni::available() {
             // SAFETY: `ni::available` confirmed the CPU supports every
             // feature `ni::compress` is compiled with.
-            unsafe { ni::compress(&mut self.state, block) };
+            unsafe { ni::compress(&mut self.state, blocks) };
             return;
         }
-        self.compress_soft(block);
+        for block in blocks {
+            self.compress_soft(block);
+        }
     }
 
     fn compress_soft(&mut self, block: &[u8; 64]) {
@@ -294,7 +301,7 @@ fn sha256_small(parts: &[&[u8]], total: usize) -> Digest {
     block[off] = 0x80;
     block[56..64].copy_from_slice(&(total as u64 * 8).to_be_bytes());
     let mut h = Sha256::new();
-    h.compress(&block);
+    h.compress(&[block]);
     digest_bytes(&h.state)
 }
 

@@ -27,10 +27,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use oceanstore_crypto::schnorr::PublicKey;
-use oceanstore_crypto::sha1::{sha1_concat, Digest, DIGEST_LEN};
+use oceanstore_crypto::sha1::{sha1_concat, sha1_concat_x8, Digest, DIGEST_LEN, LANES};
 
 /// Number of hex digits (nibbles) in a GUID.
 pub const NIBBLES: usize = DIGEST_LEN * 2;
+
+/// Domain tag of content GUIDs.
+const CONTENT: &[u8] = b"content";
 
 /// A 160-bit globally unique identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -92,7 +95,29 @@ impl Guid {
     /// Content GUID for an archival fragment or immutable version: the
     /// secure hash over the data it holds (§4.1, §4.5).
     pub fn for_content(data: &[u8]) -> Self {
-        Guid(sha1_concat(&[b"content", data]))
+        Guid(sha1_concat(&[CONTENT, data]))
+    }
+
+    /// [`Guid::for_content`] of each block, in order. Walking the blocks
+    /// in order, each run of eight of one length is hashed at once
+    /// ([`sha1_concat_x8`]: side by side in AVX2 lanes where the CPU has
+    /// them); every block outside such a run is hashed alone.
+    pub fn for_contents(blocks: &[&[u8]]) -> Vec<Guid> {
+        let mut out = Vec::with_capacity(blocks.len());
+        let mut rest = blocks;
+        while let Some((&first, tail)) = rest.split_first() {
+            match rest.first_chunk::<LANES>() {
+                Some(run) if run.iter().all(|b| b.len() == first.len()) => {
+                    out.extend(sha1_concat_x8(CONTENT, *run).map(Guid));
+                    rest = &rest[LANES..];
+                }
+                _ => {
+                    out.push(Guid::for_content(first));
+                    rest = tail;
+                }
+            }
+        }
+        out
     }
 
     /// Deterministic GUID from an arbitrary label (used by tests and
@@ -161,6 +186,17 @@ impl Guid {
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
+}
+
+/// Whether blocks of lengths `lens`, in this order, hold [`LANES`] of one
+/// length in a row: a run that [`Guid::for_contents`] hashes at once.
+pub fn has_run(lens: impl IntoIterator<Item = usize>) -> bool {
+    // (length, how many of it in a row)
+    let mut run = (0, 0);
+    lens.into_iter().any(|len| {
+        run = if run.0 == len { (len, run.1 + 1) } else { (len, 1) };
+        run.1 == LANES
+    })
 }
 
 /// A hash map keyed by identifiers: GUIDs, `(GUID, index)` pairs, tentative
@@ -280,6 +316,36 @@ mod tests {
     fn content_guids_track_content() {
         assert_eq!(Guid::for_content(b"abc"), Guid::for_content(b"abc"));
         assert_ne!(Guid::for_content(b"abc"), Guid::for_content(b"abd"));
+    }
+
+    /// Runs of eight, cut where they are: each block's GUID is its
+    /// [`Guid::for_content`] whichever way it was hashed. Odd lengths sit
+    /// between runs, seven of one length fall short of a run, a ninth
+    /// follows a run, and a run starts right after a block of another
+    /// length.
+    #[test]
+    fn for_contents_names_each_block_as_for_content_does() {
+        let block = |len: usize, salt: usize| -> Vec<u8> {
+            (0..len).map(|j| (j * 13 + salt * 71) as u8).collect()
+        };
+        let lens = [4096; 9]
+            .into_iter()
+            .chain([33, 4096, 4096])
+            .chain([100; 7])
+            .chain([4097])
+            .chain([0; 8])
+            .chain([1, 63, 64, 65])
+            .chain([4096; 16]);
+        let owned: Vec<Vec<u8>> = lens.enumerate().map(|(i, len)| block(len, i)).collect();
+        let blocks: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+        for n in 0..=blocks.len() {
+            let each: Vec<Guid> = blocks[..n].iter().map(|b| Guid::for_content(b)).collect();
+            assert_eq!(Guid::for_contents(&blocks[..n]), each, "first {n} blocks");
+        }
+        for start in 0..LANES {
+            let each: Vec<Guid> = blocks[start..].iter().map(|b| Guid::for_content(b)).collect();
+            assert_eq!(Guid::for_contents(&blocks[start..]), each, "from block {start}");
+        }
     }
 
     #[test]

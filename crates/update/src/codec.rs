@@ -11,7 +11,7 @@
 use oceanstore_crypto::sha1::{Digest, Sha1};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
 use oceanstore_naming::bytes::Bytes;
-use oceanstore_naming::guid::Guid;
+use oceanstore_naming::guid::{has_run, Guid};
 
 use crate::update::{Action, Clause, Predicate, Update};
 
@@ -68,22 +68,21 @@ pub struct UpdateDigest {
     pub cids: Vec<Guid>,
 }
 
-/// The sink of [`update_digest`]: hashes each ciphertext into its CID,
-/// and the CID with everything else into the digest.
-struct Namer {
+/// The sink of [`update_digest`]: hashes the encoding into the digest,
+/// each ciphertext as the next of the CIDs named beforehand.
+struct Namer<'a> {
     sha: Sha1,
-    cids: Vec<Guid>,
+    cids: std::slice::Iter<'a, Guid>,
 }
 
-impl Sink for Namer {
+impl Sink for Namer<'_> {
     fn put(&mut self, bytes: &[u8]) {
         self.sha.update(bytes);
     }
 
-    fn ciphertext(&mut self, ct: &[u8]) {
-        let cid = Guid::for_content(ct);
+    fn ciphertext(&mut self, _ct: &[u8]) {
+        let cid = self.cids.next().expect("one CID per ciphertext");
         self.sha.update(cid.as_bytes());
-        self.cids.push(cid);
     }
 }
 
@@ -104,15 +103,26 @@ pub fn encode_after<C: AsRef<[u8]>>(prefix: &[u8], u: &Update<C>) -> Vec<u8> {
     b
 }
 
-/// Names `u` in one streaming pass over its encoding: each ciphertext is
-/// hashed once, into its content id, and the content ids are hashed with
-/// the rest of the encoding into the digest. A Merkle DAG of depth one —
-/// the digest covers every byte, and every block is already named by the
-/// CID the blob store keeps it under.
+/// Names `u`: each ciphertext is hashed once, into its content id, and
+/// then one streaming pass over the encoding hashes the content ids with
+/// the rest of it into the digest. A Merkle DAG of depth one — the digest
+/// covers every byte, and every block is already named by the CID the
+/// blob store keeps it under.
+///
+/// The ciphertexts are named through [`Guid::for_contents`], which hashes
+/// runs of eight of one length at once. An update without such a run (an
+/// 8-byte append, say) is named one ciphertext at a time, without
+/// collecting its ciphertexts first.
 pub fn update_digest<C: AsRef<[u8]>>(u: &Update<C>) -> UpdateDigest {
-    let mut namer = Namer { sha: Sha1::new(), cids: Vec::new() };
+    let ciphertexts = || u.clauses.iter().flat_map(|c| &c.actions).filter_map(Action::ciphertext);
+    let cids = if has_run(ciphertexts().map(<[u8]>::len)) {
+        Guid::for_contents(&ciphertexts().collect::<Vec<_>>())
+    } else {
+        ciphertexts().map(Guid::for_content).collect()
+    };
+    let mut namer = Namer { sha: Sha1::new(), cids: cids.iter() };
     encode(&mut namer, u);
-    UpdateDigest { digest: namer.sha.finalize(), cids: namer.cids }
+    UpdateDigest { digest: namer.sha.finalize(), cids }
 }
 
 fn encode<C: AsRef<[u8]>>(b: &mut impl Sink, u: &Update<C>) {
@@ -330,6 +340,7 @@ fn get_array<const N: usize>(b: &mut &[u8]) -> Result<[u8; N], DecodeError> {
 mod tests {
     use super::*;
     use oceanstore_crypto::swp::SearchKey;
+    use proptest::prelude::*;
 
     fn sample_updates() -> Vec<Update> {
         let key = SearchKey::from_seed(b"k");
@@ -395,5 +406,78 @@ mod tests {
     #[test]
     fn absurd_counts_rejected() {
         assert!(decode_update(&u32::MAX.to_be_bytes()).is_err());
+    }
+
+    /// The reference for [`update_digest`]: one streaming pass that hashes
+    /// each ciphertext into its CID where the encoding reaches it, one
+    /// ciphertext at a time.
+    struct StreamingNamer {
+        sha: Sha1,
+        cids: Vec<Guid>,
+    }
+
+    impl Sink for StreamingNamer {
+        fn put(&mut self, bytes: &[u8]) {
+            self.sha.update(bytes);
+        }
+
+        fn ciphertext(&mut self, ct: &[u8]) {
+            let cid = Guid::for_content(ct);
+            self.sha.update(cid.as_bytes());
+            self.cids.push(cid);
+        }
+    }
+
+    fn streaming_digest(u: &Update) -> UpdateDigest {
+        let mut namer = StreamingNamer { sha: Sha1::new(), cids: Vec::new() };
+        encode(&mut namer, u);
+        UpdateDigest { digest: namer.sha.finalize(), cids: namer.cids }
+    }
+
+    /// A ciphertext of `len` bytes drawn from `seed`.
+    fn ciphertext(len: usize, seed: u64) -> Vec<u8> {
+        let spread = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (0..len as u64).map(|j| (spread >> (j % 57)) as u8 ^ j as u8).collect()
+    }
+
+    proptest! {
+        /// Updates that hold a run of at least eight ciphertexts of one
+        /// length, with ciphertexts of other lengths and actions without
+        /// one mixed in and the actions cut into clauses: the batched
+        /// naming gives the digest and the CIDs of the streaming reference.
+        #[test]
+        fn batched_naming_matches_one_cid_at_a_time(
+            run_len in prop_oneof![0usize..300, Just(4096usize)],
+            run in 8usize..20,
+            others in proptest::collection::vec((0usize..24, 0usize..300, 0u8..4), 0..5),
+            cuts in proptest::collection::vec(0usize..24, 0..3),
+            seed in any::<u64>(),
+        ) {
+            let mut actions: Vec<Action> = (0..run as u64)
+                .map(|i| match i % 3 {
+                    0 => Action::ReplaceBlock { position: i as usize, ciphertext: ciphertext(run_len, seed ^ i) },
+                    _ => Action::Append { ciphertext: ciphertext(run_len, seed ^ i) },
+                })
+                .collect();
+            for (k, &(at, len, kind)) in others.iter().enumerate() {
+                let ciphertext = ciphertext(len, seed.rotate_left(k as u32 + 1));
+                let action = match kind {
+                    0 => Action::Append { ciphertext },
+                    1 => Action::ReplaceBlock { position: len, ciphertext },
+                    2 => Action::DeleteBlock { position: len },
+                    _ => Action::ReplaceWithIndex { position: at, pointers: vec![len, at] },
+                };
+                actions.insert(at.min(actions.len()), action);
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(actions.len())).collect();
+            cuts.sort_unstable();
+            let mut u = Update::default();
+            for &cut in cuts.iter().rev() {
+                let tail = actions.split_off(cut);
+                u.clauses.insert(0, Clause { predicate: Predicate::CompareVersion(cut as u64), actions: tail });
+            }
+            u.clauses.insert(0, Clause { predicate: Predicate::True, actions });
+            prop_assert_eq!(update_digest(&u), streaming_digest(&u));
+        }
     }
 }
