@@ -9,7 +9,8 @@
 //! still pending, the replica record log stays inside its retention
 //! window and so does each secondary's memory of rumors, a run is
 //! identical at every simulator thread count, and a fault-free loaded
-//! ring never leaves view 0.
+//! ring never leaves view 0. One more, ignored until ROADMAP item 3(c)
+//! lands: a loss burst on the commit path leaves no write pending.
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
@@ -345,4 +346,55 @@ fn fault_free_loaded_ring_stays_in_view_zero() {
             "primary {p:?} left view 0 on a fault-free ring"
         );
     }
+}
+
+/// 5 % loss on every link for 5 simulated seconds, in the middle of an
+/// open loop of one ring and 16 secondaries at 20 arrivals/s (4 in 5 of
+/// them writes) for 15 s: once the loss clears and 30 s of drain pass,
+/// no client still waits on a write. Each write is committed or aborted.
+///
+/// This fails today, on seeds 1, 3 and 11 with 70, 46 and 48 writes
+/// pending (seed 2 passes). On all three the ring stops at exactly 192
+/// executed slots (190 outcomes on seed 3), with every primary's
+/// low-water mark at 64 and high-water mark at 192, in views 59 to 61. That is 64 + 128: the first checkpoint stabilized, the next
+/// never did, and the 128-slot admission window above it is full. So a
+/// request that `propose` refuses at the high-water mark waits for a
+/// `drain_deferred` that only a stable checkpoint runs: ROADMAP item
+/// 3(c)'s first candidate.
+#[test]
+#[ignore = "ROADMAP item 3(c)"]
+fn commit_path_loss_leaves_no_write_pending() {
+    let stranded: Vec<_> = [1, 2, 3, 11]
+        .into_iter()
+        .filter_map(|seed| {
+            let load = Load {
+                duration: SimDuration::from_secs(15),
+                drain: SimDuration::from_secs(30),
+                seed,
+                burst: Some((SimDuration::from_secs(5), SimDuration::from_secs(10), 0.05)),
+                ..Load::default()
+            };
+            let (dep, seen) = run(&load, poisson(&load));
+            assert_eq!(seen.lost, 0, "seed {seed}: committed updates lost");
+            let marks: Vec<_> = dep
+                .primaries()
+                .iter()
+                .map(|&p| (dep.primary(p).pbft().next_exec(), dep.primary(p).pbft().low_water()))
+                .collect();
+            (seen.pending > 0).then(|| {
+                format!(
+                    "seed {seed}: {} of {} writes pending, {} committed; \
+                     (next_exec, low_water) per primary {marks:?}",
+                    seen.pending,
+                    seen.offered(),
+                    seen.committed()
+                )
+            })
+        })
+        .collect();
+    assert!(
+        stranded.is_empty(),
+        "writes stranded after the loss cleared:\n{}",
+        stranded.join("\n")
+    );
 }
