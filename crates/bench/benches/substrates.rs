@@ -72,6 +72,10 @@ fn bench_cipher(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(4096));
     g.bench_function("encrypt_4k", |b| b.iter(|| key.encrypt_block(7, &block)));
     g.bench_function("decrypt_4k", |b| b.iter(|| key.decrypt_block(7, &block)));
+    // One `read_mostly` session read: a whole 64 KiB object.
+    let object = vec![0x5Au8; 64 * 1024];
+    g.throughput(Throughput::Bytes(object.len() as u64));
+    g.bench_function("decrypt_64k", |b| b.iter(|| key.decrypt_block(7, &object)));
     g.finish();
 }
 

@@ -30,9 +30,9 @@
 
 // `deny` rather than `forbid`: the SHA-NI backends in `sha1` and `sha256`
 // each need a scoped `allow(unsafe_code)` for their CPU intrinsics,
-// `cipher`'s dispatch needs a third to call its AVX2 build of the same
-// safe body, and `sha1::lanes`, the eight-lane AVX2 SHA-1, a fourth for
-// its intrinsics. Everything else in the crate stays safe Rust.
+// `cipher::ni`, the AES-NI build of the block cipher, a third, and
+// `sha1::lanes`, the eight-lane AVX2 SHA-1, a fourth. Everything else in
+// the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
