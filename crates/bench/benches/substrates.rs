@@ -76,6 +76,10 @@ fn bench_cipher(c: &mut Criterion) {
     let object = vec![0x5Au8; 64 * 1024];
     g.throughput(Throughput::Bytes(object.len() as u64));
     g.bench_function("decrypt_64k", |b| b.iter(|| key.decrypt_block(7, &object)));
+    // An open-loop append: 8 bytes, no whole cell, so per-call cost only.
+    let marker = [0x5Au8; 8];
+    g.throughput(Throughput::Bytes(marker.len() as u64));
+    g.bench_function("encrypt_8", |b| b.iter(|| key.encrypt_block(7, &marker)));
     g.finish();
 }
 

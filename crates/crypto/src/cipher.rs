@@ -30,10 +30,11 @@
 //!   length equals plaintext length. (Cell masks start from a block whose
 //!   high 64 bits are zero, so S is never a mask's input.)
 //!
-//! Two builds give bit-identical output: `ni`, eight cells per AES-NI
-//! round, which every call takes when the CPU has AES-NI, and the portable
-//! byte-oriented FIPS-197 AES below, the only path elsewhere and the
-//! oracle the tests hold `ni` to.
+//! Three builds give bit-identical output, and every call takes the
+//! widest the CPU has: `ni::vaes`, sixteen cells per VAES round;
+//! `ni::aes_ni`, eight cells per AES-NI round; and the portable
+//! byte-oriented FIPS-197 AES below, the only path off x86-64 and the
+//! oracle the tests hold the others to.
 
 use crate::hmac::hmac_sha256;
 
@@ -103,7 +104,8 @@ impl BlockCipherKey {
         self.apply(position, ciphertext, false)
     }
 
-    /// The AES-NI build when the CPU has it, else the portable one.
+    /// The VAES build when the CPU has it, else the AES-NI build, else the
+    /// portable one.
     fn apply(&self, position: u64, data: &[u8], encrypt: bool) -> Vec<u8> {
         #[cfg(target_arch = "x86_64")]
         if let Some(out) = ni::apply(self, position, data, encrypt) {
@@ -287,62 +289,262 @@ fn decipher(dk: &Schedule, block: [u8; CELL]) -> [u8; CELL] {
 }
 
 /// The mode on AES-NI, bit-identical to
-/// [`BlockCipherKey::apply_portable`] (asserted by `ni_matches_portable`
-/// below). Eight cells go through each round side by side: `aesenc`
-/// issues every cycle but takes several to finish, so one cell alone
-/// would leave the unit idle between rounds. The mask doubles in an SSE
-/// register, five instructions per cell (`double`).
+/// [`BlockCipherKey::apply_portable`] (asserted against a byte-wise XEX
+/// reference by the tests below), in two widths from one group body:
+///
+/// * `vaes`: sixteen cells per round, two in each of eight ymm registers
+///   (VAES, VPCLMULQDQ and AVX2: AMD Zen 3, Intel Ice Lake and later);
+/// * `aes_ni`: eight cells per round, one in each of eight xmm registers
+///   (AES-NI and PCLMULQDQ: every x86-64 CPU since Westmere).
+///
+/// `aesenc` issues every cycle but takes several to finish, so eight
+/// independent registers keep the unit busy. Each register keeps its own
+/// mask and advances it by x^W once per W-cell group (one byte shift and
+/// one carry-less multiply, [`Lanes::advance`]), so no mask waits on the
+/// one before it: XEX allows Δ_{j+W} = Δ_j · x^W for any W.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // CPU intrinsics, as in `sha1::ni`
 mod ni {
     use super::{mask_block, tail_block, BlockCipherKey, Schedule, CELL};
     use core::arch::x86_64::*;
 
-    /// Cells per round.
-    const GROUP: usize = 8;
+    /// Registers per group: enough independent work to cover `aesenc`'s
+    /// latency.
+    const REGS: usize = 8;
 
-    /// The mode over `data` with AES-NI, or `None` when the running CPU
-    /// lacks it. `is_x86_feature_detected!` caches the cpuid result in an
-    /// atomic, so asking per call is cheap.
+    /// The mode over `data` with the widest build the running CPU has, or
+    /// `None` when it has neither. `is_x86_feature_detected!` caches the
+    /// cpuid result in an atomic, so asking per call is cheap.
     pub fn apply(
         key: &BlockCipherKey,
         position: u64,
         data: &[u8],
         encrypt: bool,
     ) -> Option<Vec<u8>> {
-        if !std::arch::is_x86_feature_detected!("aes") {
+        vaes(key, position, data, encrypt).or_else(|| aes_ni(key, position, data, encrypt))
+    }
+
+    /// Sixteen cells per round, or `None` without VAES, VPCLMULQDQ and AVX2.
+    pub fn vaes(
+        key: &BlockCipherKey,
+        position: u64,
+        data: &[u8],
+        encrypt: bool,
+    ) -> Option<Vec<u8>> {
+        if !(std::arch::is_x86_feature_detected!("vaes")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq")
+            && std::arch::is_x86_feature_detected!("avx2")
+            && has_aes_ni())
+        {
             return None;
         }
         let mut out = vec![0u8; data.len()];
-        // SAFETY: AES-NI support was just confirmed at runtime.
-        unsafe { xex(key, position, data, &mut out, encrypt) };
+        // SAFETY: every feature `xex_vaes` enables was just confirmed.
+        unsafe { xex_vaes(key, position, data, &mut out, encrypt) };
         Some(out)
+    }
+
+    /// Eight cells per round, or `None` without AES-NI and PCLMULQDQ.
+    pub fn aes_ni(
+        key: &BlockCipherKey,
+        position: u64,
+        data: &[u8],
+        encrypt: bool,
+    ) -> Option<Vec<u8>> {
+        if !has_aes_ni() {
+            return None;
+        }
+        let mut out = vec![0u8; data.len()];
+        // SAFETY: every feature `xex_aes_ni` enables was just confirmed.
+        unsafe { xex_aes_ni(key, position, data, &mut out, encrypt) };
+        Some(out)
+    }
+
+    fn has_aes_ni() -> bool {
+        std::arch::is_x86_feature_detected!("aes")
+            && std::arch::is_x86_feature_detected!("pclmulqdq")
     }
 
     /// # Safety
     ///
-    /// Caller must ensure the CPU has AES-NI. Nothing else is asked of it:
-    /// the loads and stores here touch whole `[u8; 16]` values, and
-    /// `xex_cells` checks the lengths of the cells it is handed.
-    #[target_feature(enable = "aes")]
-    unsafe fn xex(key: &BlockCipherKey, position: u64, data: &[u8], out: &mut [u8], encrypt: bool) {
-        let tweak = schedule(&key.tweak);
-        let rk = schedule(if encrypt { &key.data } else { &key.data_inv });
-        let mut delta = encipher(&tweak, load(&mask_block(position)));
+    /// Caller must ensure the CPU has every feature enabled here.
+    #[target_feature(enable = "vaes,vpclmulqdq,avx2,aes,pclmulqdq")]
+    unsafe fn xex_vaes(
+        key: &BlockCipherKey,
+        position: u64,
+        data: &[u8],
+        out: &mut [u8],
+        encrypt: bool,
+    ) {
+        xex::<__m256i>(key, position, data, out, encrypt);
+    }
 
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU has every feature enabled here.
+    #[target_feature(enable = "aes,pclmulqdq")]
+    unsafe fn xex_aes_ni(
+        key: &BlockCipherKey,
+        position: u64,
+        data: &[u8],
+        out: &mut [u8],
+        encrypt: bool,
+    ) {
+        xex::<__m128i>(key, position, data, out, encrypt);
+    }
+
+    /// A SIMD register of `CELLS` cells side by side, each in its own
+    /// 128-bit lane, with the operations the group body needs.
+    ///
+    /// Every method is `#[inline(always)]` so that it lands in the
+    /// `#[target_feature]` function that instantiates [`xex`], where the
+    /// intrinsics inline too.
+    trait Lanes: Copy {
+        /// Cells per register.
+        const CELLS: usize;
+        /// Bytes per register.
+        const BYTES: usize = Self::CELLS * CELL;
+
+        /// The register whose cells take the masks `first`, `first · x`,
+        /// …, and the mask of the cell after them.
+        unsafe fn spread(first: __m128i) -> (Self, __m128i);
+        /// One round key in every lane.
+        unsafe fn splat(k: __m128i) -> Self;
+        /// `BYTES` bytes from `p`, unaligned.
+        unsafe fn load(p: *const u8) -> Self;
+        /// `BYTES` bytes to `p`, unaligned.
+        unsafe fn store(self, p: *mut u8);
+        unsafe fn xor(self, b: Self) -> Self;
+        unsafe fn enc(self, k: Self) -> Self;
+        unsafe fn enc_last(self, k: Self) -> Self;
+        unsafe fn dec(self, k: Self) -> Self;
+        unsafe fn dec_last(self, k: Self) -> Self;
+        /// Each lane's mask times x^W, W = `REGS · CELLS` the cells in a
+        /// group: the lane shifts left by W/8 bytes, and the W bits
+        /// shifted out of bit 127 come back multiplied by 0x87 (x^128 =
+        /// x^7 + x^2 + x + 1), a product of at most 23 bits that the
+        /// low 64-bit carry-less multiply holds whole.
+        unsafe fn advance(self) -> Self;
+    }
+
+    impl Lanes for __m128i {
+        const CELLS: usize = 1;
+
+        #[inline(always)]
+        unsafe fn spread(first: __m128i) -> (Self, __m128i) {
+            (first, double(first))
+        }
+        #[inline(always)]
+        unsafe fn splat(k: __m128i) -> Self {
+            k
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u8) -> Self {
+            _mm_loadu_si128(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u8) {
+            _mm_storeu_si128(p.cast(), self)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm_xor_si128(self, b)
+        }
+        #[inline(always)]
+        unsafe fn enc(self, k: Self) -> Self {
+            _mm_aesenc_si128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn enc_last(self, k: Self) -> Self {
+            _mm_aesenclast_si128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn dec(self, k: Self) -> Self {
+            _mm_aesdec_si128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn dec_last(self, k: Self) -> Self {
+            _mm_aesdeclast_si128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn advance(self) -> Self {
+            let out = _mm_srli_si128::<15>(self);
+            let fold = _mm_clmulepi64_si128::<0x00>(out, _mm_cvtsi32_si128(0x87));
+            _mm_xor_si128(_mm_slli_si128::<1>(self), fold)
+        }
+    }
+
+    impl Lanes for __m256i {
+        const CELLS: usize = 2;
+
+        #[inline(always)]
+        unsafe fn spread(first: __m128i) -> (Self, __m128i) {
+            let second = double(first);
+            (_mm256_set_m128i(second, first), double(second))
+        }
+        #[inline(always)]
+        unsafe fn splat(k: __m128i) -> Self {
+            _mm256_broadcastsi128_si256(k)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const u8) -> Self {
+            _mm256_loadu_si256(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut u8) {
+            _mm256_storeu_si256(p.cast(), self)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm256_xor_si256(self, b)
+        }
+        #[inline(always)]
+        unsafe fn enc(self, k: Self) -> Self {
+            _mm256_aesenc_epi128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn enc_last(self, k: Self) -> Self {
+            _mm256_aesenclast_epi128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn dec(self, k: Self) -> Self {
+            _mm256_aesdec_epi128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn dec_last(self, k: Self) -> Self {
+            _mm256_aesdeclast_epi128(self, k)
+        }
+        #[inline(always)]
+        unsafe fn advance(self) -> Self {
+            let out = _mm256_bsrli_epi128::<14>(self);
+            let fold = _mm256_clmulepi64_epi128::<0x00>(out, _mm256_set1_epi64x(0x87));
+            _mm256_xor_si256(_mm256_bslli_epi128::<2>(self), fold)
+        }
+    }
+
+    /// The mode with the whole cells in groups of `REGS` registers of `R`.
+    ///
+    /// # Safety
+    ///
+    /// Inlined only into [`xex_vaes`] and [`xex_aes_ni`], whose callers
+    /// confirm the features `R`'s intrinsics need. The loads and stores
+    /// stay inside `data` and `out`: [`group`] checks the lengths it is
+    /// handed.
+    #[inline(always)]
+    unsafe fn xex<R: Lanes>(
+        key: &BlockCipherKey,
+        position: u64,
+        data: &[u8],
+        out: &mut [u8],
+        encrypt: bool,
+    ) {
         let whole = data.len() / CELL * CELL;
         let (cells, tail) = data.split_at(whole);
         let (out_cells, out_tail) = out.split_at_mut(whole);
-        let mut src = cells.chunks_exact(GROUP * CELL);
-        let mut dst = out_cells.chunks_exact_mut(GROUP * CELL);
-        for (s, d) in src.by_ref().zip(dst.by_ref()) {
-            delta = xex_cells::<GROUP>(&rk, delta, s, d, encrypt);
+        let tweak = schedule(&key.tweak);
+        if !cells.is_empty() {
+            groups::<R>(key, &tweak, position, cells, out_cells, encrypt);
         }
-        let rest = src.remainder().chunks_exact(CELL);
-        for (s, d) in rest.zip(dst.into_remainder().chunks_exact_mut(CELL)) {
-            delta = xex_cells::<1>(&rk, delta, s, d, encrypt);
-        }
-
         if !tail.is_empty() {
             let data_keys = schedule(&key.data);
             let ks = encipher(&data_keys, encipher(&tweak, load(&tail_block(position))));
@@ -354,65 +556,105 @@ mod ni {
         }
     }
 
-    /// The `L` cells of `src` into `dst`, the first masked with `delta`;
-    /// returns the mask of the cell after them.
+    /// The whole cells of `src` into `dst`. Everything per call (round
+    /// keys in every lane, the first group's masks) is set up before the
+    /// group loop; the loop only runs groups and advances masks.
     ///
     /// # Safety
     ///
-    /// As for [`xex`]. The assert below keeps every load inside `src` and
-    /// every store inside `dst`.
-    #[inline]
-    #[target_feature(enable = "aes")]
-    unsafe fn xex_cells<const L: usize>(
-        rk: &[__m128i; 11],
-        mut delta: __m128i,
+    /// As for [`xex`].
+    #[inline(always)]
+    unsafe fn groups<R: Lanes>(
+        key: &BlockCipherKey,
+        tweak: &[__m128i; 11],
+        position: u64,
         src: &[u8],
         dst: &mut [u8],
         encrypt: bool,
-    ) -> __m128i {
-        assert!(src.len() == L * CELL && dst.len() == L * CELL, "{L} cells");
-        let mut masks = [delta; L];
+    ) {
+        let keys = schedule(if encrypt { &key.data } else { &key.data_inv });
+        let rk: [R; 11] = std::array::from_fn(|r| R::splat(keys[r]));
+        let mut next = encipher(tweak, load(&mask_block(position)));
+        let mut masks = [R::splat(next); REGS];
         for m in &mut masks {
-            *m = delta;
-            delta = double(delta);
+            (*m, next) = R::spread(next);
         }
-        let mut s: [__m128i; L] = std::array::from_fn(|l| {
-            _mm_xor_si128(_mm_loadu_si128(src.as_ptr().add(CELL * l).cast()), masks[l])
-        });
+
+        let mut src = src.chunks_exact(REGS * R::BYTES);
+        let mut dst = dst.chunks_exact_mut(REGS * R::BYTES);
+        for (s, d) in src.by_ref().zip(dst.by_ref()) {
+            group(&rk, &masks, s, d, encrypt);
+            for m in &mut masks {
+                *m = m.advance();
+            }
+        }
+        // Fewer whole cells than a group: one more group over a padded
+        // copy (sized for the widest register), its masks the ones the
+        // loop left.
+        let rest = src.remainder();
+        if !rest.is_empty() {
+            let mut buf = [[0u8; REGS * 2 * CELL]; 2];
+            let n = REGS * R::BYTES;
+            buf[0][..rest.len()].copy_from_slice(rest);
+            let [pad_in, pad_out] = &mut buf;
+            group(&rk, &masks, &pad_in[..n], &mut pad_out[..n], encrypt);
+            dst.into_remainder().copy_from_slice(&pad_out[..rest.len()]);
+        }
+    }
+
+    /// One group: the `REGS · R::CELLS` cells of `src` into `dst`, cell
+    /// `j` masked with lane `j` of `masks`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`xex`]. The assert keeps every load inside `src` and every
+    /// store inside `dst`.
+    #[inline(always)]
+    unsafe fn group<R: Lanes>(
+        rk: &[R; 11],
+        masks: &[R; REGS],
+        src: &[u8],
+        dst: &mut [u8],
+        encrypt: bool,
+    ) {
+        assert!(
+            src.len() == REGS * R::BYTES && dst.len() == REGS * R::BYTES,
+            "one group"
+        );
+        let mut s: [R; REGS] =
+            std::array::from_fn(|i| R::load(src.as_ptr().add(i * R::BYTES)).xor(masks[i]));
         if encrypt {
             for x in &mut s {
-                *x = _mm_xor_si128(*x, rk[0]);
+                *x = x.xor(rk[0]);
             }
             for &k in &rk[1..10] {
                 for x in &mut s {
-                    *x = _mm_aesenc_si128(*x, k);
+                    *x = x.enc(k);
                 }
             }
             for x in &mut s {
-                *x = _mm_aesenclast_si128(*x, rk[10]);
+                *x = x.enc_last(rk[10]);
             }
         } else {
             for x in &mut s {
-                *x = _mm_xor_si128(*x, rk[10]);
+                *x = x.xor(rk[10]);
             }
             for &k in rk[1..10].iter().rev() {
                 for x in &mut s {
-                    *x = _mm_aesdec_si128(*x, k);
+                    *x = x.dec(k);
                 }
             }
             for x in &mut s {
-                *x = _mm_aesdeclast_si128(*x, rk[0]);
+                *x = x.dec_last(rk[0]);
             }
         }
-        for (l, (x, m)) in s.iter().zip(&masks).enumerate() {
-            _mm_storeu_si128(dst.as_mut_ptr().add(CELL * l).cast(), _mm_xor_si128(*x, *m));
+        for (i, (x, m)) in s.iter().zip(masks).enumerate() {
+            x.xor(*m).store(dst.as_mut_ptr().add(i * R::BYTES));
         }
-        delta
     }
 
     /// AES-128 encryption of one block.
-    #[inline]
-    #[target_feature(enable = "aes")]
+    #[inline(always)]
     unsafe fn encipher(rk: &[__m128i; 11], block: __m128i) -> __m128i {
         let mut s = _mm_xor_si128(block, rk[0]);
         for &k in &rk[1..10] {
@@ -421,13 +663,12 @@ mod ni {
         _mm_aesenclast_si128(s, rk[10])
     }
 
-    /// The mask times x: each 64-bit half shifts left by one, bit 63
-    /// carries into bit 64, and bit 127 comes back as 0x87 in the low
-    /// byte. The shuffle puts words 3 and 1 (the halves' top bits) under
-    /// words 0 and 2, and the arithmetic shift spreads each top bit
-    /// across its word.
-    #[inline]
-    #[target_feature(enable = "aes")]
+    /// The mask times x, for the first group's masks only: each 64-bit
+    /// half shifts left by one, bit 63 carries into bit 64, and bit 127
+    /// comes back as 0x87 in the low byte. The shuffle puts words 3 and 1
+    /// (the halves' top bits) under words 0 and 2, and the arithmetic
+    /// shift spreads each top bit across its word.
+    #[inline(always)]
     unsafe fn double(d: __m128i) -> __m128i {
         let carries = _mm_srai_epi32::<31>(_mm_shuffle_epi32::<0x13>(d));
         _mm_xor_si128(
@@ -436,14 +677,82 @@ mod ni {
         )
     }
 
-    #[inline]
+    #[inline(always)]
     unsafe fn load(block: &[u8; CELL]) -> __m128i {
         _mm_loadu_si128(block.as_ptr().cast())
     }
 
-    #[inline]
+    #[inline(always)]
     unsafe fn schedule(keys: &Schedule) -> [__m128i; 11] {
         keys.map(|k| load(&k))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// One mask advance in each SIMD width equals 8 (xmm) or 16 (ymm)
+        /// doublings of every lane, on masks with and without their top bits
+        /// set: the bits shifted out must come back reduced.
+        #[test]
+        fn mask_advance_equals_doublings() {
+            use std::arch::is_x86_feature_detected as has;
+
+            fn doubled(mut d: u128, times: u32) -> u128 {
+                for _ in 0..times {
+                    d = (d << 1) ^ ((d >> 127) * 0x87);
+                }
+                d
+            }
+            let masks = [
+                0,
+                1,
+                0x87,
+                1 << 127,
+                u128::MAX,
+                0xFFFF << 112,
+                0xA5 << 120 | 0x0123_4567_89AB_CDEF,
+                0x8000_0000_0000_0001_8000_0000_0000_0001,
+                0x0123_4567_89AB_CDEF_FEDC_BA98_7654_3210,
+            ];
+            let lanes = |bytes: &[u8]| -> Vec<u128> {
+                bytes
+                    .chunks_exact(CELL)
+                    .map(|c| u128::from_le_bytes(c.try_into().expect("one lane")))
+                    .collect()
+            };
+            if has!("pclmulqdq") {
+                for d in masks {
+                    let mut out = [0u8; CELL];
+                    // SAFETY: SSE2 and PCLMULQDQ are present; 16 bytes each way.
+                    unsafe {
+                        __m128i::load(d.to_le_bytes().as_ptr())
+                            .advance()
+                            .store(out.as_mut_ptr())
+                    };
+                    assert_eq!(lanes(&out), [doubled(d, 8)], "x^8 on {d:#x}");
+                }
+            }
+            if has!("vpclmulqdq") && has!("avx2") {
+                for (lo, hi) in masks.iter().zip(masks.iter().rev()) {
+                    let mut two = [0u8; 2 * CELL];
+                    two[..CELL].copy_from_slice(&lo.to_le_bytes());
+                    two[CELL..].copy_from_slice(&hi.to_le_bytes());
+                    let mut out = [0u8; 2 * CELL];
+                    // SAFETY: AVX2 and VPCLMULQDQ are present; 32 bytes each way.
+                    unsafe {
+                        __m256i::load(two.as_ptr())
+                            .advance()
+                            .store(out.as_mut_ptr())
+                    };
+                    assert_eq!(
+                        lanes(&out),
+                        [doubled(*lo, 16), doubled(*hi, 16)],
+                        "x^16 on {lo:#x}, {hi:#x}"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -482,28 +791,37 @@ mod tests {
         }
     }
 
-    /// Bare AES through the AES-NI build: one cell at position 0, masked
+    /// A build of the mode, called directly; `None` when the CPU lacks it.
+    type Build = fn(&BlockCipherKey, u64, &[u8], bool) -> Option<Vec<u8>>;
+
+    /// The SIMD builds by name: the public API only ever reaches one.
+    #[cfg(target_arch = "x86_64")]
+    const SIMD_BUILDS: [(&str, Build); 2] = [("aes-ni", ni::aes_ni), ("vaes", ni::vaes)];
+
+    /// Bare AES through each SIMD build: one cell at position 0, masked
     /// going in and unmasked coming out with the mask the portable AES
     /// computes.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn ni_aes_known_answers() {
-        for (k, p, c) in FIPS_197 {
-            let key = BlockCipherKey::from_keys(block(k), [0; CELL]);
-            let mask = encipher(&key.tweak, mask_block(0));
-            let through = |x: [u8; CELL], encrypt: bool| {
-                let y = ni::apply(&key, 0, &xor(x, mask), encrypt)?;
-                Some(xor(y.try_into().expect("one cell"), mask))
-            };
-            let Some(ct) = through(block(p), true) else {
-                return;
-            }; // no AES-NI here
-            assert_eq!(ct, block(c), "encrypt under {k}");
-            assert_eq!(
-                through(block(c), false),
-                Some(block(p)),
-                "decrypt under {k}"
-            );
+        for (name, build) in SIMD_BUILDS {
+            for (k, p, c) in FIPS_197 {
+                let key = BlockCipherKey::from_keys(block(k), [0; CELL]);
+                let mask = encipher(&key.tweak, mask_block(0));
+                let through = |x: [u8; CELL], encrypt: bool| {
+                    let y = build(&key, 0, &xor(x, mask), encrypt)?;
+                    Some(xor(y.try_into().expect("one cell"), mask))
+                };
+                let Some(ct) = through(block(p), true) else {
+                    break;
+                }; // no such build here
+                assert_eq!(ct, block(c), "{name}: encrypt under {k}");
+                assert_eq!(
+                    through(block(c), false),
+                    Some(block(p)),
+                    "{name}: decrypt under {k}"
+                );
+            }
         }
     }
 
@@ -563,56 +881,63 @@ mod tests {
         out
     }
 
-    /// Every remainder around one and two groups of eight cells (lengths
-    /// 0–520), plus 1 KiB, 4 KiB and 4 KiB with a partial cell, at
-    /// positions that use the position's high half.
+    /// Every remainder around one and two groups of eight or sixteen
+    /// cells (lengths 0–520, which hold the edge at 255–257), 1 KiB, and
+    /// every length from 4 080 to 4 112 (a 4 KiB block give or take a
+    /// cell, 4 099 among them), at positions that use the position's high
+    /// half.
     fn for_each_case(mut check: impl FnMut(u64, &[u8])) {
-        let data: Vec<u8> = (0..4099u32)
+        let data: Vec<u8> = (0..4112u32)
             .map(|i| (i.wrapping_mul(73) ^ (i >> 5)) as u8)
             .collect();
         for position in [0u64, 7, 1 << 40] {
-            for len in (0..=520).chain([1024, 4096, 4099]) {
+            for len in (0..=520).chain([1024]).chain(4080..=4112) {
                 check(position, &data[..len]);
             }
         }
     }
 
-    #[test]
-    fn portable_matches_per_cell_reference() {
+    /// `build` against the per-cell reference in both directions, and
+    /// back again; nothing to check when the CPU lacks the build.
+    fn matches_per_cell_reference(name: &str, build: Build) {
         let key = BlockCipherKey::from_seed(b"object-key");
         for_each_case(|position, pt| {
-            let at = format!("{} bytes at {position}", pt.len());
-            let ct = key.apply_portable(position, pt, true);
+            let at = format!("{name}, {} bytes at {position}", pt.len());
+            let Some(ct) = build(&key, position, pt, true) else {
+                return;
+            };
             assert_eq!(ct, per_cell(&key, position, pt, true), "encrypt, {at}");
-            let back = key.apply_portable(position, pt, false);
-            assert_eq!(back, per_cell(&key, position, pt, false), "decrypt, {at}");
+            let back = build(&key, position, pt, false);
             assert_eq!(
-                key.apply_portable(position, &ct, false),
-                pt,
+                back,
+                Some(per_cell(&key, position, pt, false)),
+                "decrypt, {at}"
+            );
+            assert_eq!(
+                build(&key, position, &ct, false).as_deref(),
+                Some(pt),
                 "round trip, {at}"
             );
         });
     }
 
-    /// The AES-NI build against the portable one, each called directly:
-    /// the public API only ever reaches one of them.
+    #[test]
+    fn portable_matches_per_cell_reference() {
+        matches_per_cell_reference("portable", |key, position, data, encrypt| {
+            Some(key.apply_portable(position, data, encrypt))
+        });
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn ni_matches_portable() {
-        let key = BlockCipherKey::from_seed(b"object-key");
-        for_each_case(|position, pt| {
-            let at = format!("{} bytes at {position}", pt.len());
-            for encrypt in [true, false] {
-                let Some(out) = ni::apply(&key, position, pt, encrypt) else {
-                    return;
-                };
-                assert_eq!(
-                    out,
-                    key.apply_portable(position, pt, encrypt),
-                    "encrypt {encrypt}, {at}"
-                );
-            }
-        });
+    fn aes_ni_matches_per_cell_reference() {
+        matches_per_cell_reference("aes-ni", ni::aes_ni);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vaes_matches_per_cell_reference() {
+        matches_per_cell_reference("vaes", ni::vaes);
     }
 
     /// The format, pinned: a change to the mode or the key derivation

@@ -337,28 +337,6 @@ pub fn mul_acc_slice(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-/// Multiplies a slice in place by `c`: `dst[i] = c * dst[i]`.
-///
-/// With `c = 0` this zeroes the slice (as field arithmetic demands).
-pub fn mul_slice_in_place(dst: &mut [u8], c: u8) {
-    match c {
-        0 => dst.fill(0),
-        1 => {}
-        _ => {
-            let masks = bit_masks(c);
-            let mut d = dst.chunks_exact_mut(8);
-            for dw in &mut d {
-                let w = u64::from_le_bytes(dw.try_into().expect("8-byte chunk"));
-                dw.copy_from_slice(&mul_word(w, &masks).to_le_bytes());
-            }
-            let (lo, hi) = nibble_tables(c);
-            for db in d.into_remainder() {
-                *db = lo[(*db & 0x0f) as usize] ^ hi[(*db >> 4) as usize];
-            }
-        }
-    }
-}
-
 /// Applies one source slice to several destination rows in a single pass:
 /// `dsts[r].0[i] ^= dsts[r].1 * src[i]` for every row `r`.
 ///
@@ -556,17 +534,6 @@ mod tests {
                 mul_acc_slice_ref(&mut reference, &src[..len], c);
                 assert_eq!(fast, reference, "c={c} len={len}");
             }
-        }
-    }
-
-    #[test]
-    fn mul_slice_in_place_matches_scalar() {
-        let init: Vec<u8> = (0..131u32).map(|i| (i * 3 + 1) as u8).collect();
-        for c in [0u8, 1, 2, 0x1c, 0x80, 0xff] {
-            let mut fast = init.clone();
-            mul_slice_in_place(&mut fast, c);
-            let expect: Vec<u8> = init.iter().map(|&b| mul(c, b)).collect();
-            assert_eq!(fast, expect, "c={c}");
         }
     }
 

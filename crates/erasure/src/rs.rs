@@ -132,46 +132,11 @@ impl ReedSolomon {
 
     /// Computes parity rows: `row[r][i] = Σ_c coeffs[r][c] · cols[c][i]`.
     ///
-    /// Each row starts as a *copy* of the first data column multiplied in
-    /// place — no zero-fill that the first accumulation immediately
-    /// overwrites — and the remaining columns accumulate into all rows per
-    /// pass through [`crate::gf256::mul_acc_multi`].
+    /// Each row starts at zero and every column accumulates into all rows
+    /// in one pass through [`crate::gf256::mul_acc_multi`].
     fn parity_rows(cols: &[&[u8]], coeffs: &[Vec<u8>], len: usize) -> Vec<Vec<u8>> {
-        #[cfg(feature = "parallel")]
-        {
-            // Rows are independent, so splitting them across threads cannot
-            // change the bytes produced — the feature only exists because
-            // encode throughput is the archival path's bottleneck (off by
-            // default; the simulator stays single-threaded).
-            let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-            if workers > 1 && coeffs.len() > 1 && len >= 4096 {
-                let chunk = coeffs.len().div_ceil(workers);
-                let mut rows: Vec<Vec<Vec<u8>>> = Vec::new();
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = coeffs
-                        .chunks(chunk)
-                        .map(|group| s.spawn(move || Self::parity_rows_serial(cols, group)))
-                        .collect();
-                    rows = handles.into_iter().map(|h| h.join().expect("worker")).collect();
-                });
-                return rows.into_iter().flatten().collect();
-            }
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = len;
-        Self::parity_rows_serial(cols, coeffs)
-    }
-
-    fn parity_rows_serial(cols: &[&[u8]], coeffs: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let mut rows: Vec<Vec<u8>> = coeffs
-            .iter()
-            .map(|cs| {
-                let mut row = cols[0].to_vec();
-                crate::gf256::mul_slice_in_place(&mut row, cs[0]);
-                row
-            })
-            .collect();
-        for (c, col) in cols.iter().enumerate().skip(1) {
+        let mut rows = vec![vec![0u8; len]; coeffs.len()];
+        for (c, col) in cols.iter().enumerate() {
             let mut fused: Vec<(&mut [u8], u8)> = rows
                 .iter_mut()
                 .zip(coeffs)
@@ -361,10 +326,10 @@ mod tests {
 
     #[test]
     fn fast_encode_matches_reference_path() {
-        // The fused-kernel encode (copy + mul_slice_in_place seed, then
-        // mul_acc_multi per column) must be bit-identical to the original
-        // zero-fill + column-at-a-time path, including on word-unaligned
-        // shard lengths that exercise the nibble-table tails.
+        // The fused-kernel encode (mul_acc_multi per column into every
+        // row) must be bit-identical to the column-at-a-time reference,
+        // including on word-unaligned shard lengths that exercise the
+        // nibble-table tails and lengths under the 32-byte SIMD block.
         for (k, n) in [(1, 2), (2, 4), (3, 6), (8, 16), (16, 32)] {
             for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 611] {
                 let rs = ReedSolomon::new(k, n).unwrap();
@@ -391,16 +356,6 @@ mod tests {
         rs.reconstruct(&mut fast).unwrap();
         rs.reconstruct_ref(&mut slow).unwrap();
         assert_eq!(fast, slow);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_encode_is_byte_identical() {
-        // Shards above the 4 KiB threshold take the threaded path; the
-        // output must not depend on how rows were split across workers.
-        let rs = ReedSolomon::new(8, 16).unwrap();
-        let data = shards(8, 8192 + 13);
-        assert_eq!(rs.encode(&data).unwrap(), rs.encode_ref(&data).unwrap());
     }
 
     #[test]
