@@ -20,8 +20,9 @@ fn bench_sha1(c: &mut Criterion) {
 }
 
 /// Naming a 4 KiB block: the SHA-1 pass every committed block takes once
-/// per replica. And naming eight at once, as `update_digest` names a run
-/// of eight blocks of one length: in AVX2 lanes where the CPU has them.
+/// per replica. And naming runs of one length, as `update_digest` names
+/// them: eight at once in AVX2 lanes where the CPU has them, sixteen in
+/// AVX-512 lanes (a 64 KiB `lifecycle` object) where it has those.
 fn bench_cid(c: &mut Criterion) {
     let block = vec![0xC3u8; 4096];
     let mut g = c.benchmark_group("cid");
@@ -30,6 +31,9 @@ fn bench_cid(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(8 * 4096));
     let run: Vec<&[u8]> = vec![&block; 8];
     g.bench_function("for_contents_8x4k", |b| b.iter(|| Guid::for_contents(&run)));
+    g.throughput(Throughput::Bytes(16 * 4096));
+    let run: Vec<&[u8]> = vec![&block; 16];
+    g.bench_function("for_contents_16x4k", |b| b.iter(|| Guid::for_contents(&run)));
     g.finish();
 }
 

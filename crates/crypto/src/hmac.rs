@@ -10,27 +10,28 @@ use crate::sha256::{self, Sha256};
 
 const BLOCK: usize = 64;
 
-fn pad_key(key: &[u8], hashed: &[u8]) -> [u8; BLOCK] {
+/// The inner and outer pads of `key`: the key as one block, zero-padded
+/// (hashed first only when it is longer than a block), XORed with 0x36
+/// and with 0x5c.
+fn pads<D: AsRef<[u8]>>(key: &[u8], hash: fn(&[u8]) -> D) -> ([u8; BLOCK], [u8; BLOCK]) {
     let mut k = [0u8; BLOCK];
     if key.len() > BLOCK {
-        k[..hashed.len()].copy_from_slice(hashed);
+        let hashed = hash(key);
+        k[..hashed.as_ref().len()].copy_from_slice(hashed.as_ref());
     } else {
         k[..key.len()].copy_from_slice(key);
     }
-    k
+    (k.map(|b| b ^ 0x36), k.map(|b| b ^ 0x5c))
 }
 
 /// HMAC-SHA1 of `msg` under `key`.
 pub fn hmac_sha1(key: &[u8], msg: &[u8]) -> sha1::Digest {
-    let hashed = sha1::sha1(key);
-    let k = pad_key(key, &hashed);
+    let (ipad, opad) = pads(key, sha1::sha1);
     let mut inner = Sha1::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
     inner.update(&ipad);
     inner.update(msg);
     let inner_digest = inner.finalize();
     let mut outer = Sha1::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()
@@ -38,15 +39,12 @@ pub fn hmac_sha1(key: &[u8], msg: &[u8]) -> sha1::Digest {
 
 /// HMAC-SHA256 of `msg` under `key`.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> sha256::Digest {
-    let hashed = sha256::sha256(key);
-    let k = pad_key(key, &hashed);
+    let (ipad, opad) = pads(key, sha256::sha256);
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
     inner.update(&ipad);
     inner.update(msg);
     let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()

@@ -31,9 +31,9 @@
 // `deny` rather than `forbid`: the SHA-NI backends in `sha1` and `sha256`
 // each need a scoped `allow(unsafe_code)` for their CPU intrinsics,
 // `cipher::ni`, the AES-NI and VAES builds of the block cipher (one group
-// body over xmm or ymm registers), a third, and `sha1::lanes`, the
-// eight-lane AVX2 SHA-1, a fourth. Everything else in the crate stays
-// safe Rust.
+// body over xmm or ymm registers), a third, and `sha1::lanes`, SHA-1 in
+// sixteen AVX-512 or eight AVX2 lanes (one kernel body over zmm or ymm
+// registers), a fourth. Everything else in the crate stays safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -260,8 +260,9 @@ impl KeyPair {
         let grp = group();
         let mut ctr = 0u32;
         loop {
-            let mut seed = self.private.x.to_be_bytes().to_vec();
-            seed.extend_from_slice(&ctr.to_be_bytes());
+            let mut seed = [0u8; 12];
+            seed[..8].copy_from_slice(&self.private.x.to_be_bytes());
+            seed[8..].copy_from_slice(&ctr.to_be_bytes());
             let d = hmac_sha256(&seed, msg);
             let k = u64::from_be_bytes(d[..8].try_into().expect("8 bytes")) % grp.q;
             if k != 0 {

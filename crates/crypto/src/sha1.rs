@@ -18,12 +18,12 @@
 //! The scalar loop is the fallback elsewhere and the oracle
 //! `backends_agree` compares the dispatched hash against.
 //!
-//! [`sha1_concat_x8`] hashes eight messages of one length at once. On a
-//! CPU with AVX2 each message takes one 32-bit lane of the registers
-//! (`lanes::digests`); SHA-NI runs one message at a time and is bound by
-//! its own throughput, so eight independent messages go faster side by
-//! side than through it. Elsewhere the eight go through [`sha1_concat`]
-//! one at a time.
+//! [`sha1_concat_run`] hashes a run of messages of one length, many at
+//! once: on a CPU with AVX-512 sixteen side by side, one per 32-bit lane
+//! of the registers, and on one with AVX2 eight (`lanes`). SHA-NI runs one
+//! message at a time and is bound by its own throughput, so independent
+//! messages go faster side by side than through it. What no width takes
+//! goes through [`sha1_concat`] one at a time.
 
 /// Number of bytes in a SHA-1 digest (160 bits).
 pub const DIGEST_LEN: usize = 20;
@@ -154,93 +154,229 @@ mod ni {
     }
 }
 
-/// Eight SHA-1 computations in the 32-bit lanes of AVX2 registers.
+/// SHA-1 of equal-length messages side by side, one message per 32-bit
+/// lane of a SIMD register, in two widths from one kernel body:
+///
+/// * `zmm`: sixteen messages in AVX-512 registers (AVX-512F and BW);
+/// * `ymm`: eight messages in AVX2 registers.
 ///
 /// Lane `i` of every register belongs to message `i`: each of the five
-/// state words and of the sixteen schedule words is one `__m256i`, and
+/// state words and of the sixteen schedule words is one register, and
 /// each round is the scalar round of `compress_soft` applied lane-wise.
-/// AVX2 has no 32-bit rotate, so a rotation is two shifts and an or.
-/// Digests are bit-identical to [`super::sha1_concat`] of each message
-/// (asserted by `lanes_match_one_at_a_time` below).
+/// The body ([`digests`]) holds the one copy of the 80 rounds, the
+/// schedule and block selection; a width supplies only the [`Lanes`]
+/// primitives. Digests are bit-identical to [`super::sha1_concat`] of each
+/// message (asserted by `ymm_matches_one_at_a_time` and
+/// `zmm_matches_one_at_a_time` below).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // CPU intrinsics, as in `ni`
 mod lanes {
-    use super::{last_block, padded_block, H0, LANES};
+    use super::{digest_bytes, last_block, pad_block, Digest, H0};
     use core::arch::x86_64::*;
 
-    /// True when the running CPU supports AVX2, the one extension
-    /// `digests` is compiled with. `is_x86_feature_detected!` caches the
-    /// cpuid result in an atomic, so calling this per batch is cheap.
-    #[inline]
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
+    /// Sixteen messages in zmm lanes, or `None` without AVX-512F and
+    /// AVX-512BW. `is_x86_feature_detected!` caches the cpuid result in an
+    /// atomic, so asking per run is cheap.
+    pub fn zmm(prefix: &[u8], msgs: &[&[u8]; 16]) -> Option<[Digest; 16]> {
+        if !(std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw"))
+        {
+            return None;
+        }
+        // SAFETY: every feature `digests_zmm` enables was just confirmed.
+        Some(unsafe { digests_zmm(prefix, msgs) })
     }
 
-    /// The final state of SHA-1 over `prefix ‖ msgs[i]` in each lane `i`,
-    /// word-major: `[j][i]` is word `j` of lane `i`. The messages share
-    /// one length, so every lane takes the same number of blocks.
-    ///
+    /// Eight messages in ymm lanes, or `None` without AVX2.
+    pub fn ymm(prefix: &[u8], msgs: &[&[u8]; 8]) -> Option<[Digest; 8]> {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return None;
+        }
+        // SAFETY: AVX2, the one feature `digests_ymm` enables, was just
+        // confirmed.
+        Some(unsafe { digests_ymm(prefix, msgs) })
+    }
+
     /// # Safety
     ///
-    /// Caller must ensure [`available`] returned true on this CPU. Nothing
-    /// else is asked of it. Every load reads one 64-byte block that
-    /// [`padded_block`] hands out: a window inside its lane's message, or
-    /// that lane's stack buffer. So every load stays inside its message or
-    /// its buffer, and the only stores write the returned words.
+    /// Caller must ensure the CPU has every feature enabled here.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn digests_zmm(prefix: &[u8], msgs: &[&[u8]; 16]) -> [Digest; 16] {
+        digests::<__m512i, 16>(prefix, msgs)
+    }
+
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU has AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn digests(prefix: &[u8], msgs: [&[u8]; LANES]) -> [[u32; LANES]; 5] {
-        macro_rules! rol {
-            ($x:expr, $n:literal) => {
-                _mm256_or_si256(_mm256_slli_epi32::<$n>($x), _mm256_srli_epi32::<{ 32 - $n }>($x))
-            };
-        }
-        macro_rules! ch {
-            ($b:ident, $c:ident, $d:ident) => {
-                _mm256_xor_si256($d, _mm256_and_si256($b, _mm256_xor_si256($c, $d)))
-            };
-        }
-        macro_rules! parity {
-            ($b:ident, $c:ident, $d:ident) => {
-                _mm256_xor_si256(_mm256_xor_si256($b, $c), $d)
-            };
-        }
-        macro_rules! maj {
-            ($b:ident, $c:ident, $d:ident) => {
-                _mm256_or_si256(
-                    _mm256_and_si256($b, $c),
-                    _mm256_and_si256($d, _mm256_or_si256($b, $c)),
-                )
-            };
-        }
+    unsafe fn digests_ymm(prefix: &[u8], msgs: &[&[u8]; 8]) -> [Digest; 8] {
+        digests::<__m256i, 8>(prefix, msgs)
+    }
 
-        // Byte reversal inside each 32-bit word: message words are
-        // big-endian.
-        let swap = _mm256_set_epi8(
-            12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3, //
-            12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
-        );
-        let k0 = _mm256_set1_epi32(0x5A827999);
-        let k1 = _mm256_set1_epi32(0x6ED9EBA1);
-        let k2 = _mm256_set1_epi32(0x8F1BBCDCu32 as i32);
-        let k3 = _mm256_set1_epi32(0xCA62C1D6u32 as i32);
-        let mut h = [_mm256_setzero_si256(); 5];
-        for (hj, &init) in h.iter_mut().zip(&H0) {
-            *hj = _mm256_set1_epi32(init as i32);
+    /// A SIMD register of `LANES` 32-bit words, one per message, with the
+    /// operations the kernel body needs.
+    ///
+    /// Every method is `#[inline(always)]` so that it lands in the
+    /// `#[target_feature]` function that instantiates [`digests`], where
+    /// the intrinsics inline too.
+    trait Lanes: Copy {
+        /// Messages per register.
+        const LANES: usize;
+
+        /// `x` in every lane.
+        unsafe fn splat(x: u32) -> Self;
+        unsafe fn add(self, b: Self) -> Self;
+        unsafe fn xor(self, b: Self) -> Self;
+        /// Each lane rotated left by `N` bits.
+        unsafe fn rol<const N: i32>(self) -> Self;
+        /// `b ^ c ^ d`: the Parity function, and three of the schedule's
+        /// four terms.
+        unsafe fn xor3(b: Self, c: Self, d: Self) -> Self;
+        /// The Ch function: `c` where `b` has a one, `d` where it has a
+        /// zero.
+        unsafe fn ch(b: Self, c: Self, d: Self) -> Self;
+        /// The Maj function: each bit as at least two of `b`, `c`, `d`.
+        unsafe fn maj(b: Self, c: Self, d: Self) -> Self;
+        /// The sixteen big-endian words of `LANES` blocks, transposed:
+        /// lane `i` of word `t` is word `t` of `blocks[i]`. Every load
+        /// stays inside one of the blocks.
+        unsafe fn words(blocks: &[&[u8; 64]]) -> [Self; 16];
+        /// The lanes into the first `LANES` words of `out`.
+        unsafe fn store(self, out: &mut [u32; 16]);
+    }
+
+    /// Byte reversal inside each 32-bit word, per 128 bits: message words
+    /// are big-endian.
+    #[inline(always)]
+    unsafe fn swap_bytes() -> __m128i {
+        _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3)
+    }
+
+    impl Lanes for __m512i {
+        const LANES: usize = 16;
+
+        #[inline(always)]
+        unsafe fn splat(x: u32) -> Self {
+            _mm512_set1_epi32(x as i32)
         }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm512_add_epi32(self, b)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm512_xor_si512(self, b)
+        }
+        #[inline(always)]
+        unsafe fn rol<const N: i32>(self) -> Self {
+            _mm512_rol_epi32::<N>(self)
+        }
+        // Each function is one `vpternlogd`: bit `4b + 2c + d` of the
+        // immediate is the output for those three input bits.
+        #[inline(always)]
+        unsafe fn xor3(b: Self, c: Self, d: Self) -> Self {
+            _mm512_ternarylogic_epi32::<0x96>(b, c, d)
+        }
+        #[inline(always)]
+        unsafe fn ch(b: Self, c: Self, d: Self) -> Self {
+            _mm512_ternarylogic_epi32::<0xCA>(b, c, d)
+        }
+        #[inline(always)]
+        unsafe fn maj(b: Self, c: Self, d: Self) -> Self {
+            _mm512_ternarylogic_epi32::<0xE8>(b, c, d)
+        }
+        /// A block is one register, so the sixteen blocks are a 16×16
+        /// matrix of words, one block per row.
+        #[inline(always)]
+        unsafe fn words(blocks: &[&[u8; 64]]) -> [Self; 16] {
+            assert_eq!(blocks.len(), Self::LANES, "a block per lane");
+            let swap = _mm512_broadcast_i32x4(swap_bytes());
+            let mut r = [_mm512_setzero_si512(); 16];
+            for (row, block) in r.iter_mut().zip(blocks) {
+                *row = _mm512_shuffle_epi8(_mm512_loadu_si512(block.as_ptr().cast()), swap);
+            }
+            // Pairs of rows interleaved by word, then by word pair: in
+            // each 128-bit quarter `q`, `u[4i + j]` holds word 4q + j of
+            // rows 4i..4i + 4.
+            let mut t = [_mm512_setzero_si512(); 16];
+            for i in 0..8 {
+                t[2 * i] = _mm512_unpacklo_epi32(r[2 * i], r[2 * i + 1]);
+                t[2 * i + 1] = _mm512_unpackhi_epi32(r[2 * i], r[2 * i + 1]);
+            }
+            let mut u = [_mm512_setzero_si512(); 16];
+            for i in 0..4 {
+                u[4 * i] = _mm512_unpacklo_epi64(t[4 * i], t[4 * i + 2]);
+                u[4 * i + 1] = _mm512_unpackhi_epi64(t[4 * i], t[4 * i + 2]);
+                u[4 * i + 2] = _mm512_unpacklo_epi64(t[4 * i + 1], t[4 * i + 3]);
+                u[4 * i + 3] = _mm512_unpackhi_epi64(t[4 * i + 1], t[4 * i + 3]);
+            }
+            // Then the quarters: word 4q + j gathers quarter `q` of
+            // `u[j]`, `u[4 + j]`, `u[8 + j]` and `u[12 + j]`, in two rounds
+            // of 128-bit shuffles.
+            let mut w = [_mm512_setzero_si512(); 16];
+            for j in 0..4 {
+                let v0 = _mm512_shuffle_i32x4::<0x44>(u[j], u[4 + j]);
+                let v1 = _mm512_shuffle_i32x4::<0xEE>(u[j], u[4 + j]);
+                let v2 = _mm512_shuffle_i32x4::<0x44>(u[8 + j], u[12 + j]);
+                let v3 = _mm512_shuffle_i32x4::<0xEE>(u[8 + j], u[12 + j]);
+                w[j] = _mm512_shuffle_i32x4::<0x88>(v0, v2);
+                w[4 + j] = _mm512_shuffle_i32x4::<0xDD>(v0, v2);
+                w[8 + j] = _mm512_shuffle_i32x4::<0x88>(v1, v3);
+                w[12 + j] = _mm512_shuffle_i32x4::<0xDD>(v1, v3);
+            }
+            w
+        }
+        #[inline(always)]
+        unsafe fn store(self, out: &mut [u32; 16]) {
+            _mm512_storeu_si512(out.as_mut_ptr().cast(), self)
+        }
+    }
 
-        let mut bufs = [[0u8; 64]; LANES];
-        for k in 0..=last_block(prefix.len() + msgs[0].len()) {
-            let mut spare = bufs.iter_mut();
-            let blocks =
-                msgs.map(|m| padded_block(prefix, m, k, spare.next().expect("a buffer per lane")));
+    impl Lanes for __m256i {
+        const LANES: usize = 8;
 
-            // Each 32-byte half of the eight blocks is an 8×8 matrix of
-            // words, one block per row: transpose it, so that lane `i` of
-            // `w[t]` is word `t` of block `i`.
+        #[inline(always)]
+        unsafe fn splat(x: u32) -> Self {
+            _mm256_set1_epi32(x as i32)
+        }
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            _mm256_add_epi32(self, b)
+        }
+        #[inline(always)]
+        unsafe fn xor(self, b: Self) -> Self {
+            _mm256_xor_si256(self, b)
+        }
+        /// AVX2 has no 32-bit rotate: two shifts and an or. The right
+        /// shift's count is a register, which the constant `N` folds into
+        /// an immediate shift.
+        #[inline(always)]
+        unsafe fn rol<const N: i32>(self) -> Self {
+            let right = _mm_cvtsi32_si128(32 - N);
+            _mm256_or_si256(_mm256_slli_epi32::<N>(self), _mm256_srl_epi32(self, right))
+        }
+        #[inline(always)]
+        unsafe fn xor3(b: Self, c: Self, d: Self) -> Self {
+            _mm256_xor_si256(_mm256_xor_si256(b, c), d)
+        }
+        #[inline(always)]
+        unsafe fn ch(b: Self, c: Self, d: Self) -> Self {
+            _mm256_xor_si256(d, _mm256_and_si256(b, _mm256_xor_si256(c, d)))
+        }
+        #[inline(always)]
+        unsafe fn maj(b: Self, c: Self, d: Self) -> Self {
+            _mm256_or_si256(_mm256_and_si256(b, c), _mm256_and_si256(d, _mm256_or_si256(b, c)))
+        }
+        /// Each 32-byte half of the eight blocks is an 8×8 matrix of
+        /// words, one block per row: transpose each.
+        #[inline(always)]
+        unsafe fn words(blocks: &[&[u8; 64]]) -> [Self; 16] {
+            assert_eq!(blocks.len(), Self::LANES, "a block per lane");
+            let swap = _mm256_broadcastsi128_si256(swap_bytes());
             let mut w = [_mm256_setzero_si256(); 16];
             for half in 0..2 {
-                let mut r = [_mm256_setzero_si256(); LANES];
-                for (row, block) in r.iter_mut().zip(&blocks) {
+                let mut r = [_mm256_setzero_si256(); 8];
+                for (row, block) in r.iter_mut().zip(blocks) {
                     let raw = _mm256_loadu_si256(block.as_ptr().add(32 * half).cast());
                     *row = _mm256_shuffle_epi8(raw, swap);
                 }
@@ -248,7 +384,7 @@ mod lanes {
                 // `u[j]` holds word j of rows 0–3 in its low 128 bits and
                 // word j + 4 in its high ones, `u[4 + j]` the same of rows
                 // 4–7.
-                let mut u = [_mm256_setzero_si256(); LANES];
+                let mut u = [_mm256_setzero_si256(); 8];
                 for q in 0..2 {
                     let r = &r[4 * q..];
                     let lo01 = _mm256_unpacklo_epi32(r[0], r[1]);
@@ -265,6 +401,55 @@ mod lanes {
                     w[8 * half + j + 4] = _mm256_permute2x128_si256::<0x31>(u[j], u[4 + j]);
                 }
             }
+            w
+        }
+        #[inline(always)]
+        unsafe fn store(self, out: &mut [u32; 16]) {
+            _mm256_storeu_si256(out.as_mut_ptr().cast(), self)
+        }
+    }
+
+    /// SHA-1 over `prefix ‖ msgs[i]` in each lane `i` of `R`. The messages
+    /// share one length, so every lane takes the same number of blocks, and
+    /// whether block `k` lies inside the message is one answer for all of
+    /// them: such a block is loaded from each message at one offset. Only
+    /// the blocks the prefix or the padding reach into are laid out in the
+    /// lanes' stack buffers ([`pad_block`]).
+    ///
+    /// # Safety
+    ///
+    /// Inlined only into [`digests_zmm`] and [`digests_ymm`], whose callers
+    /// confirm the features `R`'s intrinsics need. `N` is `R::LANES`, and
+    /// the loads stay inside 64-byte blocks that [`Lanes::words`] is handed:
+    /// windows of the messages or the stack buffers. The only stores write
+    /// the returned words.
+    #[inline(always)]
+    unsafe fn digests<R: Lanes, const N: usize>(prefix: &[u8], msgs: &[&[u8]; N]) -> [Digest; N] {
+        const { assert!(N == R::LANES) };
+        assert!(msgs.iter().all(|m| m.len() == msgs[0].len()), "messages of unequal length");
+        let k0 = R::splat(0x5A827999);
+        let k1 = R::splat(0x6ED9EBA1);
+        let k2 = R::splat(0x8F1BBCDC);
+        let k3 = R::splat(0xCA62C1D6);
+        let mut h = H0.map(|x| R::splat(x));
+
+        let (p, total) = (prefix.len(), prefix.len() + msgs[0].len());
+        let mut bufs = [[0u8; 64]; N];
+        for k in 0..=last_block(total) {
+            let start = 64 * k;
+            let mut w = if start >= p && start + 64 <= total {
+                let at = start - p;
+                let mut rows = [&bufs[0]; N];
+                for (row, m) in rows.iter_mut().zip(msgs) {
+                    *row = m[at..at + 64].try_into().expect("a 64-byte window");
+                }
+                R::words(&rows)
+            } else {
+                for (buf, m) in bufs.iter_mut().zip(msgs) {
+                    pad_block(prefix, m, k, buf);
+                }
+                R::words(&bufs.each_ref())
+            };
 
             let [mut a, mut b, mut c, mut d, mut e] = h;
             // Schedule word `t`: the first sixteen are the block's, each
@@ -274,11 +459,8 @@ mod lanes {
                 ($t:expr) => {{
                     let t: usize = $t;
                     if t >= 16 {
-                        let x = _mm256_xor_si256(
-                            _mm256_xor_si256(w[(t + 13) % 16], w[(t + 8) % 16]),
-                            _mm256_xor_si256(w[(t + 2) % 16], w[t % 16]),
-                        );
-                        w[t % 16] = rol!(x, 1);
+                        let x = R::xor3(w[(t + 13) % 16], w[(t + 8) % 16], w[(t + 2) % 16]);
+                        w[t % 16] = x.xor(w[t % 16]).rol::<1>();
                     }
                     w[t % 16]
                 }};
@@ -288,12 +470,9 @@ mod lanes {
             // other three.
             macro_rules! round {
                 ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $k:ident, $t:expr) => {
-                    let wk = _mm256_add_epi32(word!($t), $k);
-                    $e = _mm256_add_epi32(
-                        _mm256_add_epi32($e, wk),
-                        _mm256_add_epi32(rol!($a, 5), $f!($b, $c, $d)),
-                    );
-                    $b = rol!($b, 30);
+                    let wk = word!($t).add($k);
+                    $e = $e.add(wk).add($a.rol::<5>().add(R::$f($b, $c, $d)));
+                    $b = $b.rol::<30>();
                 };
             }
             // Rounds `t..t + 5`, after which every register holds the
@@ -311,28 +490,28 @@ mod lanes {
             five!(ch, k0, 5);
             five!(ch, k0, 10);
             five!(ch, k0, 15);
-            five!(parity, k1, 20);
-            five!(parity, k1, 25);
-            five!(parity, k1, 30);
-            five!(parity, k1, 35);
+            five!(xor3, k1, 20);
+            five!(xor3, k1, 25);
+            five!(xor3, k1, 30);
+            five!(xor3, k1, 35);
             five!(maj, k2, 40);
             five!(maj, k2, 45);
             five!(maj, k2, 50);
             five!(maj, k2, 55);
-            five!(parity, k3, 60);
-            five!(parity, k3, 65);
-            five!(parity, k3, 70);
-            five!(parity, k3, 75);
+            five!(xor3, k3, 60);
+            five!(xor3, k3, 65);
+            five!(xor3, k3, 70);
+            five!(xor3, k3, 75);
             for (hj, v) in h.iter_mut().zip([a, b, c, d, e]) {
-                *hj = _mm256_add_epi32(*hj, v);
+                *hj = hj.add(v);
             }
         }
 
-        let mut words = [[0u32; LANES]; 5];
+        let mut words = [[0u32; 16]; 5];
         for (out, hj) in words.iter_mut().zip(h) {
-            _mm256_storeu_si256(out.as_mut_ptr().cast(), hj);
+            hj.store(out);
         }
-        words
+        std::array::from_fn(|i| digest_bytes(&words.map(|w| w[i])))
     }
 }
 
@@ -484,46 +663,60 @@ pub fn sha1_concat(parts: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
-/// Number of messages [`sha1_concat_x8`] hashes at once.
-pub const LANES: usize = 8;
+/// The fewest messages of one length [`sha1_concat_run`] hashes side by
+/// side: the narrower of its two widths.
+pub const RUN: usize = 8;
 
-/// SHA-1 of `prefix ‖ msg` for each of eight messages of one length: what
-/// `sha1_concat(&[prefix, msg])` returns for each, in order. On a CPU with
-/// AVX2 the eight are hashed side by side, one per register lane;
-/// elsewhere [`sha1_concat`] hashes them one at a time.
+/// SHA-1 of `prefix ‖ msg` for each message of a run of one length, in
+/// order: `each` receives what `sha1_concat(&[prefix, msg])` returns for
+/// each. On a CPU with AVX-512F and AVX-512BW the run is hashed sixteen
+/// messages at a time, one per register lane; then, on a CPU with AVX2,
+/// eight at a time; the rest go through [`sha1_concat`] one at a time.
 ///
 /// # Panics
 ///
 /// If the messages differ in length.
-pub fn sha1_concat_x8(prefix: &[u8], msgs: [&[u8]; LANES]) -> [Digest; LANES] {
-    assert!(msgs.iter().all(|m| m.len() == msgs[0].len()), "messages of unequal length");
-    concat_lanes(prefix, msgs).unwrap_or_else(|| msgs.map(|m| sha1_concat(&[prefix, m])))
-}
-
-/// [`sha1_concat_x8`] in AVX2 lanes, or `None` when the running CPU lacks
-/// AVX2.
-#[allow(unsafe_code)] // dispatch into the feature-gated lanes
-fn concat_lanes(prefix: &[u8], msgs: [&[u8]; LANES]) -> Option<[Digest; LANES]> {
+pub fn sha1_concat_run(prefix: &[u8], msgs: &[&[u8]], mut each: impl FnMut(Digest)) {
+    let len = msgs.first().map_or(0, |m| m.len());
+    assert!(msgs.iter().all(|m| m.len() == len), "messages of unequal length");
     #[cfg(target_arch = "x86_64")]
-    if lanes::available() {
-        // SAFETY: `lanes::available` confirmed the CPU supports AVX2, the
-        // one feature `lanes::digests` is compiled with.
-        let words = unsafe { lanes::digests(prefix, msgs) };
-        return Some(std::array::from_fn(|i| digest_bytes(&words.map(|w| w[i]))));
+    let msgs = {
+        let rest = side_by_side(prefix, msgs, &mut each, lanes::zmm);
+        side_by_side(prefix, rest, &mut each, lanes::ymm)
+    };
+    for m in msgs {
+        each(sha1_concat(&[prefix, m]));
     }
-    let _ = (prefix, msgs); // unused off x86_64
-    None
 }
 
-/// Block `k` of the padded message `prefix ‖ msg`: a window of `msg` where
-/// the block lies inside it, else the block laid out in `buf`. Only the
-/// blocks the prefix or the padding reach into take the copy.
-fn padded_block<'a>(prefix: &[u8], msg: &'a [u8], k: usize, buf: &'a mut [u8; 64]) -> &'a [u8; 64] {
+/// One width of `lanes`: SHA-1 of `prefix ‖ msgs[i]` in each of `N` lanes,
+/// or `None` when the running CPU lacks the width's features.
+#[cfg(target_arch = "x86_64")]
+type Width<const N: usize> = fn(&[u8], &[&[u8]; N]) -> Option<[Digest; N]>;
+
+/// Hashes `N` messages at a time from the front of `msgs` through `width`
+/// while it has a build for this CPU, and returns the messages left.
+#[cfg(target_arch = "x86_64")]
+fn side_by_side<'m, const N: usize>(
+    prefix: &[u8],
+    mut msgs: &'m [&'m [u8]],
+    each: &mut impl FnMut(Digest),
+    width: Width<N>,
+) -> &'m [&'m [u8]] {
+    while let Some((run, rest)) = msgs.split_first_chunk::<N>() {
+        let Some(digests) = width(prefix, run) else { break };
+        digests.into_iter().for_each(&mut *each);
+        msgs = rest;
+    }
+    msgs
+}
+
+/// Lays out in `buf` block `k` of the padded message `prefix ‖ msg`: the
+/// prefix's bytes in it, the message's, the 0x80 byte after them and, in
+/// the last block, the bit length.
+fn pad_block(prefix: &[u8], msg: &[u8], k: usize, buf: &mut [u8; 64]) {
     let (p, total) = (prefix.len(), prefix.len() + msg.len());
     let (start, end) = (64 * k, 64 * k + 64);
-    if start >= p && end <= total {
-        return msg[start - p..end - p].try_into().expect("a 64-byte window");
-    }
     buf.fill(0);
     if start < p {
         let n = p.min(end) - start;
@@ -539,7 +732,6 @@ fn padded_block<'a>(prefix: &[u8], msg: &'a [u8], k: usize, buf: &'a mut [u8; 64
     if k == last_block(total) {
         buf[56..].copy_from_slice(&(total as u64).wrapping_mul(8).to_be_bytes());
     }
-    buf
 }
 
 /// Index of the last block of a `len`-byte message once padded: the 0x80
@@ -655,49 +847,87 @@ mod tests {
         assert_eq!(hex(&sha1_soft(b"abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
     }
 
-    /// Eight messages of `len` bytes, each unlike the other seven, so that
-    /// two lanes swapped, or one lane's block fed to another, changes a
-    /// digest.
-    fn lane_messages(len: usize) -> [Vec<u8>; LANES] {
+    /// Sixteen messages of `len` bytes, each unlike the other fifteen, so
+    /// that two lanes swapped, or one lane's block fed to another, changes
+    /// a digest.
+    fn lane_messages(len: usize) -> [Vec<u8>; 16] {
         std::array::from_fn(|i| (0..len).map(|j| (j * 31 + i * 101 + (j >> 7)) as u8).collect())
     }
 
-    /// The AVX2 lanes and one message at a time agree: with the content-ID
-    /// prefix at every length around the padding boundaries and on
-    /// multi-block messages, and with prefixes that end inside, at the end
-    /// of and past the first block. Batches of those lengths follow one
-    /// another, odd lengths between even ones. On a CPU without AVX2 only
-    /// the public entry point's fallback is compared.
-    #[test]
-    fn lanes_match_one_at_a_time() {
+    /// Every (prefix, length) a width is checked at: the content-ID prefix
+    /// at every length around the padding boundaries and on multi-block
+    /// messages, and prefixes that end inside, at the end of and past the
+    /// first block. Runs of those lengths follow one another, odd lengths
+    /// between even ones.
+    fn width_cases(long: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
+        let content = (0..=300).chain([4096, 4097, 8192]).map(|len| (&b"content"[..], len));
+        let others = [&[][..], &long[..63], &long[..64], long]
+            .into_iter()
+            .flat_map(|prefix| (0..=300).chain([4096, 4097, 8192]).map(move |len| (prefix, len)));
+        content.chain(others)
+    }
+
+    /// Calls one width directly on the first `N` of each case's messages
+    /// and holds it to one message at a time. Returns false, having said
+    /// so, when the CPU lacks the width.
+    #[cfg(target_arch = "x86_64")]
+    fn width_matches_one_at_a_time<const N: usize>(name: &str, width: Width<N>) -> bool {
         let long: Vec<u8> = (0..100u8).map(|i| i ^ 0x5c).collect();
-        let cases = (0..=300).chain([4096, 4097, 8192]).map(|len| (&b"content"[..], len)).chain(
-            [&[][..], &long[..63], &long[..64], &long]
-                .into_iter()
-                .flat_map(|prefix| (0..=130).map(move |len| (prefix, len))),
-        );
-        let mut lanes_ran = false;
-        for (prefix, len) in cases {
+        for (prefix, len) in width_cases(&long) {
             let owned = lane_messages(len);
-            let msgs = owned.each_ref().map(Vec::as_slice);
+            let msgs: [&[u8]; N] = std::array::from_fn(|i| owned[i].as_slice());
+            let Some(digests) = width(prefix, &msgs) else {
+                eprintln!("{name}: skipped, this CPU lacks the width's features");
+                return false;
+            };
             let each = msgs.map(|m| sha1_concat(&[prefix, m]));
-            let at = format!("prefix {} bytes, length {len}", prefix.len());
-            assert_eq!(sha1_concat_x8(prefix, msgs), each, "{at}");
-            if let Some(lanes) = concat_lanes(prefix, msgs) {
-                assert_eq!(lanes, each, "{at}");
-                lanes_ran = true;
+            assert_eq!(digests, each, "{name}, prefix {} bytes, length {len}", prefix.len());
+        }
+        true
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn ymm_matches_one_at_a_time() {
+        let ran = width_matches_one_at_a_time("ymm", lanes::ymm);
+        assert_eq!(ran, std::arch::is_x86_feature_detected!("avx2"));
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn zmm_matches_one_at_a_time() {
+        let ran = width_matches_one_at_a_time("zmm", lanes::zmm);
+        let has = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw");
+        assert_eq!(ran, has);
+    }
+
+    /// The public entry point, whatever widths this CPU has, on runs that
+    /// split into sixteens, eights and singles: 0–40 messages at a few
+    /// lengths and prefixes.
+    #[test]
+    fn runs_match_one_at_a_time() {
+        let long: Vec<u8> = (0..100u8).map(|i| i ^ 0x5c).collect();
+        for (prefix, len) in [(&b"content"[..], 0), (b"content", 55), (b"content", 4096), (&long, 130)] {
+            let owned: Vec<Vec<u8>> = (0..40)
+                .map(|i| (0..len).map(|j| (j * 7 + i * 53 + (j >> 6)) as u8).collect())
+                .collect();
+            let msgs: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+            for n in 0..=msgs.len() {
+                let mut got = Vec::new();
+                sha1_concat_run(prefix, &msgs[..n], |d| got.push(d));
+                let each: Vec<Digest> = msgs[..n].iter().map(|m| sha1_concat(&[prefix, m])).collect();
+                assert_eq!(got, each, "prefix {} bytes, length {len}, {n} messages", prefix.len());
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(lanes_ran, lanes::available());
     }
 
     #[test]
     #[should_panic(expected = "unequal length")]
-    fn lanes_refuse_unequal_lengths() {
-        let mut msgs: [&[u8]; LANES] = [b"four"; LANES];
+    fn runs_refuse_unequal_lengths() {
+        let mut msgs: [&[u8]; 16] = [b"four"; 16];
         msgs[5] = b"five!";
-        sha1_concat_x8(b"content", msgs);
+        sha1_concat_run(b"content", &msgs, |_| ());
     }
 
     #[test]

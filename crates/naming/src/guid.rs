@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use oceanstore_crypto::schnorr::PublicKey;
-use oceanstore_crypto::sha1::{sha1_concat, sha1_concat_x8, Digest, DIGEST_LEN, LANES};
+use oceanstore_crypto::sha1::{sha1_concat, sha1_concat_run, Digest, DIGEST_LEN, RUN};
 
 /// Number of hex digits (nibbles) in a GUID.
 pub const NIBBLES: usize = DIGEST_LEN * 2;
@@ -98,24 +98,14 @@ impl Guid {
         Guid(sha1_concat(&[CONTENT, data]))
     }
 
-    /// [`Guid::for_content`] of each block, in order. Walking the blocks
-    /// in order, each run of eight of one length is hashed at once
-    /// ([`sha1_concat_x8`]: side by side in AVX2 lanes where the CPU has
-    /// them); every block outside such a run is hashed alone.
+    /// [`Guid::for_content`] of each block, in order. Each maximal run of
+    /// blocks of one length is hashed by [`sha1_concat_run`], which names
+    /// as many at once as the CPU's widest lanes take (sixteen with
+    /// AVX-512, eight with AVX2) and the rest one at a time.
     pub fn for_contents(blocks: &[&[u8]]) -> Vec<Guid> {
         let mut out = Vec::with_capacity(blocks.len());
-        let mut rest = blocks;
-        while let Some((&first, tail)) = rest.split_first() {
-            match rest.first_chunk::<LANES>() {
-                Some(run) if run.iter().all(|b| b.len() == first.len()) => {
-                    out.extend(sha1_concat_x8(CONTENT, *run).map(Guid));
-                    rest = &rest[LANES..];
-                }
-                _ => {
-                    out.push(Guid::for_content(first));
-                    rest = tail;
-                }
-            }
+        for run in blocks.chunk_by(|a, b| a.len() == b.len()) {
+            sha1_concat_run(CONTENT, run, |d| out.push(Guid(d)));
         }
         out
     }
@@ -188,14 +178,15 @@ impl Guid {
     }
 }
 
-/// Whether blocks of lengths `lens`, in this order, hold [`LANES`] of one
-/// length in a row: a run that [`Guid::for_contents`] hashes at once.
+/// Whether blocks of lengths `lens`, in this order, hold [`RUN`] of one
+/// length in a row: enough for [`Guid::for_contents`] to hash some of them
+/// at once on any CPU with lanes.
 pub fn has_run(lens: impl IntoIterator<Item = usize>) -> bool {
     // (length, how many of it in a row)
     let mut run = (0, 0);
     lens.into_iter().any(|len| {
         run = if run.0 == len { (len, run.1 + 1) } else { (len, 1) };
-        run.1 == LANES
+        run.1 == RUN
     })
 }
 
@@ -318,11 +309,13 @@ mod tests {
         assert_ne!(Guid::for_content(b"abc"), Guid::for_content(b"abd"));
     }
 
-    /// Runs of eight, cut where they are: each block's GUID is its
-    /// [`Guid::for_content`] whichever way it was hashed. Odd lengths sit
-    /// between runs, seven of one length fall short of a run, a ninth
-    /// follows a run, and a run starts right after a block of another
-    /// length.
+    /// Runs of 8 to 40, cut where they are: each block's GUID is its
+    /// [`Guid::for_content`] whichever way it was hashed. Cut at every
+    /// block and started at each of the first seventeen, the runs split
+    /// into sixteens, eights left over after them, and singles. Odd
+    /// lengths sit between runs, seven of one length fall short of a run,
+    /// a ninth follows a run, and a run starts right after a block of
+    /// another length.
     #[test]
     fn for_contents_names_each_block_as_for_content_does() {
         let block = |len: usize, salt: usize| -> Vec<u8> {
@@ -335,14 +328,18 @@ mod tests {
             .chain([4097])
             .chain([0; 8])
             .chain([1, 63, 64, 65])
-            .chain([4096; 16]);
+            .chain([4096; 16])
+            .chain([200; 40])
+            .chain([64; 24])
+            .chain([7; 17])
+            .chain([300; 31]);
         let owned: Vec<Vec<u8>> = lens.enumerate().map(|(i, len)| block(len, i)).collect();
         let blocks: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
         for n in 0..=blocks.len() {
             let each: Vec<Guid> = blocks[..n].iter().map(|b| Guid::for_content(b)).collect();
             assert_eq!(Guid::for_contents(&blocks[..n]), each, "first {n} blocks");
         }
-        for start in 0..LANES {
+        for start in 0..=16 {
             let each: Vec<Guid> = blocks[start..].iter().map(|b| Guid::for_content(b)).collect();
             assert_eq!(Guid::for_contents(&blocks[start..]), each, "from block {start}");
         }

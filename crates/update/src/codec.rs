@@ -110,7 +110,7 @@ pub fn encode_after<C: AsRef<[u8]>>(prefix: &[u8], u: &Update<C>) -> Vec<u8> {
 /// blob store keeps it under.
 ///
 /// The ciphertexts are named through [`Guid::for_contents`], which hashes
-/// runs of eight of one length at once. An update without such a run (an
+/// runs of eight or more of one length many at once. An update without such a run (an
 /// 8-byte append, say) is named one ciphertext at a time, without
 /// collecting its ciphertexts first.
 pub fn update_digest<C: AsRef<[u8]>>(u: &Update<C>) -> UpdateDigest {
@@ -448,9 +448,9 @@ mod tests {
         #[test]
         fn batched_naming_matches_one_cid_at_a_time(
             run_len in prop_oneof![0usize..300, Just(4096usize)],
-            run in 8usize..20,
-            others in proptest::collection::vec((0usize..24, 0usize..300, 0u8..4), 0..5),
-            cuts in proptest::collection::vec(0usize..24, 0..3),
+            run in 8usize..=40,
+            others in proptest::collection::vec((0usize..44, 0usize..300, 0u8..4), 0..5),
+            cuts in proptest::collection::vec(0usize..44, 0..3),
             seed in any::<u64>(),
         ) {
             let mut actions: Vec<Action> = (0..run as u64)
