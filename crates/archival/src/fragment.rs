@@ -95,11 +95,20 @@ pub fn reconstruct_object(
     codec: &ObjectCodec,
     fragments: &[Fragment],
 ) -> Result<Vec<u8>, CodeError> {
+    reconstruct_verified(codec, fragments.iter().filter(|f| f.verify()))
+}
+
+/// [`reconstruct_object`] over fragments the caller has verified already
+/// (the fetch protocol checks each on arrival): none is hashed again.
+pub(crate) fn reconstruct_verified<'a>(
+    codec: &ObjectCodec,
+    fragments: impl IntoIterator<Item = &'a Fragment>,
+) -> Result<Vec<u8>, CodeError> {
     let n = codec.total_shards();
     let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
     let mut have = 0usize;
     for f in fragments {
-        if f.index < n && f.verify() && shards[f.index].is_none() {
+        if f.index < n && shards[f.index].is_none() {
             shards[f.index] = Some(f.data.clone());
             have += 1;
         }

@@ -78,7 +78,7 @@ mod tests {
         });
         sim.run_to_quiescence(10_000);
         let out = sim.node(NodeId(20)).outcome(1).expect("fetch completed");
-        assert_eq!(out.data, payload());
+        assert_eq!(out.data.as_slice(), payload());
         assert_eq!(
             out.completed_at.saturating_since(start).as_millis(),
             60,
@@ -100,7 +100,7 @@ mod tests {
         });
         sim.run_to_quiescence(10_000);
         let out = sim.node(NodeId(20)).outcome(2).expect("reconstruction");
-        assert_eq!(out.data, payload());
+        assert_eq!(out.data.as_slice(), payload());
     }
 
     #[test]
@@ -171,7 +171,7 @@ mod tests {
         });
         // run_for, not run_to_quiescence: the sweeper timer never drains.
         sim.run_for(SimDuration::from_secs(2));
-        assert_eq!(sim.node(NodeId(20)).outcome(9).expect("fetch").data, payload());
+        assert_eq!(sim.node(NodeId(20)).outcome(9).expect("fetch").data.as_slice(), payload());
     }
 
     #[test]
@@ -192,6 +192,6 @@ mod tests {
         });
         sim.run_to_quiescence(10_000);
         let out = sim.node(NodeId(20)).outcome(11).expect("completed");
-        assert_eq!(out.data, payload());
+        assert_eq!(out.data.as_slice(), payload());
     }
 }

@@ -12,10 +12,11 @@
 use std::collections::{HashMap, HashSet};
 
 use oceanstore_erasure::object::ObjectCodec;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Context, Message, NodeId, Protocol, SimDuration, SimTime};
 
-use crate::fragment::{archive_object, reconstruct_object, Fragment};
+use crate::fragment::{archive_object, reconstruct_verified, Fragment};
 use crate::store::{FragStore, FragStoreHealth};
 
 /// Timer: evaluate the previous sweep round and start a new one.
@@ -72,8 +73,8 @@ impl Message for ArchMsg {
 /// Result of a completed fetch.
 #[derive(Debug, Clone)]
 pub struct FetchOutcome {
-    /// The reconstructed bytes.
-    pub data: Vec<u8>,
+    /// The reconstructed bytes; a reader takes a view, not a copy.
+    pub data: Bytes,
     /// When reconstruction succeeded.
     pub completed_at: SimTime,
     /// Fragments received before success.
@@ -246,15 +247,16 @@ impl ArchNode {
         if p.received.len() < p.codec.data_shards() {
             return;
         }
-        // Enough fragments may have arrived: try to reconstruct.
-        if let Ok(data) = reconstruct_object(&p.codec, &p.received) {
+        // Enough fragments may have arrived: try to reconstruct from the
+        // received ones, each verified once, above.
+        if let Ok(data) = reconstruct_verified(&p.codec, &p.received) {
             let p = self.pending.remove(&id).expect("present");
             match p.purpose {
                 FetchPurpose::Read => {
                     self.outcomes.insert(
                         id,
                         FetchOutcome {
-                            data,
+                            data: data.into(),
                             completed_at: ctx.now(),
                             fragments_used: p.received.len(),
                         },

@@ -11,7 +11,7 @@
 //! its outage windows short; here the outage is the point.
 
 use oceanstore_consensus::harness::{build_tier_custom, run_updates_batched, TierSim};
-use oceanstore_consensus::{CheckpointConfig, FaultMode, PbftNode, Replica, ReplicaHealth};
+use oceanstore_consensus::{CheckpointConfig, FaultMode, Payload, PbftNode, Replica, ReplicaHealth};
 use oceanstore_crypto::schnorr::KeyPair;
 use oceanstore_introspect::{MemoryGauge, MemoryMonitor};
 use oceanstore_sim::{NodeId, SimDuration};
@@ -192,7 +192,7 @@ pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
     });
     if wiped {
         let key = KeyPair::from_seed(format!("tier-{seed}-replica-{}", victim.0).as_bytes());
-        let fresh = Replica::new(ts.cfg.clone(), victim.0, key, FaultMode::Honest);
+        let fresh = Replica::new(ts.cfg.clone(), victim.0, key, FaultMode::Honest, Payload::digest);
         ts.sim.recover_node_wiped(victim, PbftNode::Replica(fresh));
     } else {
         ts.sim.recover_node(victim);

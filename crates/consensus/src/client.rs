@@ -3,11 +3,13 @@
 
 use std::collections::HashMap;
 
-use oceanstore_crypto::schnorr::{verify, KeyPair, Signature};
+use oceanstore_crypto::schnorr::{verify, KeyPair};
 use oceanstore_crypto::sha1::Digest;
 use oceanstore_sim::{Context, NodeId, SimDuration, SimTime};
 
-use crate::messages::{set_sig, signing_bytes, Payload, PbftMsg, RequestId};
+use crate::messages::{
+    request_signing_bytes, signing_bytes, Payload, PayloadNamer, PbftMsg, RequestId,
+};
 use crate::replica::TierConfig;
 
 /// Timer tag base for request retransmission (low bits carry the client
@@ -43,6 +45,8 @@ struct PendingRequest {
 pub struct Client {
     cfg: TierConfig,
     keypair: KeyPair,
+    /// Names each payload for the request signature (the tier's namer).
+    namer: PayloadNamer,
     next_seq: u64,
     pending: HashMap<RequestId, PendingRequest>,
     completed: HashMap<RequestId, ClientOutcome>,
@@ -53,11 +57,14 @@ pub struct Client {
 }
 
 impl Client {
-    /// Creates a client talking to the tier described by `cfg`.
-    pub fn new(cfg: TierConfig, keypair: KeyPair) -> Self {
+    /// Creates a client talking to the tier described by `cfg`, signing
+    /// each request over its payload's name under `namer` (the namer the
+    /// tier's replicas check it with).
+    pub fn new(cfg: TierConfig, keypair: KeyPair, namer: PayloadNamer) -> Self {
         Client {
             cfg,
             keypair,
+            namer,
             next_seq: 0,
             pending: HashMap::new(),
             completed: HashMap::new(),
@@ -115,14 +122,9 @@ impl Client {
         let id = RequestId { client: ctx.node(), seq };
         self.next_seq = self.next_seq.max(seq + 1);
         let timestamp = ctx.now().as_micros();
-        let mut msg = PbftMsg::Request {
-            id,
-            timestamp,
-            payload: payload.clone(),
-            sig: Signature::default(),
-        };
-        let sig = self.keypair.sign(&signing_bytes(&msg));
-        set_sig(&mut msg, sig);
+        let name = (self.namer)(&payload);
+        let sig = self.keypair.sign(&request_signing_bytes(id, timestamp, &name));
+        let msg = PbftMsg::Request { id, timestamp, payload, sig };
         ctx.broadcast(self.cfg.members.iter().copied(), msg.clone());
         self.pending.insert(
             id,

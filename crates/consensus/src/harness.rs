@@ -109,10 +109,10 @@ pub fn build_tier_custom(
                 .find(|(idx, _)| *idx == i)
                 .map(|(_, f)| *f)
                 .unwrap_or_default();
-            PbftNode::Replica(Replica::new(cfg.clone(), i, kp, fault))
+            PbftNode::Replica(Replica::new(cfg.clone(), i, kp, fault, Payload::digest))
         })
         .collect();
-    nodes.push(PbftNode::Client(Client::new(cfg.clone(), client_key)));
+    nodes.push(PbftNode::Client(Client::new(cfg.clone(), client_key, Payload::digest)));
     let mut sim = Simulator::new(topo, nodes, seed);
     sim.start();
     TierSim { sim, cfg, client: client_node }

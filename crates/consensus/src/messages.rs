@@ -50,11 +50,20 @@ impl Payload {
     }
 
     /// Digest binding the payload (includes the simulated size so padded
-    /// payloads of different sizes differ).
+    /// payloads of different sizes differ): one SHA-1 pass over its bytes.
+    /// The [`PayloadNamer`] of a tier whose payloads are opaque bytes.
     pub fn digest(&self) -> Digest {
         sha1_concat(&[&(self.padded_size as u64).to_be_bytes(), &self.bytes])
     }
 }
+
+/// How a tier names a payload: the digest a client signs its request over
+/// and every replica derives again, from the bytes it was handed, before
+/// it admits the request or installs a state-transfer entry. The name must
+/// bind every byte of the payload and its `padded_size`. A tier of opaque
+/// payloads uses [`Payload::digest`]; the layer above may name a payload by
+/// what it encodes. Agreement never reads a name off the wire.
+pub type PayloadNamer = fn(&Payload) -> Digest;
 
 /// A client request identifier: (client node, client-local sequence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,8 +74,8 @@ pub struct RequestId {
     pub seq: u64,
 }
 
-/// The digest agreement actually runs over: the payload digest
-/// ([`Payload::digest`]) bound to the request identity and the client's
+/// The digest agreement actually runs over: the payload's name (the tier's
+/// [`PayloadNamer`]) bound to the request identity and the client's
 /// optimistic timestamp.
 ///
 /// Pre-prepares, prepares, and commits all sign this value, so a `2m + 1`
@@ -78,9 +87,9 @@ pub struct RequestId {
 /// leader cannot pair one payload with different request ids at different
 /// replicas (the ids would hash to different digests and never cross-count
 /// toward one quorum).
-pub fn slot_digest(payload_digest: &Digest, id: RequestId, timestamp: u64) -> Digest {
+pub fn slot_digest(name: &Digest, id: RequestId, timestamp: u64) -> Digest {
     sha1_concat(&[
-        payload_digest,
+        name,
         &(id.client.0 as u64).to_be_bytes(),
         &id.seq.to_be_bytes(),
         &timestamp.to_be_bytes(),
@@ -125,8 +134,8 @@ pub struct StateEntry {
     pub id: RequestId,
     /// Client timestamp of the request.
     pub timestamp: u64,
-    /// The request payload (with `id` and `timestamp`, must hash to
-    /// `digest`).
+    /// The request payload (its name, with `id` and `timestamp`, must hash
+    /// to `digest`).
     pub payload: Payload,
     /// View the commit certificate was formed in.
     pub proof_view: u64,
@@ -155,7 +164,8 @@ pub enum PbftMsg {
         timestamp: u64,
         /// The update payload.
         payload: Payload,
-        /// Client signature over the request digest.
+        /// Client signature over the request's signing bytes, which carry
+        /// the payload's name, not its bytes.
         sig: Signature,
     },
     /// Leader → replicas: proposal to order `digest` at `seq` in `view`.
@@ -351,24 +361,24 @@ fn extend_cert(out: &mut Vec<u8>, cert: &StableCert) {
     }
 }
 
-/// [`signing_bytes`] of a [`PbftMsg::Request`] whose payload digest is
-/// already known: a replica hashes each admitted payload once.
-pub(crate) fn request_signing_bytes(
-    id: RequestId,
-    timestamp: u64,
-    payload_digest: &Digest,
-) -> Vec<u8> {
+/// What a client signs for request `id`: its timestamp and the payload's
+/// `name` under the tier's [`PayloadNamer`]. A client names its payload
+/// once, to sign; a replica names it once, from the bytes it received, to
+/// check the signature.
+pub fn request_signing_bytes(id: RequestId, timestamp: u64, name: &Digest) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(b"req");
     out.extend_from_slice(&(id.client.0 as u64).to_be_bytes());
     out.extend_from_slice(&id.seq.to_be_bytes());
     out.extend_from_slice(&timestamp.to_be_bytes());
-    out.extend_from_slice(payload_digest);
+    out.extend_from_slice(name);
     out
 }
 
 /// Canonical signing bytes for each message kind (what the signature
-/// covers).
+/// covers). A [`PbftMsg::Request`]'s are its [`request_signing_bytes`] with
+/// the payload named by [`Payload::digest`]; a tier with another namer
+/// signs and checks requests through [`request_signing_bytes`] itself.
 pub fn signing_bytes(msg: &PbftMsg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     match msg {

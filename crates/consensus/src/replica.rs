@@ -20,8 +20,8 @@ use oceanstore_crypto::sha1::{sha1_concat, Digest};
 use oceanstore_sim::{Context, Message, NodeId, SimDuration};
 
 use crate::messages::{
-    request_signing_bytes, set_sig, signing_bytes, slot_digest, Payload, PbftMsg, RequestId,
-    StableCert, StateEntry,
+    request_signing_bytes, set_sig, signing_bytes, slot_digest, Payload, PayloadNamer, PbftMsg,
+    RequestId, StableCert, StateEntry,
 };
 
 /// Timer tag: view-change alarm (low bits carry the view it guards).
@@ -281,13 +281,16 @@ pub struct Replica {
     index: usize,
     keypair: KeyPair,
     fault: FaultMode,
+    /// Names a payload from its bytes: the value a client request's
+    /// signature covers and a slot digest binds.
+    namer: PayloadNamer,
     view: u64,
     /// Leader-only: next sequence to assign.
     next_seq: u64,
     /// Agreement slots by sequence.
     log: BTreeMap<u64, Instance>,
     /// Request payloads by id (from Request messages), each with its
-    /// client timestamp and its [`Payload::digest`], taken once, on
+    /// client timestamp and its name under `namer`, derived once, on
     /// admission.
     requests: HashMap<RequestId, (Payload, u64, Digest)>,
     /// Requests assigned to a sequence (leader bookkeeping / dedup).
@@ -352,12 +355,19 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Creates replica `index` of the tier.
+    /// Creates replica `index` of the tier, naming payloads with `namer`
+    /// (the namer the tier's clients sign with).
     ///
     /// # Panics
     ///
     /// Panics if the config is inconsistent or `index` out of range.
-    pub fn new(cfg: TierConfig, index: usize, keypair: KeyPair, fault: FaultMode) -> Self {
+    pub fn new(
+        cfg: TierConfig,
+        index: usize,
+        keypair: KeyPair,
+        fault: FaultMode,
+        namer: PayloadNamer,
+    ) -> Self {
         cfg.validate();
         assert!(index < cfg.n(), "replica index out of range");
         assert_eq!(
@@ -370,6 +380,7 @@ impl Replica {
             index,
             keypair,
             fault,
+            namer,
             view: 0,
             next_seq: 0,
             log: BTreeMap::new(),
@@ -629,20 +640,46 @@ impl Replica {
         }
     }
 
-    /// Handles a client request (entry point from `on_message`).
-    pub fn on_request(
+    /// Handles a client request whose payload the caller has already named
+    /// with this replica's namer, from the bytes in `payload`. For a node
+    /// that keeps what naming derives besides the name, so that it names
+    /// each request once. The client's signature is checked over `name`.
+    pub fn on_named_request(
         &mut self,
         ctx: &mut Context<'_, PbftMsg>,
         id: RequestId,
         timestamp: u64,
         payload: Payload,
-        sig: &oceanstore_crypto::schnorr::Signature,
+        name: Digest,
+        sig: &Signature,
+    ) {
+        self.gc_executed();
+        self.on_request(ctx, id, timestamp, payload, name, sig);
+    }
+
+    /// The timestamp and name of request `id`, if this replica holds it
+    /// and has not executed it: what a slot that executes it must bind.
+    pub fn admitted(&self, id: RequestId) -> Option<(u64, Digest)> {
+        if self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq)) {
+            return None;
+        }
+        self.requests.get(&id).map(|&(_, timestamp, name)| (timestamp, name))
+    }
+
+    /// Handles a client request whose payload is named `name`.
+    fn on_request(
+        &mut self,
+        ctx: &mut Context<'_, PbftMsg>,
+        id: RequestId,
+        timestamp: u64,
+        payload: Payload,
+        name: Digest,
+        sig: &Signature,
     ) {
         // Writer restriction at the transport level: unknown or bad
         // signatures are ignored.
         let Some(key) = self.cfg.client_keys.get(&id.client) else { return };
-        let payload_digest = payload.digest();
-        if !verify(*key, &request_signing_bytes(id, timestamp, &payload_digest), sig) {
+        if !verify(*key, &request_signing_bytes(id, timestamp, &name), sig) {
             return;
         }
         // Already executed — possibly at a slot truncated below the
@@ -670,7 +707,7 @@ impl Replica {
             }
             return;
         }
-        self.requests.insert(id, (payload, timestamp, payload_digest));
+        self.requests.insert(id, (payload, timestamp, name));
         if self.assigned.contains_key(&id) {
             // Duplicate of an in-flight request (likely a retransmission):
             // guard the stuck agreement with a view-change alarm (messages
@@ -702,8 +739,8 @@ impl Replica {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, PbftMsg>, id: RequestId) {
-        let Some((_, ts, payload_digest)) = self.requests.get(&id) else { return };
-        let digest = slot_digest(payload_digest, id, *ts);
+        let Some((_, ts, name)) = self.requests.get(&id) else { return };
+        let digest = slot_digest(name, id, *ts);
         // Skip slots already seeded by re-proposal: after a view change
         // `next_seq` points at the lowest unfilled slot, and the slots
         // above it may hold adopted certificates.
@@ -892,13 +929,13 @@ impl Replica {
             }
             let digest = inst.digest.expect("checked above");
             let id = inst.request.expect("digest implies request");
-            let Some((payload, timestamp, payload_digest)) = self.requests.get(&id).cloned() else {
+            let Some((payload, timestamp, name)) = self.requests.get(&id).cloned() else {
                 break;
             };
             // A faulty leader could propose a digest that doesn't match
             // the request payload (or its id/timestamp — the slot digest
             // binds all three); never execute such a slot.
-            if slot_digest(&payload_digest, id, timestamp) != digest {
+            if slot_digest(&name, id, timestamp) != digest {
                 break;
             }
             let inst = self.log.get_mut(&seq).expect("present");
@@ -1291,12 +1328,14 @@ impl Replica {
             if entry.seq > self.next_exec {
                 break; // gap: cannot chain the rolling digest across it
             }
-            let payload_digest = entry.payload.digest();
-            if !self.verify_state_entry(&entry, &payload_digest) {
+            // Named here, from the shipped bytes: the entry's digest is
+            // only what the proof certifies.
+            let name = (self.namer)(&entry.payload);
+            if !self.verify_state_entry(&entry, &name) {
                 self.st_rejects += 1;
                 break;
             }
-            self.install_entry(ctx, entry, payload_digest);
+            self.install_entry(ctx, entry, name);
             progressed = true;
         }
         if progressed {
@@ -1309,13 +1348,13 @@ impl Replica {
         }
     }
 
-    /// Checks one state-transfer entry: the payload, request id, and
-    /// timestamp hash to the committed slot digest — binding all three to
+    /// Checks one state-transfer entry: the payload's `name`, request id,
+    /// and timestamp hash to the committed slot digest — binding all three to
     /// the quorum below, so a Byzantine state server cannot ship a valid
     /// slot with a forged id or timestamp — and the commit certificate
     /// holds `2m + 1` distinct valid signers over that digest.
-    fn verify_state_entry(&self, entry: &StateEntry, payload_digest: &Digest) -> bool {
-        if slot_digest(payload_digest, entry.id, entry.timestamp) != entry.digest {
+    fn verify_state_entry(&self, entry: &StateEntry, name: &Digest) -> bool {
+        if slot_digest(name, entry.id, entry.timestamp) != entry.digest {
             return false;
         }
         let mut seen = HashSet::new();
@@ -1343,17 +1382,12 @@ impl Replica {
     /// onward), the output gains an entry unless the request already
     /// executed, and the rolling digest advances. No client reply — the
     /// client was answered by the replicas that executed live.
-    fn install_entry(
-        &mut self,
-        ctx: &mut Context<'_, PbftMsg>,
-        entry: StateEntry,
-        payload_digest: Digest,
-    ) {
+    fn install_entry(&mut self, ctx: &mut Context<'_, PbftMsg>, entry: StateEntry, name: Digest) {
         let StateEntry { seq, digest, id, timestamp, payload, proof_view, proof } = entry;
         self.st_installed += payload.wire_len() as u64
             + (8 + crate::messages::DIGEST_SIZE + 16 + 8) as u64
             + (proof.len() * (8 + Signature::WIRE_SIZE)) as u64;
-        self.requests.insert(id, (payload.clone(), timestamp, payload_digest));
+        self.requests.insert(id, (payload.clone(), timestamp, name));
         self.assigned.insert(id, seq);
         let inst = self.log.entry(seq).or_default();
         inst.digest = Some(digest);
@@ -1624,7 +1658,8 @@ impl Replica {
         self.gc_executed();
         match &msg {
             PbftMsg::Request { id, timestamp, payload, sig } => {
-                self.on_request(ctx, *id, *timestamp, payload.clone(), sig);
+                let name = (self.namer)(payload);
+                self.on_request(ctx, *id, *timestamp, payload.clone(), name, sig);
             }
             PbftMsg::PrePrepare { view, seq, digest, id, .. } => {
                 let leader = self.cfg.leader(*view);

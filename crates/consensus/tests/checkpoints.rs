@@ -111,7 +111,8 @@ fn wiped_rejoin_jumps_via_certificate() {
     ts.sim.crash_node(NodeId(3));
     run_updates_batched(&mut ts, 128, 44, 4);
     // The replica lost everything: rebuild it from its key, state zero.
-    let fresh = Replica::new(ts.cfg.clone(), 3, replica_key(seed, 3), FaultMode::Honest);
+    let key = replica_key(seed, 3);
+    let fresh = Replica::new(ts.cfg.clone(), 3, key, FaultMode::Honest, Payload::digest);
     ts.sim.recover_node_wiped(NodeId(3), PbftNode::Replica(fresh));
     run_updates_batched(&mut ts, 128, 24, 4);
     run_updates_batched(&mut ts, 128, 8, 1);

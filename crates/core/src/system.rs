@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use oceanstore_archival::{archive_object, TrackedArchive};
+use oceanstore_archival::{archive_object, Archive, TrackedArchive};
 use oceanstore_consensus::messages::RequestId;
 use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
@@ -447,14 +447,14 @@ impl OceanStore {
         let arch = archive_object(&codec, &bytes)?;
         // Disseminate round-robin over the server pool.
         let sites = self.servers();
-        let fragments = arch.fragments.clone();
+        let Archive { guid, fragments, .. } = arch;
         let holders = self.dep.sim.with_node_ctx(source, |server, ctx| {
             server.with_arch(ctx, |a, ictx| {
                 oceanstore_archival::disseminate(ictx, a, fragments, &sites)
             })
         });
         self.settle(SimDuration::from_secs(1));
-        Ok(ArchiveRef { guid: arch.guid, version: version_no, codec, holders })
+        Ok(ArchiveRef { guid, version: version_no, codec, holders })
     }
 
     /// Recovers an archived version's cleartext blocks — even after every
@@ -480,12 +480,13 @@ impl OceanStore {
             server.with_arch(ctx, |a, ictx| a.fetch(ictx, id, guid, codec, &holders, extra));
         });
         let period = SimDuration::from_millis(50);
+        // A view of the outcome's bytes: the outcome stays for the caller
+        // to read (`completed_at`), and nothing is copied.
         let bytes = poll(&mut self.dep, self.settle_budget, period, |dep| {
             dep.sim.node(requester).arch.outcome(id).map(|o| o.data.clone())
         })
         .ok_or(CoreError::Timeout)?;
-        let version =
-            version_codec::decode_version(&bytes.into()).ok_or(CoreError::CorruptArchive)?;
+        let version = version_codec::decode_version(&bytes).ok_or(CoreError::CorruptArchive)?;
         ops::read_object(keys, &version).map_err(|_| CoreError::CorruptArchive)
     }
 

@@ -20,7 +20,7 @@ use oceanstore_update::Update;
 use rand::seq::SliceRandom;
 
 use crate::messages::{ReplicaMsg, TentativeId};
-use crate::primary::{encode_payload, PAYLOAD_UPDATE_AT};
+use crate::primary::{encode_payload, payload_name, PAYLOAD_UPDATE_AT};
 use crate::shard::ShardRouter;
 
 /// An update-submitting client.
@@ -54,7 +54,10 @@ impl UpdateClient {
     ) -> Self {
         assert_eq!(cfgs.len(), router.rings(), "one tier config per routed ring");
         UpdateClient {
-            rings: cfgs.into_iter().map(|cfg| PbftClient::new(cfg, keypair.clone())).collect(),
+            rings: cfgs
+                .into_iter()
+                .map(|cfg| PbftClient::new(cfg, keypair.clone(), payload_name))
+                .collect(),
             router,
             next_seq: 0,
             routes: IdMap::default(),

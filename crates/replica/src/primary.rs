@@ -11,14 +11,15 @@
 
 use std::collections::hash_map::Entry;
 
-use oceanstore_consensus::messages::PbftMsg;
+use oceanstore_consensus::messages::{slot_digest, Payload, PbftMsg, RequestId};
 use oceanstore_consensus::replica::{Replica, TierConfig};
 use oceanstore_crypto::schnorr::{verify, KeyPair, Signature};
+use oceanstore_crypto::sha1::{sha1_concat, Digest};
 use oceanstore_crypto::threshold::SerializationCert;
 use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap, IdSet};
 use oceanstore_sim::{Context, NodeId};
-use oceanstore_update::{decode_view, encode_after, update_digest, Update};
+use oceanstore_update::{decode_view, encode_after, update_digest, Update, UpdateDigest};
 use rand::Rng;
 
 use crate::config::{ChildMode, FailoverConfig, RepushConfig};
@@ -93,6 +94,37 @@ pub fn decode_payload(payload: &Bytes) -> Option<(Guid, Bytes)> {
     Some((guid, payload.slice(PAYLOAD_UPDATE_AT..payload.len())))
 }
 
+/// Domain tag of the name of a payload that decodes as an update.
+const UPDATE_NAME: &[u8] = b"name/update";
+/// Domain tag of the name of a payload that does not.
+const BYTES_NAME: &[u8] = b"name/bytes!";
+
+/// The name agreement runs over for `payload`, and the update digest it
+/// was built from. A payload that decodes as an update is named by SHA-1
+/// over a domain tag, its `padded_size`, the object GUID and the update's
+/// [`update_digest`] — the digest the serialization certificate signs,
+/// which covers every block through its CID. The decoding is canonical (it
+/// refuses trailing bytes), so the name binds every byte. Any other
+/// payload is named by one pass over its bytes under a tag of its own.
+pub fn name_payload(payload: &Payload) -> (Digest, Option<UpdateDigest>) {
+    let padded = (payload.padded_size as u64).to_be_bytes();
+    let bytes = Bytes::from(payload.bytes.clone());
+    if let Some((object, encoded)) = decode_payload(&bytes) {
+        if let Ok(update) = decode_view(&encoded) {
+            let named = update_digest(&update);
+            let name = sha1_concat(&[UPDATE_NAME, &padded, object.as_bytes(), &named.digest]);
+            return (name, Some(named));
+        }
+    }
+    (sha1_concat(&[BYTES_NAME, &padded, &payload.bytes]), None)
+}
+
+/// [`name_payload`]'s name alone: the tier's payload namer, which clients
+/// sign with and agreement replicas check with.
+pub fn payload_name(payload: &Payload) -> Digest {
+    name_payload(payload).0
+}
+
 /// A primary-tier server.
 #[derive(Debug)]
 pub struct Primary {
@@ -109,6 +141,16 @@ pub struct Primary {
     /// Executed agreement entries already turned into records (absolute
     /// output index — stable across the agreement log's checkpoint GC).
     drained: u64,
+    /// The update digest of each request this primary named and its
+    /// agreement replica admitted, kept for execution so the update's
+    /// bytes are hashed once here. Keyed by the slot digest the name
+    /// implies — the value a commit certifies — never by request id, which
+    /// an equivocating client can reuse for other bytes. An entry leaves
+    /// when its slot executes, or when the replica stops holding the
+    /// request unexecuted (log GC, a replacing request under the same id).
+    named: IdMap<Digest, (RequestId, UpdateDigest)>,
+    /// The replica's low-water mark when `named` was last pruned.
+    named_floor: u64,
     /// Certificate assembly: (object, index) → (record, cert so far).
     assembling: IdMap<(Guid, u64), (CommitRecord, SerializationCert)>,
     /// Disseminator-failover knobs.
@@ -167,7 +209,7 @@ impl Primary {
         failover: FailoverConfig,
         repush: RepushConfig,
     ) -> Self {
-        let pbft = Replica::new(cfg.clone(), index, keypair.clone(), fault);
+        let pbft = Replica::new(cfg.clone(), index, keypair.clone(), fault, payload_name);
         let mut store = ObjectStore::new();
         store.keep_record_digests();
         Primary {
@@ -178,6 +220,8 @@ impl Primary {
             store,
             children,
             drained: 0,
+            named: IdMap::default(),
+            named_floor: 0,
             assembling: IdMap::default(),
             failover,
             pending: IdMap::default(),
@@ -262,11 +306,57 @@ impl Primary {
         self.store.record(object, index).is_some_and(|r| !r.cert.is_empty())
     }
 
+    /// Requests named here whose update digests wait for execution.
+    pub fn named_len(&self) -> usize {
+        self.named.len()
+    }
+
     /// Handles an embedded agreement message, then turns any newly
     /// executed updates into signed commit records.
+    ///
+    /// A client request is named here, from the bytes it carries, and
+    /// handed to the replica with its name; the update digest naming
+    /// derived waits in `named` for the slot to execute.
     pub fn on_pbft(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, msg: PbftMsg) {
-        ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.pbft.on_message(ictx, from, msg));
+        let PbftMsg::Request { id, timestamp, payload, sig } = msg else {
+            ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.pbft.on_message(ictx, from, msg));
+            self.drain_executed(ctx);
+            return;
+        };
+        let (name, named) = name_payload(&payload);
+        let slot = slot_digest(&name, id, timestamp);
+        let before = self.pbft.admitted(id);
+        if let Some(named) = named {
+            self.named.insert(slot, (id, named));
+        }
+        ctx.with_inner(ReplicaMsg::Pbft, |ictx| {
+            self.pbft.on_named_request(ictx, id, timestamp, payload, name, &sig)
+        });
         self.drain_executed(ctx);
+        // Keep the digest only while the replica holds the request
+        // unexecuted (a refused request, or one that executed just now,
+        // has no use for it); drop the one of a request it replaced.
+        let after = self.pbft.admitted(id);
+        if after != Some((timestamp, name)) {
+            self.named.remove(&slot);
+        }
+        match before {
+            Some((ts, old)) if before != after => {
+                self.named.remove(&slot_digest(&old, id, ts));
+            }
+            _ => {}
+        }
+    }
+
+    /// Drops every name whose request the replica no longer holds
+    /// unexecuted: log GC or a state-transfer jump dropped it, or a
+    /// state-transfer install replaced it.
+    fn prune_named(&mut self) {
+        self.named_floor = self.pbft.low_water();
+        let pbft = &self.pbft;
+        self.named.retain(|slot, (id, _)| {
+            pbft.admitted(*id).is_some_and(|(ts, name)| slot_digest(&name, *id, ts) == *slot)
+        });
     }
 
     /// Timer dispatch: share-retry tokens are handled here, everything
@@ -290,6 +380,9 @@ impl Primary {
     }
 
     fn drain_executed(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
+        // A slot that executed without its name here (state transfer
+        // installed it) may leave a stale name of its request behind.
+        let mut missed = false;
         while self.drained < self.pbft.executed_seen() {
             // An entry below the agreement log's low-water mark can be
             // truncated before we drain it only when a state-transfer jump
@@ -300,6 +393,7 @@ impl Primary {
                 continue;
             };
             self.drained += 1;
+            let named = self.named.remove(&entry.digest).map(|(_, named)| named);
             // The agreed payload is the buffer the client encoded; the
             // record and every block the update stores are views of it.
             let payload = Bytes::from(entry.payload.bytes.clone());
@@ -314,10 +408,14 @@ impl Primary {
             if self.store.holds_record(&object, entry.timestamp, id) {
                 continue;
             }
-            // The one pass over the update's bytes on this node: the
-            // digest every signature below covers, and the CIDs the store
-            // files its blocks under.
-            let name = update_digest(&update);
+            // The digest every signature below covers, and the CIDs the
+            // store files its blocks under: derived when this primary
+            // admitted the request — the name agreement certified binds
+            // them — or, for a slot state transfer installed, now.
+            let name = named.unwrap_or_else(|| {
+                missed = true;
+                update_digest(&update)
+            });
             let digest = name.digest;
             let record =
                 self.store.serialize_update(object, update, name, encoded, entry.timestamp, id);
@@ -364,6 +462,9 @@ impl Primary {
             } else {
                 ctx.send(self.cfg.members[diss], share);
             }
+        }
+        if missed || self.pbft.low_water() != self.named_floor {
+            self.prune_named();
         }
     }
 
@@ -776,7 +877,7 @@ impl Primary {
             };
             let key = (record.object, record.index);
             // A primary keeps no rumors to forget when its log truncates.
-            if !self.store.apply_record(&record, update, name, |_| {}) {
+            if !self.store.apply_record(record, update, name, |_| {}) {
                 continue; // gap: the prefix arrives first or not at all
             }
             ctx.count("tier-ae/adopt");

@@ -548,28 +548,26 @@ impl Secondary {
         let forget = |dropped: &CommitRecord| {
             seen.remove(&(dropped.object, dropped.id));
         };
-        if !self.store.apply_record(&record, update, name, forget) {
+        let (object, index, id) = (record.object, record.index, record.id);
+        if !self.store.apply_record(record, update, name, forget) {
             return Apply::Gap;
         }
-        self.ack_primary_push(ctx, from, record.object, record.index);
+        self.ack_primary_push(ctx, from, object, index);
         // Reconcile the optimistic path: this update is now final.
-        if let Some(pending) = self.tentative.get_mut(&record.object) {
-            pending.retain(|(_, id), _| *id != record.id);
+        if let Some(pending) = self.tentative.get_mut(&object) {
+            pending.retain(|(_, tentative), _| *tentative != id);
             if pending.is_empty() {
-                self.tentative.remove(&record.object);
+                self.tentative.remove(&object);
             }
         }
-        // Stream onward per child mode.
+        // Stream onward per child mode: the copies pushed are the log's.
+        let record = self.store.record(&object, index).expect("the newest record is logged");
         for &(child, mode) in &self.cfg.children {
             match mode {
                 ChildMode::Push => ctx.send(child, ReplicaMsg::Commit(record.clone())),
                 ChildMode::Invalidate => ctx.send(
                     child,
-                    ReplicaMsg::Invalidate {
-                        object: record.object,
-                        index: record.index,
-                        version: record.version,
-                    },
+                    ReplicaMsg::Invalidate { object, index, version: record.version },
                 ),
             }
         }

@@ -194,7 +194,13 @@ impl ObjectStore {
 
     /// Overrides the record-log retention window (tests use this;
     /// deployments keep [`RECORD_RETENTION`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a window of 0: the newest record must stay in the log,
+    /// which is where a secondary streams it onward from.
     pub fn set_record_retention(&mut self, retention: u64) {
+        assert!(retention >= 1, "the newest record stays in the log");
         self.retention = retention;
     }
 
@@ -288,8 +294,10 @@ impl ObjectStore {
         }
     }
 
-    /// Applies `record` if it is the next expected index. Returns `true`
-    /// if applied (or already applied), `false` if a gap remains.
+    /// Applies `record` if it is the next expected index, logging it as
+    /// handed over. Returns `true` if applied (or already applied), `false`
+    /// if a gap remains. A record applied by this call is the newest in
+    /// the log ([`ObjectStore::record`]) when it returns.
     /// `update` and `name` are the caller's own decoding and naming of
     /// `record.update` ([`CommitRecord::verified`]); the blocks the update
     /// stores are filed under `name.cids`, not hashed again. Each record
@@ -301,7 +309,7 @@ impl ObjectStore {
     /// *serialization order*, determinism does the rest).
     pub fn apply_record<C: Into<Bytes>>(
         &mut self,
-        record: &CommitRecord,
+        record: CommitRecord,
         update: Update<C>,
         name: UpdateDigest,
         dropped: impl FnMut(&CommitRecord),
@@ -324,16 +332,17 @@ impl ObjectStore {
             "deterministic replay must match the tier's outcome"
         );
         st.newest_timestamp = st.newest_timestamp.max(record.timestamp);
-        st.records.push(record.clone());
+        let object = record.object;
+        st.records.push(record);
         if let Some(digests) = &mut self.digests {
-            digests.entry(record.object).or_default().push(name.digest);
+            digests.entry(object).or_default().push(name.digest);
         }
-        advance(&mut self.committed_digest, &record.object, st);
+        advance(&mut self.committed_digest, &object, st);
         self.retained_total += 1;
         self.total_applied += 1;
         self.peak_retained = self.peak_retained.max(self.retained_total);
         self.blob_put_failures += failures;
-        self.note_certs(record.object, dropped);
+        self.note_certs(object, dropped);
         true
     }
 
@@ -584,7 +593,7 @@ mod tests {
     fn replay(store: &mut ObjectStore, record: &CommitRecord) -> bool {
         let update = decode_view(&record.update).expect("decodes");
         let name = update_digest(&update);
-        store.apply_record(record, update, name, |_| {})
+        store.apply_record(record.clone(), update, name, |_| {})
     }
 
     fn tid(c: u64) -> TentativeId {

@@ -120,7 +120,7 @@ proptest! {
             // Replay some record of this object — the next one, an old
             // one again, or one past a gap.
             if let Some(record) = log[o].len().checked_sub(1 + back).map(|at| &log[o][at]) {
-                replica.apply_record(record, append(), update_digest(&append()), |_| {});
+                replica.apply_record(record.clone(), append(), update_digest(&append()), |_| {});
             }
             prop_assert_eq!(primary.committed_digest(), recomputed(&primary));
             prop_assert_eq!(replica.committed_digest(), recomputed(&replica));

@@ -4,7 +4,10 @@
 //! no node copies it: each primary's commit record is a view of the
 //! payload's update bytes, and every block a primary or secondary stores
 //! is a view of the same buffer. Each node still decodes, names and
-//! verifies the bytes itself; only the allocation is shared. On the
+//! verifies the bytes itself; only the allocation is shared. A primary
+//! hashes those bytes once: the update digest it derived when it admitted
+//! the request names the blocks it files at execution, and is dropped
+//! then. On the
 //! deployment's own store backend (`OCEANSTORE_STORE_BACKEND`), then on
 //! each by name: the `dir` one writes its own files beside the views.
 //!
@@ -17,7 +20,7 @@ use oceanstore_naming::guid::Guid;
 use oceanstore_replica::primary::PAYLOAD_UPDATE_AT;
 use oceanstore_replica::{build_deployment, CommitRecord, DeploymentOpts, ReplicaMsg};
 use oceanstore_sim::{NodeId, SimDuration};
-use oceanstore_store::{BlobStore, DirStore, MemoryStore};
+use oceanstore_store::{cid_of, BlobStore, DirStore, MemoryStore};
 use oceanstore_update::object::Block;
 use oceanstore_update::update::Action;
 use oceanstore_update::Update;
@@ -61,6 +64,7 @@ fn every_node_holds_views_of_the_clients_payload() {
 
         for &p in dep.primaries() {
             let primary = dep.primary(p);
+            assert_eq!(primary.named_len(), 0, "{p:?}: a name outlived its execution");
             let pbft = primary.pbft();
             for (record, ours) in records.iter().zip(primary.store.records_from(&object, 0)) {
                 // The payload the agreement layer executed, which is the
@@ -83,7 +87,8 @@ fn every_node_holds_views_of_the_clients_payload() {
             }
         }
 
-        // Every block anywhere is a view of its update's buffer.
+        // Every block anywhere is a view of its update's buffer, filed
+        // under its own CID.
         let mut buffers = HashSet::new();
         for &node in &holders {
             let role = dep.sim.node(node);
@@ -95,6 +100,8 @@ fn every_node_holds_views_of_the_clients_payload() {
             assert_eq!(version.blocks.len(), 7, "{node:?} holds both updates");
             for (slot, block) in version.blocks.iter().enumerate() {
                 let Block::Data(bytes) = block else { panic!("appends store data blocks") };
+                let cid = store.slot_cid(&object, slot).expect("every data block is filed");
+                assert_eq!(cid, cid_of(bytes), "{node:?} slot {slot}: filed under another CID");
                 let update = usize::from(slot >= 4);
                 let record = &records[update];
                 assert!(
