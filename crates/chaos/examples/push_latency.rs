@@ -3,13 +3,10 @@
 //! The disseminator's push of a freshly certified record to the tree
 //! root is dropped (dead link at send time); the link heals immediately
 //! after the certificate forms. Measures how long the root then waits
-//! for the record:
-//!
-//! * **re-push on** — the disseminator's ack watchdog fires one
-//!   `ack_timeout` (3 × link latency) after the push went unacked and
-//!   resends: recovery ≈ `ack_timeout + latency` ≈ 2 × RTT.
-//! * **re-push off** — nothing retries; the root's next anti-entropy
-//!   digest to its tier parent (500 ms period) triggers the repair.
+//! for the record: the disseminator's ack watchdog fires one
+//! `ack_timeout` (3 × link latency) after the push went unacked and
+//! resends, so recovery ≈ `ack_timeout + latency` ≈ 2 × RTT, well inside
+//! the root's 500 ms anti-entropy period.
 //!
 //! Run with:
 //!
@@ -38,16 +35,15 @@ fn ms_until(dep: &mut Deployment, mut probe: impl FnMut(&Deployment) -> bool) ->
     now
 }
 
-fn measure(repush: bool, latency_ms: u64) -> (u64, u64, u64) {
+fn measure(latency_ms: u64) -> (u64, u64, u64) {
     let mut dep = build_deployment(&DeploymentOpts {
         latency: SimDuration::from_millis(latency_ms),
-        repush,
         seed: 1,
         ..DeploymentOpts::default()
     });
     let n = dep.primaries().len();
     // Keep the disseminator off primary 0, the root's anti-entropy
-    // parent, so the re-push-off run's repair path stays intact.
+    // parent, so the root's anti-entropy path stays intact.
     let object = (0..)
         .map(|k| Guid::from_label(&format!("push-latency-{k}")))
         .find(|g| disseminator_for(n, g, 0, 0) != 0)
@@ -85,19 +81,10 @@ fn main() {
         3 * latency_ms
     );
     println!();
-    println!("| re-push | cert at (ms) | root holds record (ms) | recovery (ms) | resends |");
-    println!("|---|---|---|---|---|");
-    for repush in [true, false] {
-        let (t_cert, t_root, resends) = measure(repush, latency_ms);
-        println!(
-            "| {} | {t_cert} | {t_root} | {} | {resends} |",
-            if repush { "on" } else { "off" },
-            t_root - t_cert
-        );
-    }
+    println!("| cert at (ms) | root holds record (ms) | recovery (ms) | resends |");
+    println!("|---|---|---|---|");
+    let (t_cert, t_root, resends) = measure(latency_ms);
+    println!("| {t_cert} | {t_root} | {} | {resends} |", t_root - t_cert);
     println!();
-    println!(
-        "re-push recovers in ~2 RTT (one ack timeout + one delivery); without it the \
-         record waits for the next anti-entropy period."
-    );
+    println!("re-push recovers in ~2 RTT (one ack timeout + one delivery).");
 }

@@ -7,7 +7,7 @@ use oceanstore_sim::{NodeId, SimDuration};
 
 fn main() {
     let seed = 7;
-    let ckpt = CheckpointConfig { enabled: true, interval: 32, window: 64 };
+    let ckpt = CheckpointConfig { interval: 32, window: 64 };
     let victim = NodeId(3);
     let mut ts = build_tier_custom(1, SimDuration::from_millis(20), seed, &[], ckpt);
     run_updates_batched(&mut ts, 64, 64, 8);

@@ -22,7 +22,6 @@
 //!   end-of-run delivery is stressed (the first fault group is always
 //!   drawn after the final submit to guarantee it).
 
-use oceanstore_consensus::CheckpointConfig;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, Deployment, DeploymentOpts, RoleHost};
 use oceanstore_sim::{NodeId, SimDuration};
@@ -59,9 +58,9 @@ pub struct FuzzOpts {
     pub horizon_ms: u64,
     /// The fuzzed deployment; its `seed` is replaced by the run's seed.
     /// With `m >= 2` the schedule generator can (and does) overlap
-    /// primary outage windows. `repush: false` and `checkpoint.enabled:
-    /// false` select the degraded modes the sweeps also cover. `rings`
-    /// must stay 1: outages and quorum cuts are booked against ring 0
+    /// primary outage windows. Every fault comes from the drawn schedule;
+    /// the deployment itself runs the shipped protocol. `rings` must
+    /// stay 1: outages and quorum cuts are booked against ring 0
     /// only, so on a second ring "survivable by construction" does not
     /// hold and [`fuzz_deployment`] refuses the deployment.
     pub deployment: DeploymentOpts,
@@ -82,21 +81,6 @@ impl Default for FuzzOpts {
             quorum_cuts: true,
         }
     }
-}
-
-/// The deployment modes every sweep runs: the shipped configuration;
-/// acked re-push off, so anti-entropy is the only repair path for a
-/// dropped tier→tree push; and PBFT stable checkpoints off, so there is
-/// no log GC and no consensus-level state transfer (the fuzzer's outages
-/// are short enough never to need either).
-pub fn modes() -> [(&'static str, DeploymentOpts); 3] {
-    let base = DeploymentOpts::default();
-    let unbounded_log = CheckpointConfig { enabled: false, ..base.checkpoint.clone() };
-    [
-        ("default", base.clone()),
-        ("re-push off", DeploymentOpts { repush: false, ..base.clone() }),
-        ("checkpoints off", DeploymentOpts { checkpoint: unbounded_log, ..base }),
-    ]
 }
 
 /// Everything one fuzzing run produces.

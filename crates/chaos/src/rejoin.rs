@@ -152,11 +152,7 @@ fn check_rejoin(
 /// the outage length, and wiped-versus-intact recovery are all drawn from
 /// the seed; the same seed reproduces the same run bit for bit.
 pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
-    let ckpt = CheckpointConfig {
-        enabled: true,
-        interval: opts.interval,
-        window: opts.window,
-    };
+    let ckpt = CheckpointConfig { interval: opts.interval, window: opts.window };
     let bound = retained_bound(&ckpt);
     let n = 3 * opts.m + 1;
     let mut ts = build_tier_custom(opts.m, SimDuration::from_millis(20), seed, &[], ckpt);
@@ -224,7 +220,7 @@ pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
 /// catch up via state transfer, and agree — with every replica's
 /// retained consensus state bounded by `window + interval` throughout.
 pub fn late_rejoin(seed: u64) -> ScenarioOutcome {
-    let ckpt = CheckpointConfig { enabled: true, interval: 32, window: 64 };
+    let ckpt = CheckpointConfig { interval: 32, window: 64 };
     let bound = retained_bound(&ckpt);
     let n = 4;
     let victim = NodeId(3);

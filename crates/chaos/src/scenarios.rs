@@ -49,20 +49,18 @@ pub fn append(payload: &[u8]) -> Update {
 /// Crashes an interior dissemination-tree node (secondary 1, which feeds
 /// secondaries 3 and 4) while a committed-update stream is in flight.
 ///
-/// With `reparent = true` the orphaned subtree must re-attach (to the
-/// grandparent, a sibling, or the primary ring) and converge; with
-/// `reparent = false` the orphans demonstrably stall — the caller asserts
-/// the report *fails*. The epidemic anti-entropy period is stretched far
+/// The orphaned subtree must re-attach (to the grandparent, a sibling, or
+/// the primary ring) and converge, and each orphan must have re-parented
+/// off the dead node. The epidemic anti-entropy period is stretched far
 /// past the run horizon so the dissemination tree is the only timely
 /// repair path.
-pub fn interior_crash(reparent: bool, seed: u64) -> ScenarioOutcome {
+pub fn interior_crash(seed: u64) -> ScenarioOutcome {
     let mut dep = build_deployment(&DeploymentOpts {
         m: 1,
         secondaries: 6,
         clients: 1,
         latency: SimDuration::from_millis(20),
         anti_entropy: Some(SimDuration::from_secs(60)),
-        reparent,
         seed,
         ..DeploymentOpts::default()
     });
@@ -85,15 +83,13 @@ pub fn interior_crash(reparent: bool, seed: u64) -> ScenarioOutcome {
     let mut report = check_convergence(&dep, &[object])
         .merge(check_no_committed_loss(&dep, &object, 3))
         .merge(check_clients_settled(&dep));
-    if reparent {
-        for &o in &orphans {
-            let sec = dep.secondary(o);
-            if sec.reparent_count() == 0 {
-                report.failures.push(format!("orphan {o:?} never re-parented"));
-            }
-            if sec.parent() == Some(victim) {
-                report.failures.push(format!("orphan {o:?} still attached to dead {victim:?}"));
-            }
+    for &o in &orphans {
+        let sec = dep.secondary(o);
+        if sec.reparent_count() == 0 {
+            report.failures.push(format!("orphan {o:?} never re-parented"));
+        }
+        if sec.parent() == Some(victim) {
+            report.failures.push(format!("orphan {o:?} still attached to dead {victim:?}"));
         }
     }
     ScenarioOutcome { trace, fingerprint: stats_fingerprint(&dep.sim), report }
@@ -245,16 +241,14 @@ pub fn leader_crash_view_change(seed: u64) -> ScenarioOutcome {
 /// Crashes the one primary whose rotation slot makes it the disseminator
 /// of the next record, then submits an update.
 ///
-/// The signature shares for record 0 all target the dead member; with
-/// `failover = true` every signer's retry deadline re-routes its share to
-/// the next rotation slot, the certificate assembles on a live member,
-/// and the record reaches the tree. With `failover = false` the shares
-/// pour into the dead node forever and the record never certifies — the
-/// caller asserts the report *fails*.
-pub fn disseminator_crash(failover: bool, seed: u64) -> ScenarioOutcome {
+/// The signature shares for record 0 all target the dead member; every
+/// signer's retry deadline re-routes its share to the next rotation
+/// slot, the certificate assembles on a live member, and the record
+/// reaches the tree. The report also fails unless live signers — and
+/// only they — re-routed shares.
+pub fn disseminator_crash(seed: u64) -> ScenarioOutcome {
     let mut dep = build_deployment(&DeploymentOpts {
         latency: SimDuration::from_millis(20),
-        failover,
         seed,
         ..DeploymentOpts::default()
     });
@@ -278,25 +272,23 @@ pub fn disseminator_crash(failover: bool, seed: u64) -> ScenarioOutcome {
         .merge(check_no_committed_loss(&dep, &object, 1))
         .merge(check_clients_settled(&dep))
         .merge(check_every_commit_certifies(&dep, &[object]));
-    if failover {
-        // The failover path must actually have engaged, and only live
-        // signers can have engaged it.
-        let stats = dep.sim.stats();
-        if stats.class("replica/sharerebroadcast").messages == 0 {
-            report.failures.push("failover enabled but no share was ever re-routed".into());
-        }
-        if stats.class_sent_by(victim, "replica/sharerebroadcast").messages > 0 {
-            report.failures.push(format!("crashed disseminator {victim:?} sent retries"));
-        }
-        let live_retries: u64 = dep
-            .primaries()
-            .iter()
-            .filter(|&&p| p != victim)
-            .map(|&p| stats.class_sent_by(p, "replica/sharerebroadcast").messages)
-            .sum();
-        if live_retries == 0 {
-            report.failures.push("no live signer re-routed its share".into());
-        }
+    // The failover path must actually have engaged, and only live
+    // signers can have engaged it.
+    let stats = dep.sim.stats();
+    if stats.class("replica/sharerebroadcast").messages == 0 {
+        report.failures.push("no share was ever re-routed".into());
+    }
+    if stats.class_sent_by(victim, "replica/sharerebroadcast").messages > 0 {
+        report.failures.push(format!("crashed disseminator {victim:?} sent retries"));
+    }
+    let live_retries: u64 = dep
+        .primaries()
+        .iter()
+        .filter(|&&p| p != victim)
+        .map(|&p| stats.class_sent_by(p, "replica/sharerebroadcast").messages)
+        .sum();
+    if live_retries == 0 {
+        report.failures.push("no live signer re-routed its share".into());
     }
     ScenarioOutcome { trace, fingerprint: stats_fingerprint(&dep.sim), report }
 }

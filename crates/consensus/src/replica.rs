@@ -30,11 +30,6 @@ const TIMER_VIEW_BASE: u64 = 1 << 40;
 /// Stable-checkpoint / log-GC knobs.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// Whether checkpointing runs at all (default `true`). With `false`
-    /// no checkpoint votes are sent, the log is never truncated and a
-    /// rejoiner has no state-transfer path; the chaos suites run that
-    /// unbounded-log mode by setting this field.
-    pub enabled: bool,
     /// Checkpoint every `interval` executed slots (the protocol's K).
     pub interval: u64,
     /// Slots a replica will buffer above its low-water mark; agreement
@@ -45,17 +40,7 @@ pub struct CheckpointConfig {
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        CheckpointConfig {
-            enabled: true,
-            interval: 64,
-            window: 128,
-        }
-    }
-}
-
-impl CheckpointConfig {
-    fn active(&self) -> bool {
-        self.enabled && self.interval > 0
+        CheckpointConfig { interval: 64, window: 128 }
     }
 }
 
@@ -103,10 +88,18 @@ impl TierConfig {
     ///
     /// # Panics
     ///
-    /// Panics if member/key counts disagree with `3m + 1`.
+    /// Panics if member/key counts disagree with `3m + 1`, or if the
+    /// checkpoint interval is not in `1..=window`: with no interval no
+    /// checkpoint ever forms, and with one past the window the window
+    /// fills before the first checkpoint can move it.
     pub fn validate(&self) {
         assert_eq!(self.members.len(), self.n(), "need 3m+1 members");
         assert_eq!(self.replica_keys.len(), self.n(), "need 3m+1 keys");
+        let CheckpointConfig { interval, window } = self.checkpoint;
+        assert!(
+            0 < interval && interval <= window,
+            "checkpoint interval {interval} must be in 1..={window} (the window)"
+        );
     }
 }
 
@@ -441,11 +434,7 @@ impl Replica {
 
     /// The high-water mark: agreement traffic at or above is refused.
     pub fn high_water(&self) -> u64 {
-        if self.ckpt_active() {
-            self.low_water.saturating_add(self.cfg.checkpoint.window)
-        } else {
-            u64::MAX
-        }
+        self.low_water.saturating_add(self.cfg.checkpoint.window)
     }
 
     /// The rolling state digest over all executed slots.
@@ -498,10 +487,6 @@ impl Replica {
             state_fetches: self.st_fetches,
             reply_cache_len: self.reply_cache.values().map(|c| c.tail.len() as u64).sum(),
         }
-    }
-
-    fn ckpt_active(&self) -> bool {
-        self.cfg.checkpoint.active()
     }
 
     fn stable_seq(&self) -> u64 {
@@ -751,7 +736,7 @@ impl Replica {
         // Never propose past the window: peers would refuse to buffer the
         // slot. The request stays unassigned; if the window fails to
         // advance, the view-change alarm (armed below) takes over.
-        if self.ckpt_active() && seq >= self.high_water() {
+        if seq >= self.high_water() {
             self.watch(ctx);
             return;
         }
@@ -947,9 +932,7 @@ impl Replica {
             let proof = inst.commit_sigs.clone();
             self.next_exec += 1;
             self.state_digest = chain_digest(&self.state_digest, seq, &digest, id, timestamp);
-            if self.ckpt_active() {
-                self.exec_proofs.insert(seq, (self.view, proof));
-            }
+            self.exec_proofs.insert(seq, (self.view, proof));
             // Dedup spans the whole history: `executed_ids` covers the
             // retained window, the per-client reply cache everything
             // truncated below it.
@@ -988,9 +971,6 @@ impl Replica {
     /// rolling state digest, which is only available exactly at the
     /// crossing — hence the call from inside the execution loop.
     fn maybe_checkpoint(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        if !self.ckpt_active() {
-            return;
-        }
         let k = self.cfg.checkpoint.interval;
         let seq = self.next_exec;
         if seq == 0 || !seq.is_multiple_of(k) || seq <= self.stable_seq() {
@@ -1109,7 +1089,7 @@ impl Replica {
             .collect();
         waiting.sort_unstable();
         for (_, id) in waiting {
-            if self.ckpt_active() && self.next_seq >= self.high_water() {
+            if self.next_seq >= self.high_water() {
                 break; // still saturated; the next checkpoint drains more
             }
             self.propose(ctx, id);
@@ -1190,9 +1170,6 @@ impl Replica {
         claimant: usize,
         msg: &PbftMsg,
     ) -> bool {
-        if !self.ckpt_active() {
-            return true;
-        }
         if seq < self.low_water {
             return false;
         }
@@ -1491,13 +1468,11 @@ impl Replica {
         // sender checkpointed past us). Adopting it both bounds what the
         // re-proposal below must cover and, if we are behind it, starts
         // our own catch-up.
-        if self.ckpt_active() {
-            if let Some(cert) = stable {
-                if cert.seq > self.stable_seq()
-                    && (replica == self.index || self.verify_stable_cert(&cert))
-                {
-                    self.adopt_stable(ctx, cert);
-                }
+        if let Some(cert) = stable {
+            if cert.seq > self.stable_seq()
+                && (replica == self.index || self.verify_stable_cert(&cert))
+            {
+                self.adopt_stable(ctx, cert);
             }
         }
         self.vc_votes.entry(new_view).or_default().insert(replica, (last_exec, prepared));
@@ -1720,8 +1695,7 @@ impl Replica {
                 }
             }
             PbftMsg::Checkpoint { seq, digest, replica, sig } => {
-                if self.ckpt_active()
-                    && *replica < self.cfg.n()
+                if *replica < self.cfg.n()
                     && *replica != self.index
                     && *seq > self.stable_seq()
                     && self.verify_replica(*replica, &msg)
@@ -1730,8 +1704,7 @@ impl Replica {
                 }
             }
             PbftMsg::FetchState { have, replica, .. } => {
-                if self.ckpt_active()
-                    && *replica < self.cfg.n()
+                if *replica < self.cfg.n()
                     && *replica != self.index
                     && self.verify_replica(*replica, &msg)
                 {
@@ -1739,10 +1712,7 @@ impl Replica {
                 }
             }
             PbftMsg::State { stable, entries, replica, .. } => {
-                if self.ckpt_active()
-                    && *replica < self.cfg.n()
-                    && self.verify_replica(*replica, &msg)
-                {
+                if *replica < self.cfg.n() && self.verify_replica(*replica, &msg) {
                     self.on_state(ctx, stable.clone(), entries.clone());
                 }
             }

@@ -16,7 +16,23 @@ use proptest::prelude::*;
 const WAN: SimDuration = SimDuration::from_millis(50);
 
 fn ckpt(interval: u64, window: u64) -> CheckpointConfig {
-    CheckpointConfig { enabled: true, interval, window }
+    CheckpointConfig { interval, window }
+}
+
+/// No interval means no checkpoint ever forms: the log would grow with
+/// the frontier and a rejoiner would have nothing to transfer from.
+#[test]
+#[should_panic(expected = "checkpoint interval 0")]
+fn zero_checkpoint_interval_is_refused() {
+    build_tier_custom(1, WAN, 1, &[], ckpt(0, 128));
+}
+
+/// An interval past the window never quiesces: the window fills before
+/// the first checkpoint could move the low-water mark.
+#[test]
+#[should_panic(expected = "checkpoint interval 16")]
+fn checkpoint_interval_past_the_window_is_refused() {
+    build_tier_custom(1, WAN, 1, &[], ckpt(16, 8));
 }
 
 /// Reconstructs the deterministic keypair of tier replica `i` (the same

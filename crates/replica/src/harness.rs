@@ -23,7 +23,7 @@ use oceanstore_sim::{ClusterSpec, Context, NodeId, Protocol, SimDuration, Simula
 use oceanstore_update::Update;
 
 use crate::client::UpdateClient;
-use crate::config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, SecondaryFault};
+use crate::config::{ChildMode, SecondaryConfig, SecondaryFault};
 use crate::messages::ReplicaMsg;
 use crate::node::OceanNode;
 use crate::primary::Primary;
@@ -31,7 +31,11 @@ use crate::secondary::{RingView, Secondary};
 use crate::shard::{mix, ShardRouter};
 use crate::store::StoreHealth;
 
-/// Deployment parameters.
+/// Deployment parameters: sizes, the mesh latency every deadline is
+/// scaled from, and which secondaries are Byzantine. Every deployment
+/// runs the same protocol — share failover, acked re-push, re-parenting
+/// and checkpoints included; a crash, a partition or a lossy link comes
+/// from a fault schedule or a link control on the built simulator.
 #[derive(Debug, Clone)]
 pub struct DeploymentOpts {
     /// Number of independent consensus rings sharing the secondary tier.
@@ -46,25 +50,14 @@ pub struct DeploymentOpts {
     pub latency: SimDuration,
     /// Secondary indices fed by invalidation instead of full pushes.
     pub invalidate_leaves: Vec<usize>,
-    /// Whether orphaned secondaries re-attach to the tree (disable to
-    /// demonstrate the orphaned-subtree failure mode).
-    pub reparent: bool,
     /// Override for the secondaries' anti-entropy period (`None` keeps the
     /// [`SecondaryConfig`] default). Chaos scenarios stretch this to
     /// isolate the dissemination tree from the epidemic repair path.
     pub anti_entropy: Option<SimDuration>,
-    /// Whether signers re-route their shares past a crashed disseminator.
-    /// Disable to demonstrate the single-disseminator liveness hole.
-    pub failover: bool,
-    /// Whether certified records stay on an acked re-push schedule until
-    /// every `Push` child confirms them (default `true`). Disable to
-    /// fall back to anti-entropy-only repair of a lost tier→tree push.
-    pub repush: bool,
     /// Secondary indices that run [`SecondaryFault::ForgeOnServe`].
     pub byzantine_secondaries: Vec<usize>,
     /// Checkpoint/GC knobs of the primary tiers (long-horizon chaos
-    /// scenarios shrink the interval; `enabled: false` is the
-    /// unbounded-log mode).
+    /// scenarios shrink the interval).
     pub checkpoint: CheckpointConfig,
     /// RNG/key seed.
     pub seed: u64,
@@ -79,10 +72,7 @@ impl Default for DeploymentOpts {
             clients: 1,
             latency: SimDuration::from_millis(20),
             invalidate_leaves: Vec::new(),
-            reparent: true,
             anti_entropy: None,
-            failover: true,
-            repush: true,
             byzantine_secondaries: Vec::new(),
             checkpoint: CheckpointConfig::default(),
             seed: 1,
@@ -358,21 +348,16 @@ pub fn build_deployment_with<N: Protocol>(
         }
     };
     let mut nodes: Vec<OceanNode> = Vec::with_capacity(total);
-    // The retry deadline must outlast a disseminator's normal assembly
-    // round-trip (share in, commit out) or healthy records double-send.
-    let failover = FailoverConfig {
-        enabled: opts.failover,
-        share_retry_timeout: SimDuration::from_micros(opts.latency.as_micros() * 25),
-    };
+    // The share retry deadline must outlast a disseminator's normal
+    // assembly round-trip (share in, commit out) or healthy records
+    // double-send.
+    let share_retry_timeout = SimDuration::from_micros(opts.latency.as_micros() * 25);
     // The ack deadline must exceed one push+ack round trip (2 × latency)
     // or healthy records double-send; 3 × latency gives one-way slack
     // while keeping dropped-push recovery at roughly one RTT + backoff
     // step instead of one anti-entropy period.
-    let repush = RepushConfig {
-        enabled: opts.repush,
-        ack_timeout: SimDuration::from_micros(opts.latency.as_micros() * 3),
-        ..RepushConfig::default()
-    };
+    let ack_timeout = SimDuration::from_micros(opts.latency.as_micros() * 3);
+    let anti_entropy = opts.anti_entropy.unwrap_or(SecondaryConfig::default().anti_entropy_interval);
     for (r, keys) in ring_keys.into_iter().enumerate() {
         for (i, kp) in keys.into_iter().enumerate() {
             let mut primary = Primary::new(
@@ -381,17 +366,15 @@ pub fn build_deployment_with<N: Protocol>(
                 kp,
                 FaultMode::Honest,
                 vec![(secondaries[0], child_mode(0))],
-                failover.clone(),
-                repush.clone(),
+                share_retry_timeout,
+                ack_timeout,
             );
             primary.set_shard(router, r);
             // Primaries gossip certified records among themselves on the
             // same cadence as the tree's epidemic layer — the catch-up
             // path for a member whose agreement replica missed commits
             // for good.
-            primary.set_tier_anti_entropy(
-                opts.anti_entropy.unwrap_or(SecondaryConfig::default().anti_entropy_interval),
-            );
+            primary.set_tier_anti_entropy(anti_entropy);
             nodes.push(OceanNode::Primary(primary));
         }
     }
@@ -414,24 +397,21 @@ pub fn build_deployment_with<N: Protocol>(
         let children: Vec<(NodeId, ChildMode)> =
             tree_children(j, s).map(|c| (secondaries[c], child_mode(c))).collect();
         let peers = peer_set(&secondaries, j, opts.seed);
-        let defaults = SecondaryConfig::default();
         let scfg = SecondaryConfig {
             parent: Some(parent),
             children,
             peers,
-            anti_entropy_interval: opts.anti_entropy.unwrap_or(defaults.anti_entropy_interval),
+            anti_entropy_interval: anti_entropy,
             grandparent,
             siblings,
             fallback_parents: rings[0].primaries.clone(),
             heartbeat_interval: SimDuration::from_micros(opts.latency.as_micros() * 5),
             parent_timeout: SimDuration::from_micros(opts.latency.as_micros() * 25),
-            reparent_enabled: opts.reparent,
             fault: if opts.byzantine_secondaries.contains(&j) {
                 SecondaryFault::ForgeOnServe
             } else {
                 SecondaryFault::Honest
             },
-            ..defaults
         };
         nodes.push(OceanNode::Secondary(Secondary::new(scfg, ring_views.clone(), router)));
     }

@@ -28,7 +28,7 @@ pub mod shard;
 pub mod store;
 
 pub use client::UpdateClient;
-pub use config::{ChildMode, FailoverConfig, RepushConfig, SecondaryConfig, SecondaryFault};
+pub use config::{ChildMode, SecondaryConfig, SecondaryFault};
 pub use harness::{
     build_deployment, build_deployment_with, Deployment, DeploymentOpts, Ring, RoleHost,
 };

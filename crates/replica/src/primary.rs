@@ -22,7 +22,7 @@ use oceanstore_sim::{Context, NodeId};
 use oceanstore_update::{decode_view, encode_after, update_digest, Update, UpdateDigest};
 use rand::Rng;
 
-use crate::config::{ChildMode, FailoverConfig, RepushConfig};
+use crate::config::ChildMode;
 use crate::messages::{CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
 use crate::store::ObjectStore;
 
@@ -43,6 +43,15 @@ const TIMER_PUSH_SPAN: u64 = 1 << 45;
 /// Timer tag of the tier-internal anti-entropy tick (well below the
 /// `1 << 40` band where the namespaced machinery starts).
 const TIMER_TIER_AE: u64 = 12;
+/// Re-push deadline multiplier per retry (exponential backoff).
+const REPUSH_BACKOFF: u64 = 2;
+/// Re-pushes per record before it is left to anti-entropy.
+const REPUSH_MAX_RETRIES: u32 = 4;
+/// Observer primaries (who saw `CertFormed` but are not the
+/// disseminator) arm their first re-push deadline at this many ack
+/// deadlines, giving the disseminator first crack and keeping the healthy
+/// path free of duplicate pushes.
+const OBSERVER_GRACE: u64 = 2;
 
 /// Which tier member disseminates record `index` of `object` on failover
 /// `attempt` (0 = the original rotation choice). Consecutive attempts walk
@@ -153,8 +162,11 @@ pub struct Primary {
     named_floor: u64,
     /// Certificate assembly: (object, index) → (record, cert so far).
     assembling: IdMap<(Guid, u64), (CommitRecord, SerializationCert)>,
-    /// Disseminator-failover knobs.
-    failover: FailoverConfig,
+    /// How long a signer waits for the certificate before re-routing its
+    /// share to the next disseminator in rotation. Any `m + 1`
+    /// consecutive rotation slots hold a live member, so the walk ends at
+    /// one.
+    share_retry_timeout: oceanstore_sim::SimDuration,
     /// Shares we signed that still lack a certificate, keyed by record.
     pending: IdMap<(Guid, u64), PendingShare>,
     /// Retry-timer token → the record it guards.
@@ -166,8 +178,11 @@ pub struct Primary {
     early_certs: IdMap<(Guid, u64), SerializationCert>,
     /// Total share re-broadcasts sent (failover engagement accounting).
     share_retries: u64,
-    /// Tier→tree acked-re-push knobs.
-    repush: RepushConfig,
+    /// How long the disseminator waits for a child's ack before
+    /// re-pushing (doubling per retry, `REPUSH_MAX_RETRIES` retries).
+    /// Must exceed one push+ack round trip or healthy records
+    /// double-send.
+    ack_timeout: oceanstore_sim::SimDuration,
     /// Certified records not yet acked by every `Push` child.
     pending_push: IdMap<(Guid, u64), PendingPush>,
     /// Re-push-timer token → the record it guards.
@@ -197,8 +212,10 @@ pub struct Primary {
 }
 
 impl Primary {
-    /// Creates primary `index` with its embedded PBFT replica and its
-    /// disseminator-failover and re-push knobs.
+    /// Creates primary `index` with its embedded PBFT replica, the
+    /// deadline after which a signer re-routes its share past a silent
+    /// disseminator, and the deadline after which a certified record is
+    /// re-pushed to a child that has not acked it.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cfg: TierConfig,
@@ -206,8 +223,8 @@ impl Primary {
         keypair: KeyPair,
         fault: oceanstore_consensus::replica::FaultMode,
         children: Vec<(NodeId, ChildMode)>,
-        failover: FailoverConfig,
-        repush: RepushConfig,
+        share_retry_timeout: oceanstore_sim::SimDuration,
+        ack_timeout: oceanstore_sim::SimDuration,
     ) -> Self {
         let pbft = Replica::new(cfg.clone(), index, keypair.clone(), fault, payload_name);
         let mut store = ObjectStore::new();
@@ -223,13 +240,13 @@ impl Primary {
             named: IdMap::default(),
             named_floor: 0,
             assembling: IdMap::default(),
-            failover,
+            share_retry_timeout,
             pending: IdMap::default(),
             retry_tokens: IdMap::default(),
             next_token: 0,
             early_certs: IdMap::default(),
             share_retries: 0,
-            repush,
+            ack_timeout,
             pending_push: IdMap::default(),
             push_tokens: IdMap::default(),
             next_push_token: 0,
@@ -430,9 +447,7 @@ impl Primary {
                     // Same observer watchdog as `on_cert_formed` — the
                     // cert beat our own execution here, so the arming
                     // there never ran.
-                    let grace = self
-                        .repush_deadline(0)
-                        .mul_f64(f64::from(self.repush.observer_grace.max(1)));
+                    let grace = self.observer_grace();
                     self.arm_repush(ctx, object, record.index, grace);
                     continue;
                 }
@@ -450,13 +465,11 @@ impl Primary {
             };
             // Arm the failover deadline before routing: if no certificate
             // materializes, the share walks the fallback rotation.
-            if self.failover.enabled {
-                let token = self.next_token;
-                self.next_token += 1;
-                self.pending.insert(key, PendingShare { sig, attempt: 0, token });
-                self.retry_tokens.insert(token, key);
-                ctx.set_timer(self.failover.share_retry_timeout, TIMER_SHARE_BASE + token);
-            }
+            let token = self.next_token;
+            self.next_token += 1;
+            self.pending.insert(key, PendingShare { sig, attempt: 0, token });
+            self.retry_tokens.insert(token, key);
+            ctx.set_timer(self.share_retry_timeout, TIMER_SHARE_BASE + token);
             if diss == self.index {
                 self.accept_share(ctx, object, record.index, self.index, sig);
             } else {
@@ -509,7 +522,7 @@ impl Primary {
         // Still uncertified (accept_share clears the entry when the cert
         // assembles locally): keep walking the rotation.
         if self.pending.contains_key(&(object, index)) {
-            ctx.set_timer(self.failover.share_retry_timeout, TIMER_SHARE_BASE + token);
+            ctx.set_timer(self.share_retry_timeout, TIMER_SHARE_BASE + token);
         }
     }
 
@@ -523,10 +536,20 @@ impl Primary {
     /// Re-push deadline for retry number `attempt` (exponential backoff,
     /// exponent clamped so the arithmetic can't overflow).
     fn repush_deadline(&self, attempt: u32) -> oceanstore_sim::SimDuration {
-        let factor = u64::from(self.repush.backoff.max(1)).pow(attempt.min(16));
-        oceanstore_sim::SimDuration::from_micros(
-            self.repush.ack_timeout.as_micros().saturating_mul(factor),
-        )
+        let factor = REPUSH_BACKOFF.pow(attempt.min(16));
+        oceanstore_sim::SimDuration::from_micros(self.ack_timeout.as_micros().saturating_mul(factor))
+    }
+
+    /// An observer primary's first re-push deadline.
+    fn observer_grace(&self) -> oceanstore_sim::SimDuration {
+        oceanstore_sim::SimDuration::from_micros(self.ack_timeout.as_micros() * OBSERVER_GRACE)
+    }
+
+    /// How long after certification the last primary still re-pushes an
+    /// unacked record: an observer's grace, then one deadline per retry.
+    /// After that only anti-entropy repairs the push.
+    pub fn repush_span(&self) -> oceanstore_sim::SimDuration {
+        (1..=REPUSH_MAX_RETRIES).fold(self.observer_grace(), |t, k| t + self.repush_deadline(k))
     }
 
     /// Puts `(object, index)` under ack surveillance: every `Push` child
@@ -543,9 +566,6 @@ impl Primary {
         index: u64,
         initial_delay: oceanstore_sim::SimDuration,
     ) {
-        if !self.repush.enabled {
-            return;
-        }
         let key = (object, index);
         if self.pending_push.contains_key(&key) {
             return;
@@ -579,7 +599,7 @@ impl Primary {
         };
         let key = (object, index);
         let (unacked, attempt) = match self.pending_push.get_mut(&key) {
-            Some(entry) if entry.attempt >= self.repush.max_retries => {
+            Some(entry) if entry.attempt >= REPUSH_MAX_RETRIES => {
                 // Budget exhausted: stop pushing, leave repair to the
                 // anti-entropy path (which is correct, just slower).
                 self.pending_push.remove(&key);
@@ -666,8 +686,7 @@ impl Primary {
                 // to the tree, but if it (or the push) dies, somebody has
                 // to notice. The grace period gives the disseminator's
                 // own schedule first crack.
-                let grace =
-                    self.repush_deadline(0).mul_f64(f64::from(self.repush.observer_grace.max(1)));
+                let grace = self.observer_grace();
                 self.arm_repush(ctx, object, index, grace);
             }
             // Certified and truncated long ago: a late announcement that

@@ -27,6 +27,11 @@ use crate::store::ObjectStore;
 const TIMER_ANTI_ENTROPY: u64 = 10;
 /// Timer tag for the parent-liveness heartbeat.
 const TIMER_HEARTBEAT: u64 = 11;
+/// How many peers a fresh tentative update is rumored to.
+const GOSSIP_FANOUT: usize = 2;
+/// After this many `FetchCommits` pulls with no `Commits` response, pull
+/// from a random gossip peer instead of the (possibly dead) parent.
+const MAX_UNANSWERED_PULLS: u32 = 3;
 
 /// Tentative updates for one object in (timestamp, id) order — the
 /// tentative serialization order.
@@ -314,16 +319,16 @@ impl Secondary {
                 }
                 self.unanswered_pulls = self.unanswered_pulls.saturating_add(1);
                 self.ticks_until_pull =
-                    self.unanswered_pulls.saturating_sub(self.cfg.max_unanswered_pulls).min(4);
+                    self.unanswered_pulls.saturating_sub(MAX_UNANSWERED_PULLS).min(4);
             }
         }
         ctx.set_timer(self.cfg.anti_entropy_interval, TIMER_ANTI_ENTROPY);
     }
 
     /// Where catch-up pulls go: the parent while it is believed alive, a
-    /// random gossip peer once `max_unanswered_pulls` pulls went nowhere.
+    /// random gossip peer once `MAX_UNANSWERED_PULLS` pulls went nowhere.
     fn pull_target(&mut self, ctx: &mut Context<'_, ReplicaMsg>) -> Option<NodeId> {
-        if self.unanswered_pulls >= self.cfg.max_unanswered_pulls && !self.cfg.peers.is_empty() {
+        if self.unanswered_pulls >= MAX_UNANSWERED_PULLS && !self.cfg.peers.is_empty() {
             return self.cfg.peers[..].choose(ctx.rng()).copied();
         }
         self.cfg.parent.or_else(|| self.cfg.peers[..].choose(ctx.rng()).copied())
@@ -341,9 +346,7 @@ impl Secondary {
                     }
                 }
                 None => {
-                    if self.cfg.reparent_enabled
-                        && now.saturating_since(self.parent_last_seen) > self.cfg.parent_timeout
-                    {
+                    if now.saturating_since(self.parent_last_seen) > self.cfg.parent_timeout {
                         // Parent is dead to us: seek a new one.
                         self.try_next_candidate(ctx);
                     } else {
@@ -470,7 +473,7 @@ impl Secondary {
         // Rumor mongering to a few random peers.
         self.rumor_peers.clone_from(&self.cfg.peers);
         self.rumor_peers.shuffle(ctx.rng());
-        for &peer in self.rumor_peers.iter().take(self.cfg.gossip_fanout) {
+        for &peer in self.rumor_peers.iter().take(GOSSIP_FANOUT) {
             ctx.send(peer, ReplicaMsg::Tentative { object, update: update.clone(), timestamp, id });
         }
     }

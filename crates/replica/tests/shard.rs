@@ -11,7 +11,7 @@
 //! and ask that ring to repair one that was lost.
 
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::{build_deployment, DeploymentOpts, ShardRouter};
+use oceanstore_replica::{build_deployment, DeploymentOpts, SecondaryConfig, ShardRouter};
 use oceanstore_sim::SimDuration;
 use oceanstore_update::update::Action;
 use oceanstore_update::Update;
@@ -138,17 +138,14 @@ fn every_ring_gets_its_pushes_acked() {
 /// from. With the root's anti-entropy going to its parent only — a ring-0
 /// primary, which answers for ring 0's objects alone — a ring-1 record
 /// that missed the root was never repaired: nobody below the root holds
-/// it either.
+/// it either. The ring's links to the root stay cut until its re-push
+/// budget has run out, so the repair after the heal is anti-entropy's.
 #[test]
 fn lost_push_is_repaired_for_every_ring() {
     const RINGS: usize = 2;
     for lossy in 0..RINGS {
-        let mut dep = build_deployment(&DeploymentOpts {
-            rings: RINGS,
-            repush: false,
-            seed: 23,
-            ..DeploymentOpts::default()
-        });
+        let opts = DeploymentOpts { rings: RINGS, seed: 23, ..DeploymentOpts::default() };
+        let mut dep = build_deployment(&opts);
         let object = (0..)
             .map(|i| Guid::from_label(&format!("lost-push-{i}")))
             .find(|g| dep.ring_of(g) == lossy)
@@ -160,10 +157,25 @@ fn lost_push_is_repaired_for_every_ring() {
         }
         let append = Update::unconditional(vec![Action::Append { ciphertext: vec![7; 8] }]);
         dep.submit(dep.clients[0], object, &append);
-        dep.sim.run_for(SimDuration::from_millis(400));
+        while !links.iter().any(|&p| dep.primary(p).has_cert(&object, 0)) {
+            dep.sim.run_for(SimDuration::from_millis(10));
+        }
         assert_eq!(dep.frontier(&object), 1, "ring {lossy} committed its append");
+        // Observers arm one delivery after the disseminator; the second
+        // latency is slack for the last deadline to fire.
+        dep.sim.run_for(dep.primary(links[0]).repush_span() + opts.latency + opts.latency);
+        assert!(dep.sim.stats().event("repush/exhausted") >= 1, "ring {lossy} never gave up");
         for &p in &links {
             dep.sim.set_link_drop(p, root, 0.0);
+        }
+        let healed = dep.sim.now();
+        let period = SecondaryConfig::default().anti_entropy_interval;
+        while dep.secondary(root).store.get(&object).is_none_or(|st| st.next_index == 0) {
+            assert!(
+                dep.sim.now().saturating_since(healed) <= period + period,
+                "ring {lossy}'s record missed the root two anti-entropy periods after the heal"
+            );
+            dep.sim.run_for(SimDuration::from_millis(10));
         }
         dep.sim.run_for(SimDuration::from_secs(20));
         for &s in &dep.secondaries {
