@@ -19,8 +19,12 @@ use oceanstore_sim::{Context, Message, NodeId, Protocol, SimDuration, SimTime};
 use crate::fragment::{archive_object, reconstruct_verified, Fragment};
 use crate::store::{FragStore, FragStoreHealth};
 
-/// Timer: evaluate the previous sweep round and start a new one.
-const TIMER_SWEEP: u64 = 20;
+/// The archival layer's one deadline, handed back when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArchTimer {
+    /// Evaluate the previous sweep round and start a new one.
+    Sweep,
+}
 
 /// Messages of the archival layer.
 #[derive(Debug, Clone)]
@@ -50,6 +54,8 @@ pub enum ArchMsg {
 }
 
 impl Message for ArchMsg {
+    type Timer = ArchTimer;
+
     fn wire_size(&self) -> usize {
         match self {
             ArchMsg::Store(f) => 8 + f.wire_size(),
@@ -309,14 +315,11 @@ impl Protocol for ArchNode {
 
     fn on_start(&mut self, ctx: &mut Context<'_, ArchMsg>) {
         if let Some(interval) = self.sweep_interval {
-            ctx.set_timer(interval, TIMER_SWEEP);
+            ctx.set_timer(interval, ArchTimer::Sweep);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, ArchMsg>, tag: u64) {
-        if tag != TIMER_SWEEP {
-            return;
-        }
+    fn on_timer(&mut self, ctx: &mut Context<'_, ArchMsg>, ArchTimer::Sweep: ArchTimer) {
         // Close the measurement round.
         self.pongs_last = std::mem::take(&mut self.pongs);
         self.sweep_rounds += 1;
@@ -368,7 +371,7 @@ impl Protocol for ArchNode {
             }
         }
         if let Some(interval) = self.sweep_interval {
-            ctx.set_timer(interval, TIMER_SWEEP);
+            ctx.set_timer(interval, ArchTimer::Sweep);
         }
     }
 

@@ -16,4 +16,4 @@ pub mod filter;
 pub mod routing;
 
 pub use filter::{AttenuatedBloom, BloomFilter};
-pub use routing::{BloomConfig, BloomMsg, BloomNode, QueryOutcome};
+pub use routing::{BloomConfig, BloomMsg, BloomNode, BloomTimer, QueryOutcome};

@@ -22,8 +22,12 @@ use oceanstore_sim::{Context, Message, NodeId, Protocol, SimDuration, SimTime, S
 
 use crate::filter::AttenuatedBloom;
 
-/// Timer tag for the periodic filter advertisement.
-const TIMER_ADVERTISE: u64 = 1;
+/// The probabilistic layer's one deadline, handed back when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BloomTimer {
+    /// Rebuild and advertise this node's filter to its neighbors.
+    Advertise,
+}
 
 /// Geometry and timing of the probabilistic location layer.
 #[derive(Debug, Clone)]
@@ -108,6 +112,8 @@ pub enum BloomMsg {
 }
 
 impl Message for BloomMsg {
+    type Timer = BloomTimer;
+
     fn wire_size(&self) -> usize {
         match self {
             BloomMsg::Advertise(f) => 16 + f.wire_size(),
@@ -339,16 +345,14 @@ impl Protocol for BloomNode {
 
     fn on_start(&mut self, ctx: &mut Context<'_, BloomMsg>) {
         self.rebuild_own();
-        ctx.set_timer(SimDuration::ZERO, TIMER_ADVERTISE);
+        ctx.set_timer(SimDuration::ZERO, BloomTimer::Advertise);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, BloomMsg>, tag: u64) {
-        if tag == TIMER_ADVERTISE {
-            self.rebuild_own();
-            let advert = self.own.attenuated();
-            ctx.broadcast(self.neighbors.iter().copied(), BloomMsg::Advertise(advert));
-            ctx.set_timer(self.cfg.advertise_interval, TIMER_ADVERTISE);
-        }
+    fn on_timer(&mut self, ctx: &mut Context<'_, BloomMsg>, BloomTimer::Advertise: BloomTimer) {
+        self.rebuild_own();
+        let advert = self.own.attenuated();
+        ctx.broadcast(self.neighbors.iter().copied(), BloomMsg::Advertise(advert));
+        ctx.set_timer(self.cfg.advertise_interval, BloomTimer::Advertise);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, BloomMsg>, from: NodeId, msg: BloomMsg) {

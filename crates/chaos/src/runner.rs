@@ -131,6 +131,8 @@ mod tests {
     struct Tick;
 
     impl Message for Tick {
+        type Timer = Forward;
+
         fn wire_size(&self) -> usize {
             8
         }
@@ -138,6 +140,10 @@ mod tests {
             "tick"
         }
     }
+
+    /// The pinger's one deadline.
+    #[derive(Debug)]
+    struct Forward;
 
     /// Each node forwards to the next every 100 ms.
     #[derive(Debug, Default)]
@@ -148,15 +154,15 @@ mod tests {
     impl Protocol for Pinger {
         type Msg = Tick;
         fn on_start(&mut self, ctx: &mut Context<'_, Tick>) {
-            ctx.set_timer(SimDuration::from_millis(100), 0);
+            ctx.set_timer(SimDuration::from_millis(100), Forward);
         }
         fn on_message(&mut self, _ctx: &mut Context<'_, Tick>, _from: NodeId, _msg: Tick) {
             self.seen += 1;
         }
-        fn on_timer(&mut self, ctx: &mut Context<'_, Tick>, _tag: u64) {
+        fn on_timer(&mut self, ctx: &mut Context<'_, Tick>, Forward: Forward) {
             let next = NodeId((ctx.node().0 + 1) % 3);
             ctx.send(next, Tick);
-            ctx.set_timer(SimDuration::from_millis(100), 0);
+            ctx.set_timer(SimDuration::from_millis(100), Forward);
         }
     }
 

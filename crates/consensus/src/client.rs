@@ -8,13 +8,9 @@ use oceanstore_crypto::sha1::Digest;
 use oceanstore_sim::{Context, NodeId, SimDuration, SimTime};
 
 use crate::messages::{
-    request_signing_bytes, signing_bytes, Payload, PayloadNamer, PbftMsg, RequestId,
+    request_signing_bytes, signing_bytes, Payload, PayloadNamer, PbftMsg, PbftTimer, RequestId,
 };
 use crate::replica::TierConfig;
-
-/// Timer tag base for request retransmission (low bits carry the client
-/// sequence number).
-const TIMER_RETRANSMIT_BASE: u64 = 1 << 48;
 
 /// The completed outcome of one submitted update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,11 +74,8 @@ impl Client {
     }
 
     /// Timer dispatch: retransmit an unanswered request.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_, PbftMsg>, tag: u64) {
-        if tag < TIMER_RETRANSMIT_BASE {
-            return;
-        }
-        let seq = tag - TIMER_RETRANSMIT_BASE;
+    pub fn on_timer(&mut self, ctx: &mut Context<'_, PbftMsg>, timer: PbftTimer) {
+        let PbftTimer::Retransmit(seq) = timer else { return };
         let id = RequestId { client: ctx.node(), seq };
         let Some(interval) = self.retransmit else { return };
         if let Some(p) = self.pending.get_mut(&id) {
@@ -92,15 +85,8 @@ impl Client {
             // long outage doesn't keep hammering the tier.
             let factor = 1u32 << p.retries.min(3);
             ctx.broadcast(self.cfg.members.iter().copied(), msg);
-            ctx.set_timer(interval.mul_f64(factor as f64), tag);
+            ctx.set_timer(interval.mul_f64(factor as f64), timer);
         }
-    }
-
-    /// The client sequence a retransmission timer `tag` refers to, if the
-    /// tag belongs to this module's namespace. Lets a composite client
-    /// that multiplexes several tiers route the tag to the right one.
-    pub fn retransmit_seq(tag: u64) -> Option<u64> {
-        tag.checked_sub(TIMER_RETRANSMIT_BASE)
     }
 
     /// Submits `payload` for serialization; returns the request id to poll
@@ -131,7 +117,7 @@ impl Client {
             PendingRequest { sent_at: ctx.now(), msg, replies: HashMap::new(), retries: 0 },
         );
         if let Some(interval) = self.retransmit {
-            ctx.set_timer(interval, TIMER_RETRANSMIT_BASE + id.seq);
+            ctx.set_timer(interval, PbftTimer::Retransmit(id.seq));
         }
         id
     }

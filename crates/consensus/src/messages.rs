@@ -286,7 +286,18 @@ pub enum PbftMsg {
     },
 }
 
+/// A deadline of the agreement protocol, handed back when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PbftTimer {
+    /// A replica's view-change alarm, carrying the view it guards.
+    View(u64),
+    /// A client's retransmission deadline for its request of this sequence.
+    Retransmit(u64),
+}
+
 impl Message for PbftMsg {
+    type Timer = PbftTimer;
+
     fn wire_size(&self) -> usize {
         let sig = Signature::WIRE_SIZE;
         match self {

@@ -4,7 +4,7 @@
 use oceanstore_sim::{Context, NodeId, Protocol};
 
 use crate::client::Client;
-use crate::messages::PbftMsg;
+use crate::messages::{PbftMsg, PbftTimer};
 use crate::replica::Replica;
 
 /// A node in an agreement simulation.
@@ -69,10 +69,10 @@ impl Protocol for PbftNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, PbftMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, PbftMsg>, timer: PbftTimer) {
         match self {
-            PbftNode::Replica(r) => r.on_timer(ctx, tag),
-            PbftNode::Client(c) => c.on_timer(ctx, tag),
+            PbftNode::Replica(r) => r.on_timer(ctx, timer),
+            PbftNode::Client(c) => c.on_timer(ctx, timer),
             PbftNode::Idle => {}
         }
     }

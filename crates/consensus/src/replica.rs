@@ -21,11 +21,8 @@ use oceanstore_sim::{Context, Message, NodeId, SimDuration};
 
 use crate::messages::{
     request_signing_bytes, set_sig, signing_bytes, slot_digest, Payload, PayloadNamer, PbftMsg,
-    RequestId, StableCert, StateEntry,
+    PbftTimer, RequestId, StableCert, StateEntry,
 };
-
-/// Timer tag: view-change alarm (low bits carry the view it guards).
-const TIMER_VIEW_BASE: u64 = 1 << 40;
 
 /// Stable-checkpoint / log-GC knobs.
 #[derive(Debug, Clone)]
@@ -712,7 +709,7 @@ impl Replica {
     fn watch(&mut self, ctx: &mut Context<'_, PbftMsg>) {
         if self.alarm.is_none() {
             self.alarm = Some(self.next_exec);
-            ctx.set_timer(self.cfg.view_timeout, TIMER_VIEW_BASE + self.view);
+            ctx.set_timer(self.cfg.view_timeout, PbftTimer::View(self.view));
         }
     }
 
@@ -1720,13 +1717,12 @@ impl Replica {
         }
     }
 
-    /// Timer dispatch (called by the enclosing protocol node). Tags
-    /// outside the view-alarm band belong to other sub-protocols sharing
-    /// the node's timer namespace and are ignored here.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_, PbftMsg>, tag: u64) {
+    /// Timer dispatch (called by the enclosing protocol node). A replica
+    /// arms only view alarms.
+    pub fn on_timer(&mut self, ctx: &mut Context<'_, PbftMsg>, timer: PbftTimer) {
         self.gc_executed();
-        if (TIMER_VIEW_BASE..TIMER_VIEW_BASE << 1).contains(&tag) {
-            self.on_view_alarm(ctx, tag - TIMER_VIEW_BASE);
+        if let PbftTimer::View(view) = timer {
+            self.on_view_alarm(ctx, view);
         }
     }
 }

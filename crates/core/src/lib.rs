@@ -38,7 +38,7 @@ pub mod server;
 pub mod system;
 pub mod version_codec;
 
-pub use messages::OceanMsg;
+pub use messages::{OceanMsg, OceanTimer};
 pub use server::OceanServer;
 pub use system::{ArchiveRef, CoreError, ObjectRef, OceanStore, OceanStoreBuilder, UpdateOutcome};
 

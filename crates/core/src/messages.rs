@@ -1,8 +1,9 @@
 //! The unified OceanStore wire protocol: every server speaks the
 //! replication, location, and archival dialects over one envelope.
 
-use oceanstore_archival::ArchMsg;
-use oceanstore_plaxton::PlaxtonMsg;
+use oceanstore_archival::{ArchMsg, ArchTimer};
+use oceanstore_plaxton::{PlaxtonMsg, PlaxtonTimer};
+use oceanstore_replica::messages::ReplicaTimer;
 use oceanstore_replica::ReplicaMsg;
 use oceanstore_sim::Message;
 
@@ -17,7 +18,20 @@ pub enum OceanMsg {
     Arch(ArchMsg),
 }
 
+/// Top-level timer envelope: each layer's deadlines, wrapped like its messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OceanTimer {
+    /// A replication role's deadline.
+    Replica(ReplicaTimer),
+    /// A location-mesh deadline.
+    Plaxton(PlaxtonTimer),
+    /// An archival deadline.
+    Arch(ArchTimer),
+}
+
 impl Message for OceanMsg {
+    type Timer = OceanTimer;
+
     fn wire_size(&self) -> usize {
         // One envelope byte plus the inner message.
         1 + match self {
@@ -35,9 +49,3 @@ impl Message for OceanMsg {
         }
     }
 }
-
-/// Timer-tag namespace bases for the three subsystems (top bits).
-pub(crate) const TAG_REPLICA: u64 = 0;
-pub(crate) const TAG_PLAXTON: u64 = 1 << 62;
-pub(crate) const TAG_ARCH: u64 = 2 << 62;
-pub(crate) const TAG_MASK: u64 = 3 << 62;

@@ -8,7 +8,7 @@ use oceanstore_plaxton::PlaxtonNode;
 use oceanstore_replica::{OceanNode, ReplicaMsg, RoleHost};
 use oceanstore_sim::{Context, NodeId, Protocol};
 
-use crate::messages::{OceanMsg, TAG_ARCH, TAG_MASK, TAG_PLAXTON, TAG_REPLICA};
+use crate::messages::{OceanMsg, OceanTimer};
 
 /// One OceanStore node: server (primary/secondary) or client.
 pub struct OceanServer {
@@ -47,7 +47,7 @@ impl OceanServer {
         f: impl FnOnce(&mut PlaxtonNode, &mut Context<'_, oceanstore_plaxton::PlaxtonMsg>) -> R,
     ) -> R {
         let plaxton = self.plaxton.as_mut().expect("node has no location role");
-        ctx.with_inner_mapped(OceanMsg::Plaxton, |t| t | TAG_PLAXTON, |ictx| f(plaxton, ictx))
+        ctx.with_inner(OceanMsg::Plaxton, OceanTimer::Plaxton, |ictx| f(plaxton, ictx))
     }
 
     /// Runs a closure against the archival store.
@@ -57,11 +57,12 @@ impl OceanServer {
         f: impl FnOnce(&mut ArchNode, &mut Context<'_, oceanstore_archival::ArchMsg>) -> R,
     ) -> R {
         let arch = &mut self.arch;
-        ctx.with_inner_mapped(OceanMsg::Arch, |t| t | TAG_ARCH, |ictx| f(arch, ictx))
+        ctx.with_inner(OceanMsg::Arch, OceanTimer::Arch, |ictx| f(arch, ictx))
     }
 }
 
-/// The replication role, reached with a properly namespaced context.
+/// The replication role, reached through a context that wraps its messages
+/// and timers.
 impl RoleHost for OceanServer {
     fn role(&self) -> &OceanNode {
         &self.replica
@@ -73,7 +74,7 @@ impl RoleHost for OceanServer {
         f: impl FnOnce(&mut OceanNode, &mut Context<'_, ReplicaMsg>) -> R,
     ) -> R {
         let replica = &mut self.replica;
-        ctx.with_inner_mapped(OceanMsg::Replica, |t| t | TAG_REPLICA, |ictx| f(replica, ictx))
+        ctx.with_inner(OceanMsg::Replica, OceanTimer::Replica, |ictx| f(replica, ictx))
     }
 }
 
@@ -100,16 +101,15 @@ impl Protocol for OceanServer {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, OceanMsg>, tag: u64) {
-        let inner = tag & !TAG_MASK;
-        match tag & TAG_MASK {
-            TAG_PLAXTON => {
+    fn on_timer(&mut self, ctx: &mut Context<'_, OceanMsg>, timer: OceanTimer) {
+        match timer {
+            OceanTimer::Replica(t) => self.with_role(ctx, |r, ictx| r.on_timer(ictx, t)),
+            OceanTimer::Plaxton(t) => {
                 if self.plaxton.is_some() {
-                    self.with_plaxton(ctx, |p, ictx| p.on_timer(ictx, inner));
+                    self.with_plaxton(ctx, |p, ictx| p.on_timer(ictx, t));
                 }
             }
-            TAG_ARCH => self.with_arch(ctx, |a, ictx| a.on_timer(ictx, inner)),
-            _ => self.with_role(ctx, |r, ictx| r.on_timer(ictx, inner)),
+            OceanTimer::Arch(t) => self.with_arch(ctx, |a, ictx| a.on_timer(ictx, t)),
         }
     }
 }

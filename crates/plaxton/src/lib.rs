@@ -25,7 +25,7 @@ pub mod protocol;
 pub mod table;
 
 pub use build::{build_network, find_root, server_guids};
-pub use protocol::{LocateOutcome, PlaxtonConfig, PlaxtonMsg, PlaxtonNode};
+pub use protocol::{LocateOutcome, PlaxtonConfig, PlaxtonMsg, PlaxtonNode, PlaxtonTimer};
 pub use table::{Entry, RouteStep, RoutingTable};
 
 #[cfg(test)]

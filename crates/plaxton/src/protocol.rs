@@ -27,15 +27,19 @@ use rand::Rng;
 
 use crate::table::{Entry, RouteStep, RoutingTable};
 
-/// Timer tags.
-const TIMER_BEACON: u64 = 1;
-const TIMER_REPUBLISH: u64 = 2;
-/// Timer tags at or above this value carry an in-flight token.
-const TIMER_ACK_BASE: u64 = 1 << 32;
-/// Timer tags at or above this value carry a locate query id (origin-side
-/// end-to-end retry; answers carry no per-hop acknowledgment, so a lost
-/// `Found`/`NotFound` would otherwise strand the query).
-const TIMER_LOCATE_RETRY_BASE: u64 = 1 << 56;
+/// A deadline of the location layer, handed back when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlaxtonTimer {
+    /// Periodic liveness beacons, eviction and repair gossip.
+    Beacon,
+    /// Periodic re-publication of the objects this node holds.
+    Republish,
+    /// A forwarded query's per-hop ack deadline, carrying its in-flight token.
+    Ack(u64),
+    /// Origin-side retry of the query with this id: answers carry no
+    /// per-hop ack, so a lost `Found`/`NotFound` would strand the query.
+    LocateRetry(u64),
+}
 
 /// Configuration of the global location layer.
 #[derive(Debug, Clone)]
@@ -197,6 +201,8 @@ pub enum PlaxtonMsg {
 }
 
 impl Message for PlaxtonMsg {
+    type Timer = PlaxtonTimer;
+
     fn wire_size(&self) -> usize {
         const G: usize = Guid::WIRE_SIZE;
         match self {
@@ -392,7 +398,7 @@ impl PlaxtonNode {
             .insert(id, PendingLocate { object, next_salt: 1, hops_so_far: 0, attempts: 0 });
         let target = object.salted(0);
         self.step_locate(ctx, id, object, target, ctx.node(), 0, 0);
-        ctx.set_timer(self.cfg.locate_retry_interval, TIMER_LOCATE_RETRY_BASE + id);
+        ctx.set_timer(self.cfg.locate_retry_interval, PlaxtonTimer::LocateRetry(id));
     }
 
     fn send_publishes(&mut self, ctx: &mut Context<'_, PlaxtonMsg>, object: Guid) {
@@ -463,7 +469,7 @@ impl PlaxtonNode {
                 };
                 self.in_flight.insert(token, (next, msg.clone()));
                 ctx.send(next, msg);
-                ctx.set_timer(self.cfg.ack_timeout, TIMER_ACK_BASE + token);
+                ctx.set_timer(self.cfg.ack_timeout, PlaxtonTimer::Ack(token));
             }
             RouteStep::Root => {
                 // We are the root and hold no pointer.
@@ -616,16 +622,16 @@ impl Protocol for PlaxtonNode {
 
     fn on_start(&mut self, ctx: &mut Context<'_, PlaxtonMsg>) {
         self.my_node_id = ctx.node();
-        ctx.set_timer(self.cfg.beacon_interval, TIMER_BEACON);
-        ctx.set_timer(self.cfg.republish_interval, TIMER_REPUBLISH);
+        ctx.set_timer(self.cfg.beacon_interval, PlaxtonTimer::Beacon);
+        ctx.set_timer(self.cfg.republish_interval, PlaxtonTimer::Republish);
         if let Some(gw) = self.gateway {
             ctx.send(gw, PlaxtonMsg::JoinRequest { joiner: ctx.node(), guid: self.guid, level: 0 });
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, PlaxtonMsg>, tag: u64) {
-        match tag {
-            TIMER_BEACON => {
+    fn on_timer(&mut self, ctx: &mut Context<'_, PlaxtonMsg>, timer: PlaxtonTimer) {
+        match timer {
+            PlaxtonTimer::Beacon => {
                 let now = ctx.now();
                 // Second-chance eviction: no word for 2 intervals → suspect;
                 // suspect and still silent → evict and let gossip repair.
@@ -654,18 +660,17 @@ impl Protocol for PlaxtonNode {
                     let target = peers[ctx.rng().gen_range(0..peers.len())];
                     ctx.send(target, PlaxtonMsg::GossipRequest);
                 }
-                ctx.set_timer(self.cfg.beacon_interval, TIMER_BEACON);
+                ctx.set_timer(self.cfg.beacon_interval, PlaxtonTimer::Beacon);
             }
-            TIMER_REPUBLISH => {
+            PlaxtonTimer::Republish => {
                 self.sweep_pointers(ctx.now());
                 let replicas = self.replicas.clone();
                 for object in replicas {
                     self.send_publishes(ctx, object);
                 }
-                ctx.set_timer(self.cfg.republish_interval, TIMER_REPUBLISH);
+                ctx.set_timer(self.cfg.republish_interval, PlaxtonTimer::Republish);
             }
-            t if t >= TIMER_LOCATE_RETRY_BASE => {
-                let id = t - TIMER_LOCATE_RETRY_BASE;
+            PlaxtonTimer::LocateRetry(id) => {
                 let Some(p) = self.pending.get_mut(&id) else { return };
                 if p.attempts >= self.cfg.max_locate_retries {
                     // Out of patience: declare the object unlocatable.
@@ -687,11 +692,10 @@ impl Protocol for PlaxtonNode {
                 self.step_locate(ctx, id, object, target, origin, 0, 0);
                 ctx.set_timer(
                     self.cfg.locate_retry_interval.mul_f64(backoff as f64),
-                    TIMER_LOCATE_RETRY_BASE + id,
+                    PlaxtonTimer::LocateRetry(id),
                 );
             }
-            t if t >= TIMER_ACK_BASE => {
-                let token = t - TIMER_ACK_BASE;
+            PlaxtonTimer::Ack(token) => {
                 if let Some((next, msg)) = self.in_flight.remove(&token) {
                     // The hop never acknowledged: suspect it and re-route.
                     self.liveness
@@ -704,7 +708,6 @@ impl Protocol for PlaxtonNode {
                     }
                 }
             }
-            _ => {}
         }
     }
 

@@ -10,7 +10,7 @@
 //! per-client no matter which ring served it.
 
 use oceanstore_consensus::client::{Client as PbftClient, ClientOutcome};
-use oceanstore_consensus::messages::{Payload, PbftMsg, RequestId};
+use oceanstore_consensus::messages::{Payload, PbftMsg, PbftTimer, RequestId};
 use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
 use oceanstore_naming::bytes::Bytes;
@@ -19,7 +19,7 @@ use oceanstore_sim::{Context, NodeId, SimDuration};
 use oceanstore_update::Update;
 use rand::seq::SliceRandom;
 
-use crate::messages::{ReplicaMsg, TentativeId};
+use crate::messages::{ReplicaMsg, ReplicaTimer, TentativeId};
 use crate::primary::{encode_payload, payload_name, PAYLOAD_UPDATE_AT};
 use crate::shard::ShardRouter;
 
@@ -101,8 +101,9 @@ impl UpdateClient {
         let whole = Bytes::from(payload.bytes.clone());
         let encoded = whole.slice(PAYLOAD_UPDATE_AT..whole.len());
         let timestamp = ctx.now().as_micros();
-        let id =
-            ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.rings[ring].submit_at(ictx, payload, seq));
+        let id = ctx.with_inner(ReplicaMsg::Pbft, ReplicaTimer::Client, |ictx| {
+            self.rings[ring].submit_at(ictx, payload, seq)
+        });
         // Tentative copies to random secondaries.
         let tid = TentativeId { client: id.client, counter: id.seq };
         let mut secondaries = self.secondaries.clone();
@@ -142,15 +143,19 @@ impl UpdateClient {
                 PbftMsg::Reply { id, .. } => self.ring_for(id.seq),
                 _ => 0,
             };
-            ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.rings[ring].on_message(ictx, from, inner));
+            ctx.with_inner(ReplicaMsg::Pbft, ReplicaTimer::Client, |ictx| {
+                self.rings[ring].on_message(ictx, from, inner)
+            });
         }
     }
 
-    /// Timer dispatch (retransmissions). The retransmit tag carries only
-    /// the client sequence, so route it like a reply; a ring that isn't
-    /// the owner ignores the tag (nothing pending under that id).
-    pub fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, tag: u64) {
-        let ring = self.ring_for(PbftClient::retransmit_seq(tag).unwrap_or(0));
-        ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.rings[ring].on_timer(ictx, tag));
+    /// Timer dispatch (retransmissions). A retransmission deadline
+    /// carries the client sequence, so route it like a reply.
+    pub fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, timer: PbftTimer) {
+        let PbftTimer::Retransmit(seq) = timer else { return };
+        let ring = self.ring_for(seq);
+        ctx.with_inner(ReplicaMsg::Pbft, ReplicaTimer::Client, |ictx| {
+            self.rings[ring].on_timer(ictx, timer)
+        });
     }
 }

@@ -1,6 +1,6 @@
 //! Wire messages of the two-tier replication layer (§4.4.3, §4.4.4).
 
-use oceanstore_consensus::messages::PbftMsg;
+use oceanstore_consensus::messages::{PbftMsg, PbftTimer};
 use oceanstore_crypto::schnorr::{PublicKey, Signature};
 use oceanstore_crypto::sha1::Digest;
 use oceanstore_crypto::threshold::SerializationCert;
@@ -9,6 +9,8 @@ use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Message, NodeId};
 use oceanstore_update::{decode_view, update_digest, Update, UpdateDigest};
 
+use crate::primary::PrimaryTimer;
+use crate::secondary::SecondaryTimer;
 use crate::shard::mix;
 
 /// Identity of a tentative update: (origin client, client-local counter).
@@ -285,7 +287,20 @@ pub enum ReplicaMsg {
     },
 }
 
+/// A deadline of the replication layer: each role arms its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplicaTimer {
+    /// A primary's deadline.
+    Primary(PrimaryTimer),
+    /// A secondary's deadline.
+    Secondary(SecondaryTimer),
+    /// An update client's agreement deadline (request retransmission).
+    Client(PbftTimer),
+}
+
 impl Message for ReplicaMsg {
+    type Timer = ReplicaTimer;
+
     fn wire_size(&self) -> usize {
         match self {
             ReplicaMsg::Pbft(m) => m.wire_size(),

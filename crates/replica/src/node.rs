@@ -3,7 +3,7 @@
 use oceanstore_sim::{Context, NodeId, Protocol};
 
 use crate::client::UpdateClient;
-use crate::messages::ReplicaMsg;
+use crate::messages::{ReplicaMsg, ReplicaTimer};
 use crate::primary::Primary;
 use crate::secondary::Secondary;
 
@@ -145,12 +145,13 @@ impl Protocol for OceanNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, tag: u64) {
-        match self {
-            OceanNode::Primary(p) => p.on_timer(ctx, tag),
-            OceanNode::Secondary(s) => s.on_timer(ctx, tag),
-            OceanNode::Client(c) => c.on_timer(ctx, tag),
-            OceanNode::Idle => {}
+    fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, timer: ReplicaTimer) {
+        match (self, timer) {
+            (OceanNode::Primary(p), ReplicaTimer::Primary(t)) => p.on_timer(ctx, t),
+            (OceanNode::Secondary(s), ReplicaTimer::Secondary(t)) => s.on_timer(ctx, t),
+            (OceanNode::Client(c), ReplicaTimer::Client(t)) => c.on_timer(ctx, t),
+            // Armed by a role this node no longer plays: nothing to guard.
+            _ => {}
         }
     }
 }

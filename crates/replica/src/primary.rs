@@ -10,8 +10,9 @@
 //! certified record into the dissemination tree.
 
 use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 
-use oceanstore_consensus::messages::{slot_digest, Payload, PbftMsg, RequestId};
+use oceanstore_consensus::messages::{slot_digest, Payload, PbftMsg, PbftTimer, RequestId};
 use oceanstore_consensus::replica::{Replica, TierConfig};
 use oceanstore_crypto::schnorr::{verify, KeyPair, Signature};
 use oceanstore_crypto::sha1::{sha1_concat, Digest};
@@ -23,26 +24,29 @@ use oceanstore_update::{decode_view, encode_after, update_digest, Update, Update
 use rand::Rng;
 
 use crate::config::ChildMode;
-use crate::messages::{CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
+use crate::messages::{CommitRecord, ReplicaMsg, ReplicaTimer, SummaryEntry, TentativeId};
 use crate::store::ObjectStore;
 
-/// Timer tag namespace claimed by the share-retry machinery. The embedded
-/// PBFT replica owns `[1 << 40, 1 << 41)` (view alarms) and the client
-/// `[1 << 48, ...)` (retransmission); share-retry tokens live in
-/// `[1 << 44, 1 << 45)` so the three layers never misread each other's
-/// timers.
-const TIMER_SHARE_BASE: u64 = 1 << 44;
-/// Width of the share-retry tag namespace.
-const TIMER_SHARE_SPAN: u64 = 1 << 44;
-/// Timer tag namespace of the tier→tree re-push machinery:
-/// `[1 << 45, 1 << 46)`, disjoint from PBFT view alarms, share retries,
-/// and client retransmission.
-const TIMER_PUSH_BASE: u64 = 1 << 45;
-/// Width of the re-push tag namespace.
-const TIMER_PUSH_SPAN: u64 = 1 << 45;
-/// Timer tag of the tier-internal anti-entropy tick (well below the
-/// `1 << 40` band where the namespaced machinery starts).
-const TIMER_TIER_AE: u64 = 12;
+/// A primary's deadlines, handed back when they fire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrimaryTimer {
+    /// The embedded agreement replica's own deadline.
+    Pbft(PbftTimer),
+    /// This signer's failover deadline for its share of record
+    /// `(object, index)`: re-route the share past a silent disseminator.
+    ShareRetry((Guid, u64)),
+    /// A re-push deadline of record `(object, index)`, carrying the arm
+    /// number of the watch that set it: a later watch of the same record
+    /// has another.
+    PushRetry((Guid, u64), u64),
+    /// The tier-internal anti-entropy tick.
+    TierAntiEntropy,
+}
+/// Wraps the embedded agreement replica's deadlines as this role's.
+fn pbft_timer(timer: PbftTimer) -> ReplicaTimer {
+    ReplicaTimer::Primary(PrimaryTimer::Pbft(timer))
+}
+
 /// Re-push deadline multiplier per retry (exponential backoff).
 const REPUSH_BACKOFF: u64 = 2;
 /// Re-pushes per record before it is left to anti-entropy.
@@ -70,19 +74,10 @@ struct PendingPush {
     /// Re-pushes sent so far (0 = only the disseminator's original push,
     /// or — on observer primaries — nothing yet).
     attempt: u32,
-    /// Re-push-timer token (stable for the life of the entry).
-    token: u64,
-}
-
-/// One signer's outstanding share, still waiting for its certificate.
-#[derive(Debug)]
-struct PendingShare {
-    /// Our signature over the record's signing bytes.
-    sig: Signature,
-    /// Failover attempts made so far (0 = only the original send).
-    attempt: u64,
-    /// Retry-timer token (stable for the life of the entry).
-    token: u64,
+    /// The arm number that opened this watch, carried by its timers: a
+    /// timer of an earlier watch of the same record carries another and
+    /// stands down.
+    arm: u64,
 }
 
 /// Where an agreement payload's update encoding starts: after the object
@@ -167,12 +162,10 @@ pub struct Primary {
     /// consecutive rotation slots hold a live member, so the walk ends at
     /// one.
     share_retry_timeout: oceanstore_sim::SimDuration,
-    /// Shares we signed that still lack a certificate, keyed by record.
-    pending: IdMap<(Guid, u64), PendingShare>,
-    /// Retry-timer token → the record it guards.
-    retry_tokens: IdMap<u64, (Guid, u64)>,
-    /// Next retry-timer token.
-    next_token: u64,
+    /// Shares we signed that still lack a certificate, keyed by record:
+    /// our signature over its signing bytes, and the failover attempts
+    /// made so far (0 = only the original send).
+    pending: IdMap<(Guid, u64), (Signature, u64)>,
     /// Certificates observed via `CertFormed` before we executed the
     /// record ourselves (verified and attached at execution time).
     early_certs: IdMap<(Guid, u64), SerializationCert>,
@@ -185,14 +178,13 @@ pub struct Primary {
     ack_timeout: oceanstore_sim::SimDuration,
     /// Certified records not yet acked by every `Push` child.
     pending_push: IdMap<(Guid, u64), PendingPush>,
-    /// Re-push-timer token → the record it guards.
-    push_tokens: IdMap<u64, (Guid, u64)>,
-    /// Next re-push-timer token.
-    next_push_token: u64,
-    /// Children known (via `CommitAck`) to hold each record — consulted
-    /// when arming so an ack that raced ahead of `CertFormed` still
-    /// cancels the watchdog.
-    push_acked: IdMap<(Guid, u64), IdSet<NodeId>>,
+    /// Re-push watches opened so far: the next one's arm number.
+    push_arms: u64,
+    /// Children known (via `CommitAck`) to hold each record of an object,
+    /// by index — consulted when arming so an ack that raced ahead of
+    /// `CertFormed` still cancels the watchdog. Only records at or above
+    /// the store's log floor keep theirs.
+    push_acked: IdMap<Guid, BTreeMap<u64, IdSet<NodeId>>>,
     /// Total `Commit` re-pushes sent (re-push engagement accounting).
     repush_resends: u64,
     /// Period of the tier-internal anti-entropy tick (`None` disables
@@ -242,14 +234,11 @@ impl Primary {
             assembling: IdMap::default(),
             share_retry_timeout,
             pending: IdMap::default(),
-            retry_tokens: IdMap::default(),
-            next_token: 0,
             early_certs: IdMap::default(),
             share_retries: 0,
             ack_timeout,
             pending_push: IdMap::default(),
-            push_tokens: IdMap::default(),
-            next_push_token: 0,
+            push_arms: 0,
             push_acked: IdMap::default(),
             repush_resends: 0,
             tier_anti_entropy: None,
@@ -280,7 +269,7 @@ impl Primary {
     /// Arms the tier anti-entropy tick, if enabled.
     pub fn on_start(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
         if let Some(interval) = self.tier_anti_entropy {
-            ctx.set_timer(interval, TIMER_TIER_AE);
+            ctx.set_timer(interval, ReplicaTimer::Primary(PrimaryTimer::TierAntiEntropy));
         }
     }
 
@@ -336,7 +325,8 @@ impl Primary {
     /// derived waits in `named` for the slot to execute.
     pub fn on_pbft(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, msg: PbftMsg) {
         let PbftMsg::Request { id, timestamp, payload, sig } = msg else {
-            ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.pbft.on_message(ictx, from, msg));
+            let pbft = &mut self.pbft;
+            ctx.with_inner(ReplicaMsg::Pbft, pbft_timer, |ictx| pbft.on_message(ictx, from, msg));
             self.drain_executed(ctx);
             return;
         };
@@ -346,7 +336,7 @@ impl Primary {
         if let Some(named) = named {
             self.named.insert(slot, (id, named));
         }
-        ctx.with_inner(ReplicaMsg::Pbft, |ictx| {
+        ctx.with_inner(ReplicaMsg::Pbft, pbft_timer, |ictx| {
             self.pbft.on_named_request(ictx, id, timestamp, payload, name, &sig)
         });
         self.drain_executed(ctx);
@@ -376,24 +366,17 @@ impl Primary {
         });
     }
 
-    /// Timer dispatch: share-retry tokens are handled here, everything
-    /// else belongs to the embedded agreement replica.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, tag: u64) {
-        if tag == TIMER_TIER_AE {
-            self.on_tier_ae_tick(ctx);
-        } else if (TIMER_SHARE_BASE..TIMER_SHARE_BASE + TIMER_SHARE_SPAN).contains(&tag) {
-            self.on_share_retry(ctx, tag - TIMER_SHARE_BASE);
-        } else if (TIMER_PUSH_BASE..TIMER_PUSH_BASE + TIMER_PUSH_SPAN).contains(&tag) {
-            self.on_push_retry(ctx, tag - TIMER_PUSH_BASE);
-        } else {
-            self.on_pbft_timer(ctx, tag);
+    /// Timer dispatch.
+    pub fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, timer: PrimaryTimer) {
+        match timer {
+            PrimaryTimer::Pbft(t) => {
+                ctx.with_inner(ReplicaMsg::Pbft, pbft_timer, |ictx| self.pbft.on_timer(ictx, t));
+                self.drain_executed(ctx);
+            }
+            PrimaryTimer::ShareRetry(key) => self.on_share_retry(ctx, key),
+            PrimaryTimer::PushRetry(key, arm) => self.on_push_retry(ctx, key, arm),
+            PrimaryTimer::TierAntiEntropy => self.on_tier_ae_tick(ctx),
         }
-    }
-
-    /// Forwards an agreement timer.
-    pub fn on_pbft_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, tag: u64) {
-        ctx.with_inner(ReplicaMsg::Pbft, |ictx| self.pbft.on_timer(ictx, tag));
-        self.drain_executed(ctx);
     }
 
     fn drain_executed(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
@@ -465,11 +448,9 @@ impl Primary {
             };
             // Arm the failover deadline before routing: if no certificate
             // materializes, the share walks the fallback rotation.
-            let token = self.next_token;
-            self.next_token += 1;
-            self.pending.insert(key, PendingShare { sig, attempt: 0, token });
-            self.retry_tokens.insert(token, key);
-            ctx.set_timer(self.share_retry_timeout, TIMER_SHARE_BASE + token);
+            self.pending.insert(key, (sig, 0));
+            let retry = ReplicaTimer::Primary(PrimaryTimer::ShareRetry(key));
+            ctx.set_timer(self.share_retry_timeout, retry);
             if diss == self.index {
                 self.accept_share(ctx, object, record.index, self.index, sig);
             } else {
@@ -484,20 +465,13 @@ impl Primary {
     /// A retry deadline expired: if the record is still uncertified,
     /// re-broadcast our share to the next fallback disseminator in
     /// rotation order and re-arm the deadline.
-    fn on_share_retry(&mut self, ctx: &mut Context<'_, ReplicaMsg>, token: u64) {
-        let Some(&(object, index)) = self.retry_tokens.get(&token) else {
+    fn on_share_retry(&mut self, ctx: &mut Context<'_, ReplicaMsg>, key: (Guid, u64)) {
+        let (object, index) = key;
+        let Some((sig, attempt)) = self.pending.get_mut(&key) else {
             return; // certificate formed; the timer is stale
         };
-        let (sig, attempt) = match self.pending.get_mut(&(object, index)) {
-            Some(entry) => {
-                entry.attempt += 1;
-                (entry.sig, entry.attempt)
-            }
-            None => {
-                self.retry_tokens.remove(&token);
-                return;
-            }
-        };
+        *attempt += 1;
+        let (sig, attempt) = (*sig, *attempt);
         let Some((record, &update_digest)) = self.store.record_with_digest(&object, index) else {
             return;
         };
@@ -521,15 +495,9 @@ impl Primary {
         }
         // Still uncertified (accept_share clears the entry when the cert
         // assembles locally): keep walking the rotation.
-        if self.pending.contains_key(&(object, index)) {
-            ctx.set_timer(self.share_retry_timeout, TIMER_SHARE_BASE + token);
-        }
-    }
-
-    /// Drops the retry state for a now-certified record.
-    fn clear_pending(&mut self, key: &(Guid, u64)) {
-        if let Some(entry) = self.pending.remove(key) {
-            self.retry_tokens.remove(&entry.token);
+        if self.pending.contains_key(&key) {
+            let retry = ReplicaTimer::Primary(PrimaryTimer::ShareRetry(key));
+            ctx.set_timer(self.share_retry_timeout, retry);
         }
     }
 
@@ -570,7 +538,7 @@ impl Primary {
         if self.pending_push.contains_key(&key) {
             return;
         }
-        let acked = self.push_acked.get(&key);
+        let acked = self.push_acked.get(&object).and_then(|acked| acked.get(&index));
         let unacked: Vec<NodeId> = self
             .children
             .iter()
@@ -582,45 +550,36 @@ impl Primary {
         if unacked.is_empty() {
             return;
         }
-        let token = self.next_push_token;
-        self.next_push_token += 1;
-        self.pending_push.insert(key, PendingPush { unacked, attempt: 0, token });
-        self.push_tokens.insert(token, key);
-        ctx.set_timer(initial_delay, TIMER_PUSH_BASE + token);
+        let arm = self.push_arms;
+        self.push_arms += 1;
+        self.pending_push.insert(key, PendingPush { unacked, attempt: 0, arm });
+        ctx.set_timer(initial_delay, ReplicaTimer::Primary(PrimaryTimer::PushRetry(key, arm)));
     }
 
     /// A re-push deadline expired: if any `Push` child still hasn't acked
     /// the record, re-send the certified `Commit` to exactly those
     /// children and re-arm with a doubled deadline — until the retry
     /// budget runs out and the record degrades to anti-entropy repair.
-    fn on_push_retry(&mut self, ctx: &mut Context<'_, ReplicaMsg>, token: u64) {
-        let Some(&(object, index)) = self.push_tokens.get(&token) else {
-            return; // every child acked; the timer is stale
+    fn on_push_retry(&mut self, ctx: &mut Context<'_, ReplicaMsg>, key: (Guid, u64), arm: u64) {
+        let (object, index) = key;
+        let Some(entry) = self.pending_push.get_mut(&key).filter(|entry| entry.arm == arm) else {
+            return; // this watch ended (acked, or out of retries): the timer is stale
         };
-        let key = (object, index);
-        let (unacked, attempt) = match self.pending_push.get_mut(&key) {
-            Some(entry) if entry.attempt >= REPUSH_MAX_RETRIES => {
-                // Budget exhausted: stop pushing, leave repair to the
-                // anti-entropy path (which is correct, just slower).
-                self.pending_push.remove(&key);
-                self.push_tokens.remove(&token);
-                ctx.count("repush/exhausted");
-                return;
-            }
-            Some(entry) => {
-                entry.attempt += 1;
-                (entry.unacked.clone(), entry.attempt)
-            }
-            None => {
-                self.push_tokens.remove(&token);
-                return;
-            }
-        };
+        if entry.attempt >= REPUSH_MAX_RETRIES {
+            // Budget exhausted: stop pushing, leave repair to the
+            // anti-entropy path (which is correct, just slower).
+            self.pending_push.remove(&key);
+            ctx.count("repush/exhausted");
+            return;
+        }
+        entry.attempt += 1;
+        let (unacked, attempt) = (entry.unacked.clone(), entry.attempt);
+        let retry = ReplicaTimer::Primary(PrimaryTimer::PushRetry(key, arm));
         let record = self.store.record(&object, index).filter(|r| !r.cert.is_empty());
         let Some(record) = record else {
             // Certified elsewhere but not locally attached yet; try again
             // at the next deadline.
-            ctx.set_timer(self.repush_deadline(attempt), TIMER_PUSH_BASE + token);
+            ctx.set_timer(self.repush_deadline(attempt), retry);
             return;
         };
         self.repush_resends += unacked.len() as u64;
@@ -628,7 +587,7 @@ impl Primary {
             ctx.count("repush/resend");
         }
         ctx.broadcast(unacked, ReplicaMsg::Commit(record.clone()));
-        ctx.set_timer(self.repush_deadline(attempt), TIMER_PUSH_BASE + token);
+        ctx.set_timer(self.repush_deadline(attempt), retry);
     }
 
     /// A `Push` child confirmed it holds `(object, index)` certified.
@@ -644,8 +603,17 @@ impl Primary {
         if !self.owns(&object) {
             return;
         }
+        // A record below the store's log floor is truncated and never
+        // armed again: its ack is not kept, and neither are older ones.
+        let floor = self.store.get(&object).map_or(0, |st| st.first_index);
+        if index >= floor {
+            let acked = self.push_acked.entry(object).or_default();
+            while acked.first_key_value().is_some_and(|(&i, _)| i < floor) {
+                acked.pop_first();
+            }
+            acked.entry(index).or_default().insert(from);
+        }
         let key = (object, index);
-        self.push_acked.entry(key).or_default().insert(from);
         if let Some(entry) = self.pending_push.get_mut(&key) {
             entry.unacked.retain(|&c| c != from);
             if entry.unacked.is_empty() {
@@ -654,8 +622,7 @@ impl Primary {
                     // back: the retry schedule did real recovery work.
                     ctx.count("repush/recovered");
                 }
-                let entry = self.pending_push.remove(&key).expect("entry just touched");
-                self.push_tokens.remove(&entry.token);
+                self.pending_push.remove(&key);
             }
         }
     }
@@ -681,7 +648,7 @@ impl Primary {
                 }
                 self.store.set_cert(&object, index, cert);
                 self.assembling.remove(&key);
-                self.clear_pending(&key);
+                self.pending.remove(&key);
                 // Observer watchdog: the disseminator pushed this record
                 // to the tree, but if it (or the push) dies, somebody has
                 // to notice. The grace period gives the disseminator's
@@ -773,7 +740,7 @@ impl Primary {
             record.cert = cert.clone();
             // Persist the cert so fetch responses serve verifiable records.
             self.store.set_cert(&object, index, cert.clone());
-            self.clear_pending(&(object, index));
+            self.pending.remove(&(object, index));
             // Tell the rest of the tier: signers stop their failover
             // retries, and every member becomes able to serve the
             // certified record on the pull path.
@@ -832,7 +799,7 @@ impl Primary {
             ctx.send(peer, ReplicaMsg::AntiEntropyDigest { digest: self.store.committed_digest() });
         }
         if let Some(interval) = self.tier_anti_entropy {
-            ctx.set_timer(interval, TIMER_TIER_AE);
+            ctx.set_timer(interval, ReplicaTimer::Primary(PrimaryTimer::TierAntiEntropy));
         }
     }
 
@@ -904,7 +871,7 @@ impl Primary {
             // for it (if any was armed) is moot.
             self.assembling.remove(&key);
             self.early_certs.remove(&key);
-            self.clear_pending(&key);
+            self.pending.remove(&key);
         }
     }
 
@@ -1046,6 +1013,90 @@ mod tests {
             node.as_primary_mut().expect("node is a primary").on_cert_formed(ctx, object, 0, cert)
         });
         assert!(dep.primary(p0).early_certs.is_empty(), "parked a cert nothing will collect");
+    }
+
+    #[test]
+    fn a_rearmed_repush_watch_fires_once() {
+        // An observer primary opens a re-push watch on a settled record,
+        // the watch clears, and a second watch opens for the same record
+        // at the same instant: a child attached in between, and a failover
+        // disseminator's duplicate `CertFormed` arrived. Both watches'
+        // deadlines fall due together, and only the open watch re-pushes.
+        use crate::harness::{build_deployment, DeploymentOpts};
+        use oceanstore_sim::SimDuration;
+        use oceanstore_update::update::{Action, Predicate};
+        use oceanstore_update::Update;
+
+        let mut dep = build_deployment(&DeploymentOpts::default());
+        let object = Guid::from_label("re-armed");
+        let update = Update::default()
+            .with_clause(Predicate::True, vec![Action::Append { ciphertext: vec![1] }]);
+        dep.submit(dep.clients[0], object, &update);
+        dep.sim.run_for(SimDuration::from_secs(4));
+        let primaries = dep.primaries().to_vec();
+        let observer = |p: &NodeId| {
+            let role = dep.primary(*p);
+            role.disseminator(&object, 0, 0) != role.index()
+        };
+        let p = *primaries.iter().find(|p| observer(p)).expect("an observer primary");
+        // Two nodes that are not its children and never ack: peer
+        // primaries ignore `AttachOk` and `Commit` alike.
+        let mut peers = primaries.iter().copied().filter(|&q| q != p);
+        let (a, b) = (peers.next().expect("a peer"), peers.next().expect("a second peer"));
+        let role = dep.primary(p);
+        assert!(role.has_cert(&object, 0), "the record settled");
+        assert_eq!(role.pending_push_count(), 0, "every push of the record was acked");
+        let cert = role.store.record(&object, 0).expect("retained").cert.clone();
+        let (grace, resends) = (role.observer_grace(), role.repush_resend_count());
+        dep.sim.with_node_ctx(p, |node, ctx| {
+            let role = node.as_primary_mut().expect("node is a primary");
+            role.on_attach(ctx, a);
+            role.on_cert_formed(ctx, object, 0, cert.clone());
+            assert_eq!(role.pending_push_count(), 1, "a watch for the new child");
+            role.on_commit_ack(ctx, a, object, 0);
+            assert_eq!(role.pending_push_count(), 0, "the child acked");
+            role.on_attach(ctx, b);
+            role.on_cert_formed(ctx, object, 0, cert);
+            assert_eq!(role.pending_push_count(), 1, "a second watch, for the silent child");
+        });
+        dep.sim.run_for(grace);
+        assert_eq!(
+            dep.primary(p).repush_resend_count() - resends,
+            1,
+            "one re-push to the silent child at the shared deadline"
+        );
+    }
+
+    #[test]
+    fn push_acks_do_not_outlive_the_record_log() {
+        // With a short record log, the acks kept for arming re-push
+        // watches stay within the records the store still holds.
+        use crate::harness::{build_deployment, DeploymentOpts};
+        use oceanstore_sim::SimDuration;
+        use oceanstore_update::update::{Action, Predicate};
+        use oceanstore_update::Update;
+
+        let mut dep = build_deployment(&DeploymentOpts::default());
+        let primaries = dep.primaries().to_vec();
+        for &p in &primaries {
+            let role = dep.sim.node_mut(p).as_primary_mut().expect("node is a primary");
+            role.store.set_record_retention(4);
+        }
+        let object = Guid::from_label("bounded-acks");
+        for i in 0..60u8 {
+            let update = Update::default()
+                .with_clause(Predicate::True, vec![Action::Append { ciphertext: vec![i] }]);
+            dep.submit(dep.clients[0], object, &update);
+            dep.sim.run_for(SimDuration::from_millis(500));
+        }
+        dep.sim.run_for(SimDuration::from_secs(4));
+        for &p in &primaries {
+            let role = dep.primary(p);
+            let st = role.store.get(&object).expect("executed");
+            assert_eq!((st.first_index, st.retained_records()), (56, 4));
+            let acked: usize = role.push_acked.values().map(BTreeMap::len).sum();
+            assert!(acked <= 4, "{acked} records keep acks, the log holds 4");
+        }
     }
 
     #[test]

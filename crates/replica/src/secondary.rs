@@ -19,14 +19,22 @@ use oceanstore_update::decode_view;
 use rand::seq::SliceRandom;
 
 use crate::config::{ChildMode, SecondaryConfig, SecondaryFault};
-use crate::messages::{frontier_digest, CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
+use crate::messages::{
+    frontier_digest, CommitRecord, ReplicaMsg, ReplicaTimer, SummaryEntry, TentativeId,
+};
 use crate::shard::ShardRouter;
 use crate::store::ObjectStore;
+use SecondaryTimer::{AntiEntropy, Heartbeat};
 
-/// Timer tag for the anti-entropy exchange.
-const TIMER_ANTI_ENTROPY: u64 = 10;
-/// Timer tag for the parent-liveness heartbeat.
-const TIMER_HEARTBEAT: u64 = 11;
+/// A secondary's deadlines, handed back when they fire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SecondaryTimer {
+    /// The periodic anti-entropy exchange.
+    AntiEntropy,
+    /// The parent-liveness heartbeat.
+    Heartbeat,
+}
+
 /// How many peers a fresh tentative update is rumored to.
 const GOSSIP_FANOUT: usize = 2;
 /// After this many `FetchCommits` pulls with no `Commits` response, pull
@@ -204,18 +212,17 @@ impl Secondary {
     /// Starts the periodic anti-entropy and heartbeat timers.
     pub fn on_start(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
         self.parent_last_seen = ctx.now();
-        ctx.set_timer(self.cfg.anti_entropy_interval, TIMER_ANTI_ENTROPY);
+        ctx.set_timer(self.cfg.anti_entropy_interval, ReplicaTimer::Secondary(AntiEntropy));
         if self.cfg.parent.is_some() {
-            ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+            ctx.set_timer(self.cfg.heartbeat_interval, ReplicaTimer::Secondary(Heartbeat));
         }
     }
 
     /// Timer dispatch.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, tag: u64) {
-        match tag {
-            TIMER_ANTI_ENTROPY => self.on_anti_entropy_tick(ctx),
-            TIMER_HEARTBEAT => self.on_heartbeat_tick(ctx),
-            _ => {}
+    pub fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, timer: SecondaryTimer) {
+        match timer {
+            AntiEntropy => self.on_anti_entropy_tick(ctx),
+            Heartbeat => self.on_heartbeat_tick(ctx),
         }
     }
 
@@ -322,7 +329,7 @@ impl Secondary {
                     self.unanswered_pulls.saturating_sub(MAX_UNANSWERED_PULLS).min(4);
             }
         }
-        ctx.set_timer(self.cfg.anti_entropy_interval, TIMER_ANTI_ENTROPY);
+        ctx.set_timer(self.cfg.anti_entropy_interval, ReplicaTimer::Secondary(AntiEntropy));
     }
 
     /// Where catch-up pulls go: the parent while it is believed alive, a
@@ -355,7 +362,7 @@ impl Secondary {
                 }
             }
         }
-        ctx.set_timer(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+        ctx.set_timer(self.cfg.heartbeat_interval, ReplicaTimer::Secondary(Heartbeat));
     }
 
     /// Re-parenting candidates in preference order: grandparent, then

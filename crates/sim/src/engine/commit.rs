@@ -1,8 +1,6 @@
 //! The window commit: a loser-tree merge of the per-domain dispatch records
 //! that replays every emission in global order and hands out the real seqs.
 
-use std::cmp::Reverse;
-
 use super::window::{DeliveryBody, DispatchRecord, Emission, PROVISIONAL};
 use super::{Protocol, Simulator};
 use crate::time::{SimDuration, SimTime};
@@ -158,10 +156,10 @@ impl<P: Protocol> Simulator<P> {
                     Emission::Exec => scratch.real_of[d].push(seq),
                     Emission::Park { to, at, body } => {
                         let td = part.of_node[to.0] as usize;
-                        part.domains[td].push_with_seq(at, seq, DeliveryBody { from, to, msg: body });
+                        part.domains[td].queue.push(at, seq, DeliveryBody { from, to, msg: body });
                     }
-                    Emission::ArmTimer { at, tag } => {
-                        part.domains[d].timers.push(Reverse((at, seq, r.node as usize, tag)));
+                    Emission::ArmTimer { at, timer } => {
+                        part.domains[d].timers.push(at, seq, (from, timer));
                     }
                 }
             }

@@ -37,28 +37,29 @@
 //! * **Arc multicast** — [`Context::broadcast`] queues one allocation for n
 //!   recipients; each delivery borrows the shared payload through
 //!   [`Protocol::on_message_ref`] (the last one gets it by value for free),
-//!   and its byte accounting is folded into one
-//!   [`NetStats::record_multicast`] batch instead of n counter updates.
-//! * **Key-slab delivery queue** — the heap sifts compact 24-byte
-//!   `(at, seq, slab)` keys while the fat delivery bodies (sender,
-//!   destination, payload) sit still in a slab with a free list, so every
-//!   sift-up/sift-down moves three words instead of a whole `Event`.
+//!   and its byte accounting is folded into one [`NetStats`] batch instead
+//!   of n counter updates.
+//! * **Key-slab queues** — the heaps sift compact 24-byte
+//!   `(at, seq, slot)` keys while the fat bodies (a delivery's sender,
+//!   destination and payload; a timer's node and value) sit still in a
+//!   slab with a free list, so every sift-up/sift-down moves three words
+//!   whatever a protocol's messages and timers weigh.
 //! * **Pooled action buffers** — every callback writes into one reusable
 //!   `Vec<Action>` owned by its domain rather than a fresh allocation per
 //!   dispatch.
 //!
 //! Timers get no structure of their own kind: a domain's armed timers are a
-//! second `BinaryHeap`, of `(at, seq, node, tag)` — four words, so no slab —
-//! and the domain pops the `(at, seq)` minimum of the two heads, which is
-//! exactly the order a single heap would produce.
+//! second key heap over a second slab, and the domain pops the `(at, seq)`
+//! minimum of the two heads, which is exactly the order a single heap would
+//! produce. A timer's value never takes part in an ordering decision.
 
 mod commit;
 #[cfg(test)]
 mod tests;
 mod window;
 
-use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,6 +77,12 @@ use window::{
 
 /// A protocol message that can travel over the simulated network.
 pub trait Message: Clone {
+    /// What a protocol speaking this message arms a timer with, and gets
+    /// back when it fires: usually an enum of the layer's deadlines, each
+    /// carrying what it guards. The engine never looks inside it. A
+    /// protocol without timers uses `()` or [`std::convert::Infallible`].
+    type Timer: Send + Debug + 'static;
+
     /// Bytes this message occupies on the wire (used for Figure-6-style
     /// accounting). Include headers/signatures as the real system would.
     fn wire_size(&self) -> usize;
@@ -107,30 +114,33 @@ pub trait Protocol {
         self.on_message(ctx, from, msg.clone());
     }
 
-    /// Called when a timer set through [`Context::set_timer`] fires.
-    fn on_timer(&mut self, _ctx: &mut Context<'_, Self::Msg>, _tag: u64) {}
+    /// Called when a timer set through [`Context::set_timer`] fires, with
+    /// the value it was armed with. Timers cannot be cancelled, so a
+    /// deadline whose work is done still fires: each protocol decides from
+    /// its own state, and from what the timer carries, whether it is stale.
+    fn on_timer(&mut self, _: &mut Context<'_, Self::Msg>, _: <Self::Msg as Message>::Timer) {}
 }
 
 /// What a protocol may do in reaction to an event.
 #[derive(Debug)]
-enum Action<M> {
+enum Action<M: Message> {
     Send { to: NodeId, msg: M },
     Multicast { to: Vec<NodeId>, msg: Arc<M> },
-    Timer { delay: SimDuration, tag: u64 },
+    Timer { delay: SimDuration, timer: M::Timer },
     Count { name: &'static str, n: u64 },
 }
 
 /// Handle given to protocol callbacks for interacting with the simulated
 /// world.
 #[derive(Debug)]
-pub struct Context<'a, M> {
+pub struct Context<'a, M: Message> {
     now: SimTime,
     node: NodeId,
     actions: &'a mut Vec<Action<M>>,
     rng: &'a mut ChaCha8Rng,
 }
 
-impl<M> Context<'_, M> {
+impl<M: Message> Context<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -161,12 +171,13 @@ impl<M> Context<'_, M> {
         }
     }
 
-    /// Schedules [`Protocol::on_timer`] with `tag` after `delay`.
+    /// Schedules [`Protocol::on_timer`] with `timer` after `delay`.
     ///
-    /// Timers cannot be cancelled; protocols should treat stale timers as
-    /// no-ops based on their own state.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
-        self.actions.push(Action::Timer { delay, tag });
+    /// Timers cannot be cancelled. The engine hands `timer` back unread
+    /// when it fires; whether the deadline still matters is the
+    /// protocol's call, made from its own state at fire time.
+    pub fn set_timer(&mut self, delay: SimDuration, timer: M::Timer) {
+        self.actions.push(Action::Timer { delay, timer });
     }
 
     /// This node's deterministic random stream.
@@ -185,54 +196,31 @@ impl<M> Context<'_, M> {
     }
 
     /// Runs an *embedded* protocol that speaks message type `N`, wrapping
-    /// every send with `wrap` so it travels as this protocol's `M`. Timers
-    /// pass through unchanged — composite protocols must partition the tag
-    /// space between layers.
+    /// every send with `wrap` so it travels as this protocol's `M`, and
+    /// every timer it arms with `wrap_timer` so it fires as this
+    /// protocol's `M::Timer`. The composite's `on_timer` unwraps it and
+    /// hands the embedded protocol back its own value.
     ///
     /// This is how a composite node (e.g. an OceanStore server) hosts a
     /// self-contained state machine (e.g. a PBFT replica) without the inner
-    /// machine knowing about the envelope type.
-    pub fn with_inner<N: Clone, R>(
+    /// machine knowing about the envelope types.
+    pub fn with_inner<N: Message, R>(
         &mut self,
         wrap: impl Fn(N) -> M,
-        f: impl FnOnce(&mut Context<'_, N>) -> R,
-    ) -> R {
-        self.with_inner_mapped(wrap, |t| t, f)
-    }
-
-    /// Like [`Context::with_inner`], additionally rewriting timer tags the
-    /// embedded protocol sets through `tag_map`. A composite node hosting
-    /// several timer-using subsystems namespaces their tags this way (and
-    /// inverts the map in its own `on_timer`).
-    pub fn with_inner_mapped<N: Clone, R>(
-        &mut self,
-        wrap: impl Fn(N) -> M,
-        tag_map: impl Fn(u64) -> u64,
+        wrap_timer: impl Fn(N::Timer) -> M::Timer,
         f: impl FnOnce(&mut Context<'_, N>) -> R,
     ) -> R {
         let mut inner_actions: Vec<Action<N>> = Vec::new();
-        let r = {
-            let mut inner = Context {
-                now: self.now,
-                node: self.node,
-                actions: &mut inner_actions,
-                rng: self.rng,
-            };
-            f(&mut inner)
-        };
-        for action in inner_actions {
-            match action {
-                Action::Send { to, msg } => self.actions.push(Action::Send { to, msg: wrap(msg) }),
-                Action::Multicast { to, msg } => {
-                    let inner_msg = Arc::unwrap_or_clone(msg);
-                    self.actions.push(Action::Multicast { to, msg: Arc::new(wrap(inner_msg)) });
-                }
-                Action::Timer { delay, tag } => {
-                    self.actions.push(Action::Timer { delay, tag: tag_map(tag) })
-                }
-                Action::Count { name, n } => self.actions.push(Action::Count { name, n }),
+        let (now, node) = (self.now, self.node);
+        let r = f(&mut Context { now, node, actions: &mut inner_actions, rng: self.rng });
+        self.actions.extend(inner_actions.into_iter().map(|action| match action {
+            Action::Send { to, msg } => Action::Send { to, msg: wrap(msg) },
+            Action::Multicast { to, msg } => {
+                Action::Multicast { to, msg: Arc::new(wrap(Arc::unwrap_or_clone(msg))) }
             }
-        }
+            Action::Timer { delay, timer } => Action::Timer { delay, timer: wrap_timer(timer) },
+            Action::Count { name, n } => Action::Count { name, n },
+        }));
         r
     }
 }
@@ -267,7 +255,7 @@ pub(crate) fn contiguous_domains(n: usize, count: usize) -> Vec<u32> {
 
 /// The live partition of the node set into domains. One domain unless
 /// [`Simulator::set_threads`] asked for more.
-struct Partition<M> {
+struct Partition<M: Message> {
     domains: Vec<Domain<M>>,
     /// Domain index per node (contiguous blocks).
     of_node: Vec<u32>,
@@ -282,7 +270,7 @@ struct Partition<M> {
     merge: MergeScratch,
 }
 
-impl<M> Partition<M> {
+impl<M: Message> Partition<M> {
     /// An empty `count`-way partition of `n` nodes whose domain clocks
     /// start at `now` µs.
     fn new(n: usize, count: usize, now: u64) -> Self {
@@ -819,14 +807,11 @@ impl<P: Protocol> Simulator<P> {
         let mut next = Partition::new(self.nodes.len(), count, self.clock.as_micros());
         for mut dom in std::mem::take(&mut self.part.domains) {
             debug_assert!(dom.records.is_empty(), "re-partition only between windows");
-            for Reverse((at, seq, slot)) in dom.queue.drain() {
-                let body =
-                    dom.slab[slot as usize].take().expect("queued key points at a parked body");
-                next.domains[next.of_node[body.to.0] as usize].push_with_seq(at, seq, body);
+            for (at, seq, body) in dom.queue.drain() {
+                next.domains[next.of_node[body.to.0] as usize].queue.push(at, seq, body);
             }
-            for timer in dom.timers.drain() {
-                let Reverse((_, _, node, _)) = timer;
-                next.domains[next.of_node[node] as usize].timers.push(timer);
+            for (at, seq, (node, timer)) in dom.timers.drain() {
+                next.domains[next.of_node[node.0] as usize].timers.push(at, seq, (node, timer));
             }
             // Drop counters live with the *sender*: every attempt on a
             // directed link happens while its source node dispatches.

@@ -14,6 +14,8 @@ struct RingToken {
 struct Token(u32);
 
 impl Message for Token {
+    type Timer = u64;
+
     fn wire_size(&self) -> usize {
         16
     }
@@ -223,6 +225,8 @@ fn timers_fire_in_order() {
     #[derive(Debug, Clone)]
     struct Never;
     impl Message for Never {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             0
         }
@@ -258,6 +262,8 @@ fn far_future_timers_fire_in_order_with_near_ones() {
     #[derive(Debug, Clone)]
     struct Never;
     impl Message for Never {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             0
         }
@@ -297,6 +303,8 @@ fn same_instant_timers_and_deliveries_fire_in_arming_order() {
     #[derive(Debug, Clone)]
     struct Note(u64);
     impl Message for Note {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             8
         }
@@ -378,6 +386,8 @@ fn broadcast_matches_send_loop_exactly() {
     #[derive(Debug, Clone)]
     struct Blob(u32, Vec<u8>);
     impl Message for Blob {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             32 + self.1.len()
         }
@@ -438,6 +448,8 @@ fn shared_payload_dispatches_via_on_message_ref() {
     #[derive(Debug, Clone)]
     struct Big(#[allow(dead_code)] Vec<u8>);
     impl Message for Big {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             self.0.len()
         }
@@ -478,9 +490,18 @@ fn broadcast_through_with_inner_wraps_once() {
     }
     #[derive(Debug, Clone)]
     struct Inner(u32);
+    impl Message for Inner {
+        type Timer = u64;
+
+        fn wire_size(&self) -> usize {
+            4
+        }
+    }
     #[derive(Debug, Clone)]
     struct Env(Inner);
     impl Message for Env {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             8
         }
@@ -489,7 +510,7 @@ fn broadcast_through_with_inner_wraps_once() {
         type Msg = Env;
         fn on_start(&mut self, ctx: &mut Context<'_, Env>) {
             if ctx.node() == NodeId(0) {
-                ctx.with_inner(Env, |inner: &mut Context<'_, Inner>| {
+                ctx.with_inner(Env, |t| t, |inner: &mut Context<'_, Inner>| {
                     inner.broadcast((1..3).map(NodeId), Inner(41));
                 });
             }
@@ -508,6 +529,126 @@ fn broadcast_through_with_inner_wraps_once() {
 }
 
 #[test]
+fn embedded_timers_come_home() {
+    // A composite node hosts two layers with timer types of their own.
+    // Each layer arms timers through `with_inner` (at start, and again
+    // from its own fires), and every fire comes back to the layer that
+    // armed it, on the node that armed it, at the instant it was due, once.
+    #[derive(Debug, Clone)]
+    struct A;
+    #[derive(Debug, Clone)]
+    struct B;
+    impl Message for A {
+        type Timer = u32;
+        fn wire_size(&self) -> usize {
+            1
+        }
+    }
+    impl Message for B {
+        type Timer = (NodeId, char);
+        fn wire_size(&self) -> usize {
+            1
+        }
+    }
+    #[derive(Debug, Clone)]
+    enum Wire {
+        A(A),
+        B(B),
+    }
+    #[derive(Debug)]
+    enum Both {
+        A(u32),
+        B((NodeId, char)),
+    }
+    impl Message for Wire {
+        type Timer = Both;
+        fn wire_size(&self) -> usize {
+            1
+        }
+    }
+    /// Counts to three, one node-dependent step apart.
+    #[derive(Debug, Default)]
+    struct LayerA {
+        fired: Vec<(u64, u32)>,
+    }
+    impl LayerA {
+        fn step(ctx: &Context<'_, A>) -> SimDuration {
+            SimDuration::from_millis(ctx.node().0 as u64 + 1)
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, A>) {
+            ctx.set_timer(Self::step(ctx), 1);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, A>, n: u32) {
+            self.fired.push((ctx.now().as_millis(), n));
+            if n < 3 {
+                ctx.set_timer(Self::step(ctx), n + 1);
+            }
+        }
+    }
+    /// Arms two deadlines at once; `x` re-arms itself once as `y`.
+    #[derive(Debug, Default)]
+    struct LayerB {
+        fired: Vec<(u64, char)>,
+    }
+    impl LayerB {
+        fn on_start(&mut self, ctx: &mut Context<'_, B>) {
+            ctx.set_timer(SimDuration::from_millis(2), (ctx.node(), 'x'));
+            ctx.set_timer(SimDuration::from_millis(2), (ctx.node(), 'z'));
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, B>, (armed_on, c): (NodeId, char)) {
+            assert_eq!(armed_on, ctx.node(), "a timer fires on the node that armed it");
+            self.fired.push((ctx.now().as_millis(), c));
+            if c == 'x' {
+                ctx.set_timer(SimDuration::from_millis(4), (ctx.node(), 'y'));
+            }
+        }
+    }
+    #[derive(Debug, Default)]
+    struct Composite {
+        a: LayerA,
+        b: LayerB,
+        fires: u32,
+    }
+    impl Protocol for Composite {
+        type Msg = Wire;
+        fn on_start(&mut self, ctx: &mut Context<'_, Wire>) {
+            ctx.with_inner(Wire::A, Both::A, |ictx| self.a.on_start(ictx));
+            ctx.with_inner(Wire::B, Both::B, |ictx| self.b.on_start(ictx));
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Wire>, _: NodeId, _: Wire) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Wire>, timer: Both) {
+            self.fires += 1;
+            match timer {
+                Both::A(n) => ctx.with_inner(Wire::A, Both::A, |ictx| self.a.on_timer(ictx, n)),
+                Both::B(t) => ctx.with_inner(Wire::B, Both::B, |ictx| self.b.on_timer(ictx, t)),
+            }
+        }
+    }
+    for threads in [1, 2] {
+        let topo = crate::topology::Topology::full_mesh(4, SimDuration::from_millis(3));
+        let mut sim = Simulator::new(topo, (0..4).map(|_| Composite::default()).collect(), 5);
+        sim.set_threads(threads);
+        sim.start();
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(50));
+        for (i, node) in sim.nodes().enumerate() {
+            let step = i as u64 + 1;
+            assert_eq!(
+                node.a.fired,
+                [(step, 1), (2 * step, 2), (3 * step, 3)],
+                "layer A on node {i}, {threads} thread(s)"
+            );
+            assert_eq!(
+                node.b.fired,
+                [(2, 'x'), (2, 'z'), (6, 'y')],
+                "layer B on node {i}, {threads} thread(s)"
+            );
+            assert_eq!(node.fires, 6, "each fire reaches the composite once");
+        }
+        assert_eq!(sim.pending_events(), 0);
+    }
+}
+
+#[test]
 #[should_panic(expected = "without quiescing")]
 fn runaway_guard_trips() {
     // Protocol that ping-pongs forever.
@@ -516,6 +657,8 @@ fn runaway_guard_trips() {
     #[derive(Debug, Clone)]
     struct Ping;
     impl Message for Ping {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             1
         }
@@ -554,6 +697,8 @@ fn engine_grid_throughput() {
     #[derive(Debug, Clone)]
     struct Blob(Vec<u8>);
     impl Message for Blob {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             self.0.len()
         }
@@ -613,6 +758,8 @@ struct Gossip {
 struct Rumor(u32);
 
 impl Message for Rumor {
+    type Timer = u64;
+
     fn wire_size(&self) -> usize {
         24
     }

@@ -13,24 +13,57 @@ use crate::stats::{DropCause, NetStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 
-/// Heap key of one pending delivery: `(at µs, seq, slab index)`. Wrapped in
-/// [`Reverse`] so the `BinaryHeap` max-heap pops the earliest `(at, seq)`
-/// first, ties broken by insertion order for determinism. Seqs are unique,
-/// so the slab index never participates in an ordering decision.
-type DeliveryKey = Reverse<(u64, u64, u32)>;
-
-/// One armed timer: `(at µs, seq, node, tag)`, ordered like a
-/// [`DeliveryKey`]. Timers share the engine's seq counter with deliveries,
-/// so `node` and `tag` never participate in an ordering decision either.
-type TimerKey = Reverse<(u64, u64, usize, u64)>;
-
-/// The fat part of a pending delivery, parked in the delivery slab while
-/// its compact [`DeliveryKey`] sifts through the heap.
+/// The fat part of a pending delivery, parked in the delivery queue's slab.
 #[derive(Debug)]
 pub(super) struct DeliveryBody<M> {
     pub(super) from: NodeId,
     pub(super) to: NodeId,
     pub(super) msg: Payload<M>,
+}
+
+/// Pending events of one kind, earliest `(at µs, seq)` first. The heap sifts
+/// compact [`Reverse`]d `(at, seq, slot)` keys while the bodies sit still in
+/// a slab (a `None` slot is free, reused LIFO for cache locality). Seqs are
+/// unique, so neither the slot nor the body takes part in an ordering.
+pub(super) struct Queue<T> {
+    keys: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    slab: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Queue<T> {
+    fn new() -> Self {
+        Queue { keys: BinaryHeap::new(), slab: Vec::new(), free: Vec::new() }
+    }
+
+    /// The earliest queued `(at, seq)`.
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.keys.peek().map(|&Reverse((at, seq, _))| (at, seq))
+    }
+
+    pub(super) fn push(&mut self, at: u64, seq: u64, body: T) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("more than u32::MAX pending events")
+        });
+        debug_assert!(self.slab[slot as usize].is_none());
+        self.slab[slot as usize] = Some(body);
+        self.keys.push(Reverse((at, seq, slot)));
+    }
+
+    /// Takes the earliest body.
+    fn pop(&mut self) -> Option<T> {
+        let Reverse((_, _, slot)) = self.keys.pop()?;
+        self.free.push(slot);
+        self.slab[slot as usize].take()
+    }
+
+    /// Empties the queue, yielding every `(at, seq, body)` in no order.
+    pub(super) fn drain(&mut self) -> impl Iterator<Item = (u64, u64, T)> + '_ {
+        self.keys.drain().map(|Reverse((at, seq, slot))| {
+            (at, seq, self.slab[slot as usize].take().expect("a queued key names a body"))
+        })
+    }
 }
 
 /// SplitMix64 finalizer: a cheap, statistically strong 64-bit mixer.
@@ -110,7 +143,7 @@ pub(super) const PROVISIONAL: u64 = 1 << 63;
 /// surviving recipient (byte accounting for the whole fan-out also happens
 /// at dispatch).
 #[derive(Debug)]
-pub(super) enum Emission<M> {
+pub(super) enum Emission<M: Message> {
     /// Executed inside this window under a provisional key: consumes one
     /// real seq at commit.
     Exec,
@@ -120,7 +153,7 @@ pub(super) enum Emission<M> {
     Park { to: NodeId, at: u64, body: Payload<M> },
     /// A timer keyed past the window end: armed in this domain at commit
     /// with its real seq.
-    ArmTimer { at: u64, tag: u64 },
+    ArmTimer { at: u64, timer: M::Timer },
 }
 
 /// One window dispatch that emitted something: the dispatched event's key
@@ -137,21 +170,17 @@ pub(super) struct DispatchRecord {
 }
 
 /// One spatial domain of the scheduler: a contiguous node block with its
-/// own delivery queue, slab, and timer heap, plus the per-window logs the
-/// commit consumes.
-pub(super) struct Domain<M> {
+/// own delivery and timer queues, plus the per-window logs the commit
+/// consumes.
+pub(super) struct Domain<M: Message> {
     /// First node id in this domain's contiguous block.
     pub(super) base: usize,
     /// One-past-last node id.
     pub(super) end: usize,
-    pub(super) queue: BinaryHeap<DeliveryKey>,
-    /// Delivery bodies indexed by the key's slab slot; `None` marks a free
-    /// slot awaiting reuse through `free`.
-    pub(super) slab: Vec<Option<DeliveryBody<M>>>,
-    /// Free slots in `slab`, reused LIFO for cache locality.
-    pub(super) free: Vec<u32>,
-    /// Armed timers of this domain's nodes.
-    pub(super) timers: BinaryHeap<TimerKey>,
+    pub(super) queue: Queue<DeliveryBody<M>>,
+    /// Armed timers of this domain's nodes: each fires on its node with
+    /// its value.
+    pub(super) timers: Queue<(NodeId, M::Timer)>,
     /// Dispatches with emissions, in domain execution order.
     pub(super) records: Vec<DispatchRecord>,
     /// Flat emission log; records hold ranges into it.
@@ -170,15 +199,13 @@ pub(super) struct Domain<M> {
     pub(super) actions: Vec<Action<M>>,
 }
 
-impl<M> Domain<M> {
+impl<M: Message> Domain<M> {
     pub(super) fn new(base: usize, end: usize, now: u64) -> Self {
         Domain {
             base,
             end,
-            queue: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            timers: BinaryHeap::new(),
+            queue: Queue::new(),
+            timers: Queue::new(),
             records: Vec::new(),
             emissions: Vec::new(),
             link_ctrs: HashMap::new(),
@@ -189,36 +216,15 @@ impl<M> Domain<M> {
         }
     }
 
-    /// Parks `body` in the slab (reusing a free slot LIFO) and queues its
-    /// compact key.
-    pub(super) fn push_with_seq(&mut self, at: u64, seq: u64, body: DeliveryBody<M>) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slab[slot as usize].is_none());
-                self.slab[slot as usize] = Some(body);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slab.len())
-                    .expect("more than u32::MAX simultaneous in-flight deliveries");
-                self.slab.push(Some(body));
-                slot
-            }
-        };
-        self.queue.push(Reverse((at, seq, slot)));
-    }
-
     pub(super) fn pending(&self) -> usize {
-        self.queue.len() + self.timers.len()
+        self.queue.keys.len() + self.timers.keys.len()
     }
 
     /// The next-event decision: the `(at, seq)` minimum across the delivery
     /// queue and the timer heap. Seqs are unique across both sources, so
     /// the two never tie. Returns `(at, seq, take_timer)`.
     pub(super) fn peek_next(&self) -> Option<(u64, u64, bool)> {
-        let msg = self.queue.peek().map(|&Reverse((at, seq, _))| (at, seq));
-        let timer = self.timers.peek().map(|&Reverse((at, seq, ..))| (at, seq));
-        match (msg, timer) {
+        match (self.queue.peek(), self.timers.peek()) {
             (None, None) => None,
             (Some((at, seq)), None) => Some((at, seq, false)),
             (Some(m), Some(t)) if m < t => Some((m.0, m.1, false)),
@@ -415,15 +421,12 @@ pub(super) fn run_domain_window<P: Protocol>(job: &mut Job<'_, P>, env: &WindowE
         job.dom.now = at;
         job.dom.events_processed += 1;
         if take_timer {
-            let Reverse((_, _, node, tag)) = job.dom.timers.pop().expect("peeked");
-            if !env.net.down[node] {
-                dispatch_window(job, env, (at, seq), NodeId(node), |p, ctx| p.on_timer(ctx, tag));
+            let (node, timer) = job.dom.timers.pop().expect("peeked");
+            if !env.net.down[node.0] {
+                dispatch_window(job, env, (at, seq), node, |p, ctx| p.on_timer(ctx, timer));
             }
         } else {
-            let Reverse((_, _, slot)) = job.dom.queue.pop().expect("peeked");
-            let DeliveryBody { from, to, msg } =
-                job.dom.slab[slot as usize].take().expect("queued key points at a parked body");
-            job.dom.free.push(slot);
+            let DeliveryBody { from, to, msg } = job.dom.queue.pop().expect("peeked");
             if env.net.down[to.0] {
                 job.stats.record_drop(DropCause::NodeDown);
                 continue;
@@ -483,11 +486,11 @@ pub(super) fn dispatch_window<P: Protocol, R>(
                     window_route(dom, stats, env, node, t, now, Payload::Shared(Arc::clone(&msg)));
                 }
             }
-            Action::Timer { delay, tag } => {
+            Action::Timer { delay, timer } => {
                 let at = (now + delay).as_micros();
                 match dom.claim_in_window(env, at) {
-                    Some(seq) => dom.timers.push(Reverse((at, seq, node.0, tag))),
-                    None => dom.emissions.push(Emission::ArmTimer { at, tag }),
+                    Some(seq) => dom.timers.push(at, seq, (node, timer)),
+                    None => dom.emissions.push(Emission::ArmTimer { at, timer }),
                 }
             }
             Action::Count { name, n } => stats.record_event(name, n),
@@ -505,7 +508,7 @@ pub(super) fn dispatch_window<P: Protocol, R>(
 /// per-link order, is part of the determinism contract. Drops tally into
 /// `stats` and log nothing; a surviving recipient logs exactly one
 /// seq-consuming [`Emission`].
-fn window_route<M>(
+fn window_route<M: Message>(
     dom: &mut Domain<M>,
     stats: &mut NetStats,
     env: &WindowEnv<'_>,
@@ -535,7 +538,7 @@ fn window_route<M>(
     debug_assert!(intra || at >= env.end.0, "cross-domain send violates lookahead");
     let claimed = if intra { dom.claim_in_window(env, at) } else { None };
     match claimed {
-        Some(seq) => dom.push_with_seq(at, seq, DeliveryBody { from, to, msg }),
+        Some(seq) => dom.queue.push(at, seq, DeliveryBody { from, to, msg }),
         None => dom.emissions.push(Emission::Park { to, at, body: msg }),
     }
 }

@@ -25,6 +25,7 @@
 //! #[derive(Clone)]
 //! struct Ping;
 //! impl Message for Ping {
+//!     type Timer = (); // this protocol arms no timers
 //!     fn wire_size(&self) -> usize { 8 }
 //! }
 //!

@@ -27,6 +27,8 @@ use proptest::prelude::*;
 struct Tag(u32);
 
 impl Message for Tag {
+    type Timer = u64;
+
     fn wire_size(&self) -> usize {
         16
     }

@@ -31,6 +31,8 @@ struct Flood {
 }
 
 impl Message for Flood {
+    type Timer = u64;
+
     fn wire_size(&self) -> usize {
         64 + (self.id as usize % 17)
     }

@@ -60,6 +60,8 @@ fn simulation_routing_stays_within_one_dijkstra_per_source() {
     #[derive(Debug, Clone)]
     struct G(u32);
     impl Message for G {
+        type Timer = u64;
+
         fn wire_size(&self) -> usize {
             24
         }

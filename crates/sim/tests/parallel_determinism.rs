@@ -19,6 +19,8 @@ struct Ping {
 }
 
 impl Message for Ping {
+    type Timer = u64;
+
     fn wire_size(&self) -> usize {
         12
     }
