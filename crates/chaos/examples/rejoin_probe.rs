@@ -40,8 +40,8 @@ fn main() {
     }
     println!(
         "installs={} fetches={} installed_bytes={} served_bytes={} retained_log={}",
-        v.state_installs(),
-        v.state_fetches(),
+        h.state_installs,
+        h.state_fetches,
         h.state_bytes_installed,
         served,
         h.log_len

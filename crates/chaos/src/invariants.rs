@@ -159,38 +159,19 @@ pub fn check_frontier_stalled(label: &str, before: u64, after: u64) -> Invariant
     report
 }
 
-/// Translates a replica store's health counters into the introspection
-/// gauge (field-by-field, the introspect crate stays dependency-free).
-pub fn store_gauge_of(h: &oceanstore_replica::StoreHealth) -> oceanstore_introspect::StoreGauge {
-    oceanstore_introspect::StoreGauge {
-        objects: h.objects,
-        retained_records: h.retained_records,
-        total_records_applied: h.total_records_applied,
-        records_dropped: h.records_dropped,
-        blob_count: h.blob_count,
-        blob_bytes: h.blob_bytes,
-        dedup_hits: h.dedup_hits,
-        dedup_bytes_saved: h.dedup_bytes_saved,
-        fallback_reads: h.fallback_reads,
-        blob_put_failures: h.blob_put_failures,
-    }
-}
-
 /// Bounded replica-store memory: no live primary's or secondary's record
-/// log may retain more than `max_retained_records` commit records (the
-/// PR 6 consensus-log bound, extended to the replica store's record log).
-/// Sampling goes through the introspection [`StoreMonitor`] so the same
-/// gauge the long-horizon harnesses watch is the one enforced here.
-///
-/// [`StoreMonitor`]: oceanstore_introspect::StoreMonitor
+/// log may ever have retained more than `max_retained_records` commit
+/// records (the consensus log's bound, extended to the replica store's
+/// record log). Each store's own peak is checked, which bounds its current
+/// count too; a deployment with no live store fails the check.
 pub fn check_store_memory<N: RoleHost>(
     dep: &Deployment<N>,
     max_retained_records: u64,
 ) -> InvariantReport {
     let mut report = InvariantReport::default();
-    let mut monitor = oceanstore_introspect::StoreMonitor::bounded(max_retained_records);
+    let mut sampled = 0;
     for (n, health) in dep.store_health() {
-        monitor.record(store_gauge_of(&health));
+        sampled += 1;
         if health.peak_retained_records > max_retained_records {
             report.failures.push(format!(
                 "store-mem: node {n:?} peaked at {} retained records (bound {})",
@@ -198,13 +179,8 @@ pub fn check_store_memory<N: RoleHost>(
             ));
         }
     }
-    if !monitor.healthy() {
-        report.failures.push(format!(
-            "store-mem: {}/{} sampled stores over the {}-record bound",
-            monitor.violations(),
-            monitor.samples(),
-            max_retained_records
-        ));
+    if sampled == 0 {
+        report.failures.push("store-mem: no live store to sample".to_string());
     }
     report
 }

@@ -11,9 +11,8 @@
 //! its outage windows short; here the outage is the point.
 
 use oceanstore_consensus::harness::{build_tier_custom, run_updates_batched, TierSim};
-use oceanstore_consensus::{CheckpointConfig, FaultMode, Payload, PbftNode, Replica, ReplicaHealth};
+use oceanstore_consensus::{CheckpointConfig, FaultMode, Opaque, PbftNode, Replica};
 use oceanstore_crypto::schnorr::KeyPair;
-use oceanstore_introspect::{MemoryGauge, MemoryMonitor};
 use oceanstore_sim::{NodeId, SimDuration};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -67,27 +66,23 @@ fn replica(ts: &TierSim, i: usize) -> &Replica {
     ts.sim.node(NodeId(i)).as_replica().expect("replica node")
 }
 
-fn gauge_of(h: &ReplicaHealth) -> MemoryGauge {
-    MemoryGauge {
-        log_len: h.log_len,
-        executed_len: h.executed_len,
-        requests_len: h.requests_len,
-        assigned_len: h.assigned_len,
-        dedup_len: h.dedup_len,
-        low_water: h.low_water,
-        high_water: h.high_water,
-        next_exec: h.next_exec,
-        checkpoint_seq: h.checkpoint_seq,
-        state_bytes_served: h.state_bytes_served,
-        state_bytes_installed: h.state_bytes_installed,
-    }
+/// One replica's sampled agreement-log length: the samples taken, those
+/// over the retained-slot bound, and the largest length seen.
+#[derive(Debug, Clone, Copy, Default)]
+struct LogSamples {
+    samples: u64,
+    over: u64,
+    peak: u64,
 }
 
-/// Samples every live replica into its monitor.
-fn sample(ts: &TierSim, n: usize, monitors: &mut [MemoryMonitor]) {
-    for (i, mon) in monitors.iter_mut().enumerate().take(n) {
+/// Samples every live replica's retained-slot count against `bound`.
+fn sample(ts: &TierSim, bound: u64, logs: &mut [LogSamples]) {
+    for (i, log) in logs.iter_mut().enumerate() {
         if !ts.sim.is_down(NodeId(i)) {
-            mon.record(gauge_of(&replica(ts, i).health()));
+            let len = replica(ts, i).health().log_len;
+            log.samples += 1;
+            log.over += u64::from(len > bound);
+            log.peak = log.peak.max(len);
         }
     }
 }
@@ -109,7 +104,7 @@ fn check_rejoin(
     ts: &TierSim,
     n: usize,
     victim: NodeId,
-    monitors: &[MemoryMonitor],
+    logs: &[LogSamples],
     bound: u64,
 ) -> InvariantReport {
     let mut report = InvariantReport::default();
@@ -121,7 +116,7 @@ fn check_rejoin(
             v.next_exec()
         ));
     }
-    if v.state_installs() == 0 {
+    if v.health().state_installs == 0 {
         report.failures.push(format!(
             "rejoin: victim {victim:?} caught up without state transfer (installs = 0)"
         ));
@@ -134,13 +129,11 @@ fn check_rejoin(
                 .push(format!("rejoin: replica {i} state digest diverges from the victim's"));
         }
     }
-    for (i, mon) in monitors.iter().enumerate().take(n) {
-        if !mon.healthy() {
+    for (i, log) in logs.iter().enumerate() {
+        if log.samples == 0 || log.over > 0 {
             report.failures.push(format!(
                 "memory: replica {i} exceeded {bound} retained slots in {}/{} samples (peak {})",
-                mon.violations(),
-                mon.samples(),
-                mon.peak_log()
+                log.over, log.samples, log.peak
             ));
         }
     }
@@ -161,11 +154,11 @@ pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
     let wiped = rng.gen_bool(0.5);
     let warmup = rng.gen_range(opts.interval..3 * opts.interval) as usize;
     let outage_updates = rng.gen_range(opts.outage.clone());
-    let mut monitors = vec![MemoryMonitor::bounded(bound); n];
+    let mut logs = vec![LogSamples::default(); n];
     let mut trace = Vec::new();
 
     run_updates_batched(&mut ts, 64, warmup, 8);
-    sample(&ts, n, &mut monitors);
+    sample(&ts, bound, &mut logs);
     trace.push(TraceEntry {
         at_micros: ts.sim.now().as_micros(),
         description: format!("Crash({victim:?}) after {warmup} updates"),
@@ -178,7 +171,7 @@ pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
     while left > 0 {
         let chunk = left.min(128);
         run_updates_batched(&mut ts, 64, chunk, 8);
-        sample(&ts, n, &mut monitors);
+        sample(&ts, bound, &mut logs);
         left -= chunk;
     }
 
@@ -188,7 +181,7 @@ pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
     });
     if wiped {
         let key = KeyPair::from_seed(format!("tier-{seed}-replica-{}", victim.0).as_bytes());
-        let fresh = Replica::new(ts.cfg.clone(), victim.0, key, FaultMode::Honest, Payload::digest);
+        let fresh = Replica::new(ts.cfg.clone(), victim.0, key, FaultMode::Honest, Opaque);
         ts.sim.recover_node_wiped(victim, PbftNode::Replica(fresh));
     } else {
         ts.sim.recover_node(victim);
@@ -199,10 +192,10 @@ pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
     // checkpoint certificates pull it through the tail in waves.
     run_updates_batched(&mut ts, 64, 3 * opts.interval as usize, 8);
     run_updates_batched(&mut ts, 64, 8, 1);
-    sample(&ts, n, &mut monitors);
+    sample(&ts, bound, &mut logs);
 
-    let report = check_rejoin(&ts, n, victim, &monitors, bound);
-    let peak_log = monitors.iter().map(MemoryMonitor::peak_log).max().unwrap_or(0);
+    let report = check_rejoin(&ts, n, victim, &logs, bound);
+    let peak_log = logs.iter().map(|log| log.peak).max().unwrap_or(0);
     RejoinOutcome {
         seed,
         victim,
@@ -225,11 +218,11 @@ pub fn late_rejoin(seed: u64) -> ScenarioOutcome {
     let n = 4;
     let victim = NodeId(3);
     let mut ts = build_tier_custom(1, SimDuration::from_millis(20), seed, &[], ckpt);
-    let mut monitors = vec![MemoryMonitor::bounded(bound); n];
+    let mut logs = vec![LogSamples::default(); n];
     let mut trace = Vec::new();
 
     run_updates_batched(&mut ts, 64, 64, 8);
-    sample(&ts, n, &mut monitors);
+    sample(&ts, bound, &mut logs);
     trace.push(TraceEntry {
         at_micros: ts.sim.now().as_micros(),
         description: format!("Crash({victim:?})"),
@@ -238,7 +231,7 @@ pub fn late_rejoin(seed: u64) -> ScenarioOutcome {
     // 5,120 slots while the victim is down — 40× its admission window.
     for _ in 0..10 {
         run_updates_batched(&mut ts, 64, 512, 8);
-        sample(&ts, n, &mut monitors);
+        sample(&ts, bound, &mut logs);
     }
     trace.push(TraceEntry {
         at_micros: ts.sim.now().as_micros(),
@@ -247,9 +240,9 @@ pub fn late_rejoin(seed: u64) -> ScenarioOutcome {
     ts.sim.recover_node(victim);
     run_updates_batched(&mut ts, 64, 96, 8);
     run_updates_batched(&mut ts, 64, 8, 1);
-    sample(&ts, n, &mut monitors);
+    sample(&ts, bound, &mut logs);
 
-    let mut report = check_rejoin(&ts, n, victim, &monitors, bound);
+    let mut report = check_rejoin(&ts, n, victim, &logs, bound);
     // The whole point of the horizon: the frontier is thousands of slots
     // past anything an unbounded log could have been truncated to by
     // accident, yet the peak retained log stayed at the bound.

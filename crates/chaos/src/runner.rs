@@ -23,20 +23,7 @@ pub fn run_schedule<P: Protocol>(
     schedule: &Schedule,
     until: SimTime,
 ) -> Vec<TraceEntry> {
-    let mut trace = Vec::new();
-    for (at, action) in schedule.events() {
-        if *at > until {
-            break;
-        }
-        sim.run_until(*at);
-        apply(sim, action);
-        trace.push(TraceEntry {
-            at_micros: at.as_micros(),
-            description: format!("{action:?}"),
-        });
-    }
-    sim.run_until(until);
-    trace
+    ScheduleCursor::new(schedule.clone()).run_to(sim, until)
 }
 
 /// Applies one fault action to a running simulation.
@@ -55,12 +42,13 @@ pub fn apply<P: Protocol>(sim: &mut Simulator<P>, action: &FaultAction) {
 /// Incremental schedule replay: each event is applied exactly once across
 /// any number of [`ScheduleCursor::run_to`] calls.
 ///
-/// [`run_schedule`] re-walks its schedule from the first event on every
-/// call, which is fine for the hand-written scenarios (their actions are
-/// idempotent and each call uses a fresh schedule) but wrong for a driver
-/// that interleaves other work — e.g. the fuzzer submitting updates midway
-/// through one generated schedule. Re-applying a `Recover` after a later
-/// `Crash` would silently undo the fault.
+/// [`run_schedule`] is one `run_to` of a fresh cursor, so it re-walks its
+/// schedule from the first event on every call, which is fine for the
+/// hand-written scenarios (their actions are idempotent and each call uses
+/// a fresh schedule) but wrong for a driver that interleaves other work —
+/// e.g. the fuzzer submitting updates midway through one generated
+/// schedule. Re-applying a `Recover` after a later `Crash` would silently
+/// undo the fault.
 #[derive(Debug, Clone)]
 pub struct ScheduleCursor {
     schedule: Schedule,

@@ -8,7 +8,7 @@ use oceanstore_crypto::sha1::Digest;
 use oceanstore_sim::{Context, NodeId, SimDuration, SimTime};
 
 use crate::messages::{
-    request_signing_bytes, signing_bytes, Payload, PayloadNamer, PbftMsg, PbftTimer, RequestId,
+    request_signing_bytes, signing_bytes, Namer, Opaque, Payload, PbftMsg, PbftTimer, RequestId,
 };
 use crate::replica::TierConfig;
 
@@ -36,13 +36,13 @@ struct PendingRequest {
     retries: u32,
 }
 
-/// A client of the primary tier.
+/// A client of the primary tier, naming payloads with `N`.
 #[derive(Debug)]
-pub struct Client {
+pub struct Client<N = Opaque> {
     cfg: TierConfig,
     keypair: KeyPair,
     /// Names each payload for the request signature (the tier's namer).
-    namer: PayloadNamer,
+    namer: N,
     next_seq: u64,
     pending: HashMap<RequestId, PendingRequest>,
     completed: HashMap<RequestId, ClientOutcome>,
@@ -52,11 +52,11 @@ pub struct Client {
     retransmit: Option<SimDuration>,
 }
 
-impl Client {
+impl<N: Namer> Client<N> {
     /// Creates a client talking to the tier described by `cfg`, signing
     /// each request over its payload's name under `namer` (the namer the
     /// tier's replicas check it with).
-    pub fn new(cfg: TierConfig, keypair: KeyPair, namer: PayloadNamer) -> Self {
+    pub fn new(cfg: TierConfig, keypair: KeyPair, namer: N) -> Self {
         Client {
             cfg,
             keypair,
@@ -108,7 +108,7 @@ impl Client {
         let id = RequestId { client: ctx.node(), seq };
         self.next_seq = self.next_seq.max(seq + 1);
         let timestamp = ctx.now().as_micros();
-        let name = (self.namer)(&payload);
+        let (name, _) = self.namer.name(&payload);
         let sig = self.keypair.sign(&request_signing_bytes(id, timestamp, &name));
         let msg = PbftMsg::Request { id, timestamp, payload, sig };
         ctx.broadcast(self.cfg.members.iter().copied(), msg.clone());

@@ -6,7 +6,7 @@ use oceanstore_crypto::schnorr::KeyPair;
 use oceanstore_sim::{NodeId, SimDuration, Simulator, Topology};
 
 use crate::client::Client;
-use crate::messages::{Payload, RequestId};
+use crate::messages::{Opaque, Payload, RequestId};
 use crate::node::PbftNode;
 use crate::replica::{CheckpointConfig, FaultMode, Replica, TierConfig};
 
@@ -109,10 +109,10 @@ pub fn build_tier_custom(
                 .find(|(idx, _)| *idx == i)
                 .map(|(_, f)| *f)
                 .unwrap_or_default();
-            PbftNode::Replica(Replica::new(cfg.clone(), i, kp, fault, Payload::digest))
+            PbftNode::Replica(Replica::new(cfg.clone(), i, kp, fault, Opaque))
         })
         .collect();
-    nodes.push(PbftNode::Client(Client::new(cfg.clone(), client_key, Payload::digest)));
+    nodes.push(PbftNode::Client(Client::new(cfg.clone(), client_key, Opaque)));
     let mut sim = Simulator::new(topo, nodes, seed);
     sim.start();
     TierSim { sim, cfg, client: client_node }

@@ -27,7 +27,7 @@ pub use harness::{
     build_tier, build_tier_custom, build_tier_with_faults, run_updates, run_updates_batched,
     CostModel, TierSim,
 };
-pub use messages::{Payload, PayloadNamer, PbftMsg, RequestId, StableCert, StateEntry};
+pub use messages::{Namer, Opaque, Payload, PbftMsg, RequestId, StableCert, StateEntry};
 pub use node::PbftNode;
 pub use replica::{CheckpointConfig, Committed, FaultMode, Replica, ReplicaHealth, TierConfig};
 

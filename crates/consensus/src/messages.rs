@@ -7,6 +7,7 @@
 //! signature charged at its production-equivalent size — together about
 //! 100 bytes.
 
+use std::fmt::Debug;
 use std::sync::Arc;
 
 use oceanstore_crypto::schnorr::Signature;
@@ -51,7 +52,7 @@ impl Payload {
 
     /// Digest binding the payload (includes the simulated size so padded
     /// payloads of different sizes differ): one SHA-1 pass over its bytes.
-    /// The [`PayloadNamer`] of a tier whose payloads are opaque bytes.
+    /// The name [`Opaque`] gives a payload.
     pub fn digest(&self) -> Digest {
         sha1_concat(&[&(self.padded_size as u64).to_be_bytes(), &self.bytes])
     }
@@ -60,10 +61,32 @@ impl Payload {
 /// How a tier names a payload: the digest a client signs its request over
 /// and every replica derives again, from the bytes it was handed, before
 /// it admits the request or installs a state-transfer entry. The name must
-/// bind every byte of the payload and its `padded_size`. A tier of opaque
-/// payloads uses [`Payload::digest`]; the layer above may name a payload by
-/// what it encodes. Agreement never reads a name off the wire.
-pub type PayloadNamer = fn(&Payload) -> Digest;
+/// bind every byte of the payload and its `padded_size`. Agreement never
+/// reads a name off the wire.
+///
+/// The layer above may name a payload by what it encodes, and so derive
+/// more than the name on the way. That is the [`Namer::Note`]: a replica
+/// keeps it with the request whose bytes it was derived from and hands it
+/// back with the request's committed entry, so each payload is named once.
+pub trait Namer: Debug {
+    /// What naming derives besides the name.
+    type Note: Clone + Debug;
+    /// The name of `payload`, and its note.
+    fn name(&self, payload: &Payload) -> (Digest, Self::Note);
+}
+
+/// The namer of a tier whose payloads are opaque bytes: [`Payload::digest`],
+/// with nothing to note.
+#[derive(Debug, Clone, Copy)]
+pub struct Opaque;
+
+impl Namer for Opaque {
+    type Note = ();
+
+    fn name(&self, payload: &Payload) -> (Digest, ()) {
+        (payload.digest(), ())
+    }
+}
 
 /// A client request identifier: (client node, client-local sequence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,8 +97,8 @@ pub struct RequestId {
     pub seq: u64,
 }
 
-/// The digest agreement actually runs over: the payload's name (the tier's
-/// [`PayloadNamer`]) bound to the request identity and the client's
+/// The digest agreement actually runs over: the payload's name (under the
+/// tier's [`Namer`]) bound to the request identity and the client's
 /// optimistic timestamp.
 ///
 /// Pre-prepares, prepares, and commits all sign this value, so a `2m + 1`
@@ -373,7 +396,7 @@ fn extend_cert(out: &mut Vec<u8>, cert: &StableCert) {
 }
 
 /// What a client signs for request `id`: its timestamp and the payload's
-/// `name` under the tier's [`PayloadNamer`]. A client names its payload
+/// `name` under the tier's [`Namer`]. A client names its payload
 /// once, to sign; a replica names it once, from the bytes it received, to
 /// check the signature.
 pub fn request_signing_bytes(id: RequestId, timestamp: u64, name: &Digest) -> Vec<u8> {
@@ -388,7 +411,7 @@ pub fn request_signing_bytes(id: RequestId, timestamp: u64, name: &Digest) -> Ve
 
 /// Canonical signing bytes for each message kind (what the signature
 /// covers). A [`PbftMsg::Request`]'s are its [`request_signing_bytes`] with
-/// the payload named by [`Payload::digest`]; a tier with another namer
+/// the payload named by [`Opaque`]; a tier with another namer
 /// signs and checks requests through [`request_signing_bytes`] itself.
 pub fn signing_bytes(msg: &PbftMsg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);

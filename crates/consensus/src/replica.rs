@@ -20,7 +20,7 @@ use oceanstore_crypto::sha1::{sha1_concat, Digest};
 use oceanstore_sim::{Context, Message, NodeId, SimDuration};
 
 use crate::messages::{
-    request_signing_bytes, set_sig, signing_bytes, slot_digest, Payload, PayloadNamer, PbftMsg,
+    request_signing_bytes, set_sig, signing_bytes, slot_digest, Namer, Opaque, Payload, PbftMsg,
     PbftTimer, RequestId, StableCert, StateEntry,
 };
 
@@ -143,9 +143,10 @@ struct Instance {
     executed: bool,
 }
 
-/// A committed update, in final serialization order.
+/// A committed update, in final serialization order, with the note its
+/// payload was named with (see [`Namer`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Committed {
+pub struct Committed<Note = ()> {
     /// Agreement sequence number.
     pub seq: u64,
     /// Slot digest the quorum committed (binds payload, request id, and
@@ -157,10 +158,14 @@ pub struct Committed {
     pub request: RequestId,
     /// The client's optimistic timestamp.
     pub timestamp: u64,
+    /// What naming the payload derived besides its name.
+    pub note: Note,
 }
 
-/// Memory-health snapshot of one replica (fed to the introspection
-/// gauges; see `oceanstore_introspect::memory`).
+/// Memory-health snapshot of one replica: what its agreement state
+/// retains, where its water marks stand, and its state-transfer counters.
+/// Read directly by whoever watches it: the chaos rejoin oracle bounds
+/// `log_len`, the benchmark reports `log_len` and `state_fetches`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaHealth {
     /// Agreement slots currently retained in the log.
@@ -171,8 +176,6 @@ pub struct ReplicaHealth {
     pub requests_len: u64,
     /// Request → slot assignments retained.
     pub assigned_len: u64,
-    /// Executed-request dedup entries retained.
-    pub dedup_len: u64,
     /// Low-water mark (everything below is truncated).
     pub low_water: u64,
     /// High-water mark (agreement traffic at or above is refused).
@@ -203,10 +206,11 @@ pub struct ReplicaHealth {
 const REPLY_TAIL: usize = 128;
 
 /// Per-client record of executed requests, surviving checkpoint
-/// truncation. `executed_ids` dedups within the retained window; this
-/// cache is what stops a retransmission of a request whose slot was
-/// truncated below the low-water mark from executing a second time
-/// (classic PBFT's per-client reply cache, adapted to pipelined clients:
+/// truncation: the replica's one dedup structure. It stops a request
+/// re-proposed across a view change from executing at a second slot, and
+/// a retransmission of a request whose slot was truncated below the
+/// low-water mark from executing a second time (classic PBFT's per-client
+/// reply cache, adapted to pipelined clients:
 /// requests can execute out of client-sequence order here, so a single
 /// "last executed timestamp" cursor would wrongly reject in-flight
 /// requests and stall the client).
@@ -264,25 +268,34 @@ fn chain_digest(prev: &Digest, seq: u64, digest: &Digest, id: RequestId, timesta
     ])
 }
 
-/// A primary-tier replica.
+/// A request payload a replica holds, with its client timestamp and its
+/// name and note under the tier's namer — derived once, from these bytes,
+/// on admission or on install.
+#[derive(Debug, Clone)]
+struct Held<Note> {
+    payload: Payload,
+    timestamp: u64,
+    name: Digest,
+    note: Note,
+}
+
+/// A primary-tier replica, naming payloads with `N`.
 #[derive(Debug)]
-pub struct Replica {
+pub struct Replica<N: Namer = Opaque> {
     cfg: TierConfig,
     index: usize,
     keypair: KeyPair,
     fault: FaultMode,
     /// Names a payload from its bytes: the value a client request's
     /// signature covers and a slot digest binds.
-    namer: PayloadNamer,
+    namer: N,
     view: u64,
     /// Leader-only: next sequence to assign.
     next_seq: u64,
     /// Agreement slots by sequence.
     log: BTreeMap<u64, Instance>,
-    /// Request payloads by id (from Request messages), each with its
-    /// client timestamp and its name under `namer`, derived once, on
-    /// admission.
-    requests: HashMap<RequestId, (Payload, u64, Digest)>,
+    /// Request payloads by id (from Request messages and state transfer).
+    requests: HashMap<RequestId, Held<N::Note>>,
     /// Requests assigned to a sequence (leader bookkeeping / dedup).
     assigned: HashMap<RequestId, u64>,
     /// Highest sequence executed + 1 == next to execute.
@@ -291,20 +304,16 @@ pub struct Replica {
     /// Entries below the low-water mark are truncated after the layer
     /// above has had a chance to drain them; `executed_dropped` keeps the
     /// absolute index stable across truncation.
-    executed: Vec<Committed>,
+    executed: Vec<Committed<N::Note>>,
     /// Committed entries truncated off the front of `executed`.
     executed_dropped: u64,
-    /// Requests that already executed, with their slot. A request
-    /// re-proposed across view changes can commit at a second slot; the
-    /// duplicate slot executes as a no-op so the tier's output applies it
-    /// once. Truncated at the low-water mark alongside the log (duplicate
-    /// re-execution below a stable checkpoint is impossible — the slot
-    /// range is final tier-wide).
-    executed_ids: HashMap<RequestId, u64>,
-    /// Per-client executed-request cache. Unlike `executed_ids` it
-    /// survives checkpoint truncation, so a client retransmission of a
-    /// request whose slot is below the low-water mark is answered from
-    /// here instead of executing a second time.
+    /// Per-client executed-request cache: every request that executed,
+    /// at any point in history. A request re-proposed across view changes
+    /// can commit at a second slot; the duplicate slot executes as a no-op
+    /// so the tier's output applies it once. The cache survives checkpoint
+    /// truncation, so a client retransmission of a request whose slot is
+    /// below the low-water mark is answered from here instead of executing
+    /// a second time.
     reply_cache: HashMap<NodeId, ClientExec>,
     /// Rolling state digest: chained over every executed slot, so replicas
     /// at the same frontier with the same history agree on it (the thing a
@@ -344,7 +353,7 @@ pub struct Replica {
     view_changes_sent: u64,
 }
 
-impl Replica {
+impl<N: Namer> Replica<N> {
     /// Creates replica `index` of the tier, naming payloads with `namer`
     /// (the namer the tier's clients sign with).
     ///
@@ -356,7 +365,7 @@ impl Replica {
         index: usize,
         keypair: KeyPair,
         fault: FaultMode,
-        namer: PayloadNamer,
+        namer: N,
     ) -> Self {
         cfg.validate();
         assert!(index < cfg.n(), "replica index out of range");
@@ -379,7 +388,6 @@ impl Replica {
             next_exec: 0,
             executed: Vec::new(),
             executed_dropped: 0,
-            executed_ids: HashMap::new(),
             reply_cache: HashMap::new(),
             state_digest: Digest::default(),
             low_water: 0,
@@ -402,7 +410,7 @@ impl Replica {
     /// suffix. Entries below the low-water mark are eventually truncated;
     /// use [`Replica::executed_seen`] / [`Replica::executed_entry`] for a
     /// truncation-stable cursor.
-    pub fn executed(&self) -> &[Committed] {
+    pub fn executed(&self) -> &[Committed<N::Note>] {
         &self.executed
     }
 
@@ -414,7 +422,7 @@ impl Replica {
     /// The committed entry at absolute output index `abs` (0-based over
     /// the whole history), or `None` if it has been truncated below the
     /// low-water mark.
-    pub fn executed_entry(&self, abs: u64) -> Option<&Committed> {
+    pub fn executed_entry(&self, abs: u64) -> Option<&Committed<N::Note>> {
         let idx = abs.checked_sub(self.executed_dropped)?;
         self.executed.get(idx as usize)
     }
@@ -444,35 +452,19 @@ impl Replica {
         self.stable.as_ref()
     }
 
-    /// State responses that advanced this replica (rejoin diagnostics).
-    pub fn state_installs(&self) -> u64 {
-        self.st_installs
-    }
-
-    /// State responses (or embedded certificates) rejected as invalid.
-    pub fn state_rejects(&self) -> u64 {
-        self.st_rejects
-    }
-
-    /// State-transfer fetches this replica has sent.
-    pub fn state_fetches(&self) -> u64 {
-        self.st_fetches
-    }
-
     /// Distinct checkpoint-vote sequences currently buffered (bounded-
     /// memory diagnostics: vote spam must not grow this).
     pub fn checkpoint_vote_seqs(&self) -> usize {
         self.ckpt_votes.len()
     }
 
-    /// Memory-health snapshot (introspection gauges).
+    /// Memory-health snapshot.
     pub fn health(&self) -> ReplicaHealth {
         ReplicaHealth {
             log_len: self.log.len() as u64,
             executed_len: self.executed.len() as u64,
             requests_len: self.requests.len() as u64,
             assigned_len: self.assigned.len() as u64,
-            dedup_len: self.executed_ids.len() as u64,
             low_water: self.low_water,
             high_water: self.high_water(),
             next_exec: self.next_exec,
@@ -622,55 +614,28 @@ impl Replica {
         }
     }
 
-    /// Handles a client request whose payload the caller has already named
-    /// with this replica's namer, from the bytes in `payload`. For a node
-    /// that keeps what naming derives besides the name, so that it names
-    /// each request once. The client's signature is checked over `name`.
-    pub fn on_named_request(
-        &mut self,
-        ctx: &mut Context<'_, PbftMsg>,
-        id: RequestId,
-        timestamp: u64,
-        payload: Payload,
-        name: Digest,
-        sig: &Signature,
-    ) {
-        self.gc_executed();
-        self.on_request(ctx, id, timestamp, payload, name, sig);
-    }
-
-    /// The timestamp and name of request `id`, if this replica holds it
-    /// and has not executed it: what a slot that executes it must bind.
-    pub fn admitted(&self, id: RequestId) -> Option<(u64, Digest)> {
-        if self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq)) {
-            return None;
-        }
-        self.requests.get(&id).map(|&(_, timestamp, name)| (timestamp, name))
-    }
-
-    /// Handles a client request whose payload is named `name`.
+    /// Handles a client request, its payload named from the bytes it
+    /// carries.
     fn on_request(
         &mut self,
         ctx: &mut Context<'_, PbftMsg>,
         id: RequestId,
-        timestamp: u64,
-        payload: Payload,
-        name: Digest,
+        request: Held<N::Note>,
         sig: &Signature,
     ) {
         // Writer restriction at the transport level: unknown or bad
         // signatures are ignored.
         let Some(key) = self.cfg.client_keys.get(&id.client) else { return };
-        if !verify(*key, &request_signing_bytes(id, timestamp, &name), sig) {
+        if !verify(*key, &request_signing_bytes(id, request.timestamp, &request.name), sig) {
             return;
         }
         // Already executed — possibly at a slot truncated below the
-        // low-water mark, where `assigned`/`executed_ids` no longer
-        // remember it. Never re-propose (the tier's output would apply
-        // the request twice); re-send the reply from the per-client
-        // cache and stop. The request is also *not* re-inserted into
-        // `requests`: resurrecting a payload with no live assignment
-        // would read as a stuck request and churn view changes.
+        // low-water mark, where `assigned` no longer remembers it. Never
+        // re-propose (the tier's output would apply the request twice);
+        // re-send the reply from the per-client cache and stop. The
+        // request is also *not* re-inserted into `requests`: resurrecting
+        // a payload with no live assignment would read as a stuck request
+        // and churn view changes.
         if self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq)) {
             if self.fault != FaultMode::Silent {
                 if let Some((seq, digest)) =
@@ -689,7 +654,7 @@ impl Replica {
             }
             return;
         }
-        self.requests.insert(id, (payload, timestamp, name));
+        self.requests.insert(id, request);
         if self.assigned.contains_key(&id) {
             // Duplicate of an in-flight request (likely a retransmission):
             // guard the stuck agreement with a view-change alarm (messages
@@ -721,8 +686,8 @@ impl Replica {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_, PbftMsg>, id: RequestId) {
-        let Some((_, ts, name)) = self.requests.get(&id) else { return };
-        let digest = slot_digest(name, id, *ts);
+        let Some(held) = self.requests.get(&id) else { return };
+        let digest = slot_digest(&held.name, id, held.timestamp);
         // Skip slots already seeded by re-proposal: after a view change
         // `next_seq` points at the lowest unfilled slot, and the slots
         // above it may hold adopted certificates.
@@ -911,15 +876,14 @@ impl Replica {
             }
             let digest = inst.digest.expect("checked above");
             let id = inst.request.expect("digest implies request");
-            let Some((payload, timestamp, name)) = self.requests.get(&id).cloned() else {
-                break;
-            };
+            let Some(held) = self.requests.get(&id) else { break };
             // A faulty leader could propose a digest that doesn't match
             // the request payload (or its id/timestamp — the slot digest
             // binds all three); never execute such a slot.
-            if slot_digest(&name, id, timestamp) != digest {
+            if slot_digest(&held.name, id, held.timestamp) != digest {
                 break;
             }
+            let timestamp = held.timestamp;
             let inst = self.log.get_mut(&seq).expect("present");
             inst.executed = true;
             // Snapshot the commit certificate: every counted commit was
@@ -930,12 +894,9 @@ impl Replica {
             self.next_exec += 1;
             self.state_digest = chain_digest(&self.state_digest, seq, &digest, id, timestamp);
             self.exec_proofs.insert(seq, (self.view, proof));
-            // Dedup spans the whole history: `executed_ids` covers the
-            // retained window, the per-client reply cache everything
-            // truncated below it.
-            let dup = self.executed_ids.insert(id, seq).is_some()
-                || self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq));
-            if dup {
+            // Dedup spans the whole history: the per-client reply cache
+            // remembers every request that executed.
+            if self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq)) {
                 // The request already executed at a lower slot (it was
                 // re-proposed across a view change before the original
                 // commit was visible here). The slot still commits — the
@@ -946,7 +907,8 @@ impl Replica {
                 continue;
             }
             self.reply_cache.entry(id.client).or_default().note(id.seq, seq, digest);
-            self.executed.push(Committed { seq, digest, payload, request: id, timestamp });
+            let Held { payload, note, .. } = self.requests[&id].clone();
+            self.executed.push(Committed { seq, digest, payload, request: id, timestamp, note });
             // Reply to the client.
             let my = self.index;
             let reply = self.signed(PbftMsg::Reply {
@@ -1079,10 +1041,9 @@ impl Replica {
             .iter()
             .filter(|(id, _)| {
                 !self.assigned.contains_key(*id)
-                    && !self.executed_ids.contains_key(*id)
                     && !self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq))
             })
-            .map(|(id, (_, ts, _))| (*ts, *id))
+            .map(|(id, held)| (held.timestamp, *id))
             .collect();
         waiting.sort_unstable();
         for (_, id) in waiting {
@@ -1113,9 +1074,9 @@ impl Replica {
 
     /// Advances the low-water mark to the stable certificate (clamped to
     /// our own frontier) and truncates everything below it: log slots,
-    /// request payloads, assignments, dedup entries, commit proofs, and
-    /// checkpoint votes. The committed-output suffix is truncated lazily
-    /// (see [`Replica::gc_executed`]) so the layer above can drain entries
+    /// request payloads, assignments, commit proofs, and checkpoint votes.
+    /// The committed-output suffix is truncated lazily (see
+    /// [`Replica::gc_executed`]) so the layer above can drain entries
     /// executed in the very call that formed the certificate.
     fn apply_low_water(&mut self) {
         let Some(cert) = &self.stable else { return };
@@ -1137,7 +1098,6 @@ impl Replica {
             self.requests.remove(id);
         }
         self.assigned.retain(|_, &mut s| s >= h);
-        self.executed_ids.retain(|_, &mut s| s >= h);
         self.next_seq = self.next_seq.max(h);
     }
 
@@ -1241,7 +1201,8 @@ impl Replica {
             else {
                 break;
             };
-            let Some((payload, timestamp, _)) = self.requests.get(&id).cloned() else { break };
+            let Some(held) = self.requests.get(&id) else { break };
+            let (payload, timestamp) = (held.payload.clone(), held.timestamp);
             let Some((proof_view, proof)) = self.exec_proofs.get(&seq).cloned() else { break };
             entries.push(StateEntry { seq, digest, id, timestamp, payload, proof_view, proof });
         }
@@ -1304,12 +1265,12 @@ impl Replica {
             }
             // Named here, from the shipped bytes: the entry's digest is
             // only what the proof certifies.
-            let name = (self.namer)(&entry.payload);
+            let (name, note) = self.namer.name(&entry.payload);
             if !self.verify_state_entry(&entry, &name) {
                 self.st_rejects += 1;
                 break;
             }
-            self.install_entry(ctx, entry, name);
+            self.install_entry(ctx, entry, name, note);
             progressed = true;
         }
         if progressed {
@@ -1354,14 +1315,23 @@ impl Replica {
     /// Installs one verified entry at the execution frontier: the slot
     /// lands executed (with its proof retained, so we can serve it
     /// onward), the output gains an entry unless the request already
-    /// executed, and the rolling digest advances. No client reply — the
-    /// client was answered by the replicas that executed live.
-    fn install_entry(&mut self, ctx: &mut Context<'_, PbftMsg>, entry: StateEntry, name: Digest) {
+    /// executed, and the rolling digest advances. The verified payload,
+    /// its `name` and its `note` replace whatever this replica held under
+    /// the request id. No client reply — the client was answered by the
+    /// replicas that executed live.
+    fn install_entry(
+        &mut self,
+        ctx: &mut Context<'_, PbftMsg>,
+        entry: StateEntry,
+        name: Digest,
+        note: N::Note,
+    ) {
         let StateEntry { seq, digest, id, timestamp, payload, proof_view, proof } = entry;
         self.st_installed += payload.wire_len() as u64
             + (8 + crate::messages::DIGEST_SIZE + 16 + 8) as u64
             + (proof.len() * (8 + Signature::WIRE_SIZE)) as u64;
-        self.requests.insert(id, (payload.clone(), timestamp, name));
+        let held = Held { payload: payload.clone(), timestamp, name, note: note.clone() };
+        self.requests.insert(id, held);
         self.assigned.insert(id, seq);
         let inst = self.log.entry(seq).or_default();
         inst.digest = Some(digest);
@@ -1378,12 +1348,9 @@ impl Replica {
         self.next_exec = seq + 1;
         self.next_seq = self.next_seq.max(self.next_exec);
         self.state_digest = chain_digest(&self.state_digest, seq, &digest, id, timestamp);
-        let dup = self.executed_ids.contains_key(&id)
-            || self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq));
-        self.executed_ids.entry(id).or_insert(seq);
-        if !dup {
+        if !self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq)) {
             self.reply_cache.entry(id.client).or_default().note(id.seq, seq, digest);
-            self.executed.push(Committed { seq, digest, payload, request: id, timestamp });
+            self.executed.push(Committed { seq, digest, payload, request: id, timestamp, note });
         }
         self.maybe_checkpoint(ctx);
     }
@@ -1588,10 +1555,9 @@ impl Replica {
             .iter()
             .filter(|(id, _)| {
                 !self.assigned.contains_key(*id)
-                    && !self.executed_ids.contains_key(*id)
                     && !self.reply_cache.get(&id.client).is_some_and(|c| c.executed(id.seq))
             })
-            .map(|(id, (_, ts, _))| (*ts, *id))
+            .map(|(id, held)| (held.timestamp, *id))
             .collect();
         unassigned.sort_unstable();
         let mut unassigned = unassigned.into_iter().map(|(_, id)| id);
@@ -1601,8 +1567,8 @@ impl Replica {
                     Some((d, id)) => self.propose_at(ctx, s, d, id),
                     None => {
                         if let Some(id) = unassigned.next() {
-                            let (_, ts, payload_digest) = &self.requests[&id];
-                            let d = slot_digest(payload_digest, id, *ts);
+                            let held = &self.requests[&id];
+                            let d = slot_digest(&held.name, id, held.timestamp);
                             self.propose_at(ctx, s, d, id);
                         }
                     }
@@ -1630,8 +1596,9 @@ impl Replica {
         self.gc_executed();
         match &msg {
             PbftMsg::Request { id, timestamp, payload, sig } => {
-                let name = (self.namer)(payload);
-                self.on_request(ctx, *id, *timestamp, payload.clone(), name, sig);
+                let (name, note) = self.namer.name(payload);
+                let request = Held { payload: payload.clone(), timestamp: *timestamp, name, note };
+                self.on_request(ctx, *id, request, sig);
             }
             PbftMsg::PrePrepare { view, seq, digest, id, .. } => {
                 let leader = self.cfg.leader(*view);

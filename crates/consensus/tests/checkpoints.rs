@@ -5,7 +5,8 @@
 
 use oceanstore_consensus::harness::{build_tier_custom, run_updates, run_updates_batched};
 use oceanstore_consensus::messages::{
-    set_sig, signing_bytes, slot_digest, Payload, PbftMsg, RequestId, StableCert, StateEntry,
+    set_sig, signing_bytes, slot_digest, Opaque, Payload, PbftMsg, RequestId, StableCert,
+    StateEntry,
 };
 use oceanstore_consensus::node::PbftNode;
 use oceanstore_consensus::replica::{CheckpointConfig, FaultMode, Replica};
@@ -71,7 +72,6 @@ fn long_run_truncates_and_stays_bounded() {
         assert!(h.checkpoint_seq > 0, "replica {i} holds no stable certificate");
         let bound = window + interval;
         assert!(h.log_len <= bound, "replica {i} log {} > {bound}", h.log_len);
-        assert!(h.dedup_len <= bound, "replica {i} dedup {} > {bound}", h.dedup_len);
         assert!(h.assigned_len <= bound, "replica {i} assigned {} > {bound}", h.assigned_len);
         assert!(h.requests_len <= bound, "replica {i} requests {} > {bound}", h.requests_len);
         assert_eq!(r.executed_seen(), count as u64, "replica {i} output count");
@@ -110,7 +110,7 @@ fn intact_rejoin_catches_up_via_state_transfer() {
     let frontier = replica(&ts, 0).next_exec();
     assert_eq!(frontier, 80);
     let r3 = replica(&ts, 3);
-    assert!(r3.state_installs() >= 1, "rejoin must use state transfer");
+    assert!(r3.health().state_installs >= 1, "rejoin must use state transfer");
     assert!(r3.health().state_bytes_installed > 0);
     assert_eq!(r3.next_exec(), frontier, "rejoined replica not caught up");
     assert_eq!(r3.state_digest(), replica(&ts, 0).state_digest(), "state digest divergence");
@@ -128,13 +128,13 @@ fn wiped_rejoin_jumps_via_certificate() {
     run_updates_batched(&mut ts, 128, 44, 4);
     // The replica lost everything: rebuild it from its key, state zero.
     let key = replica_key(seed, 3);
-    let fresh = Replica::new(ts.cfg.clone(), 3, key, FaultMode::Honest, Payload::digest);
+    let fresh = Replica::new(ts.cfg.clone(), 3, key, FaultMode::Honest, Opaque);
     ts.sim.recover_node_wiped(NodeId(3), PbftNode::Replica(fresh));
     run_updates_batched(&mut ts, 128, 24, 4);
     run_updates_batched(&mut ts, 128, 8, 1);
     let frontier = replica(&ts, 0).next_exec();
     let r3 = replica(&ts, 3);
-    assert!(r3.state_installs() >= 1, "wiped rejoin must use state transfer");
+    assert!(r3.health().state_installs >= 1, "wiped rejoin must use state transfer");
     assert!(r3.health().checkpoint_seq > 0, "wiped rejoin must adopt a certificate");
     assert_eq!(r3.next_exec(), frontier, "wiped replica not caught up");
     assert_eq!(r3.state_digest(), replica(&ts, 0).state_digest(), "state digest divergence");
@@ -167,8 +167,8 @@ fn gcd_request_retransmits_execute_once() {
     for i in 0..4 {
         assert_eq!(replica(&ts, i).executed_seen(), 1, "replica {i} missed the request");
     }
-    // Run the tier well past a stable checkpoint so the slot — and its
-    // `executed_ids` dedup entry — is truncated.
+    // Run the tier well past a stable checkpoint so the slot — its log
+    // entry, request payload and assignment — is truncated.
     run_updates_batched(&mut ts, 128, 40, 4);
     let frontier = replica(&ts, 0).next_exec();
     assert_eq!(frontier, 41);
@@ -352,7 +352,7 @@ fn forged_catchup_witnesses_never_trigger_fetch() {
             ts.sim.inject(NodeId(v), NodeId(0), msg);
         }
         ts.sim.run_to_quiescence(100_000);
-        let fetches = replica(&ts, 0).state_fetches();
+        let fetches = replica(&ts, 0).health().state_fetches;
         if forged {
             assert_eq!(fetches, 0, "forged witnesses triggered a fetch");
         } else {
@@ -529,12 +529,12 @@ proptest! {
             // Control: a fully genuine entry must install — the rejection
             // cases are not vacuous.
             prop_assert_eq!(r0.next_exec(), frontier + 1, "genuine suffix refused");
-            prop_assert!(r0.state_installs() >= 1);
-            prop_assert_eq!(r0.state_rejects(), 0);
+            prop_assert!(r0.health().state_installs >= 1);
+            prop_assert_eq!(r0.health().state_rejects, 0);
         } else {
             prop_assert_eq!(r0.next_exec(), frontier, "bogus suffix installed");
             prop_assert_eq!(r0.low_water(), 0);
-            prop_assert!(r0.state_rejects() >= 1, "rejection not recorded");
+            prop_assert!(r0.health().state_rejects >= 1, "rejection not recorded");
         }
     }
 }

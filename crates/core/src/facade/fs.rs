@@ -355,11 +355,21 @@ mod tests {
         let mut d = Directory::new();
         d.bind("x", DirEntry::Object(Guid::from_label("x")));
         let enc = encode_directory(&d);
+        assert!(decode_directory(&enc).is_some());
+        // Layout: entry count at 0, name length at 4, name at 8, entry
+        // kind at 9, GUID at 10.
+        let corrupt = |at: usize, byte: u8| {
+            let mut bad = enc.clone();
+            bad[at] = byte;
+            decode_directory(&bad)
+        };
+        assert!(corrupt(4, 0xFF).is_none(), "a name length past the end");
+        assert!(corrupt(8, 0xFF).is_none(), "a name that is not UTF-8");
+        assert!(corrupt(9, 2).is_none(), "an unknown entry kind");
+        let mut trailing = enc.clone();
+        trailing.push(0);
+        assert!(decode_directory(&trailing).is_none(), "a trailing byte");
         assert!(decode_directory(&enc[..enc.len() - 1]).is_none());
-        let mut bad = enc.clone();
-        bad[8] = 0xFF; // name length corrupted (name is at offset 8)
-        assert!(decode_directory(&bad).is_none() || decode_directory(&bad).is_some());
-        // At minimum, truncations must fail:
         assert!(decode_directory(&enc[..4]).is_none());
     }
 

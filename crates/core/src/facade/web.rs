@@ -60,9 +60,4 @@ impl WebGateway {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Drops every cached entry.
-    pub fn purge(&mut self) {
-        self.cache.clear();
-    }
 }

@@ -262,11 +262,6 @@ impl SummaryDb {
         }
         Some(Summary { values, matched })
     }
-
-    /// Handler names, for forwarding loops.
-    pub fn handler_names(&self) -> Vec<&'static str> {
-        self.handlers.iter().map(|(n, _, _)| *n).collect()
-    }
 }
 
 /// Merges a child's summary into a parent-level roll-up ("forwards an

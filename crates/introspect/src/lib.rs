@@ -12,23 +12,21 @@
 //! * [`prefetch`] — the order-k access predictor whose noise robustness
 //!   §5 reports.
 //! * [`migration`] — day/night usage-cycle detection and prefetch plans.
-//! * [`memory`] — replica memory-health gauges watching the PBFT
-//!   checkpoint/GC bound from the observation side.
+//!
+//! The health of the replicas and their stores is not mirrored here:
+//! `ReplicaHealth` (consensus) and `StoreHealth` (replica) are the one
+//! record of it, read directly by the chaos oracles and the benchmark.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod event;
-pub mod memory;
 pub mod migration;
 pub mod prefetch;
 pub mod replica_mgmt;
-pub mod store;
 
 pub use cluster::ClusterRecognizer;
 pub use event::{Aggregate, Event, Expr, Handler, RollUp, Summary, SummaryDb};
-pub use memory::{MemoryGauge, MemoryMonitor};
-pub use store::{StoreGauge, StoreMonitor};
 pub use migration::MigrationDetector;
 pub use prefetch::{hit_rate, Prefetcher};
 pub use replica_mgmt::{ReplicaAction, ReplicaManager};

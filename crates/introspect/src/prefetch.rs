@@ -68,12 +68,6 @@ impl Prefetcher {
         }
         out
     }
-
-    /// Tracked context count (resource accounting — the paper caps the
-    /// event-handler budget).
-    pub fn context_count(&self) -> usize {
-        self.table.len()
-    }
 }
 
 /// Replays `trace` through a fresh order-`k` prefetcher predicting `n`

@@ -81,11 +81,6 @@ impl ReplicaManager {
         self.rates.entry(object).or_default();
     }
 
-    /// Stops tracking (the replica was eliminated).
-    pub fn untrack(&mut self, object: &Guid) {
-        self.rates.remove(object);
-    }
-
     /// Smoothed request rate for an object.
     pub fn rate(&self, object: &Guid) -> f64 {
         self.rates.get(object).map_or(0.0, |l| l.ewma)

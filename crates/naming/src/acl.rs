@@ -51,11 +51,6 @@ impl Acl {
         Acl::default()
     }
 
-    /// Builds an ACL from entries.
-    pub fn from_entries(entries: Vec<AclEntry>) -> Self {
-        Acl { entries }
-    }
-
     /// Grants `privilege` to `signer`.
     pub fn grant(&mut self, signer: PublicKey, privilege: Privilege) {
         let entry = AclEntry { privilege, signer };

@@ -346,17 +346,6 @@ impl PlaxtonNode {
         &self.replicas
     }
 
-    /// Number of distinct objects this node holds pointers for.
-    pub fn pointer_count(&self) -> usize {
-        self.pointers.len()
-    }
-
-    /// Whether this node holds a (non-expired, conservatively any) pointer
-    /// for `object`.
-    pub fn has_pointer(&self, object: &Guid) -> bool {
-        self.pointers.get(object).is_some_and(|v| !v.is_empty())
-    }
-
     /// Stores a replica locally and publishes it to all salted roots.
     /// Drive through [`oceanstore_sim::Simulator::with_node_ctx`].
     pub fn publish(&mut self, ctx: &mut Context<'_, PlaxtonMsg>, object: Guid) {

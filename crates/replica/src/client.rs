@@ -20,14 +20,14 @@ use oceanstore_update::Update;
 use rand::seq::SliceRandom;
 
 use crate::messages::{ReplicaMsg, ReplicaTimer, TentativeId};
-use crate::primary::{encode_payload, payload_name, PAYLOAD_UPDATE_AT};
+use crate::primary::{encode_payload, UpdateNamer, PAYLOAD_UPDATE_AT};
 use crate::shard::ShardRouter;
 
 /// An update-submitting client.
 #[derive(Debug)]
 pub struct UpdateClient {
     /// One PBFT client per ring, tier order.
-    rings: Vec<PbftClient>,
+    rings: Vec<PbftClient<UpdateNamer>>,
     router: ShardRouter,
     /// Next client sequence, shared across rings.
     next_seq: u64,
@@ -56,7 +56,7 @@ impl UpdateClient {
         UpdateClient {
             rings: cfgs
                 .into_iter()
-                .map(|cfg| PbftClient::new(cfg, keypair.clone(), payload_name))
+                .map(|cfg| PbftClient::new(cfg, keypair.clone(), UpdateNamer))
                 .collect(),
             router,
             next_seq: 0,

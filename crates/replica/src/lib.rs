@@ -34,7 +34,7 @@ pub use harness::{
 };
 pub use messages::{frontier_digest, CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
 pub use node::OceanNode;
-pub use primary::{disseminator_for, name_payload, payload_name, Primary};
+pub use primary::{disseminator_for, Primary, UpdateNamer};
 pub use secondary::{RingView, Secondary};
 pub use shard::ShardRouter;
 pub use store::{ObjectState, ObjectStore, StoreHealth, RECORD_RETENTION};

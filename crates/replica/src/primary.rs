@@ -12,7 +12,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
-use oceanstore_consensus::messages::{slot_digest, Payload, PbftMsg, PbftTimer, RequestId};
+use oceanstore_consensus::messages::{Namer, Payload, PbftMsg, PbftTimer};
 use oceanstore_consensus::replica::{Replica, TierConfig};
 use oceanstore_crypto::schnorr::{verify, KeyPair, Signature};
 use oceanstore_crypto::sha1::{sha1_concat, Digest};
@@ -103,37 +103,39 @@ const UPDATE_NAME: &[u8] = b"name/update";
 /// Domain tag of the name of a payload that does not.
 const BYTES_NAME: &[u8] = b"name/bytes!";
 
-/// The name agreement runs over for `payload`, and the update digest it
-/// was built from. A payload that decodes as an update is named by SHA-1
-/// over a domain tag, its `padded_size`, the object GUID and the update's
-/// [`update_digest`] — the digest the serialization certificate signs,
-/// which covers every block through its CID. The decoding is canonical (it
-/// refuses trailing bytes), so the name binds every byte. Any other
-/// payload is named by one pass over its bytes under a tag of its own.
-pub fn name_payload(payload: &Payload) -> (Digest, Option<UpdateDigest>) {
-    let padded = (payload.padded_size as u64).to_be_bytes();
-    let bytes = Bytes::from(payload.bytes.clone());
-    if let Some((object, encoded)) = decode_payload(&bytes) {
-        if let Ok(update) = decode_view(&encoded) {
-            let named = update_digest(&update);
-            let name = sha1_concat(&[UPDATE_NAME, &padded, object.as_bytes(), &named.digest]);
-            return (name, Some(named));
-        }
-    }
-    (sha1_concat(&[BYTES_NAME, &padded, &payload.bytes]), None)
-}
+/// The primary tier's namer, which clients sign with and agreement
+/// replicas check with. A payload that decodes as an update is named by
+/// SHA-1 over a domain tag, its `padded_size`, the object GUID and the
+/// update's [`update_digest`] — the digest the serialization certificate
+/// signs, which covers every block through its CID — and that update
+/// digest is its note. The decoding is canonical (it refuses trailing
+/// bytes), so the name binds every byte. Any other payload is named by one
+/// pass over its bytes under a tag of its own, and notes nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct UpdateNamer;
 
-/// [`name_payload`]'s name alone: the tier's payload namer, which clients
-/// sign with and agreement replicas check with.
-pub fn payload_name(payload: &Payload) -> Digest {
-    name_payload(payload).0
+impl Namer for UpdateNamer {
+    type Note = Option<UpdateDigest>;
+
+    fn name(&self, payload: &Payload) -> (Digest, Option<UpdateDigest>) {
+        let padded = (payload.padded_size as u64).to_be_bytes();
+        let bytes = Bytes::from(payload.bytes.clone());
+        if let Some((object, encoded)) = decode_payload(&bytes) {
+            if let Ok(update) = decode_view(&encoded) {
+                let named = update_digest(&update);
+                let name = sha1_concat(&[UPDATE_NAME, &padded, object.as_bytes(), &named.digest]);
+                return (name, Some(named));
+            }
+        }
+        (sha1_concat(&[BYTES_NAME, &padded, &payload.bytes]), None)
+    }
 }
 
 /// A primary-tier server.
 #[derive(Debug)]
 pub struct Primary {
     /// The embedded agreement machine.
-    pbft: Replica,
+    pbft: Replica<UpdateNamer>,
     cfg: TierConfig,
     index: usize,
     keypair: KeyPair,
@@ -145,16 +147,6 @@ pub struct Primary {
     /// Executed agreement entries already turned into records (absolute
     /// output index — stable across the agreement log's checkpoint GC).
     drained: u64,
-    /// The update digest of each request this primary named and its
-    /// agreement replica admitted, kept for execution so the update's
-    /// bytes are hashed once here. Keyed by the slot digest the name
-    /// implies — the value a commit certifies — never by request id, which
-    /// an equivocating client can reuse for other bytes. An entry leaves
-    /// when its slot executes, or when the replica stops holding the
-    /// request unexecuted (log GC, a replacing request under the same id).
-    named: IdMap<Digest, (RequestId, UpdateDigest)>,
-    /// The replica's low-water mark when `named` was last pruned.
-    named_floor: u64,
     /// Certificate assembly: (object, index) → (record, cert so far).
     assembling: IdMap<(Guid, u64), (CommitRecord, SerializationCert)>,
     /// How long a signer waits for the certificate before re-routing its
@@ -218,7 +210,7 @@ impl Primary {
         share_retry_timeout: oceanstore_sim::SimDuration,
         ack_timeout: oceanstore_sim::SimDuration,
     ) -> Self {
-        let pbft = Replica::new(cfg.clone(), index, keypair.clone(), fault, payload_name);
+        let pbft = Replica::new(cfg.clone(), index, keypair.clone(), fault, UpdateNamer);
         let mut store = ObjectStore::new();
         store.keep_record_digests();
         Primary {
@@ -229,8 +221,6 @@ impl Primary {
             store,
             children,
             drained: 0,
-            named: IdMap::default(),
-            named_floor: 0,
             assembling: IdMap::default(),
             share_retry_timeout,
             pending: IdMap::default(),
@@ -279,7 +269,7 @@ impl Primary {
     }
 
     /// The embedded agreement replica (tests / inspection).
-    pub fn pbft(&self) -> &Replica {
+    pub fn pbft(&self) -> &Replica<UpdateNamer> {
         &self.pbft
     }
 
@@ -312,58 +302,12 @@ impl Primary {
         self.store.record(object, index).is_some_and(|r| !r.cert.is_empty())
     }
 
-    /// Requests named here whose update digests wait for execution.
-    pub fn named_len(&self) -> usize {
-        self.named.len()
-    }
-
     /// Handles an embedded agreement message, then turns any newly
     /// executed updates into signed commit records.
-    ///
-    /// A client request is named here, from the bytes it carries, and
-    /// handed to the replica with its name; the update digest naming
-    /// derived waits in `named` for the slot to execute.
     pub fn on_pbft(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, msg: PbftMsg) {
-        let PbftMsg::Request { id, timestamp, payload, sig } = msg else {
-            let pbft = &mut self.pbft;
-            ctx.with_inner(ReplicaMsg::Pbft, pbft_timer, |ictx| pbft.on_message(ictx, from, msg));
-            self.drain_executed(ctx);
-            return;
-        };
-        let (name, named) = name_payload(&payload);
-        let slot = slot_digest(&name, id, timestamp);
-        let before = self.pbft.admitted(id);
-        if let Some(named) = named {
-            self.named.insert(slot, (id, named));
-        }
-        ctx.with_inner(ReplicaMsg::Pbft, pbft_timer, |ictx| {
-            self.pbft.on_named_request(ictx, id, timestamp, payload, name, &sig)
-        });
+        let pbft = &mut self.pbft;
+        ctx.with_inner(ReplicaMsg::Pbft, pbft_timer, |ictx| pbft.on_message(ictx, from, msg));
         self.drain_executed(ctx);
-        // Keep the digest only while the replica holds the request
-        // unexecuted (a refused request, or one that executed just now,
-        // has no use for it); drop the one of a request it replaced.
-        let after = self.pbft.admitted(id);
-        if after != Some((timestamp, name)) {
-            self.named.remove(&slot);
-        }
-        match before {
-            Some((ts, old)) if before != after => {
-                self.named.remove(&slot_digest(&old, id, ts));
-            }
-            _ => {}
-        }
-    }
-
-    /// Drops every name whose request the replica no longer holds
-    /// unexecuted: log GC or a state-transfer jump dropped it, or a
-    /// state-transfer install replaced it.
-    fn prune_named(&mut self) {
-        self.named_floor = self.pbft.low_water();
-        let pbft = &self.pbft;
-        self.named.retain(|slot, (id, _)| {
-            pbft.admitted(*id).is_some_and(|(ts, name)| slot_digest(&name, *id, ts) == *slot)
-        });
     }
 
     /// Timer dispatch.
@@ -380,24 +324,25 @@ impl Primary {
     }
 
     fn drain_executed(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
-        // A slot that executed without its name here (state transfer
-        // installed it) may leave a stale name of its request behind.
-        let mut missed = false;
         while self.drained < self.pbft.executed_seen() {
             // An entry below the agreement log's low-water mark can be
             // truncated before we drain it only when a state-transfer jump
             // skipped the slot entirely; the object state arrives through
             // tier anti-entropy instead.
-            let Some(entry) = self.pbft.executed_entry(self.drained).cloned() else {
+            let Some(entry) = self.pbft.executed_entry(self.drained) else {
                 self.drained += 1;
                 continue;
             };
             self.drained += 1;
-            let named = self.named.remove(&entry.digest).map(|(_, named)| named);
             // The agreed payload is the buffer the client encoded; the
             // record and every block the update stores are views of it.
             let payload = Bytes::from(entry.payload.bytes.clone());
-            let Some((object, encoded)) = decode_payload(&payload) else {
+            // The digest every signature below covers, and the CIDs the
+            // store files its blocks under: what the agreement replica's
+            // namer derived from these bytes, when it admitted the request
+            // or installed the slot. A payload that is no update has none.
+            let (Some((object, encoded)), Some(name)) = (decode_payload(&payload), &entry.note)
+            else {
                 continue; // malformed payload agreed on; logged nowhere to go
             };
             let Ok(update) = decode_view(&encoded) else { continue };
@@ -408,17 +353,15 @@ impl Primary {
             if self.store.holds_record(&object, entry.timestamp, id) {
                 continue;
             }
-            // The digest every signature below covers, and the CIDs the
-            // store files its blocks under: derived when this primary
-            // admitted the request — the name agreement certified binds
-            // them — or, for a slot state transfer installed, now.
-            let name = named.unwrap_or_else(|| {
-                missed = true;
-                update_digest(&update)
-            });
             let digest = name.digest;
-            let record =
-                self.store.serialize_update(object, update, name, encoded, entry.timestamp, id);
+            let record = self.store.serialize_update(
+                object,
+                update,
+                name.clone(),
+                encoded,
+                entry.timestamp,
+                id,
+            );
             let key = (object, record.index);
             let msg = record.signing_bytes(&digest);
             // A certificate may have been observed (via `CertFormed`)
@@ -456,9 +399,6 @@ impl Primary {
             } else {
                 ctx.send(self.cfg.members[diss], share);
             }
-        }
-        if missed || self.pbft.low_water() != self.named_floor {
-            self.prune_named();
         }
     }
 

@@ -102,9 +102,6 @@ pub struct Secondary {
     /// Records rejected because their certificate failed verification
     /// (forged, tampered, or partial).
     rejected: u64,
-    /// Duplicate commits suppressed instead of re-forwarded (two
-    /// disseminators racing after a failover is safe but redundant).
-    dup_suppressed: u64,
     /// Reused copy of the gossip peers, shuffled to pick each rumor's
     /// targets.
     rumor_peers: Vec<NodeId>,
@@ -134,7 +131,6 @@ impl Secondary {
             ticks_until_pull: 0,
             reparented: 0,
             rejected: 0,
-            dup_suppressed: 0,
             rumor_peers: Vec::new(),
         }
     }
@@ -157,11 +153,6 @@ impl Secondary {
     /// Records rejected for failing certificate verification.
     pub fn rejected_count(&self) -> u64 {
         self.rejected
-    }
-
-    /// Duplicate commit records suppressed instead of re-forwarded.
-    pub fn dup_suppressed_count(&self) -> u64 {
-        self.dup_suppressed
     }
 
     /// This node's current dissemination children.
@@ -550,7 +541,6 @@ impl Secondary {
         // subtree. Duplicates are still acked: a late re-pusher must stop
         // retrying even though the first copy won.
         if self.store.get(&record.object).is_some_and(|s| record.index < s.next_index) {
-            self.dup_suppressed += 1;
             self.ack_primary_push(ctx, from, record.object, record.index);
             return Apply::Applied;
         }

@@ -93,9 +93,10 @@ impl ObjectState {
     }
 }
 
-/// Aggregate store-health counters, exported field-by-field to the
-/// introspection gauges (the replica crate stays free of an introspect
-/// dependency, mirroring how consensus exports `ReplicaHealth`).
+/// Aggregate store-health counters: the one record of a store's health,
+/// read directly by whoever watches it (the chaos store-memory oracle
+/// bounds `peak_retained_records`; the benchmark reports the blob and
+/// record counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreHealth {
     /// Objects resident.

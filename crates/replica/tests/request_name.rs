@@ -2,20 +2,22 @@
 //! SHA-1 over the object GUID and the update digest a serialization
 //! certificate signs, which covers every block through its CID. Every
 //! primary derives that name again, once, from the bytes it was handed: to
-//! check the signature at admission, and — through the update digest it
-//! keeps until the slot executes — to file the blocks under the CIDs it
-//! derived. State transfer names what it installs the same way. Nothing
-//! here ever takes a name from the wire.
+//! check the signature at admission, and — through the update digest its
+//! agreement replica keeps with the request — to file the blocks under the
+//! CIDs it derived when the slot executes. State transfer names what it
+//! installs the same way, and keeps the installed bytes' digest in place of
+//! any it held under the request id. Nothing here ever takes a name from the
+//! wire.
 
 use oceanstore_consensus::messages::{
-    request_signing_bytes, set_sig, signing_bytes, slot_digest, Payload, PbftMsg, RequestId,
-    StateEntry,
+    request_signing_bytes, set_sig, signing_bytes, slot_digest, Namer, Payload, PbftMsg,
+    RequestId, StateEntry,
 };
 use oceanstore_crypto::schnorr::{KeyPair, Signature};
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::primary::encode_payload;
 use oceanstore_replica::{
-    build_deployment, payload_name, Deployment, DeploymentOpts, ObjectStore, ReplicaMsg,
+    build_deployment, Deployment, DeploymentOpts, ObjectStore, ReplicaMsg, UpdateNamer,
 };
 use oceanstore_sim::{NodeId, SimDuration};
 use oceanstore_store::cid_of;
@@ -44,13 +46,17 @@ fn primary_key(dep_seed: u64, i: usize) -> KeyPair {
     KeyPair::from_seed(format!("dep-{dep_seed}-primary-{i}").as_bytes())
 }
 
+/// The tier's name of `payload`.
+fn name(payload: &Payload) -> [u8; 20] {
+    UpdateNamer.name(payload).0
+}
+
 /// Request `seq` of client 0 carrying `payload`, signed over the name of
 /// `signed` (the bytes the client meant).
 fn request(dep: &Deployment, seq: u64, payload: Payload, signed: &Payload) -> PbftMsg {
     let id = RequestId { client: dep.clients[0], seq };
     let timestamp = 1;
-    let sig =
-        dep.client_keys[0].sign(&request_signing_bytes(id, timestamp, &payload_name(signed)));
+    let sig = dep.client_keys[0].sign(&request_signing_bytes(id, timestamp, &name(signed)));
     PbftMsg::Request { id, timestamp, payload, sig }
 }
 
@@ -60,7 +66,7 @@ fn request(dep: &Deployment, seq: u64, payload: Payload, signed: &Payload) -> Pb
 fn state(id: RequestId, payload: Payload, certified: &Payload) -> PbftMsg {
     let seed = DeploymentOpts::default().seed;
     let (seq, timestamp) = (0, 1);
-    let digest = slot_digest(&payload_name(certified), id, timestamp);
+    let digest = slot_digest(&name(certified), id, timestamp);
     let proof = (0..3)
         .map(|i| {
             let commit =
@@ -116,14 +122,13 @@ fn a_request_altered_after_signing_is_refused_by_every_primary() {
     let forged = request(&dep, 1000, altered, &signed);
     inject(&mut dep, client, &primaries, &forged);
     dep.sim.run_for(SimDuration::from_secs(2));
-    let id = RequestId { client, seq: 1000 };
     for &p in &primaries {
         let primary = dep.primary(p);
-        assert_eq!(primary.pbft().admitted(id), None, "{p:?} admitted bytes nobody signed");
-        assert_eq!(primary.pbft().health().requests_len, 0, "{p:?} holds the altered request");
+        let health = primary.pbft().health();
+        assert_eq!(health.assigned_len, 0, "{p:?} gave bytes nobody signed a slot");
+        assert_eq!(health.requests_len, 0, "{p:?} holds the altered request");
         assert_eq!(primary.pbft().executed_seen(), 0, "{p:?} executed the altered request");
         assert!(primary.store.get(&object).is_none(), "{p:?} stored the altered update");
-        assert_eq!(primary.named_len(), 0, "{p:?} kept a name for a refused request");
     }
 
     let genuine = request(&dep, 1001, signed.clone(), &signed);
@@ -132,7 +137,6 @@ fn a_request_altered_after_signing_is_refused_by_every_primary() {
     for &p in &primaries {
         let primary = dep.primary(p);
         assert_eq!(filed_blocks(&primary.store, &object, p), meant, "{p:?} the signed update");
-        assert_eq!(primary.named_len(), 0, "{p:?} kept a name past execution");
     }
 }
 
@@ -156,16 +160,16 @@ fn a_state_entry_with_altered_bytes_is_refused() {
         dep.sim.run_for(SimDuration::from_millis(50));
         let primary = dep.primary(victim);
         let pbft = primary.pbft();
+        let health = pbft.health();
         if genuine {
-            assert_eq!((pbft.state_installs(), pbft.state_rejects()), (1, 0));
+            assert_eq!((health.state_installs, health.state_rejects), (1, 0));
             assert_eq!(pbft.executed_seen(), 1);
             assert_eq!(filed_blocks(&primary.store, &object, victim), meant);
         } else {
-            assert_eq!((pbft.state_installs(), pbft.state_rejects()), (0, 1));
+            assert_eq!((health.state_installs, health.state_rejects), (0, 1));
             assert_eq!(pbft.executed_seen(), 0, "installed bytes the certificate does not name");
             assert!(primary.store.get(&object).is_none());
         }
-        assert_eq!(primary.named_len(), 0);
     }
 }
 
@@ -198,18 +202,16 @@ fn an_equivocating_client_gets_the_committed_payloads_cids() {
     let truth = request(&dep, 1000, committed.clone(), &committed);
     inject(&mut dep, client, &primaries[3..], &lie);
     dep.sim.run_for(SimDuration::from_millis(50));
-    assert_eq!(dep.primary(primaries[3]).named_len(), 1, "named on admission");
     inject(&mut dep, client, &primaries, &truth);
     dep.sim.run_for(SimDuration::from_secs(2));
     for &p in &primaries {
         let primary = dep.primary(p);
         assert_eq!(filed_blocks(&primary.store, &object, p), first, "{p:?} the committed update");
-        assert_eq!(primary.named_len(), 0, "{p:?} kept a name past execution");
     }
 }
 
 /// As above, with the other payload still held when the committed slot
-/// arrives by state transfer: the name kept for the other payload must
+/// arrives by state transfer: the digest kept with the other payload must
 /// not name the installed one.
 #[test]
 fn an_equivocating_client_gets_the_committed_payloads_cids_by_state_transfer() {
@@ -220,12 +222,11 @@ fn an_equivocating_client_gets_the_committed_payloads_cids_by_state_transfer() {
     inject(&mut dep, client, &[victim], &lie);
     dep.sim.run_for(SimDuration::from_millis(50));
     let id = RequestId { client, seq: 1000 };
-    assert!(dep.primary(victim).pbft().admitted(id).is_some(), "the other payload is held");
+    assert_eq!(dep.primary(victim).pbft().health().requests_len, 1, "the other payload is held");
     let from = dep.primaries()[0];
     inject(&mut dep, from, &[victim], &state(id, committed.clone(), &committed));
     dep.sim.run_for(SimDuration::from_millis(50));
     let primary = dep.primary(victim);
     assert_eq!(primary.pbft().executed_seen(), 1);
     assert_eq!(filed_blocks(&primary.store, &object, victim), first, "the committed update");
-    assert_eq!(primary.named_len(), 0, "the replaced payload's name is dropped");
 }
