@@ -20,20 +20,29 @@ fn bench_sha1(c: &mut Criterion) {
 }
 
 /// Naming a 4 KiB block: the SHA-1 pass every committed block takes once
-/// per replica. And naming runs of one length, as `update_digest` names
+/// per process. And naming runs of one length, as `update_digest` names
 /// them: eight at once in AVX2 lanes where the CPU has them, sixteen in
-/// AVX-512 lanes (a 64 KiB `lifecycle` object) where it has those.
+/// AVX-512 lanes (a 64 KiB `lifecycle` object) where it has those. Each
+/// run names views of a fresh buffer, whose memo is empty; `memo_16x4k`
+/// names the same sixteen views again, every CID a memo hit.
 fn bench_cid(c: &mut Criterion) {
     let block = vec![0xC3u8; 4096];
     let mut g = c.benchmark_group("cid");
     g.throughput(Throughput::Bytes(4096));
     g.bench_function("for_content_4k", |b| b.iter(|| Guid::for_content(&block)));
-    g.throughput(Throughput::Bytes(8 * 4096));
-    let run: Vec<&[u8]> = vec![&block; 8];
-    g.bench_function("for_contents_8x4k", |b| b.iter(|| Guid::for_contents(&run)));
-    g.throughput(Throughput::Bytes(16 * 4096));
-    let run: Vec<&[u8]> = vec![&block; 16];
-    g.bench_function("for_contents_16x4k", |b| b.iter(|| Guid::for_contents(&run)));
+    let views = |n: usize| -> Vec<Bytes> {
+        let whole = Bytes::from(vec![0xC3u8; n * 4096]);
+        (0..n).map(|i| whole.slice(i * 4096..(i + 1) * 4096)).collect()
+    };
+    for n in [8, 16] {
+        g.throughput(Throughput::Bytes(n as u64 * 4096));
+        g.bench_function(format!("for_contents_{n}x4k"), |b| {
+            b.iter_batched(|| views(n), |run| Guid::for_contents(&run), BatchSize::SmallInput)
+        });
+    }
+    let named = views(16);
+    Guid::for_contents(&named);
+    g.bench_function("memo_16x4k", |b| b.iter(|| Guid::for_contents(&named)));
     g.finish();
 }
 

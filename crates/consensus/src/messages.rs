@@ -8,10 +8,10 @@
 //! 100 bytes.
 
 use std::fmt::Debug;
-use std::sync::Arc;
 
 use oceanstore_crypto::schnorr::Signature;
 use oceanstore_crypto::sha1::{sha1_concat, Digest};
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_sim::{Message, NodeId};
 
 /// Fixed per-message header charge: kind + view + seq + replica ids +
@@ -28,8 +28,10 @@ pub const DIGEST_SIZE: usize = 20;
 /// wire accounting uses `max(bytes.len(), padded_size)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Payload {
-    /// The actual update content (interpreted by the layer above).
-    pub bytes: Arc<Vec<u8>>,
+    /// The actual update content (interpreted by the layer above): a view
+    /// of one shared buffer, which every replica handed this payload reads
+    /// and names in place.
+    pub bytes: Bytes,
     /// Simulated size floor for byte accounting.
     pub padded_size: usize,
 }
@@ -37,12 +39,12 @@ pub struct Payload {
 impl Payload {
     /// Payload carrying real bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        Payload { bytes: Arc::new(bytes), padded_size: 0 }
+        Payload { bytes: Bytes::from(bytes), padded_size: 0 }
     }
 
     /// Payload of a simulated size (for cost experiments).
     pub fn simulated(size: usize) -> Self {
-        Payload { bytes: Arc::new(Vec::new()), padded_size: size }
+        Payload { bytes: Bytes::default(), padded_size: size }
     }
 
     /// Bytes charged on the wire.

@@ -663,10 +663,6 @@ pub fn sha1_concat(parts: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
-/// The fewest messages of one length [`sha1_concat_run`] hashes side by
-/// side: the narrower of its two widths.
-pub const RUN: usize = 8;
-
 /// SHA-1 of `prefix ‖ msg` for each message of a run of one length, in
 /// order: `each` receives what `sha1_concat(&[prefix, msg])` returns for
 /// each. On a CPU with AVX-512F and AVX-512BW the run is hashed sixteen

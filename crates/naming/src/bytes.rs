@@ -6,11 +6,47 @@
 //! encoded update, the agreement payload it travels in, or a buffer a
 //! decoder was handed. Cloning and slicing it copy no byte; equality and
 //! hashing go by the bytes it shows, never by where they live.
+//!
+//! # Where a content id comes from
+//!
+//! A buffer also keeps a memo of the content ids ([`Guid::for_content`]) of
+//! the views of it named so far, keyed by where each view starts and how
+//! long it is. [`Guid::for_contents`] reads it and hashes only the views it
+//! misses, and only this module writes it, with the digest of the bytes it
+//! hashed. Nothing else can set an entry: no message, constructor or public
+//! method takes a content id. The bytes never change after the buffer is
+//! made, so a view's id is a pure function of its buffer and place, and a
+//! memo hit is the same check as hashing again: the nodes of one process
+//! that hold views of one buffer share its SHA-1 work, and the memo goes
+//! when the buffer does. Bytes that came any other way — a forged reply, a
+//! fetched payload, a blob read back from disk — are another buffer with a
+//! memo of its own, and are hashed for real.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use crate::guid::Guid;
+
+/// The allocation behind views: the bytes, and the memo of content ids of
+/// views of them. Views reach it only through [`Bytes`]; its fields are
+/// private to this module, so nothing outside can read or set the memo.
+#[derive(Default)]
+pub struct Buffer {
+    bytes: Vec<u8>,
+    /// `(start, len, Guid::for_content(bytes[start..start + len]))`,
+    /// sorted by `(start, len)`: 28 bytes per named view.
+    cids: Mutex<Vec<(u32, u32, Guid)>>,
+}
+
+impl Buffer {
+    /// The memo, whole: an entry is written in one step, so a panic on
+    /// another thread cannot leave one half written.
+    fn cids(&self) -> MutexGuard<'_, Vec<(u32, u32, Guid)>> {
+        self.cids.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// A view of `len` bytes at `start` in a shared buffer: 16 bytes in all.
 ///
@@ -20,7 +56,7 @@ use std::sync::Arc;
 /// buffer alive.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    buf: Arc<Vec<u8>>,
+    buf: Arc<Buffer>,
     start: u32,
     len: u32,
 }
@@ -48,7 +84,7 @@ impl Bytes {
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         let start = self.start as usize;
-        &self.buf[start..start + self.len as usize]
+        &self.buf.bytes[start..start + self.len as usize]
     }
 
     /// The sub-view `range` of this view, sharing its buffer.
@@ -70,31 +106,40 @@ impl Bytes {
     }
 
     /// The whole buffer this view keeps alive.
-    pub fn buffer(&self) -> &Arc<Vec<u8>> {
+    pub fn buffer(&self) -> &Arc<Buffer> {
         &self.buf
+    }
+
+    /// Where this view's entry sits, or would sit, in its buffer's memo.
+    fn find(&self, cids: &[(u32, u32, Guid)]) -> Result<usize, usize> {
+        cids.binary_search_by_key(&(self.start, self.len), |&(start, len, _)| (start, len))
+    }
+
+    /// This view's content id, if a view at its place was named before.
+    pub(crate) fn memoized(&self) -> Option<Guid> {
+        let cids = self.buf.cids();
+        self.find(&cids).ok().map(|at| cids[at].2)
+    }
+
+    /// Keeps `cid`, which the caller derived by hashing this view's bytes,
+    /// as this view's content id.
+    pub(crate) fn memoize(&self, cid: Guid) {
+        let mut cids = self.buf.cids();
+        if let Err(at) = self.find(&cids) {
+            cids.insert(at, (self.start, self.len, cid));
+        }
     }
 }
 
 impl From<Vec<u8>> for Bytes {
-    /// Wraps `data` without copying it.
+    /// Wraps `bytes` without copying them.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is 4 GiB or longer.
-    fn from(data: Vec<u8>) -> Self {
-        Bytes::from(Arc::new(data))
-    }
-}
-
-impl From<Arc<Vec<u8>>> for Bytes {
-    /// A view of all of `buf`, sharing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf` is 4 GiB or longer.
-    fn from(buf: Arc<Vec<u8>>) -> Self {
-        let len = offset(buf.len());
-        Bytes { buf, start: 0, len }
+    /// Panics if `bytes` is 4 GiB or longer.
+    fn from(bytes: Vec<u8>) -> Self {
+        let len = offset(bytes.len());
+        Bytes { buf: Arc::new(Buffer { bytes, cids: Mutex::default() }), start: 0, len }
     }
 }
 

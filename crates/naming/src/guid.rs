@@ -27,7 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use oceanstore_crypto::schnorr::PublicKey;
-use oceanstore_crypto::sha1::{sha1_concat, sha1_concat_run, Digest, DIGEST_LEN, RUN};
+use oceanstore_crypto::sha1::{sha1_concat, sha1_concat_run, Digest, DIGEST_LEN};
+
+use crate::bytes::Bytes;
 
 /// Number of hex digits (nibbles) in a GUID.
 pub const NIBBLES: usize = DIGEST_LEN * 2;
@@ -98,16 +100,42 @@ impl Guid {
         Guid(sha1_concat(&[CONTENT, data]))
     }
 
-    /// [`Guid::for_content`] of each block, in order. Each maximal run of
-    /// blocks of one length is hashed by [`sha1_concat_run`], which names
-    /// as many at once as the CPU's widest lanes take (sixteen with
-    /// AVX-512, eight with AVX2) and the rest one at a time.
-    pub fn for_contents(blocks: &[&[u8]]) -> Vec<Guid> {
-        let mut out = Vec::with_capacity(blocks.len());
+    /// [`Guid::for_content`] of each view, in order. A view named before
+    /// — this one, or another at the same place in the same buffer — is
+    /// read from its buffer's memo ([`crate::bytes`]); the rest are hashed,
+    /// and each maximal run of them of one length goes through
+    /// [`sha1_concat_run`], which names as many at once as the CPU's
+    /// widest lanes take (sixteen with AVX-512, eight with AVX2) and the
+    /// rest one at a time. Their ids then join the memo.
+    pub fn for_contents<'a>(views: impl IntoIterator<Item = &'a Bytes>) -> Vec<Guid> {
+        let views = views.into_iter();
+        let mut out = Vec::with_capacity(views.size_hint().0);
+        // (where in `out`, the view) of each view the memo lacks
+        let mut misses = Vec::new();
+        for view in views {
+            let cid = view.memoized();
+            if cid.is_none() {
+                misses.push((out.len(), view));
+            }
+            out.push(cid.unwrap_or(Guid([0; DIGEST_LEN])));
+        }
+        let blocks: Vec<&[u8]> = misses.iter().map(|(_, view)| view.as_slice()).collect();
+        #[cfg(test)]
+        tests::HASHED.with(|n| n.set(n.get() + blocks.iter().map(|b| b.len()).sum::<usize>()));
+        let mut next = misses.iter();
         for run in blocks.chunk_by(|a, b| a.len() == b.len()) {
-            sha1_concat_run(CONTENT, run, |d| out.push(Guid(d)));
+            sha1_concat_run(CONTENT, run, |d| {
+                let (at, view) = next.next().expect("one digest per view");
+                out[*at] = Guid(d);
+                view.memoize(Guid(d));
+            });
         }
         out
+    }
+
+    /// [`Guid::for_contents`] of one view.
+    pub fn for_view(view: &Bytes) -> Self {
+        Guid::for_contents([view])[0]
     }
 
     /// Deterministic GUID from an arbitrary label (used by tests and
@@ -176,18 +204,6 @@ impl Guid {
     pub fn to_hex(&self) -> String {
         self.0.iter().map(|b| format!("{b:02x}")).collect()
     }
-}
-
-/// Whether blocks of lengths `lens`, in this order, hold [`RUN`] of one
-/// length in a row: enough for [`Guid::for_contents`] to hash some of them
-/// at once on any CPU with lanes.
-pub fn has_run(lens: impl IntoIterator<Item = usize>) -> bool {
-    // (length, how many of it in a row)
-    let mut run = (0, 0);
-    lens.into_iter().any(|len| {
-        run = if run.0 == len { (len, run.1 + 1) } else { (len, 1) };
-        run.1 == RUN
-    })
 }
 
 /// A hash map keyed by identifiers: GUIDs, `(GUID, index)` pairs, tentative
@@ -309,13 +325,26 @@ mod tests {
         assert_ne!(Guid::for_content(b"abc"), Guid::for_content(b"abd"));
     }
 
+    thread_local! {
+        /// Bytes [`Guid::for_contents`] hashed on this thread.
+        pub(super) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Bytes [`Guid::for_contents`] hashes on this thread while `f` runs.
+    fn hashed<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = HASHED.with(std::cell::Cell::get);
+        let out = f();
+        (out, HASHED.with(std::cell::Cell::get) - before)
+    }
+
     /// Runs of 8 to 40, cut where they are: each block's GUID is its
     /// [`Guid::for_content`] whichever way it was hashed. Cut at every
     /// block and started at each of the first seventeen, the runs split
     /// into sixteens, eights left over after them, and singles. Odd
     /// lengths sit between runs, seven of one length fall short of a run,
     /// a ninth follows a run, and a run starts right after a block of
-    /// another length.
+    /// another length. Every pass names fresh buffers, so none is
+    /// answered from a memo.
     #[test]
     fn for_contents_names_each_block_as_for_content_does() {
         let block = |len: usize, salt: usize| -> Vec<u8> {
@@ -334,14 +363,124 @@ mod tests {
             .chain([7; 17])
             .chain([300; 31]);
         let owned: Vec<Vec<u8>> = lens.enumerate().map(|(i, len)| block(len, i)).collect();
-        let blocks: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-        for n in 0..=blocks.len() {
-            let each: Vec<Guid> = blocks[..n].iter().map(|b| Guid::for_content(b)).collect();
-            assert_eq!(Guid::for_contents(&blocks[..n]), each, "first {n} blocks");
+        let fresh = |blocks: &[Vec<u8>]| -> Vec<Bytes> {
+            blocks.iter().map(|b| Bytes::copy_from_slice(b)).collect()
+        };
+        let each = |blocks: &[Vec<u8>]| -> Vec<Guid> {
+            blocks.iter().map(|b| Guid::for_content(b)).collect()
+        };
+        for n in 0..=owned.len() {
+            let (cids, bytes) = hashed(|| Guid::for_contents(&fresh(&owned[..n])));
+            assert_eq!(cids, each(&owned[..n]), "first {n} blocks");
+            assert_eq!(bytes, owned[..n].iter().map(Vec::len).sum::<usize>(), "first {n} blocks");
         }
         for start in 0..=16 {
-            let each: Vec<Guid> = blocks[start..].iter().map(|b| Guid::for_content(b)).collect();
-            assert_eq!(Guid::for_contents(&blocks[start..]), each, "from block {start}");
+            let views = fresh(&owned[start..]);
+            assert_eq!(Guid::for_contents(&views), each(&owned[start..]), "from block {start}");
+        }
+    }
+
+    /// `(start, len)` of the views [`memo_names_what_for_content_names`]
+    /// takes of a buffer of `size` bytes: the whole, `picks` anywhere
+    /// (empty, overlapping, repeated), and a run of `run` views of
+    /// `run_len` bytes every `stride` bytes, overlapping when the stride is
+    /// shorter, so a run spans a zmm and a ymm width and singles.
+    fn places(
+        size: usize,
+        picks: &[(usize, usize)],
+        run: usize,
+        run_len: usize,
+        stride: usize,
+    ) -> Vec<(usize, usize)> {
+        let mut places = vec![(0, size)];
+        for &(a, b) in picks {
+            let (a, b) = (a % (size + 1), b % (size + 1));
+            places.push((a.min(b), a.abs_diff(b)));
+        }
+        let run_len = run_len.min(size);
+        places.extend((0..run).map(|i| ((i * stride) % (size - run_len + 1), run_len)));
+        places
+    }
+
+    proptest! {
+        /// Views of random buffers, by the memo or by hashing: whole, at
+        /// random places (empty, nested, overlapping, repeated) and in
+        /// runs of one length long enough for both lane widths. Every id
+        /// is the view's [`Guid::for_content`], on the first naming and
+        /// on the next, of the same views and of a sub-view's sub-view.
+        #[test]
+        fn memo_names_what_for_content_names(
+            data in proptest::collection::vec(any::<u8>(), 0..6000),
+            picks in proptest::collection::vec((0usize..6001, 0usize..6001), 0..12),
+            run in 0usize..41,
+            run_len in prop_oneof![0usize..200, Just(4096usize)],
+            stride in 1usize..300,
+        ) {
+            let whole = Bytes::from(data.clone());
+            let places = places(data.len(), &picks, run, run_len, stride);
+            let views: Vec<Bytes> = places.iter().map(|&(at, len)| whole.slice(at..at + len)).collect();
+            let each: Vec<Guid> = places.iter().map(|&(at, len)| Guid::for_content(&data[at..at + len])).collect();
+            prop_assert_eq!(&Guid::for_contents(&views), &each);
+            prop_assert_eq!(&Guid::for_contents(&views), &each);
+            // The same places reached another way: a view of a view.
+            let half = data.len() / 2;
+            let outer = whole.slice(half..data.len());
+            let nested: Vec<Bytes> = places
+                .iter()
+                .filter(|&&(at, _)| at >= half)
+                .map(|&(at, len)| outer.slice(at - half..at - half + len))
+                .collect();
+            let expect: Vec<Guid> = nested.iter().map(|v| Guid::for_content(v)).collect();
+            prop_assert_eq!(Guid::for_contents(&nested), expect);
+        }
+    }
+
+    /// Naming views a second time hashes nothing, nor does naming fresh
+    /// views at the same places of the buffer; a copy of the same bytes is
+    /// another buffer and is hashed in full.
+    #[test]
+    fn naming_again_hashes_no_byte() {
+        let whole = Bytes::from((0..=255u8).cycle().take(64 * 1024).collect::<Vec<u8>>());
+        let blocks = |whole: &Bytes| -> Vec<Bytes> {
+            (0..16).map(|i| whole.slice(i * 4096..(i + 1) * 4096)).collect()
+        };
+        let odd = whole.slice(1..4000);
+        let (first, n) = hashed(|| Guid::for_contents(blocks(&whole).iter().chain([&odd])));
+        assert_eq!(n, 64 * 1024 + 3999, "the first naming hashes every byte once");
+        let (again, n) = hashed(|| Guid::for_contents(blocks(&whole).iter().chain([&odd])));
+        assert_eq!((again, n), (first.clone(), 0), "fresh views of the same places");
+        let (one, n) = hashed(|| Guid::for_view(&whole.slice(4096..8192)));
+        assert_eq!((one, n), (first[1], 0));
+        let copy = Bytes::copy_from_slice(&whole);
+        let (copied, n) = hashed(|| Guid::for_contents(&blocks(&copy)));
+        assert_eq!((copied.as_slice(), n), (&first[..16], 64 * 1024), "another buffer");
+        let (whole_id, n) = hashed(|| Guid::for_view(&whole));
+        assert_eq!((whole_id, n), (Guid::for_content(&whole), 64 * 1024), "a new place");
+    }
+
+    /// Two threads naming views of one buffer at once get the same ids,
+    /// each the view's [`Guid::for_content`].
+    #[test]
+    fn two_threads_name_one_buffer_alike() {
+        let data: Vec<u8> = (0..96 * 1024u32).map(|i| (i * 31 % 251) as u8).collect();
+        let each: Vec<Guid> = data.chunks(1024).map(Guid::for_content).collect();
+        for round in 0..8 {
+            // A fresh buffer each round: both threads find its memo empty.
+            let whole = Bytes::copy_from_slice(&data);
+            let views: Vec<Bytes> =
+                (0..96).map(|i| whole.slice(i * 1024..(i + 1) * 1024)).collect();
+            let start = std::sync::Barrier::new(2);
+            let (a, b) = std::thread::scope(|s| {
+                let name = || {
+                    start.wait();
+                    Guid::for_contents(&views)
+                };
+                let a = s.spawn(name);
+                let b = s.spawn(name);
+                (a.join().expect("thread a"), b.join().expect("thread b"))
+            });
+            assert_eq!(a, b, "round {round}");
+            assert_eq!(a, each, "round {round}");
         }
     }
 

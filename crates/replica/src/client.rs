@@ -13,7 +13,6 @@ use oceanstore_consensus::client::{Client as PbftClient, ClientOutcome};
 use oceanstore_consensus::messages::{Payload, PbftMsg, PbftTimer, RequestId};
 use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
-use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};
 use oceanstore_sim::{Context, NodeId, SimDuration};
 use oceanstore_update::Update;
@@ -98,7 +97,7 @@ impl UpdateClient {
             self.routes.insert(seq, ring);
         }
         let payload = Payload::from_bytes(encode_payload(&object, update));
-        let whole = Bytes::from(payload.bytes.clone());
+        let whole = &payload.bytes;
         let encoded = whole.slice(PAYLOAD_UPDATE_AT..whole.len());
         let timestamp = ctx.now().as_micros();
         let id = ctx.with_inner(ReplicaMsg::Pbft, ReplicaTimer::Client, |ictx| {

@@ -349,10 +349,11 @@ mod tests {
 mod security_tests {
     use oceanstore_crypto::schnorr::KeyPair;
     use oceanstore_crypto::threshold::SerializationCert;
+    use oceanstore_naming::bytes::Bytes;
     use oceanstore_naming::guid::Guid;
     use oceanstore_sim::{NodeId, SimDuration};
     use oceanstore_update::update::Action;
-    use oceanstore_update::{encode_update, update_digest, Update};
+    use oceanstore_update::{decode_view, encode_update, update_digest, Update};
 
     use crate::harness::{build_deployment, DeploymentOpts};
     use crate::messages::{CommitRecord, ReplicaMsg, TentativeId};
@@ -368,10 +369,12 @@ mod security_tests {
             Update::unconditional(vec![Action::Append { ciphertext: vec![0xEE; 4] }]);
         let attacker_keys: Vec<KeyPair> =
             (0..4).map(|i| KeyPair::from_seed(format!("attacker-{i}").as_bytes())).collect();
+        let encoded = Bytes::from(encode_update(&evil_update));
+        let evil_update = decode_view(&encoded).expect("decodes");
         let mut record = CommitRecord {
             object,
             index: 0,
-            update: encode_update(&evil_update).into(),
+            update: encoded,
             version: Some(1),
             timestamp: 0,
             id: TentativeId { client: NodeId(99), counter: 0 },

@@ -85,6 +85,17 @@ impl CommitRecord {
     /// here, itself; none is taken from the wire. No honest tier
     /// certifies bytes that do not decode. The update's ciphertexts are
     /// views of the record's buffer.
+    ///
+    /// Each block's CID comes from that buffer's memo
+    /// ([`oceanstore_naming::bytes`]) when another node of this process
+    /// already named a view at the same place in it — the client, a
+    /// primary or a secondary handed a clone of the same record — and is
+    /// hashed here otherwise. A hit is the same check as hashing again:
+    /// the memo holds only digests this process computed from these very
+    /// bytes, which never change, and bytes that came any other way (a
+    /// forged record, a fetched one) are another buffer, hashed for real.
+    /// The decode, the digest over the encoding and the CIDs, and the
+    /// certificate check run on every call.
     pub fn verified(
         &self,
         keys: &[PublicKey],

@@ -119,8 +119,7 @@ impl Namer for UpdateNamer {
 
     fn name(&self, payload: &Payload) -> (Digest, Option<UpdateDigest>) {
         let padded = (payload.padded_size as u64).to_be_bytes();
-        let bytes = Bytes::from(payload.bytes.clone());
-        if let Some((object, encoded)) = decode_payload(&bytes) {
+        if let Some((object, encoded)) = decode_payload(&payload.bytes) {
             if let Ok(update) = decode_view(&encoded) {
                 let named = update_digest(&update);
                 let name = sha1_concat(&[UPDATE_NAME, &padded, object.as_bytes(), &named.digest]);
@@ -336,12 +335,12 @@ impl Primary {
             self.drained += 1;
             // The agreed payload is the buffer the client encoded; the
             // record and every block the update stores are views of it.
-            let payload = Bytes::from(entry.payload.bytes.clone());
+            let payload = &entry.payload.bytes;
             // The digest every signature below covers, and the CIDs the
             // store files its blocks under: what the agreement replica's
             // namer derived from these bytes, when it admitted the request
             // or installed the slot. A payload that is no update has none.
-            let (Some((object, encoded)), Some(name)) = (decode_payload(&payload), &entry.note)
+            let (Some((object, encoded)), Some(name)) = (decode_payload(payload), &entry.note)
             else {
                 continue; // malformed payload agreed on; logged nowhere to go
             };

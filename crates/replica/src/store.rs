@@ -583,10 +583,17 @@ mod tests {
     use oceanstore_update::update::Action;
     use oceanstore_update::{decode_view, encode_update, update_digest};
 
-    fn update(tag: u8) -> (Update, UpdateDigest, Bytes) {
-        let u = Update::unconditional(vec![Action::Append { ciphertext: vec![tag; 4] }]);
-        let (name, enc) = (update_digest(&u), Bytes::from(encode_update(&u)));
-        (u, name, enc)
+    fn update(tag: u8) -> (Update<Bytes>, UpdateDigest, Bytes) {
+        served(&Update::unconditional(vec![Action::Append { ciphertext: vec![tag; 4] }]))
+    }
+
+    /// `u` as a server holds it: decoded from a view of its encoding and
+    /// named, with that encoding.
+    fn served(u: &Update) -> (Update<Bytes>, UpdateDigest, Bytes) {
+        let enc = Bytes::from(encode_update(u));
+        let update = decode_view(&enc).expect("decodes");
+        let name = update_digest(&update);
+        (update, name, enc)
     }
 
     /// Replays `record` the way a secondary does, minus the certificate
@@ -666,7 +673,7 @@ mod tests {
         let obj = Guid::from_label("o");
         let mut primary = ObjectStore::new();
         let u = Update::default().with_clause(Predicate::CompareVersion(42), vec![]);
-        let (name, enc) = (update_digest(&u), Bytes::from(encode_update(&u)));
+        let (u, name, enc) = served(&u);
         let rec = primary.serialize_update(obj, u, name, enc, 0, tid(0));
         assert_eq!(rec.version, None);
         let st = primary.get(&obj).unwrap();
@@ -754,7 +761,7 @@ mod tests {
                     Action::Append { ciphertext: block(4) },
                 ],
             );
-        let (name, enc) = (update_digest(&u), Bytes::from(encode_update(&u)));
+        let (u, name, enc) = served(&u);
         assert_eq!(name.cids.len(), 4);
         store.serialize_update(obj, u, name, enc, 1, tid(1));
         assert_eq!(store.slot_cid(&obj, 0), Some(cid_of(&block(3))), "the later write names it");

@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
     build_deployment, frontier_digest, Deployment, DeploymentOpts, ObjectStore, ReplicaMsg,
@@ -19,7 +20,7 @@ use oceanstore_replica::{
 };
 use oceanstore_sim::{NodeId, SimDuration};
 use oceanstore_update::update::Action;
-use oceanstore_update::{encode_update, update_digest, Update};
+use oceanstore_update::{decode_view, encode_update, update_digest, Update};
 use proptest::prelude::*;
 
 /// One node's holdings: committed frontier and tentative ids per object.
@@ -113,14 +114,17 @@ proptest! {
                 replica.entry(object);
             } else {
                 let id = TentativeId { client: NodeId(9), counter: counter as u64 };
-                let (update, encoded) = (append(), encode_update(&append()).into());
+                let encoded = Bytes::from(encode_update(&append()));
+                let update = decode_view(&encoded).expect("decodes");
                 let name = update_digest(&update);
                 log[o].push(primary.serialize_update(object, update, name, encoded, 0, id));
             }
             // Replay some record of this object — the next one, an old
             // one again, or one past a gap.
             if let Some(record) = log[o].len().checked_sub(1 + back).map(|at| &log[o][at]) {
-                replica.apply_record(record.clone(), append(), update_digest(&append()), |_| {});
+                let update = decode_view(&record.update).expect("decodes");
+                let name = update_digest(&update);
+                replica.apply_record(record.clone(), update, name, |_| {});
             }
             prop_assert_eq!(primary.committed_digest(), recomputed(&primary));
             prop_assert_eq!(replica.committed_digest(), recomputed(&replica));

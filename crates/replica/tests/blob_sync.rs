@@ -17,12 +17,14 @@ use oceanstore_sim::NodeId;
 use oceanstore_store::{cid_of, BlobStore, MemoryStore, SimRemoteStore, StoreError, StoreStats};
 use oceanstore_update::object::Block;
 use oceanstore_update::update::{Action, Predicate};
-use oceanstore_update::{encode_update, update_digest, Update};
+use oceanstore_update::{decode_view, encode_update, update_digest, Update};
 use proptest::prelude::*;
 
 /// Serializes `update` into `object`'s log as commit `n`.
 fn commit(store: &mut ObjectStore, object: Guid, update: Update, n: u64) {
-    let (name, encoded) = (update_digest(&update), Bytes::from(encode_update(&update)));
+    let encoded = Bytes::from(encode_update(&update));
+    let update = decode_view(&encoded).expect("decodes");
+    let name = update_digest(&update);
     let id = TentativeId { client: NodeId(1), counter: n };
     store.serialize_update(object, update, name, encoded, n, id);
 }

@@ -71,7 +71,7 @@ fn every_node_holds_views_of_the_clients_payload() {
                 let payload = (0..pbft.executed_seen())
                     .filter_map(|i| pbft.executed_entry(i))
                     .map(|entry| &entry.payload.bytes)
-                    .find(|bytes| Arc::ptr_eq(bytes, ours.update.buffer()));
+                    .find(|bytes| Arc::ptr_eq(bytes.buffer(), ours.update.buffer()));
                 let payload =
                     payload.unwrap_or_else(|| panic!("{p:?}: a record copied its payload"));
                 assert_eq!(

@@ -14,16 +14,19 @@ use oceanstore_consensus::messages::{
     RequestId, StateEntry,
 };
 use oceanstore_crypto::schnorr::{KeyPair, Signature};
+use oceanstore_crypto::threshold::SerializationCert;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
-use oceanstore_replica::primary::encode_payload;
+use oceanstore_replica::primary::{encode_payload, PAYLOAD_UPDATE_AT};
 use oceanstore_replica::{
-    build_deployment, Deployment, DeploymentOpts, ObjectStore, ReplicaMsg, UpdateNamer,
+    build_deployment, CommitRecord, Deployment, DeploymentOpts, ObjectStore, ReplicaMsg,
+    TentativeId, UpdateNamer,
 };
 use oceanstore_sim::{NodeId, SimDuration};
 use oceanstore_store::cid_of;
 use oceanstore_update::object::Block;
 use oceanstore_update::update::Action;
-use oceanstore_update::Update;
+use oceanstore_update::{decode_view, update_digest, Update};
 
 /// An unconditional update appending one block per entry of `blocks`.
 fn appends(blocks: &[Vec<u8>]) -> Update {
@@ -229,4 +232,79 @@ fn an_equivocating_client_gets_the_committed_payloads_cids_by_state_transfer() {
     let primary = dep.primary(victim);
     assert_eq!(primary.pbft().executed_seen(), 1);
     assert_eq!(filed_blocks(&primary.store, &object, victim), first, "the committed update");
+}
+
+/// Record `index` of `object` carrying `update`, certified by every
+/// primary of the default deployment as binding `digest`.
+fn certified_record(object: Guid, index: u64, update: Bytes, digest: &[u8; 20]) -> CommitRecord {
+    let seed = DeploymentOpts::default().seed;
+    let mut record = CommitRecord {
+        object,
+        index,
+        update,
+        version: Some(index + 1),
+        timestamp: 7,
+        id: TentativeId { client: NodeId(0), counter: 7 },
+        cert: SerializationCert::new(),
+    };
+    let msg = record.signing_bytes(digest);
+    for i in 0..4 {
+        let key = primary_key(seed, i);
+        record.cert.add(key.public(), key.sign(&msg));
+    }
+    record
+}
+
+/// A commit record whose bytes differ, in one block of the same length,
+/// from a record every node of the process has already named is refused
+/// by every secondary, though its certificate is genuine for the named
+/// record's digest. The forged bytes are another buffer, laid out exactly
+/// as the named one, so each secondary hashes them for real: a memo that
+/// recognised a view by its place alone, not by its buffer too, would hand
+/// back the named record's CIDs and let the forgery apply. The same
+/// record with a fresh copy of the genuine bytes applies everywhere.
+#[test]
+fn a_forged_record_laid_out_like_a_named_one_is_refused_by_every_secondary() {
+    let mut dep = build_deployment(&DeploymentOpts::default());
+    let object = Guid::from_label("forged-memo");
+    let meant = blocks(0x40, 4, 1024);
+    dep.submit(dep.clients[0], object, &appends(&meant));
+    dep.sim.run_for(SimDuration::from_secs(2));
+    let genuine = dep.primary(dep.primaries()[0]).store.records_from(&object, 0);
+    let genuine = &genuine[0];
+    let digest = update_digest(&decode_view(&genuine.update).expect("decodes")).digest;
+    let secondaries = dep.secondaries.clone();
+    for &s in &secondaries {
+        assert_eq!(dep.secondary(s).committed_view(&object).map(|o| o.version_number()), Some(1));
+    }
+
+    // The genuine update again at index 1, in another buffer laid out as
+    // the payload the genuine record is a view of, with one block swapped.
+    let reencoded = |blocks: &[Vec<u8>]| -> Bytes {
+        let whole = Bytes::from(encode_payload(&object, &appends(blocks)));
+        whole.slice(PAYLOAD_UPDATE_AT..whole.len())
+    };
+    let mut swapped = meant.clone();
+    swapped[1] = vec![0xEE; 1024];
+    let forged = certified_record(object, 1, reencoded(&swapped), &digest);
+    assert_eq!(forged.update.len(), genuine.update.len(), "laid out alike");
+    let source = secondaries[0];
+    for &s in &secondaries[1..] {
+        dep.sim.inject(source, s, ReplicaMsg::Commit(forged.clone()));
+    }
+    dep.sim.run_for(SimDuration::from_secs(2));
+    for &s in &secondaries[1..] {
+        let view = dep.secondary(s).committed_view(&object).expect("holds the object");
+        assert_eq!(view.version_number(), 1, "{s:?} applied a forged record");
+    }
+
+    let copy = certified_record(object, 1, reencoded(&meant), &digest);
+    for &s in &secondaries[1..] {
+        dep.sim.inject(source, s, ReplicaMsg::Commit(copy.clone()));
+    }
+    dep.sim.run_for(SimDuration::from_secs(2));
+    for &s in &secondaries[1..] {
+        let view = dep.secondary(s).committed_view(&object).expect("holds the object");
+        assert_eq!(view.version_number(), 2, "{s:?} refused the genuine bytes");
+    }
 }

@@ -11,7 +11,7 @@
 use oceanstore_crypto::sha1::{Digest, Sha1};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
 use oceanstore_naming::bytes::Bytes;
-use oceanstore_naming::guid::{has_run, Guid};
+use oceanstore_naming::guid::Guid;
 
 use crate::update::{Action, Clause, Predicate, Update};
 
@@ -103,23 +103,19 @@ pub fn encode_after<C: AsRef<[u8]>>(prefix: &[u8], u: &Update<C>) -> Vec<u8> {
     b
 }
 
-/// Names `u`: each ciphertext is hashed once, into its content id, and
-/// then one streaming pass over the encoding hashes the content ids with
-/// the rest of it into the digest. A Merkle DAG of depth one — the digest
-/// covers every byte, and every block is already named by the CID the
-/// blob store keeps it under.
+/// Names `u`: each ciphertext gets its content id, and then one streaming
+/// pass over the encoding hashes the content ids with the rest of it into
+/// the digest. A Merkle DAG of depth one — the digest covers every byte,
+/// and every block is already named by the CID the blob store keeps it
+/// under.
 ///
-/// The ciphertexts are named through [`Guid::for_contents`], which hashes
-/// runs of eight or more of one length many at once. An update without such a run (an
-/// 8-byte append, say) is named one ciphertext at a time, without
-/// collecting its ciphertexts first.
-pub fn update_digest<C: AsRef<[u8]>>(u: &Update<C>) -> UpdateDigest {
-    let ciphertexts = || u.clauses.iter().flat_map(|c| &c.actions).filter_map(Action::ciphertext);
-    let cids = if has_run(ciphertexts().map(<[u8]>::len)) {
-        Guid::for_contents(&ciphertexts().collect::<Vec<_>>())
-    } else {
-        ciphertexts().map(Guid::for_content).collect()
-    };
+/// The ciphertexts are views, named through [`Guid::for_contents`]: a view
+/// this process named before is read from its buffer's memo, and the rest
+/// are hashed, runs of eight or more of one length many at once.
+pub fn update_digest(u: &Update<Bytes>) -> UpdateDigest {
+    let cids = Guid::for_contents(
+        u.clauses.iter().flat_map(|c| &c.actions).filter_map(Action::ciphertext),
+    );
     let mut namer = Namer { sha: Sha1::new(), cids: cids.iter() };
     encode(&mut namer, u);
     UpdateDigest { digest: namer.sha.finalize(), cids }
@@ -192,10 +188,10 @@ fn encode_predicate(b: &mut impl Sink, p: &Predicate) {
             b.put(&[2]);
             put_u64(b, *s as u64);
         }
-        Predicate::CompareBlock { position, hash } => {
+        Predicate::CompareBlock { position, cid } => {
             b.put(&[3]);
             put_u64(b, *position as u64);
-            b.put(hash);
+            b.put(cid.as_bytes());
         }
         Predicate::Search(t) => {
             b.put(&[4]);
@@ -215,8 +211,8 @@ fn decode_predicate(b: &mut &[u8]) -> Result<Predicate, DecodeError> {
         2 => Predicate::CompareSize(get_u64(b)? as usize),
         3 => {
             let position = get_u64(b)? as usize;
-            let hash = get_array::<32>(b)?;
-            Predicate::CompareBlock { position, hash }
+            let cid = Guid::from_bytes(get_array::<{ Guid::WIRE_SIZE }>(b)?);
+            Predicate::CompareBlock { position, cid }
         }
         4 => Predicate::Search(Trapdoor::from_bytes(get_array::<32>(b)?)),
         5 => Predicate::SearchAbsent(Trapdoor::from_bytes(get_array::<32>(b)?)),
@@ -356,7 +352,7 @@ mod tests {
                     ],
                 )
                 .with_clause(
-                    Predicate::CompareBlock { position: 1, hash: [0xAB; 32] },
+                    Predicate::CompareBlock { position: 1, cid: Guid::from_bytes([0xAB; 20]) },
                     vec![Action::ReplaceWithIndex { position: 1, pointers: vec![4, 5, 6] }],
                 ),
             Update::default().with_clause(
@@ -477,7 +473,9 @@ mod tests {
                 u.clauses.insert(0, Clause { predicate: Predicate::CompareVersion(cut as u64), actions: tail });
             }
             u.clauses.insert(0, Clause { predicate: Predicate::True, actions });
-            prop_assert_eq!(update_digest(&u), streaming_digest(&u));
+            let views = decode_view(&Bytes::from(encode_update(&u))).expect("round-trips");
+            prop_assert_eq!(update_digest(&views), streaming_digest(&u));
+            prop_assert_eq!(update_digest(&views), streaming_digest(&u), "from the memo");
         }
     }
 }

@@ -7,8 +7,8 @@
 //! object back by resolving index blocks and decrypting.
 
 use oceanstore_crypto::cipher::BlockCipherKey;
-use oceanstore_crypto::sha256::sha256;
 use oceanstore_crypto::swp::SearchKey;
+use oceanstore_naming::guid::Guid;
 
 use crate::object::{Block, DataObject, Version};
 use crate::update::{Action, Predicate, Update};
@@ -159,7 +159,7 @@ pub fn block_unchanged_predicate(object: &DataObject, position: usize) -> Predic
     let v = object.current();
     let slot = v.logical_order()[position];
     match &v.blocks[slot] {
-        Block::Data(ct) => Predicate::CompareBlock { position, hash: sha256(ct) },
+        Block::Data(ct) => Predicate::CompareBlock { position, cid: Guid::for_view(ct) },
         Block::Index(_) => panic!("compare-block needs a data block"),
     }
 }

@@ -21,9 +21,9 @@
 
 use std::sync::Arc;
 
-use oceanstore_crypto::sha256::{sha256, Digest as Digest256};
 use oceanstore_crypto::swp::{EncryptedIndex, Trapdoor};
 use oceanstore_naming::bytes::Bytes;
+use oceanstore_naming::guid::Guid;
 
 use crate::object::{Block, DataObject};
 
@@ -37,14 +37,15 @@ pub enum Predicate {
     CompareVersion(u64),
     /// Object's stored size equals this many bytes.
     CompareSize(usize),
-    /// The ciphertext block at logical position `position` hashes to
-    /// `hash` ("the client simply computes a hash of the encrypted block
-    /// and submits it along with the block number").
+    /// The ciphertext block at logical position `position` is named `cid`
+    /// ("the client simply computes a hash of the encrypted block and
+    /// submits it along with the block number"): the block's one name, the
+    /// content id the blob store files it under.
     CompareBlock {
         /// Logical block position.
         position: usize,
-        /// SHA-256 of the expected ciphertext.
-        hash: Digest256,
+        /// [`Guid::for_content`] of the expected ciphertext.
+        cid: Guid,
     },
     /// The encrypted search index matches this trapdoor (Song–Wagner–
     /// Perrig search on ciphertext \[47\]).
@@ -90,12 +91,12 @@ pub enum Action<C = Vec<u8>> {
     SetSearchIndex(EncryptedIndex),
 }
 
-impl<C: AsRef<[u8]>> Action<C> {
+impl<C> Action<C> {
     /// The block ciphertext this action stores, if it stores one.
-    pub fn ciphertext(&self) -> Option<&[u8]> {
+    pub fn ciphertext(&self) -> Option<&C> {
         match self {
             Action::ReplaceBlock { ciphertext, .. } | Action::Append { ciphertext } => {
-                Some(ciphertext.as_ref())
+                Some(ciphertext)
             }
             _ => None,
         }
@@ -151,7 +152,7 @@ impl<C: AsRef<[u8]>> Update<C> {
                 Predicate::True => 1,
                 Predicate::CompareVersion(_) => 9,
                 Predicate::CompareSize(_) => 9,
-                Predicate::CompareBlock { .. } => 8 + 32,
+                Predicate::CompareBlock { .. } => 8 + Guid::WIRE_SIZE,
                 Predicate::Search(_) | Predicate::SearchAbsent(_) => Trapdoor::WIRE_SIZE + 1,
             };
             for a in &c.actions {
@@ -213,11 +214,11 @@ pub fn evaluate(object: &DataObject, predicate: &Predicate) -> bool {
         Predicate::True => true,
         Predicate::CompareVersion(n) => v.number == *n,
         Predicate::CompareSize(s) => v.stored_size() == *s,
-        Predicate::CompareBlock { position, hash } => {
+        Predicate::CompareBlock { position, cid } => {
             let order = v.logical_order();
             let Some(&slot) = order.get(*position) else { return false };
             match &v.blocks[slot] {
-                Block::Data(bytes) => sha256(bytes) == *hash,
+                Block::Data(bytes) => Guid::for_view(bytes) == *cid,
                 Block::Index(_) => false,
             }
         }
@@ -408,9 +409,9 @@ mod tests {
         // Optimistic concurrency on one block: replace block 0 only if its
         // ciphertext is unchanged.
         let mut o = fresh_with_blocks(&[7, 8]);
-        let expected_hash = sha256(&ct(7));
+        let expected_cid = Guid::for_content(&ct(7));
         let u = Update::default().with_clause(
-            Predicate::CompareBlock { position: 0, hash: expected_hash },
+            Predicate::CompareBlock { position: 0, cid: expected_cid },
             vec![Action::ReplaceBlock { position: 0, ciphertext: ct(9) }],
         );
         assert!(apply(&mut o, &u).is_committed());
@@ -532,7 +533,7 @@ mod tests {
         // first predicate is made to check the read set of a transaction,
         // the corresponding action applies the write set."
         let mut o = fresh_with_blocks(&[10, 20]);
-        let read_set_ok = Predicate::CompareBlock { position: 0, hash: sha256(&ct(10)) };
+        let read_set_ok = Predicate::CompareBlock { position: 0, cid: Guid::for_content(&ct(10)) };
         let txn = Update::default().with_clause(
             read_set_ok,
             vec![Action::ReplaceBlock { position: 1, ciphertext: ct(21) }],

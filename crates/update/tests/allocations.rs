@@ -1,13 +1,14 @@
-//! What naming an update allocates. `update_digest` collects an update's
-//! ciphertexts into a list only when they hold a run of eight of one
-//! length, the runs `Guid::for_contents` hashes at once. Any other update
-//! (the open loops' 8-byte appends among them) allocates one vector, the
-//! CIDs it returns, as when every ciphertext was named one at a time.
+//! What naming an update allocates. The first naming of an update's views
+//! makes four allocations whatever its shape: the CIDs it returns, the
+//! list of views the buffer's memo lacks, their bytes for the hash lanes,
+//! and the memo. Naming the same views again reads every CID from the
+//! memo and allocates only the vector it returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use oceanstore_update::codec::update_digest;
+use oceanstore_naming::bytes::Bytes;
+use oceanstore_update::codec::{decode_view, encode_update, update_digest};
 use oceanstore_update::update::Action;
 use oceanstore_update::Update;
 
@@ -61,8 +62,8 @@ fn appends(lens: impl IntoIterator<Item = usize>) -> Update {
 }
 
 #[test]
-fn naming_collects_ciphertexts_only_for_a_run_of_eight() {
-    let no_run = [
+fn naming_again_allocates_only_the_cid_vector() {
+    let updates = [
         ("one 8-byte append", appends([8])),
         ("seven of one length", appends([4096; 7])),
         (
@@ -70,10 +71,11 @@ fn naming_collects_ciphertexts_only_for_a_run_of_eight() {
             appends([4096, 4096, 4096, 4096, 8, 4096, 4096, 4096, 4096]),
         ),
         ("twenty, lengths alternating", appends((0..20).map(|i| 64 + i % 2))),
+        ("a run of eight", appends([4096; 8])),
     ];
-    for (what, update) in &no_run {
-        assert_eq!(allocations(|| update_digest(update)), 1, "{what}: only the CID vector");
+    for (what, update) in &updates {
+        let views = decode_view(&Bytes::from(encode_update(update))).expect("decodes");
+        assert_eq!(allocations(|| update_digest(&views)), 4, "{what}: named first");
+        assert_eq!(allocations(|| update_digest(&views)), 1, "{what}: only the CID vector");
     }
-    let run = appends([4096; 8]);
-    assert_eq!(allocations(|| update_digest(&run)), 2, "a run: the CID vector and the list");
 }

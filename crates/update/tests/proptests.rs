@@ -10,7 +10,7 @@ use oceanstore_crypto::swp::SearchKey;
 use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_update::codec::{
-    decode_update, decode_view, encode_after, encode_update, update_digest,
+    decode_update, decode_view, encode_after, encode_update, update_digest, UpdateDigest,
 };
 use oceanstore_update::object::{Block, DataObject, Version};
 use oceanstore_update::update::{
@@ -24,8 +24,10 @@ fn arb_predicate() -> impl Strategy<Value = Predicate> {
         Just(Predicate::True),
         any::<u64>().prop_map(Predicate::CompareVersion),
         (0usize..10_000).prop_map(Predicate::CompareSize),
-        (any::<usize>(), any::<[u8; 32]>())
-            .prop_map(|(position, hash)| Predicate::CompareBlock { position: position % 64, hash }),
+        (any::<usize>(), any::<[u8; 20]>()).prop_map(|(position, cid)| Predicate::CompareBlock {
+            position: position % 64,
+            cid: Guid::from_bytes(cid)
+        }),
     ]
 }
 
@@ -437,7 +439,11 @@ fn mutation(u: &Update, kind: usize, pick: usize, salt: u8) -> Option<(Update, U
             match &mut m.clauses[c].predicate {
                 Predicate::CompareVersion(v) => *v = v.wrapping_add(u64::from(salt)),
                 Predicate::CompareSize(s) => *s = s.wrapping_add(usize::from(salt)),
-                Predicate::CompareBlock { hash, .. } => hash[pick % 32] ^= salt,
+                Predicate::CompareBlock { cid, .. } => {
+                    let mut bytes = *cid.as_bytes();
+                    bytes[pick % Guid::WIRE_SIZE] ^= salt;
+                    *cid = Guid::from_bytes(bytes);
+                }
                 _ => return None,
             }
         }
@@ -462,6 +468,12 @@ fn mutation(u: &Update, kind: usize, pick: usize, salt: u8) -> Option<(Update, U
     Some((u.clone(), m))
 }
 
+/// The digest of a client's update, as a server names it: from views of
+/// the buffer its encoding arrived in.
+fn named(u: &Update) -> UpdateDigest {
+    update_digest(&decode_update(&encode_update(u)).expect("round-trips"))
+}
+
 proptest! {
     /// The update digest names the update: equal updates have equal
     /// digests (through the codec too), any single mutation changes it —
@@ -477,16 +489,18 @@ proptest! {
         pick in any::<usize>(),
         salt in 1u8..=255,
     ) {
-        let name = update_digest(&u);
-        prop_assert_eq!(&name, &update_digest(&u.clone()));
+        let name = named(&u);
+        prop_assert_eq!(&name, &named(&u.clone()));
         let decoded = decode_update(&encode_update(&u)).expect("round-trips");
         prop_assert_eq!(&name, &update_digest(&decoded));
+        prop_assert_eq!(&name, &update_digest(&decoded), "named again, from the memo");
         let actions = u.clauses.iter().flat_map(|c| &c.actions);
-        let cids: Vec<Guid> = actions.filter_map(Action::ciphertext).map(Guid::for_content).collect();
+        let cids: Vec<Guid> =
+            actions.filter_map(Action::ciphertext).map(|ct| Guid::for_content(ct)).collect();
         prop_assert_eq!(&name.cids, &cids);
         if let Some((before, after)) = mutation(&u, kind, pick, salt) {
             prop_assert_ne!(encode_update(&before), encode_update(&after), "not a mutation");
-            let (before, after) = (update_digest(&before), update_digest(&after));
+            let (before, after) = (named(&before), named(&after));
             prop_assert_ne!(before.digest, after.digest, "mutation {} went unseen", kind);
         }
     }
