@@ -21,10 +21,11 @@ fn bench_sha1(c: &mut Criterion) {
 
 /// Naming a 4 KiB block: the SHA-1 pass every committed block takes once
 /// per process. And naming runs of one length, as `update_digest` names
-/// them: eight at once in AVX2 lanes where the CPU has them, sixteen in
-/// AVX-512 lanes (a 64 KiB `lifecycle` object) where it has those. Each
-/// run names views of a fresh buffer, whose memo is empty; `memo_16x4k`
-/// names the same sixteen views again, every CID a memo hit.
+/// them: eight at once in AVX2 lanes where the CPU has them. Sixteen
+/// blocks (`for_contents_16x4k`, a 64 KiB `lifecycle` object) are two
+/// runs of eight. Each run names views of a fresh buffer, whose memo is
+/// empty; `memo_16x4k` names the same sixteen views again, every CID a
+/// memo hit.
 fn bench_cid(c: &mut Criterion) {
     let block = vec![0xC3u8; 4096];
     let mut g = c.benchmark_group("cid");

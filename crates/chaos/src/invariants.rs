@@ -185,6 +185,34 @@ pub fn check_store_memory<N: RoleHost>(
     report
 }
 
+/// Replica frontiers agree: in each ring, every live primary has executed
+/// up to one `next_exec` and holds one stable checkpoint. Checked once the
+/// last fault has cleared and a drain has passed, it catches a primary
+/// that stopped for good even when no client write is left pending
+/// (ROADMAP item 3(c): a committed slot whose request payload never
+/// arrived).
+pub fn check_frontiers_agree<N: RoleHost>(dep: &Deployment<N>) -> InvariantReport {
+    let mut report = InvariantReport::default();
+    for (r, ring) in dep.rings.iter().enumerate() {
+        let marks: Vec<_> = ring
+            .primaries
+            .iter()
+            .filter(|&&p| !dep.sim.is_down(p))
+            .map(|&p| {
+                let health = dep.primary(p).pbft().health();
+                (p, health.next_exec, health.checkpoint_seq)
+            })
+            .collect();
+        if marks.windows(2).any(|w| (w[0].1, w[0].2) != (w[1].1, w[1].2)) {
+            report.failures.push(format!(
+                "frontiers: ring {r}'s live primaries apart, \
+                 (primary, next_exec, stable checkpoint) {marks:?}"
+            ));
+        }
+    }
+    report
+}
+
 /// All clients saw their submissions commit (`m + 1` matching replies).
 pub fn check_clients_settled<N: RoleHost>(dep: &Deployment<N>) -> InvariantReport {
     let mut report = InvariantReport::default();
@@ -214,7 +242,8 @@ mod tests {
         assert_eq!(dep.frontier(&object), 0);
         let report = check_convergence(&dep, &[object])
             .merge(check_no_committed_loss(&dep, &object, 0))
-            .merge(check_clients_settled(&dep));
+            .merge(check_clients_settled(&dep))
+            .merge(check_frontiers_agree(&dep));
         assert!(report.passed(), "{:?}", report.failures);
     }
 

@@ -12,6 +12,7 @@
 //! ring never leaves view 0. One more, ignored until ROADMAP item 3(c)
 //! lands: a loss burst on the commit path leaves no write pending.
 
+use oceanstore_chaos::invariants::check_frontiers_agree;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
     build_deployment, Deployment, DeploymentOpts, StoreHealth, RECORD_RETENTION,
@@ -352,9 +353,10 @@ fn fault_free_loaded_ring_stays_in_view_zero() {
 /// open loop of one ring and 16 secondaries at 20 arrivals/s (4 in 5 of
 /// them writes) for 15 s: once the loss clears and 30 s of drain pass,
 /// no client still waits on a write. Each write is committed or aborted,
-/// and every primary has executed up to the same slot: a zero pending
-/// count alone is the weaker oracle, since a laggard primary can hold
-/// back the tier while the client already has its `m + 1` replies.
+/// and every primary has executed up to the same slot and holds the same
+/// stable checkpoint (`check_frontiers_agree`): a zero pending count
+/// alone is the weaker oracle, since a laggard primary can hold back the
+/// tier while the client already has its `m + 1` replies.
 ///
 /// This fails today, on seeds 1, 3 and 11 with 70, 46 and 48 writes
 /// pending, and on seed 2, where nothing is pending but two of the four
@@ -380,19 +382,14 @@ fn commit_path_loss_leaves_no_write_pending() {
             };
             let (dep, seen) = run(&load, poisson(&load));
             assert_eq!(seen.lost, 0, "seed {seed}: committed updates lost");
-            let marks: Vec<_> = dep
-                .primaries()
-                .iter()
-                .map(|&p| (dep.primary(p).pbft().next_exec(), dep.primary(p).pbft().low_water()))
-                .collect();
-            let apart = marks.iter().any(|&(next_exec, _)| next_exec != marks[0].0);
-            (seen.pending > 0 || apart).then(|| {
+            let frontiers = check_frontiers_agree(&dep);
+            (seen.pending > 0 || !frontiers.passed()).then(|| {
                 format!(
-                    "seed {seed}: {} of {} writes pending, {} committed; \
-                     (next_exec, low_water) per primary {marks:?}",
+                    "seed {seed}: {} of {} writes pending, {} committed; {:?}",
                     seen.pending,
                     seen.offered(),
-                    seen.committed()
+                    seen.committed(),
+                    frontiers.failures
                 )
             })
         })

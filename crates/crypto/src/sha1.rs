@@ -19,11 +19,11 @@
 //! `backends_agree` compares the dispatched hash against.
 //!
 //! [`sha1_concat_run`] hashes a run of messages of one length, many at
-//! once: on a CPU with AVX-512 sixteen side by side, one per 32-bit lane
-//! of the registers, and on one with AVX2 eight (`lanes`). SHA-NI runs one
-//! message at a time and is bound by its own throughput, so independent
-//! messages go faster side by side than through it. What no width takes
-//! goes through [`sha1_concat`] one at a time.
+//! once: on a CPU with AVX2 eight side by side, one per 32-bit lane of a
+//! ymm register (`lanes`). SHA-NI runs one message at a time and is bound
+//! by its own throughput, so independent messages go faster side by side
+//! than through it. What the lanes do not take goes through
+//! [`sha1_concat`] one at a time.
 
 /// Number of bytes in a SHA-1 digest (160 bits).
 pub const DIGEST_LEN: usize = 20;
@@ -154,263 +154,120 @@ mod ni {
     }
 }
 
-/// SHA-1 of equal-length messages side by side, one message per 32-bit
-/// lane of a SIMD register, in two widths from one kernel body:
-///
-/// * `zmm`: sixteen messages in AVX-512 registers (AVX-512F and BW);
-/// * `ymm`: eight messages in AVX2 registers.
+/// SHA-1 of eight equal-length messages side by side, one message per
+/// 32-bit lane of an AVX2 (ymm) register.
 ///
 /// Lane `i` of every register belongs to message `i`: each of the five
 /// state words and of the sixteen schedule words is one register, and
 /// each round is the scalar round of `compress_soft` applied lane-wise.
-/// The body ([`digests`]) holds the one copy of the 80 rounds, the
-/// schedule and block selection; a width supplies only the [`Lanes`]
-/// primitives. Digests are bit-identical to [`super::sha1_concat`] of each
-/// message (asserted by `ymm_matches_one_at_a_time` and
-/// `zmm_matches_one_at_a_time` below).
+/// Digests are bit-identical to [`super::sha1_concat`] of each message
+/// (asserted by `ymm_matches_one_at_a_time` below).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)] // CPU intrinsics, as in `ni`
 mod lanes {
     use super::{digest_bytes, last_block, pad_block, Digest, H0};
     use core::arch::x86_64::*;
 
-    /// Sixteen messages in zmm lanes, or `None` without AVX-512F and
-    /// AVX-512BW. `is_x86_feature_detected!` caches the cpuid result in an
-    /// atomic, so asking per run is cheap.
-    pub fn zmm(prefix: &[u8], msgs: &[&[u8]; 16]) -> Option<[Digest; 16]> {
-        if !(std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw"))
-        {
-            return None;
-        }
-        // SAFETY: every feature `digests_zmm` enables was just confirmed.
-        Some(unsafe { digests_zmm(prefix, msgs) })
-    }
-
     /// Eight messages in ymm lanes, or `None` without AVX2.
+    /// `is_x86_feature_detected!` caches the cpuid result in an atomic, so
+    /// asking per run is cheap.
     pub fn ymm(prefix: &[u8], msgs: &[&[u8]; 8]) -> Option<[Digest; 8]> {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return None;
         }
-        // SAFETY: AVX2, the one feature `digests_ymm` enables, was just
+        // SAFETY: AVX2, the one feature `digests` enables, was just
         // confirmed.
-        Some(unsafe { digests_ymm(prefix, msgs) })
+        Some(unsafe { digests(prefix, msgs) })
     }
 
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU has every feature enabled here.
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn digests_zmm(prefix: &[u8], msgs: &[&[u8]; 16]) -> [Digest; 16] {
-        digests::<__m512i, 16>(prefix, msgs)
-    }
+    // The lane-wise operations of the rounds. Each is `#[inline(always)]`
+    // so that it lands in `digests`, where AVX2 is enabled and the
+    // intrinsics inline too. Safety: each asks only that the CPU has
+    // AVX2, which `digests` asks of its caller; `words` loads only from
+    // the 64-byte blocks its argument's type fixes.
 
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU has AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn digests_ymm(prefix: &[u8], msgs: &[&[u8]; 8]) -> [Digest; 8] {
-        digests::<__m256i, 8>(prefix, msgs)
-    }
-
-    /// A SIMD register of `LANES` 32-bit words, one per message, with the
-    /// operations the kernel body needs.
-    ///
-    /// Every method is `#[inline(always)]` so that it lands in the
-    /// `#[target_feature]` function that instantiates [`digests`], where
-    /// the intrinsics inline too.
-    trait Lanes: Copy {
-        /// Messages per register.
-        const LANES: usize;
-
-        /// `x` in every lane.
-        unsafe fn splat(x: u32) -> Self;
-        unsafe fn add(self, b: Self) -> Self;
-        unsafe fn xor(self, b: Self) -> Self;
-        /// Each lane rotated left by `N` bits.
-        unsafe fn rol<const N: i32>(self) -> Self;
-        /// `b ^ c ^ d`: the Parity function, and three of the schedule's
-        /// four terms.
-        unsafe fn xor3(b: Self, c: Self, d: Self) -> Self;
-        /// The Ch function: `c` where `b` has a one, `d` where it has a
-        /// zero.
-        unsafe fn ch(b: Self, c: Self, d: Self) -> Self;
-        /// The Maj function: each bit as at least two of `b`, `c`, `d`.
-        unsafe fn maj(b: Self, c: Self, d: Self) -> Self;
-        /// The sixteen big-endian words of `LANES` blocks, transposed:
-        /// lane `i` of word `t` is word `t` of `blocks[i]`. Every load
-        /// stays inside one of the blocks.
-        unsafe fn words(blocks: &[&[u8; 64]]) -> [Self; 16];
-        /// The lanes into the first `LANES` words of `out`.
-        unsafe fn store(self, out: &mut [u32; 16]);
-    }
-
-    /// Byte reversal inside each 32-bit word, per 128 bits: message words
-    /// are big-endian.
+    /// `x` in every lane.
     #[inline(always)]
-    unsafe fn swap_bytes() -> __m128i {
-        _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3)
+    unsafe fn splat(x: u32) -> __m256i {
+        _mm256_set1_epi32(x as i32)
+    }
+    #[inline(always)]
+    unsafe fn add(a: __m256i, b: __m256i) -> __m256i {
+        _mm256_add_epi32(a, b)
+    }
+    #[inline(always)]
+    unsafe fn xor(a: __m256i, b: __m256i) -> __m256i {
+        _mm256_xor_si256(a, b)
+    }
+    /// Each lane rotated left by `N` bits. AVX2 has no 32-bit rotate: two
+    /// shifts and an or. The right shift's count is a register, which the
+    /// constant `N` folds into an immediate shift.
+    #[inline(always)]
+    unsafe fn rol<const N: i32>(x: __m256i) -> __m256i {
+        let right = _mm_cvtsi32_si128(32 - N);
+        _mm256_or_si256(_mm256_slli_epi32::<N>(x), _mm256_srl_epi32(x, right))
+    }
+    /// `b ^ c ^ d`: the Parity function, and three of the schedule's four
+    /// terms.
+    #[inline(always)]
+    unsafe fn xor3(b: __m256i, c: __m256i, d: __m256i) -> __m256i {
+        xor(xor(b, c), d)
+    }
+    /// The Ch function: `c` where `b` has a one, `d` where it has a zero.
+    #[inline(always)]
+    unsafe fn ch(b: __m256i, c: __m256i, d: __m256i) -> __m256i {
+        xor(d, _mm256_and_si256(b, xor(c, d)))
+    }
+    /// The Maj function: each bit as at least two of `b`, `c`, `d`.
+    #[inline(always)]
+    unsafe fn maj(b: __m256i, c: __m256i, d: __m256i) -> __m256i {
+        _mm256_or_si256(_mm256_and_si256(b, c), _mm256_and_si256(d, _mm256_or_si256(b, c)))
     }
 
-    impl Lanes for __m512i {
-        const LANES: usize = 16;
-
-        #[inline(always)]
-        unsafe fn splat(x: u32) -> Self {
-            _mm512_set1_epi32(x as i32)
-        }
-        #[inline(always)]
-        unsafe fn add(self, b: Self) -> Self {
-            _mm512_add_epi32(self, b)
-        }
-        #[inline(always)]
-        unsafe fn xor(self, b: Self) -> Self {
-            _mm512_xor_si512(self, b)
-        }
-        #[inline(always)]
-        unsafe fn rol<const N: i32>(self) -> Self {
-            _mm512_rol_epi32::<N>(self)
-        }
-        // Each function is one `vpternlogd`: bit `4b + 2c + d` of the
-        // immediate is the output for those three input bits.
-        #[inline(always)]
-        unsafe fn xor3(b: Self, c: Self, d: Self) -> Self {
-            _mm512_ternarylogic_epi32::<0x96>(b, c, d)
-        }
-        #[inline(always)]
-        unsafe fn ch(b: Self, c: Self, d: Self) -> Self {
-            _mm512_ternarylogic_epi32::<0xCA>(b, c, d)
-        }
-        #[inline(always)]
-        unsafe fn maj(b: Self, c: Self, d: Self) -> Self {
-            _mm512_ternarylogic_epi32::<0xE8>(b, c, d)
-        }
-        /// A block is one register, so the sixteen blocks are a 16×16
-        /// matrix of words, one block per row.
-        #[inline(always)]
-        unsafe fn words(blocks: &[&[u8; 64]]) -> [Self; 16] {
-            assert_eq!(blocks.len(), Self::LANES, "a block per lane");
-            let swap = _mm512_broadcast_i32x4(swap_bytes());
-            let mut r = [_mm512_setzero_si512(); 16];
+    /// The sixteen big-endian words of eight blocks, transposed: lane `i`
+    /// of word `t` is word `t` of `blocks[i]`. Each 32-byte half of the
+    /// blocks is an 8×8 matrix of words, one block per row: transpose
+    /// each. Every load stays inside one of the blocks.
+    #[inline(always)]
+    unsafe fn words(blocks: [&[u8; 64]; 8]) -> [__m256i; 16] {
+        // Byte reversal inside each 32-bit word: message words are
+        // big-endian.
+        let swap = _mm256_broadcastsi128_si256(_mm_set_epi8(
+            12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3,
+        ));
+        let mut w = [_mm256_setzero_si256(); 16];
+        for half in 0..2 {
+            let mut r = [_mm256_setzero_si256(); 8];
             for (row, block) in r.iter_mut().zip(blocks) {
-                *row = _mm512_shuffle_epi8(_mm512_loadu_si512(block.as_ptr().cast()), swap);
+                let raw = _mm256_loadu_si256(block.as_ptr().add(32 * half).cast());
+                *row = _mm256_shuffle_epi8(raw, swap);
             }
-            // Pairs of rows interleaved by word, then by word pair: in
-            // each 128-bit quarter `q`, `u[4i + j]` holds word 4q + j of
-            // rows 4i..4i + 4.
-            let mut t = [_mm512_setzero_si512(); 16];
-            for i in 0..8 {
-                t[2 * i] = _mm512_unpacklo_epi32(r[2 * i], r[2 * i + 1]);
-                t[2 * i + 1] = _mm512_unpackhi_epi32(r[2 * i], r[2 * i + 1]);
+            // Pairs of rows interleaved by word, then by word pair:
+            // `u[j]` holds word j of rows 0–3 in its low 128 bits and
+            // word j + 4 in its high ones, `u[4 + j]` the same of rows
+            // 4–7.
+            let mut u = [_mm256_setzero_si256(); 8];
+            for q in 0..2 {
+                let r = &r[4 * q..];
+                let lo01 = _mm256_unpacklo_epi32(r[0], r[1]);
+                let hi01 = _mm256_unpackhi_epi32(r[0], r[1]);
+                let lo23 = _mm256_unpacklo_epi32(r[2], r[3]);
+                let hi23 = _mm256_unpackhi_epi32(r[2], r[3]);
+                u[4 * q] = _mm256_unpacklo_epi64(lo01, lo23);
+                u[4 * q + 1] = _mm256_unpackhi_epi64(lo01, lo23);
+                u[4 * q + 2] = _mm256_unpacklo_epi64(hi01, hi23);
+                u[4 * q + 3] = _mm256_unpackhi_epi64(hi01, hi23);
             }
-            let mut u = [_mm512_setzero_si512(); 16];
-            for i in 0..4 {
-                u[4 * i] = _mm512_unpacklo_epi64(t[4 * i], t[4 * i + 2]);
-                u[4 * i + 1] = _mm512_unpackhi_epi64(t[4 * i], t[4 * i + 2]);
-                u[4 * i + 2] = _mm512_unpacklo_epi64(t[4 * i + 1], t[4 * i + 3]);
-                u[4 * i + 3] = _mm512_unpackhi_epi64(t[4 * i + 1], t[4 * i + 3]);
-            }
-            // Then the quarters: word 4q + j gathers quarter `q` of
-            // `u[j]`, `u[4 + j]`, `u[8 + j]` and `u[12 + j]`, in two rounds
-            // of 128-bit shuffles.
-            let mut w = [_mm512_setzero_si512(); 16];
             for j in 0..4 {
-                let v0 = _mm512_shuffle_i32x4::<0x44>(u[j], u[4 + j]);
-                let v1 = _mm512_shuffle_i32x4::<0xEE>(u[j], u[4 + j]);
-                let v2 = _mm512_shuffle_i32x4::<0x44>(u[8 + j], u[12 + j]);
-                let v3 = _mm512_shuffle_i32x4::<0xEE>(u[8 + j], u[12 + j]);
-                w[j] = _mm512_shuffle_i32x4::<0x88>(v0, v2);
-                w[4 + j] = _mm512_shuffle_i32x4::<0xDD>(v0, v2);
-                w[8 + j] = _mm512_shuffle_i32x4::<0x88>(v1, v3);
-                w[12 + j] = _mm512_shuffle_i32x4::<0xDD>(v1, v3);
+                w[8 * half + j] = _mm256_permute2x128_si256::<0x20>(u[j], u[4 + j]);
+                w[8 * half + j + 4] = _mm256_permute2x128_si256::<0x31>(u[j], u[4 + j]);
             }
-            w
         }
-        #[inline(always)]
-        unsafe fn store(self, out: &mut [u32; 16]) {
-            _mm512_storeu_si512(out.as_mut_ptr().cast(), self)
-        }
+        w
     }
 
-    impl Lanes for __m256i {
-        const LANES: usize = 8;
-
-        #[inline(always)]
-        unsafe fn splat(x: u32) -> Self {
-            _mm256_set1_epi32(x as i32)
-        }
-        #[inline(always)]
-        unsafe fn add(self, b: Self) -> Self {
-            _mm256_add_epi32(self, b)
-        }
-        #[inline(always)]
-        unsafe fn xor(self, b: Self) -> Self {
-            _mm256_xor_si256(self, b)
-        }
-        /// AVX2 has no 32-bit rotate: two shifts and an or. The right
-        /// shift's count is a register, which the constant `N` folds into
-        /// an immediate shift.
-        #[inline(always)]
-        unsafe fn rol<const N: i32>(self) -> Self {
-            let right = _mm_cvtsi32_si128(32 - N);
-            _mm256_or_si256(_mm256_slli_epi32::<N>(self), _mm256_srl_epi32(self, right))
-        }
-        #[inline(always)]
-        unsafe fn xor3(b: Self, c: Self, d: Self) -> Self {
-            _mm256_xor_si256(_mm256_xor_si256(b, c), d)
-        }
-        #[inline(always)]
-        unsafe fn ch(b: Self, c: Self, d: Self) -> Self {
-            _mm256_xor_si256(d, _mm256_and_si256(b, _mm256_xor_si256(c, d)))
-        }
-        #[inline(always)]
-        unsafe fn maj(b: Self, c: Self, d: Self) -> Self {
-            _mm256_or_si256(_mm256_and_si256(b, c), _mm256_and_si256(d, _mm256_or_si256(b, c)))
-        }
-        /// Each 32-byte half of the eight blocks is an 8×8 matrix of
-        /// words, one block per row: transpose each.
-        #[inline(always)]
-        unsafe fn words(blocks: &[&[u8; 64]]) -> [Self; 16] {
-            assert_eq!(blocks.len(), Self::LANES, "a block per lane");
-            let swap = _mm256_broadcastsi128_si256(swap_bytes());
-            let mut w = [_mm256_setzero_si256(); 16];
-            for half in 0..2 {
-                let mut r = [_mm256_setzero_si256(); 8];
-                for (row, block) in r.iter_mut().zip(blocks) {
-                    let raw = _mm256_loadu_si256(block.as_ptr().add(32 * half).cast());
-                    *row = _mm256_shuffle_epi8(raw, swap);
-                }
-                // Pairs of rows interleaved by word, then by word pair:
-                // `u[j]` holds word j of rows 0–3 in its low 128 bits and
-                // word j + 4 in its high ones, `u[4 + j]` the same of rows
-                // 4–7.
-                let mut u = [_mm256_setzero_si256(); 8];
-                for q in 0..2 {
-                    let r = &r[4 * q..];
-                    let lo01 = _mm256_unpacklo_epi32(r[0], r[1]);
-                    let hi01 = _mm256_unpackhi_epi32(r[0], r[1]);
-                    let lo23 = _mm256_unpacklo_epi32(r[2], r[3]);
-                    let hi23 = _mm256_unpackhi_epi32(r[2], r[3]);
-                    u[4 * q] = _mm256_unpacklo_epi64(lo01, lo23);
-                    u[4 * q + 1] = _mm256_unpackhi_epi64(lo01, lo23);
-                    u[4 * q + 2] = _mm256_unpacklo_epi64(hi01, hi23);
-                    u[4 * q + 3] = _mm256_unpackhi_epi64(hi01, hi23);
-                }
-                for j in 0..4 {
-                    w[8 * half + j] = _mm256_permute2x128_si256::<0x20>(u[j], u[4 + j]);
-                    w[8 * half + j + 4] = _mm256_permute2x128_si256::<0x31>(u[j], u[4 + j]);
-                }
-            }
-            w
-        }
-        #[inline(always)]
-        unsafe fn store(self, out: &mut [u32; 16]) {
-            _mm256_storeu_si256(out.as_mut_ptr().cast(), self)
-        }
-    }
-
-    /// SHA-1 over `prefix ‖ msgs[i]` in each lane `i` of `R`. The messages
-    /// share one length, so every lane takes the same number of blocks, and
+    /// SHA-1 over `prefix ‖ msgs[i]` in each lane `i`. The messages share
+    /// one length, so every lane takes the same number of blocks, and
     /// whether block `k` lies inside the message is one answer for all of
     /// them: such a block is loaded from each message at one offset. Only
     /// the blocks the prefix or the padding reach into are laid out in the
@@ -418,37 +275,31 @@ mod lanes {
     ///
     /// # Safety
     ///
-    /// Inlined only into [`digests_zmm`] and [`digests_ymm`], whose callers
-    /// confirm the features `R`'s intrinsics need. `N` is `R::LANES`, and
-    /// the loads stay inside 64-byte blocks that [`Lanes::words`] is handed:
-    /// windows of the messages or the stack buffers. The only stores write
-    /// the returned words.
-    #[inline(always)]
-    unsafe fn digests<R: Lanes, const N: usize>(prefix: &[u8], msgs: &[&[u8]; N]) -> [Digest; N] {
-        const { assert!(N == R::LANES) };
+    /// Caller must ensure the CPU has AVX2. Nothing else is asked of it:
+    /// the loads stay inside the 64-byte blocks [`words`] is handed,
+    /// windows of the messages or the stack buffers, and the only stores
+    /// write the returned words.
+    #[target_feature(enable = "avx2")]
+    unsafe fn digests(prefix: &[u8], msgs: &[&[u8]; 8]) -> [Digest; 8] {
         assert!(msgs.iter().all(|m| m.len() == msgs[0].len()), "messages of unequal length");
-        let k0 = R::splat(0x5A827999);
-        let k1 = R::splat(0x6ED9EBA1);
-        let k2 = R::splat(0x8F1BBCDC);
-        let k3 = R::splat(0xCA62C1D6);
-        let mut h = H0.map(|x| R::splat(x));
+        let k0 = splat(0x5A827999);
+        let k1 = splat(0x6ED9EBA1);
+        let k2 = splat(0x8F1BBCDC);
+        let k3 = splat(0xCA62C1D6);
+        let mut h = H0.map(|x| splat(x));
 
         let (p, total) = (prefix.len(), prefix.len() + msgs[0].len());
-        let mut bufs = [[0u8; 64]; N];
+        let mut bufs = [[0u8; 64]; 8];
         for k in 0..=last_block(total) {
             let start = 64 * k;
             let mut w = if start >= p && start + 64 <= total {
                 let at = start - p;
-                let mut rows = [&bufs[0]; N];
-                for (row, m) in rows.iter_mut().zip(msgs) {
-                    *row = m[at..at + 64].try_into().expect("a 64-byte window");
-                }
-                R::words(&rows)
+                words(msgs.map(|m| m[at..at + 64].try_into().expect("a 64-byte window")))
             } else {
                 for (buf, m) in bufs.iter_mut().zip(msgs) {
                     pad_block(prefix, m, k, buf);
                 }
-                R::words(&bufs.each_ref())
+                words(bufs.each_ref())
             };
 
             let [mut a, mut b, mut c, mut d, mut e] = h;
@@ -459,8 +310,8 @@ mod lanes {
                 ($t:expr) => {{
                     let t: usize = $t;
                     if t >= 16 {
-                        let x = R::xor3(w[(t + 13) % 16], w[(t + 8) % 16], w[(t + 2) % 16]);
-                        w[t % 16] = x.xor(w[t % 16]).rol::<1>();
+                        let x = xor3(w[(t + 13) % 16], w[(t + 8) % 16], w[(t + 2) % 16]);
+                        w[t % 16] = rol::<1>(xor(x, w[t % 16]));
                     }
                     w[t % 16]
                 }};
@@ -470,9 +321,9 @@ mod lanes {
             // other three.
             macro_rules! round {
                 ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $k:ident, $t:expr) => {
-                    let wk = word!($t).add($k);
-                    $e = $e.add(wk).add($a.rol::<5>().add(R::$f($b, $c, $d)));
-                    $b = $b.rol::<30>();
+                    let wk = add(word!($t), $k);
+                    $e = add(add($e, wk), add(rol::<5>($a), $f($b, $c, $d)));
+                    $b = rol::<30>($b);
                 };
             }
             // Rounds `t..t + 5`, after which every register holds the
@@ -503,15 +354,15 @@ mod lanes {
             five!(xor3, k3, 70);
             five!(xor3, k3, 75);
             for (hj, v) in h.iter_mut().zip([a, b, c, d, e]) {
-                *hj = hj.add(v);
+                *hj = add(*hj, v);
             }
         }
 
-        let mut words = [[0u32; 16]; 5];
-        for (out, hj) in words.iter_mut().zip(h) {
-            hj.store(out);
+        let mut state = [[0u32; 8]; 5];
+        for (out, hj) in state.iter_mut().zip(h) {
+            _mm256_storeu_si256(out.as_mut_ptr().cast(), hj);
         }
-        std::array::from_fn(|i| digest_bytes(&words.map(|w| w[i])))
+        std::array::from_fn(|i| digest_bytes(&state.map(|w| w[i])))
     }
 }
 
@@ -665,9 +516,9 @@ pub fn sha1_concat(parts: &[&[u8]]) -> Digest {
 
 /// SHA-1 of `prefix ‖ msg` for each message of a run of one length, in
 /// order: `each` receives what `sha1_concat(&[prefix, msg])` returns for
-/// each. On a CPU with AVX-512F and AVX-512BW the run is hashed sixteen
-/// messages at a time, one per register lane; then, on a CPU with AVX2,
-/// eight at a time; the rest go through [`sha1_concat`] one at a time.
+/// each. On a CPU with AVX2 the run is hashed eight messages at a time,
+/// one per register lane (`lanes`); the rest go through [`sha1_concat`]
+/// one at a time.
 ///
 /// # Panics
 ///
@@ -677,34 +528,17 @@ pub fn sha1_concat_run(prefix: &[u8], msgs: &[&[u8]], mut each: impl FnMut(Diges
     assert!(msgs.iter().all(|m| m.len() == len), "messages of unequal length");
     #[cfg(target_arch = "x86_64")]
     let msgs = {
-        let rest = side_by_side(prefix, msgs, &mut each, lanes::zmm);
-        side_by_side(prefix, rest, &mut each, lanes::ymm)
+        let mut msgs = msgs;
+        while let Some((run, rest)) = msgs.split_first_chunk() {
+            let Some(digests) = lanes::ymm(prefix, run) else { break };
+            digests.into_iter().for_each(&mut each);
+            msgs = rest;
+        }
+        msgs
     };
     for m in msgs {
         each(sha1_concat(&[prefix, m]));
     }
-}
-
-/// One width of `lanes`: SHA-1 of `prefix ‖ msgs[i]` in each of `N` lanes,
-/// or `None` when the running CPU lacks the width's features.
-#[cfg(target_arch = "x86_64")]
-type Width<const N: usize> = fn(&[u8], &[&[u8]; N]) -> Option<[Digest; N]>;
-
-/// Hashes `N` messages at a time from the front of `msgs` through `width`
-/// while it has a build for this CPU, and returns the messages left.
-#[cfg(target_arch = "x86_64")]
-fn side_by_side<'m, const N: usize>(
-    prefix: &[u8],
-    mut msgs: &'m [&'m [u8]],
-    each: &mut impl FnMut(Digest),
-    width: Width<N>,
-) -> &'m [&'m [u8]] {
-    while let Some((run, rest)) = msgs.split_first_chunk::<N>() {
-        let Some(digests) = width(prefix, run) else { break };
-        digests.into_iter().for_each(&mut *each);
-        msgs = rest;
-    }
-    msgs
 }
 
 /// Lays out in `buf` block `k` of the padded message `prefix ‖ msg`: the
@@ -843,64 +677,43 @@ mod tests {
         assert_eq!(hex(&sha1_soft(b"abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
     }
 
-    /// Sixteen messages of `len` bytes, each unlike the other fifteen, so
-    /// that two lanes swapped, or one lane's block fed to another, changes
-    /// a digest.
-    fn lane_messages(len: usize) -> [Vec<u8>; 16] {
+    /// Eight messages of `len` bytes, each unlike the other seven, so that
+    /// two lanes swapped, or one lane's block fed to another, changes a
+    /// digest.
+    fn lane_messages(len: usize) -> [Vec<u8>; 8] {
         std::array::from_fn(|i| (0..len).map(|j| (j * 31 + i * 101 + (j >> 7)) as u8).collect())
     }
 
-    /// Every (prefix, length) a width is checked at: the content-ID prefix
-    /// at every length around the padding boundaries and on multi-block
-    /// messages, and prefixes that end inside, at the end of and past the
-    /// first block. Runs of those lengths follow one another, odd lengths
-    /// between even ones.
-    fn width_cases(long: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
-        let content = (0..=300).chain([4096, 4097, 8192]).map(|len| (&b"content"[..], len));
-        let others = [&[][..], &long[..63], &long[..64], long]
-            .into_iter()
-            .flat_map(|prefix| (0..=300).chain([4096, 4097, 8192]).map(move |len| (prefix, len)));
-        content.chain(others)
-    }
-
-    /// Calls one width directly on the first `N` of each case's messages
-    /// and holds it to one message at a time. Returns false, having said
-    /// so, when the CPU lacks the width.
-    #[cfg(target_arch = "x86_64")]
-    fn width_matches_one_at_a_time<const N: usize>(name: &str, width: Width<N>) -> bool {
-        let long: Vec<u8> = (0..100u8).map(|i| i ^ 0x5c).collect();
-        for (prefix, len) in width_cases(&long) {
-            let owned = lane_messages(len);
-            let msgs: [&[u8]; N] = std::array::from_fn(|i| owned[i].as_slice());
-            let Some(digests) = width(prefix, &msgs) else {
-                eprintln!("{name}: skipped, this CPU lacks the width's features");
-                return false;
-            };
-            let each = msgs.map(|m| sha1_concat(&[prefix, m]));
-            assert_eq!(digests, each, "{name}, prefix {} bytes, length {len}", prefix.len());
-        }
-        true
-    }
-
+    /// Calls the lanes directly and holds them to one message at a time:
+    /// with the content-ID prefix at every length around the padding
+    /// boundaries and on multi-block messages, and with prefixes that end
+    /// inside, at the end of and past the first block. Runs of those
+    /// lengths follow one another, odd lengths between even ones. Says so
+    /// and checks nothing when the CPU lacks AVX2.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn ymm_matches_one_at_a_time() {
-        let ran = width_matches_one_at_a_time("ymm", lanes::ymm);
-        assert_eq!(ran, std::arch::is_x86_feature_detected!("avx2"));
+        let long: Vec<u8> = (0..100u8).map(|i| i ^ 0x5c).collect();
+        let prefixes = [&b"content"[..], &[], &long[..63], &long[..64], &long];
+        for (prefix, len) in prefixes
+            .into_iter()
+            .flat_map(|prefix| (0..=300).chain([4096, 4097, 8192]).map(move |len| (prefix, len)))
+        {
+            let owned = lane_messages(len);
+            let msgs: [&[u8]; 8] = std::array::from_fn(|i| owned[i].as_slice());
+            let Some(digests) = lanes::ymm(prefix, &msgs) else {
+                assert!(!std::arch::is_x86_feature_detected!("avx2"), "AVX2 without ymm lanes");
+                eprintln!("ymm: skipped, this CPU lacks AVX2");
+                return;
+            };
+            let each = msgs.map(|m| sha1_concat(&[prefix, m]));
+            assert_eq!(digests, each, "prefix {} bytes, length {len}", prefix.len());
+        }
     }
 
-    #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn zmm_matches_one_at_a_time() {
-        let ran = width_matches_one_at_a_time("zmm", lanes::zmm);
-        let has = std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw");
-        assert_eq!(ran, has);
-    }
-
-    /// The public entry point, whatever widths this CPU has, on runs that
-    /// split into sixteens, eights and singles: 0–40 messages at a few
-    /// lengths and prefixes.
+    /// The public entry point, on runs that split into eights and singles
+    /// (all singles without AVX2): 0–40 messages at a few lengths and
+    /// prefixes.
     #[test]
     fn runs_match_one_at_a_time() {
         let long: Vec<u8> = (0..100u8).map(|i| i ^ 0x5c).collect();
@@ -921,7 +734,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unequal length")]
     fn runs_refuse_unequal_lengths() {
-        let mut msgs: [&[u8]; 16] = [b"four"; 16];
+        let mut msgs: [&[u8]; 8] = [b"four"; 8];
         msgs[5] = b"five!";
         sha1_concat_run(b"content", &msgs, |_| ());
     }

@@ -104,9 +104,9 @@ impl Guid {
     /// — this one, or another at the same place in the same buffer — is
     /// read from its buffer's memo ([`crate::bytes`]); the rest are hashed,
     /// and each maximal run of them of one length goes through
-    /// [`sha1_concat_run`], which names as many at once as the CPU's
-    /// widest lanes take (sixteen with AVX-512, eight with AVX2) and the
-    /// rest one at a time. Their ids then join the memo.
+    /// [`sha1_concat_run`], which names eight at once in AVX2 lanes where
+    /// the CPU has them and the rest one at a time. Their ids then join
+    /// the memo.
     pub fn for_contents<'a>(views: impl IntoIterator<Item = &'a Bytes>) -> Vec<Guid> {
         let views = views.into_iter();
         let mut out = Vec::with_capacity(views.size_hint().0);
@@ -340,7 +340,7 @@ mod tests {
     /// Runs of 8 to 40, cut where they are: each block's GUID is its
     /// [`Guid::for_content`] whichever way it was hashed. Cut at every
     /// block and started at each of the first seventeen, the runs split
-    /// into sixteens, eights left over after them, and singles. Odd
+    /// into eights, at every offset, and the singles after them. Odd
     /// lengths sit between runs, seven of one length fall short of a run,
     /// a ninth follows a run, and a run starts right after a block of
     /// another length. Every pass names fresh buffers, so none is
@@ -384,7 +384,8 @@ mod tests {
     /// takes of a buffer of `size` bytes: the whole, `picks` anywhere
     /// (empty, overlapping, repeated), and a run of `run` views of
     /// `run_len` bytes every `stride` bytes, overlapping when the stride is
-    /// shorter, so a run spans a zmm and a ymm width and singles.
+    /// shorter, so a run spans more than one width of lanes and leaves
+    /// singles after its eights.
     fn places(
         size: usize,
         picks: &[(usize, usize)],
@@ -405,7 +406,8 @@ mod tests {
     proptest! {
         /// Views of random buffers, by the memo or by hashing: whole, at
         /// random places (empty, nested, overlapping, repeated) and in
-        /// runs of one length long enough for both lane widths. Every id
+        /// runs of one length up to five lane widths long, most with a
+        /// tail of singles. Every id
         /// is the view's [`Guid::for_content`], on the first naming and
         /// on the next, of the same views and of a sub-view's sub-view.
         #[test]
