@@ -1,5 +1,6 @@
 //! One-off probe: re-measures the late_rejoin catch-up numbers quoted in
-//! EXPERIMENTS.md (post-rejoin slots to the frontier, installs, bytes).
+//! EXPERIMENTS.md (post-rejoin slots to the frontier, installs, the
+//! victim's view-change votes its peers answered with state, bytes).
 
 use oceanstore_consensus::harness::{build_tier_custom, run_updates_batched};
 use oceanstore_consensus::replica::CheckpointConfig;
@@ -28,9 +29,10 @@ fn main() {
     }
     let v = ts.sim.node(victim).as_replica().unwrap();
     let h = v.health();
-    let served: u64 = (0..3)
-        .map(|i| ts.sim.node(NodeId(i)).as_replica().unwrap().health().state_bytes_served)
-        .sum();
+    let peers: Vec<_> =
+        (0..3).map(|i| ts.sim.node(NodeId(i)).as_replica().unwrap().health()).collect();
+    let served: u64 = peers.iter().map(|p| p.state_bytes_served).sum();
+    let answered: u64 = peers.iter().map(|p| p.state_fetches).sum();
     match caught_at {
         Some((slots, us)) => println!(
             "caught up within {slots} post-rejoin slots (~{:.1} sim-s)",
@@ -39,9 +41,9 @@ fn main() {
         None => println!("did not catch up within 104 slots"),
     }
     println!(
-        "installs={} fetches={} installed_bytes={} served_bytes={} retained_log={}",
+        "installs={} answered_votes={} installed_bytes={} served_bytes={} retained_log={}",
         h.state_installs,
-        h.state_fetches,
+        answered,
         h.state_bytes_installed,
         served,
         h.log_len

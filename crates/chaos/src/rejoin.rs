@@ -187,9 +187,10 @@ pub fn run_rejoin_fuzz(seed: u64, opts: &RejoinFuzzOpts) -> RejoinOutcome {
         ts.sim.recover_node(victim);
     }
 
-    // Post-rejoin traffic: live agreement rounds above the victim's
-    // window are the witnesses that trigger its fetch, and later
-    // checkpoint certificates pull it through the tail in waves.
+    // Post-rejoin traffic: the victim holds requests it cannot order, so
+    // its view alarm fires and its view-change vote, carrying its
+    // `last_exec`, draws state from every peer ahead of it; the live
+    // tail then executes as usual.
     run_updates_batched(&mut ts, 64, 3 * opts.interval as usize, 8);
     run_updates_batched(&mut ts, 64, 8, 1);
     sample(&ts, bound, &mut logs);

@@ -249,7 +249,8 @@ pub enum PbftMsg {
     ViewChange {
         /// Proposed view.
         new_view: u64,
-        /// Highest sequence executed by the sender.
+        /// The sender's execution frontier (`next_exec`). A peer ahead of
+        /// it answers with a [`PbftMsg::State`].
         last_exec: u64,
         /// Digests the sender holds prepared certificates for:
         /// `(seq, digest, request id)`. Bounded to the checkpoint window —
@@ -284,17 +285,8 @@ pub enum PbftMsg {
         /// Replica signature.
         sig: Signature,
     },
-    /// Lagging replica → one peer: ship me your stable certificate and the
-    /// executed suffix above my frontier.
-    FetchState {
-        /// The requester's execution frontier (`next_exec`).
-        have: u64,
-        /// Index of the requesting replica.
-        replica: usize,
-        /// Replica signature.
-        sig: Signature,
-    },
-    /// Peer → lagging replica: state-transfer response. `stable` covers
+    /// Peer → lagging replica: the answer to a view-change vote whose
+    /// `last_exec` is below the sender's frontier. `stable` covers
     /// everything below its `seq`; `entries` carry the executed suffix with
     /// per-slot commit certificates.
     State {
@@ -339,7 +331,6 @@ impl Message for PbftMsg {
             }
             PbftMsg::NewView { .. } => HEADER_SIZE + sig,
             PbftMsg::Checkpoint { .. } => HEADER_SIZE + DIGEST_SIZE + sig,
-            PbftMsg::FetchState { .. } => HEADER_SIZE + sig,
             PbftMsg::State { stable, entries, .. } => {
                 HEADER_SIZE
                     + sig
@@ -359,7 +350,6 @@ impl Message for PbftMsg {
             PbftMsg::ViewChange { .. } => "pbft/viewchange",
             PbftMsg::NewView { .. } => "pbft/newview",
             PbftMsg::Checkpoint { .. } => "pbft/checkpoint",
-            PbftMsg::FetchState { .. } => "pbft/fetchstate",
             PbftMsg::State { .. } => "pbft/state",
         }
     }
@@ -379,7 +369,6 @@ pub fn set_sig(msg: &mut PbftMsg, sig: Signature) {
         | PbftMsg::ViewChange { sig: s, .. }
         | PbftMsg::NewView { sig: s, .. }
         | PbftMsg::Checkpoint { sig: s, .. }
-        | PbftMsg::FetchState { sig: s, .. }
         | PbftMsg::State { sig: s, .. } => *s = sig,
     }
 }
@@ -477,11 +466,6 @@ pub fn signing_bytes(msg: &PbftMsg) -> Vec<u8> {
             out.extend_from_slice(b"ckp");
             out.extend_from_slice(&seq.to_be_bytes());
             out.extend_from_slice(digest);
-            out.extend_from_slice(&(*replica as u64).to_be_bytes());
-        }
-        PbftMsg::FetchState { have, replica, .. } => {
-            out.extend_from_slice(b"fst");
-            out.extend_from_slice(&have.to_be_bytes());
             out.extend_from_slice(&(*replica as u64).to_be_bytes());
         }
         PbftMsg::State { stable, entries, replica, .. } => {

@@ -30,8 +30,7 @@ pub struct CheckpointConfig {
     /// Checkpoint every `interval` executed slots (the protocol's K).
     pub interval: u64,
     /// Slots a replica will buffer above its low-water mark; agreement
-    /// traffic at or past `low_water + window` is dropped (and counted as
-    /// evidence that the tier has moved on without us).
+    /// traffic at or past `low_water + window` is dropped.
     pub window: u64,
 }
 
@@ -192,8 +191,8 @@ pub struct ReplicaHealth {
     pub state_installs: u64,
     /// State responses (or embedded certificates) rejected as invalid.
     pub state_rejects: u64,
-    /// State-transfer fetches sent (each one costs the tier a round-trip,
-    /// so only signature-verified witness quorums may trigger them).
+    /// View-change votes this replica answered with state: each verified
+    /// vote whose `last_exec` is below our frontier draws one `State`.
     pub state_fetches: u64,
     /// Per-client reply-cache entries retained (bounded per client).
     pub reply_cache_len: u64,
@@ -330,17 +329,13 @@ pub struct Replica<N: Namer = Opaque> {
     /// Commit certificates of executed slots: seq → (view, quorum sigs).
     /// The payload of state transfer; truncated at the low-water mark.
     exec_proofs: BTreeMap<u64, (u64, Vec<(usize, Signature)>)>,
-    /// Peers seen sending agreement traffic above our high-water mark
-    /// (peer → highest claimed seq). `m + 1` distinct witnesses prove an
-    /// honest replica is past our window — time to fetch state.
-    ahead: HashMap<usize, u64>,
     /// State-transfer counters (bytes served / installed, installs,
-    /// rejected responses).
+    /// rejected responses, view-change votes answered with state).
     st_served: u64,
     st_installed: u64,
     st_installs: u64,
     st_rejects: u64,
-    st_fetches: u64,
+    st_answers: u64,
     /// View-change votes: new_view → voter → prepared set.
     vc_votes: HashMap<u64, VcVotes>,
     /// The execution frontier (`next_exec`) the armed view-change alarm
@@ -394,12 +389,11 @@ impl<N: Namer> Replica<N> {
             stable: None,
             ckpt_votes: BTreeMap::new(),
             exec_proofs: BTreeMap::new(),
-            ahead: HashMap::new(),
             st_served: 0,
             st_installed: 0,
             st_installs: 0,
             st_rejects: 0,
-            st_fetches: 0,
+            st_answers: 0,
             vc_votes: HashMap::new(),
             alarm: None,
             view_changes_sent: 0,
@@ -473,7 +467,7 @@ impl<N: Namer> Replica<N> {
             state_bytes_installed: self.st_installed,
             state_installs: self.st_installs,
             state_rejects: self.st_rejects,
-            state_fetches: self.st_fetches,
+            state_fetches: self.st_answers,
             reply_cache_len: self.reply_cache.values().map(|c| c.tail.len() as u64).sum(),
         }
     }
@@ -558,7 +552,6 @@ impl<N: Namer> Replica<N> {
             | PbftMsg::ViewChange { sig, .. }
             | PbftMsg::NewView { sig, .. }
             | PbftMsg::Checkpoint { sig, .. }
-            | PbftMsg::FetchState { sig, .. }
             | PbftMsg::State { sig, .. } => sig,
             _ => return false,
         };
@@ -1006,23 +999,15 @@ impl<N: Namer> Replica<N> {
     }
 
     /// Adopts a stable certificate (already verified or locally formed):
-    /// advance the low-water mark and truncate; if the certificate is
-    /// ahead of our own frontier, the tier has finalized history we never
-    /// saw — solicit state transfer from one of its signers.
+    /// advance the low-water mark and truncate. A certificate ahead of our
+    /// own frontier is history we never saw; our next view-change vote
+    /// asks for it (see [`Replica::serve_state`]).
     fn adopt_stable(&mut self, ctx: &mut Context<'_, PbftMsg>, cert: StableCert) {
         if cert.seq <= self.stable_seq() {
             return;
         }
-        let behind = cert.seq > self.next_exec;
-        let target =
-            cert.sigs.iter().map(|&(r, _)| r).filter(|&r| r != self.index).min();
         self.stable = Some(cert);
         self.apply_low_water();
-        if behind {
-            if let Some(target) = target {
-                self.request_state(ctx, target);
-            }
-        }
         self.drain_deferred(ctx);
     }
 
@@ -1116,75 +1101,18 @@ impl<N: Namer> Replica<N> {
         }
     }
 
-    /// Water-mark admission check for agreement traffic. Below the
-    /// low-water mark the slot is final — drop. At or past the high-water
-    /// mark we refuse to buffer — drop, but count the sender as a catch-up
-    /// witness (see [`Replica::note_ahead`]).
-    fn admit_seq(
-        &mut self,
-        ctx: &mut Context<'_, PbftMsg>,
-        seq: u64,
-        claimant: usize,
-        msg: &PbftMsg,
-    ) -> bool {
-        if seq < self.low_water {
-            return false;
-        }
-        if seq >= self.high_water() {
-            // The message is dropped here, so its signature never reaches
-            // the vote handlers' check — and an unverified claim must not
-            // count as a catch-up witness: one Byzantine sender could
-            // otherwise forge m + 1 distinct claimant indices and trigger
-            // fetch round-trips at will.
-            if self.verify_replica(claimant, msg) {
-                self.note_ahead(ctx, claimant, seq);
-            }
-            return false;
-        }
-        true
+    /// Water-mark admission check for agreement traffic: below the
+    /// low-water mark the slot is final, and at or past the high-water mark
+    /// we refuse to buffer it.
+    fn admit_seq(&self, seq: u64) -> bool {
+        self.low_water <= seq && seq < self.high_water()
     }
 
-    /// Records a peer claiming agreement traffic above our window. One
-    /// claim proves nothing (any single peer may be Byzantine), but `m + 1`
-    /// distinct claimants include an honest replica — the tier really has
-    /// moved past our window, so solicit state transfer from the farthest
-    /// claimant and reset the witness set (natural retry pacing: the next
-    /// fetch needs fresh evidence).
-    fn note_ahead(&mut self, ctx: &mut Context<'_, PbftMsg>, claimant: usize, seq: u64) {
-        if claimant >= self.cfg.n() || claimant == self.index {
-            return;
-        }
-        let e = self.ahead.entry(claimant).or_insert(0);
-        *e = (*e).max(seq);
-        if self.ahead.len() > self.cfg.m {
-            let target = self
-                .ahead
-                .iter()
-                .max_by_key(|(&r, &s)| (s, std::cmp::Reverse(r)))
-                .map(|(&r, _)| r)
-                .expect("witness set non-empty");
-            self.ahead.clear();
-            self.request_state(ctx, target);
-        }
-    }
-
-    /// Asks `target` for the stable certificate plus the executed suffix
-    /// above our frontier.
-    fn request_state(&mut self, ctx: &mut Context<'_, PbftMsg>, target: usize) {
-        if self.fault == FaultMode::Silent || target == self.index || target >= self.cfg.n() {
-            return;
-        }
-        let my = self.index;
-        let msg = self.signed(PbftMsg::FetchState {
-            have: self.next_exec,
-            replica: my,
-            sig: Signature::default(),
-        });
-        self.st_fetches += 1;
-        ctx.send(self.cfg.members[target], msg);
-    }
-
-    /// Serves a state-transfer request: the stable certificate (when the
+    /// Answers a verified view-change vote from a replica behind us. A
+    /// replica votes only when something it holds has stopped executing,
+    /// so its vote, with the signed `last_exec` it carries, is its request
+    /// for state (Castro and Liskov key catch-up on protocol state the
+    /// same way). The answer is the stable certificate (when the
     /// requester's frontier is below our low-water mark) plus executed
     /// entries from its frontier (or our mark) up to our frontier, each
     /// with its retained commit certificate.
@@ -1217,16 +1145,18 @@ impl<N: Namer> Replica<N> {
             sig: Signature::default(),
         });
         self.st_served += msg.wire_size() as u64;
+        self.st_answers += 1;
         ctx.send(self.cfg.members[requester], msg);
     }
 
     /// Installs a state-transfer response. The embedded certificate (if
-    /// any) is checked against the tier keys; an out-of-reach certificate
-    /// lets us *jump* — adopt its frontier and digest wholesale, since the
-    /// history below it is final tier-wide and no longer individually
-    /// retrievable. Entries then extend the frontier one slot at a time,
-    /// each verified against its own commit certificate; the first invalid
-    /// or non-contiguous entry stops the install.
+    /// any) is checked against the tier keys; a certificate above our
+    /// frontier lets us *jump* — adopt its frontier and digest wholesale,
+    /// since the history below it is final tier-wide and no longer
+    /// individually retrievable — whether or not we already held it.
+    /// Entries then extend the frontier one slot at a time, each verified
+    /// against its own commit certificate; the first invalid or
+    /// non-contiguous entry stops the install.
     fn on_state(
         &mut self,
         ctx: &mut Context<'_, PbftMsg>,
@@ -1235,7 +1165,7 @@ impl<N: Namer> Replica<N> {
     ) {
         let mut progressed = false;
         if let Some(cert) = stable {
-            if cert.seq > self.stable_seq() {
+            if cert.seq > self.stable_seq().min(self.next_exec) {
                 if !self.verify_stable_cert(&cert) {
                     self.st_rejects += 1;
                     return;
@@ -1249,9 +1179,17 @@ impl<N: Namer> Replica<N> {
                     self.next_exec = cert.seq;
                     self.next_seq = self.next_seq.max(cert.seq);
                     self.state_digest = cert.digest;
+                    // A request we hold without a slot may have executed
+                    // in the skipped history; kept, it would read as
+                    // waiting forever. A client still waiting on it
+                    // retransmits it.
+                    let assigned = &self.assigned;
+                    self.requests.retain(|id, _| assigned.contains_key(id));
                     progressed = true;
                 }
-                self.stable = Some(cert);
+                if cert.seq > self.stable_seq() {
+                    self.stable = Some(cert);
+                }
                 self.apply_low_water();
                 self.drain_deferred(ctx);
             }
@@ -1429,9 +1367,8 @@ impl<N: Namer> Replica<N> {
             return;
         }
         // A vote may carry a stable certificate we have never seen (its
-        // sender checkpointed past us). Adopting it both bounds what the
-        // re-proposal below must cover and, if we are behind it, starts
-        // our own catch-up.
+        // sender checkpointed past us). Adopting it bounds what the
+        // re-proposal below must cover.
         if let Some(cert) = stable {
             if cert.seq > self.stable_seq()
                 && (replica == self.index || self.verify_stable_cert(&cert))
@@ -1602,14 +1539,14 @@ impl<N: Namer> Replica<N> {
             }
             PbftMsg::PrePrepare { view, seq, digest, id, .. } => {
                 let leader = self.cfg.leader(*view);
-                if self.admit_seq(ctx, *seq, leader, &msg) && self.verify_replica(leader, &msg) {
+                if self.admit_seq(*seq) && self.verify_replica(leader, &msg) {
                     self.on_preprepare(ctx, *view, *seq, *digest, *id);
                 }
             }
             PbftMsg::Prepare { view, seq, replica, .. } => {
                 if *view == self.view
                     && *replica < self.cfg.n()
-                    && self.admit_seq(ctx, *seq, *replica, &msg)
+                    && self.admit_seq(*seq)
                 {
                     self.on_prepare(ctx, &msg);
                 }
@@ -1617,13 +1554,14 @@ impl<N: Namer> Replica<N> {
             PbftMsg::Commit { view, seq, replica, .. } => {
                 if *view == self.view
                     && *replica < self.cfg.n()
-                    && self.admit_seq(ctx, *seq, *replica, &msg)
+                    && self.admit_seq(*seq)
                 {
                     self.on_commit(ctx, &msg);
                 }
             }
             PbftMsg::ViewChange { new_view, last_exec, prepared, stable, replica, .. } => {
                 if self.verify_replica(*replica, &msg) {
+                    self.serve_state(ctx, *last_exec, *replica);
                     let nv = *new_view;
                     self.record_vc_vote(
                         ctx,
@@ -1665,14 +1603,6 @@ impl<N: Namer> Replica<N> {
                     && self.verify_replica(*replica, &msg)
                 {
                     self.record_ckpt_vote(ctx, *seq, *digest, *replica, *sig);
-                }
-            }
-            PbftMsg::FetchState { have, replica, .. } => {
-                if *replica < self.cfg.n()
-                    && *replica != self.index
-                    && self.verify_replica(*replica, &msg)
-                {
-                    self.serve_state(ctx, *have, *replica);
                 }
             }
             PbftMsg::State { stable, entries, replica, .. } => {

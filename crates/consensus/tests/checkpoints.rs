@@ -103,8 +103,9 @@ fn intact_rejoin_catches_up_via_state_transfer() {
     ts.sim.crash_node(NodeId(3));
     run_updates_batched(&mut ts, 128, 40, 4);
     ts.sim.recover_node(NodeId(3));
-    // Fresh traffic both advertises the tier's progress (witnesses above
-    // the rejoiner's window trigger the fetch) and carries the live tail.
+    // Fresh traffic leaves the rejoiner holding requests it cannot order:
+    // its view-change vote asks the tier for state, and the same traffic
+    // carries the live tail.
     run_updates_batched(&mut ts, 128, 24, 4);
     run_updates_batched(&mut ts, 128, 8, 1);
     let frontier = replica(&ts, 0).next_exec();
@@ -141,6 +142,49 @@ fn wiped_rejoin_jumps_via_certificate() {
     // The jump skipped history below the certificate: the output stream it
     // can replay is strictly shorter than the slot frontier.
     assert!(r3.executed_seen() < frontier, "a wiped replica cannot replay pre-jump output");
+}
+
+/// A replica that already holds a stable certificate above its frontier
+/// jumps to it when a `State` carries that same certificate: holding it
+/// is not having executed up to it, and the history below it is gone
+/// from every peer's log.
+#[test]
+fn held_certificate_above_the_frontier_is_jumped_to() {
+    let seed = 14;
+    let mut ts = build_tier_custom(1, WAN, seed, &[], ckpt(8, 16));
+    run_updates_batched(&mut ts, 128, 8, 4);
+    ts.sim.crash_node(NodeId(3));
+    run_updates_batched(&mut ts, 128, 32, 4);
+    ts.sim.recover_node(NodeId(3));
+    let cert = replica(&ts, 0).stable_checkpoint().cloned().expect("cert");
+    assert_eq!((cert.seq, replica(&ts, 3).next_exec()), (40, 8));
+    // A peer's view-change vote hands replica 3 the certificate, and
+    // nothing else: its frontier stays where the crash left it.
+    let vote = PbftMsg::ViewChange {
+        new_view: 1,
+        last_exec: 40,
+        prepared: Vec::new(),
+        stable: Some(cert.clone()),
+        replica: 1,
+        sig: Signature::default(),
+    };
+    ts.sim.inject(NodeId(1), NodeId(3), signed_by(&replica_key(seed, 1), vote));
+    ts.sim.run_to_quiescence(100_000);
+    let r3 = replica(&ts, 3);
+    assert_eq!((r3.health().checkpoint_seq, r3.next_exec()), (40, 8));
+    // A state answer carrying the same certificate moves the frontier.
+    let state = PbftMsg::State {
+        stable: Some(cert),
+        entries: Vec::new(),
+        replica: 0,
+        sig: Signature::default(),
+    };
+    ts.sim.inject(NodeId(0), NodeId(3), signed_by(&replica_key(seed, 0), state));
+    ts.sim.run_to_quiescence(100_000);
+    let r3 = replica(&ts, 3);
+    assert_eq!(r3.next_exec(), 40, "a held certificate above the frontier was not jumped to");
+    assert_eq!(r3.state_digest(), replica(&ts, 0).stable_checkpoint().unwrap().digest);
+    assert_eq!(r3.health().state_installs, 1);
 }
 
 /// A client retransmission of a request whose slot was truncated below
@@ -325,38 +369,38 @@ fn checkpoint_vote_spam_stays_bounded() {
     assert_eq!(replica(&ts, 0).checkpoint_vote_seqs(), 1, "genuine vote refused");
 }
 
-/// Above-window agreement traffic counts as a catch-up witness only if
-/// its signature verifies: one Byzantine sender forging `m + 1` claimant
-/// indices never triggers a state fetch, while the same claims under
-/// genuine signatures do (the control).
+/// A view-change vote is a request for state only if its signature
+/// verifies: a vote with a low `last_exec` under a decoy key draws no
+/// `State`, while the same vote under the genuine key draws one (the
+/// control).
 #[test]
-fn forged_catchup_witnesses_never_trigger_fetch() {
+fn forged_view_change_draws_no_state() {
     let seed = 23;
     for forged in [true, false] {
         let mut ts = build_tier_custom(1, WAN, seed, &[], ckpt(8, 16));
         run_updates(&mut ts, 128, 2);
-        let ahead_seq = replica(&ts, 0).high_water() + 4;
-        let decoy = KeyPair::from_seed(b"not-a-tier-key");
-        for v in [1usize, 2] {
-            let kp = if forged { decoy.clone() } else { replica_key(seed, v) };
-            let msg = signed_by(
-                &kp,
-                PbftMsg::Commit {
-                    view: 0,
-                    seq: ahead_seq,
-                    digest: [5; 20],
-                    replica: v,
-                    sig: Signature::default(),
-                },
-            );
-            ts.sim.inject(NodeId(v), NodeId(0), msg);
-        }
+        assert_eq!(replica(&ts, 0).next_exec(), 2);
+        let kp = if forged { KeyPair::from_seed(b"not-a-tier-key") } else { replica_key(seed, 3) };
+        let vote = signed_by(
+            &kp,
+            PbftMsg::ViewChange {
+                new_view: 1,
+                last_exec: 0,
+                prepared: Vec::new(),
+                stable: None,
+                replica: 3,
+                sig: Signature::default(),
+            },
+        );
+        ts.sim.inject(NodeId(3), NodeId(0), vote);
         ts.sim.run_to_quiescence(100_000);
-        let fetches = replica(&ts, 0).health().state_fetches;
+        let h = replica(&ts, 0).health();
         if forged {
-            assert_eq!(fetches, 0, "forged witnesses triggered a fetch");
+            assert_eq!(h.state_bytes_served, 0, "a forged vote drew state");
+            assert_eq!(h.state_fetches, 0);
         } else {
-            assert_eq!(fetches, 1, "genuine witnesses must trigger the fetch");
+            assert!(h.state_bytes_served > 0, "a genuine vote must draw state");
+            assert_eq!(h.state_fetches, 1);
         }
     }
 }
