@@ -188,9 +188,8 @@ pub fn check_store_memory<N: RoleHost>(
 /// Replica frontiers agree: in each ring, every live primary has executed
 /// up to one `next_exec` and holds one stable checkpoint. Checked once the
 /// last fault has cleared and a drain has passed, it catches a primary
-/// that stopped for good even when no client write is left pending
-/// (ROADMAP item 3(c): a committed slot whose request payload never
-/// arrived).
+/// that stopped for good even when no client write is left pending (for
+/// example at a committed slot whose request payload never arrived).
 pub fn check_frontiers_agree<N: RoleHost>(dep: &Deployment<N>) -> InvariantReport {
     let mut report = InvariantReport::default();
     for (r, ring) in dep.rings.iter().enumerate() {
