@@ -266,6 +266,38 @@ mod tests {
     }
 
     #[test]
+    fn orphan_catches_up_on_what_it_missed_through_its_new_parent() {
+        // Anti-entropy stretched past the horizon again, but this time the
+        // update commits while the subtree is orphaned: its push dies with
+        // the interior node, and nothing pushes it again. Only the
+        // exchange an orphan opens with its new parent can deliver it.
+        let mut dep = build_deployment(&DeploymentOpts {
+            secondaries: 6,
+            anti_entropy: Some(SimDuration::from_secs(120)),
+            ..DeploymentOpts::default()
+        });
+        let object = Guid::from_label("missed-while-orphaned");
+        let victim = dep.secondaries[1];
+        let orphans = [dep.secondaries[3], dep.secondaries[4]];
+        let update = Update::unconditional(vec![Action::Append { ciphertext: vec![7] }]);
+        dep.submit(dep.clients[0], object, &update);
+        settle(&mut dep, 3);
+        dep.sim.crash_node(victim);
+        let update2 = Update::unconditional(vec![Action::Append { ciphertext: vec![8] }]);
+        dep.submit(dep.clients[0], object, &update2);
+        settle(&mut dep, 6);
+        for &o in &orphans {
+            let sec = dep.secondary(o);
+            assert!(sec.reparent_count() > 0, "orphan {o} never re-parented");
+            assert_eq!(
+                sec.committed_view(&object).unwrap().version_number(),
+                2,
+                "orphan {o} never caught up on the commit it missed"
+            );
+        }
+    }
+
+    #[test]
     fn disconnected_client_commits_on_reconnection() {
         // The §3 email story: the client is cut off from the primary tier
         // but reaches one secondary; its update lives tentatively until

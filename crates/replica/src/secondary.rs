@@ -37,16 +37,13 @@ pub enum SecondaryTimer {
 
 /// How many peers a fresh tentative update is rumored to.
 const GOSSIP_FANOUT: usize = 2;
-/// After this many `FetchCommits` pulls with no `Commits` response, pull
-/// from a random gossip peer instead of the (possibly dead) parent.
-const MAX_UNANSWERED_PULLS: u32 = 3;
 
 /// Tentative updates for one object in (timestamp, id) order — the
 /// tentative serialization order.
 type TentativeLog = BTreeMap<(u64, TentativeId), Bytes>;
 
 /// What became of one certified record offered to the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum Apply {
     /// Applied (or a duplicate of something already applied).
     Applied,
@@ -93,10 +90,6 @@ pub struct Secondary {
     pending_attach: Option<(NodeId, SimTime)>,
     /// Rotates through re-parenting candidates across attempts.
     candidate_cursor: usize,
-    /// Consecutive stale-pull rounds with no Commits response.
-    unanswered_pulls: u32,
-    /// Anti-entropy ticks to skip before the next pull (backoff).
-    ticks_until_pull: u32,
     /// How many times this node successfully re-attached.
     reparented: u64,
     /// Records rejected because their certificate failed verification
@@ -127,8 +120,6 @@ impl Secondary {
             parent_last_seen: SimTime::ZERO,
             pending_attach: None,
             candidate_cursor: 0,
-            unanswered_pulls: 0,
-            ticks_until_pull: 0,
             reparented: 0,
             rejected: 0,
             rumor_peers: Vec::new(),
@@ -298,38 +289,22 @@ impl Secondary {
     fn on_anti_entropy_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
         let peer = self.cfg.peers[..].choose(ctx.rng()).copied();
         self.send_digest(ctx, peer);
-        // Re-pull anything stale — from the parent while it answers, from a
-        // random live peer once too many pulls have gone unanswered, with
-        // backoff so a long outage doesn't turn into a fetch storm.
-        let mut stale: Vec<(Guid, u64)> = self
-            .store
-            .iter()
-            .filter(|(_, s)| s.is_stale())
-            .map(|(g, s)| (*g, s.next_index))
-            .collect();
-        stale.sort();
-        if !stale.is_empty() {
-            if self.ticks_until_pull > 0 {
-                self.ticks_until_pull -= 1;
-            } else if let Some(target) = self.pull_target(ctx) {
-                for (object, from_index) in stale {
-                    ctx.send(target, ReplicaMsg::FetchCommits { object, from_index });
-                }
-                self.unanswered_pulls = self.unanswered_pulls.saturating_add(1);
-                self.ticks_until_pull =
-                    self.unanswered_pulls.saturating_sub(MAX_UNANSWERED_PULLS).min(4);
+        // Re-pull anything stale from the parent: this is how an
+        // invalidated leaf pulls (§4.4.3). A parent that stopped answering
+        // is the heartbeat's to replace.
+        if let Some(parent) = self.cfg.parent {
+            let mut stale: Vec<(Guid, u64)> = self
+                .store
+                .iter()
+                .filter(|(_, s)| s.is_stale())
+                .map(|(g, s)| (*g, s.next_index))
+                .collect();
+            stale.sort();
+            for (object, from_index) in stale {
+                ctx.send(parent, ReplicaMsg::FetchCommits { object, from_index });
             }
         }
         ctx.set_timer(self.cfg.anti_entropy_interval, ReplicaTimer::Secondary(AntiEntropy));
-    }
-
-    /// Where catch-up pulls go: the parent while it is believed alive, a
-    /// random gossip peer once `MAX_UNANSWERED_PULLS` pulls went nowhere.
-    fn pull_target(&mut self, ctx: &mut Context<'_, ReplicaMsg>) -> Option<NodeId> {
-        if self.unanswered_pulls >= MAX_UNANSWERED_PULLS && !self.cfg.peers.is_empty() {
-            return self.cfg.peers[..].choose(ctx.rng()).copied();
-        }
-        self.cfg.parent.or_else(|| self.cfg.peers[..].choose(ctx.rng()).copied())
     }
 
     fn on_heartbeat_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
@@ -430,19 +405,10 @@ impl Secondary {
         self.pending_attach = None;
         self.candidate_cursor = 0;
         self.parent_last_seen = ctx.now();
-        self.unanswered_pulls = 0;
-        self.ticks_until_pull = 0;
         self.reparented += 1;
-        // Catch up through the new parent immediately: everything we hold
-        // is suspect after an outage, so pull from our committed frontier.
-        let mut objects: Vec<(Guid, u64)> =
-            self.store.iter().map(|(g, s)| (*g, s.next_index)).collect();
-        // Deterministic send order (hash-map iteration is not): on a
-        // lossy link the drop verdict goes by a message's position.
-        objects.sort();
-        for (object, from_index) in objects {
-            ctx.send(from, ReplicaMsg::FetchCommits { object, from_index });
-        }
+        // Catch up through the new parent at once, not at the next tick:
+        // one digest, and its summary names what we missed while orphaned.
+        self.send_digest(ctx, None);
     }
 
     /// Accepts a tentative update (from a client or a gossiping peer) and
@@ -506,11 +472,11 @@ impl Secondary {
             Apply::Applied => true,
             Apply::Rejected => false,
             Apply::Gap => {
-                // Pull the missing prefix, while remembering how far the
-                // world has moved.
+                // Pull the missing prefix from the parent, while
+                // remembering how far the world has moved.
                 let from_index = self.store.get(&object).map_or(0, |s| s.next_index);
-                if let Some(target) = self.pull_target(ctx) {
-                    ctx.send(target, ReplicaMsg::FetchCommits { object, from_index });
+                if let Some(parent) = self.cfg.parent {
+                    ctx.send(parent, ReplicaMsg::FetchCommits { object, from_index });
                 }
                 false
             }
@@ -518,9 +484,8 @@ impl Secondary {
     }
 
     /// Core of the certified-record path, shared by the single-record tree
-    /// push and the batched fetch response. Does *not* issue catch-up
-    /// fetches itself — the callers decide how to react to a gap, because
-    /// a gapped *batch* must collapse into one fetch, not one per record.
+    /// push and the batched fetch response. Issues no catch-up fetch
+    /// itself: only a gapped push fetches.
     fn apply_certified(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -626,36 +591,18 @@ impl Secondary {
         }
     }
 
-    /// Handles a batch of fetched records.
-    ///
-    /// A residual gap issues at most **one** follow-up fetch per object.
-    /// Reacting per-record is an amplifier: a server whose log has
-    /// certificate holes answers with a gapped batch, every record past
-    /// the hole fails to apply, and one fetch per failed record yields the
-    /// same gapped batch again — the fetch volume multiplies by the batch
-    /// length every round trip until the hole closes. An open loop's
-    /// Zipf-hot objects hit exactly this within seconds.
+    /// Handles a batch of fetched records. A batch that still leaves a
+    /// gap (its server's log has a hole) fetches nothing more: asking the
+    /// same server again would return the same batch, and the next
+    /// anti-entropy exchange finds a peer that holds the prefix.
     pub fn on_commits(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
         records: Vec<CommitRecord>,
     ) {
-        // The pull path answered: clear the fallback/backoff state.
-        self.unanswered_pulls = 0;
-        self.ticks_until_pull = 0;
-        let mut gapped: Vec<Guid> = Vec::new();
         for r in records {
-            let object = r.object;
-            if self.apply_certified(ctx, from, r) == Apply::Gap && !gapped.contains(&object) {
-                gapped.push(object);
-            }
-        }
-        for object in gapped {
-            let from_index = self.store.get(&object).map_or(0, |s| s.next_index);
-            if let Some(target) = self.pull_target(ctx) {
-                ctx.send(target, ReplicaMsg::FetchCommits { object, from_index });
-            }
+            self.apply_certified(ctx, from, r);
         }
     }
 
