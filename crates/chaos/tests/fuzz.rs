@@ -66,6 +66,19 @@ fn seed_13_view_change_livelock_regression() {
     assert_seed_passes(13, &FuzzOpts::default(), "regression");
 }
 
+/// Regression: seed 1516 under default opts reproduced a view change
+/// that never completed (ROADMAP item 3(e)) with no location mesh on the
+/// links. Before the fix every primary sat at `next_exec` 1 in views
+/// 4/4/3/3. Primary 1, the leader of view 5, held view-5 votes from 0 and
+/// 1 only, while primaries 2 and 3 held all four: the view-5 votes of 2
+/// and 3 never reached it. Their view alarms re-voted `view + 1` = 4,
+/// which 0 and 1, already in view 4, dropped as stale. The alarm now
+/// re-sends the highest vote its replica has cast.
+#[test]
+fn seed_1516_view_change_stall_regression() {
+    assert_seed_passes(1516, &FuzzOpts::default(), "regression");
+}
+
 /// Same seed, same everything: trace, fingerprint, and verdict.
 #[test]
 fn fuzz_runs_are_deterministic() {

@@ -1310,9 +1310,19 @@ impl<N: Namer> Replica<N> {
         // expiry rebroadcasts it. Entering the new view disarms it.
         self.watch(ctx);
         if self.next_exec == armed_at {
-            let new_view = self.view + 1;
+            // Re-send the highest vote this replica has cast, not a vote
+            // for `view + 1`: peers already past `view + 1` drop that one
+            // as stale, and the vote they are missing may be the higher
+            // one, lost on its way to that view's leader.
+            let new_view = self.highest_vote().max(self.view + 1);
             self.send_view_change(ctx, new_view);
         }
+    }
+
+    /// The highest view this replica has voted to change to (0 if none).
+    fn highest_vote(&self) -> u64 {
+        let mine = self.vc_votes.iter().filter(|(_, votes)| votes.contains_key(&self.index));
+        mine.map(|(&view, _)| view).max().unwrap_or(0)
     }
 
     /// Broadcasts (and self-records) a view-change vote for `new_view`.

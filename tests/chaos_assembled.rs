@@ -6,7 +6,7 @@
 //! the fragment stores share the links the faults hit. A failing seed is
 //! a finding about the assembled system — name it in ROADMAP item 7 and
 //! pin the passing range; do not loosen a checker. `CHAOS_FUZZ_SEEDS`
-//! widens the range (default 20; CI sets 120).
+//! widens the range (default 20; CI sets 1 000).
 
 use oceanstore::core::system::assemble;
 use oceanstore::core::OceanServer;
@@ -47,17 +47,18 @@ fn assembled_system_holds_the_fuzz_oracle() {
     }
 }
 
-/// ROADMAP item 3(e): seed 225 stalls in a view change on the assembled
-/// system. After a 16 % drop window the primaries sit in views 0/1/1/2
-/// with nothing executed, 15 s after the last fault healed. All four
-/// have voted for view 3, but its leader holds only the votes of
-/// primaries 2 and 3: the one-time view-3 votes of 0 and 1 were lost. A
-/// view alarm re-votes only `view + 1`, so 0 and 1 keep voting for view
-/// 2, and 2 — already in view 2 — drops those votes as stale. The bare
-/// `run_fuzz(225, ..)` passes: the Plaxton traffic shifts which
-/// messages the per-link drop coins take.
+/// Regression for ROADMAP item 3(e): seed 225 stalled in a view change
+/// on the assembled system. After a 16 % drop window the primaries sat in
+/// views 1/1/2/0 with nothing executed, 15 s after the last fault healed.
+/// All four had voted for view 3, but its leader, primary 3, held only the
+/// votes of 2 and 3: the one-time view-3 votes of 0 and 1 were lost. Their
+/// alarms re-voted `view + 1` = 2, which primary 2, already in view 2,
+/// dropped as stale. The view alarm now re-sends the highest vote its
+/// replica has cast. The bare `run_fuzz(225, ..)` passes either way (the
+/// Plaxton traffic shifts which messages the per-link drop coins take);
+/// `seed_1516_view_change_stall_regression` in `crates/chaos/tests/fuzz.rs`
+/// is the reproduction without the mesh.
 #[test]
-#[ignore = "ROADMAP item 3(e)"]
 fn assembled_seed_225_view_change_stall() {
     let (out, _) = fuzz_assembled(225, &FuzzOpts::default());
     assert!(
