@@ -96,7 +96,7 @@ fn fuzz_runs_are_deterministic() {
 /// captured before the PR-4 engine overhaul (`Arc` multicast payloads,
 /// pooled action buffers, and a hierarchical timer wheel that PR 22
 /// replaced by a binary heap without moving them) and deliberately
-/// re-frozen three times since. First when drop decisions moved to
+/// re-frozen four times since. First when drop decisions moved to
 /// counter-mode per-link hashing (DESIGN.md §11): the drop-active seeds
 /// (7, 13, 42) flipped different coins — at statistically unchanged
 /// rates — while seed 0's drop-free portion stayed pinned to the
@@ -115,6 +115,17 @@ fn fuzz_runs_are_deterministic() {
 /// 2 and 3 messages), total bytes fell 4–30 % (69 958 → 67 376,
 /// 96 718 → 67 903, 89 718 → 73 226, 84 490 → 67 012), and the
 /// `replica/*`, `ev[*]` and drop counters shifted with the schedule.
+/// Fourth when a secondary adopted by a new parent began catching up
+/// with one anti-entropy digest instead of one `FetchCommits` per held
+/// object (DESIGN.md §13): seeds 0, 7 and 42 moved and seed 13 did not.
+/// `replica/fetch` fell (2 → 1, 9 → 4, 4 → 1 messages) and
+/// `replica/antientropy` rose (766 → 768, 946 → 951, 932 → 935);
+/// messages 4 453 → 4 454, 4 506 → 4 499 and 4 594 (unchanged), bytes
+/// 67 376 → 67 372, 67 903 → 67 061 and 67 012 → 66 952. Seed 7's
+/// `replica/commit` (27 → 24), `replica/commitack` (28 → 24),
+/// `ev[repush/resend]` (5 → 2) and `drop[NodeDown]` (31 → 30) shifted
+/// with the schedule. The view alarm's re-sent highest vote (§8), made
+/// in the same change, moved none of the four.
 /// The determinism contract is that event order — and therefore every
 /// message, byte, and drop counter — is bit-for-bit unchanged for the
 /// same seed. Do not update these strings to "fix" a failure
@@ -124,10 +135,10 @@ fn fuzz_runs_are_deterministic() {
 fn fingerprints_pinned_across_engine_overhaul() {
     let opts = FuzzOpts::default();
     let pinned: [(u64, &str); 4] = [
-        (0, "now=30000000 msgs=4453 bytes=67376 drop[NodeDown]=80 drop[Partition]=43 drop[Random]=0 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=36/3888 pbft/newview=6/528 pbft/prepare=27/2916 pbft/preprepare=18/1944 pbft/reply=9/972 pbft/request=12/1644 pbft/state=2/666 pbft/viewchange=18/1848 replica/antientropy=766/12516 replica/attach=9/104 replica/certformed=12/1776 replica/commit=23/4830 replica/commitack=20/560 replica/commits=4/1114 replica/fetch=2/72 replica/heartbeat=3435/27480 replica/resultshare=6/630 replica/tentative=48/3888 ev[repush/recovered]=1 ev[repush/resend]=1 ev[tier-ae/adopt]=3"),
-        (7, "now=30000000 msgs=4506 bytes=67903 drop[NodeDown]=31 drop[Partition]=116 drop[Random]=102 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=30/3240 pbft/newview=3/264 pbft/prepare=21/2268 pbft/preprepare=12/1296 pbft/reply=9/972 pbft/request=12/1644 pbft/state=2/666 pbft/viewchange=12/1716 replica/antientropy=946/15360 replica/attach=30/288 replica/certformed=12/1776 replica/commit=27/5670 replica/commitack=28/784 replica/commits=5/1130 replica/fetch=9/324 replica/heartbeat=3299/26392 replica/resultshare=6/630 replica/tentative=43/3483 ev[repush/recovered]=2 ev[repush/resend]=5 ev[tier-ae/adopt]=2"),
+        (0, "now=30000000 msgs=4454 bytes=67372 drop[NodeDown]=80 drop[Partition]=43 drop[Random]=0 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=36/3888 pbft/newview=6/528 pbft/prepare=27/2916 pbft/preprepare=18/1944 pbft/reply=9/972 pbft/request=12/1644 pbft/state=2/666 pbft/viewchange=18/1848 replica/antientropy=768/12548 replica/attach=9/104 replica/certformed=12/1776 replica/commit=23/4830 replica/commitack=20/560 replica/commits=4/1114 replica/fetch=1/36 replica/heartbeat=3435/27480 replica/resultshare=6/630 replica/tentative=48/3888 ev[repush/recovered]=1 ev[repush/resend]=1 ev[tier-ae/adopt]=3"),
+        (7, "now=30000000 msgs=4499 bytes=67061 drop[NodeDown]=30 drop[Partition]=116 drop[Random]=102 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=30/3240 pbft/newview=3/264 pbft/prepare=21/2268 pbft/preprepare=12/1296 pbft/reply=9/972 pbft/request=12/1644 pbft/state=2/666 pbft/viewchange=12/1716 replica/antientropy=951/15440 replica/attach=30/288 replica/certformed=12/1776 replica/commit=24/5040 replica/commitack=24/672 replica/commits=5/1130 replica/fetch=4/144 replica/heartbeat=3299/26392 replica/resultshare=6/630 replica/tentative=43/3483 ev[repush/recovered]=2 ev[repush/resend]=2 ev[tier-ae/adopt]=2"),
         (13, "now=30000000 msgs=4715 bytes=73226 drop[NodeDown]=7 drop[Partition]=8 drop[Random]=104 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=45/4860 pbft/newview=3/264 pbft/prepare=36/3888 pbft/preprepare=12/1296 pbft/reply=11/1188 pbft/request=16/2208 pbft/state=2/668 pbft/viewchange=21/3828 replica/antientropy=902/14632 replica/certformed=14/2072 replica/commit=19/4009 replica/commitack=16/448 replica/commits=3/681 replica/fetch=3/108 replica/heartbeat=3558/28464 replica/resultshare=8/840 replica/tentative=46/3772 ev[repush/recovered]=1 ev[repush/resend]=1 ev[tier-ae/adopt]=1"),
-        (42, "now=30000000 msgs=4594 bytes=67012 drop[NodeDown]=0 drop[Partition]=63 drop[Random]=73 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=36/3888 pbft/prepare=27/2916 pbft/preprepare=9/972 pbft/reply=11/1188 pbft/request=12/1656 pbft/state=3/1002 pbft/viewchange=3/660 replica/antientropy=932/15232 replica/attach=16/152 replica/certformed=14/2072 replica/commit=21/4431 replica/commitack=20/560 replica/commits=1/227 replica/fetch=4/144 replica/heartbeat=3433/27464 replica/resultshare=8/840 replica/tentative=44/3608 ev[tier-ae/adopt]=1"),
+        (42, "now=30000000 msgs=4594 bytes=66952 drop[NodeDown]=0 drop[Partition]=63 drop[Random]=73 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=36/3888 pbft/prepare=27/2916 pbft/preprepare=9/972 pbft/reply=11/1188 pbft/request=12/1656 pbft/state=3/1002 pbft/viewchange=3/660 replica/antientropy=935/15280 replica/attach=16/152 replica/certformed=14/2072 replica/commit=21/4431 replica/commitack=20/560 replica/commits=1/227 replica/fetch=1/36 replica/heartbeat=3433/27464 replica/resultshare=8/840 replica/tentative=44/3608 ev[tier-ae/adopt]=1"),
     ];
     for (seed, expect) in pinned {
         let out = run_fuzz(seed, &opts);
