@@ -73,7 +73,7 @@ fn seed_13_view_change_livelock_regression() {
 /// 1 only, while primaries 2 and 3 held all four: the view-5 votes of 2
 /// and 3 never reached it. Their view alarms re-voted `view + 1` = 4,
 /// which 0 and 1, already in view 4, dropped as stale. The alarm now
-/// re-sends the highest vote its replica has cast.
+/// also re-sends a higher vote its replica has cast.
 #[test]
 fn seed_1516_view_change_stall_regression() {
     assert_seed_passes(1516, &FuzzOpts::default(), "regression");
@@ -124,7 +124,7 @@ fn fuzz_runs_are_deterministic() {
 /// 67 376 → 67 372, 67 903 → 67 061 and 67 012 → 66 952. Seed 7's
 /// `replica/commit` (27 → 24), `replica/commitack` (28 → 24),
 /// `ev[repush/resend]` (5 → 2) and `drop[NodeDown]` (31 → 30) shifted
-/// with the schedule. The view alarm's re-sent highest vote (§8), made
+/// with the schedule. The view alarm's re-sent higher vote (§8), made
 /// in the same change, moved none of the four.
 /// The determinism contract is that event order — and therefore every
 /// message, byte, and drop counter — is bit-for-bit unchanged for the

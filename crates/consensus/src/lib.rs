@@ -33,10 +33,11 @@ pub use replica::{CheckpointConfig, Committed, FaultMode, Replica, ReplicaHealth
 
 #[cfg(test)]
 mod tests {
-    use oceanstore_sim::{NodeId, SimDuration};
+    use oceanstore_crypto::schnorr::KeyPair;
+    use oceanstore_sim::{NodeId, SimDuration, SimTime};
 
     use crate::harness::{build_tier, build_tier_with_faults, run_updates};
-    use crate::messages::Payload;
+    use crate::messages::{signing_bytes, Payload, PbftMsg};
     use crate::replica::FaultMode;
 
     const WAN: SimDuration = SimDuration::from_millis(100);
@@ -136,6 +137,49 @@ mod tests {
         assert_eq!(reference.len(), 1);
         for i in [2usize, 3] {
             assert_eq!(executed_digests(&ts, i), reference);
+        }
+    }
+
+    #[test]
+    fn faulty_leader_cannot_steer_the_view_change_to_a_view_it_leads() {
+        // Replica 0 leads view 0, withholds proposals, and broadcasts a
+        // vote signed with its own key for view 4, which it leads again.
+        // Each honest replica joins that view change on the one vote, and
+        // view 4 never starts. Their alarms must still vote for view 1,
+        // led by honest replica 1, where the update commits.
+        let mut ts = build_tier_with_faults(1, WAN, 14, &[(0, FaultMode::Silent)]);
+        let client = ts.client;
+        let id = ts.sim.with_node_ctx(client, |node, ctx| {
+            node.as_client_mut().unwrap().submit(ctx, Payload::simulated(256))
+        });
+        // Let the request reach the honest replicas first: they join only
+        // while a request waits on the leader.
+        ts.sim.run_until(SimTime::ZERO + SimDuration::from_millis(150));
+        let key = KeyPair::from_seed(b"tier-14-replica-0");
+        let mut vote = PbftMsg::ViewChange {
+            new_view: 4,
+            last_exec: 0,
+            prepared: Vec::new(),
+            stable: None,
+            replica: 0,
+            sig: Default::default(),
+        };
+        let signature = key.sign(&signing_bytes(&vote));
+        if let PbftMsg::ViewChange { sig, .. } = &mut vote {
+            *sig = signature;
+        }
+        ts.sim.with_node_ctx(NodeId(0), |_node, ctx| {
+            ctx.broadcast((1..4).map(NodeId), vote);
+        });
+        // Bounded run: the faulty replica's view change stays open, and
+        // a stalled tier would re-arm its alarms forever.
+        ts.sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+        let outcome = ts.sim.node(client).as_client().unwrap().outcome(id).copied();
+        assert!(outcome.is_some(), "the update must commit despite the far-view vote");
+        for i in 1..4 {
+            let replica = ts.sim.node(NodeId(i)).as_replica().unwrap();
+            assert_ne!(ts.cfg.leader(replica.view()), 0, "replica {i} in a view the faulty one leads");
+            assert_eq!(replica.executed().len(), 1, "replica {i}");
         }
     }
 

@@ -1310,12 +1310,18 @@ impl<N: Namer> Replica<N> {
         // expiry rebroadcasts it. Entering the new view disarms it.
         self.watch(ctx);
         if self.next_exec == armed_at {
-            // Re-send the highest vote this replica has cast, not a vote
-            // for `view + 1`: peers already past `view + 1` drop that one
-            // as stale, and the vote they are missing may be the higher
-            // one, lost on its way to that view's leader.
-            let new_view = self.highest_vote().max(self.view + 1);
-            self.send_view_change(ctx, new_view);
+            // Vote for `view + 1`, then re-send a higher vote this replica
+            // cast on joining a higher view change. Peers already past
+            // `view + 1` drop the first as stale, and the vote they miss
+            // may be the higher one, lost on its way to that view's
+            // leader. The re-send only repeats a vote, so the target
+            // stays `view + 1`: a replica joins a higher view change on
+            // one vote, and a faulty one may name a view it leads itself.
+            let higher = self.highest_vote();
+            self.send_view_change(ctx, self.view + 1);
+            if higher > self.view + 1 {
+                self.send_view_change(ctx, higher);
+            }
         }
     }
 

@@ -53,7 +53,7 @@ fn assembled_system_holds_the_fuzz_oracle() {
 /// All four had voted for view 3, but its leader, primary 3, held only the
 /// votes of 2 and 3: the one-time view-3 votes of 0 and 1 were lost. Their
 /// alarms re-voted `view + 1` = 2, which primary 2, already in view 2,
-/// dropped as stale. The view alarm now re-sends the highest vote its
+/// dropped as stale. The view alarm now also re-sends a higher vote its
 /// replica has cast. The bare `run_fuzz(225, ..)` passes either way (the
 /// Plaxton traffic shifts which messages the per-link drop coins take);
 /// `seed_1516_view_change_stall_regression` in `crates/chaos/tests/fuzz.rs`
