@@ -264,11 +264,13 @@ impl Secondary {
     /// the tree parent, so a commit push dropped on the tier→tree edge is
     /// repaired top-down (a record no secondary ever received cannot be
     /// healed epidemically: nobody holds it). Whoever holds something
-    /// else answers with its summary. A secondary that holds nothing —
-    /// digest 0 — stays silent, as it always did: a tier nobody has
-    /// written to has no background traffic, and what an empty secondary
-    /// lacks reaches it by the tree, or by a peer's digest, which its
-    /// empty summary answers.
+    /// else answers with its summary, and a secondary behind its parent
+    /// fetches what the summary shows it lacks: this is also how an
+    /// invalidated leaf pulls (§4.4.3). A secondary that holds nothing —
+    /// digest 0 — stays silent unless an invalidation told it it is
+    /// stale: a tier nobody has written to has no background traffic, and
+    /// what an empty secondary lacks reaches it by the tree, or by a
+    /// peer's digest, which its empty summary answers.
     fn send_digest(&self, ctx: &mut Context<'_, ReplicaMsg>, peer: Option<NodeId>) {
         let targets =
             peer.into_iter().chain(self.cfg.parent).chain(self.parent_seat_in_other_rings());
@@ -279,7 +281,7 @@ impl Secondary {
             return;
         }
         let digest = self.digest();
-        if digest != 0 {
+        if digest != 0 || self.store.iter().any(|(_, s)| s.is_stale()) {
             for target in targets {
                 ctx.send(target, ReplicaMsg::AntiEntropyDigest { digest });
             }
@@ -289,21 +291,6 @@ impl Secondary {
     fn on_anti_entropy_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
         let peer = self.cfg.peers[..].choose(ctx.rng()).copied();
         self.send_digest(ctx, peer);
-        // Re-pull anything stale from the parent: this is how an
-        // invalidated leaf pulls (§4.4.3). A parent that stopped answering
-        // is the heartbeat's to replace.
-        if let Some(parent) = self.cfg.parent {
-            let mut stale: Vec<(Guid, u64)> = self
-                .store
-                .iter()
-                .filter(|(_, s)| s.is_stale())
-                .map(|(g, s)| (*g, s.next_index))
-                .collect();
-            stale.sort();
-            for (object, from_index) in stale {
-                ctx.send(parent, ReplicaMsg::FetchCommits { object, from_index });
-            }
-        }
         ctx.set_timer(self.cfg.anti_entropy_interval, ReplicaTimer::Secondary(AntiEntropy));
     }
 
