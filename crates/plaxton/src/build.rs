@@ -120,7 +120,7 @@ pub fn find_root(nodes: &[PlaxtonNode], target: &Guid, start: NodeId) -> NodeId 
     let mut at = start;
     let mut level = 0usize;
     for _ in 0..=nodes.len() {
-        match nodes[at.0].table().route_step(at, target, level, |_| true) {
+        match nodes[at.0].table().route_step(at, target, level, None) {
             RouteStep::Forward { next, level: l } => {
                 at = next;
                 level = l;
