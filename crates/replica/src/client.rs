@@ -32,7 +32,8 @@ pub struct UpdateClient {
     next_seq: u64,
     /// Client sequence → ring that serialized it (reply/timer routing).
     routes: IdMap<u64, usize>,
-    /// Known secondary replicas to seed the epidemic path.
+    /// Known secondary replicas to seed the epidemic path, reordered in
+    /// place by each draw of the tentative targets.
     secondaries: Vec<NodeId>,
     /// How many random secondaries receive the tentative copy.
     tentative_fanout: usize,
@@ -105,9 +106,8 @@ impl UpdateClient {
         });
         // Tentative copies to random secondaries.
         let tid = TentativeId { client: id.client, counter: id.seq };
-        let mut secondaries = self.secondaries.clone();
-        secondaries.shuffle(ctx.rng());
-        for s in secondaries.into_iter().take(self.tentative_fanout) {
+        let (targets, _) = self.secondaries.partial_shuffle(ctx.rng(), self.tentative_fanout);
+        for &s in targets.iter() {
             ctx.send(
                 s,
                 ReplicaMsg::Tentative { object, update: encoded.clone(), timestamp, id: tid },

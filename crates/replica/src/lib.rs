@@ -419,7 +419,7 @@ mod security_tests {
         }
         let victim = dep.secondaries[1];
         let source = dep.secondaries[2];
-        dep.sim.inject(source, victim, ReplicaMsg::Commit(record));
+        dep.sim.inject(source, victim, ReplicaMsg::Commit { record, frontier: None });
         dep.sim.run_for(SimDuration::from_secs(2));
         let sec = dep.secondary(victim);
         assert!(
@@ -447,7 +447,8 @@ mod security_tests {
         forged.update = encode_update(&other).into();
         forged.index = 1; // next slot, so the gap check doesn't mask the cert check
         let victim = dep.secondaries[3];
-        dep.sim.inject(dep.secondaries[2], victim, ReplicaMsg::Commit(forged));
+        let push = ReplicaMsg::Commit { record: forged, frontier: None };
+        dep.sim.inject(dep.secondaries[2], victim, push);
         dep.sim.run_for(SimDuration::from_secs(2));
         let sec = dep.secondary(victim);
         assert_eq!(

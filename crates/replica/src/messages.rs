@@ -233,7 +233,15 @@ pub enum ReplicaMsg {
         cert: SerializationCert,
     },
     /// A certified commit pushed down the dissemination tree (Figure 5c).
-    Commit(CommitRecord),
+    Commit {
+        /// The certified record.
+        record: CommitRecord,
+        /// A secondary parent's committed frontier
+        /// ([`crate::ObjectStore::committed_digest`]) after it applied the
+        /// record, for the child to compare with its own. A primary, which
+        /// holds only its ring's objects, sends none.
+        frontier: Option<u64>,
+    },
     /// Delivery acknowledgment for a tier→tree `Commit` push. A secondary
     /// that holds `(object, index)` certified and received it (or a
     /// duplicate) from a *primary* of the object's ring acks that whole
@@ -323,7 +331,9 @@ impl Message for ReplicaMsg {
                 Guid::WIRE_SIZE + 8 + 20 + 9 + 8 + Signature::WIRE_SIZE + 8
             }
             ReplicaMsg::CertFormed { cert, .. } => Guid::WIRE_SIZE + 8 + cert.wire_size(),
-            ReplicaMsg::Commit(r) => r.wire_size(),
+            ReplicaMsg::Commit { record, frontier } => {
+                record.wire_size() + if frontier.is_some() { 8 } else { 0 }
+            }
             ReplicaMsg::CommitAck { .. } => Guid::WIRE_SIZE + 8,
             ReplicaMsg::Invalidate { .. } => Guid::WIRE_SIZE + 24,
             ReplicaMsg::FetchCommits { .. } => Guid::WIRE_SIZE + 16,
@@ -347,7 +357,7 @@ impl Message for ReplicaMsg {
             ReplicaMsg::ResultShare { .. } => "replica/resultshare",
             ReplicaMsg::ShareRebroadcast { .. } => "replica/sharerebroadcast",
             ReplicaMsg::CertFormed { .. } => "replica/certformed",
-            ReplicaMsg::Commit(_) => "replica/commit",
+            ReplicaMsg::Commit { .. } => "replica/commit",
             ReplicaMsg::CommitAck { .. } => "replica/commitack",
             ReplicaMsg::Invalidate { .. } => "replica/invalidate",
             ReplicaMsg::FetchCommits { .. } => "replica/fetch",

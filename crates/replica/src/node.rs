@@ -121,8 +121,8 @@ impl Protocol for OceanNode {
                     ReplicaMsg::Tentative { object, update, timestamp, id } => {
                         s.on_tentative(ctx, object, update, timestamp, id);
                     }
-                    ReplicaMsg::Commit(record) => {
-                        s.on_commit(ctx, from, record);
+                    ReplicaMsg::Commit { record, frontier } => {
+                        s.on_commit(ctx, from, record, frontier);
                     }
                     ReplicaMsg::Commits { records } => s.on_commits(ctx, from, records),
                     ReplicaMsg::Invalidate { object, index, .. } => {

@@ -525,7 +525,7 @@ impl Primary {
         for _ in 0..unacked.len() {
             ctx.count("repush/resend");
         }
-        ctx.broadcast(unacked, ReplicaMsg::Commit(record.clone()));
+        ctx.broadcast(unacked, ReplicaMsg::Commit { record: record.clone(), frontier: None });
         ctx.set_timer(self.repush_deadline(attempt), retry);
     }
 
@@ -694,7 +694,10 @@ impl Primary {
             ctx.broadcast(peers, ReplicaMsg::CertFormed { object, index, cert: cert.clone() });
             for (child, mode) in self.children.clone() {
                 match mode {
-                    ChildMode::Push => ctx.send(child, ReplicaMsg::Commit(record.clone())),
+                    ChildMode::Push => {
+                        let push = ReplicaMsg::Commit { record: record.clone(), frontier: None };
+                        ctx.send(child, push)
+                    }
                     ChildMode::Invalidate => ctx.send(
                         child,
                         ReplicaMsg::Invalidate {

@@ -65,7 +65,7 @@ impl Relay {
         let from = self.dep.secondaries[0];
         let pushed = record.clone();
         let applied = self.dep.sim.with_node_ctx(self.secondary, |node, ctx| {
-            node.as_secondary_mut().expect("secondary").on_commit(ctx, from, pushed)
+            node.as_secondary_mut().expect("secondary").on_commit(ctx, from, pushed, None)
         });
         let fetched = vec![record.clone()];
         self.dep.sim.with_node_ctx(self.primary, |node, ctx| {

@@ -290,7 +290,7 @@ fn a_forged_record_laid_out_like_a_named_one_is_refused_by_every_secondary() {
     assert_eq!(forged.update.len(), genuine.update.len(), "laid out alike");
     let source = secondaries[0];
     for &s in &secondaries[1..] {
-        dep.sim.inject(source, s, ReplicaMsg::Commit(forged.clone()));
+        dep.sim.inject(source, s, ReplicaMsg::Commit { record: forged.clone(), frontier: None });
     }
     dep.sim.run_for(SimDuration::from_secs(2));
     for &s in &secondaries[1..] {
@@ -300,7 +300,7 @@ fn a_forged_record_laid_out_like_a_named_one_is_refused_by_every_secondary() {
 
     let copy = certified_record(object, 1, reencoded(&meant), &digest);
     for &s in &secondaries[1..] {
-        dep.sim.inject(source, s, ReplicaMsg::Commit(copy.clone()));
+        dep.sim.inject(source, s, ReplicaMsg::Commit { record: copy.clone(), frontier: None });
     }
     dep.sim.run_for(SimDuration::from_secs(2));
     for &s in &secondaries[1..] {
