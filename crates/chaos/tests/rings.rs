@@ -175,17 +175,26 @@ fn all_rings_commit_and_converge() {
 /// derivation, routing, or message flow shows up here first. Every ring's
 /// pushes are acked (`replica/commitack` = 4 rings × 2 records × 4
 /// members), so no `ev[repush/*]` event appears.
+///
+/// Re-frozen when a secondary whose parent is pushing stopped sending
+/// digests and pings, each push from a secondary parent began carrying
+/// its committed frontier, and rumors and client fan-out began drawing k
+/// peers instead of shuffling them all: `replica/antientropy` 2 136 →
+/// 2 100 messages, `replica/heartbeat` 4 193 → 4 157, `replica/commit`
+/// 10 976 → 11 360 bytes (48 secondary pushes × 8) at the same 56
+/// messages, `replica/tentative` 130 → 131 with the draws; messages
+/// 6 879 → 6 808, bytes 132 506 → 132 093. No other count moved.
 #[test]
 fn ring_outage_fingerprint_pinned() {
     let (_, fp) = run_ring_outage(1);
     assert_eq!(
         fp,
-        "now=30000000 msgs=6879 bytes=132506 drop[NodeDown]=32 drop[Partition]=0 \
+        "now=30000000 msgs=6808 bytes=132093 drop[NodeDown]=32 drop[Partition]=0 \
          drop[Random]=0 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=96/10368 \
          pbft/prepare=72/7776 pbft/preprepare=24/2592 pbft/reply=32/3456 \
-         pbft/request=44/5412 replica/antientropy=2136/40336 \
-         replica/certformed=40/5920 replica/commit=56/10976 \
-         replica/commitack=32/896 replica/heartbeat=4193/33544 \
-         replica/resultshare=24/2520 replica/tentative=130/8710"
+         pbft/request=44/5412 replica/antientropy=2100/39760 \
+         replica/certformed=40/5920 replica/commit=56/11360 \
+         replica/commitack=32/896 replica/heartbeat=4157/33256 \
+         replica/resultshare=24/2520 replica/tentative=131/8777"
     );
 }
