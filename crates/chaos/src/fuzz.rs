@@ -67,6 +67,12 @@ pub struct FuzzOpts {
     /// Whether quorum-cut windows (islanding `m + 1` primaries) may be
     /// drawn.
     pub quorum_cuts: bool,
+    /// Bytes each update appends: its label, padded with zeros to this
+    /// length when shorter. 0 sends the label alone (under 30 bytes, an
+    /// update the dissemination tree pushes whole); 1 KiB sends one a
+    /// secondary parent pushes by name
+    /// ([`oceanstore_replica::ReplicaMsg::Named`]).
+    pub payload_len: usize,
 }
 
 impl Default for FuzzOpts {
@@ -79,6 +85,7 @@ impl Default for FuzzOpts {
             horizon_ms: 30_000,
             deployment: DeploymentOpts::default(),
             quorum_cuts: true,
+            payload_len: 0,
         }
     }
 }
@@ -389,7 +396,9 @@ pub fn fuzz_deployment<N: RoleHost>(
         trace.extend(cursor.run_to(&mut dep.sim, t(at)));
         match op {
             Op::Submit(i) => {
-                let update = append(format!("fuzz-{seed}-update-{i}").as_bytes());
+                let mut payload = format!("fuzz-{seed}-update-{i}").into_bytes();
+                payload.resize(payload.len().max(opts.payload_len), 0);
+                let update = append(&payload);
                 dep.submit(dep.clients[0], object, &update);
             }
             Op::CutBefore(j) => cut_frontiers[j] = Some(dep.frontier(&object)),

@@ -86,6 +86,13 @@ impl CommitRecord {
     /// certifies bytes that do not decode. The update's ciphertexts are
     /// views of the record's buffer.
     ///
+    /// A record pushed by name ([`ReplicaMsg::Named`]) reaches this check
+    /// with bytes the receiver already held: the rumor it logged under
+    /// the record's `(timestamp, id)`, or its own logged record at that
+    /// index. Rumors are unauthenticated, so those bytes may be another
+    /// update's; this check is what tells, exactly as for bytes that came
+    /// with the record.
+    ///
     /// Each block's CID comes from that buffer's memo
     /// ([`oceanstore_naming::bytes`]) when another node of this process
     /// already named a view at the same place in it — the client, a
@@ -113,6 +120,18 @@ impl CommitRecord {
     /// Wire size of the record inside messages.
     pub fn wire_size(&self) -> usize {
         Guid::WIRE_SIZE + 8 + self.update.len() + 9 + 8 + 16 + self.cert.wire_size()
+    }
+
+    /// This record without its update bytes, when those outweigh the rest
+    /// of it (`wire_size() − update.len()`: 181 B at m = 1): what a
+    /// secondary parent pushes by name ([`ReplicaMsg::Named`]). A child
+    /// that holds the bytes from the rumor saves them; one that does not
+    /// pays this header and one fetch, less than the bytes themselves.
+    /// `None` for a smaller update, which travels whole.
+    pub fn by_name(&self) -> Option<CommitRecord> {
+        let bytes = self.update.len();
+        (bytes > self.wire_size() - bytes)
+            .then(|| CommitRecord { update: Bytes::default(), ..self.clone() })
     }
 }
 
@@ -232,7 +251,11 @@ pub enum ReplicaMsg {
         /// The assembled `m + 1`-of-`n` certificate.
         cert: SerializationCert,
     },
-    /// A certified commit pushed down the dissemination tree (Figure 5c).
+    /// A certified commit pushed down the dissemination tree (Figure 5c),
+    /// bytes and all. A primary pushes every record so: the tree root may
+    /// not have the rumor. A secondary parent pushes so only an update no
+    /// larger than the rest of its record ([`CommitRecord::by_name`]), and
+    /// the larger ones as [`ReplicaMsg::Named`].
     Commit {
         /// The certified record.
         record: CommitRecord,
@@ -241,6 +264,22 @@ pub enum ReplicaMsg {
         /// record, for the child to compare with its own. A primary, which
         /// holds only its ring's objects, sends none.
         frontier: Option<u64>,
+    },
+    /// A certified commit a secondary parent pushes down the tree by name:
+    /// the record with its update bytes left out, because they outweigh
+    /// the rest of it and the child most likely holds them from the rumor
+    /// (§4.4.3: the tree carries the result of agreement, the epidemic
+    /// the update). The child takes the bytes from its own tentative log,
+    /// or from its own record log if the push is a duplicate, and checks
+    /// them with [`CommitRecord::verified`]. A child without them, or
+    /// whose held bytes fail the check, fetches the whole record from its
+    /// parent ([`ReplicaMsg::FetchCommits`]).
+    Named {
+        /// The certified record, its `update` empty.
+        record: CommitRecord,
+        /// The parent's committed frontier after it applied the record, as
+        /// in [`ReplicaMsg::Commit`].
+        frontier: u64,
     },
     /// Delivery acknowledgment for a tier→tree `Commit` push. A secondary
     /// that holds `(object, index)` certified and received it (or a
@@ -334,6 +373,7 @@ impl Message for ReplicaMsg {
             ReplicaMsg::Commit { record, frontier } => {
                 record.wire_size() + if frontier.is_some() { 8 } else { 0 }
             }
+            ReplicaMsg::Named { record, .. } => record.wire_size() + 8,
             ReplicaMsg::CommitAck { .. } => Guid::WIRE_SIZE + 8,
             ReplicaMsg::Invalidate { .. } => Guid::WIRE_SIZE + 24,
             ReplicaMsg::FetchCommits { .. } => Guid::WIRE_SIZE + 16,
@@ -357,7 +397,7 @@ impl Message for ReplicaMsg {
             ReplicaMsg::ResultShare { .. } => "replica/resultshare",
             ReplicaMsg::ShareRebroadcast { .. } => "replica/sharerebroadcast",
             ReplicaMsg::CertFormed { .. } => "replica/certformed",
-            ReplicaMsg::Commit { .. } => "replica/commit",
+            ReplicaMsg::Commit { .. } | ReplicaMsg::Named { .. } => "replica/commit",
             ReplicaMsg::CommitAck { .. } => "replica/commitack",
             ReplicaMsg::Invalidate { .. } => "replica/invalidate",
             ReplicaMsg::FetchCommits { .. } => "replica/fetch",

@@ -15,7 +15,7 @@ use oceanstore_naming::guid::{Guid, IdMap, IdSet};
 use oceanstore_sim::{Context, NodeId, SimDuration, SimTime};
 use oceanstore_update::object::DataObject;
 use oceanstore_update::update::apply_owned;
-use oceanstore_update::decode_view;
+use oceanstore_update::{decode_view, Update, UpdateDigest};
 use rand::seq::SliceRandom;
 
 use crate::config::{ChildMode, SecondaryConfig, SecondaryFault};
@@ -480,11 +480,62 @@ impl Secondary {
         frontier: Option<u64>,
     ) -> bool {
         let object = record.object;
+        let applied = self.apply_certified(ctx, from, record);
+        self.settle_push(ctx, from, object, applied, frontier)
+    }
+
+    /// Handles a record a secondary parent pushed by name: `header` is
+    /// the record without its update bytes. The bytes come from our own
+    /// tentative log, or from our record log if the push is a duplicate,
+    /// and pass the same check as bytes that came with the record. A node
+    /// that holds no bytes that pass fetches the record from its parent,
+    /// as for a gap: a rumor is unauthenticated, so held bytes that fail
+    /// are no forgery of the parent's and nothing is rejected. Returns
+    /// whether the record was applied.
+    pub fn on_named(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        from: NodeId,
+        header: CommitRecord,
+        frontier: u64,
+    ) -> bool {
+        let object = header.object;
+        let record = self.held_update(&header).map(|update| CommitRecord { update, ..header });
+        let verified = record.and_then(|record| self.verify(&record).map(|v| (record, v)));
+        let applied = match verified {
+            Some((record, (update, name))) => self.apply_verified(ctx, from, record, update, name),
+            None => Apply::Gap,
+        };
+        self.settle_push(ctx, from, object, applied, Some(frontier))
+    }
+
+    /// The bytes we hold for the record `header` names: the rumor logged
+    /// under its `(timestamp, id)`, else our own record at its index.
+    fn held_update(&self, header: &CommitRecord) -> Option<Bytes> {
+        let key = (header.timestamp, header.id);
+        let rumor = self.tentative.get(&header.object).and_then(|log| log.get(&key));
+        let logged = || self.store.record(&header.object, header.index).map(|r| &r.update);
+        rumor.or_else(logged).cloned()
+    }
+
+    /// What follows a push, whole or by name, once the record was offered
+    /// to the store: a parent's push refreshes the stream, an applied
+    /// record is checked against the parent's frontier, and a gap pulls
+    /// the missing prefix from the parent, while remembering how far the
+    /// world has moved.
+    fn settle_push(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        from: NodeId,
+        object: Guid,
+        applied: Apply,
+        frontier: Option<u64>,
+    ) -> bool {
         let from_parent = Some(from) == self.cfg.parent;
         if from_parent {
             self.parent_pushed_at = Some(ctx.now());
         }
-        match self.apply_certified(ctx, from, record) {
+        match applied {
             Apply::Applied => {
                 if let Some(frontier) = frontier.filter(|_| from_parent) {
                     self.compare_frontier(ctx, from, frontier);
@@ -493,8 +544,6 @@ impl Secondary {
             }
             Apply::Rejected => false,
             Apply::Gap => {
-                // Pull the missing prefix from the parent, while
-                // remembering how far the world has moved.
                 let from_index = self.store.get(&object).map_or(0, |s| s.next_index);
                 if let Some(parent) = self.cfg.parent {
                     ctx.send(parent, ReplicaMsg::FetchCommits { object, from_index });
@@ -530,6 +579,14 @@ impl Secondary {
         }
     }
 
+    /// Decode, name, then verify: the digest the certificate is checked
+    /// against is this node's own, and so are the CIDs the store files
+    /// the blocks under.
+    fn verify(&self, record: &CommitRecord) -> Option<(Update<Bytes>, UpdateDigest)> {
+        let ring = &self.rings[self.router.ring_of(&record.object)];
+        record.verified(&ring.keys, ring.m + 1)
+    }
+
     /// Core of the certified-record path, shared by the single-record tree
     /// push and the batched fetch response. Issues no catch-up fetch
     /// itself: only a gapped push fetches.
@@ -539,14 +596,25 @@ impl Secondary {
         from: NodeId,
         record: CommitRecord,
     ) -> Apply {
-        // Decode, name, then verify: the digest the certificate is checked
-        // against is this node's own, and so are the CIDs the store files
-        // the blocks under.
-        let ring = &self.rings[self.router.ring_of(&record.object)];
-        let Some((update, name)) = record.verified(&ring.keys, ring.m + 1) else {
-            self.rejected += 1;
-            return Apply::Rejected; // forged or partial certificate
-        };
+        match self.verify(&record) {
+            Some((update, name)) => self.apply_verified(ctx, from, record, update, name),
+            None => {
+                self.rejected += 1;
+                Apply::Rejected // forged or partial certificate
+            }
+        }
+    }
+
+    /// [`Secondary::apply_certified`] for a record that passed the check,
+    /// with the update and name the check derived.
+    fn apply_verified(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        from: NodeId,
+        record: CommitRecord,
+        update: Update<Bytes>,
+        name: UpdateDigest,
+    ) -> Apply {
         // Duplicate suppression: a record below our committed frontier was
         // already applied *and* already streamed to our children — two
         // disseminators racing after a failover must not re-flood the
@@ -578,13 +646,21 @@ impl Secondary {
             }
         }
         // Stream onward per child mode: the copies pushed are the log's,
-        // each with our frontier now that the record is applied.
+        // each with our frontier now that the record is applied, and a
+        // large update goes by name.
         let record = self.store.record(&object, index).expect("the newest record is logged");
-        let frontier = Some(self.store.committed_digest());
+        let frontier = self.store.committed_digest();
+        let mut push = None;
         for &(child, mode) in &self.cfg.children {
             match mode {
                 ChildMode::Push => {
-                    ctx.send(child, ReplicaMsg::Commit { record: record.clone(), frontier })
+                    let push = push.get_or_insert_with(|| match record.by_name() {
+                        Some(record) => ReplicaMsg::Named { record, frontier },
+                        None => {
+                            ReplicaMsg::Commit { record: record.clone(), frontier: Some(frontier) }
+                        }
+                    });
+                    ctx.send(child, push.clone())
                 }
                 ChildMode::Invalidate => ctx.send(
                     child,

@@ -23,12 +23,24 @@ fn fuzz_assembled(seed: u64, opts: &FuzzOpts) -> (FuzzOutcome, Deployment<OceanS
 
 #[test]
 fn assembled_system_holds_the_fuzz_oracle() {
-    let opts = FuzzOpts::default();
+    sweep(&FuzzOpts::default(), "assembled");
+}
+
+/// The same sweep with 1 KiB updates, which secondary parents push down
+/// the tree by name.
+#[test]
+fn assembled_system_holds_the_fuzz_oracle_with_kib_updates() {
+    sweep(&FuzzOpts { payload_len: 1024, ..FuzzOpts::default() }, "assembled[1 KiB]");
+}
+
+/// Every seed of the sweep passes the oracle, with the location mesh
+/// talking, and replays to the same trace and fingerprint.
+fn sweep(opts: &FuzzOpts, label: &str) {
     for seed in 0..sweep_seeds() {
-        let (out, dep) = fuzz_assembled(seed, &opts);
+        let (out, dep) = fuzz_assembled(seed, opts);
         assert!(
             out.report.passed(),
-            "assembled seed {seed} broke invariants: {:#?}\nquorum cuts: {:?}; \
+            "{label} seed {seed} broke invariants: {:#?}\nquorum cuts: {:?}; \
              schedule was: {:#?}",
             out.report.failures,
             out.quorum_cuts,
@@ -40,10 +52,10 @@ fn assembled_system_holds_the_fuzz_oracle() {
             .filter(|(class, _)| class.starts_with("plaxton/"))
             .map(|(_, c)| c.messages)
             .sum();
-        assert!(mesh > 0, "assembled seed {seed}: the location mesh stayed silent");
-        let (again, _) = fuzz_assembled(seed, &opts);
-        assert_eq!(again.trace, out.trace, "assembled seed {seed}: trace diverged");
-        assert_eq!(again.fingerprint, out.fingerprint, "assembled seed {seed}: stats diverged");
+        assert!(mesh > 0, "{label} seed {seed}: the location mesh stayed silent");
+        let (again, _) = fuzz_assembled(seed, opts);
+        assert_eq!(again.trace, out.trace, "{label} seed {seed}: trace diverged");
+        assert_eq!(again.fingerprint, out.fingerprint, "{label} seed {seed}: stats diverged");
     }
 }
 
