@@ -394,7 +394,7 @@ impl Primary {
             let retry = ReplicaTimer::Primary(PrimaryTimer::ShareRetry(key));
             ctx.set_timer(self.share_retry_timeout, retry);
             if diss == self.index {
-                self.accept_share(ctx, object, record.index, self.index, sig);
+                self.accept_share(ctx, object, record.index, self.index, sig, false);
             } else {
                 ctx.send(self.cfg.members[diss], share);
             }
@@ -417,7 +417,7 @@ impl Primary {
         self.share_retries += 1;
         let target = self.disseminator(&object, index, attempt);
         if target == self.index {
-            self.accept_share(ctx, object, index, self.index, sig);
+            self.accept_share(ctx, object, index, self.index, sig, false);
         } else {
             ctx.send(
                 self.cfg.members[target],
@@ -606,7 +606,8 @@ impl Primary {
         }
     }
 
-    /// Handles a signature share (we are the disseminator for it).
+    /// Handles a signature share (we are the disseminator for it);
+    /// `retried` when it came as a [`ReplicaMsg::ShareRebroadcast`].
     #[allow(clippy::too_many_arguments)]
     pub fn on_result_share(
         &mut self,
@@ -617,6 +618,7 @@ impl Primary {
         version: Option<u64>,
         replica: usize,
         sig: Signature,
+        retried: bool,
     ) {
         if !self.owns(&object) {
             return;
@@ -634,7 +636,7 @@ impl Primary {
         if !verify(*key, &record.signing_bytes(digest), &sig) {
             return;
         }
-        self.accept_share(ctx, object, index, replica, sig);
+        self.accept_share(ctx, object, index, replica, sig, retried);
     }
 
     fn accept_share(
@@ -644,15 +646,18 @@ impl Primary {
         index: u64,
         replica: usize,
         sig: Signature,
+        retried: bool,
     ) {
         // Every caller found the record in the store before coming here.
         let Some((record, digest)) = self.store.record_with_digest(&object, index) else { return };
         if !record.cert.is_empty() {
             // The cert already exists, so a late share must not trigger a
-            // second dissemination; it is a signer (possibly a
-            // crash-recovered straggler) that never saw the cert — answer
-            // with it so its retry loop stops.
-            if replica != self.index {
+            // second dissemination. A re-broadcast share comes from a
+            // signer (possibly a crash-recovered straggler) that waited a
+            // whole retry deadline without seeing the cert: answer with
+            // it so its retry loop stops. A first share that merely lost
+            // the race to the cert gets the ring's broadcast anyway.
+            if replica != self.index && retried {
                 let cert = record.cert.clone();
                 ctx.send(self.cfg.members[replica], ReplicaMsg::CertFormed { object, index, cert });
             }
