@@ -184,16 +184,22 @@ fn all_rings_commit_and_converge() {
 /// 10 976 → 11 360 bytes (48 secondary pushes × 8) at the same 56
 /// messages, `replica/tentative` 130 → 131 with the draws; messages
 /// 6 879 → 6 808, bytes 132 506 → 132 093. No other count moved.
+///
+/// Re-frozen when a late signature share drew the certificate back only
+/// if it was re-broadcast (DESIGN.md §13): `replica/certformed` 40 → 24
+/// messages, the ring-wide broadcasts alone (4 rings × 2 records × 3
+/// peers) without the 16 replies to first shares; messages 6 808 →
+/// 6 792, bytes 132 093 → 129 725. No other count moved.
 #[test]
 fn ring_outage_fingerprint_pinned() {
     let (_, fp) = run_ring_outage(1);
     assert_eq!(
         fp,
-        "now=30000000 msgs=6808 bytes=132093 drop[NodeDown]=32 drop[Partition]=0 \
+        "now=30000000 msgs=6792 bytes=129725 drop[NodeDown]=32 drop[Partition]=0 \
          drop[Random]=0 drop[Unreachable]=0 drop[LinkFlap]=0 pbft/commit=96/10368 \
          pbft/prepare=72/7776 pbft/preprepare=24/2592 pbft/reply=32/3456 \
          pbft/request=44/5412 replica/antientropy=2100/39760 \
-         replica/certformed=40/5920 replica/commit=56/11360 \
+         replica/certformed=24/3552 replica/commit=56/11360 \
          replica/commitack=32/896 replica/heartbeat=4157/33256 \
          replica/resultshare=24/2520 replica/tentative=131/8777"
     );
