@@ -249,3 +249,24 @@ fn a_small_update_travels_with_its_bytes() {
     assert_eq!(named[0].wire_size, 189);
     no_rejects(&dep);
 }
+
+#[test]
+fn two_named_pushes_without_bytes_draw_one_fetch() {
+    // Two updates of one object agreed together: the root pushes both by
+    // name to a child that holds neither. The first push fetches from
+    // the parent; the second, a gap while that fetch is in flight,
+    // waits for its answer, which brings both records.
+    let mut dep = tapped(0);
+    let object = Guid::from_label("twice");
+    dep.submit(dep.clients[0], object, &append(3, 1024));
+    dep.submit(dep.clients[0], object, &append(4, 1024));
+    dep.sim.run_for(SimDuration::from_secs(2));
+    let (root, child) = (dep.secondaries[0], dep.secondaries[1]);
+    let named = heard(&dep, child, root, &Kind::Named);
+    assert_eq!(named.len(), 2, "both records pushed by name");
+    let latency = DeploymentOpts::default().latency;
+    assert!(named[1].at < named[0].at + latency + latency, "the second push beats the answer");
+    assert_eq!(heard(&dep, root, child, &Kind::Fetch).len(), 1, "one fetch for both");
+    assert_eq!(held(&dep, child, &object), 2, "the child lacks a record");
+    no_rejects(&dep);
+}
