@@ -43,6 +43,7 @@ pub use store::{ObjectState, ObjectStore, StoreHealth, RECORD_RETENTION};
 mod tests {
     use oceanstore_naming::guid::Guid;
     use oceanstore_sim::SimDuration;
+    use oceanstore_update::object::Block;
     use oceanstore_update::ops::{initial_write, read_object, ObjectKeys};
     use oceanstore_update::update::{Action, Predicate};
     use oceanstore_update::Update;
@@ -335,6 +336,32 @@ mod tests {
             let sec = dep.secondary(s);
             assert_eq!(sec.committed_view(&object).unwrap().version_number(), 1);
             assert_eq!(sec.tentative_count(&object), 0);
+        }
+    }
+
+    #[test]
+    fn disconnected_large_update_reaches_every_secondary_by_name() {
+        // The primary tier is cut off, so the 4 KiB update never commits;
+        // the secondaries rumor it by name and each pulls the bytes from
+        // the peer that named it.
+        let mut dep = build_deployment(&DeploymentOpts::default());
+        let object = Guid::from_label("offline-attachment");
+        let total = dep.sim.len();
+        let primaries: Vec<usize> = dep.all_primaries().map(|p| p.0).collect();
+        let groups: Vec<u32> = (0..total).map(|i| u32::from(primaries.contains(&i))).collect();
+        dep.sim.set_partitions(Some(groups));
+        let update = Update::unconditional(vec![Action::Append { ciphertext: vec![9; 4096] }]);
+        let id = dep.submit(dep.clients[0], object, &update);
+        settle(&mut dep, 3);
+        assert!(dep.outcome(id).is_none(), "no commit while the tier is cut off");
+        assert!(dep.sim.stats().class("replica/heard").messages > 0, "rumored by name");
+        for &s in &dep.secondaries {
+            let sec = dep.secondary(s);
+            assert_eq!(sec.rumors_seen(), 1, "{s:?} never heard of the update");
+            let view = sec.tentative_view_or_empty(&object);
+            assert_eq!(view.version_number(), 1, "{s:?} does not show the write");
+            let Block::Data(bytes) = &view.current().blocks[0] else { panic!("data block") };
+            assert_eq!(bytes.as_slice(), &[9; 4096][..]);
         }
     }
 

@@ -126,6 +126,12 @@ impl Protocol for OceanNode {
                     ReplicaMsg::Tentative { object, update, timestamp, id } => {
                         s.on_tentative(ctx, object, update, timestamp, id);
                     }
+                    ReplicaMsg::Heard { object, timestamp, id } => {
+                        s.on_heard(ctx, from, object, timestamp, id);
+                    }
+                    ReplicaMsg::Want { object, timestamp, id } => {
+                        s.on_want(ctx, from, object, timestamp, id);
+                    }
                     ReplicaMsg::Commit { record, frontier } => {
                         s.on_commit(ctx, from, record, frontier);
                     }
