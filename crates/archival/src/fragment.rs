@@ -7,10 +7,17 @@
 //! with the hashes neighboring its path to the root. ... We can use the
 //! top-most hash as the GUID to the immutable archival object, making
 //! every fragment in the archive completely self-verifying."
+//!
+//! The "hash over each fragment" is the fragment's CID, the name the blob
+//! layer files it under: a leaf is the Merkle leaf hash of those 20 bytes.
+//! A fragment travels as a [`Bytes`] view, so a holder or a reader in this
+//! process that names it reads the CID from its buffer's memo, filled when
+//! the bytes were first hashed (DESIGN.md "One name per fragment").
 
 use oceanstore_crypto::merkle::{MerkleProof, MerkleTree};
 use oceanstore_erasure::object::ObjectCodec;
 use oceanstore_erasure::rs::CodeError;
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 
 /// One archival fragment, carrying everything needed to verify itself.
@@ -21,7 +28,7 @@ pub struct Fragment {
     /// Fragment index within the encoding.
     pub index: usize,
     /// The erasure-coded payload.
-    pub data: Vec<u8>,
+    pub data: Bytes,
     /// Sibling hashes up to the root.
     pub proof: MerkleProof,
     /// The Merkle root itself (the "top-most hash").
@@ -31,9 +38,12 @@ pub struct Fragment {
 impl Fragment {
     /// Verifies the fragment against its own embedded root and the archive
     /// GUID: either it is retrieved "correctly and completely, or not at
-    /// all".
+    /// all". The proof must be for the slot the fragment claims, since a
+    /// reader places its bytes at `index`.
     pub fn verify(&self) -> bool {
-        self.archive == archive_guid(&self.root) && self.proof.verify(&self.data, &self.root)
+        self.index == self.proof.leaf_index
+            && self.archive == archive_guid(&self.root)
+            && self.proof.verify(Guid::for_view(&self.data).as_bytes(), &self.root)
     }
 
     /// Wire size when a fragment travels.
@@ -52,21 +62,23 @@ pub fn archive_guid(root: &[u8; 32]) -> Guid {
 pub struct Archive {
     /// GUID of the immutable archival object.
     pub guid: Guid,
-    /// The Merkle root over all fragments.
+    /// The Merkle root over the fragments' CIDs.
     pub root: [u8; 32],
     /// All `n` fragments.
     pub fragments: Vec<Fragment>,
 }
 
 /// Erasure-codes `data` and wraps every fragment with its verification
-/// path.
+/// path. Each fragment is its own buffer, named once here: the CIDs are
+/// the tree's leaves and stay in the buffers' memos.
 ///
 /// # Errors
 ///
 /// Propagates encoding errors from the codec.
 pub fn archive_object(codec: &ObjectCodec, data: &[u8]) -> Result<Archive, CodeError> {
-    let shards = codec.encode_object(data)?;
-    let tree = MerkleTree::build(&shards);
+    let shards: Vec<Bytes> = codec.encode_object(data)?.into_iter().map(Bytes::from).collect();
+    let cids = Guid::for_contents(&shards);
+    let tree = MerkleTree::build(&cids.iter().map(Guid::as_bytes).collect::<Vec<_>>());
     let root = tree.root();
     let guid = archive_guid(&root);
     let fragments = shards
@@ -99,13 +111,14 @@ pub fn reconstruct_object(
 }
 
 /// [`reconstruct_object`] over fragments the caller has verified already
-/// (the fetch protocol checks each on arrival): none is hashed again.
+/// (the fetch protocol checks each on arrival): none is named again, and
+/// each is read through its view, not copied.
 pub(crate) fn reconstruct_verified<'a>(
     codec: &ObjectCodec,
     fragments: impl IntoIterator<Item = &'a Fragment>,
 ) -> Result<Vec<u8>, CodeError> {
     let n = codec.total_shards();
-    let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
+    let mut shards: Vec<Option<Bytes>> = vec![None; n];
     let mut have = 0usize;
     for f in fragments {
         if f.index < n && shards[f.index].is_none() {
@@ -117,6 +130,15 @@ pub(crate) fn reconstruct_verified<'a>(
         return Err(CodeError::NotEnoughShards { have, need: codec.data_shards() });
     }
     codec.decode_object(&mut shards)
+}
+
+/// `fragment` with byte `at` of its payload xor-ed with `mask`, in a
+/// buffer of its own: the same archive, index, proof and length.
+#[cfg(test)]
+pub(crate) fn flipped(fragment: &Fragment, at: usize, mask: u8) -> Fragment {
+    let mut data = fragment.data.to_vec();
+    data[at] ^= mask;
+    Fragment { data: Bytes::from(data), ..fragment.clone() }
 }
 
 #[cfg(test)]
@@ -146,7 +168,7 @@ mod tests {
     fn corrupted_fragment_is_discarded_not_used() {
         let arch = archive_object(&codec(), &payload()).unwrap();
         let mut frags: Vec<Fragment> = arch.fragments[..9].to_vec();
-        frags[0].data[0] ^= 0xff; // silent corruption
+        frags[0] = flipped(&frags[0], 0, 0xff); // silent corruption
         // 8 verified fragments remain: reconstruction must still succeed
         // and must not be polluted by the bad one.
         let out = reconstruct_object(&codec(), &frags).unwrap();
@@ -157,9 +179,40 @@ mod tests {
     fn too_much_corruption_detected() {
         let arch = archive_object(&codec(), &payload()).unwrap();
         let mut frags: Vec<Fragment> = arch.fragments[..8].to_vec();
-        frags[3].data[0] ^= 1;
+        frags[3] = flipped(&frags[3], 0, 1);
         let err = reconstruct_object(&codec(), &frags).unwrap_err();
         assert_eq!(err, CodeError::NotEnoughShards { have: 7, need: 8 });
+    }
+
+    /// A fragment is placed at the index it claims, so its proof must be
+    /// for that index: fragment 9's bytes and proof under index 1 would
+    /// otherwise decode to other bytes.
+    #[test]
+    fn a_relabeled_fragment_does_not_verify() {
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i * 7 % 253) as u8).collect();
+        let arch = archive_object(&codec(), &data).unwrap();
+        let relabeled = Fragment { index: 1, ..arch.fragments[9].clone() };
+        assert!(!relabeled.verify());
+        let mut frags = vec![arch.fragments[0].clone(), relabeled];
+        frags.extend_from_slice(&arch.fragments[2..8]);
+        let err = reconstruct_object(&codec(), &frags).unwrap_err();
+        assert_eq!(err, CodeError::NotEnoughShards { have: 7, need: 8 });
+        frags.push(arch.fragments[12].clone());
+        assert_eq!(reconstruct_object(&codec(), &frags).unwrap(), data);
+    }
+
+    /// The leaves are the fragments' CIDs: the tree over them is the one
+    /// `archive_object` built.
+    #[test]
+    fn the_leaves_are_the_fragment_cids() {
+        let arch = archive_object(&codec(), &payload()).unwrap();
+        let cids: Vec<Guid> =
+            arch.fragments.iter().map(|f| Guid::for_content(&f.data)).collect();
+        let tree = MerkleTree::build(&cids.iter().map(Guid::as_bytes).collect::<Vec<_>>());
+        assert_eq!(tree.root(), arch.root);
+        for f in &arch.fragments {
+            assert_eq!(tree.proof(f.index), f.proof);
+        }
     }
 
     #[test]

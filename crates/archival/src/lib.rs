@@ -30,8 +30,8 @@ mod tests {
     use oceanstore_erasure::object::{CodeKind, ObjectCodec};
     use oceanstore_sim::{NodeId, SimDuration, Simulator, Topology};
 
-    use crate::fragment::archive_object;
-    use crate::protocol::{disseminate, ArchNode, TrackedArchive};
+    use crate::fragment::{archive_object, flipped, Fragment};
+    use crate::protocol::{disseminate, ArchMsg, ArchNode, TrackedArchive};
 
     const K: usize = 8;
     const N: usize = 16;
@@ -184,14 +184,63 @@ mod tests {
         // Corrupt node 0's stored fragment in place.
         let corrupt_holder = holders[0];
         let arch = archive_object(&codec(), &payload()).unwrap();
-        let mut bogus = arch.fragments[0].clone();
-        bogus.data[0] ^= 0x5a;
+        let bogus = flipped(&arch.fragments[0], 0, 0x5a);
         sim.node_mut(corrupt_holder).seed_fragment(bogus);
         sim.with_node_ctx(NodeId(20), |node, ctx| {
             node.fetch(ctx, 11, guid, codec(), &holders, 4);
         });
         sim.run_to_quiescence(10_000);
         let out = sim.node(NodeId(20)).outcome(11).expect("completed");
+        assert_eq!(out.data.as_slice(), payload());
+    }
+
+    /// A fragment whose bytes are another buffer — same archive, index,
+    /// proof and length, one byte flipped — is hashed for real: a holder
+    /// refuses to store it, and a reader served it recovers the exact
+    /// bytes from the honest fragments.
+    #[test]
+    fn forged_bytes_are_refused_by_holder_and_reader() {
+        let mut sim = build(5);
+        sim.start();
+        let (guid, holders) = disseminated(&mut sim);
+        let arch = archive_object(&codec(), &payload()).unwrap();
+        let forged = flipped(&arch.fragments[3], 17, 0x01);
+        assert_eq!(forged.data.len(), arch.fragments[3].data.len());
+        // Node 17 holds nothing: offered the forgery, it keeps nothing.
+        let bystander = NodeId(17);
+        sim.with_node_ctx(NodeId(20), |_, ctx| ctx.send(bystander, ArchMsg::Store(forged.clone())));
+        sim.run_for(SimDuration::from_secs(1));
+        assert!(!sim.node(bystander).holds(&guid), "a holder refuses forged bytes");
+        assert_eq!(sim.node(bystander).stored_fragments(), 0);
+        // Fragment 3's holder serves the forgery instead of its fragment.
+        sim.node_mut(holders[3]).seed_fragment(forged);
+        sim.with_node_ctx(NodeId(20), |node, ctx| {
+            node.fetch(ctx, 12, guid, codec(), &holders, N - K);
+        });
+        sim.run_to_quiescence(10_000);
+        let out = sim.node(NodeId(20)).outcome(12).expect("completed");
+        assert_eq!(out.data.as_slice(), payload());
+    }
+
+    /// A holder that answers with another fragment's bytes and proof under
+    /// its own index is not believed: the reader still recovers the exact
+    /// bytes. The relabeled fragment is asked for first, so a reader that
+    /// took it would decode from it.
+    #[test]
+    fn a_relabeled_response_does_not_corrupt_a_recovery() {
+        let mut sim = build(6);
+        sim.start();
+        let (guid, holders) = disseminated(&mut sim);
+        let arch = archive_object(&codec(), &payload()).unwrap();
+        let relabeled = Fragment { index: 1, ..arch.fragments[9].clone() };
+        sim.node_mut(holders[1]).seed_fragment(relabeled);
+        let mut order = holders.clone();
+        order.swap(0, 1);
+        sim.with_node_ctx(NodeId(20), |node, ctx| {
+            node.fetch(ctx, 13, guid, codec(), &order, N - K);
+        });
+        sim.run_to_quiescence(10_000);
+        let out = sim.node(NodeId(20)).outcome(13).expect("completed");
         assert_eq!(out.data.as_slice(), payload());
     }
 }

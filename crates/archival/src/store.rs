@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 
 use oceanstore_crypto::merkle::MerkleProof;
-use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_store::{BlobStore, DedupStore};
 
@@ -92,7 +91,7 @@ impl FragStore {
         for (key, meta) in std::mem::take(&mut self.index) {
             match self.blobs.get(&meta.cid) {
                 Ok(Some(data)) => {
-                    if fresh.put(&data).is_ok() {
+                    if fresh.put_shared(meta.cid, &data).is_ok() {
                         keep.insert(key, meta);
                     } else {
                         self.put_failures += 1;
@@ -111,7 +110,7 @@ impl FragStore {
     /// recovers from other holders).
     pub fn insert(&mut self, fragment: Fragment) -> bool {
         let key = (fragment.archive, fragment.index);
-        let cid = oceanstore_store::cid_of(&fragment.data);
+        let cid = Guid::for_view(&fragment.data);
         if let Some(existing) = self.index.get(&key) {
             if existing.cid == cid {
                 return true; // identical re-store: already one reference
@@ -120,9 +119,9 @@ impl FragStore {
             let old = self.index.remove(&key).expect("present");
             let _ = self.blobs.delete(&old.cid);
         }
-        // The payload is named above, once; it moves into the view the
-        // blob layer keeps.
-        match self.blobs.put_shared(cid, &Bytes::from(fragment.data)) {
+        // The payload is named above, through its buffer's memo; the blob
+        // layer files the caller's view under that name.
+        match self.blobs.put_shared(cid, &fragment.data) {
             Ok(_) => {
                 self.index.insert(
                     key,
@@ -230,6 +229,43 @@ mod tests {
         }
         assert_eq!(store.of_archive(&arch.guid).len(), 8);
         assert_eq!(store.health().blob_count, 8);
+    }
+
+    /// `archive_object` names each fragment once. A holder that files the
+    /// views and a reader that verifies what the holder serves read those
+    /// names from the buffers' memos: neither hashes a byte. Served from
+    /// disk, the bytes are a fresh buffer and the reader hashes each once.
+    #[test]
+    fn filing_and_verifying_a_fragment_view_hashes_no_byte() {
+        use crate::fragment::reconstruct_object;
+        use oceanstore_naming::guid::content_bytes_hashed;
+        use oceanstore_store::{DirStore, MemoryStore};
+        let hashed = |f: &mut dyn FnMut()| {
+            let before = content_bytes_hashed();
+            f();
+            content_bytes_hashed() - before
+        };
+        let arch = archive_object(&codec(), &payload()).unwrap();
+        let fragment_bytes: u64 = arch.fragments.iter().map(|f| f.data.len() as u64).sum();
+        for (backend, cost) in [
+            (Box::new(MemoryStore::new()) as Box<dyn BlobStore>, 0),
+            (Box::new(DirStore::new_ephemeral()), fragment_bytes),
+        ] {
+            let mut store = FragStore::with_backend(backend);
+            let filed = hashed(&mut || {
+                for f in &arch.fragments {
+                    assert!(f.verify(), "the holder's check");
+                    assert!(store.insert(f.clone()));
+                }
+            });
+            assert_eq!(filed, 0, "a holder names the views through the memo");
+            let served = store.of_archive(&arch.guid);
+            let read = hashed(&mut || {
+                assert!(served.iter().all(Fragment::verify), "the reader's check");
+                assert_eq!(reconstruct_object(&codec(), &served).unwrap(), payload());
+            });
+            assert_eq!(read, cost);
+        }
     }
 
     #[test]

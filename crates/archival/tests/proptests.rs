@@ -3,6 +3,7 @@
 use oceanstore_archival::fragment::{archive_object, reconstruct_object};
 use oceanstore_archival::reliability::availability;
 use oceanstore_erasure::object::{CodeKind, ObjectCodec};
+use oceanstore_naming::bytes::Bytes;
 use proptest::prelude::*;
 
 proptest! {
@@ -24,8 +25,11 @@ proptest! {
         // Corruption detection.
         let mut frag = arch.fragments[corrupt_idx % 10].clone();
         if !frag.data.is_empty() {
-            let b = corrupt_byte % frag.data.len();
-            frag.data[b] ^= mask;
+            // A view's bytes never change: flip one in a copy of them.
+            let mut bytes = frag.data.to_vec();
+            let b = corrupt_byte % bytes.len();
+            bytes[b] ^= mask;
+            frag.data = Bytes::from(bytes);
             prop_assert!(!frag.verify());
         }
         // Reconstruction from an arbitrary ≥k subset.

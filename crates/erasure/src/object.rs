@@ -11,43 +11,62 @@ use crate::rs::{CodeError, ReedSolomon};
 use crate::tornado::Tornado;
 
 /// Splits `data` into exactly `k` equal-length shards, prefixed with the
-/// original length (8 bytes little-endian) and zero-padded.
+/// original length (8 bytes little-endian) and zero-padded. Each byte is
+/// copied once, straight into its shard.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`.
 pub fn split_into_shards(data: &[u8], k: usize) -> Vec<Vec<u8>> {
     assert!(k > 0, "need at least one shard");
-    let mut framed = Vec::with_capacity(8 + data.len());
-    framed.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    framed.extend_from_slice(data);
-    let shard_len = framed.len().div_ceil(k).max(1);
-    framed.resize(shard_len * k, 0);
-    framed.chunks(shard_len).map(<[u8]>::to_vec).collect()
+    let prefix = (data.len() as u64).to_le_bytes();
+    let shard_len = (prefix.len() + data.len()).div_ceil(k).max(1);
+    // What is left to place of the prefix, then of the data.
+    let (mut prefix, mut data) = (&prefix[..], data);
+    (0..k)
+        .map(|_| {
+            let mut shard = Vec::with_capacity(shard_len);
+            for rest in [&mut prefix, &mut data] {
+                let (now, later) = rest.split_at(rest.len().min(shard_len - shard.len()));
+                shard.extend_from_slice(now);
+                *rest = later;
+            }
+            shard.resize(shard_len, 0);
+            shard
+        })
+        .collect()
 }
 
 /// Reassembles the original bytes from the `k` data shards produced by
-/// [`split_into_shards`].
+/// [`split_into_shards`], copying each byte once.
 ///
 /// # Errors
 ///
 /// [`CodeError::CorruptObject`] if the length prefix is inconsistent with
 /// the shard sizes.
 pub fn join_shards<T: AsRef<[u8]>>(shards: &[T]) -> Result<Vec<u8>, CodeError> {
-    let mut framed = Vec::new();
-    for s in shards {
-        framed.extend_from_slice(s.as_ref());
-    }
-    if framed.len() < 8 {
+    let total: usize = shards.iter().map(|s| s.as_ref().len()).sum();
+    let mut prefix = [0u8; 8];
+    if total < prefix.len() {
         return Err(CodeError::CorruptObject);
     }
-    let len = u64::from_le_bytes(framed[..8].try_into().expect("8 bytes")) as usize;
-    if framed.len() < 8 + len {
+    for (to, from) in prefix.iter_mut().zip(shards.iter().flat_map(|s| s.as_ref())) {
+        *to = *from;
+    }
+    let len = u64::from_le_bytes(prefix) as usize;
+    if total - prefix.len() < len {
         return Err(CodeError::CorruptObject);
     }
-    framed.drain(..8);
-    framed.truncate(len);
-    Ok(framed)
+    let mut out = Vec::with_capacity(len);
+    let mut skip = prefix.len();
+    for shard in shards {
+        let shard = shard.as_ref();
+        let from = skip.min(shard.len());
+        skip -= from;
+        let take = (len - out.len()).min(shard.len() - from);
+        out.extend_from_slice(&shard[from..from + take]);
+    }
+    Ok(out)
 }
 
 /// Which erasure code an archival object uses.
@@ -99,35 +118,58 @@ impl ObjectCodec {
         }
     }
 
-    /// Encodes an object into `n` fragments.
+    /// Encodes an object into `n` fragments: the `k` framed data shards,
+    /// then the parity.
     ///
     /// # Errors
     ///
     /// Propagates shard-shape errors from the underlying codec (cannot
     /// occur for input produced by this function's own framing).
     pub fn encode_object(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let shards = split_into_shards(data, self.data_shards());
+        let mut shards = split_into_shards(data, self.data_shards());
         match self {
-            ObjectCodec::Rs(c) => c.encode(&shards),
+            ObjectCodec::Rs(c) => {
+                let parity = c.parity(&shards)?;
+                shards.extend(parity);
+                Ok(shards)
+            }
             ObjectCodec::Tornado(c) => c.encode(&shards),
         }
     }
 
-    /// Decodes an object from surviving fragments (`None` = lost).
+    /// Decodes an object from surviving fragments (`None` = lost). The
+    /// data fragments missing are rebuilt in place; for Reed-Solomon that
+    /// is all that is rebuilt, and the fragments present are read where
+    /// they are, so they may be views of buffers the caller shares.
     ///
     /// # Errors
     ///
     /// * [`CodeError::NotEnoughShards`] / [`CodeError::DecodingStalled`]
     ///   when the survivors don't suffice;
     /// * [`CodeError::CorruptObject`] if framing fails after reconstruction.
-    pub fn decode_object(&self, fragments: &mut [Option<Vec<u8>>]) -> Result<Vec<u8>, CodeError> {
+    pub fn decode_object<T>(&self, fragments: &mut [Option<T>]) -> Result<Vec<u8>, CodeError>
+    where
+        T: AsRef<[u8]> + From<Vec<u8>>,
+    {
         match self {
             ObjectCodec::Rs(c) => c.reconstruct(fragments)?,
-            ObjectCodec::Tornado(c) => c.reconstruct(fragments)?,
+            ObjectCodec::Tornado(c) => {
+                // The peeling decoder works on owned shards.
+                let mut owned: Vec<Option<Vec<u8>>> = fragments
+                    .iter()
+                    .map(|f| f.as_ref().map(|s| s.as_ref().to_vec()))
+                    .collect();
+                c.reconstruct(&mut owned)?;
+                for (slot, shard) in fragments.iter_mut().zip(owned) {
+                    if slot.is_none() {
+                        *slot = shard.map(T::from);
+                    }
+                }
+            }
         }
-        let data: Vec<&Vec<u8>> = fragments[..self.data_shards()]
+        let data: Vec<&[u8]> = fragments[..self.data_shards()]
             .iter()
-            .map(|f| f.as_ref().expect("reconstruct fills all fragments"))
+            .map(|f| f.as_ref().expect("reconstruct fills the data fragments").as_ref())
             .collect();
         join_shards(&data)
     }

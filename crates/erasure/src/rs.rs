@@ -111,6 +111,22 @@ impl ReedSolomon {
     /// [`CodeError::ShardSizeMismatch`] if the input shard count or lengths
     /// are inconsistent.
     pub fn encode<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<Vec<Vec<u8>>, CodeError> {
+        let parity = self.parity(data)?;
+        let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.n);
+        out.extend(data.iter().map(|s| s.as_ref().to_vec()));
+        out.extend(parity);
+        Ok(out)
+    }
+
+    /// The `n - k` parity shards of `k` equal-length data shards:
+    /// [`ReedSolomon::encode`] without the copies of the data shards, for
+    /// a caller that keeps those itself.
+    ///
+    /// # Errors
+    ///
+    /// [`CodeError::ShardSizeMismatch`] if the input shard count or lengths
+    /// are inconsistent.
+    pub fn parity<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<Vec<Vec<u8>>, CodeError> {
         if data.len() != self.k {
             return Err(CodeError::ShardSizeMismatch);
         }
@@ -119,15 +135,10 @@ impl ReedSolomon {
         if cols.iter().any(|s| s.len() != len) {
             return Err(CodeError::ShardSizeMismatch);
         }
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.n);
-        for col in &cols {
-            out.push(col.to_vec());
-        }
         let parity_coeffs: Vec<Vec<u8>> = (self.k..self.n)
             .map(|r| (0..self.k).map(|c| self.enc.get(r, c)).collect())
             .collect();
-        out.extend(Self::parity_rows(&cols, &parity_coeffs, len));
-        Ok(out)
+        Ok(Self::parity_rows(&cols, &parity_coeffs, len))
     }
 
     /// Computes parity rows: `row[r][i] = Σ_c coeffs[r][c] · cols[c][i]`.
@@ -174,15 +185,21 @@ impl ReedSolomon {
         Ok(out)
     }
 
-    /// Reconstructs every missing shard in place. `shards[i]` is `Some` if
-    /// shard `i` survives. On success all `n` entries are `Some`.
+    /// Rebuilds the missing *data* shards in place: on success
+    /// `shards[..k]` are all `Some`. Parity slots are left as they are (a
+    /// caller that wants them back re-derives them from the data with
+    /// [`ReedSolomon::parity`]), and the shards present are read, never
+    /// copied. `shards[i]` is `Some` if shard `i` survives.
     ///
     /// # Errors
     ///
     /// [`CodeError::NotEnoughShards`] with fewer than `k` survivors;
     /// [`CodeError::ShardSizeMismatch`] for inconsistent lengths or a wrong
     /// slice length.
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
+    pub fn reconstruct<T>(&self, shards: &mut [Option<T>]) -> Result<(), CodeError>
+    where
+        T: AsRef<[u8]> + From<Vec<u8>>,
+    {
         if shards.len() != self.n {
             return Err(CodeError::ShardSizeMismatch);
         }
@@ -191,44 +208,31 @@ impl ReedSolomon {
         if present.len() < self.k {
             return Err(CodeError::NotEnoughShards { have: present.len(), need: self.k });
         }
-        let len = shards[present[0]].as_ref().expect("present").len();
-        if present.iter().any(|&i| shards[i].as_ref().expect("present").len() != len) {
+        let shard = |i: usize| shards[i].as_ref().expect("present").as_ref();
+        let len = shard(present[0]).len();
+        if present.iter().any(|&i| shard(i).len() != len) {
             return Err(CodeError::ShardSizeMismatch);
         }
-        if present.len() == self.n {
-            return Ok(()); // nothing missing
+        let lost: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
+        if lost.is_empty() {
+            return Ok(()); // every data shard is here
         }
-        // Use the first k surviving shards to recover the data shards.
+        // Use the first k surviving shards (the data shards present come
+        // first) to recover the lost data shards.
         let use_rows = &present[..self.k];
         let sub = self.enc.select_rows(use_rows);
         let dec = sub.inverse().expect("any k rows of the RS matrix are invertible");
-        // data[c] = sum_j dec[c][j] * shards[use_rows[j]], computed source-major:
-        // each surviving shard streams through all k output rows in one pass.
-        let survivors: Vec<&[u8]> = use_rows
+        // data[c] = sum_j dec[c][j] * shards[use_rows[j]] for each lost c,
+        // computed source-major: each surviving shard streams through all
+        // lost rows in one pass.
+        let survivors: Vec<&[u8]> = use_rows.iter().map(|&row| shard(row)).collect();
+        let dec_coeffs: Vec<Vec<u8>> = lost
             .iter()
-            .map(|&row| shards[row].as_ref().expect("present").as_slice())
+            .map(|&c| (0..self.k).map(|j| dec.get(c, j)).collect())
             .collect();
-        let dec_coeffs: Vec<Vec<u8>> = (0..self.k)
-            .map(|c| (0..self.k).map(|j| dec.get(c, j)).collect())
-            .collect();
-        let data = Self::parity_rows(&survivors, &dec_coeffs, len);
-        // Re-derive every missing shard from the recovered data.
-        let missing: Vec<usize> = (self.k..self.n).filter(|&i| shards[i].is_none()).collect();
-        if !missing.is_empty() {
-            let cols: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-            let coeffs: Vec<Vec<u8>> = missing
-                .iter()
-                .map(|&i| (0..self.k).map(|c| self.enc.get(i, c)).collect())
-                .collect();
-            let rebuilt = Self::parity_rows(&cols, &coeffs, len);
-            for (&i, s) in missing.iter().zip(rebuilt) {
-                shards[i] = Some(s);
-            }
-        }
-        for (i, d) in data.into_iter().enumerate() {
-            if shards[i].is_none() {
-                shards[i] = Some(d);
-            }
+        let rebuilt = Self::parity_rows(&survivors, &dec_coeffs, len);
+        for (&i, d) in lost.iter().zip(rebuilt) {
+            shards[i] = Some(T::from(d));
         }
         Ok(())
     }
@@ -316,8 +320,14 @@ mod tests {
                     have[b] = None;
                     have[c] = None;
                     rs.reconstruct(&mut have).unwrap();
-                    for (i, s) in have.iter().enumerate() {
-                        assert_eq!(s.as_ref().unwrap(), &coded[i], "lost {a},{b},{c} shard {i}");
+                    let rebuilt: Vec<Vec<u8>> =
+                        have[..3].iter().map(|s| s.clone().expect("data rebuilt")).collect();
+                    // The parity re-derived from the rebuilt data is the
+                    // original parity; a lost parity slot stays empty.
+                    assert_eq!(rs.encode(&rebuilt).unwrap(), coded, "lost {a},{b},{c}");
+                    for (i, s) in have.iter().enumerate().skip(3) {
+                        let lost = [a, b, c].contains(&i);
+                        assert_eq!(s.is_none(), lost, "lost {a},{b},{c} parity {i}");
                     }
                 }
             }
@@ -355,7 +365,13 @@ mod tests {
         let mut slow = fast.clone();
         rs.reconstruct(&mut fast).unwrap();
         rs.reconstruct_ref(&mut slow).unwrap();
-        assert_eq!(fast, slow);
+        assert_eq!(fast[..4], slow[..4]);
+        // The reference rebuilds parity too: re-derive it from the fast
+        // path's data and compare.
+        let data: Vec<Vec<u8>> = fast[..4].iter().map(|s| s.clone().expect("data rebuilt")).collect();
+        let slow: Vec<Vec<u8>> = slow.into_iter().map(|s| s.expect("all rebuilt")).collect();
+        assert_eq!(rs.encode(&data).unwrap(), slow);
+        assert_eq!((fast[5].is_none(), fast[7].is_none()), (true, true), "lost parity stays lost");
     }
 
     #[test]

@@ -10,8 +10,9 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Reed-Solomon: any k-subset of shards reconstructs every shard
-    /// exactly, for arbitrary data and arbitrary k-subsets.
+    /// Reed-Solomon: any k-subset of shards reconstructs every data shard
+    /// exactly, for arbitrary data and arbitrary k-subsets, and the parity
+    /// re-derived from them is the original parity.
     #[test]
     fn rs_any_k_subset_reconstructs(
         data in proptest::collection::vec(any::<u8>(), 1..2000),
@@ -35,12 +36,14 @@ proptest! {
             have[i] = Some(coded[i].clone());
         }
         rs.reconstruct(&mut have).expect("any k suffice");
-        for (i, c) in coded.iter().enumerate() {
-            prop_assert_eq!(have[i].as_ref().expect("filled"), c);
-        }
-        // And the object reassembles bit-exactly.
         let rebuilt: Vec<Vec<u8>> =
             have[..k].iter().map(|x| x.clone().expect("data shard")).collect();
+        prop_assert_eq!(&rs.encode(&rebuilt).expect("encodes"), &coded);
+        // Only data is rebuilt: a parity slot is as it was.
+        for (i, slot) in have.iter().enumerate().skip(k) {
+            prop_assert_eq!(slot.is_some(), order[..k].contains(&i));
+        }
+        // And the object reassembles bit-exactly.
         prop_assert_eq!(join_shards(&rebuilt).expect("joins"), data);
     }
 
@@ -102,6 +105,52 @@ proptest! {
             prop_assert_eq!(result.expect("enough survivors"), data);
         } else {
             prop_assert!(result.is_err());
+        }
+    }
+
+    /// `decode_object` answers what the reference reconstruct answers, for
+    /// survivor sets of three kinds: every data fragment present (nothing
+    /// to rebuild), parity only (every data fragment rebuilt) and a random
+    /// mix, enough or not.
+    #[test]
+    fn decode_object_matches_reconstruct_ref(
+        data in proptest::collection::vec(any::<u8>(), 0..2000),
+        k in 1usize..9,
+        extra in 1usize..12,
+        kind in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let n = k + extra;
+        let codec = ObjectCodec::new(CodeKind::ReedSolomon, k, n, 0).expect("valid");
+        let ObjectCodec::Rs(rs) = &codec else { unreachable!("a Reed-Solomon codec") };
+        let frags = codec.encode_object(&data).expect("encodes");
+        let mut bits = seed;
+        let mut coin = || {
+            bits = bits.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            bits >> 63 == 1
+        };
+        let keep: Vec<bool> = (0..n)
+            .map(|i| match kind {
+                0 => i < k || coin(),
+                1 => i >= k,
+                _ => coin(),
+            })
+            .collect();
+        let mut have: Vec<Option<Vec<u8>>> =
+            frags.iter().zip(&keep).map(|(f, &kept)| kept.then(|| f.clone())).collect();
+        let mut oracle = have.clone();
+        let decoded = codec.decode_object(&mut have);
+        let expected = rs
+            .reconstruct_ref(&mut oracle)
+            .and_then(|()| join_shards(&oracle.iter().take(k).flatten().collect::<Vec<_>>()));
+        prop_assert_eq!(&decoded, &expected);
+        if let Ok(out) = decoded {
+            prop_assert_eq!(out, data);
+            prop_assert_eq!(&have[..k], &oracle[..k]);
+            // Parity is read, never rebuilt.
+            for (slot, kept) in have.iter().zip(&keep).skip(k) {
+                prop_assert_eq!(slot.is_some(), *kept);
+            }
         }
     }
 }

@@ -126,6 +126,12 @@ impl Bytes {
     pub(crate) fn memoize(&self, cid: Guid) {
         let mut cids = self.buf.cids();
         if let Err(at) = self.find(&cids) {
+            // Many buffers hold one named view: an archival fragment, a
+            // one-block update. Room for one entry, not the four a first
+            // insert reserves, keeps their memo at 28 bytes.
+            if cids.capacity() == 0 {
+                cids.reserve_exact(1);
+            }
             cids.insert(at, (self.start, self.len, cid));
         }
     }

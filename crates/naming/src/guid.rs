@@ -37,6 +37,20 @@ pub const NIBBLES: usize = DIGEST_LEN * 2;
 /// Domain tag of content GUIDs.
 const CONTENT: &[u8] = b"content";
 
+thread_local! {
+    /// Bytes [`Guid::for_contents`] hashed on this thread.
+    static HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bytes [`Guid::for_contents`] has hashed on the calling thread so far,
+/// memo hits not counted. Tests read it before and after a path to check
+/// that the path names bytes through the memo instead of hashing them
+/// again; nothing else reads it.
+#[doc(hidden)]
+pub fn content_bytes_hashed() -> u64 {
+    HASHED.with(std::cell::Cell::get)
+}
+
 /// A 160-bit globally unique identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Guid(Digest);
@@ -120,8 +134,7 @@ impl Guid {
             out.push(cid.unwrap_or(Guid([0; DIGEST_LEN])));
         }
         let blocks: Vec<&[u8]> = misses.iter().map(|(_, view)| view.as_slice()).collect();
-        #[cfg(test)]
-        tests::HASHED.with(|n| n.set(n.get() + blocks.iter().map(|b| b.len()).sum::<usize>()));
+        HASHED.with(|n| n.set(n.get() + blocks.iter().map(|b| b.len() as u64).sum::<u64>()));
         let mut next = misses.iter();
         for run in blocks.chunk_by(|a, b| a.len() == b.len()) {
             sha1_concat_run(CONTENT, run, |d| {
@@ -325,16 +338,11 @@ mod tests {
         assert_ne!(Guid::for_content(b"abc"), Guid::for_content(b"abd"));
     }
 
-    thread_local! {
-        /// Bytes [`Guid::for_contents`] hashed on this thread.
-        pub(super) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-
     /// Bytes [`Guid::for_contents`] hashes on this thread while `f` runs.
     fn hashed<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        let before = HASHED.with(std::cell::Cell::get);
+        let before = content_bytes_hashed();
         let out = f();
-        (out, HASHED.with(std::cell::Cell::get) - before)
+        (out, (content_bytes_hashed() - before) as usize)
     }
 
     /// Runs of 8 to 40, cut where they are: each block's GUID is its

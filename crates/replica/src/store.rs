@@ -493,8 +493,8 @@ impl ObjectStore {
     /// the blob layer, falling back to the in-memory replica when the
     /// backend misses (dead provider, corrupt blob) — committed data
     /// survives any single store's death because the replica *is* a
-    /// store of it.
-    pub fn read_block(&mut self, object: &Guid, slot: usize) -> Option<Vec<u8>> {
+    /// store of it. Either way the block comes back as a view.
+    pub fn read_block(&mut self, object: &Guid, slot: usize) -> Option<Bytes> {
         let st = self.objects.get(object)?;
         let version = Arc::clone(st.data.current());
         let Block::Data(mem) = version.blocks.get(slot)? else { return None };
@@ -505,7 +505,7 @@ impl ObjectStore {
             }
         }
         self.fallback_reads += 1;
-        Some(mem.to_vec())
+        Some(mem)
     }
 
     /// Reads `object`'s full committed byte sequence (logical block
@@ -704,7 +704,7 @@ mod tests {
         assert_eq!(health.blob_bytes, 12);
         // The blob layer serves each block under its CID.
         for (slot, tag) in [(0usize, 0u8), (1, 1), (2, 2)] {
-            assert_eq!(store.read_block(&obj, slot).unwrap(), vec![tag; 4]);
+            assert_eq!(&*store.read_block(&obj, slot).unwrap(), vec![tag; 4]);
         }
         assert_eq!(store.health().fallback_reads, 0, "healthy backend, no fallback");
         assert_eq!(
@@ -737,7 +737,7 @@ mod tests {
         for (slot, block) in version.blocks.iter().enumerate() {
             let Block::Data(bytes) = block else { panic!("appends store data blocks") };
             assert!(Arc::ptr_eq(bytes.buffer(), buffer), "slot {slot}: a copy of the record");
-            assert_eq!(store.read_block(&obj, slot).unwrap(), blocks[slot]);
+            assert_eq!(&*store.read_block(&obj, slot).unwrap(), blocks[slot]);
         }
         // The record here and in the log, and each block twice: in the
         // object and in the blob backend.
@@ -777,7 +777,7 @@ mod tests {
         assert_eq!(store.slot_cid(&obj, 0), Some(cid_of(&block(3))), "the later write names it");
         assert_eq!(store.slot_cid(&obj, 1), Some(cid_of(&block(4))));
         assert_eq!(store.health().blob_count, 2, "only what the object holds is stored");
-        assert_eq!(store.read_block(&obj, 0), Some(block(3)));
+        assert_eq!(store.read_block(&obj, 0).as_deref(), Some(&block(3)[..]));
     }
 
     #[test]
@@ -801,11 +801,11 @@ mod tests {
         let obj = Guid::from_label("fallback");
         let (u, name, enc) = update(9);
         store.serialize_update(obj, u, name, enc, 0, tid(0));
-        assert_eq!(store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
+        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
         assert_eq!(store.health().fallback_reads, 0);
         provider.with(|p| p.set_down(true));
         // The provider is dead; the committed bytes still read.
-        assert_eq!(store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
+        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
         assert_eq!(store.health().fallback_reads, 1);
         assert_eq!(
             store.read_object_bytes(&obj).unwrap(),
@@ -824,7 +824,7 @@ mod tests {
         let (u, name, enc) = update(4);
         store.serialize_update(obj, u, name, enc, 0, tid(0));
         assert!(store.health().blob_put_failures > 0);
-        assert_eq!(store.read_block(&obj, 0).unwrap(), vec![4u8; 4], "replica serves");
+        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![4u8; 4], "replica serves");
         // Provider revives: the next commit re-syncs everything pending.
         provider.with(|p| p.set_down(false));
         let (u, name, enc) = update(5);

@@ -162,7 +162,7 @@ impl BlobStore for Counted {
         self.call().put_shared(cid, data)
     }
 
-    fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
+    fn get(&mut self, cid: &Guid) -> Result<Option<Bytes>, StoreError> {
         self.call().get(cid)
     }
 

@@ -97,7 +97,7 @@ impl BlobStore for DedupStore {
         self.reference(cid, data.len(), |inner| inner.put_shared(cid, data))
     }
 
-    fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
+    fn get(&mut self, cid: &Guid) -> Result<Option<Bytes>, StoreError> {
         self.inner.get(cid)
     }
 

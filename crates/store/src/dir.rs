@@ -16,6 +16,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 
 use crate::{cid_of, BlobStore, StoreError, StoreStats};
@@ -139,7 +140,9 @@ impl BlobStore for DirStore {
         Ok(cid)
     }
 
-    fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
+    /// The bytes read back and checked, in a fresh buffer: a reader that
+    /// names them hashes them again.
+    fn get(&mut self, cid: &Guid) -> Result<Option<Bytes>, StoreError> {
         let data = match fs::read(self.blob_path(cid)) {
             Ok(data) => data,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -150,7 +153,7 @@ impl BlobStore for DirStore {
             return Err(StoreError::Corrupt { want: *cid, got });
         }
         self.stats.gets += 1;
-        Ok(Some(data))
+        Ok(Some(Bytes::from(data)))
     }
 
     fn has(&mut self, cid: &Guid) -> bool {

@@ -134,10 +134,13 @@ pub trait BlobStore: fmt::Debug + Send {
         self.put(data)
     }
 
-    /// Fetches the blob named `cid`. `Ok(None)` means provably absent;
-    /// [`StoreError::Corrupt`] means bytes were found but fail
-    /// verification.
-    fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError>;
+    /// Fetches the blob named `cid` as a view. `Ok(None)` means provably
+    /// absent; [`StoreError::Corrupt`] means bytes were found but fail
+    /// verification. A backend that keeps blobs in RAM hands out a clone
+    /// of the view it filed, so a reader that names it finds the name in
+    /// the buffer's memo; a backend that reads the bytes back from
+    /// elsewhere wraps them in a fresh buffer, which a reader hashes anew.
+    fn get(&mut self, cid: &Guid) -> Result<Option<Bytes>, StoreError>;
 
     /// Whether a blob named `cid` is present (no verification).
     fn has(&mut self, cid: &Guid) -> bool;

@@ -19,6 +19,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 
 use crate::{BlobStore, MemoryStore, StoreError, StoreStats};
@@ -92,7 +93,7 @@ impl BlobStore for SimRemoteStore {
         self.inner.put(data)
     }
 
-    fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
+    fn get(&mut self, cid: &Guid) -> Result<Option<Bytes>, StoreError> {
         self.admit()?;
         self.inner.get(cid)
     }

@@ -11,6 +11,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 
 use crate::{cid_of, BlobStore, StoreError, StoreStats};
@@ -54,7 +55,7 @@ impl BlobStore for ShardedStore {
         self.shard_for(&cid).put(data)
     }
 
-    fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
+    fn get(&mut self, cid: &Guid) -> Result<Option<Bytes>, StoreError> {
         self.shard_for(cid).get(cid)
     }
 
@@ -115,7 +116,7 @@ impl<S: BlobStore> BlobStore for SharedStore<S> {
         self.lock().put(data)
     }
 
-    fn get(&mut self, cid: &Guid) -> Result<Option<Vec<u8>>, StoreError> {
+    fn get(&mut self, cid: &Guid) -> Result<Option<Bytes>, StoreError> {
         self.lock().get(cid)
     }
 
