@@ -69,9 +69,8 @@ pub struct FuzzOpts {
     pub quorum_cuts: bool,
     /// Bytes each update appends: its label, padded with zeros to this
     /// length when shorter. 0 sends the label alone (under 30 bytes, an
-    /// update the dissemination tree pushes whole); 1 KiB sends one a
-    /// secondary parent pushes by name
-    /// ([`oceanstore_replica::ReplicaMsg::Named`]).
+    /// update every path carries whole); 1 KiB sends one secondaries
+    /// offer by name ([`oceanstore_replica::CommitRecord::by_name`]).
     pub payload_len: usize,
 }
 

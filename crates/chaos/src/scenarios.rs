@@ -369,6 +369,18 @@ pub fn quorum_loss(seed: u64) -> ScenarioOutcome {
 /// ingest paths), keep converging on the genuine stream, and store
 /// nothing uncertified.
 pub fn byzantine_secondary(seed: u64) -> ScenarioOutcome {
+    byzantine_secondary_with(seed, 0)
+}
+
+/// [`byzantine_secondary`] with each update padded to `payload_len`
+/// bytes. At 1 KiB the tree and anti-entropy offer the records by name,
+/// so the liar's bait and forged batches meet names, asks and answers.
+pub fn byzantine_secondary_with(seed: u64, payload_len: usize) -> ScenarioOutcome {
+    let payload = |label: &[u8]| {
+        let mut bytes = label.to_vec();
+        bytes.resize(bytes.len().max(payload_len), 0);
+        append(&bytes)
+    };
     let liar_idx = 5;
     let mut dep = build_deployment(&DeploymentOpts {
         latency: SimDuration::from_millis(20),
@@ -379,9 +391,9 @@ pub fn byzantine_secondary(seed: u64) -> ScenarioOutcome {
     let object = Guid::from_label("chaos-byzantine");
     let liar = dep.secondaries[liar_idx];
 
-    dep.submit(dep.clients[0], object, &append(b"genuine-1"));
+    dep.submit(dep.clients[0], object, &payload(b"genuine-1"));
     let mut trace = run_schedule(&mut dep.sim, &Schedule::new(), t(4_000));
-    dep.submit(dep.clients[0], object, &append(b"genuine-2"));
+    dep.submit(dep.clients[0], object, &payload(b"genuine-2"));
     // Long tail so several anti-entropy rounds spread the liar's bait.
     trace.extend(run_schedule(&mut dep.sim, &Schedule::new(), t(15_000)));
 

@@ -85,6 +85,12 @@ fn byzantine_secondary_never_pollutes_honest_stores() {
 }
 
 #[test]
+fn byzantine_secondary_with_large_updates_never_pollutes_honest_stores() {
+    let out = scenarios::byzantine_secondary_with(9, 1024);
+    assert!(out.report.passed(), "invariants failed: {:#?}", out.report.failures);
+}
+
+#[test]
 fn rack_failure_recovers_and_catches_up() {
     let out = scenarios::rack_failure(17);
     assert!(out.report.passed(), "invariants failed: {:#?}", out.report.failures);

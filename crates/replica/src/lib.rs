@@ -35,7 +35,7 @@ pub use harness::{
 pub use messages::{frontier_digest, CommitRecord, ReplicaMsg, SummaryEntry, TentativeId};
 pub use node::OceanNode;
 pub use primary::{disseminator_for, Primary, UpdateNamer};
-pub use secondary::{RingView, Secondary};
+pub use secondary::{Copies, CopyLedger, RingView, Secondary};
 pub use shard::ShardRouter;
 pub use store::{ObjectState, ObjectStore, StoreHealth, RECORD_RETENTION};
 

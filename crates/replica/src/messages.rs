@@ -86,12 +86,12 @@ impl CommitRecord {
     /// certifies bytes that do not decode. The update's ciphertexts are
     /// views of the record's buffer.
     ///
-    /// A record pushed by name ([`ReplicaMsg::Named`]) reaches this check
-    /// with bytes the receiver already held: the rumor it logged under
-    /// the record's `(timestamp, id)`, or its own logged record at that
-    /// index. Rumors are unauthenticated, so those bytes may be another
-    /// update's; this check is what tells, exactly as for bytes that came
-    /// with the record.
+    /// A record offered by name ([`CommitRecord::by_name`]) reaches this
+    /// check with bytes the receiver already held: the rumor it logged
+    /// under the record's `(timestamp, id)`, or its own logged record at
+    /// that index. Rumors are unauthenticated, so those bytes may be
+    /// another update's; this check is what tells, exactly as for bytes
+    /// that came with the record.
     ///
     /// Each block's CID comes from that buffer's memo
     /// ([`oceanstore_naming::bytes`]) when another node of this process
@@ -122,16 +122,24 @@ impl CommitRecord {
         Guid::WIRE_SIZE + 8 + self.update.len() + 9 + 8 + 16 + self.cert.wire_size()
     }
 
-    /// This record without its update bytes, when those outweigh the rest
-    /// of it (`wire_size() − update.len()`: 181 B at m = 1): what a
-    /// secondary parent pushes by name ([`ReplicaMsg::Named`]). A child
-    /// that holds the bytes from the rumor saves them; one that does not
-    /// pays this header and one fetch, less than the bytes themselves.
-    /// `None` for a smaller update, which travels whole.
-    pub fn by_name(&self) -> Option<CommitRecord> {
+    /// Whether this record's update outweighs the rest of it
+    /// (`wire_size() − update.len()`: 181 B at m = 1).
+    pub fn is_large(&self) -> bool {
         let bytes = self.update.len();
-        (bytes > self.wire_size() - bytes)
-            .then(|| CommitRecord { update: Bytes::default(), ..self.clone() })
+        bytes > self.wire_size() - bytes
+    }
+
+    /// This record as a secondary offers it to another: without its
+    /// update bytes if it [`is_large`](CommitRecord::is_large), whole
+    /// otherwise. A receiver that holds the bytes from the rumor saves
+    /// them; one that does not pays this header and one ask, less than
+    /// the bytes themselves. A primary pushes every record whole: the
+    /// tree root may not have the rumor.
+    pub fn by_name(mut self) -> CommitRecord {
+        if self.is_large() {
+            self.update = Bytes::default();
+        }
+        self
     }
 }
 
@@ -278,11 +286,18 @@ pub enum ReplicaMsg {
         /// The assembled `m + 1`-of-`n` certificate.
         cert: SerializationCert,
     },
-    /// A certified commit pushed down the dissemination tree (Figure 5c),
-    /// bytes and all. A primary pushes every record so: the tree root may
-    /// not have the rumor. A secondary parent pushes so only an update no
-    /// larger than the rest of its record ([`CommitRecord::by_name`]), and
-    /// the larger ones as [`ReplicaMsg::Named`].
+    /// A certified commit pushed down the dissemination tree (Figure 5c).
+    /// A primary pushes every record whole: the tree root may not have
+    /// the rumor. A secondary parent pushes a record whose update
+    /// outweighs the rest of it by name ([`CommitRecord::by_name`]): its
+    /// `update` empty, because the child most likely holds the bytes from
+    /// the rumor (§4.4.3: the tree carries the result of agreement, the
+    /// epidemic the update). The child takes them from its own tentative
+    /// log, or from its own record log if the push is a duplicate, and
+    /// checks them with [`CommitRecord::verified`]. A child without them
+    /// parks the push on its ask for them ([`ReplicaMsg::Want`]), if it
+    /// has one, else fetches the record from its parent
+    /// ([`ReplicaMsg::FetchCommits`]).
     Commit {
         /// The certified record.
         record: CommitRecord,
@@ -291,22 +306,6 @@ pub enum ReplicaMsg {
         /// record, for the child to compare with its own. A primary, which
         /// holds only its ring's objects, sends none.
         frontier: Option<u64>,
-    },
-    /// A certified commit a secondary parent pushes down the tree by name:
-    /// the record with its update bytes left out, because they outweigh
-    /// the rest of it and the child most likely holds them from the rumor
-    /// (§4.4.3: the tree carries the result of agreement, the epidemic
-    /// the update). The child takes the bytes from its own tentative log,
-    /// or from its own record log if the push is a duplicate, and checks
-    /// them with [`CommitRecord::verified`]. A child without them, or
-    /// whose held bytes fail the check, fetches the whole record from its
-    /// parent ([`ReplicaMsg::FetchCommits`]).
-    Named {
-        /// The certified record, its `update` empty.
-        record: CommitRecord,
-        /// The parent's committed frontier after it applied the record, as
-        /// in [`ReplicaMsg::Commit`].
-        frontier: u64,
     },
     /// Delivery acknowledgment for a tier→tree `Commit` push. A secondary
     /// that holds `(object, index)` certified and received it (or a
@@ -373,6 +372,10 @@ pub enum ReplicaMsg {
 }
 
 impl ReplicaMsg {
+    /// Wire size of a [`ReplicaMsg::Heard`]: a tentative update whose
+    /// bytes outweigh it is rumored by name.
+    pub const NAME_SIZE: usize = Guid::WIRE_SIZE + 32;
+
     /// A tentative update as a secondary rumors it onward: the whole
     /// [`ReplicaMsg::Tentative`], or, when the update outweighs the rest
     /// of that message (`wire_size() − update.len()`, which is the name's
@@ -380,9 +383,8 @@ impl ReplicaMsg {
     /// lacks the bytes then pays the name, one [`ReplicaMsg::Want`] and
     /// the bytes once.
     pub fn rumor(object: Guid, update: Bytes, timestamp: u64, id: TentativeId) -> ReplicaMsg {
-        let name = ReplicaMsg::Heard { object, timestamp, id };
-        if update.len() > name.wire_size() {
-            name
+        if update.len() > ReplicaMsg::NAME_SIZE {
+            ReplicaMsg::Heard { object, timestamp, id }
         } else {
             ReplicaMsg::Tentative { object, update, timestamp, id }
         }
@@ -407,7 +409,7 @@ impl Message for ReplicaMsg {
         match self {
             ReplicaMsg::Pbft(m) => m.wire_size(),
             ReplicaMsg::Tentative { update, .. } => Guid::WIRE_SIZE + update.len() + 32,
-            ReplicaMsg::Heard { .. } | ReplicaMsg::Want { .. } => Guid::WIRE_SIZE + 32,
+            ReplicaMsg::Heard { .. } | ReplicaMsg::Want { .. } => ReplicaMsg::NAME_SIZE,
             ReplicaMsg::ResultShare { .. } => {
                 Guid::WIRE_SIZE + 8 + 20 + 9 + 8 + Signature::WIRE_SIZE
             }
@@ -418,7 +420,6 @@ impl Message for ReplicaMsg {
             ReplicaMsg::Commit { record, frontier } => {
                 record.wire_size() + if frontier.is_some() { 8 } else { 0 }
             }
-            ReplicaMsg::Named { record, .. } => record.wire_size() + 8,
             ReplicaMsg::CommitAck { .. } => Guid::WIRE_SIZE + 8,
             ReplicaMsg::Invalidate { .. } => Guid::WIRE_SIZE + 24,
             ReplicaMsg::FetchCommits { .. } => Guid::WIRE_SIZE + 16,
@@ -444,7 +445,7 @@ impl Message for ReplicaMsg {
             ReplicaMsg::ResultShare { .. } => "replica/resultshare",
             ReplicaMsg::ShareRebroadcast { .. } => "replica/sharerebroadcast",
             ReplicaMsg::CertFormed { .. } => "replica/certformed",
-            ReplicaMsg::Commit { .. } | ReplicaMsg::Named { .. } => "replica/commit",
+            ReplicaMsg::Commit { .. } => "replica/commit",
             ReplicaMsg::CommitAck { .. } => "replica/commitack",
             ReplicaMsg::Invalidate { .. } => "replica/invalidate",
             ReplicaMsg::FetchCommits { .. } => "replica/fetch",

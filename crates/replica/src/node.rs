@@ -135,9 +135,6 @@ impl Protocol for OceanNode {
                     ReplicaMsg::Commit { record, frontier } => {
                         s.on_commit(ctx, from, record, frontier);
                     }
-                    ReplicaMsg::Named { record, frontier } => {
-                        s.on_named(ctx, from, record, frontier);
-                    }
                     ReplicaMsg::Commits { records } => s.on_commits(ctx, from, records),
                     ReplicaMsg::Invalidate { object, index, .. } => {
                         s.on_invalidate(ctx, object, index)

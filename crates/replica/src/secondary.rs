@@ -24,6 +24,7 @@ use crate::messages::{
 };
 use crate::shard::ShardRouter;
 use crate::store::ObjectStore;
+use Lack::{Prefix, Pull, Record};
 use SecondaryTimer::{AntiEntropy, Heartbeat};
 
 /// A secondary's deadlines, handed back when they fire.
@@ -42,22 +43,92 @@ const GOSSIP_FANOUT: usize = 2;
 /// tentative serialization order.
 type TentativeLog = BTreeMap<(u64, TentativeId), Bytes>;
 
-/// A push by name that found no bytes while they were on their way: who
-/// pushed it, the record without its update, and the pusher's frontier.
-type Parked = (NodeId, CommitRecord, u64);
+/// What one ask in a secondary's want table is for, of one object. The
+/// first three ask for the object's records from the first one we lack
+/// and have not asked for ([`ReplicaMsg::FetchCommits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Lack {
+    /// A gap's prefix, asked of the parent whose push found it.
+    Prefix,
+    /// A record named without bytes we hold that pass the check, asked
+    /// of the parent that pushed it or the peer that offered it.
+    Record,
+    /// What an anti-entropy summary showed a peer holds, asked of it.
+    Pull,
+    /// One tentative update's bytes, asked of whoever named them
+    /// ([`ReplicaMsg::Want`]).
+    Update(TentativeId),
+}
 
-/// What became of one certified record offered to the store.
-#[derive(Debug, Clone, Copy)]
-enum Apply {
-    /// Applied (or a duplicate of something already applied).
-    Applied,
-    /// Forged or partial certificate; dropped.
-    Rejected,
-    /// Ahead of our frontier; the prefix is missing.
-    Gap,
-    /// Named without bytes we hold, which a `Want` already asked for:
-    /// parked until they arrive.
-    Parked,
+/// One ask: when it was sent, and at most one push by name parked on it
+/// until the bytes come (the pusher, and the record without its update;
+/// boxed, so an ask with none costs a table node little).
+/// An ask counts for one `heartbeat_interval`: while it counts, nothing
+/// asks for the same bytes again.
+#[derive(Debug)]
+struct Ask {
+    at: SimTime,
+    parked: Option<Box<(NodeId, CommitRecord)>>,
+}
+
+/// What became of one certified record offered to the store: whether it
+/// applied (or duplicates one that did) — not if it was forged, or parked
+/// on the ask for its bytes — or what is to be asked for before it can:
+/// [`Lack::Prefix`] for a gap ahead of our frontier, [`Lack::Record`] for
+/// a record named without bytes we hold that pass the check.
+type Offer = Result<bool, Lack>;
+
+/// Copies of large updates that reached a node already holding them:
+/// how many, and how many update bytes they carried.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Copies {
+    /// Copies that arrived.
+    pub copies: u64,
+    /// Their update bytes.
+    pub bytes: u64,
+}
+
+impl Copies {
+    fn add(&mut self, update: &Bytes) {
+        self.copies += 1;
+        self.bytes += update.len() as u64;
+    }
+}
+
+/// A secondary's [`Copies`] by the way they came. A large update is one
+/// its path offers by name: a rumor [`ReplicaMsg::rumor`] names, a record
+/// [`CommitRecord::by_name`] names. A whole rumor is held if the node
+/// holds its rumor or its record; a record, if the node logged it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CopyLedger {
+    /// `replica.dup_bytes.tentative_asked`: whole rumors answering our
+    /// [`ReplicaMsg::Want`].
+    pub tentative_asked: Copies,
+    /// `replica.dup_bytes.tentative_unasked`: every other whole rumor.
+    pub tentative_unasked: Copies,
+    /// `replica.dup_bytes.commits_fetched`: records of a batch that ends
+    /// our fetch of their object.
+    pub commits_fetched: Copies,
+    /// `replica.dup_bytes.commits_pushed`: records of every other batch
+    /// (anti-entropy's push, and the answer to its pull).
+    pub commits_pushed: Copies,
+    /// `replica.dup_bytes.commit`: whole records pushed down the tree.
+    pub commit: Copies,
+}
+
+impl CopyLedger {
+    /// Every class together.
+    pub fn total(&self) -> Copies {
+        let classes = [
+            self.tentative_asked,
+            self.tentative_unasked,
+            self.commits_fetched,
+            self.commits_pushed,
+            self.commit,
+        ];
+        let (copies, bytes) = classes.iter().fold((0, 0), |(n, b), c| (n + c.copies, b + c.bytes));
+        Copies { copies, bytes }
+    }
 }
 
 /// What a secondary knows of one primary ring whose objects it carries.
@@ -85,11 +156,12 @@ pub struct Secondary {
     /// with its record's truncation from the log: the stale-rumor rule
     /// refuses every later rumor of it before this set is consulted.
     seen: IdSet<(Guid, TentativeId)>,
-    /// Rumors heard by name whose bytes we asked the announcer for and
-    /// have not received, each with the one push by name that found them
-    /// missing meanwhile. An entry leaves when the bytes arrive, or when
-    /// its record applies or is truncated.
-    wanted: IdMap<(Guid, TentativeId), Option<Parked>>,
+    /// The want table: every ask this node has out, by object and what it
+    /// lacks. A fetch's or a pull's ask leaves when a batch that carries
+    /// bytes of the object's records arrives, or at the first heartbeat
+    /// tick after it lapses; an update's when its bytes arrive or its
+    /// record leaves the log.
+    wants: BTreeMap<(Guid, Lack), Ask>,
     /// The primary rings, indexed by [`ShardRouter::ring_of`]. The
     /// secondary substrate is shared by every ring, so a record is checked
     /// against the keys of the tier that actually serialized its object,
@@ -105,10 +177,6 @@ pub struct Secondary {
     /// When a push last found our committed frontier off the parent's and
     /// we asked the parent; cleared by a push that matches.
     frontier_asked_at: Option<SimTime>,
-    /// When a gapped push last fetched each object from the parent; an
-    /// entry leaves when a batch of the object's records arrives, and
-    /// counts for one `heartbeat_interval` at most.
-    fetching: IdMap<Guid, SimTime>,
     /// Outstanding adoption request: (candidate, when asked).
     pending_attach: Option<(NodeId, SimTime)>,
     /// Rotates through re-parenting candidates across attempts.
@@ -118,6 +186,8 @@ pub struct Secondary {
     /// Records rejected because their certificate failed verification
     /// (forged, tampered, or partial).
     rejected: u64,
+    /// Copies of large updates that reached this node already held.
+    ledger: CopyLedger,
 }
 
 impl Secondary {
@@ -135,17 +205,17 @@ impl Secondary {
             store: ObjectStore::new(),
             tentative: IdMap::default(),
             seen: IdSet::default(),
-            wanted: IdMap::default(),
+            wants: BTreeMap::new(),
             rings,
             router,
             parent_last_seen: SimTime::ZERO,
             parent_pushed_at: None,
             frontier_asked_at: None,
-            fetching: IdMap::default(),
             pending_attach: None,
             candidate_cursor: 0,
             reparented: 0,
             rejected: 0,
+            ledger: CopyLedger::default(),
         }
     }
 
@@ -167,6 +237,16 @@ impl Secondary {
     /// Records rejected for failing certificate verification.
     pub fn rejected_count(&self) -> u64 {
         self.rejected
+    }
+
+    /// Copies of large updates that reached this node already held.
+    pub fn copy_ledger(&self) -> &CopyLedger {
+        &self.ledger
+    }
+
+    /// Whether `r` is a copy of a large update whose record we logged.
+    fn logged_copy(&self, r: &CommitRecord) -> bool {
+        r.is_large() && self.store.holds_record(&r.object, r.timestamp, r.id)
     }
 
     /// This node's current dissemination children.
@@ -337,6 +417,19 @@ impl Secondary {
 
     fn on_heartbeat_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
         let now = ctx.now();
+        // A push parked on an ask that lapsed asks its pusher, which holds
+        // the record it pushed. A lapsed fetch or pull counts for nothing
+        // and leaves; an update's ask stays to recognise its answer.
+        self.wants.retain(|(object, lack), ask| {
+            let lapsed = now.saturating_since(ask.at) >= self.cfg.heartbeat_interval;
+            let parked = ask.parked.as_deref().filter(|_| lapsed);
+            if let (Lack::Update(id), Some((pusher, header))) = (lack, parked) {
+                let (object, timestamp, id) = (*object, header.timestamp, *id);
+                ctx.send(*pusher, ReplicaMsg::Want { object, timestamp, id });
+                ask.at = now;
+            }
+            !lapsed || matches!(lack, Lack::Update(_))
+        });
         if let Some(parent) = self.cfg.parent {
             match self.pending_attach {
                 Some((_candidate, asked_at)) => {
@@ -443,9 +536,9 @@ impl Secondary {
     }
 
     /// Accepts a tentative update (from a client, a gossiping peer, or
-    /// the peer whose name we asked the bytes of) and rumors it onward: a
-    /// large one by name ([`ReplicaMsg::rumor`]). A push by name parked
-    /// on these bytes applies now.
+    /// the peer we asked for its bytes) and rumors it onward: a large one
+    /// by name ([`ReplicaMsg::rumor`]). A push parked on these bytes is
+    /// offered again now.
     pub fn on_tentative(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -454,31 +547,35 @@ impl Secondary {
         timestamp: u64,
         id: TentativeId,
     ) {
-        if self.store.is_stale_rumor(&object, timestamp) {
-            return; // older than history this node already truncated
+        let asked = self.wants.remove(&(object, Lack::Update(id)));
+        let held = |store: &ObjectStore| store.holds_record(&object, timestamp, id);
+        let logged = self.tentative.get(&object).is_some_and(|l| l.contains_key(&(timestamp, id)));
+        if update.len() > ReplicaMsg::NAME_SIZE && (logged || held(&self.store)) {
+            let l = &mut self.ledger;
+            let class =
+                if asked.is_some() { &mut l.tentative_asked } else { &mut l.tentative_unasked };
+            class.add(&update);
         }
-        // Bytes a name we asked for promised: `seen` has held their id
-        // since the name came, and the outstanding `Want` admits them.
-        let parked = if self.seen.insert((object, id)) {
-            None
-        } else {
-            let Some(parked) = self.wanted.remove(&(object, id)) else {
-                return; // already rumored
-            };
-            parked
-        };
-        // Skip updates that are already committed.
-        if !self.store.holds_record(&object, timestamp, id) {
-            self.tentative
-                .entry(object)
-                .or_default()
-                .insert((timestamp, id), update.clone());
+        // `seen` admits one copy of each rumor, and the answer to our ask
+        // unless the record came first.
+        if self.store.is_stale_rumor(&object, timestamp)
+            || !self.seen.insert((object, id)) && (asked.is_none() || held(&self.store))
+        {
+            return;
+        }
+        if !held(&self.store) {
+            self.tentative.entry(object).or_default().insert((timestamp, id), update.clone());
         }
         self.gossip(ctx, ReplicaMsg::rumor(object, update, timestamp, id));
-        if let Some((from, header, frontier)) = parked {
-            // The pusher's frontier is stale by now: not compared.
-            let applied = self.apply_named(ctx, from, header, frontier);
-            self.settle_push(ctx, from, object, applied, None);
+        if let Some((from, header)) = asked.and_then(|ask| ask.parked).map(|parked| *parked) {
+            // A gap fetch skipped this record; a batch that came before
+            // it applied found a gap and was dropped, so what we still
+            // lack is asked for unless that fetch is out.
+            let applied = match self.offer(ctx, from, header) {
+                Ok(true) if self.is_stale(&object) => Err(Prefix),
+                applied => applied,
+            };
+            self.settle(ctx, object, applied);
         }
     }
 
@@ -490,12 +587,20 @@ impl Secondary {
         }
     }
 
+    /// Whether one of these asks for `object` still counts.
+    fn asking(&self, object: Guid, now: SimTime, asks: &[Lack]) -> bool {
+        let live = |at: SimTime| now.saturating_since(at) < self.cfg.heartbeat_interval;
+        asks.iter().any(|&lack| self.wants.get(&(object, lack)).is_some_and(|a| live(a.at)))
+    }
+
     /// Handles a rumor by name from `from`. A replica that holds the
     /// record committed passes the name on, as it passes on a whole
     /// rumor; one that has not seen the update asks `from` for its bytes,
     /// once, and rumors it when they come. A name heard while a fetch of
-    /// the object is in flight draws nothing: the fetched records are
-    /// likely to hold it.
+    /// the object counts draws nothing: the fetched records are likely to
+    /// hold it. An ask that lapsed unanswered (the ask or its answer was
+    /// lost, or the announcer holds nothing) asks again, of whoever names
+    /// the update next.
     pub fn on_heard(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -504,15 +609,25 @@ impl Secondary {
         timestamp: u64,
         id: TentativeId,
     ) {
-        if self.store.is_stale_rumor(&object, timestamp) || self.seen.contains(&(object, id)) {
+        if self.store.is_stale_rumor(&object, timestamp) {
+            return;
+        }
+        if self.seen.contains(&(object, id)) {
+            let (now, heartbeat) = (ctx.now(), self.cfg.heartbeat_interval);
+            let held = self.store.holds_record(&object, timestamp, id);
+            let ask = self.wants.get_mut(&(object, Lack::Update(id))).filter(|_| !held);
+            if let Some(ask) = ask.filter(|a| now.saturating_since(a.at) >= heartbeat) {
+                ask.at = now;
+                ctx.send(from, ReplicaMsg::Want { object, timestamp, id });
+            }
             return;
         }
         if self.store.holds_record(&object, timestamp, id) {
             self.seen.insert((object, id));
             self.gossip(ctx, ReplicaMsg::Heard { object, timestamp, id });
-        } else if !self.fetch_in_flight(&object, ctx.now()) {
+        } else if !self.asking(object, ctx.now(), &[Prefix, Record, Pull]) {
             self.seen.insert((object, id));
-            self.wanted.insert((object, id), None);
+            self.wants.insert((object, Lack::Update(id)), Ask { at: ctx.now(), parked: None });
             ctx.send(from, ReplicaMsg::Want { object, timestamp, id });
         }
     }
@@ -553,8 +668,9 @@ impl Secondary {
     }
 
     /// Handles a certified commit record pushed down the tree, with the
-    /// pushing parent's committed `frontier` if it is a secondary. Returns
-    /// whether the record was applied.
+    /// pushing parent's committed `frontier` if it is a secondary. A
+    /// secondary parent pushes a large update by name
+    /// ([`CommitRecord::by_name`]). Returns whether the record was applied.
     pub fn on_commit(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -562,112 +678,95 @@ impl Secondary {
         record: CommitRecord,
         frontier: Option<u64>,
     ) -> bool {
-        let object = record.object;
-        let applied = self.apply_certified(ctx, from, record);
-        self.settle_push(ctx, from, object, applied, frontier)
-    }
-
-    /// Handles a record a secondary parent pushed by name: `header` is
-    /// the record without its update bytes. The bytes come from our own
-    /// tentative log, or from our record log if the push is a duplicate,
-    /// and pass the same check as bytes that came with the record. A node
-    /// that holds no bytes that pass fetches the record from its parent,
-    /// as for a gap: a rumor is unauthenticated, so held bytes that fail
-    /// are no forgery of the parent's and nothing is rejected. A node
-    /// that holds none but asked a peer for them ([`ReplicaMsg::Want`])
-    /// parks the push and applies it when they come. Returns whether the
-    /// record was applied.
-    pub fn on_named(
-        &mut self,
-        ctx: &mut Context<'_, ReplicaMsg>,
-        from: NodeId,
-        header: CommitRecord,
-        frontier: u64,
-    ) -> bool {
-        let object = header.object;
-        let applied = self.apply_named(ctx, from, header, frontier);
-        self.settle_push(ctx, from, object, applied, Some(frontier))
-    }
-
-    /// [`Secondary::on_named`]'s offer of the record to the store: with
-    /// the bytes we hold, else parked on an outstanding `Want`, else a gap.
-    fn apply_named(
-        &mut self,
-        ctx: &mut Context<'_, ReplicaMsg>,
-        from: NodeId,
-        header: CommitRecord,
-        frontier: u64,
-    ) -> Apply {
-        let Some(update) = self.held_update(&header) else {
-            return match self.wanted.get_mut(&(header.object, header.id)) {
-                Some(slot) => {
-                    *slot = Some((from, header, frontier));
-                    Apply::Parked
-                }
-                None => Apply::Gap,
-            };
-        };
-        let record = CommitRecord { update, ..header };
-        match self.verify(&record) {
-            Some((update, name)) => self.apply_verified(ctx, from, record, update, name),
-            None => Apply::Gap,
-        }
-    }
-
-    /// The bytes we hold for the record `header` names: the rumor logged
-    /// under its `(timestamp, id)`, else our own record at its index.
-    fn held_update(&self, header: &CommitRecord) -> Option<Bytes> {
-        let key = (header.timestamp, header.id);
-        let rumor = self.tentative.get(&header.object).and_then(|log| log.get(&key));
-        let logged = || self.store.record(&header.object, header.index).map(|r| &r.update);
-        rumor.or_else(logged).cloned()
-    }
-
-    /// What follows a push, whole or by name, once the record was offered
-    /// to the store: a parent's push refreshes the stream, an applied
-    /// record is checked against the parent's frontier, and a gap pulls
-    /// the missing prefix from the parent unless a fetch of the object is
-    /// already in flight: its answer brings every record the parent held,
-    /// and asking again would only send them twice.
-    fn settle_push(
-        &mut self,
-        ctx: &mut Context<'_, ReplicaMsg>,
-        from: NodeId,
-        object: Guid,
-        applied: Apply,
-        frontier: Option<u64>,
-    ) -> bool {
         let from_parent = Some(from) == self.cfg.parent;
         if from_parent {
             self.parent_pushed_at = Some(ctx.now());
         }
-        match applied {
-            Apply::Applied => {
-                if let Some(frontier) = frontier.filter(|_| from_parent) {
-                    self.compare_frontier(ctx, from, frontier);
-                }
-                true
+        if self.logged_copy(&record) {
+            self.ledger.commit.add(&record.update);
+        }
+        let object = record.object;
+        let applied = self.offer(ctx, from, record);
+        if let (Ok(true), Some(frontier), true) = (applied, frontier, from_parent) {
+            self.compare_frontier(ctx, from, frontier);
+        }
+        self.settle(ctx, object, applied)
+    }
+
+    /// Offers a record to the store: with the bytes it carries, or, named
+    /// without them, with the bytes we hold under its name — the rumor
+    /// logged under its `(timestamp, id)`, else our own record at its
+    /// index — checked as bytes that came with it are. A rumor is
+    /// unauthenticated, so held bytes that fail are no forgery of the
+    /// sender's: nothing is rejected, and the record is asked for. A
+    /// record whose bytes we hold none of is parked on our ask for them,
+    /// if there is one, else asked for.
+    fn offer(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        from: NodeId,
+        mut record: CommitRecord,
+    ) -> Offer {
+        let carried = !record.update.is_empty();
+        if !carried {
+            let (object, key) = (record.object, (record.timestamp, record.id));
+            let rumor = self.tentative.get(&object).and_then(|log| log.get(&key));
+            let logged = || self.store.record(&object, record.index).map(|r| &r.update);
+            let Some(update) = rumor.or_else(logged).cloned() else {
+                let ask = self.wants.get_mut(&(object, Lack::Update(record.id))).ok_or(Record)?;
+                ask.parked = Some(Box::new((from, record)));
+                return Ok(false);
+            };
+            record.update = update;
+        }
+        let ring = &self.rings[self.router.ring_of(&record.object)];
+        match record.verified(&ring.keys, ring.m + 1) {
+            Some((update, name)) => self.apply_verified(ctx, from, record, update, name),
+            None if carried => {
+                self.rejected += 1;
+                Ok(false) // forged or partial certificate
             }
-            Apply::Rejected | Apply::Parked => false,
-            Apply::Gap => {
-                let now = ctx.now();
-                let parent = self.cfg.parent.filter(|_| !self.fetch_in_flight(&object, now));
-                if let Some(parent) = parent {
-                    let from_index = self.store.get(&object).map_or(0, |s| s.next_index);
-                    self.fetching.insert(object, now);
-                    ctx.send(parent, ReplicaMsg::FetchCommits { object, from_index });
-                }
-                false
-            }
+            None => Err(Record),
         }
     }
 
-    /// Whether a gapped push fetched `object` within the last heartbeat
-    /// interval and no batch of its records has arrived since.
-    fn fetch_in_flight(&self, object: &Guid, now: SimTime) -> bool {
-        self.fetching
-            .get(object)
-            .is_some_and(|&at| now.saturating_since(at) < self.cfg.heartbeat_interval)
+    /// Whether a pushed record applied; what it lacks is asked of the
+    /// parent.
+    fn settle(&mut self, ctx: &mut Context<'_, ReplicaMsg>, object: Guid, applied: Offer) -> bool {
+        if let (Err(lack), Some(parent)) = (applied, self.cfg.parent) {
+            self.fetch(ctx, parent, object, lack);
+        }
+        applied == Ok(true)
+    }
+
+    /// Asks `holder` for `object`'s records, as `lack`, from the first one
+    /// we lack and have not asked for (a push parked on an ask for its
+    /// bytes is asked for), unless an ask whose answer would bring the
+    /// same records still counts: a gap's fetch waits on a fetch, a
+    /// record's also on a pull, and a pull on a record's fetch. A gap's
+    /// fetch and a pull, the paths whole records take, never wait on
+    /// each other.
+    fn fetch(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        holder: NodeId,
+        object: Guid,
+        lack: Lack,
+    ) {
+        let redundant: &[Lack] = match lack {
+            Prefix => &[Prefix, Record],
+            Record => &[Prefix, Record, Pull],
+            _ => &[Record],
+        };
+        if self.asking(object, ctx.now(), redundant) {
+            return;
+        }
+        let asks = self.wants.range((object, Prefix)..).take_while(|((g, _), _)| *g == object);
+        let parked: Vec<u64> = asks.filter_map(|(_, a)| Some(a.parked.as_ref()?.1.index)).collect();
+        let next = self.store.get(&object).map_or(0, |s| s.next_index);
+        let from_index = (next..).find(|i| !parked.contains(i)).unwrap_or(next);
+        self.wants.insert((object, lack), Ask { at: ctx.now(), parked: None });
+        ctx.send(holder, ReplicaMsg::FetchCommits { object, from_index });
     }
 
     /// A parent's push carries its committed frontier after applying the
@@ -696,34 +795,10 @@ impl Secondary {
         }
     }
 
-    /// Decode, name, then verify: the digest the certificate is checked
-    /// against is this node's own, and so are the CIDs the store files
-    /// the blocks under.
-    fn verify(&self, record: &CommitRecord) -> Option<(Update<Bytes>, UpdateDigest)> {
-        let ring = &self.rings[self.router.ring_of(&record.object)];
-        record.verified(&ring.keys, ring.m + 1)
-    }
-
-    /// Core of the certified-record path, shared by the single-record tree
-    /// push and the batched fetch response. Issues no catch-up fetch
-    /// itself: only a gapped push fetches.
-    fn apply_certified(
-        &mut self,
-        ctx: &mut Context<'_, ReplicaMsg>,
-        from: NodeId,
-        record: CommitRecord,
-    ) -> Apply {
-        match self.verify(&record) {
-            Some((update, name)) => self.apply_verified(ctx, from, record, update, name),
-            None => {
-                self.rejected += 1;
-                Apply::Rejected // forged or partial certificate
-            }
-        }
-    }
-
-    /// [`Secondary::apply_certified`] for a record that passed the check,
-    /// with the update and name the check derived.
+    /// Applies a record that passed the check, with the update and name
+    /// the check derived: the digest the certificate was checked against
+    /// is this node's own, and so are the CIDs the store files the blocks
+    /// under.
     fn apply_verified(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -731,7 +806,7 @@ impl Secondary {
         record: CommitRecord,
         update: Update<Bytes>,
         name: UpdateDigest,
-    ) -> Apply {
+    ) -> Offer {
         // Duplicate suppression: a record below our committed frontier was
         // already applied *and* already streamed to our children — two
         // disseminators racing after a failover must not re-flood the
@@ -739,19 +814,22 @@ impl Secondary {
         // retrying even though the first copy won.
         if self.store.get(&record.object).is_some_and(|s| record.index < s.next_index) {
             self.ack_primary_push(ctx, from, record.object, record.index);
-            return Apply::Applied;
+            return Ok(true);
         }
-        let (seen, wanted) = (&mut self.seen, &mut self.wanted);
+        let (seen, wants) = (&mut self.seen, &mut self.wants);
         let forget = |dropped: &CommitRecord| {
             seen.remove(&(dropped.object, dropped.id));
-            wanted.remove(&(dropped.object, dropped.id));
+            wants.remove(&(dropped.object, Lack::Update(dropped.id)));
         };
         let (object, index, id) = (record.object, record.index, record.id);
         let timestamp = record.timestamp;
         if !self.store.apply_record(record, update, name, forget) {
-            return Apply::Gap;
+            return Err(Prefix);
         }
-        self.wanted.remove(&(object, id));
+        // The ask stays to recognise its answer; a push parked on it is moot.
+        if let Some(ask) = self.wants.get_mut(&(object, Lack::Update(id))) {
+            ask.parked = None;
+        }
         self.ack_primary_push(ctx, from, object, index);
         // Reconcile the optimistic path: this update is now final. `seen`
         // admits one rumor per id, and an honest one is logged under the
@@ -773,11 +851,9 @@ impl Secondary {
         for &(child, mode) in &self.cfg.children {
             match mode {
                 ChildMode::Push => {
-                    let push = push.get_or_insert_with(|| match record.by_name() {
-                        Some(record) => ReplicaMsg::Named { record, frontier },
-                        None => {
-                            ReplicaMsg::Commit { record: record.clone(), frontier: Some(frontier) }
-                        }
+                    let push = push.get_or_insert_with(|| ReplicaMsg::Commit {
+                        record: record.clone().by_name(),
+                        frontier: Some(frontier),
                     });
                     ctx.send(child, push.clone())
                 }
@@ -787,7 +863,7 @@ impl Secondary {
                 ),
             }
         }
-        Apply::Applied
+        Ok(true)
     }
 
     /// Handles an invalidation: mark stale; the pull happens on the next
@@ -842,20 +918,34 @@ impl Secondary {
         }
     }
 
-    /// Handles a batch of fetched records. A batch that still leaves a
-    /// gap (its server's log has a hole) fetches nothing more: asking the
-    /// same server again would return the same batch, and the next
-    /// anti-entropy exchange finds a peer that holds the prefix. The batch
-    /// ends the fetch in flight for its objects.
+    /// Handles a batch of records, fetched or offered. A batch that still
+    /// leaves a gap (its server's log has a hole) asks for nothing more:
+    /// asking the same server again would return the same batch, and the
+    /// next anti-entropy exchange finds a peer that holds the prefix. A
+    /// record offered by name whose bytes we lack is asked of the sender.
+    /// The batch ends the fetch of its objects.
     pub fn on_commits(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
         records: Vec<CommitRecord>,
     ) {
+        let mut fetched = false;
         for r in records {
-            self.fetching.remove(&r.object);
-            self.apply_certified(ctx, from, r);
+            if !r.update.is_empty() {
+                for lack in [Prefix, Record, Pull] {
+                    fetched |= self.wants.remove(&(r.object, lack)).is_some_and(|_| lack != Pull);
+                }
+            }
+            if self.logged_copy(&r) {
+                let l = &mut self.ledger;
+                let class = if fetched { &mut l.commits_fetched } else { &mut l.commits_pushed };
+                class.add(&r.update);
+            }
+            let object = r.object;
+            if let Err(Record) = self.offer(ctx, from, r) {
+                self.fetch(ctx, from, object, Record);
+            }
         }
     }
 
@@ -877,44 +967,40 @@ impl Secondary {
         entries: Vec<SummaryEntry>,
     ) {
         let mut unlisted: Vec<Guid> = Vec::new();
-        if !self.rings.iter().any(|r| r.members.contains(&from)) {
+        let secondary = !self.rings.iter().any(|r| r.members.contains(&from));
+        if secondary {
             let listed: IdSet<Guid> = entries.iter().map(|e| e.object).collect();
             let held = self.store.guids().chain(self.tentative_only());
             unlisted.extend(held.filter(|g| !listed.contains(g)));
             unlisted.sort_unstable();
         }
         for e in entries {
-            self.on_anti_entropy(ctx, from, e.object, e.committed_index, &e.tentative_ids);
+            let (index, ids) = (e.committed_index, &e.tentative_ids);
+            self.on_anti_entropy(ctx, from, secondary, e.object, index, ids);
         }
         for object in unlisted {
-            self.on_anti_entropy(ctx, from, object, 0, &[]);
+            self.on_anti_entropy(ctx, from, secondary, object, 0, &[]);
         }
     }
 
-    /// One object of a peer's summary: send the tentatives and push the
-    /// commits the peer lacks, fetch the commits we lack.
+    /// One object of a peer's summary: offer the tentatives and push the
+    /// commits the peer lacks, fetch the commits we lack. A large update
+    /// goes by name, to be asked for if the peer lacks its bytes: its
+    /// summary lists only its tentative log, so it may hold the record. A
+    /// primary keeps no rumors, so records go to it whole.
     fn on_anti_entropy(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
+        secondary: bool,
         object: Guid,
         committed_index: u64,
         tentative_ids: &[TentativeId],
     ) {
-        if let Some(ours) = self.tentative.get(&object).filter(|ours| !ours.is_empty()) {
+        if let Some(ours) = self.tentative.get(&object) {
             let their: IdSet<&TentativeId> = tentative_ids.iter().collect();
-            for ((timestamp, id), update) in ours {
-                if !their.contains(id) {
-                    ctx.send(
-                        from,
-                        ReplicaMsg::Tentative {
-                            object,
-                            update: update.clone(),
-                            timestamp: *timestamp,
-                            id: *id,
-                        },
-                    );
-                }
+            for (&(timestamp, id), update) in ours.iter().filter(|(k, _)| !their.contains(&k.1)) {
+                ctx.send(from, ReplicaMsg::rumor(object, update.clone(), timestamp, id));
             }
         }
         let ours_committed = self.store.get(&object).map_or(0, |s| s.next_index);
@@ -926,12 +1012,14 @@ impl Secondary {
             } else {
                 self.store.records_from(&object, committed_index)
             };
+            let records: Vec<_> =
+                records.into_iter().map(|r| if secondary { r.by_name() } else { r }).collect();
             if !records.is_empty() {
                 ctx.send(from, ReplicaMsg::Commits { records });
             }
         } else if committed_index > ours_committed {
             // Pull what we lack.
-            ctx.send(from, ReplicaMsg::FetchCommits { object, from_index: ours_committed });
+            self.fetch(ctx, from, object, Pull);
         }
     }
 }

@@ -1,11 +1,11 @@
 //! The tree carries the order, the rumor carries the bytes.
 //!
 //! A secondary parent pushes a record whose update outweighs the rest of
-//! it to its push-mode children by name ([`ReplicaMsg::Named`]): no
-//! update bytes. A child takes them from the rumor it logged, checks
-//! them as it checks bytes that came with a record, and fetches the
-//! whole record from its parent when it holds none that pass. A small
-//! update still travels whole.
+//! it to its push-mode children by name: a [`ReplicaMsg::Commit`] whose
+//! record has no update bytes ([`CommitRecord::by_name`]). A child takes
+//! them from the rumor it logged, checks them as it checks bytes that
+//! came with a record, and fetches the whole record from its parent when
+//! it holds none that pass. A small update still travels whole.
 //!
 //! The deployments are six secondaries in a heap-ordered binary tree:
 //! the primaries push to secondary 0 (the root), which feeds 1 and 2;
@@ -36,7 +36,7 @@ struct Heard {
 enum Kind {
     /// A whole record pushed down the tree, with its update's length.
     Commit(usize),
-    /// A record pushed by name.
+    /// A record pushed by name: a `Commit` without its update bytes.
     Named,
     /// A request for records.
     Fetch,
@@ -57,8 +57,8 @@ impl Protocol for Tap {
 
     fn on_message(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, msg: ReplicaMsg) {
         let what = match &msg {
+            ReplicaMsg::Commit { record, .. } if record.update.is_empty() => Some(Kind::Named),
             ReplicaMsg::Commit { record, .. } => Some(Kind::Commit(record.update.len())),
-            ReplicaMsg::Named { .. } => Some(Kind::Named),
             ReplicaMsg::FetchCommits { .. } => Some(Kind::Fetch),
             _ => None,
         };
@@ -237,7 +237,7 @@ fn a_small_update_travels_with_its_bytes() {
     // names existed (the record and the 8-byte frontier).
     assert_eq!(small_record.update.len(), 22);
     assert_eq!(small_record.wire_size() - small_record.update.len(), 181);
-    assert!(small_record.by_name().is_none());
+    assert!(!small_record.is_large());
     let pushes = heard(&dep, child, root, &Kind::Commit(22));
     assert_eq!(pushes.len(), 1, "the small update's push carries its bytes");
     assert_eq!(pushes[0].wire_size, small_record.wire_size() + 8);

@@ -5,19 +5,21 @@
 //! announcer for the bytes once ([`ReplicaMsg::Want`]) and is answered
 //! with the whole [`ReplicaMsg::Tentative`]. A push by name that finds no
 //! bytes while such a request is outstanding waits for the answer
-//! instead of fetching. A small update's rumor still travels whole.
+//! instead of fetching, and asks its pusher once the request lapses; a
+//! gap fetch starts after the record that waits. A small update's rumor
+//! still travels whole.
 //!
 //! The deployments are six secondaries in a heap-ordered binary tree:
 //! the primaries push to secondary 0 (the root), which feeds 1 and 2;
 //! secondary 1 feeds 3 and 4. Every node's replication role sits in a
 //! [`Tap`] that logs what it hears and can hold back the whole rumors it
-//! is sent until the next push by name has been handled.
+//! is sent until a number of pushes by name have been handled.
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::messages::ReplicaTimer;
 use oceanstore_replica::{
-    build_deployment_with, Deployment, DeploymentOpts, OceanNode, ReplicaMsg, RoleHost,
-    TentativeId,
+    build_deployment_with, CommitRecord, Deployment, DeploymentOpts, OceanNode, ReplicaMsg,
+    RoleHost, TentativeId,
 };
 use oceanstore_sim::{Context, Message, NodeId, Protocol, SimDuration, SimTime};
 use oceanstore_update::object::Block;
@@ -41,7 +43,7 @@ enum Kind {
     Name,
     /// A request for a named rumor's bytes.
     Want,
-    /// A record pushed by name.
+    /// A record pushed by name: a `Commit` without its update bytes.
     Named,
     /// A request for records.
     Fetch,
@@ -57,7 +59,7 @@ impl Kind {
             ReplicaMsg::Tentative { update, .. } => Kind::Tentative(update.len()),
             ReplicaMsg::Heard { .. } => Kind::Name,
             ReplicaMsg::Want { .. } => Kind::Want,
-            ReplicaMsg::Named { .. } => Kind::Named,
+            ReplicaMsg::Commit { record, .. } if record.update.is_empty() => Kind::Named,
             ReplicaMsg::FetchCommits { .. } => Kind::Fetch,
             ReplicaMsg::Commits { .. } => Kind::Commits,
             _ => Kind::Other,
@@ -66,15 +68,18 @@ impl Kind {
 }
 
 /// The replication role, with a log of what it hears. While `hold` is
-/// set, whole rumors wait in `held` until a push by name has been
-/// handled, then arrive in order.
+/// above zero, whole rumors wait in `held` until that many pushes by name
+/// have been handled, then arrive in order.
 struct Tap {
     role: OceanNode,
     heard: Vec<Heard>,
-    hold: bool,
+    hold: usize,
     held: Vec<(NodeId, ReplicaMsg)>,
     /// When the role handled the push by name that released `held`.
     released_at: Option<SimTime>,
+    /// Records that arrived in a batch below the role's frontier: bytes
+    /// it had applied already.
+    stale_records: usize,
 }
 
 impl Protocol for Tap {
@@ -87,13 +92,19 @@ impl Protocol for Tap {
     fn on_message(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, msg: ReplicaMsg) {
         let what = Kind::of(&msg);
         self.heard.push(Heard { at: ctx.now(), from, what, wire_size: msg.wire_size() });
-        if self.hold && matches!(what, Kind::Tentative(_)) {
+        if self.hold > 0 && matches!(what, Kind::Tentative(_)) {
             self.held.push((from, msg));
             return;
         }
+        if let (ReplicaMsg::Commits { records }, Some(s)) = (&msg, self.role.as_secondary()) {
+            let next = |r: &CommitRecord| s.store.get(&r.object).map_or(0, |st| st.next_index);
+            self.stale_records += records.iter().filter(|r| r.index < next(r)).count();
+        }
         self.role.on_message(ctx, from, msg);
-        if self.hold && what == Kind::Named {
-            self.hold = false;
+        if self.hold > 0 && what == Kind::Named {
+            self.hold -= 1;
+        }
+        if self.hold == 0 && !self.held.is_empty() {
             self.released_at = Some(ctx.now());
             for (from, msg) in std::mem::take(&mut self.held) {
                 self.role.on_message(ctx, from, msg);
@@ -127,9 +138,10 @@ fn tapped(opts: &DeploymentOpts, fanout: usize) -> Dep {
     let mut dep = build_deployment_with(opts, |_, role| Tap {
         role,
         heard: Vec::new(),
-        hold: false,
+        hold: 0,
         held: Vec::new(),
         released_at: None,
+        stale_records: 0,
     });
     let client = dep.clients[0];
     dep.sim.node_mut(client).role.as_client_mut().expect("client").set_tentative_fanout(fanout);
@@ -220,7 +232,7 @@ fn a_push_parked_on_a_want_applies_when_the_bytes_come() {
     let update = append(5, 1024);
     let (timestamp, id) = submit(&mut dep, object, &update);
     let (root, child, holder) = (dep.secondaries[0], dep.secondaries[1], dep.secondaries[5]);
-    dep.sim.node_mut(child).hold = true;
+    dep.sim.node_mut(child).hold = 1;
     dep.sim.inject(dep.clients[0], holder, rumor(object, &update, timestamp, id));
     dep.sim.inject(holder, child, ReplicaMsg::Heard { object, timestamp, id });
     dep.sim.run_for(SimDuration::from_secs(2));
@@ -236,10 +248,43 @@ fn a_push_parked_on_a_want_applies_when_the_bytes_come() {
 }
 
 #[test]
+fn a_gap_fetch_skips_a_record_parked_on_an_ask() {
+    // Two updates of one object, rumored to nobody: secondary 1 asks
+    // secondary 5 for the first one's bytes, and the answer is held back
+    // until the root's pushes by name of both records have been handled.
+    // The first push parks on the ask; the second lacks its bytes and
+    // fetches, but from the record after the parked one: once the answer
+    // applies the first, the batch brings nothing the child holds.
+    let mut dep = tapped(&quiet(), 0);
+    let object = Guid::from_label("gap-after-ask");
+    let first = append(8, 1024);
+    let (timestamp, id) = submit(&mut dep, object, &first);
+    submit(&mut dep, object, &append(9, 1024));
+    let (root, child, holder) = (dep.secondaries[0], dep.secondaries[1], dep.secondaries[5]);
+    dep.sim.node_mut(child).hold = 2;
+    dep.sim.inject(dep.clients[0], holder, rumor(object, &first, timestamp, id));
+    dep.sim.inject(holder, child, ReplicaMsg::Heard { object, timestamp, id });
+    dep.sim.run_for(SimDuration::from_secs(2));
+    let named = heard(&dep, child, Kind::Named);
+    assert_eq!(named.len(), 2, "both records pushed by name");
+    assert_eq!(dep.sim.node(child).released_at, Some(named[1].at), "the answer was held");
+    let fetches: Vec<_> = heard(&dep, root, Kind::Fetch).into_iter().filter(|h| h.from == child).collect();
+    assert_eq!(fetches.len(), 1, "one fetch");
+    let batch = heard(&dep, child, Kind::Commits);
+    assert_eq!(batch.len(), 1, "one batch");
+    assert!(batch[0].at > named[1].at, "the answer landed before the batch");
+    assert_eq!(dep.sim.node(child).stale_records, 0, "a batch re-sent a record the child held");
+    assert_eq!(dep.secondary(child).store.get(&object).map(|s| s.next_index), Some(2));
+    assert_eq!(committed_block(&dep, child, &object), vec![8; 1024]);
+    no_rejects(&dep);
+}
+
+#[test]
 fn a_want_to_a_peer_that_holds_nothing_draws_nothing() {
     // Secondary 5 names an update it never held. Secondary 1 asks it,
-    // hears nothing back, and parks the root's push by name on the
-    // request; once the tree is quiet, anti-entropy brings the record.
+    // hears nothing back, and parks the root's push by name on the ask.
+    // Once the ask lapses (one heartbeat interval), the parked push asks
+    // the root, which pushed the record and so holds its bytes.
     let mut dep = tapped(&DeploymentOpts::default(), 0);
     let object = Guid::from_label("empty");
     let (timestamp, id) = submit(&mut dep, object, &append(6, 1024));
@@ -258,16 +303,65 @@ fn a_want_to_a_peer_that_holds_nothing_draws_nothing() {
     let round_trip = pushed + latency + latency + SimDuration::from_millis(1);
     dep.sim.run_for(round_trip.saturating_since(dep.sim.now()));
     assert!(dep.secondary(child).store.get(&object).is_none(), "the push did not wait");
-    assert!(heard(&dep, root, Kind::Fetch).iter().all(|h| h.from != child), "the push fetched");
+    // The record is there by push time + one heartbeat interval (the ask
+    // lapses) + two round trips.
+    let heartbeat = dep.secondary(child).config().heartbeat_interval;
+    let deadline = pushed + heartbeat + (latency + latency) + (latency + latency);
+    dep.sim.run_for(deadline.saturating_since(dep.sim.now()));
+    assert_eq!(committed_block(&dep, child, &object), vec![6; 1024], "the certified record");
     dep.sim.run_for(SimDuration::from_secs(3));
     let wants = heard(&dep, empty, Kind::Want);
     assert_eq!(wants.len(), 1, "one request");
     assert_eq!(wants[0].from, child);
     let answers = dep.sim.node(child).heard.iter().filter(|h| h.from == empty);
     assert_eq!(answers.filter(|h| matches!(h.what, Kind::Tentative(_))).count(), 0);
-    assert_eq!(committed_block(&dep, child, &object), vec![6; 1024], "the certified record");
     assert_eq!(heard(&dep, child, Kind::Named).len(), 1, "one push by name");
-    assert!(!heard(&dep, child, Kind::Commits).is_empty(), "the record came in a batch");
+    // The parked push asked its pusher once, by name, and the bytes came
+    // back once; nothing was fetched.
+    let asked = heard(&dep, root, Kind::Want).into_iter().filter(|h| h.from == child).count();
+    assert_eq!(asked, 1, "one ask of the pusher");
+    let from_root = dep.sim.node(child).heard.iter().filter(|h| h.from == root);
+    assert_eq!(from_root.filter(|h| matches!(h.what, Kind::Tentative(_))).count(), 1);
+    assert!(heard(&dep, root, Kind::Fetch).iter().all(|h| h.from != child), "the push fetched");
+    assert_eq!(dep.secondary(child).store.get(&object).map(|s| s.next_index), Some(1));
+    no_rejects(&dep);
+}
+
+#[test]
+fn records_after_a_push_parked_on_a_silent_announcer_follow_it() {
+    // Two updates of one object, rumored to nobody. Secondary 5 names the
+    // first to secondary 1 but holds nothing, so the root's push by name
+    // of the first record parks on an ask that is never answered. The
+    // second record lacks its bytes too and is fetched from the record
+    // after the parked one; that batch lands while the first record is
+    // still missing, finds a gap and is dropped. Once the ask lapses, the
+    // parked push asks the root for its bytes, and the record that
+    // applies asks again for what follows it: both records are there by
+    // the second push + one heartbeat interval + two round trips.
+    let mut dep = tapped(&quiet(), 0);
+    let object = Guid::from_label("after-a-silent-announcer");
+    let (timestamp, id) = submit(&mut dep, object, &append(10, 1024));
+    submit(&mut dep, object, &append(11, 1024));
+    let (root, child, empty) = (dep.secondaries[0], dep.secondaries[1], dep.secondaries[5]);
+    dep.sim.inject(empty, child, ReplicaMsg::Heard { object, timestamp, id });
+    let pushed = loop {
+        if let [_, second] = heard(&dep, child, Kind::Named)[..] {
+            break second.at;
+        }
+        assert!(dep.sim.now() < SimTime::ZERO + SimDuration::from_secs(5), "no pushes came");
+        dep.sim.run_for(SimDuration::from_millis(1));
+    };
+    let latency = DeploymentOpts::default().latency;
+    let heartbeat = dep.secondary(child).config().heartbeat_interval;
+    let deadline = pushed + heartbeat + (latency + latency) + (latency + latency);
+    dep.sim.run_for(deadline.saturating_since(dep.sim.now()));
+    let log = &dep.sim.node(child).heard;
+    let answer = log.iter().find(|h| h.from == root && matches!(h.what, Kind::Tentative(_)));
+    let batch = heard(&dep, child, Kind::Commits).first().map(|h| h.at).expect("a batch");
+    assert!(batch < answer.expect("the root answered").at, "the batch came after the bytes");
+    assert_eq!(dep.secondary(child).store.get(&object).map(|s| s.next_index), Some(2));
+    assert_eq!(committed_block(&dep, child, &object), vec![10; 1024]);
+    assert!(heard(&dep, empty, Kind::Want).iter().all(|h| h.from == child), "one asker");
     no_rejects(&dep);
 }
 
