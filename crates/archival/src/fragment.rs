@@ -14,8 +14,10 @@
 //! process that names it reads the CID from its buffer's memo, filled when
 //! the bytes were first hashed (DESIGN.md "One name per fragment").
 
+use std::ops::Range;
+
 use oceanstore_crypto::merkle::{MerkleProof, MerkleTree};
-use oceanstore_erasure::object::ObjectCodec;
+use oceanstore_erasure::object::{self, ObjectCodec};
 use oceanstore_erasure::rs::CodeError;
 use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
@@ -69,14 +71,35 @@ pub struct Archive {
 }
 
 /// Erasure-codes `data` and wraps every fragment with its verification
-/// path. Each fragment is its own buffer, named once here: the CIDs are
-/// the tree's leaves and stay in the buffers' memos.
+/// path: [`archive_framed`] of `data` framed for `codec`.
 ///
 /// # Errors
 ///
 /// Propagates encoding errors from the codec.
 pub fn archive_object(codec: &ObjectCodec, data: &[u8]) -> Result<Archive, CodeError> {
-    let shards: Vec<Bytes> = codec.encode_object(data)?.into_iter().map(Bytes::from).collect();
+    archive_framed(codec, object::frame(data, codec.data_shards()))
+}
+
+/// Erasure-codes an object framed for `codec` ([`object::framed`]) and
+/// wraps every fragment with its verification path. The `k` data
+/// fragments are views of `framed` and the parity fragments views of one
+/// parity buffer, so no fragment is copied; all `n` are named once here:
+/// the CIDs are the tree's leaves and stay in the two buffers' memos.
+///
+/// # Errors
+///
+/// Propagates encoding errors from the codec.
+pub fn archive_framed(codec: &ObjectCodec, framed: Vec<u8>) -> Result<Archive, CodeError> {
+    let parity = Bytes::from(codec.encode_framed(&framed)?);
+    let framed = Bytes::from(framed);
+    let k = codec.data_shards();
+    let shard_len = framed.len() / k;
+    let shards: Vec<Bytes> = (0..codec.total_shards())
+        .map(|i| {
+            let (rows, row) = if i < k { (&framed, i) } else { (&parity, i - k) };
+            rows.slice(row * shard_len..(row + 1) * shard_len)
+        })
+        .collect();
     let cids = Guid::for_contents(&shards);
     let tree = MerkleTree::build(&cids.iter().map(Guid::as_bytes).collect::<Vec<_>>());
     let root = tree.root();
@@ -107,16 +130,21 @@ pub fn reconstruct_object(
     codec: &ObjectCodec,
     fragments: &[Fragment],
 ) -> Result<Vec<u8>, CodeError> {
-    reconstruct_verified(codec, fragments.iter().filter(|f| f.verify()))
+    let verified = fragments.iter().filter(|f| f.verify());
+    let (mut framed, object) = reconstruct_verified(codec, verified)?;
+    framed.truncate(object.end);
+    framed.drain(..object.start);
+    Ok(framed)
 }
 
-/// [`reconstruct_object`] over fragments the caller has verified already
-/// (the fetch protocol checks each on arrival): none is named again, and
-/// each is read through its view, not copied.
+/// The framed object ([`object::framed`]) back from fragments the caller
+/// has verified already (the fetch protocol checks each on arrival), and
+/// where the object sits in it: none is named again, and each is read
+/// through its view ([`ObjectCodec::decode_framed`]).
 pub(crate) fn reconstruct_verified<'a>(
     codec: &ObjectCodec,
     fragments: impl IntoIterator<Item = &'a Fragment>,
-) -> Result<Vec<u8>, CodeError> {
+) -> Result<(Vec<u8>, Range<usize>), CodeError> {
     let n = codec.total_shards();
     let mut shards: Vec<Option<Bytes>> = vec![None; n];
     let mut have = 0usize;
@@ -129,7 +157,7 @@ pub(crate) fn reconstruct_verified<'a>(
     if have < codec.data_shards() {
         return Err(CodeError::NotEnoughShards { have, need: codec.data_shards() });
     }
-    codec.decode_object(&mut shards)
+    codec.decode_framed(&shards)
 }
 
 /// `fragment` with byte `at` of its payload xor-ed with `mask`, in a
@@ -144,7 +172,8 @@ pub(crate) fn flipped(fragment: &Fragment, at: usize, mask: u8) -> Fragment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oceanstore_erasure::object::CodeKind;
+    use oceanstore_erasure::object::{split_into_shards, CodeKind};
+    use std::sync::Arc;
 
     fn codec() -> ObjectCodec {
         ObjectCodec::new(CodeKind::ReedSolomon, 8, 16, 0).unwrap()
@@ -249,5 +278,42 @@ mod tests {
         // Generous survivor set for the peeling decoder.
         let out = reconstruct_object(&codec, &arch.fragments[..20]).unwrap();
         assert_eq!(out, payload());
+    }
+
+    fn hex(guid: &Guid) -> String {
+        guid.as_bytes().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The archive GUID is a pure function of the object's bytes and the
+    /// code: pinned for a 1 MiB object at RS(16, 32), the `bulk_archive`
+    /// shape, and a 64 KiB one at RS(8, 16).
+    #[test]
+    fn archive_guids_are_pinned() {
+        let object = |len: u32| -> Vec<u8> {
+            (0..len).map(|i| (i * 31 + (i >> 9)) as u8).collect()
+        };
+        let big = ObjectCodec::new(CodeKind::ReedSolomon, 16, 32, 0).unwrap();
+        let arch = archive_object(&big, &object(1 << 20)).unwrap();
+        assert_eq!(hex(&arch.guid), "a311e091c61f43328ef380e13c2140b1ed8c8002");
+        let small = archive_object(&codec(), &object(64 << 10)).unwrap();
+        assert_eq!(hex(&small.guid), "6766963a67b6ad627a2c6c20d4fb3d1f35170e4b");
+    }
+
+    /// An archive is built from views: the data fragments are `k` slices
+    /// of one buffer, the framed object, and the parity fragments `n − k`
+    /// slices of another.
+    #[test]
+    fn fragments_are_views_of_two_buffers() {
+        let data = payload();
+        let arch = archive_object(&codec(), &data).unwrap();
+        let (data_fragments, parity) = arch.fragments.split_at(8);
+        let one_buffer = |frags: &[Fragment]| {
+            frags.iter().all(|f| Arc::ptr_eq(f.data.buffer(), frags[0].data.buffer()))
+        };
+        assert!(one_buffer(data_fragments), "the data fragments share the framed object");
+        assert!(one_buffer(parity), "the parity fragments share one buffer");
+        assert!(!Arc::ptr_eq(data_fragments[0].data.buffer(), parity[0].data.buffer()));
+        let framed: Vec<u8> = data_fragments.iter().flat_map(|f| f.data.to_vec()).collect();
+        assert_eq!(framed, split_into_shards(&data, 8).concat());
     }
 }

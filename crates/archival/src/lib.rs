@@ -20,7 +20,9 @@ pub mod reliability;
 pub mod store;
 
 pub use disperse::{max_domain_concentration, plan_dissemination, StorageSite};
-pub use fragment::{archive_guid, archive_object, reconstruct_object, Archive, Fragment};
+pub use fragment::{
+    archive_framed, archive_guid, archive_object, reconstruct_object, Archive, Fragment,
+};
 pub use protocol::{disseminate, ArchMsg, ArchNode, ArchTimer, FetchOutcome, TrackedArchive};
 pub use store::{FragStore, FragStoreHealth};
 pub use reliability::{availability, erasure_availability, nines, replication_availability};

@@ -16,7 +16,7 @@ use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Context, Message, NodeId, Protocol, SimDuration, SimTime};
 
-use crate::fragment::{archive_object, reconstruct_verified, Fragment};
+use crate::fragment::{archive_framed, reconstruct_verified, Fragment};
 use crate::store::{FragStore, FragStoreHealth};
 
 /// The archival layer's one deadline, handed back when it fires.
@@ -79,7 +79,8 @@ impl Message for ArchMsg {
 /// Result of a completed fetch.
 #[derive(Debug, Clone)]
 pub struct FetchOutcome {
-    /// The reconstructed bytes; a reader takes a view, not a copy.
+    /// The reconstructed bytes: a view of the framed object the fragments
+    /// were joined into, so a reader takes a view, not a copy.
     pub data: Bytes,
     /// When reconstruction succeeded.
     pub completed_at: SimTime,
@@ -201,6 +202,12 @@ impl ArchNode {
         self.tracked.iter().find(|t| t.archive == *archive).map(|t| t.holders.as_slice())
     }
 
+    /// The fragments of `archive` stored here, by index: what a `Request`
+    /// for it is answered with.
+    pub fn fragments_of(&mut self, archive: &Guid) -> Vec<Fragment> {
+        self.store.of_archive(archive)
+    }
+
     /// The outcome of fetch `id`, if complete.
     pub fn outcome(&self, id: u64) -> Option<&FetchOutcome> {
         self.outcomes.get(&id)
@@ -255,30 +262,32 @@ impl ArchNode {
         }
         // Enough fragments may have arrived: try to reconstruct from the
         // received ones, each verified once, above.
-        if let Ok(data) = reconstruct_verified(&p.codec, &p.received) {
+        if let Ok((framed, object)) = reconstruct_verified(&p.codec, &p.received) {
             let p = self.pending.remove(&id).expect("present");
             match p.purpose {
                 FetchPurpose::Read => {
                     self.outcomes.insert(
                         id,
                         FetchOutcome {
-                            data: data.into(),
+                            data: Bytes::from(framed).slice(object),
                             completed_at: ctx.now(),
                             fragments_used: p.received.len(),
                         },
                     );
                 }
                 FetchPurpose::Repair { archive } => {
-                    self.finish_repair(ctx, archive, &data);
+                    self.finish_repair(ctx, archive, framed);
                 }
             }
         }
     }
 
-    /// Re-encode and re-disseminate a repaired archive to live sites.
-    fn finish_repair(&mut self, ctx: &mut Context<'_, ArchMsg>, archive: Guid, data: &[u8]) {
+    /// Re-encode and re-disseminate a repaired archive to live sites. The
+    /// reconstruction is the framed object itself, padding included, so it
+    /// is encoded as it is: its data fragments are views of it.
+    fn finish_repair(&mut self, ctx: &mut Context<'_, ArchMsg>, archive: Guid, framed: Vec<u8>) {
         let Some(t) = self.tracked.iter_mut().find(|t| t.archive == archive) else { return };
-        let arch = match archive_object(&t.codec, data) {
+        let arch = match archive_framed(&t.codec, framed) {
             Ok(a) => a,
             Err(_) => return,
         };
@@ -383,7 +392,7 @@ impl Protocol for ArchNode {
                 }
             }
             ArchMsg::Request { id, archive, origin } => {
-                for fragment in self.store.of_archive(&archive) {
+                for fragment in self.fragments_of(&archive) {
                     ctx.send(origin, ArchMsg::Response { id, fragment });
                 }
             }

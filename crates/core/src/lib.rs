@@ -44,7 +44,12 @@ pub use system::{ArchiveRef, CoreError, ObjectRef, OceanStore, OceanStoreBuilder
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use oceanstore_erasure::object;
+    use oceanstore_naming::guid::{content_bytes_hashed, Guid};
     use oceanstore_sim::SimDuration;
+    use oceanstore_update::object::Block;
     use oceanstore_update::ops;
     use oceanstore_update::session::{GuaranteeSet, SessionState};
     use oceanstore_update::update::{Action, Predicate};
@@ -54,6 +59,7 @@ mod tests {
     use crate::facade::txn::{Transaction, TxnOutcome};
     use crate::facade::web::WebGateway;
     use crate::system::{ArchiveRef, OceanStore, UpdateOutcome};
+    use crate::version_codec;
 
     #[test]
     fn end_to_end_write_read() {
@@ -201,6 +207,14 @@ mod tests {
             .unwrap();
         ocean.settle(SimDuration::from_secs(2));
         let archive = ocean.archive(&obj).unwrap();
+        let original: Vec<Guid> = (0..archive.holders.len())
+            .map(|index| {
+                let holder = ocean.sim().node_mut(archive.holders[index]);
+                let held = holder.arch.fragments_of(&archive.guid);
+                let fragment = held.iter().find(|f| f.index == index).expect("a disseminated slot");
+                Guid::for_view(&fragment.data)
+            })
+            .collect();
         let sweeper = ocean.clients()[1];
         let threshold = 14;
         ocean.enable_archive_sweeper(sweeper, &archive, SimDuration::from_secs(2), threshold);
@@ -210,13 +224,67 @@ mod tests {
         }
         ocean.settle(SimDuration::from_secs(12));
         let sim = ocean.sim();
-        let tracked = sim.node(sweeper).arch.tracked_holders(&archive.guid).expect("tracked");
+        let tracked =
+            sim.node(sweeper).arch.tracked_holders(&archive.guid).expect("tracked").to_vec();
         let live: Vec<_> = tracked.iter().copied().filter(|&h| !sim.is_down(h)).collect();
         assert!(live.len() >= threshold, "only {} live holders after the sweeps", live.len());
+        // The repair re-encoded the framed object it rebuilt: every live
+        // holder of a slot holds that slot's original fragment.
+        for (index, &holder) in tracked.iter().enumerate() {
+            if !sim.is_down(holder) {
+                let held = sim.node_mut(holder).arch.fragments_of(&archive.guid);
+                let fragment =
+                    held.iter().find(|f| f.index == index).expect("a repaired slot is held");
+                assert_eq!(Guid::for_view(&fragment.data), original[index], "slot {index}");
+            }
+        }
         // And the version comes back from the repaired placement alone.
         let repaired = ArchiveRef { holders: live, ..archive };
         let blocks = ocean.recover_from_archive(sweeper, &repaired, &obj.keys, 4).unwrap();
         assert_eq!(blocks, vec![b"kept whole".to_vec()]);
+    }
+
+    /// `bulk_archive`'s shape: archiving a 1 MiB version at RS(16, 32)
+    /// names its n fragments once, n · shard_len bytes and no more, and
+    /// recovering it names nothing. The recovered bytes are a view of the
+    /// framed object the fragments were joined into, and so is every data
+    /// block of the version decoded from them.
+    #[test]
+    fn an_archive_is_named_once_and_recovered_as_views_of_one_buffer() {
+        let (k, n) = (16, 32);
+        let mut ocean = OceanStore::builder().seed(23).archival_code(k, n).build();
+        let obj = ocean.create_object(0, "bulk");
+        let block: Vec<u8> = (0..1u32 << 20).map(|i| (i * 7 + (i >> 11)) as u8).collect();
+        ocean
+            .update(0, &obj, &ops::initial_write(&obj.keys, b"bulk", &[&block], &[]))
+            .unwrap();
+        ocean.settle(SimDuration::from_secs(2));
+        let dep = ocean.deployment();
+        let view = dep.secondary(dep.secondaries[0]).committed_view(&obj.guid).expect("committed");
+        let shard_len = object::shard_len(version_codec::encoded_len(view.current()), k);
+
+        let before = content_bytes_hashed();
+        let archive = ocean.archive(&obj).unwrap();
+        assert_eq!(content_bytes_hashed() - before, (n * shard_len) as u64);
+        let requester = ocean.clients()[0];
+        let before = content_bytes_hashed();
+        let blocks = ocean.recover_from_archive(requester, &archive, &obj.keys, 0).unwrap();
+        assert_eq!(content_bytes_hashed() - before, 0);
+        assert_eq!(blocks, vec![block]);
+
+        let (id, guid, holders) = (1 << 40, archive.guid, archive.holders.clone());
+        ocean.sim().with_node_ctx(requester, |server, ctx| {
+            server.with_arch(ctx, |a, ictx| a.fetch(ictx, id, guid, archive.codec, &holders, 0));
+        });
+        ocean.settle(SimDuration::from_secs(2));
+        let data = ocean.sim().node(requester).arch.outcome(id).expect("recovered").data.clone();
+        assert_eq!(data.buffer().len(), k * shard_len, "a view of the framed object");
+        let version = version_codec::decode_version(&data).expect("decodes");
+        for block in &version.blocks {
+            if let Block::Data(d) = block {
+                assert!(Arc::ptr_eq(d.buffer(), data.buffer()), "a block copied out");
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use oceanstore_archival::{archive_object, Archive, TrackedArchive};
+use oceanstore_archival::{archive_framed, Archive, TrackedArchive};
 use oceanstore_consensus::messages::RequestId;
 use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
-use oceanstore_erasure::object::{CodeKind, ObjectCodec};
+use oceanstore_erasure::object::{self, CodeKind, ObjectCodec};
 use oceanstore_erasure::rs::CodeError;
 use oceanstore_naming::guid::Guid;
 use oceanstore_plaxton::{build_network, PlaxtonConfig};
@@ -442,9 +442,14 @@ impl OceanStore {
             .find_map(|&s| Some((s, dep.secondary(s).committed_view(&object.guid)?)))
             .ok_or(CoreError::NoSuitableReplica)?;
         let version_no = data.version_number();
-        let bytes = version_codec::encode_version(data.current());
         let codec = ObjectCodec::new(CodeKind::ReedSolomon, self.archival_k, self.archival_n, 0)?;
-        let arch = archive_object(&codec, &bytes)?;
+        // The version is written once, straight into the framed object
+        // whose k slices are the data fragments.
+        let version = data.current();
+        let framed = object::framed(version_codec::encoded_len(version), self.archival_k, |buf| {
+            version_codec::write_version(version, buf)
+        });
+        let arch = archive_framed(&codec, framed)?;
         // Disseminate round-robin over the server pool.
         let sites = self.servers();
         let Archive { guid, fragments, .. } = arch;

@@ -11,9 +11,21 @@ use oceanstore_crypto::swp::EncryptedIndex;
 use oceanstore_naming::bytes::Bytes;
 use oceanstore_update::object::{Block, Version};
 
-/// Encodes a version canonically.
-pub fn encode_version(v: &Version) -> Vec<u8> {
-    let mut out = Vec::new();
+/// The length of [`write_version`]'s encoding of `v`, without encoding.
+pub fn encoded_len(v: &Version) -> usize {
+    let blocks: usize = v
+        .blocks
+        .iter()
+        .map(|b| match b {
+            Block::Data(d) => 1 + 4 + d.len(),
+            Block::Index(ptrs) => 1 + 4 + 8 * ptrs.len(),
+        })
+        .sum();
+    8 + 4 + blocks + 4 + v.search_index.wire_size()
+}
+
+/// Appends the canonical encoding of `v` to `out`: [`encoded_len`] bytes.
+pub fn write_version(v: &Version, out: &mut Vec<u8>) {
     out.extend_from_slice(&v.number.to_be_bytes());
     out.extend_from_slice(&(v.blocks.len() as u32).to_be_bytes());
     for b in &v.blocks {
@@ -35,10 +47,9 @@ pub fn encode_version(v: &Version) -> Vec<u8> {
     let idx = v.search_index.to_bytes();
     out.extend_from_slice(&(idx.len() as u32).to_be_bytes());
     out.extend_from_slice(&idx);
-    out
 }
 
-/// Decodes bytes produced by [`encode_version`]; `None` on corruption.
+/// Decodes bytes produced by [`write_version`]; `None` on corruption.
 /// Each data block of the result is a view of `bytes`' buffer.
 pub fn decode_version(bytes: &Bytes) -> Option<Version> {
     let mut pos = 0usize;
@@ -85,6 +96,12 @@ pub fn decode_version(bytes: &Bytes) -> Option<Version> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_version(v: &Version) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_version(v, &mut out);
+        out
+    }
     use oceanstore_crypto::swp::SearchKey;
 
     fn sample() -> Version {
@@ -115,6 +132,14 @@ mod tests {
             if let Block::Data(d) = block {
                 assert!(Arc::ptr_eq(d.buffer(), enc.buffer()), "a block copied out of the archive");
             }
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_the_encoding_length() {
+        let empty = Version { number: 0, blocks: Vec::new(), search_index: Arc::default() };
+        for v in [sample(), empty] {
+            assert_eq!(encoded_len(&v), encode_version(&v).len());
         }
     }
 

@@ -26,10 +26,12 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// runtime-dispatched AVX2 kernel module in `gf256` (split-nibble `PSHUFB`
-// multiply), which carries its own `#[allow(unsafe_code)]` plus SAFETY
-// comments. Everything else in the crate stays safe code.
+// `deny` rather than `forbid`: the one sanctioned exception is `gf256::x86`,
+// the module of the runtime-dispatched x86-64 dot-product kernels (GFNI on
+// AVX-512, split-nibble `PSHUFB` on AVX2), which carries its own
+// `#[allow(unsafe_code)]`: its safe entry points check the CPU features and
+// the row shapes, each `unsafe` block under a SAFETY comment. Everything
+// else in the crate stays safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -6,9 +6,78 @@
 //! length prefix and padding — so the codecs in [`crate::rs`] and
 //! [`crate::tornado`] can work on equal-length shards, and exposes a
 //! unified [`ObjectCodec`] for the archival layer.
+//!
+//! A framed object is one buffer: the 8-byte little-endian length, the
+//! object, then zero padding to `k` shards of [`shard_len`] bytes. Its `k`
+//! equal slices are the data shards. [`ObjectCodec::encode_framed`] takes
+//! one and gives the parity in one buffer; [`ObjectCodec::decode_framed`]
+//! gives one back from surviving shards. [`ObjectCodec::encode_object`]
+//! and [`ObjectCodec::decode_object`] do the same over one buffer per
+//! shard.
+
+use std::ops::Range;
 
 use crate::rs::{CodeError, ReedSolomon};
 use crate::tornado::Tornado;
+
+/// Length of the prefix that frames an object: its length, 8 bytes
+/// little-endian.
+const PREFIX: usize = 8;
+
+/// Bytes per shard when an object of `len` bytes is framed into `k`
+/// shards: the prefix and the object, rounded up to whole shards of at
+/// least one byte.
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub fn shard_len(len: usize, k: usize) -> usize {
+    assert!(k > 0, "need at least one shard");
+    (PREFIX + len).div_ceil(k).max(1)
+}
+
+/// Frames an object of `len` bytes that `write` appends to the buffer it
+/// is handed: the prefix, what `write` appends, then zero padding to `k`
+/// shards of [`shard_len`] bytes. The buffer is allocated once, at its
+/// final size, and each byte is written once.
+///
+/// # Panics
+///
+/// Panics if `k == 0`, or if `write` appends other than `len` bytes.
+pub fn framed(len: usize, k: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let total = k * shard_len(len, k);
+    let mut buf = Vec::with_capacity(total);
+    buf.extend_from_slice(&(len as u64).to_le_bytes());
+    write(&mut buf);
+    assert_eq!(buf.len(), PREFIX + len, "the object is the length it was framed for");
+    buf.resize(total, 0);
+    buf
+}
+
+/// `data` framed into `k` shards ([`framed`]).
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub fn frame(data: &[u8], k: usize) -> Vec<u8> {
+    framed(data.len(), k, |buf| buf.extend_from_slice(data))
+}
+
+/// Where the object sits in a framed buffer: after the prefix, as long as
+/// the prefix says.
+///
+/// # Errors
+///
+/// [`CodeError::CorruptObject`] if the buffer is shorter than the prefix
+/// or than the object it names.
+fn framed_object(framed: &[u8]) -> Result<Range<usize>, CodeError> {
+    let prefix = framed.get(..PREFIX).ok_or(CodeError::CorruptObject)?;
+    let len = u64::from_le_bytes(prefix.try_into().expect("8 bytes"));
+    match usize::try_from(len) {
+        Ok(len) if len <= framed.len() - PREFIX => Ok(PREFIX..PREFIX + len),
+        _ => Err(CodeError::CorruptObject),
+    }
+}
 
 /// Splits `data` into exactly `k` equal-length shards, prefixed with the
 /// original length (8 bytes little-endian) and zero-padded. Each byte is
@@ -18,9 +87,8 @@ use crate::tornado::Tornado;
 ///
 /// Panics if `k == 0`.
 pub fn split_into_shards(data: &[u8], k: usize) -> Vec<Vec<u8>> {
-    assert!(k > 0, "need at least one shard");
+    let shard_len = shard_len(data.len(), k);
     let prefix = (data.len() as u64).to_le_bytes();
-    let shard_len = (prefix.len() + data.len()).div_ceil(k).max(1);
     // What is left to place of the prefix, then of the data.
     let (mut prefix, mut data) = (&prefix[..], data);
     (0..k)
@@ -137,6 +205,56 @@ impl ObjectCodec {
         }
     }
 
+    /// The `n - k` parity fragments of a framed object ([`framed`]), laid
+    /// end to end in one buffer: fragment `k + i` is its `i`-th
+    /// `framed.len() / k` bytes, and fragment `i < k` is the framed
+    /// object's.
+    ///
+    /// # Errors
+    ///
+    /// [`CodeError::ShardSizeMismatch`] unless `framed` is `k` shards of
+    /// one or more bytes.
+    pub fn encode_framed(&self, framed: &[u8]) -> Result<Vec<u8>, CodeError> {
+        match self {
+            ObjectCodec::Rs(c) => c.parity_joined(framed),
+            ObjectCodec::Tornado(c) => {
+                let k = c.data_shards();
+                if framed.is_empty() || !framed.len().is_multiple_of(k) {
+                    return Err(CodeError::ShardSizeMismatch);
+                }
+                let shards: Vec<&[u8]> = framed.chunks_exact(framed.len() / k).collect();
+                Ok(c.encode(&shards)?[k..].concat())
+            }
+        }
+    }
+
+    /// The framed object ([`framed`]) back from surviving fragments
+    /// (`None` = lost), and where the object sits in it: the `k` data
+    /// fragments end to end in one buffer. For Reed-Solomon those present
+    /// are copied in and the missing rebuilt in place, from survivors read
+    /// where they are.
+    ///
+    /// # Errors
+    ///
+    /// As [`ObjectCodec::decode_object`].
+    pub fn decode_framed<T: AsRef<[u8]>>(
+        &self,
+        fragments: &[Option<T>],
+    ) -> Result<(Vec<u8>, Range<usize>), CodeError> {
+        let joined = match self {
+            ObjectCodec::Rs(c) => c.reconstruct_joined(fragments)?,
+            ObjectCodec::Tornado(c) => {
+                // The peeling decoder works on owned shards.
+                let mut owned: Vec<Option<Vec<u8>>> =
+                    fragments.iter().map(|f| f.as_ref().map(|s| s.as_ref().to_vec())).collect();
+                c.reconstruct(&mut owned)?;
+                owned.into_iter().take(c.data_shards()).flatten().collect::<Vec<_>>().concat()
+            }
+        };
+        let object = framed_object(&joined)?;
+        Ok((joined, object))
+    }
+
     /// Decodes an object from surviving fragments (`None` = lost). The
     /// data fragments missing are rebuilt in place; for Reed-Solomon that
     /// is all that is rebuilt, and the fragments present are read where
@@ -204,6 +322,35 @@ mod tests {
         let mut shards = split_into_shards(b"abc", 1);
         shards[0][0] = 0xff; // claim a huge length
         assert_eq!(join_shards(&shards), Err(CodeError::CorruptObject));
+    }
+
+    #[test]
+    fn a_framed_object_is_its_shards_end_to_end() {
+        for len in [0usize, 1, 7, 8, 9, 100, 1000] {
+            for k in [1usize, 2, 3, 16] {
+                let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+                let framed = frame(&data, k);
+                assert_eq!(framed.len(), k * shard_len(len, k));
+                assert_eq!(framed, split_into_shards(&data, k).concat(), "len={len} k={k}");
+                assert_eq!(&framed[framed_object(&framed).unwrap()], &data[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn framed_object_rejects_bad_prefixes() {
+        assert_eq!(framed_object(&[0; 7]), Err(CodeError::CorruptObject));
+        let mut framed = frame(b"abc", 2);
+        framed[0] = 0xff; // claim a longer object than the buffer holds
+        assert_eq!(framed_object(&framed), Err(CodeError::CorruptObject));
+        framed[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(framed_object(&framed), Err(CodeError::CorruptObject));
+    }
+
+    #[test]
+    #[should_panic(expected = "the length it was framed for")]
+    fn framed_holds_the_writer_to_its_length() {
+        framed(4, 2, |buf| buf.extend_from_slice(b"abc"));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use crate::gf256::{dot_on, Kernel};
 use crate::matrix::Matrix;
 
 /// Errors from erasure encode/decode.
@@ -130,32 +131,42 @@ impl ReedSolomon {
         if data.len() != self.k {
             return Err(CodeError::ShardSizeMismatch);
         }
-        let cols: Vec<&[u8]> = data.iter().map(|s| s.as_ref()).collect();
-        let len = cols[0].len();
-        if cols.iter().any(|s| s.len() != len) {
+        let data: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
+        let len = data[0].len();
+        if data.iter().any(|s| s.len() != len) {
             return Err(CodeError::ShardSizeMismatch);
         }
-        let parity_coeffs: Vec<Vec<u8>> = (self.k..self.n)
-            .map(|r| (0..self.k).map(|c| self.enc.get(r, c)).collect())
-            .collect();
-        Ok(Self::parity_rows(&cols, &parity_coeffs, len))
+        let mut rows: Vec<Vec<u8>> = (self.k..self.n).map(|_| vec![0u8; len]).collect();
+        let mut outs: Vec<&mut [u8]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
+        self.parity_on(Kernel::best(), &data, &mut outs);
+        Ok(rows)
     }
 
-    /// Computes parity rows: `row[r][i] = Σ_c coeffs[r][c] · cols[c][i]`.
+    /// [`ReedSolomon::parity`] of the `k` data shards laid end to end in
+    /// `data`, laid end to end in one buffer of `n - k` shards: a framed
+    /// object ([`crate::object::framed`]) in, its parity out, and no shard
+    /// copied on either side.
     ///
-    /// Each row starts at zero and every column accumulates into all rows
-    /// in one pass through [`crate::gf256::mul_acc_multi`].
-    fn parity_rows(cols: &[&[u8]], coeffs: &[Vec<u8>], len: usize) -> Vec<Vec<u8>> {
-        let mut rows = vec![vec![0u8; len]; coeffs.len()];
-        for (c, col) in cols.iter().enumerate() {
-            let mut fused: Vec<(&mut [u8], u8)> = rows
-                .iter_mut()
-                .zip(coeffs)
-                .map(|(row, cs)| (row.as_mut_slice(), cs[c]))
-                .collect();
-            crate::gf256::mul_acc_multi(&mut fused, col);
+    /// # Errors
+    ///
+    /// [`CodeError::ShardSizeMismatch`] unless `data` is `k` shards of
+    /// one or more bytes.
+    pub(crate) fn parity_joined(&self, data: &[u8]) -> Result<Vec<u8>, CodeError> {
+        if data.is_empty() || !data.len().is_multiple_of(self.k) {
+            return Err(CodeError::ShardSizeMismatch);
         }
-        rows
+        let len = data.len() / self.k;
+        let mut parity = vec![0u8; (self.n - self.k) * len];
+        let mut outs: Vec<&mut [u8]> = parity.chunks_exact_mut(len).collect();
+        self.parity_on(Kernel::best(), &data.chunks_exact(len).collect::<Vec<_>>(), &mut outs);
+        Ok(parity)
+    }
+
+    /// Writes the parity of `data` into `outs` on `kernel`: the code
+    /// matrix's parity rows times the data shards.
+    fn parity_on(&self, kernel: Kernel, data: &[&[u8]], outs: &mut [&mut [u8]]) {
+        let coeffs: Vec<u8> = (self.k..self.n).flat_map(|r| self.enc.row(r)).copied().collect();
+        dot_on(kernel, outs, &coeffs, data, false);
     }
 
     /// The plain encode: zero-filled parity rows accumulated one
@@ -200,41 +211,105 @@ impl ReedSolomon {
     where
         T: AsRef<[u8]> + From<Vec<u8>>,
     {
-        if shards.len() != self.n {
-            return Err(CodeError::ShardSizeMismatch);
-        }
-        let present: Vec<usize> =
-            (0..self.n).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < self.k {
-            return Err(CodeError::NotEnoughShards { have: present.len(), need: self.k });
-        }
-        let shard = |i: usize| shards[i].as_ref().expect("present").as_ref();
-        let len = shard(present[0]).len();
-        if present.iter().any(|&i| shard(i).len() != len) {
-            return Err(CodeError::ShardSizeMismatch);
-        }
+        let len = self.shard_len(shards)?;
         let lost: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
         if lost.is_empty() {
             return Ok(()); // every data shard is here
         }
-        // Use the first k surviving shards (the data shards present come
-        // first) to recover the lost data shards.
-        let use_rows = &present[..self.k];
-        let sub = self.enc.select_rows(use_rows);
-        let dec = sub.inverse().expect("any k rows of the RS matrix are invertible");
-        // data[c] = sum_j dec[c][j] * shards[use_rows[j]] for each lost c,
-        // computed source-major: each surviving shard streams through all
-        // lost rows in one pass.
-        let survivors: Vec<&[u8]> = use_rows.iter().map(|&row| shard(row)).collect();
-        let dec_coeffs: Vec<Vec<u8>> = lost
-            .iter()
-            .map(|&c| (0..self.k).map(|j| dec.get(c, j)).collect())
-            .collect();
-        let rebuilt = Self::parity_rows(&survivors, &dec_coeffs, len);
-        for (&i, d) in lost.iter().zip(rebuilt) {
-            shards[i] = Some(T::from(d));
+        let mut rows: Vec<Vec<u8>> = lost.iter().map(|_| vec![0u8; len]).collect();
+        let mut outs: Vec<&mut [u8]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
+        self.rebuild_on(Kernel::best(), shards, &lost, &mut outs);
+        for (&i, row) in lost.iter().zip(rows) {
+            shards[i] = Some(T::from(row));
         }
         Ok(())
+    }
+
+    /// The `k` data shards laid end to end in one buffer: those present
+    /// copied in, the missing rebuilt in place from the survivors, which
+    /// are read where they are. For a framed object
+    /// ([`crate::object::framed`]) that buffer is the framed object.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReedSolomon::reconstruct`].
+    pub(crate) fn reconstruct_joined<T: AsRef<[u8]>>(
+        &self,
+        shards: &[Option<T>],
+    ) -> Result<Vec<u8>, CodeError> {
+        self.reconstruct_joined_on(Kernel::best(), shards)
+    }
+
+    fn reconstruct_joined_on<T: AsRef<[u8]>>(
+        &self,
+        kernel: Kernel,
+        shards: &[Option<T>],
+    ) -> Result<Vec<u8>, CodeError> {
+        let len = self.shard_len(shards)?;
+        let mut joined = vec![0u8; self.k * len];
+        if len == 0 {
+            return Ok(joined);
+        }
+        let mut lost = Vec::new();
+        let mut outs = Vec::new();
+        for (i, row) in joined.chunks_exact_mut(len).enumerate() {
+            match &shards[i] {
+                Some(shard) => row.copy_from_slice(shard.as_ref()),
+                None => {
+                    lost.push(i);
+                    outs.push(row);
+                }
+            }
+        }
+        if !lost.is_empty() {
+            self.rebuild_on(kernel, shards, &lost, &mut outs);
+        }
+        Ok(joined)
+    }
+
+    /// The length every surviving shard shares.
+    ///
+    /// # Errors
+    ///
+    /// As [`ReedSolomon::reconstruct`].
+    fn shard_len<T: AsRef<[u8]>>(&self, shards: &[Option<T>]) -> Result<usize, CodeError> {
+        if shards.len() != self.n {
+            return Err(CodeError::ShardSizeMismatch);
+        }
+        let mut present = shards.iter().flatten().map(AsRef::as_ref);
+        let have = present.clone().count();
+        if have < self.k {
+            return Err(CodeError::NotEnoughShards { have, need: self.k });
+        }
+        let len = present.next().expect("k ≥ 1 survivors").len();
+        if present.any(|s| s.len() != len) {
+            return Err(CodeError::ShardSizeMismatch);
+        }
+        Ok(len)
+    }
+
+    /// Writes data shards `lost` into `outs` on `kernel`, from the first
+    /// `k` shards present (the data shards present come first): the rows
+    /// `lost` of the inverse of the code matrix's rows for those shards,
+    /// times the shards.
+    fn rebuild_on<T: AsRef<[u8]>>(
+        &self,
+        kernel: Kernel,
+        shards: &[Option<T>],
+        lost: &[usize],
+        outs: &mut [&mut [u8]],
+    ) {
+        let use_rows: Vec<usize> =
+            (0..self.n).filter(|&i| shards[i].is_some()).take(self.k).collect();
+        let dec = self
+            .enc
+            .select_rows(&use_rows)
+            .inverse()
+            .expect("any k rows of the RS matrix are invertible");
+        let survivors: Vec<&[u8]> =
+            use_rows.iter().map(|&i| shards[i].as_ref().expect("present").as_ref()).collect();
+        let coeffs: Vec<u8> = lost.iter().flat_map(|&c| dec.row(c)).copied().collect();
+        dot_on(kernel, outs, &coeffs, &survivors, false);
     }
 
     /// The plain reconstruct (zero-filled destination rows, one
@@ -336,10 +411,9 @@ mod tests {
 
     #[test]
     fn fast_encode_matches_reference_path() {
-        // The fused-kernel encode (mul_acc_multi per column into every
-        // row) must be bit-identical to the column-at-a-time reference,
-        // including on word-unaligned shard lengths that exercise the
-        // nibble-table tails and lengths under the 32-byte SIMD block.
+        // The dot-product encode must be bit-identical to the
+        // column-at-a-time reference, including on word-unaligned shard
+        // lengths that exercise the tails and lengths under one register.
         for (k, n) in [(1, 2), (2, 4), (3, 6), (8, 16), (16, 32)] {
             for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 611] {
                 let rs = ReedSolomon::new(k, n).unwrap();
@@ -372,6 +446,78 @@ mod tests {
         let slow: Vec<Vec<u8>> = slow.into_iter().map(|s| s.expect("all rebuilt")).collect();
         assert_eq!(rs.encode(&data).unwrap(), slow);
         assert_eq!((fast[5].is_none(), fast[7].is_none()), (true, true), "lost parity stays lost");
+    }
+
+    /// Every kernel this CPU runs, held to the byte-at-a-time oracles:
+    /// `mul_acc_slice_ref` over all 256 coefficients, `encode_ref` and
+    /// `reconstruct_ref` at four shapes, at lengths 0–200 (every tail past
+    /// a 32- and a 64-byte register) and 65 544 (a `bulk_archive` shard).
+    /// Prints which kernels ran, so a machine without GFNI shows.
+    #[test]
+    fn kernels_agree() {
+        let kernels = Kernel::available();
+        eprintln!("kernels_agree: {kernels:?}");
+        let lengths: Vec<usize> = (0..=200).chain([65_544]).collect();
+        let bytes = |len: usize, salt: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i * 167 + salt * 89) >> 3 ^ i >> 8) as u8).collect()
+        };
+        let src = bytes(65_544, 1);
+        let init = bytes(65_544, 2);
+        for c in 0..=255u8 {
+            for &len in &lengths {
+                let mut expect = init[..len].to_vec();
+                crate::gf256::mul_acc_slice_ref(&mut expect, &src[..len], c);
+                for &kernel in &kernels {
+                    let mut got = init[..len].to_vec();
+                    dot_on(kernel, &mut [&mut got], &[c], &[&src[..len]], true);
+                    assert!(got == expect, "{kernel:?} mul_acc c={c} len={len}");
+                }
+            }
+        }
+        for (k, n) in [(1, 2), (3, 6), (16, 32), (8, 255)] {
+            let rs = ReedSolomon::new(k, n).unwrap();
+            // (8, 255) at 65 544 bytes would be 130 M reference multiplies,
+            // 8 s of a debug build; its 247 rows tile the same at any length.
+            let lengths = if n == 255 { &lengths[..201] } else { &lengths[..] };
+            for &len in lengths {
+                let data: Vec<Vec<u8>> = (0..k).map(|i| bytes(len, i)).collect();
+                let coded = rs.encode_ref(&data).unwrap();
+                // Lose the first min(k, n − k) shards, all of them data
+                // shards, so every rebuilt row reads parity.
+                let mut have: Vec<Option<Vec<u8>>> = coded.iter().cloned().map(Some).collect();
+                have[..k.min(n - k)].fill(None);
+                let mut oracle = have.clone();
+                rs.reconstruct_ref(&mut oracle).unwrap();
+                let rows: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                let expect: Vec<u8> = oracle[..k].iter().flatten().flatten().copied().collect();
+                for &kernel in &kernels {
+                    let mut parity: Vec<Vec<u8>> = (k..n).map(|_| vec![0xa5; len]).collect();
+                    let mut outs: Vec<&mut [u8]> =
+                        parity.iter_mut().map(Vec::as_mut_slice).collect();
+                    rs.parity_on(kernel, &rows, &mut outs);
+                    assert!(parity == coded[k..], "{kernel:?} encode ({k}, {n}) len={len}");
+                    let joined = rs.reconstruct_joined_on(kernel, &have).unwrap();
+                    assert!(joined == expect, "{kernel:?} reconstruct ({k}, {n}) len={len}");
+                }
+            }
+        }
+    }
+
+    /// The joined paths give what the shard-per-buffer paths give: the
+    /// parity of data laid end to end, and the data shards end to end.
+    #[test]
+    fn joined_paths_match_the_shard_paths() {
+        let rs = ReedSolomon::new(4, 8).unwrap();
+        let data = shards(4, 611);
+        let coded = rs.encode(&data).unwrap();
+        assert_eq!(rs.parity_joined(&data.concat()).unwrap(), coded[4..].concat());
+        let mut have: Vec<Option<Vec<u8>>> = coded.into_iter().map(Some).collect();
+        for i in [0, 2, 5] {
+            have[i] = None;
+        }
+        assert_eq!(rs.reconstruct_joined(&have).unwrap(), data.concat());
+        assert_eq!(rs.parity_joined(&[0u8; 6]), Err(CodeError::ShardSizeMismatch));
+        assert_eq!(rs.parity_joined(&[]), Err(CodeError::ShardSizeMismatch));
     }
 
     #[test]

@@ -2,14 +2,12 @@
 //! archival argument rests on must hold for *arbitrary* data and erasure
 //! patterns, not just hand-picked cases.
 
-use oceanstore_erasure::object::{split_into_shards, join_shards, CodeKind, ObjectCodec};
+use oceanstore_erasure::object::{frame, join_shards, split_into_shards, CodeKind, ObjectCodec};
 use oceanstore_erasure::rs::ReedSolomon;
 use oceanstore_erasure::tornado::Tornado;
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// Reed-Solomon: any k-subset of shards reconstructs every data shard
     /// exactly, for arbitrary data and arbitrary k-subsets, and the parity
     /// re-derived from them is the original parity.
@@ -151,6 +149,41 @@ proptest! {
             for (slot, kept) in have.iter().zip(&keep).skip(k) {
                 prop_assert_eq!(slot.is_some(), *kept);
             }
+        }
+    }
+
+    /// The one-buffer paths give the shard-per-buffer paths' bytes: the
+    /// framed object is the data shards end to end, its parity the parity
+    /// shards end to end, and any sufficient survivor set decodes to the
+    /// framed object, with the object where the prefix says.
+    #[test]
+    fn framed_paths_match_the_shard_paths(
+        data in proptest::collection::vec(any::<u8>(), 0..2000),
+        k in 1usize..9,
+        extra in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let n = k + extra;
+        let codec = ObjectCodec::new(CodeKind::ReedSolomon, k, n, 0).expect("valid");
+        let framed = frame(&data, k);
+        let frags = codec.encode_object(&data).expect("encodes");
+        prop_assert_eq!(&framed, &frags[..k].concat());
+        prop_assert_eq!(codec.encode_framed(&framed).expect("encodes"), frags[k..].concat());
+        let mut bits = seed;
+        let have: Vec<Option<&[u8]>> = frags
+            .iter()
+            .map(|f| {
+                bits = bits.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (bits >> 63 == 1).then_some(f.as_slice())
+            })
+            .collect();
+        let decoded = codec.decode_framed(&have);
+        if have.iter().flatten().count() >= k {
+            let (joined, object) = decoded.expect("enough survivors");
+            prop_assert_eq!(&joined[object], &data[..]);
+            prop_assert_eq!(joined, framed);
+        } else {
+            prop_assert!(decoded.is_err());
         }
     }
 }

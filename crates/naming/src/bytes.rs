@@ -41,6 +41,16 @@ pub struct Buffer {
 }
 
 impl Buffer {
+    /// The length of the whole buffer, which views of it may show part of.
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Whether the buffer holds no byte.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
     /// The memo, whole: an entry is written in one step, so a panic on
     /// another thread cannot leave one half written.
     fn cids(&self) -> MutexGuard<'_, Vec<(u32, u32, Guid)>> {

@@ -8,6 +8,8 @@
 //! the first put and the last delete, counting every elided write as a
 //! dedup hit with its bytes saved.
 
+use std::collections::hash_map::Entry;
+
 use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};
 
@@ -71,18 +73,21 @@ impl DedupStore {
         store: impl FnOnce(&mut dyn BlobStore) -> Result<Guid, StoreError>,
     ) -> Result<Guid, StoreError> {
         self.dedup.logical_bytes += len as u64;
-        if let Some(rc) = self.refs.get_mut(&cid) {
-            *rc += 1;
-            self.dedup.hits += 1;
-            self.dedup.bytes_saved += len as u64;
-            return Ok(cid);
+        match self.refs.entry(cid) {
+            Entry::Occupied(mut rc) => {
+                *rc.get_mut() += 1;
+                self.dedup.hits += 1;
+                self.dedup.bytes_saved += len as u64;
+            }
+            Entry::Vacant(slot) => {
+                // First reference: the inner put must succeed before the
+                // reference exists, else a failed provider write would
+                // strand a refcount with no blob behind it.
+                store(self.inner.as_mut())?;
+                slot.insert(1);
+                self.dedup.live_cids += 1;
+            }
         }
-        // First reference: the inner put must succeed before the
-        // reference exists, else a failed provider write would strand a
-        // refcount with no blob behind it.
-        store(self.inner.as_mut())?;
-        self.refs.insert(cid, 1);
-        self.dedup.live_cids += 1;
         Ok(cid)
     }
 }
