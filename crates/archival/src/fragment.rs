@@ -172,7 +172,7 @@ pub(crate) fn flipped(fragment: &Fragment, at: usize, mask: u8) -> Fragment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oceanstore_erasure::object::{split_into_shards, CodeKind};
+    use oceanstore_erasure::object::{frame, CodeKind};
     use std::sync::Arc;
 
     fn codec() -> ObjectCodec {
@@ -314,6 +314,6 @@ mod tests {
         assert!(one_buffer(parity), "the parity fragments share one buffer");
         assert!(!Arc::ptr_eq(data_fragments[0].data.buffer(), parity[0].data.buffer()));
         let framed: Vec<u8> = data_fragments.iter().flat_map(|f| f.data.to_vec()).collect();
-        assert_eq!(framed, split_into_shards(&data, 8).concat());
+        assert_eq!(framed, frame(&data, 8));
     }
 }

@@ -132,15 +132,16 @@ impl<N: Namer> Client<N> {
         self.pending.len()
     }
 
-    /// Handles a reply from a replica.
-    pub fn on_message(&mut self, ctx: &mut Context<'_, PbftMsg>, _from: NodeId, msg: PbftMsg) {
-        let PbftMsg::Reply { id, seq, digest, replica, .. } = &msg else { return };
+    /// Handles a reply from a replica. A reply to a request this client
+    /// does not hold pending (answered already, or another tier's) costs
+    /// a lookup, not a signature check.
+    pub fn on_message(&mut self, ctx: &mut Context<'_, PbftMsg>, _from: NodeId, msg: &PbftMsg) {
+        let PbftMsg::Reply { id, seq, digest, replica, sig } = msg else { return };
+        let Some(pending) = self.pending.get_mut(id) else { return };
         let Some(key) = self.cfg.replica_keys.get(*replica) else { return };
-        let PbftMsg::Reply { sig, .. } = &msg else { unreachable!() };
-        if !verify(*key, &signing_bytes(&msg), sig) {
+        if !verify(*key, &signing_bytes(msg), sig) {
             return;
         }
-        let Some(pending) = self.pending.get_mut(id) else { return };
         pending.replies.insert(*replica, (*seq, *digest));
         // m + 1 matching (seq, digest) pairs guarantee at least one honest
         // replica vouches for the result.

@@ -64,7 +64,7 @@ impl Protocol for PbftNode {
     fn on_message(&mut self, ctx: &mut Context<'_, PbftMsg>, from: NodeId, msg: PbftMsg) {
         match self {
             PbftNode::Replica(r) => r.on_message(ctx, from, msg),
-            PbftNode::Client(c) => c.on_message(ctx, from, msg),
+            PbftNode::Client(c) => c.on_message(ctx, from, &msg),
             PbftNode::Idle => {}
         }
     }

@@ -7,21 +7,28 @@
 //! * [`tornado::Tornado`] — a Tornado-style XOR peeling code: much cheaper
 //!   arithmetic, needs slightly more than `k` fragments (footnote 12).
 //!
-//! [`object`] frames arbitrary byte objects into equal-length shards and
-//! offers the [`object::ObjectCodec`] the archival layer consumes.
+//! [`object`] frames an arbitrary byte object into one buffer of `k`
+//! equal-length shards and offers the [`object::ObjectCodec`] the archival
+//! layer consumes. Both codes run one path: the framed buffer in, the
+//! parity out in one buffer ([`object::ObjectCodec::encode_framed`]), and
+//! the framed buffer back from any sufficient set of fragments
+//! ([`object::ObjectCodec::decode_framed`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use oceanstore_erasure::object::{CodeKind, ObjectCodec};
+//! use oceanstore_erasure::object::{frame, CodeKind, ObjectCodec};
 //!
 //! # fn main() -> Result<(), oceanstore_erasure::rs::CodeError> {
 //! let codec = ObjectCodec::new(CodeKind::ReedSolomon, 4, 8, 0)?;
-//! let fragments = codec.encode_object(b"archival me")?;
-//! let mut have: Vec<_> = fragments.into_iter().map(Some).collect();
+//! let framed = frame(b"archival me", 4);
+//! let parity = codec.encode_framed(&framed)?;
+//! let len = framed.len() / 4;
+//! let mut have: Vec<_> = framed.chunks(len).chain(parity.chunks(len)).map(Some).collect();
 //! // Any 4 of the 8 fragments suffice:
 //! have[0] = None; have[2] = None; have[5] = None; have[7] = None;
-//! assert_eq!(codec.decode_object(&mut have)?, b"archival me");
+//! let (joined, object) = codec.decode_framed(&have)?;
+//! assert_eq!(&joined[object], b"archival me");
 //! # Ok(())
 //! # }
 //! ```

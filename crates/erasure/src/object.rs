@@ -11,9 +11,10 @@
 //! object, then zero padding to `k` shards of [`shard_len`] bytes. Its `k`
 //! equal slices are the data shards. [`ObjectCodec::encode_framed`] takes
 //! one and gives the parity in one buffer; [`ObjectCodec::decode_framed`]
-//! gives one back from surviving shards. [`ObjectCodec::encode_object`]
-//! and [`ObjectCodec::decode_object`] do the same over one buffer per
-//! shard.
+//! gives one back from surviving shards. That is the one way an object is
+//! encoded and rebuilt: [`ObjectCodec::encode_object`] and
+//! [`ObjectCodec::decode_object`] are conveniences over it for a caller
+//! that holds the object itself and wants one buffer per fragment.
 
 use std::ops::Range;
 
@@ -79,64 +80,6 @@ fn framed_object(framed: &[u8]) -> Result<Range<usize>, CodeError> {
     }
 }
 
-/// Splits `data` into exactly `k` equal-length shards, prefixed with the
-/// original length (8 bytes little-endian) and zero-padded. Each byte is
-/// copied once, straight into its shard.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn split_into_shards(data: &[u8], k: usize) -> Vec<Vec<u8>> {
-    let shard_len = shard_len(data.len(), k);
-    let prefix = (data.len() as u64).to_le_bytes();
-    // What is left to place of the prefix, then of the data.
-    let (mut prefix, mut data) = (&prefix[..], data);
-    (0..k)
-        .map(|_| {
-            let mut shard = Vec::with_capacity(shard_len);
-            for rest in [&mut prefix, &mut data] {
-                let (now, later) = rest.split_at(rest.len().min(shard_len - shard.len()));
-                shard.extend_from_slice(now);
-                *rest = later;
-            }
-            shard.resize(shard_len, 0);
-            shard
-        })
-        .collect()
-}
-
-/// Reassembles the original bytes from the `k` data shards produced by
-/// [`split_into_shards`], copying each byte once.
-///
-/// # Errors
-///
-/// [`CodeError::CorruptObject`] if the length prefix is inconsistent with
-/// the shard sizes.
-pub fn join_shards<T: AsRef<[u8]>>(shards: &[T]) -> Result<Vec<u8>, CodeError> {
-    let total: usize = shards.iter().map(|s| s.as_ref().len()).sum();
-    let mut prefix = [0u8; 8];
-    if total < prefix.len() {
-        return Err(CodeError::CorruptObject);
-    }
-    for (to, from) in prefix.iter_mut().zip(shards.iter().flat_map(|s| s.as_ref())) {
-        *to = *from;
-    }
-    let len = u64::from_le_bytes(prefix) as usize;
-    if total - prefix.len() < len {
-        return Err(CodeError::CorruptObject);
-    }
-    let mut out = Vec::with_capacity(len);
-    let mut skip = prefix.len();
-    for shard in shards {
-        let shard = shard.as_ref();
-        let from = skip.min(shard.len());
-        skip -= from;
-        let take = (len - out.len()).min(shard.len() - from);
-        out.extend_from_slice(&shard[from..from + take]);
-    }
-    Ok(out)
-}
-
 /// Which erasure code an archival object uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodeKind {
@@ -186,23 +129,19 @@ impl ObjectCodec {
         }
     }
 
-    /// Encodes an object into `n` fragments: the `k` framed data shards,
-    /// then the parity.
+    /// Encodes an object into `n` fragments, one buffer each: the `k`
+    /// shards of the framed object ([`frame`]), then the parity
+    /// ([`ObjectCodec::encode_framed`]).
     ///
     /// # Errors
     ///
     /// Propagates shard-shape errors from the underlying codec (cannot
     /// occur for input produced by this function's own framing).
     pub fn encode_object(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let mut shards = split_into_shards(data, self.data_shards());
-        match self {
-            ObjectCodec::Rs(c) => {
-                let parity = c.parity(&shards)?;
-                shards.extend(parity);
-                Ok(shards)
-            }
-            ObjectCodec::Tornado(c) => c.encode(&shards),
-        }
+        let framed = frame(data, self.data_shards());
+        let parity = self.encode_framed(&framed)?;
+        let len = framed.len() / self.data_shards();
+        Ok(framed.chunks_exact(len).chain(parity.chunks_exact(len)).map(<[u8]>::to_vec).collect())
     }
 
     /// The `n - k` parity fragments of a framed object ([`framed`]), laid
@@ -236,7 +175,11 @@ impl ObjectCodec {
     ///
     /// # Errors
     ///
-    /// As [`ObjectCodec::decode_object`].
+    /// * [`CodeError::NotEnoughShards`] / [`CodeError::DecodingStalled`]
+    ///   when the survivors don't suffice;
+    /// * [`CodeError::ShardSizeMismatch`] for a wrong fragment count or
+    ///   fragments of unequal lengths;
+    /// * [`CodeError::CorruptObject`] if framing fails after reconstruction.
     pub fn decode_framed<T: AsRef<[u8]>>(
         &self,
         fragments: &[Option<T>],
@@ -255,41 +198,23 @@ impl ObjectCodec {
         Ok((joined, object))
     }
 
-    /// Decodes an object from surviving fragments (`None` = lost). The
-    /// data fragments missing are rebuilt in place; for Reed-Solomon that
-    /// is all that is rebuilt, and the fragments present are read where
-    /// they are, so they may be views of buffers the caller shares.
+    /// Decodes an object from surviving fragments (`None` = lost): the
+    /// object's range of [`ObjectCodec::decode_framed`]. The fragments are
+    /// only read, so they may be views of buffers the caller shares; the
+    /// slice is `&mut` so that callers holding their fragments mutably
+    /// keep passing them as they do.
     ///
     /// # Errors
     ///
-    /// * [`CodeError::NotEnoughShards`] / [`CodeError::DecodingStalled`]
-    ///   when the survivors don't suffice;
-    /// * [`CodeError::CorruptObject`] if framing fails after reconstruction.
-    pub fn decode_object<T>(&self, fragments: &mut [Option<T>]) -> Result<Vec<u8>, CodeError>
-    where
-        T: AsRef<[u8]> + From<Vec<u8>>,
-    {
-        match self {
-            ObjectCodec::Rs(c) => c.reconstruct(fragments)?,
-            ObjectCodec::Tornado(c) => {
-                // The peeling decoder works on owned shards.
-                let mut owned: Vec<Option<Vec<u8>>> = fragments
-                    .iter()
-                    .map(|f| f.as_ref().map(|s| s.as_ref().to_vec()))
-                    .collect();
-                c.reconstruct(&mut owned)?;
-                for (slot, shard) in fragments.iter_mut().zip(owned) {
-                    if slot.is_none() {
-                        *slot = shard.map(T::from);
-                    }
-                }
-            }
-        }
-        let data: Vec<&[u8]> = fragments[..self.data_shards()]
-            .iter()
-            .map(|f| f.as_ref().expect("reconstruct fills the data fragments").as_ref())
-            .collect();
-        join_shards(&data)
+    /// As [`ObjectCodec::decode_framed`].
+    pub fn decode_object<T: AsRef<[u8]>>(
+        &self,
+        fragments: &mut [Option<T>],
+    ) -> Result<Vec<u8>, CodeError> {
+        let (mut joined, object) = self.decode_framed(fragments)?;
+        joined.truncate(object.end);
+        joined.drain(..object.start);
+        Ok(joined)
     }
 }
 
@@ -297,44 +222,29 @@ impl ObjectCodec {
 mod tests {
     use super::*;
 
+    /// A framed object is the 8-byte little-endian length, the object
+    /// and zero padding, `k` equal shards in all, and the object is where
+    /// the prefix says.
     #[test]
-    fn split_join_roundtrip() {
-        for len in [0usize, 1, 7, 8, 9, 100, 1000] {
-            for k in [1usize, 2, 3, 16] {
-                let data: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
-                let shards = split_into_shards(&data, k);
-                assert_eq!(shards.len(), k);
-                let l0 = shards[0].len();
-                assert!(shards.iter().all(|s| s.len() == l0));
-                assert_eq!(join_shards(&shards).unwrap(), data, "len={len} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn join_rejects_truncation() {
-        let shards = split_into_shards(b"hello world, this is an object", 4);
-        assert_eq!(join_shards(&shards[..1]), Err(CodeError::CorruptObject));
-    }
-
-    #[test]
-    fn join_rejects_bad_length_prefix() {
-        let mut shards = split_into_shards(b"abc", 1);
-        shards[0][0] = 0xff; // claim a huge length
-        assert_eq!(join_shards(&shards), Err(CodeError::CorruptObject));
-    }
-
-    #[test]
-    fn a_framed_object_is_its_shards_end_to_end() {
+    fn a_framed_object_is_prefix_object_padding() {
         for len in [0usize, 1, 7, 8, 9, 100, 1000] {
             for k in [1usize, 2, 3, 16] {
                 let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
                 let framed = frame(&data, k);
-                assert_eq!(framed.len(), k * shard_len(len, k));
-                assert_eq!(framed, split_into_shards(&data, k).concat(), "len={len} k={k}");
+                assert_eq!(framed.len(), k * shard_len(len, k), "len={len} k={k}");
+                assert_eq!(framed[..8], (len as u64).to_le_bytes());
+                assert_eq!(framed[8..8 + len], data[..]);
+                assert!(framed[8 + len..].iter().all(|&b| b == 0), "len={len} k={k}");
                 assert_eq!(&framed[framed_object(&framed).unwrap()], &data[..]);
             }
         }
+    }
+
+    #[test]
+    fn framed_object_rejects_truncation() {
+        let framed = frame(b"hello world, this is an object", 4);
+        let shard = framed.len() / 4;
+        assert_eq!(framed_object(&framed[..shard]), Err(CodeError::CorruptObject));
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! The encoding matrix is a Vandermonde matrix normalized so its top `k`
 //! rows are the identity (systematic: data shards appear verbatim among the
 //! fragments, which makes the common no-loss read path a straight copy).
+//!
+//! The code works on one buffer each way: the `k` data shards laid end to
+//! end (a framed object, [`crate::object::framed`]) in, the `n - k` parity
+//! shards end to end out; surviving shards in, the data shards end to end
+//! out. [`crate::object::ObjectCodec`] is the way in from outside the
+//! crate. [`ReedSolomon::encode_ref`] and [`ReedSolomon::reconstruct_ref`]
+//! are the byte-at-a-time oracles the tests hold that path to.
 
 use std::fmt;
 
@@ -104,48 +111,10 @@ impl ReedSolomon {
         self.n
     }
 
-    /// Encodes `k` equal-length data shards into `n` shards (the first `k`
-    /// are the data shards themselves).
-    ///
-    /// # Errors
-    ///
-    /// [`CodeError::ShardSizeMismatch`] if the input shard count or lengths
-    /// are inconsistent.
-    pub fn encode<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let parity = self.parity(data)?;
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.n);
-        out.extend(data.iter().map(|s| s.as_ref().to_vec()));
-        out.extend(parity);
-        Ok(out)
-    }
-
-    /// The `n - k` parity shards of `k` equal-length data shards:
-    /// [`ReedSolomon::encode`] without the copies of the data shards, for
-    /// a caller that keeps those itself.
-    ///
-    /// # Errors
-    ///
-    /// [`CodeError::ShardSizeMismatch`] if the input shard count or lengths
-    /// are inconsistent.
-    pub fn parity<T: AsRef<[u8]>>(&self, data: &[T]) -> Result<Vec<Vec<u8>>, CodeError> {
-        if data.len() != self.k {
-            return Err(CodeError::ShardSizeMismatch);
-        }
-        let data: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
-        let len = data[0].len();
-        if data.iter().any(|s| s.len() != len) {
-            return Err(CodeError::ShardSizeMismatch);
-        }
-        let mut rows: Vec<Vec<u8>> = (self.k..self.n).map(|_| vec![0u8; len]).collect();
-        let mut outs: Vec<&mut [u8]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
-        self.parity_on(Kernel::best(), &data, &mut outs);
-        Ok(rows)
-    }
-
-    /// [`ReedSolomon::parity`] of the `k` data shards laid end to end in
-    /// `data`, laid end to end in one buffer of `n - k` shards: a framed
-    /// object ([`crate::object::framed`]) in, its parity out, and no shard
-    /// copied on either side.
+    /// The `n - k` parity shards of the `k` equal data shards laid end to
+    /// end in `data`, laid end to end in one buffer: a framed object
+    /// ([`crate::object::framed`]) in, its parity out, and no shard copied
+    /// on either side.
     ///
     /// # Errors
     ///
@@ -196,43 +165,16 @@ impl ReedSolomon {
         Ok(out)
     }
 
-    /// Rebuilds the missing *data* shards in place: on success
-    /// `shards[..k]` are all `Some`. Parity slots are left as they are (a
-    /// caller that wants them back re-derives them from the data with
-    /// [`ReedSolomon::parity`]), and the shards present are read, never
-    /// copied. `shards[i]` is `Some` if shard `i` survives.
-    ///
-    /// # Errors
-    ///
-    /// [`CodeError::NotEnoughShards`] with fewer than `k` survivors;
-    /// [`CodeError::ShardSizeMismatch`] for inconsistent lengths or a wrong
-    /// slice length.
-    pub fn reconstruct<T>(&self, shards: &mut [Option<T>]) -> Result<(), CodeError>
-    where
-        T: AsRef<[u8]> + From<Vec<u8>>,
-    {
-        let len = self.shard_len(shards)?;
-        let lost: Vec<usize> = (0..self.k).filter(|&i| shards[i].is_none()).collect();
-        if lost.is_empty() {
-            return Ok(()); // every data shard is here
-        }
-        let mut rows: Vec<Vec<u8>> = lost.iter().map(|_| vec![0u8; len]).collect();
-        let mut outs: Vec<&mut [u8]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
-        self.rebuild_on(Kernel::best(), shards, &lost, &mut outs);
-        for (&i, row) in lost.iter().zip(rows) {
-            shards[i] = Some(T::from(row));
-        }
-        Ok(())
-    }
-
     /// The `k` data shards laid end to end in one buffer: those present
     /// copied in, the missing rebuilt in place from the survivors, which
     /// are read where they are. For a framed object
     /// ([`crate::object::framed`]) that buffer is the framed object.
+    /// Parity is only read: a lost parity shard stays lost (re-derive it
+    /// from the data with [`ReedSolomon::parity_joined`]).
     ///
     /// # Errors
     ///
-    /// As [`ReedSolomon::reconstruct`].
+    /// As [`ReedSolomon::shard_len`].
     pub(crate) fn reconstruct_joined<T: AsRef<[u8]>>(
         &self,
         shards: &[Option<T>],
@@ -267,11 +209,14 @@ impl ReedSolomon {
         Ok(joined)
     }
 
-    /// The length every surviving shard shares.
+    /// The length every surviving shard shares; `shards[i]` is `Some` if
+    /// shard `i` survives.
     ///
     /// # Errors
     ///
-    /// As [`ReedSolomon::reconstruct`].
+    /// [`CodeError::NotEnoughShards`] with fewer than `k` survivors;
+    /// [`CodeError::ShardSizeMismatch`] for inconsistent lengths or a wrong
+    /// slice length.
     fn shard_len<T: AsRef<[u8]>>(&self, shards: &[Option<T>]) -> Result<usize, CodeError> {
         if shards.len() != self.n {
             return Err(CodeError::ShardSizeMismatch);
@@ -313,8 +258,9 @@ impl ReedSolomon {
     }
 
     /// The plain reconstruct (zero-filled destination rows, one
-    /// `mul_acc_slice_ref` source at a time). A test oracle for
-    /// [`ReedSolomon::reconstruct`]; not part of the public contract.
+    /// `mul_acc_slice_ref` source at a time), which rebuilds every lost
+    /// shard, parity too. A test oracle for
+    /// [`ReedSolomon::reconstruct_joined`]; not part of the public contract.
     #[doc(hidden)]
     pub fn reconstruct_ref(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
         if shards.len() != self.n {
@@ -370,13 +316,22 @@ mod tests {
             .collect()
     }
 
+    /// Every shard of `data` coded by the oracle, `lost` ones `None`.
+    fn survivors(rs: &ReedSolomon, data: &[Vec<u8>], lost: &[usize]) -> Vec<Option<Vec<u8>>> {
+        let coded = rs.encode_ref(data).unwrap();
+        coded.into_iter().enumerate().map(|(i, s)| (!lost.contains(&i)).then_some(s)).collect()
+    }
+
     #[test]
     fn encode_is_systematic() {
+        // The oracle's first k shards are the data; the joined parity is
+        // the rest.
         let rs = ReedSolomon::new(4, 8).unwrap();
         let data = shards(4, 64);
-        let coded = rs.encode(&data).unwrap();
+        let coded = rs.encode_ref(&data).unwrap();
         assert_eq!(coded.len(), 8);
         assert_eq!(&coded[..4], &data[..]);
+        assert_eq!(rs.parity_joined(&data.concat()).unwrap(), coded[4..].concat());
     }
 
     #[test]
@@ -385,25 +340,19 @@ mod tests {
         // all C(6,3)=20 erasure patterns of 3 losses.
         let rs = ReedSolomon::new(3, 6).unwrap();
         let data = shards(3, 40);
-        let coded = rs.encode(&data).unwrap();
+        let parity = rs.parity_joined(&data.concat()).unwrap();
         for a in 0..6 {
             for b in (a + 1)..6 {
                 for c in (b + 1)..6 {
-                    let mut have: Vec<Option<Vec<u8>>> =
-                        coded.iter().cloned().map(Some).collect();
-                    have[a] = None;
-                    have[b] = None;
-                    have[c] = None;
-                    rs.reconstruct(&mut have).unwrap();
-                    let rebuilt: Vec<Vec<u8>> =
-                        have[..3].iter().map(|s| s.clone().expect("data rebuilt")).collect();
+                    let have = survivors(&rs, &data, &[a, b, c]);
+                    let before = have.clone();
+                    let joined = rs.reconstruct_joined(&have).unwrap();
+                    assert_eq!(joined, data.concat(), "lost {a},{b},{c}");
                     // The parity re-derived from the rebuilt data is the
-                    // original parity; a lost parity slot stays empty.
-                    assert_eq!(rs.encode(&rebuilt).unwrap(), coded, "lost {a},{b},{c}");
-                    for (i, s) in have.iter().enumerate().skip(3) {
-                        let lost = [a, b, c].contains(&i);
-                        assert_eq!(s.is_none(), lost, "lost {a},{b},{c} parity {i}");
-                    }
+                    // original parity; the survivors are only read, so a
+                    // lost parity slot stays empty.
+                    assert_eq!(rs.parity_joined(&joined).unwrap(), parity, "lost {a},{b},{c}");
+                    assert_eq!(have, before, "lost {a},{b},{c}");
                 }
             }
         }
@@ -414,15 +363,18 @@ mod tests {
         // The dot-product encode must be bit-identical to the
         // column-at-a-time reference, including on word-unaligned shard
         // lengths that exercise the tails and lengths under one register.
+        // A framed object is never empty, so the empty shards are refused.
         for (k, n) in [(1, 2), (2, 4), (3, 6), (8, 16), (16, 32)] {
             for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 611] {
                 let rs = ReedSolomon::new(k, n).unwrap();
                 let data = shards(k, len);
-                assert_eq!(
-                    rs.encode(&data).unwrap(),
-                    rs.encode_ref(&data).unwrap(),
-                    "k={k} n={n} len={len}"
-                );
+                let parity = rs.parity_joined(&data.concat());
+                if len == 0 {
+                    assert_eq!(parity, Err(CodeError::ShardSizeMismatch));
+                    continue;
+                }
+                let coded = rs.encode_ref(&data).unwrap();
+                assert_eq!(parity.unwrap(), coded[k..].concat(), "k={k} n={n} len={len}");
             }
         }
     }
@@ -431,20 +383,16 @@ mod tests {
     fn fast_reconstruct_matches_reference_path() {
         // Mixed data + parity losses, word-unaligned length.
         let rs = ReedSolomon::new(4, 8).unwrap();
-        let coded = rs.encode(&shards(4, 611)).unwrap();
-        let mut fast: Vec<Option<Vec<u8>>> = coded.iter().cloned().map(Some).collect();
-        for i in [0, 2, 5, 7] {
-            fast[i] = None;
-        }
+        let data = shards(4, 611);
+        let fast = survivors(&rs, &data, &[0, 2, 5, 7]);
         let mut slow = fast.clone();
-        rs.reconstruct(&mut fast).unwrap();
+        let joined = rs.reconstruct_joined(&fast).unwrap();
         rs.reconstruct_ref(&mut slow).unwrap();
-        assert_eq!(fast[..4], slow[..4]);
+        let slow: Vec<Vec<u8>> = slow.into_iter().map(|s| s.expect("all rebuilt")).collect();
+        assert_eq!(joined, slow[..4].concat());
         // The reference rebuilds parity too: re-derive it from the fast
         // path's data and compare.
-        let data: Vec<Vec<u8>> = fast[..4].iter().map(|s| s.clone().expect("data rebuilt")).collect();
-        let slow: Vec<Vec<u8>> = slow.into_iter().map(|s| s.expect("all rebuilt")).collect();
-        assert_eq!(rs.encode(&data).unwrap(), slow);
+        assert_eq!(rs.parity_joined(&joined).unwrap(), slow[4..].concat());
         assert_eq!((fast[5].is_none(), fast[7].is_none()), (true, true), "lost parity stays lost");
     }
 
@@ -503,33 +451,12 @@ mod tests {
         }
     }
 
-    /// The joined paths give what the shard-per-buffer paths give: the
-    /// parity of data laid end to end, and the data shards end to end.
-    #[test]
-    fn joined_paths_match_the_shard_paths() {
-        let rs = ReedSolomon::new(4, 8).unwrap();
-        let data = shards(4, 611);
-        let coded = rs.encode(&data).unwrap();
-        assert_eq!(rs.parity_joined(&data.concat()).unwrap(), coded[4..].concat());
-        let mut have: Vec<Option<Vec<u8>>> = coded.into_iter().map(Some).collect();
-        for i in [0, 2, 5] {
-            have[i] = None;
-        }
-        assert_eq!(rs.reconstruct_joined(&have).unwrap(), data.concat());
-        assert_eq!(rs.parity_joined(&[0u8; 6]), Err(CodeError::ShardSizeMismatch));
-        assert_eq!(rs.parity_joined(&[]), Err(CodeError::ShardSizeMismatch));
-    }
-
     #[test]
     fn too_few_shards_fails() {
         let rs = ReedSolomon::new(4, 8).unwrap();
-        let coded = rs.encode(&shards(4, 16)).unwrap();
-        let mut have: Vec<Option<Vec<u8>>> = coded.into_iter().map(Some).collect();
-        for h in have.iter_mut().take(5) {
-            *h = None;
-        }
+        let have = survivors(&rs, &shards(4, 16), &[0, 1, 2, 3, 4]);
         assert_eq!(
-            rs.reconstruct(&mut have),
+            rs.reconstruct_joined(&have),
             Err(CodeError::NotEnoughShards { have: 3, need: 4 })
         );
     }
@@ -540,28 +467,18 @@ mod tests {
         for (k, n) in [(8, 16), (16, 32)] {
             let rs = ReedSolomon::new(k, n).unwrap();
             let data = shards(k, 128);
-            let coded = rs.encode(&data).unwrap();
             // Lose the entire first half (all data shards).
-            let mut have: Vec<Option<Vec<u8>>> = coded.iter().cloned().map(Some).collect();
-            for slot in have.iter_mut().take(k) {
-                *slot = None;
-            }
-            rs.reconstruct(&mut have).unwrap();
-            for i in 0..k {
-                assert_eq!(have[i].as_ref().unwrap(), &data[i]);
-            }
+            let lost: Vec<usize> = (0..k).collect();
+            let have = survivors(&rs, &data, &lost);
+            assert_eq!(rs.reconstruct_joined(&have).unwrap(), data.concat());
         }
     }
 
     #[test]
-    fn no_loss_is_a_noop() {
+    fn no_loss_is_a_copy() {
         let rs = ReedSolomon::new(2, 4).unwrap();
-        let coded = rs.encode(&shards(2, 8)).unwrap();
-        let mut have: Vec<Option<Vec<u8>>> = coded.iter().cloned().map(Some).collect();
-        rs.reconstruct(&mut have).unwrap();
-        for (h, c) in have.iter().zip(&coded) {
-            assert_eq!(h.as_ref().unwrap(), c);
-        }
+        let data = shards(2, 8);
+        assert_eq!(rs.reconstruct_joined(&survivors(&rs, &data, &[])).unwrap(), data.concat());
     }
 
     #[test]
@@ -576,23 +493,26 @@ mod tests {
     #[test]
     fn mismatched_shard_lengths_rejected() {
         let rs = ReedSolomon::new(2, 4).unwrap();
-        let bad = vec![vec![0u8; 8], vec![0u8; 9]];
-        assert_eq!(rs.encode(&bad), Err(CodeError::ShardSizeMismatch));
+        // 17 bytes are no 2 equal shards.
+        assert_eq!(rs.parity_joined(&[0u8; 17]), Err(CodeError::ShardSizeMismatch));
+        let mut have = survivors(&rs, &shards(2, 8), &[0]);
+        have[1].as_mut().expect("kept").push(0);
+        assert_eq!(rs.reconstruct_joined(&have), Err(CodeError::ShardSizeMismatch));
     }
 
     #[test]
     fn wrong_shard_count_rejected() {
         let rs = ReedSolomon::new(3, 5).unwrap();
-        assert_eq!(rs.encode(&shards(2, 8)), Err(CodeError::ShardSizeMismatch));
-        let mut wrong = vec![Some(vec![0u8; 4]); 4];
-        assert_eq!(rs.reconstruct(&mut wrong), Err(CodeError::ShardSizeMismatch));
+        assert_eq!(rs.parity_joined(&shards(2, 8).concat()), Err(CodeError::ShardSizeMismatch));
+        let wrong = vec![Some(vec![0u8; 4]); 4];
+        assert_eq!(rs.reconstruct_joined(&wrong), Err(CodeError::ShardSizeMismatch));
     }
 
     #[test]
     fn empty_shards_roundtrip() {
         let rs = ReedSolomon::new(2, 4).unwrap();
-        let data = vec![Vec::new(), Vec::new()];
-        let coded = rs.encode(&data).unwrap();
-        assert!(coded.iter().all(Vec::is_empty));
+        assert_eq!(rs.parity_joined(&[]), Err(CodeError::ShardSizeMismatch));
+        let have = vec![None, Some(Vec::new()), None, Some(Vec::new())];
+        assert_eq!(rs.reconstruct_joined(&have).unwrap(), Vec::<u8>::new());
     }
 }

@@ -57,7 +57,9 @@ impl Tornado {
         // fragments. Every fourth check is sparse; the rest include each
         // data fragment independently with probability ~2·ln(k)/k.
         let cdf = robust_soliton_cdf(k);
-        let p_dense = (2.0 * (k as f64).ln() / k as f64).clamp(1.0 / k as f64, 0.5);
+        // At least one data fragment per check on average, at most half
+        // (`k = 1` asks for both, and gets a half).
+        let p_dense = (2.0 * (k as f64).ln() / k as f64).max(1.0 / k as f64).min(0.5);
         let p_bits = (p_dense * (1u64 << 32) as f64) as u64;
         let mut checks = Vec::with_capacity(n - k);
         for c in 0..(n - k) {

@@ -1,16 +1,24 @@
 //! Property-based tests for the erasure codes: the invariants the deep
 //! archival argument rests on must hold for *arbitrary* data and erasure
-//! patterns, not just hand-picked cases.
+//! patterns, not just hand-picked cases. The framed path is held to the
+//! byte-at-a-time oracles `ReedSolomon::{encode_ref, reconstruct_ref}`.
 
-use oceanstore_erasure::object::{frame, join_shards, split_into_shards, CodeKind, ObjectCodec};
-use oceanstore_erasure::rs::ReedSolomon;
+use oceanstore_erasure::object::{frame, CodeKind, ObjectCodec};
 use oceanstore_erasure::tornado::Tornado;
 use proptest::prelude::*;
 
+/// `framed`'s `k` data shards, then its parity by the reference encode.
+fn coded_ref(codec: &ObjectCodec, framed: &[u8]) -> Vec<Vec<u8>> {
+    let ObjectCodec::Rs(rs) = codec else { unreachable!("a Reed-Solomon codec") };
+    let shards: Vec<&[u8]> = framed.chunks_exact(framed.len() / rs.data_shards()).collect();
+    rs.encode_ref(&shards).expect("encodes")
+}
+
 proptest! {
-    /// Reed-Solomon: any k-subset of shards reconstructs every data shard
-    /// exactly, for arbitrary data and arbitrary k-subsets, and the parity
-    /// re-derived from them is the original parity.
+    /// Reed-Solomon: any k-subset of shards rebuilds the framed object
+    /// exactly, for arbitrary data and arbitrary k-subsets; the parity
+    /// re-derived from it is the original parity, and the survivors are
+    /// only read, so a lost parity shard stays lost.
     #[test]
     fn rs_any_k_subset_reconstructs(
         data in proptest::collection::vec(any::<u8>(), 1..2000),
@@ -19,9 +27,9 @@ proptest! {
         subset_seed in any::<u64>(),
     ) {
         let n = k + extra;
-        let rs = ReedSolomon::new(k, n).expect("valid");
-        let shards = split_into_shards(&data, k);
-        let coded = rs.encode(&shards).expect("encodes");
+        let codec = ObjectCodec::new(CodeKind::ReedSolomon, k, n, 0).expect("valid");
+        let framed = frame(&data, k);
+        let coded = coded_ref(&codec, &framed);
         // Choose a pseudo-random k-subset to survive.
         let mut order: Vec<usize> = (0..n).collect();
         let mut s = subset_seed;
@@ -29,20 +37,17 @@ proptest! {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             order.swap(i, (s % (i as u64 + 1)) as usize);
         }
-        let mut have: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut have: Vec<Option<&[u8]>> = vec![None; n];
         for &i in order.iter().take(k) {
-            have[i] = Some(coded[i].clone());
+            have[i] = Some(&coded[i]);
         }
-        rs.reconstruct(&mut have).expect("any k suffice");
-        let rebuilt: Vec<Vec<u8>> =
-            have[..k].iter().map(|x| x.clone().expect("data shard")).collect();
-        prop_assert_eq!(&rs.encode(&rebuilt).expect("encodes"), &coded);
-        // Only data is rebuilt: a parity slot is as it was.
-        for (i, slot) in have.iter().enumerate().skip(k) {
-            prop_assert_eq!(slot.is_some(), order[..k].contains(&i));
-        }
+        let before = have.clone();
+        let (joined, object) = codec.decode_framed(&have).expect("any k suffice");
+        prop_assert_eq!(&joined, &framed);
+        prop_assert_eq!(codec.encode_framed(&joined).expect("encodes"), coded[k..].concat());
+        prop_assert_eq!(have, before);
         // And the object reassembles bit-exactly.
-        prop_assert_eq!(join_shards(&rebuilt).expect("joins"), data);
+        prop_assert_eq!(&joined[object], &data[..]);
     }
 
     /// Tornado: whenever decoding succeeds, the result is exactly right —
@@ -56,7 +61,8 @@ proptest! {
     ) {
         let n = 3 * k;
         let t = Tornado::new(k, n, seed).expect("valid");
-        let shards = split_into_shards(&data, k);
+        let framed = frame(&data, k);
+        let shards: Vec<&[u8]> = framed.chunks_exact(framed.len() / k).collect();
         let coded = t.encode(&shards).expect("encodes");
         let mut have: Vec<Option<Vec<u8>>> = coded
             .iter()
@@ -70,17 +76,22 @@ proptest! {
         }
     }
 
-    /// Object framing: split/join is the identity for every (data, k).
+    /// Object framing: a framed object is `k` equal shards, and decoding
+    /// it from its own data shards (no parity) gives it back, with the
+    /// object where the prefix says, for every (data, k).
     #[test]
     fn framing_roundtrip(
         data in proptest::collection::vec(any::<u8>(), 0..4000),
         k in 1usize..20,
     ) {
-        let shards = split_into_shards(&data, k);
-        prop_assert_eq!(shards.len(), k);
-        let l0 = shards[0].len();
-        prop_assert!(shards.iter().all(|s| s.len() == l0));
-        prop_assert_eq!(join_shards(&shards).expect("joins"), data);
+        let framed = frame(&data, k);
+        prop_assert!(!framed.is_empty() && framed.len().is_multiple_of(k));
+        let codec = ObjectCodec::new(CodeKind::ReedSolomon, k, k + 1, 0).expect("valid");
+        let have: Vec<Option<&[u8]>> =
+            framed.chunks_exact(framed.len() / k).map(Some).chain([None]).collect();
+        let (joined, object) = codec.decode_framed(&have).expect("decodes");
+        prop_assert_eq!(&joined[object], &data[..]);
+        prop_assert_eq!(joined, framed);
     }
 
     /// Whole-object codec: encode → lose a random non-fatal subset →
@@ -106,12 +117,12 @@ proptest! {
         }
     }
 
-    /// `decode_object` answers what the reference reconstruct answers, for
+    /// `decode_framed` answers what the reference reconstruct answers, for
     /// survivor sets of three kinds: every data fragment present (nothing
     /// to rebuild), parity only (every data fragment rebuilt) and a random
-    /// mix, enough or not.
+    /// mix, enough or not. Parity is read, never rebuilt.
     #[test]
-    fn decode_object_matches_reconstruct_ref(
+    fn decode_framed_matches_reconstruct_ref(
         data in proptest::collection::vec(any::<u8>(), 0..2000),
         k in 1usize..9,
         extra in 1usize..12,
@@ -121,7 +132,7 @@ proptest! {
         let n = k + extra;
         let codec = ObjectCodec::new(CodeKind::ReedSolomon, k, n, 0).expect("valid");
         let ObjectCodec::Rs(rs) = &codec else { unreachable!("a Reed-Solomon codec") };
-        let frags = codec.encode_object(&data).expect("encodes");
+        let coded = coded_ref(&codec, &frame(&data, k));
         let mut bits = seed;
         let mut coin = || {
             bits = bits.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -134,56 +145,48 @@ proptest! {
                 _ => coin(),
             })
             .collect();
-        let mut have: Vec<Option<Vec<u8>>> =
-            frags.iter().zip(&keep).map(|(f, &kept)| kept.then(|| f.clone())).collect();
+        let have: Vec<Option<Vec<u8>>> =
+            coded.iter().zip(&keep).map(|(f, &kept)| kept.then(|| f.clone())).collect();
         let mut oracle = have.clone();
-        let decoded = codec.decode_object(&mut have);
+        let decoded = codec.decode_framed(&have);
         let expected = rs
             .reconstruct_ref(&mut oracle)
-            .and_then(|()| join_shards(&oracle.iter().take(k).flatten().collect::<Vec<_>>()));
-        prop_assert_eq!(&decoded, &expected);
-        if let Ok(out) = decoded {
-            prop_assert_eq!(out, data);
-            prop_assert_eq!(&have[..k], &oracle[..k]);
-            // Parity is read, never rebuilt.
-            for (slot, kept) in have.iter().zip(&keep).skip(k) {
+            .map(|()| oracle[..k].iter().flatten().flatten().copied().collect::<Vec<u8>>());
+        prop_assert_eq!(decoded.as_ref().map(|(joined, _)| joined), expected.as_ref());
+        if let Ok((joined, object)) = decoded {
+            prop_assert_eq!(&joined[object], &data[..]);
+            for (slot, kept) in have.iter().zip(&keep) {
                 prop_assert_eq!(slot.is_some(), *kept);
             }
         }
     }
 
-    /// The one-buffer paths give the shard-per-buffer paths' bytes: the
-    /// framed object is the data shards end to end, its parity the parity
-    /// shards end to end, and any sufficient survivor set decodes to the
-    /// framed object, with the object where the prefix says.
+    /// The framed encode gives the reference encode's parity for both
+    /// codes, and `encode_object` hands out the framed object's shards
+    /// and that parity, one buffer each.
     #[test]
-    fn framed_paths_match_the_shard_paths(
+    fn encode_framed_matches_encode_ref(
         data in proptest::collection::vec(any::<u8>(), 0..2000),
         k in 1usize..9,
         extra in 1usize..12,
+        tornado in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let n = k + extra;
-        let codec = ObjectCodec::new(CodeKind::ReedSolomon, k, n, 0).expect("valid");
         let framed = frame(&data, k);
-        let frags = codec.encode_object(&data).expect("encodes");
-        prop_assert_eq!(&framed, &frags[..k].concat());
-        prop_assert_eq!(codec.encode_framed(&framed).expect("encodes"), frags[k..].concat());
-        let mut bits = seed;
-        let have: Vec<Option<&[u8]>> = frags
-            .iter()
-            .map(|f| {
-                bits = bits.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (bits >> 63 == 1).then_some(f.as_slice())
-            })
-            .collect();
-        let decoded = codec.decode_framed(&have);
-        if have.iter().flatten().count() >= k {
-            let (joined, object) = decoded.expect("enough survivors");
-            prop_assert_eq!(&joined[object], &data[..]);
-            prop_assert_eq!(joined, framed);
+        let len = framed.len() / k;
+        let shards: Vec<&[u8]> = framed.chunks_exact(len).collect();
+        let (codec, coded) = if tornado {
+            let t = Tornado::new(k, n, seed).expect("valid");
+            let coded = t.encode(&shards).expect("encodes");
+            (ObjectCodec::Tornado(t), coded)
         } else {
-            prop_assert!(decoded.is_err());
-        }
+            let codec = ObjectCodec::new(CodeKind::ReedSolomon, k, n, 0).expect("valid");
+            let coded = coded_ref(&codec, &framed);
+            (codec, coded)
+        };
+        let parity = codec.encode_framed(&framed).expect("encodes");
+        prop_assert_eq!(&parity, &coded[k..].concat());
+        prop_assert_eq!(codec.encode_object(&data).expect("encodes"), coded);
     }
 }

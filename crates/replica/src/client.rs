@@ -10,10 +10,10 @@
 //! per-client no matter which ring served it.
 
 use oceanstore_consensus::client::{Client as PbftClient, ClientOutcome};
-use oceanstore_consensus::messages::{Payload, PbftMsg, PbftTimer, RequestId};
+use oceanstore_consensus::messages::{Payload, PbftTimer, RequestId};
 use oceanstore_consensus::replica::TierConfig;
 use oceanstore_crypto::schnorr::KeyPair;
-use oceanstore_naming::guid::{Guid, IdMap};
+use oceanstore_naming::guid::Guid;
 use oceanstore_sim::{Context, NodeId, SimDuration};
 use oceanstore_update::Update;
 use rand::seq::SliceRandom;
@@ -28,10 +28,10 @@ pub struct UpdateClient {
     /// One PBFT client per ring, tier order.
     rings: Vec<PbftClient<UpdateNamer>>,
     router: ShardRouter,
-    /// Next client sequence, shared across rings.
+    /// Next client sequence, shared across rings: a request id names
+    /// one ring's request, so only that ring acts on its replies and
+    /// deadlines.
     next_seq: u64,
-    /// Client sequence → ring that serialized it (reply/timer routing).
-    routes: IdMap<u64, usize>,
     /// Known secondary replicas to seed the epidemic path, reordered in
     /// place by each draw of the tentative targets.
     secondaries: Vec<NodeId>,
@@ -60,7 +60,6 @@ impl UpdateClient {
                 .collect(),
             router,
             next_seq: 0,
-            routes: IdMap::default(),
             secondaries,
             tentative_fanout: 3,
         }
@@ -94,9 +93,6 @@ impl UpdateClient {
         let ring = self.router.ring_of(&object);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.rings.len() > 1 {
-            self.routes.insert(seq, ring);
-        }
         let payload = Payload::from_bytes(encode_payload(&object, update));
         let whole = &payload.bytes;
         let encoded = whole.slice(PAYLOAD_UPDATE_AT..whole.len());
@@ -116,18 +112,9 @@ impl UpdateClient {
         id
     }
 
-    /// The ring a submitted sequence was routed to.
-    fn ring_for(&self, seq: u64) -> usize {
-        if self.rings.len() == 1 {
-            0
-        } else {
-            self.routes.get(&seq).copied().unwrap_or(0)
-        }
-    }
-
     /// The committed outcome, once `m + 1` matching replies arrived.
     pub fn outcome(&self, id: RequestId) -> Option<&ClientOutcome> {
-        self.rings[self.ring_for(id.seq)].outcome(id)
+        self.rings.iter().find_map(|ring| ring.outcome(id))
     }
 
     /// Requests still awaiting commitment, across all rings.
@@ -135,26 +122,25 @@ impl UpdateClient {
         self.rings.iter().map(PbftClient::pending_count).sum()
     }
 
-    /// Message dispatch.
+    /// Message dispatch: a reply is offered to every ring, and the one
+    /// that holds its request pending takes it.
     pub fn on_message(&mut self, ctx: &mut Context<'_, ReplicaMsg>, from: NodeId, msg: ReplicaMsg) {
         if let ReplicaMsg::Pbft(inner) = msg {
-            let ring = match &inner {
-                PbftMsg::Reply { id, .. } => self.ring_for(id.seq),
-                _ => 0,
-            };
             ctx.with_inner(ReplicaMsg::Pbft, ReplicaTimer::Client, |ictx| {
-                self.rings[ring].on_message(ictx, from, inner)
+                for ring in &mut self.rings {
+                    ring.on_message(ictx, from, &inner);
+                }
             });
         }
     }
 
-    /// Timer dispatch (retransmissions). A retransmission deadline
-    /// carries the client sequence, so route it like a reply.
+    /// Timer dispatch (retransmissions): a deadline is offered to every
+    /// ring, like a reply.
     pub fn on_timer(&mut self, ctx: &mut Context<'_, ReplicaMsg>, timer: PbftTimer) {
-        let PbftTimer::Retransmit(seq) = timer else { return };
-        let ring = self.ring_for(seq);
         ctx.with_inner(ReplicaMsg::Pbft, ReplicaTimer::Client, |ictx| {
-            self.rings[ring].on_timer(ictx, timer)
+            for ring in &mut self.rings {
+                ring.on_timer(ictx, timer);
+            }
         });
     }
 }

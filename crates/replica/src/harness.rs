@@ -360,22 +360,22 @@ pub fn build_deployment_with<N: Protocol>(
     let anti_entropy = opts.anti_entropy.unwrap_or(SecondaryConfig::default().anti_entropy_interval);
     for (r, keys) in ring_keys.into_iter().enumerate() {
         for (i, kp) in keys.into_iter().enumerate() {
-            let mut primary = Primary::new(
+            // Primaries gossip certified records among themselves on the
+            // same cadence as the tree's epidemic layer — the catch-up
+            // path for a member whose agreement replica missed commits
+            // for good.
+            nodes.push(OceanNode::Primary(Primary::new(
                 rings[r].cfg.clone(),
                 i,
                 kp,
                 FaultMode::Honest,
                 vec![(secondaries[0], child_mode(0))],
+                router,
+                r,
                 share_retry_timeout,
                 ack_timeout,
-            );
-            primary.set_shard(router, r);
-            // Primaries gossip certified records among themselves on the
-            // same cadence as the tree's epidemic layer — the catch-up
-            // path for a member whose agreement replica missed commits
-            // for good.
-            primary.set_tier_anti_entropy(anti_entropy);
-            nodes.push(OceanNode::Primary(primary));
+                anti_entropy,
+            )));
         }
     }
     for j in 0..s {

@@ -239,7 +239,10 @@ pub enum ReplicaMsg {
         id: TentativeId,
     },
     /// A primary replica's signature share over a commit record, sent to
-    /// the disseminating replica.
+    /// the disseminating replica. A share not certified within the
+    /// deadline is re-routed to a fallback disseminator: the one for
+    /// attempt `a` is tier member `(base + a) % n`, so any `f + 1`
+    /// consecutive attempts reach at least one live member.
     ResultShare {
         /// Record being vouched for (without a cert yet).
         object: Guid,
@@ -253,25 +256,8 @@ pub enum ReplicaMsg {
         replica: usize,
         /// Signature over the record's signing bytes.
         sig: Signature,
-    },
-    /// A signature share re-routed to a fallback disseminator after the
-    /// original failed to certify the record within the deadline. The
-    /// fallback for attempt `a` is tier member `(base + a) % n`, so any
-    /// `f + 1` consecutive attempts reach at least one live member.
-    ShareRebroadcast {
-        /// Record being vouched for (without a cert yet).
-        object: Guid,
-        /// Per-object serialization index.
-        index: u64,
-        /// The update's digest ([`update_digest`]) as the signer derived it.
-        update_digest: [u8; 20],
-        /// Resulting version (None = abort).
-        version: Option<u64>,
-        /// Tier index of the signer.
-        replica: usize,
-        /// Signature over the record's signing bytes.
-        sig: Signature,
-        /// Failover attempt number (1 = first fallback).
+        /// Failover attempt number (0 = the first send, 1 = the first
+        /// fallback). Only a re-routed share carries it on the wire.
         attempt: u64,
     },
     /// Tier-internal: the serialization certificate for `(object, index)`
@@ -410,11 +396,10 @@ impl Message for ReplicaMsg {
             ReplicaMsg::Pbft(m) => m.wire_size(),
             ReplicaMsg::Tentative { update, .. } => Guid::WIRE_SIZE + update.len() + 32,
             ReplicaMsg::Heard { .. } | ReplicaMsg::Want { .. } => ReplicaMsg::NAME_SIZE,
-            ReplicaMsg::ResultShare { .. } => {
-                Guid::WIRE_SIZE + 8 + 20 + 9 + 8 + Signature::WIRE_SIZE
-            }
-            ReplicaMsg::ShareRebroadcast { .. } => {
-                Guid::WIRE_SIZE + 8 + 20 + 9 + 8 + Signature::WIRE_SIZE + 8
+            ReplicaMsg::ResultShare { attempt, .. } => {
+                // A re-routed share carries its attempt number.
+                let attempt = if *attempt > 0 { 8 } else { 0 };
+                Guid::WIRE_SIZE + 8 + 20 + 9 + 8 + Signature::WIRE_SIZE + attempt
             }
             ReplicaMsg::CertFormed { cert, .. } => Guid::WIRE_SIZE + 8 + cert.wire_size(),
             ReplicaMsg::Commit { record, frontier } => {
@@ -442,8 +427,8 @@ impl Message for ReplicaMsg {
             ReplicaMsg::Tentative { .. } => "replica/tentative",
             ReplicaMsg::Heard { .. } => "replica/heard",
             ReplicaMsg::Want { .. } => "replica/want",
-            ReplicaMsg::ResultShare { .. } => "replica/resultshare",
-            ReplicaMsg::ShareRebroadcast { .. } => "replica/sharerebroadcast",
+            ReplicaMsg::ResultShare { attempt: 0, .. } => "replica/resultshare",
+            ReplicaMsg::ResultShare { .. } => "replica/sharerebroadcast",
             ReplicaMsg::CertFormed { .. } => "replica/certformed",
             ReplicaMsg::Commit { .. } => "replica/commit",
             ReplicaMsg::CommitAck { .. } => "replica/commitack",

@@ -93,16 +93,8 @@ impl Protocol for OceanNode {
                     version,
                     replica,
                     sig,
-                } => p.on_result_share(ctx, object, index, digest, version, replica, sig, false),
-                ReplicaMsg::ShareRebroadcast {
-                    object,
-                    index,
-                    update_digest: digest,
-                    version,
-                    replica,
-                    sig,
-                    ..
-                } => p.on_result_share(ctx, object, index, digest, version, replica, sig, true),
+                    attempt,
+                } => p.on_result_share(ctx, object, index, digest, version, replica, sig, attempt),
                 ReplicaMsg::CertFormed { object, index, cert } => {
                     p.on_cert_formed(ctx, object, index, cert);
                 }

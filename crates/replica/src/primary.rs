@@ -178,27 +178,33 @@ pub struct Primary {
     push_acked: IdMap<Guid, BTreeMap<u64, IdSet<NodeId>>>,
     /// Total `Commit` re-pushes sent (re-push engagement accounting).
     repush_resends: u64,
-    /// Period of the tier-internal anti-entropy tick (`None` disables
-    /// it). Certified records are self-certifying, so primaries can
-    /// exchange them directly — the catch-up path for a primary that
-    /// missed commits (crash recovery, quorum-loss islanding) and whose
-    /// embedded agreement replica cannot rejoin on its own. Without it, a
-    /// behind primary serving as a tree parent starves its whole subtree.
-    tier_anti_entropy: Option<oceanstore_sim::SimDuration>,
+    /// Period of the tier-internal anti-entropy tick. Certified records
+    /// are self-certifying, so primaries can exchange them directly — the
+    /// catch-up path for a primary that missed commits (crash recovery,
+    /// quorum-loss islanding) and whose embedded agreement replica cannot
+    /// rejoin on its own. Without it, a behind primary serving as a tree
+    /// parent starves its whole subtree.
+    tier_anti_entropy: oceanstore_sim::SimDuration,
     /// This primary's place in the sharded layout: the object → ring
     /// router plus the ring this tier serves. Objects of other rings are
     /// ignored at every ingress (shares, certs, fetches, summaries), so a
     /// shared secondary substrate can't make ring A pull — and reject —
-    /// ring B's records forever. The single-ring default owns everything.
+    /// ring B's records forever.
     router: crate::shard::ShardRouter,
     ring: usize,
 }
 
 impl Primary {
-    /// Creates primary `index` with its embedded PBFT replica, the
-    /// deadline after which a signer re-routes its share past a silent
-    /// disseminator, and the deadline after which a certified record is
-    /// re-pushed to a child that has not acked it.
+    /// Creates primary `index` of the tier that serves `ring` under
+    /// `router`, with its embedded PBFT replica, the deadline after which
+    /// a signer re-routes its share past a silent disseminator, the
+    /// deadline after which a certified record is re-pushed to a child
+    /// that has not acked it, and the period of the tier anti-entropy
+    /// tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `router` has no ring `ring`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cfg: TierConfig,
@@ -206,9 +212,13 @@ impl Primary {
         keypair: KeyPair,
         fault: oceanstore_consensus::replica::FaultMode,
         children: Vec<(NodeId, ChildMode)>,
+        router: crate::shard::ShardRouter,
+        ring: usize,
         share_retry_timeout: oceanstore_sim::SimDuration,
         ack_timeout: oceanstore_sim::SimDuration,
+        tier_anti_entropy: oceanstore_sim::SimDuration,
     ) -> Self {
+        assert!(ring < router.rings(), "ring {ring} out of range");
         let pbft = Replica::new(cfg.clone(), index, keypair.clone(), fault, UpdateNamer);
         let mut store = ObjectStore::new();
         store.keep_record_digests();
@@ -230,24 +240,10 @@ impl Primary {
             push_arms: 0,
             push_acked: IdMap::default(),
             repush_resends: 0,
-            tier_anti_entropy: None,
-            router: crate::shard::ShardRouter::new(1),
-            ring: 0,
+            tier_anti_entropy,
+            router,
+            ring,
         }
-    }
-
-    /// Enables the tier-internal anti-entropy tick with the given period
-    /// (effective from the next [`Primary::on_start`]).
-    pub fn set_tier_anti_entropy(&mut self, interval: oceanstore_sim::SimDuration) {
-        self.tier_anti_entropy = Some(interval);
-    }
-
-    /// Places this primary in a sharded layout: it serves `ring` under
-    /// `router` and ignores traffic about objects owned by other rings.
-    pub fn set_shard(&mut self, router: crate::shard::ShardRouter, ring: usize) {
-        assert!(ring < router.rings(), "ring {ring} out of range");
-        self.router = router;
-        self.ring = ring;
     }
 
     /// Whether this primary's ring owns `object`.
@@ -255,11 +251,9 @@ impl Primary {
         self.router.ring_of(object) == self.ring
     }
 
-    /// Arms the tier anti-entropy tick, if enabled.
+    /// Arms the tier anti-entropy tick.
     pub fn on_start(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
-        if let Some(interval) = self.tier_anti_entropy {
-            ctx.set_timer(interval, ReplicaTimer::Primary(PrimaryTimer::TierAntiEntropy));
-        }
+        ctx.set_timer(self.tier_anti_entropy, ReplicaTimer::Primary(PrimaryTimer::TierAntiEntropy));
     }
 
     /// Tier index of this primary.
@@ -387,6 +381,7 @@ impl Primary {
                 version: record.version,
                 replica: self.index,
                 sig,
+                attempt: 0,
             };
             // Arm the failover deadline before routing: if no certificate
             // materializes, the share walks the fallback rotation.
@@ -421,7 +416,7 @@ impl Primary {
         } else {
             ctx.send(
                 self.cfg.members[target],
-                ReplicaMsg::ShareRebroadcast {
+                ReplicaMsg::ResultShare {
                     object,
                     index,
                     update_digest,
@@ -606,8 +601,8 @@ impl Primary {
         }
     }
 
-    /// Handles a signature share (we are the disseminator for it);
-    /// `retried` when it came as a [`ReplicaMsg::ShareRebroadcast`].
+    /// Handles a signature share (we are the disseminator for it), sent on
+    /// failover `attempt` (0 = the first send).
     #[allow(clippy::too_many_arguments)]
     pub fn on_result_share(
         &mut self,
@@ -618,7 +613,7 @@ impl Primary {
         version: Option<u64>,
         replica: usize,
         sig: Signature,
-        retried: bool,
+        attempt: u64,
     ) {
         if !self.owns(&object) {
             return;
@@ -636,7 +631,7 @@ impl Primary {
         if !verify(*key, &record.signing_bytes(digest), &sig) {
             return;
         }
-        self.accept_share(ctx, object, index, replica, sig, retried);
+        self.accept_share(ctx, object, index, replica, sig, attempt > 0);
     }
 
     fn accept_share(
@@ -745,9 +740,7 @@ impl Primary {
             let peer = self.cfg.members[k + usize::from(k >= self.index)];
             ctx.send(peer, ReplicaMsg::AntiEntropyDigest { digest: self.store.committed_digest() });
         }
-        if let Some(interval) = self.tier_anti_entropy {
-            ctx.set_timer(interval, ReplicaTimer::Primary(PrimaryTimer::TierAntiEntropy));
-        }
+        ctx.set_timer(self.tier_anti_entropy, ReplicaTimer::Primary(PrimaryTimer::TierAntiEntropy));
     }
 
     /// Handles an anti-entropy digest from a child secondary or a peer

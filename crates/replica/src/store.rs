@@ -342,19 +342,29 @@ impl ObjectStore {
             record.version,
             "deterministic replay must match the tier's outcome"
         );
-        st.newest_timestamp = st.newest_timestamp.max(record.timestamp);
         let object = record.object;
+        self.log(record, name.digest, failures);
+        self.note_certs(object, dropped);
+        true
+    }
+
+    /// Logs `record`, whose update was just executed on its object with
+    /// `failures` refused puts, under `digest`: the record is the newest
+    /// in the object's log and its index the object's last.
+    fn log(&mut self, record: CommitRecord, digest: Digest, failures: u64) {
+        let object = record.object;
+        let st = self.objects.get_mut(&object).expect("executed on this store");
+        st.newest_timestamp = st.newest_timestamp.max(record.timestamp);
         st.records.push(record);
         if let Some(digests) = &mut self.digests {
-            digests.entry(object).or_default().push(name.digest);
+            digests.entry(object).or_default().push(digest);
         }
         advance(&mut self.committed_digest, &object, st);
+        st.known_index = st.known_index.max(st.next_index);
         self.retained_total += 1;
         self.total_applied += 1;
         self.peak_retained = self.peak_retained.max(self.retained_total);
         self.blob_put_failures += failures;
-        self.note_certs(object, dropped);
-        true
     }
 
     /// Attaches an assembled serialization certificate to a stored record
@@ -475,17 +485,7 @@ impl ObjectStore {
             id,
             cert: Default::default(),
         };
-        st.newest_timestamp = st.newest_timestamp.max(timestamp);
-        st.records.push(record.clone());
-        if let Some(digests) = &mut self.digests {
-            digests.entry(object).or_default().push(name.digest);
-        }
-        advance(&mut self.committed_digest, &record.object, st);
-        st.known_index = st.known_index.max(st.next_index);
-        self.retained_total += 1;
-        self.total_applied += 1;
-        self.peak_retained = self.peak_retained.max(self.retained_total);
-        self.blob_put_failures += failures;
+        self.log(record.clone(), name.digest, failures);
         record
     }
 

@@ -184,3 +184,41 @@ fn lost_push_is_repaired_for_every_ring() {
         }
     }
 }
+
+/// A request lost on its way to the ring that owns its object commits
+/// through the client's retransmission, and the other ring never hears
+/// of it: the client offers each deadline to every ring, and only the
+/// ring that holds the request pending sends it again.
+#[test]
+fn a_lost_request_is_retransmitted_to_its_own_ring_only() {
+    const RINGS: usize = 2;
+    for owner in 0..RINGS {
+        let opts = DeploymentOpts { rings: RINGS, seed: 29, ..DeploymentOpts::default() };
+        let mut dep = build_deployment(&opts);
+        let object = (0..)
+            .map(|i| Guid::from_label(&format!("retransmit-{i}")))
+            .find(|g| dep.ring_of(g) == owner)
+            .expect("some label routes to each ring");
+        let client = dep.clients[0];
+        let links = dep.rings[owner].primaries.clone();
+        for &p in &links {
+            dep.sim.set_link_drop(client, p, 1.0);
+        }
+        let append = Update::unconditional(vec![Action::Append { ciphertext: vec![7; 8] }]);
+        let id = dep.submit(client, object, &append);
+        // Shorter than the retransmission period (60 × latency).
+        dep.sim.run_for(SimDuration::from_secs(1));
+        assert!(dep.outcome(id).is_none(), "ring {owner} heard the request through the cut");
+        for &p in &links {
+            dep.sim.set_link_drop(client, p, 0.0);
+        }
+        dep.sim.run_for(SimDuration::from_secs(5));
+        assert!(dep.outcome(id).is_some(), "ring {owner} never committed the retransmission");
+        assert_eq!(dep.frontier(&object), 1);
+        let sent = dep.sim.stats().class_sent_by(client, "pbft/request").messages;
+        assert_eq!(sent, 2 * links.len() as u64, "one send and one retransmission, to {owner}");
+        for &p in &dep.rings[1 - owner].primaries {
+            assert_eq!(dep.primary(p).pbft().executed_seen(), 0, "ring {} executed it", 1 - owner);
+        }
+    }
+}

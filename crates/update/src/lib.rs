@@ -24,7 +24,4 @@ pub use codec::{
 pub use object::{Block, DataObject, Version};
 pub use ops::{ObjectKeys, ReadError};
 pub use session::{Guarantee, GuaranteeSet, SessionState};
-pub use update::{
-    apply, apply_logged, apply_owned, apply_placing, Action, Clause, LogEntry, Outcome, Predicate,
-    Update,
-};
+pub use update::{apply, apply_owned, apply_placing, Action, Clause, Outcome, Predicate, Update};

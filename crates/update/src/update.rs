@@ -197,16 +197,6 @@ impl Outcome {
     }
 }
 
-/// One entry of the per-object update log ("the update itself is logged
-/// regardless of whether it commits or aborts").
-#[derive(Debug, Clone)]
-pub struct LogEntry {
-    /// The applied (or rejected) update.
-    pub update: Update,
-    /// What happened.
-    pub outcome: Outcome,
-}
-
 /// Evaluates `predicate` against the current version of `object`.
 pub fn evaluate(object: &DataObject, predicate: &Predicate) -> bool {
     let v = object.current();
@@ -342,13 +332,6 @@ pub fn apply_placing<C: Into<Bytes>>(
         }
     });
     Outcome::Committed { version }
-}
-
-/// Applies an update and records it in `log` ("logged regardless").
-pub fn apply_logged(object: &mut DataObject, update: &Update, log: &mut Vec<LogEntry>) -> Outcome {
-    let outcome = apply(object, update);
-    log.push(LogEntry { update: update.clone(), outcome: outcome.clone() });
-    outcome
 }
 
 #[cfg(test)]
@@ -511,20 +494,6 @@ mod tests {
         }
         assert_eq!(a.current().blocks, b.current().blocks);
         assert_eq!(a.version_number(), b.version_number());
-    }
-
-    #[test]
-    fn log_records_aborts_too() {
-        let mut o = DataObject::new();
-        let mut log = Vec::new();
-        let good = Update::unconditional(vec![Action::Append { ciphertext: ct(1) }]);
-        let bad = Update::default()
-            .with_clause(Predicate::CompareVersion(77), vec![]);
-        apply_logged(&mut o, &good, &mut log);
-        apply_logged(&mut o, &bad, &mut log);
-        assert_eq!(log.len(), 2);
-        assert!(log[0].outcome.is_committed());
-        assert!(!log[1].outcome.is_committed());
     }
 
     #[test]
