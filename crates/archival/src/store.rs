@@ -67,19 +67,19 @@ impl Default for FragStore {
 }
 
 impl FragStore {
-    /// An empty store over the environment-selected blob backend.
+    /// An empty store over the environment-selected blob backend: in RAM,
+    /// one table entry per payload holds its view and its refcount.
     pub fn new() -> Self {
-        Self::with_backend(oceanstore_store::default_store())
+        Self::with_blobs(oceanstore_store::default_store())
     }
 
     /// An empty store over a specific blob backend.
     pub fn with_backend(backend: Box<dyn BlobStore>) -> Self {
-        FragStore {
-            blobs: DedupStore::new(backend),
-            index: HashMap::new(),
-            missed_reads: 0,
-            put_failures: 0,
-        }
+        Self::with_blobs(DedupStore::new(backend))
+    }
+
+    fn with_blobs(blobs: DedupStore) -> Self {
+        FragStore { blobs, index: HashMap::new(), missed_reads: 0, put_failures: 0 }
     }
 
     /// Swaps the blob backend, re-homing every held payload into it.

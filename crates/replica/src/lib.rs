@@ -446,7 +446,7 @@ mod security_tests {
         }
         let victim = dep.secondaries[1];
         let source = dep.secondaries[2];
-        dep.sim.inject(source, victim, ReplicaMsg::Commit { record, frontier: None });
+        dep.sim.inject(source, victim, ReplicaMsg::Commit { record: record.into(), frontier: None });
         dep.sim.run_for(SimDuration::from_secs(2));
         let sec = dep.secondary(victim);
         assert!(
@@ -470,11 +470,11 @@ mod security_tests {
         let genuine = root.store.records_from(&object, 0).into_iter().next().expect("committed");
         // ...and tamper with the update bytes while keeping the cert.
         let other = Update::unconditional(vec![Action::Append { ciphertext: vec![9, 9, 9] }]);
-        let mut forged = genuine.clone();
+        let mut forged = CommitRecord::clone(&genuine);
         forged.update = encode_update(&other).into();
         forged.index = 1; // next slot, so the gap check doesn't mask the cert check
         let victim = dep.secondaries[3];
-        let push = ReplicaMsg::Commit { record: forged, frontier: None };
+        let push = ReplicaMsg::Commit { record: forged.into(), frontier: None };
         dep.sim.inject(dep.secondaries[2], victim, push);
         dep.sim.run_for(SimDuration::from_secs(2));
         let sec = dep.secondary(victim);

@@ -1,5 +1,7 @@
 //! Wire messages of the two-tier replication layer (§4.4.3, §4.4.4).
 
+use std::sync::Arc;
+
 use oceanstore_consensus::messages::{PbftMsg, PbftTimer};
 use oceanstore_crypto::schnorr::{PublicKey, Signature};
 use oceanstore_crypto::sha1::Digest;
@@ -24,6 +26,12 @@ pub struct TentativeId {
 
 /// A commit record as certified by the primary tier and streamed down the
 /// dissemination tree.
+///
+/// Once built, a record is one shared allocation: messages, logs, parked
+/// pushes and fetch answers hold it behind an [`Arc`], so a push down the
+/// tree or a log entry costs a node one pointer. Nothing changes a record
+/// another node may hold: each change builds a new one
+/// ([`CommitRecord::with_update`], [`CommitRecord::with_cert`]).
 #[derive(Debug, Clone)]
 pub struct CommitRecord {
     /// The object this commit belongs to.
@@ -129,17 +137,28 @@ impl CommitRecord {
         bytes > self.wire_size() - bytes
     }
 
-    /// This record as a secondary offers it to another: without its
-    /// update bytes if it [`is_large`](CommitRecord::is_large), whole
-    /// otherwise. A receiver that holds the bytes from the rumor saves
-    /// them; one that does not pays this header and one ask, less than
-    /// the bytes themselves. A primary pushes every record whole: the
-    /// tree root may not have the rumor.
-    pub fn by_name(mut self) -> CommitRecord {
+    /// This record as a secondary offers it to another: a new record
+    /// without its update bytes if it [`is_large`](CommitRecord::is_large),
+    /// this very one otherwise. A receiver that holds the bytes from the
+    /// rumor saves them; one that does not pays this header and one ask,
+    /// less than the bytes themselves. A primary pushes every record
+    /// whole: the tree root may not have the rumor.
+    pub fn by_name(self: Arc<Self>) -> Arc<CommitRecord> {
         if self.is_large() {
-            self.update = Bytes::default();
+            Arc::new(self.with_update(Bytes::default()))
+        } else {
+            self
         }
-        self
+    }
+
+    /// A new record, this one with `update` as its update bytes.
+    pub fn with_update(&self, update: Bytes) -> CommitRecord {
+        CommitRecord { update, cert: self.cert.clone(), ..*self }
+    }
+
+    /// A new record, this one with `cert` as its certificate.
+    pub fn with_cert(&self, cert: SerializationCert) -> CommitRecord {
+        CommitRecord { cert, update: self.update.clone(), ..*self }
     }
 }
 
@@ -286,7 +305,7 @@ pub enum ReplicaMsg {
     /// ([`ReplicaMsg::FetchCommits`]).
     Commit {
         /// The certified record.
-        record: CommitRecord,
+        record: Arc<CommitRecord>,
         /// A secondary parent's committed frontier
         /// ([`crate::ObjectStore::committed_digest`]) after it applied the
         /// record, for the child to compare with its own. A primary, which
@@ -326,7 +345,7 @@ pub enum ReplicaMsg {
     /// Response to [`ReplicaMsg::FetchCommits`].
     Commits {
         /// The records, in index order.
-        records: Vec<CommitRecord>,
+        records: Vec<Arc<CommitRecord>>,
     },
     /// Periodic anti-entropy probe: the sender's [`frontier_digest`] over
     /// everything it holds. A receiver whose own digest is equal stays
@@ -409,7 +428,7 @@ impl Message for ReplicaMsg {
             ReplicaMsg::Invalidate { .. } => Guid::WIRE_SIZE + 24,
             ReplicaMsg::FetchCommits { .. } => Guid::WIRE_SIZE + 16,
             ReplicaMsg::Commits { records } => {
-                16 + records.iter().map(CommitRecord::wire_size).sum::<usize>()
+                16 + records.iter().map(|r| r.wire_size()).sum::<usize>()
             }
             ReplicaMsg::AntiEntropyDigest { .. } => 16,
             ReplicaMsg::AntiEntropySummary { entries } => {

@@ -11,6 +11,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use oceanstore_consensus::messages::{Namer, Payload, PbftMsg, PbftTimer};
 use oceanstore_consensus::replica::{Replica, TierConfig};
@@ -146,8 +147,9 @@ pub struct Primary {
     /// Executed agreement entries already turned into records (absolute
     /// output index — stable across the agreement log's checkpoint GC).
     drained: u64,
-    /// Certificate assembly: (object, index) → (record, cert so far).
-    assembling: IdMap<(Guid, u64), (CommitRecord, SerializationCert)>,
+    /// Certificate assembly: (object, index) → the cert so far. The record
+    /// it certifies is the one in the store's log.
+    assembling: IdMap<(Guid, u64), SerializationCert>,
     /// How long a signer waits for the certificate before re-routing its
     /// share to the next disseminator in rotation. Any `m + 1`
     /// consecutive rotation slots hold a live member, so the walk ends at
@@ -520,7 +522,7 @@ impl Primary {
         for _ in 0..unacked.len() {
             ctx.count("repush/resend");
         }
-        ctx.broadcast(unacked, ReplicaMsg::Commit { record: record.clone(), frontier: None });
+        ctx.broadcast(unacked, ReplicaMsg::Commit { record: Arc::clone(record), frontier: None });
         ctx.set_timer(self.repush_deadline(attempt), retry);
     }
 
@@ -662,23 +664,23 @@ impl Primary {
         // (`on_result_share`) or is our own, signed once when the pool
         // opens; the pool is keyed by signer, so its size is the count of
         // valid shares.
-        let entry = match self.assembling.entry((object, index)) {
+        let pool = match self.assembling.entry((object, index)) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
                 let mut cert = SerializationCert::new();
                 cert.add(self.keypair.public(), self.keypair.sign(&record.signing_bytes(digest)));
-                v.insert((record.clone(), cert))
+                v.insert(cert)
             }
         };
-        entry.1.add(self.cfg.replica_keys[replica], sig);
-        if entry.1.len() > self.cfg.m {
-            let (mut record, cert) = self
-                .assembling
-                .remove(&(object, index))
-                .expect("entry just touched");
-            record.cert = cert.clone();
-            // Persist the cert so fetch responses serve verifiable records.
-            self.store.set_cert(&object, index, cert.clone());
+        pool.add(self.cfg.replica_keys[replica], sig);
+        if pool.len() > self.cfg.m {
+            let cert = self.assembling.remove(&(object, index)).expect("entry just touched");
+            // Persist the cert so fetch responses serve verifiable records;
+            // the record that carries it is the one pushed.
+            let record = self
+                .store
+                .set_cert(&object, index, cert.clone())
+                .expect("an uncertified record is retained");
             self.pending.remove(&(object, index));
             // Tell the rest of the tier: signers stop their failover
             // retries, and every member becomes able to serve the
@@ -695,7 +697,8 @@ impl Primary {
             for (child, mode) in self.children.clone() {
                 match mode {
                     ChildMode::Push => {
-                        let push = ReplicaMsg::Commit { record: record.clone(), frontier: None };
+                        let push =
+                            ReplicaMsg::Commit { record: Arc::clone(&record), frontier: None };
                         ctx.send(child, push)
                     }
                     ChildMode::Invalidate => ctx.send(
@@ -792,7 +795,11 @@ impl Primary {
     /// pull response). Each record's certificate is verified before the
     /// record is applied — the sender may be Byzantine, or a forging
     /// secondary that baited the pull with an inflated summary.
-    pub fn on_commits(&mut self, ctx: &mut Context<'_, ReplicaMsg>, records: Vec<CommitRecord>) {
+    pub fn on_commits(
+        &mut self,
+        ctx: &mut Context<'_, ReplicaMsg>,
+        records: Vec<Arc<CommitRecord>>,
+    ) {
         for record in records {
             if !self.owns(&record.object) {
                 continue; // another ring's object on the shared substrate

@@ -8,6 +8,7 @@
 //! timestamp order."
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use oceanstore_crypto::schnorr::PublicKey;
 use oceanstore_naming::bytes::Bytes;
@@ -61,14 +62,13 @@ enum Lack {
 }
 
 /// One ask: when it was sent, and at most one push by name parked on it
-/// until the bytes come (the pusher, and the record without its update;
-/// boxed, so an ask with none costs a table node little).
+/// until the bytes come (the pusher, and the record without its update).
 /// An ask counts for one `heartbeat_interval`: while it counts, nothing
 /// asks for the same bytes again.
 #[derive(Debug)]
 struct Ask {
     at: SimTime,
-    parked: Option<Box<(NodeId, CommitRecord)>>,
+    parked: Option<(NodeId, Arc<CommitRecord>)>,
 }
 
 /// What became of one certified record offered to the store: whether it
@@ -422,7 +422,7 @@ impl Secondary {
         // and leaves; an update's ask stays to recognise its answer.
         self.wants.retain(|(object, lack), ask| {
             let lapsed = now.saturating_since(ask.at) >= self.cfg.heartbeat_interval;
-            let parked = ask.parked.as_deref().filter(|_| lapsed);
+            let parked = ask.parked.as_ref().filter(|_| lapsed);
             if let (Lack::Update(id), Some((pusher, header))) = (lack, parked) {
                 let (object, timestamp, id) = (*object, header.timestamp, *id);
                 ctx.send(*pusher, ReplicaMsg::Want { object, timestamp, id });
@@ -567,7 +567,7 @@ impl Secondary {
             self.tentative.entry(object).or_default().insert((timestamp, id), update.clone());
         }
         self.gossip(ctx, ReplicaMsg::rumor(object, update, timestamp, id));
-        if let Some((from, header)) = asked.and_then(|ask| ask.parked).map(|parked| *parked) {
+        if let Some((from, header)) = asked.and_then(|ask| ask.parked) {
             // A gap fetch skipped this record; a batch that came before
             // it applied found a gap and was dropped, so what we still
             // lack is asked for unless that fetch is out.
@@ -675,7 +675,7 @@ impl Secondary {
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
-        record: CommitRecord,
+        record: Arc<CommitRecord>,
         frontier: Option<u64>,
     ) -> bool {
         let from_parent = Some(from) == self.cfg.parent;
@@ -694,18 +694,18 @@ impl Secondary {
     }
 
     /// Offers a record to the store: with the bytes it carries, or, named
-    /// without them, with the bytes we hold under its name — the rumor
-    /// logged under its `(timestamp, id)`, else our own record at its
-    /// index — checked as bytes that came with it are. A rumor is
-    /// unauthenticated, so held bytes that fail are no forgery of the
-    /// sender's: nothing is rejected, and the record is asked for. A
-    /// record whose bytes we hold none of is parked on our ask for them,
+    /// without them, as a record of our own with the bytes we hold under
+    /// its name — the rumor logged under its `(timestamp, id)`, else our
+    /// own record at its index — checked as bytes that came with it are.
+    /// A rumor is unauthenticated, so held bytes that fail are no forgery
+    /// of the sender's: nothing is rejected, and the record is asked for.
+    /// A record whose bytes we hold none of is parked on our ask for them,
     /// if there is one, else asked for.
     fn offer(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
-        mut record: CommitRecord,
+        mut record: Arc<CommitRecord>,
     ) -> Offer {
         let carried = !record.update.is_empty();
         if !carried {
@@ -714,10 +714,10 @@ impl Secondary {
             let logged = || self.store.record(&object, record.index).map(|r| &r.update);
             let Some(update) = rumor.or_else(logged).cloned() else {
                 let ask = self.wants.get_mut(&(object, Lack::Update(record.id))).ok_or(Record)?;
-                ask.parked = Some(Box::new((from, record)));
+                ask.parked = Some((from, record));
                 return Ok(false);
             };
-            record.update = update;
+            record = Arc::new(record.with_update(update));
         }
         let ring = &self.rings[self.router.ring_of(&record.object)];
         match record.verified(&ring.keys, ring.m + 1) {
@@ -803,7 +803,7 @@ impl Secondary {
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
-        record: CommitRecord,
+        record: Arc<CommitRecord>,
         update: Update<Bytes>,
         name: UpdateDigest,
     ) -> Offer {
@@ -842,9 +842,9 @@ impl Secondary {
                 self.tentative.remove(&object);
             }
         }
-        // Stream onward per child mode: the copies pushed are the log's,
-        // each with our frontier now that the record is applied, and a
-        // large update goes by name.
+        // Stream onward per child mode: the record pushed is the log's,
+        // with our frontier now that the record is applied, and a large
+        // update goes by name.
         let record = self.store.record(&object, index).expect("the newest record is logged");
         let frontier = self.store.committed_digest();
         let mut push = None;
@@ -852,7 +852,7 @@ impl Secondary {
             match mode {
                 ChildMode::Push => {
                     let push = push.get_or_insert_with(|| ReplicaMsg::Commit {
-                        record: record.clone().by_name(),
+                        record: Arc::clone(record).by_name(),
                         frontier: Some(frontier),
                     });
                     ctx.send(child, push.clone())
@@ -886,8 +886,8 @@ impl Secondary {
     /// A forged, uncertified record a Byzantine replica serves in place of
     /// real data. Its certificate is empty, so honest receivers must
     /// reject it on the pull path.
-    fn forged_record(&self, object: Guid, index: u64) -> CommitRecord {
-        CommitRecord {
+    fn forged_record(&self, object: Guid, index: u64) -> Arc<CommitRecord> {
+        Arc::new(CommitRecord {
             object,
             index,
             update: vec![0xEE; 8].into(),
@@ -895,7 +895,7 @@ impl Secondary {
             timestamp: 0,
             id: TentativeId { client: NodeId(0), counter: u64::MAX },
             cert: Default::default(),
-        }
+        })
     }
 
     /// Serves the pull path for our own children/peers.
@@ -928,7 +928,7 @@ impl Secondary {
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
         from: NodeId,
-        records: Vec<CommitRecord>,
+        records: Vec<Arc<CommitRecord>>,
     ) {
         let mut fetched = false;
         for r in records {

@@ -1,24 +1,26 @@
 //! Per-server object store: committed state, a *bounded* commit-record
 //! log, and the content-addressed blob layer underneath.
 //!
-//! Two changes over the original in-memory-only store:
-//!
 //! * **Block state routes through a [`BlobStore`]** (§4.5's
-//!   content-addressed storage made real): every data block of an
-//!   object's committed version is mirrored into a pluggable blob store
-//!   under its CID, with refcounted dedup. The in-memory `DataObject`
-//!   stays authoritative for deterministic re-execution — the blob layer
-//!   is the storage backend, and reads that miss it (a dead provider, a
-//!   corrupt disk blob) fall back to the replica, which is exactly the
-//!   paper's durability argument: any server can hold a replica, so no
-//!   single provider's death loses committed data.
-//! * **The record log is bounded.** `records` used to grow by one
-//!   `CommitRecord` per commit forever — O(total commits) memory even
-//!   after PR 6 bounded the consensus log. The log is now dense from
-//!   [`ObjectState::first_index`] and truncated below
+//!   content-addressed storage made real): every data block a commit
+//!   writes is filed in a refcounting [`DedupStore`] under the CID its
+//!   update named, as a view of the update's buffer. In the default
+//!   in-RAM configuration that costs one table entry per block, holding
+//!   the view and its count; over a disk or provider backend the entry
+//!   holds the count and the backend the bytes. The in-memory
+//!   `DataObject` stays authoritative for deterministic re-execution —
+//!   the blob layer is the storage backend, and reads that miss it (a
+//!   dead provider, a corrupt disk blob) fall back to the replica, which
+//!   is exactly the paper's durability argument: any server can hold a
+//!   replica, so no single provider's death loses committed data.
+//! * **The record log is bounded, and shares its records.** The log is
+//!   dense from [`ObjectState::first_index`] and truncated below
 //!   `certified frontier − retention`: anti-entropy and fetch serving
 //!   come from the retained (certified) suffix only, and history the
-//!   whole tier has certified is dropped.
+//!   whole tier has certified is dropped. Each entry is a handle to the
+//!   record as it arrived, so a record pushed whole down the tree is one
+//!   allocation however many secondaries log it; attaching a certificate
+//!   ([`ObjectStore::set_cert`]) logs a new record.
 
 use std::sync::Arc;
 
@@ -50,8 +52,9 @@ type Write = (usize, Option<Guid>);
 pub struct ObjectState {
     /// The committed object (active form).
     pub data: DataObject,
-    /// Commit records in index order, dense from `first_index`.
-    pub records: Vec<CommitRecord>,
+    /// Commit records in index order, dense from `first_index`: each the
+    /// record as it arrived, shared with whoever else holds it.
+    pub records: Vec<Arc<CommitRecord>>,
     /// Log floor: records below this index have been certified tier-wide
     /// and truncated.
     pub first_index: u64,
@@ -157,16 +160,21 @@ impl Default for ObjectStore {
 
 impl ObjectStore {
     /// An empty store over the environment-selected blob backend
-    /// (`OCEANSTORE_STORE_BACKEND`; in-memory by default).
+    /// (`OCEANSTORE_STORE_BACKEND`; in-memory by default, where one table
+    /// entry per block holds its view and its refcount).
     pub fn new() -> Self {
-        Self::with_backend(oceanstore_store::default_store())
+        Self::with_blobs(oceanstore_store::default_store())
     }
 
     /// An empty store over a specific blob backend.
     pub fn with_backend(backend: Box<dyn BlobStore>) -> Self {
+        Self::with_blobs(DedupStore::new(backend))
+    }
+
+    fn with_blobs(blobs: DedupStore) -> Self {
         ObjectStore {
             objects: IdMap::default(),
-            blobs: DedupStore::new(backend),
+            blobs,
             retention: RECORD_RETENTION,
             digests: None,
             committed_digest: 0,
@@ -242,7 +250,7 @@ impl ObjectStore {
         id: TentativeId,
     ) -> Option<&CommitRecord> {
         let st = self.objects.get(object).filter(|st| timestamp <= st.newest_timestamp)?;
-        st.records.iter().find(|r| r.id == id)
+        st.records.iter().find(|r| r.id == id).map(|r| &**r)
     }
 
     /// Whether a rumor of an `object` update stamped `timestamp` is stale:
@@ -320,7 +328,7 @@ impl ObjectStore {
     /// *serialization order*, determinism does the rest).
     pub fn apply_record<C: Into<Bytes>>(
         &mut self,
-        record: CommitRecord,
+        record: Arc<CommitRecord>,
         update: Update<C>,
         name: UpdateDigest,
         dropped: impl FnMut(&CommitRecord),
@@ -351,7 +359,7 @@ impl ObjectStore {
     /// Logs `record`, whose update was just executed on its object with
     /// `failures` refused puts, under `digest`: the record is the newest
     /// in the object's log and its index the object's last.
-    fn log(&mut self, record: CommitRecord, digest: Digest, failures: u64) {
+    fn log(&mut self, record: Arc<CommitRecord>, digest: Digest, failures: u64) {
         let object = record.object;
         let st = self.objects.get_mut(&object).expect("executed on this store");
         st.newest_timestamp = st.newest_timestamp.max(record.timestamp);
@@ -368,21 +376,23 @@ impl ObjectStore {
     }
 
     /// Attaches an assembled serialization certificate to a stored record
-    /// (primary-tier path: records are created before their cert exists).
-    /// An index below the log floor is already certified and truncated —
-    /// a no-op.
+    /// (primary-tier path: records are created before their cert exists):
+    /// the log takes a new record that carries it, which is returned. An
+    /// index below the log floor is already certified and truncated — a
+    /// no-op.
     pub fn set_cert(
         &mut self,
         object: &Guid,
         index: u64,
         cert: oceanstore_crypto::threshold::SerializationCert,
-    ) {
-        if let Some(st) = self.objects.get_mut(object) {
-            if let Some(r) = st.position(index).and_then(|at| st.records.get_mut(at)) {
-                r.cert = cert;
-            }
-        }
+    ) -> Option<Arc<CommitRecord>> {
+        let certified = self.objects.get_mut(object).and_then(|st| {
+            let r = st.position(index).and_then(|at| st.records.get_mut(at))?;
+            *r = Arc::new(r.with_cert(cert));
+            Some(Arc::clone(r))
+        });
         self.note_certs(*object, |_| {});
+        certified
     }
 
     /// Advances the certified frontier past every dense leading cert and
@@ -420,7 +430,7 @@ impl ObjectStore {
 
     /// The retained record at `index`: `None` below the log floor or past
     /// the end.
-    pub fn record(&self, object: &Guid, index: u64) -> Option<&CommitRecord> {
+    pub fn record(&self, object: &Guid, index: u64) -> Option<&Arc<CommitRecord>> {
         let st = self.objects.get(object)?;
         st.records.get(st.position(index)?)
     }
@@ -435,7 +445,7 @@ impl ObjectStore {
         let st = self.objects.get(object)?;
         let at = st.position(index)?;
         let digest = self.digests.as_ref()?.get(object)?.get(at)?;
-        Some((st.records.get(at)?, digest))
+        Some((&**st.records.get(at)?, digest))
     }
 
     /// The CID the blob layer holds `slot` of `object`'s committed
@@ -449,7 +459,7 @@ impl ObjectStore {
     /// `from_index` up. History below the log floor is gone — callers
     /// that far behind recover through the frontier/state-transfer
     /// paths, not record replay.
-    pub fn records_from(&self, object: &Guid, from_index: u64) -> Vec<CommitRecord> {
+    pub fn records_from(&self, object: &Guid, from_index: u64) -> Vec<Arc<CommitRecord>> {
         let Some(st) = self.objects.get(object) else { return Vec::new() };
         // The log is dense from `first_index`, so the suffix is a slice.
         let skip = usize::try_from(from_index.saturating_sub(st.first_index)).unwrap_or(usize::MAX);
@@ -469,14 +479,14 @@ impl ObjectStore {
         encoded: Bytes,
         timestamp: u64,
         id: crate::messages::TentativeId,
-    ) -> CommitRecord {
+    ) -> Arc<CommitRecord> {
         let st = self.objects.entry(object).or_default();
         let (outcome, failures) = execute(&mut self.blobs, st, update, &name.cids);
         let version = match outcome {
             Outcome::Committed { version } => Some(version),
             Outcome::Aborted(_) => None,
         };
-        let record = CommitRecord {
+        let record = Arc::new(CommitRecord {
             object,
             index: st.next_index,
             update: encoded,
@@ -484,8 +494,8 @@ impl ObjectStore {
             timestamp,
             id,
             cert: Default::default(),
-        };
-        self.log(record.clone(), name.digest, failures);
+        });
+        self.log(Arc::clone(&record), name.digest, failures);
         record
     }
 
@@ -608,10 +618,10 @@ mod tests {
 
     /// Replays `record` the way a secondary does, minus the certificate
     /// check: decode, name, apply.
-    fn replay(store: &mut ObjectStore, record: &CommitRecord) -> bool {
+    fn replay(store: &mut ObjectStore, record: &Arc<CommitRecord>) -> bool {
         let update = decode_view(&record.update).expect("decodes");
         let name = update_digest(&update);
-        store.apply_record(record.clone(), update, name, |_| {})
+        store.apply_record(Arc::clone(record), update, name, |_| {})
     }
 
     fn tid(c: u64) -> TentativeId {
@@ -721,7 +731,7 @@ mod tests {
         let mut store = ObjectStore::with_backend(Box::new(MemoryStore::new()));
         let blocks: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 100 + i as usize]).collect();
         let actions = blocks.iter().map(|b| Action::Append { ciphertext: b.clone() }).collect();
-        let record = CommitRecord {
+        let record = Arc::new(CommitRecord {
             object: obj,
             index: 0,
             update: encode_update(&Update::unconditional(actions)).into(),
@@ -729,7 +739,7 @@ mod tests {
             timestamp: 0,
             id: tid(0),
             cert: Default::default(),
-        };
+        });
         assert!(replay(&mut store, &record));
         let version = Arc::clone(store.get(&obj).unwrap().data.current());
         assert_eq!(version.blocks.len(), blocks.len());
@@ -739,9 +749,10 @@ mod tests {
             assert!(Arc::ptr_eq(bytes.buffer(), buffer), "slot {slot}: a copy of the record");
             assert_eq!(&*store.read_block(&obj, slot).unwrap(), blocks[slot]);
         }
-        // The record here and in the log, and each block twice: in the
-        // object and in the blob backend.
-        assert_eq!(Arc::strong_count(buffer), 2 + 2 * blocks.len());
+        // The record, here and in the log one allocation, and each block
+        // twice: in the object and in the blob backend.
+        assert!(Arc::ptr_eq(store.record(&obj, 0).expect("logged"), &record));
+        assert_eq!(Arc::strong_count(buffer), 1 + 2 * blocks.len());
         // The accounting does not notice the sharing.
         let health = store.health();
         assert_eq!(health.blob_count, 5);

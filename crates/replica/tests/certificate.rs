@@ -9,6 +9,7 @@
 //! certified update digest covered, on either store backend.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
@@ -47,7 +48,7 @@ fn relay(update: &Update) -> Relay {
     dep.submit(dep.clients[0], object, update);
     dep.sim.run_for(SimDuration::from_secs(3));
     let held = dep.secondary(dep.secondaries[0]).store.records_from(&object, 0);
-    let genuine = held.into_iter().next().expect("the rest of the tier committed");
+    let genuine = CommitRecord::clone(&held[0]);
     assert!(!genuine.cert.is_empty(), "certified");
     // The cut-off secondary holds the update tentatively, as a client's
     // rumor would have left it.
@@ -63,11 +64,11 @@ impl Relay {
     /// cut-off primary as a tier anti-entropy answer: whether each took it.
     fn offer(&mut self, record: &CommitRecord) -> (bool, bool) {
         let from = self.dep.secondaries[0];
-        let pushed = record.clone();
+        let pushed = Arc::new(record.clone());
         let applied = self.dep.sim.with_node_ctx(self.secondary, |node, ctx| {
             node.as_secondary_mut().expect("secondary").on_commit(ctx, from, pushed, None)
         });
-        let fetched = vec![record.clone()];
+        let fetched = vec![Arc::new(record.clone())];
         self.dep.sim.with_node_ctx(self.primary, |node, ctx| {
             node.as_primary_mut().expect("primary").on_commits(ctx, fetched)
         });

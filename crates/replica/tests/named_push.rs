@@ -12,6 +12,8 @@
 //! secondary 1 feeds 3 and 4. Every node's replication role sits in a
 //! [`Tap`] that logs the tree pushes and fetches it hears.
 
+use std::sync::Arc;
+
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::messages::ReplicaTimer;
 use oceanstore_replica::{
@@ -228,7 +230,7 @@ fn a_small_update_travels_with_its_bytes() {
     dep.submit(dep.clients[0], large, &append(2, 1024));
     dep.sim.run_for(SimDuration::from_secs(2));
     let (root, child) = (dep.secondaries[0], dep.secondaries[1]);
-    let logged = |object: &Guid| -> CommitRecord {
+    let logged = |object: &Guid| -> Arc<CommitRecord> {
         dep.secondary(root).store.record(object, 0).expect("the root logged it").clone()
     };
     let (small_record, large_record) = (logged(&small), logged(&large));

@@ -11,6 +11,11 @@
 //! deployment's own store backend (`OCEANSTORE_STORE_BACKEND`), then on
 //! each by name: the `dir` one writes its own files beside the views.
 //!
+//! One record per commit, likewise: the record the disseminating primary
+//! certifies is one allocation, which every secondary that takes it whole
+//! logs and pushes on. Only a node that fills in the bytes of a record
+//! pushed to it by name builds, and logs, a record of its own.
+//!
 //! Also here: the sizes of the types every message and slot is made of.
 
 use std::collections::HashSet;
@@ -18,7 +23,9 @@ use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::primary::PAYLOAD_UPDATE_AT;
-use oceanstore_replica::{build_deployment, CommitRecord, DeploymentOpts, ReplicaMsg};
+use oceanstore_replica::{
+    build_deployment, disseminator_for, CommitRecord, Deployment, DeploymentOpts, ReplicaMsg,
+};
 use oceanstore_sim::{NodeId, SimDuration};
 use oceanstore_store::{cid_of, BlobStore, DirStore, MemoryStore};
 use oceanstore_update::object::Block;
@@ -59,7 +66,7 @@ fn every_node_holds_views_of_the_clients_payload() {
         }
         // Each committed update's buffer, as the tier's records hold it.
         let first = dep.primary(dep.primaries()[0]);
-        let records: Vec<CommitRecord> = first.store.records_from(&object, 0);
+        let records: Vec<Arc<CommitRecord>> = first.store.records_from(&object, 0);
         assert_eq!(records.len(), updates.len(), "every update committed");
 
         for &p in dep.primaries() {
@@ -112,6 +119,64 @@ fn every_node_holds_views_of_the_clients_payload() {
         }
         assert_eq!(buffers.len(), updates.len(), "one block buffer per committed update");
     }
+}
+
+/// An 8-byte append goes down the tree whole: every live secondary logs
+/// the very record the root logged, which is the one the disseminating
+/// primary certified and pushed. A 1 KiB append goes by name below the
+/// root: a secondary that fills in its bytes from the rumor logs a record
+/// of its own, equal to the root's.
+#[test]
+fn every_secondary_logs_the_record_the_root_logged() {
+    let mut dep = build_deployment(&DeploymentOpts::default());
+    let (small, large) = (Guid::from_label("one-record"), Guid::from_label("own-record"));
+    let (root, leaf) = (dep.secondaries[0], *dep.secondaries.last().expect("a secondary"));
+    dep.submit(dep.clients[0], small, &appends(0x30, 1, 8));
+    dep.sim.run_for(SimDuration::from_secs(2));
+    // The leaf is cut off while the large update commits.
+    dep.sim.set_partitions(Some((0..dep.sim.len()).map(|i| u32::from(i == leaf.0)).collect()));
+    dep.submit(dep.clients[0], large, &appends(0x40, 1, 1024));
+    dep.sim.run_for(SimDuration::from_secs(2));
+    dep.sim.set_partitions(None);
+    let logged = |dep: &Deployment, node: NodeId, object: &Guid| -> Option<Arc<CommitRecord>> {
+        let store = match dep.sim.node(node).as_primary() {
+            Some(p) => &p.store,
+            None => &dep.secondary(node).store,
+        };
+        store.record(object, 0).cloned()
+    };
+
+    let record = logged(&dep, root, &small).expect("committed");
+    assert!(!record.is_large() && !record.cert.is_empty());
+    let n = dep.primaries().len();
+    let disseminator = dep.primaries()[disseminator_for(n, &small, 0, 0)];
+    let certified = logged(&dep, disseminator, &small).expect("certified");
+    assert!(Arc::ptr_eq(&certified, &record), "the root logged a copy of the certified push");
+    let live = dep.secondaries.iter().filter(|&&s| !dep.sim.is_down(s));
+    for &s in live {
+        let held = logged(&dep, s, &small).expect("committed");
+        assert!(Arc::ptr_eq(&held, &record), "{s:?} logged a copy of the record");
+    }
+
+    // The leaf holds the large update from its rumor; its parent pushes
+    // the record by name.
+    let record = logged(&dep, root, &large).expect("committed");
+    assert!(logged(&dep, leaf, &large).is_none(), "the leaf was cut off");
+    let named = Arc::clone(&record).by_name();
+    assert!(named.update.is_empty());
+    let parent = dep.secondary(leaf).parent().expect("a leaf has a parent");
+    let (update, timestamp, id) = (record.update.clone(), record.timestamp, record.id);
+    let pushed = Arc::clone(&named);
+    let applied = dep.sim.with_node_ctx(leaf, |node, ctx| {
+        let sec = node.as_secondary_mut().expect("secondary");
+        sec.on_tentative(ctx, large, update, timestamp, id);
+        sec.on_commit(ctx, parent, pushed, None)
+    });
+    assert!(applied, "the bytes from the rumor pass the check");
+    let own = logged(&dep, leaf, &large).expect("logged");
+    assert!(!Arc::ptr_eq(&own, &record) && !Arc::ptr_eq(&own, &named), "not a record of its own");
+    assert_eq!(own.update, record.update, "other bytes filled in");
+    assert_eq!((own.index, own.id, &own.cert), (record.index, record.id, &record.cert));
 }
 
 /// The view keeps a block slot, a record and a message at the sizes at

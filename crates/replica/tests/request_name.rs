@@ -9,6 +9,8 @@
 //! any it held under the request id. Nothing here ever takes a name from the
 //! wire.
 
+use std::sync::Arc;
+
 use oceanstore_consensus::messages::{
     request_signing_bytes, set_sig, signing_bytes, slot_digest, Namer, Payload, PbftMsg,
     RequestId, StateEntry,
@@ -236,7 +238,12 @@ fn an_equivocating_client_gets_the_committed_payloads_cids_by_state_transfer() {
 
 /// Record `index` of `object` carrying `update`, certified by every
 /// primary of the default deployment as binding `digest`.
-fn certified_record(object: Guid, index: u64, update: Bytes, digest: &[u8; 20]) -> CommitRecord {
+fn certified_record(
+    object: Guid,
+    index: u64,
+    update: Bytes,
+    digest: &[u8; 20],
+) -> Arc<CommitRecord> {
     let seed = DeploymentOpts::default().seed;
     let mut record = CommitRecord {
         object,
@@ -252,7 +259,7 @@ fn certified_record(object: Guid, index: u64, update: Bytes, digest: &[u8; 20]) 
         let key = primary_key(seed, i);
         record.cert.add(key.public(), key.sign(&msg));
     }
-    record
+    Arc::new(record)
 }
 
 /// A commit record whose bytes differ, in one block of the same length,

@@ -43,7 +43,7 @@ fn rumor_of(dep: &mut Deployment, victim: NodeId, object: Guid, index: u64) -> u
     let record = peer.store.record(&object, index).expect("retained").clone();
     dep.sim.with_node_ctx(victim, |node, ctx| {
         let role = node.as_secondary_mut().expect("node is a secondary");
-        role.on_tentative(ctx, object, record.update, record.timestamp, record.id);
+        role.on_tentative(ctx, object, record.update.clone(), record.timestamp, record.id);
     });
     let role = dep.secondary(victim);
     let committed = role.committed_view(&object).expect("held").current();

@@ -12,6 +12,8 @@
 //! the parent of 1. Every node's replication role sits in a [`Tap`] that
 //! logs the digests and pings it hears.
 
+use std::sync::Arc;
+
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
     build_deployment, build_deployment_with, CommitRecord, Deployment, DeploymentOpts, OceanNode,
@@ -217,7 +219,7 @@ fn a_child_ahead_of_its_parent_converges_both_ways() {
     // A twin of the deployment (same seed, same keys) certifies a record
     // this one's tier never saw: the record a peer handed the child.
     let foreign = Guid::from_label("from-a-peer");
-    let record: CommitRecord = {
+    let record: Arc<CommitRecord> = {
         let mut twin = build_deployment(&DeploymentOpts { clients: 2, ..opts.clone() });
         twin.submit(twin.clients[1], foreign, &append(9));
         twin.sim.run_for(SimDuration::from_secs(2));

@@ -12,8 +12,7 @@
 //! * [`BlobStore`] — the four-verb trait (`put`/`get`/`has`/`delete`)
 //!   every backend implements, plus `put_shared` for a caller that
 //!   already holds the blob as a [`Bytes`] view under a name it computed.
-//! * [`MemoryStore`] — the in-RAM map the repo always had; the default
-//!   backend, bit-identical to the pre-trait behaviour. It can keep a
+//! * [`MemoryStore`] — a plain in-RAM map of views by CID. It can keep a
 //!   caller's view instead of copying the bytes.
 //! * [`DirStore`] — an on-disk directory store: two-hex-digit fan-out
 //!   subdirectories, write-temp-then-rename atomicity (a crash between
@@ -25,7 +24,11 @@
 //!   survive via replicas.
 //! * [`DedupStore`] — block-level dedup: refcounted CIDs, counters for
 //!   dedup hits and bytes saved; a blob survives until its last
-//!   reference drops.
+//!   reference drops. Every replica and archival node files its blocks
+//!   through one ([`default_store`]). In RAM, the default, it is the
+//!   store itself: one table entry per block holds the count and the
+//!   view. Over a backend whose bytes live elsewhere it keeps the counts
+//!   and calls the backend on the first put and the last delete.
 //! * [`ShardedStore`] — a composite routing each CID by hash range
 //!   (`00-7f → shard A, 80-ff → shard B`), the multi-provider layout of
 //!   the "provider independence" story.
@@ -155,7 +158,7 @@ pub trait BlobStore: fmt::Debug + Send {
 /// Which backend [`default_store`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// In-memory map (the default; bit-identical to pre-trait behaviour).
+    /// In-memory map (the default).
     Memory,
     /// On-disk directory store in a fresh per-store directory under
     /// `$OCEANSTORE_STORE_DIR` (or the system temp dir), removed when the
@@ -176,20 +179,22 @@ impl BackendKind {
         }
     }
 
-    /// Opens a fresh store of this kind.
-    pub fn open(self) -> Box<dyn BlobStore> {
+    /// Opens a fresh store of this kind under a dedup layer: in memory,
+    /// the one table of counts and views ([`DedupStore::in_memory`]); on
+    /// disk, a [`DedupStore`] over a fresh [`DirStore`].
+    pub fn open(self) -> DedupStore {
         match self {
-            BackendKind::Memory => Box::new(MemoryStore::new()),
-            BackendKind::Dir => Box::new(DirStore::new_ephemeral()),
+            BackendKind::Memory => DedupStore::in_memory(),
+            BackendKind::Dir => DedupStore::new(Box::new(DirStore::new_ephemeral())),
         }
     }
 }
 
-/// Opens the environment-selected backend (see [`BackendKind::from_env`]).
-/// Every node-local store in the replica and archival tiers goes through
-/// this, so one environment variable swaps the whole deployment's storage
-/// layer.
-pub fn default_store() -> Box<dyn BlobStore> {
+/// Opens the environment-selected backend (see [`BackendKind::from_env`])
+/// under a dedup layer ([`BackendKind::open`]). Every node-local store in
+/// the replica and archival tiers goes through this, so one environment
+/// variable swaps the whole deployment's storage layer.
+pub fn default_store() -> DedupStore {
     BackendKind::from_env().open()
 }
 
@@ -250,6 +255,8 @@ mod tests {
     #[test]
     fn dedup_contract() {
         contract(&mut DedupStore::new(Box::new(MemoryStore::new())));
+        contract(&mut DedupStore::new(Box::new(SimRemoteStore::new(8, 150, 0.0))));
+        contract(&mut DedupStore::in_memory());
     }
 
     #[test]

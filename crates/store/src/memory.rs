@@ -1,7 +1,9 @@
-//! The in-memory backend: the plain map the replica and archival tiers
-//! always used, now behind the [`BlobStore`] trait. This is the default
-//! backend and must stay bit-identical in behaviour — it never fails, and
-//! it performs no verification on read because the bytes never left RAM.
+//! The in-memory backend: a plain map of views by CID behind the
+//! [`BlobStore`] trait. It never fails, and it performs no verification on
+//! read because the bytes never left RAM. The replica and archival tiers'
+//! default keeps the same map inside their dedup layer
+//! ([`crate::DedupStore::in_memory`]), each view beside its refcount, and
+//! counts exactly as this backend does.
 
 use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};

@@ -5,7 +5,9 @@
 use std::collections::HashMap;
 
 use oceanstore_naming::guid::Guid;
-use oceanstore_store::{cid_of, shard_of, BlobStore, DedupStore, MemoryStore, ShardedStore};
+use oceanstore_store::{
+    cid_of, shard_of, BlobStore, DedupStore, MemoryStore, ShardedStore, SimRemoteStore,
+};
 use proptest::prelude::*;
 
 /// A reference model: logical refcounts per distinct payload.
@@ -22,40 +24,49 @@ fn model_apply(model: &mut HashMap<Vec<u8>, u64>, payload: &[u8], put: bool) {
 
 proptest! {
     /// Random interleavings of put/put_shared/delete over a small payload
-    /// alphabet: after every step, a blob is present iff the model says
-    /// its refcount is positive, and its bytes are intact.
+    /// alphabet, run against the one-table in-RAM layer and against the
+    /// layer over a backend that keeps the bytes elsewhere: after every
+    /// step, a blob is present iff the model says its refcount is
+    /// positive, its bytes are intact, and the two layers agree on every
+    /// refcount, read, and dedup and store counter.
     #[test]
     fn dedup_refcounts_match_reference_model(
         ops in proptest::collection::vec((0u8..6, any::<bool>()), 1..200)
     ) {
-        let mut store = DedupStore::new(Box::new(MemoryStore::new()));
+        let mut table = DedupStore::in_memory();
+        let mut layered = DedupStore::new(Box::new(SimRemoteStore::new(5, 0, 0.0)));
         let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
         for (tag, put) in ops {
             let payload = vec![tag; tag as usize + 3];
-            if put && tag % 2 == 1 {
-                // Odd payloads arrive already named, as a view.
-                let cid = cid_of(&payload);
-                prop_assert_eq!(store.put_shared(cid, &payload.clone().into()).unwrap(), cid);
-            } else if put {
-                prop_assert_eq!(store.put(&payload).unwrap(), cid_of(&payload));
-            } else {
-                let want = model.get(payload.as_slice()).copied().unwrap_or(0) > 0;
-                prop_assert_eq!(store.delete(&cid_of(&payload)).unwrap(), want);
+            for store in [&mut table, &mut layered] {
+                if put && tag % 2 == 1 {
+                    // Odd payloads arrive already named, as a view.
+                    let cid = cid_of(&payload);
+                    prop_assert_eq!(store.put_shared(cid, &payload.clone().into()).unwrap(), cid);
+                } else if put {
+                    prop_assert_eq!(store.put(&payload).unwrap(), cid_of(&payload));
+                } else {
+                    let want = model.get(payload.as_slice()).copied().unwrap_or(0) > 0;
+                    prop_assert_eq!(store.delete(&cid_of(&payload)).unwrap(), want);
+                }
             }
             model_apply(&mut model, &payload, put);
-            // Full-state audit against the model.
+            // Full-state audit against the model and across the layers.
             for t in 0u8..6 {
                 let p = vec![t; t as usize + 3];
                 let cid = cid_of(&p);
                 let rc = model.get(p.as_slice()).copied().unwrap_or(0);
-                prop_assert_eq!(store.refcount(&cid), rc);
-                prop_assert_eq!(store.has(&cid), rc > 0);
-                if rc > 0 {
-                    prop_assert_eq!(store.get(&cid).unwrap().as_deref(), Some(p.as_slice()));
+                for store in [&mut table, &mut layered] {
+                    prop_assert_eq!(store.refcount(&cid), rc);
+                    prop_assert_eq!(store.has(&cid), rc > 0);
+                    let got = store.get(&cid).unwrap();
+                    prop_assert_eq!(got.as_deref(), (rc > 0).then_some(p.as_slice()));
                 }
             }
+            prop_assert_eq!(table.dedup_stats(), layered.dedup_stats());
+            prop_assert_eq!(table.stats(), layered.stats());
         }
-        prop_assert_eq!(store.stats().blobs as usize, model.len());
+        prop_assert_eq!(table.stats().blobs as usize, model.len());
     }
 
     /// The router is total and stable across instances.
