@@ -146,9 +146,9 @@ impl Guid {
         out
     }
 
-    /// [`Guid::for_contents`] of one view.
+    /// [`Guid::for_contents`] of one view; a memo hit allocates nothing.
     pub fn for_view(view: &Bytes) -> Self {
-        Guid::for_contents([view])[0]
+        view.memoized().unwrap_or_else(|| Guid::for_contents([view])[0])
     }
 
     /// Deterministic GUID from an arbitrary label (used by tests and

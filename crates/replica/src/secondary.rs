@@ -7,6 +7,7 @@
 //! serialization order ... Secondary replicas order tentative updates in
 //! timestamp order."
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -43,6 +44,33 @@ const GOSSIP_FANOUT: usize = 2;
 /// Tentative updates for one object in (timestamp, id) order — the
 /// tentative serialization order.
 type TentativeLog = BTreeMap<(u64, TentativeId), Bytes>;
+
+/// One object's rumors: its tentative updates, and the id of every rumor
+/// of it this node has seen (dedup for the rumor mill): those it holds the
+/// bytes of, tentative or committed, and those it heard by name and asked
+/// the bytes of. An id leaves with its record's truncation from the log:
+/// the stale-rumor rule refuses every later rumor of it before the set is
+/// consulted. An entry whose log is empty is no tentative state: it stays
+/// only while it holds ids, and nothing that lists tentative updates sees
+/// it.
+#[derive(Debug, Default)]
+struct Rumors {
+    log: TentativeLog,
+    seen: IdSet<TentativeId>,
+}
+
+/// Whether one of these asks for `object` in `wants` still counts: it went
+/// out less than `window` before `now`.
+fn asking(
+    wants: &BTreeMap<(Guid, Lack), Ask>,
+    window: SimDuration,
+    object: Guid,
+    now: SimTime,
+    asks: &[Lack],
+) -> bool {
+    let live = |at: SimTime| now.saturating_since(at) < window;
+    asks.iter().any(|&lack| wants.get(&(object, lack)).is_some_and(|a| live(a.at)))
+}
 
 /// What one ask in a secondary's want table is for, of one object. The
 /// first three ask for the object's records from the first one we lack
@@ -149,13 +177,9 @@ pub struct Secondary {
     cfg: SecondaryConfig,
     /// Committed state + record log.
     pub store: ObjectStore,
-    /// Tentative updates per object, in (timestamp, id) order — the
-    /// tentative serialization order.
-    tentative: IdMap<Guid, TentativeLog>,
-    /// Updates already seen (dedup for the rumor mill). An entry leaves
-    /// with its record's truncation from the log: the stale-rumor rule
-    /// refuses every later rumor of it before this set is consulted.
-    seen: IdSet<(Guid, TentativeId)>,
+    /// Each object's rumors: its tentative updates and the ids seen, one
+    /// entry, so one probe finds both.
+    tentative: IdMap<Guid, Rumors>,
     /// The want table: every ask this node has out, by object and what it
     /// lacks. A fetch's or a pull's ask leaves when a batch that carries
     /// bytes of the object's records arrives, or at the first heartbeat
@@ -204,7 +228,6 @@ impl Secondary {
             cfg,
             store: ObjectStore::new(),
             tentative: IdMap::default(),
-            seen: IdSet::default(),
             wants: BTreeMap::new(),
             rings,
             router,
@@ -270,7 +293,7 @@ impl Secondary {
             .map(|s| s.data.fork())
             .unwrap_or_default();
         if let Some(pending) = self.tentative.get(object) {
-            for enc in pending.values() {
+            for enc in pending.log.values() {
                 if let Ok(u) = decode_view(enc) {
                     let _ = apply_owned(&mut data, u);
                 }
@@ -281,14 +304,14 @@ impl Secondary {
 
     /// Number of tentative updates held for `object`.
     pub fn tentative_count(&self, object: &Guid) -> usize {
-        self.tentative.get(object).map_or(0, BTreeMap::len)
+        self.tentative.get(object).map_or(0, |r| r.log.len())
     }
 
     /// Rumors this replica remembers having seen, across all objects:
     /// those it holds the bytes of, tentative or committed, and those it
     /// heard by name and asked the bytes of, until they arrive.
     pub fn rumors_seen(&self) -> usize {
-        self.seen.len()
+        self.tentative.values().map(|r| r.seen.len()).sum()
     }
 
     /// Whether this replica knows it is behind on `object`.
@@ -317,13 +340,14 @@ impl Secondary {
     /// over the tentative updates in flight.
     fn digest(&self) -> u64 {
         let tentative =
-            self.tentative.iter().flat_map(|(g, log)| log.keys().map(move |(_, id)| (g, id)));
+            self.tentative.iter().flat_map(|(g, r)| r.log.keys().map(move |(_, id)| (g, id)));
         self.store.committed_digest().wrapping_add(frontier_digest(std::iter::empty(), tentative))
     }
 
     /// Objects we hold nothing committed of, only tentative updates.
     fn tentative_only(&self) -> impl Iterator<Item = &Guid> {
-        self.tentative.keys().filter(|g| self.store.get(g).is_none())
+        let pending = self.tentative.iter().filter(|(_, r)| !r.log.is_empty());
+        pending.map(|(g, _)| g).filter(|g| self.store.get(g).is_none())
     }
 
     /// Everything we hold, object by object, in GUID order (hash-map
@@ -338,7 +362,7 @@ impl Secondary {
             tentative_ids: self
                 .tentative
                 .get(object)
-                .map(|log| log.keys().map(|(_, id)| *id).collect())
+                .map(|r| r.log.keys().map(|(_, id)| *id).collect())
                 .unwrap_or_default(),
         };
         let mut entries: Vec<SummaryEntry> = self
@@ -549,22 +573,30 @@ impl Secondary {
     ) {
         let asked = self.wants.remove(&(object, Lack::Update(id)));
         let held = |store: &ObjectStore| store.holds_record(&object, timestamp, id);
-        let logged = self.tentative.get(&object).is_some_and(|l| l.contains_key(&(timestamp, id)));
-        if update.len() > ReplicaMsg::NAME_SIZE && (logged || held(&self.store)) {
-            let l = &mut self.ledger;
-            let class =
-                if asked.is_some() { &mut l.tentative_asked } else { &mut l.tentative_unasked };
-            class.add(&update);
+        let key = (timestamp, id);
+        let copy = |l: &mut CopyLedger, held: bool| {
+            if held && update.len() > ReplicaMsg::NAME_SIZE {
+                let class =
+                    if asked.is_some() { &mut l.tentative_asked } else { &mut l.tentative_unasked };
+                class.add(&update);
+            }
+        };
+        // A stale rumor is refused and leaves no entry behind; any other
+        // is seen, in its object's entry.
+        if self.store.is_stale_rumor(&object, timestamp) {
+            let logged = self.tentative.get(&object).is_some_and(|r| r.log.contains_key(&key));
+            copy(&mut self.ledger, logged || held(&self.store));
+            return;
         }
+        let rumors = self.tentative.entry(object).or_default();
+        copy(&mut self.ledger, rumors.log.contains_key(&key) || held(&self.store));
         // `seen` admits one copy of each rumor, and the answer to our ask
         // unless the record came first.
-        if self.store.is_stale_rumor(&object, timestamp)
-            || !self.seen.insert((object, id)) && (asked.is_none() || held(&self.store))
-        {
+        if !rumors.seen.insert(id) && (asked.is_none() || held(&self.store)) {
             return;
         }
         if !held(&self.store) {
-            self.tentative.entry(object).or_default().insert((timestamp, id), update.clone());
+            rumors.log.insert(key, update.clone());
         }
         self.gossip(ctx, ReplicaMsg::rumor(object, update, timestamp, id));
         if let Some((from, header)) = asked.and_then(|ask| ask.parked) {
@@ -587,12 +619,6 @@ impl Secondary {
         }
     }
 
-    /// Whether one of these asks for `object` still counts.
-    fn asking(&self, object: Guid, now: SimTime, asks: &[Lack]) -> bool {
-        let live = |at: SimTime| now.saturating_since(at) < self.cfg.heartbeat_interval;
-        asks.iter().any(|&lack| self.wants.get(&(object, lack)).is_some_and(|a| live(a.at)))
-    }
-
     /// Handles a rumor by name from `from`. A replica that holds the
     /// record committed passes the name on, as it passes on a whole
     /// rumor; one that has not seen the update asks `from` for its bytes,
@@ -612,9 +638,19 @@ impl Secondary {
         if self.store.is_stale_rumor(&object, timestamp) {
             return;
         }
-        if self.seen.contains(&(object, id)) {
-            let (now, heartbeat) = (ctx.now(), self.cfg.heartbeat_interval);
-            let held = self.store.holds_record(&object, timestamp, id);
+        let (now, heartbeat) = (ctx.now(), self.cfg.heartbeat_interval);
+        let held = self.store.holds_record(&object, timestamp, id);
+        let fetching = |wants: &_| asking(wants, heartbeat, object, now, &[Prefix, Record, Pull]);
+        // An object with no entry has seen no rumor; one is made only if
+        // this one is to be seen.
+        let rumors = match self.tentative.entry(object) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) if held || !fetching(&self.wants) => {
+                entry.insert(Rumors::default())
+            }
+            Entry::Vacant(_) => return,
+        };
+        if rumors.seen.contains(&id) {
             let ask = self.wants.get_mut(&(object, Lack::Update(id))).filter(|_| !held);
             if let Some(ask) = ask.filter(|a| now.saturating_since(a.at) >= heartbeat) {
                 ask.at = now;
@@ -622,12 +658,12 @@ impl Secondary {
             }
             return;
         }
-        if self.store.holds_record(&object, timestamp, id) {
-            self.seen.insert((object, id));
+        if held {
+            rumors.seen.insert(id);
             self.gossip(ctx, ReplicaMsg::Heard { object, timestamp, id });
-        } else if !self.asking(object, ctx.now(), &[Prefix, Record, Pull]) {
-            self.seen.insert((object, id));
-            self.wants.insert((object, Lack::Update(id)), Ask { at: ctx.now(), parked: None });
+        } else if !fetching(&self.wants) {
+            rumors.seen.insert(id);
+            self.wants.insert((object, Lack::Update(id)), Ask { at: now, parked: None });
             ctx.send(from, ReplicaMsg::Want { object, timestamp, id });
         }
     }
@@ -643,7 +679,7 @@ impl Secondary {
         timestamp: u64,
         id: TentativeId,
     ) {
-        let rumor = self.tentative.get(&object).and_then(|log| log.get(&(timestamp, id)));
+        let rumor = self.tentative.get(&object).and_then(|r| r.log.get(&(timestamp, id)));
         let logged = || self.store.record_of(&object, timestamp, id).map(|r| &r.update);
         if let Some(update) = rumor.or_else(logged) {
             ctx.send(from, ReplicaMsg::Tentative { object, update: update.clone(), timestamp, id });
@@ -710,7 +746,7 @@ impl Secondary {
         let carried = !record.update.is_empty();
         if !carried {
             let (object, key) = (record.object, (record.timestamp, record.id));
-            let rumor = self.tentative.get(&object).and_then(|log| log.get(&key));
+            let rumor = self.tentative.get(&object).and_then(|r| r.log.get(&key));
             let logged = || self.store.record(&object, record.index).map(|r| &r.update);
             let Some(update) = rumor.or_else(logged).cloned() else {
                 let ask = self.wants.get_mut(&(object, Lack::Update(record.id))).ok_or(Record)?;
@@ -758,7 +794,7 @@ impl Secondary {
             Record => &[Prefix, Record, Pull],
             _ => &[Record],
         };
-        if self.asking(object, ctx.now(), redundant) {
+        if asking(&self.wants, self.cfg.heartbeat_interval, object, ctx.now(), redundant) {
             return;
         }
         let asks = self.wants.range((object, Prefix)..).take_while(|((g, _), _)| *g == object);
@@ -816,9 +852,15 @@ impl Secondary {
             self.ack_primary_push(ctx, from, record.object, record.index);
             return Ok(true);
         }
-        let (seen, wants) = (&mut self.seen, &mut self.wants);
+        let (tentative, wants) = (&mut self.tentative, &mut self.wants);
         let forget = |dropped: &CommitRecord| {
-            seen.remove(&(dropped.object, dropped.id));
+            if let Entry::Occupied(mut entry) = tentative.entry(dropped.object) {
+                let rumors = entry.get_mut();
+                rumors.seen.remove(&dropped.id);
+                if rumors.seen.is_empty() && rumors.log.is_empty() {
+                    entry.remove();
+                }
+            }
             wants.remove(&(dropped.object, Lack::Update(dropped.id)));
         };
         let (object, index, id) = (record.object, record.index, record.id);
@@ -834,12 +876,17 @@ impl Secondary {
         // Reconcile the optimistic path: this update is now final. `seen`
         // admits one rumor per id, and an honest one is logged under the
         // record's own key; scan for the id only when that key is absent.
-        if let Some(pending) = self.tentative.get_mut(&object) {
-            if pending.remove(&(timestamp, id)).is_none() {
-                pending.retain(|(_, tentative), _| *tentative != id);
+        // The entry stays while it holds ids, and an emptied log goes:
+        // a `BTreeMap` keeps the node of its last entry.
+        if let Entry::Occupied(mut entry) = self.tentative.entry(object) {
+            let Rumors { log, seen } = entry.get_mut();
+            if log.remove(&(timestamp, id)).is_none() {
+                log.retain(|(_, tentative), _| *tentative != id);
             }
-            if pending.is_empty() {
-                self.tentative.remove(&object);
+            match (log.is_empty(), seen.is_empty()) {
+                (true, true) => drop(entry.remove()),
+                (true, false) => *log = TentativeLog::new(),
+                _ => {}
             }
         }
         // Stream onward per child mode: the record pushed is the log's,
@@ -997,7 +1044,7 @@ impl Secondary {
         committed_index: u64,
         tentative_ids: &[TentativeId],
     ) {
-        if let Some(ours) = self.tentative.get(&object) {
+        if let Some(Rumors { log: ours, .. }) = self.tentative.get(&object) {
             let their: IdSet<&TentativeId> = tentative_ids.iter().collect();
             for (&(timestamp, id), update) in ours.iter().filter(|(k, _)| !their.contains(&k.1)) {
                 ctx.send(from, ReplicaMsg::rumor(object, update.clone(), timestamp, id));

@@ -7,7 +7,11 @@
 //!   update named, as a view of the update's buffer. In the default
 //!   in-RAM configuration that costs one table entry per block, holding
 //!   the view and its count; over a disk or provider backend the entry
-//!   holds the count and the backend the bytes. The in-memory
+//!   holds the count and the backend the bytes. The CID is kept nowhere
+//!   else: the block's buffer memoized it when the update was named, so
+//!   a commit that overwrites or deletes a block releases it under the
+//!   CID the memo gives back for the displaced view, and only a put the
+//!   backend refused is remembered, with its CID, to retry. The in-memory
 //!   `DataObject` stays authoritative for deterministic re-execution —
 //!   the blob layer is the storage backend, and reads that miss it (a
 //!   dead provider, a corrupt disk blob) fall back to the replica, which
@@ -27,7 +31,7 @@ use std::sync::Arc;
 use oceanstore_crypto::sha1::Digest;
 use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::{Guid, IdMap};
-use oceanstore_store::{cid_of, BlobStore, DedupStore};
+use oceanstore_store::{BlobStore, DedupStore};
 use oceanstore_update::object::{Block, DataObject};
 use oceanstore_update::update::{apply_placing, Outcome};
 use oceanstore_update::{Update, UpdateDigest};
@@ -42,10 +46,10 @@ use crate::messages::{committed_term, CommitRecord, TentativeId};
 /// so the default changes no golden trace.
 pub const RECORD_RETENTION: u64 = 128;
 
-/// One slot a commit wrote, and the CID its update named the ciphertext
-/// stored there by: `None` for an index block or a tombstone, and for a
-/// block nobody named yet.
-type Write = (usize, Option<Guid>);
+/// One slot a commit wrote: the slot, the CID its update named the
+/// ciphertext stored there by (`None` for an index block or a tombstone),
+/// and the data block the write displaced, if it displaced one.
+type Write = (usize, Option<Guid>, Option<Bytes>);
 
 /// One object's replicated state on a server.
 #[derive(Debug, Default)]
@@ -70,11 +74,9 @@ pub struct ObjectState {
     /// One past the newest timestamp of any record truncated from the log
     /// (0 while none is): a rumor older than this is refused.
     rumor_floor: u64,
-    /// The CID each block slot of the current version is filed under in
-    /// the blob store (`None` for index blocks and refused puts).
-    slots: Vec<Option<Guid>>,
     /// Data slots whose put the backend refused, ascending, with the CID
-    /// to retry them under on the next commit.
+    /// to retry them under on the next commit. Every other data slot of
+    /// the current version is filed under its block's CID.
     refused: Vec<(usize, Guid)>,
 }
 
@@ -93,6 +95,13 @@ impl ObjectState {
     /// `first_index`); `None` below the floor, possibly out of range above.
     fn position(&self, index: u64) -> Option<usize> {
         usize::try_from(index.checked_sub(self.first_index)?).ok()
+    }
+
+    /// The data block at `slot` of the current version, and whether the
+    /// blob store holds it (the backend did not refuse its put).
+    fn filed(&self, slot: usize) -> Option<(&Bytes, bool)> {
+        let Block::Data(d) = self.data.current().blocks.get(slot)? else { return None };
+        Some((d, self.refused.binary_search_by_key(&slot, |&(s, _)| s).is_err()))
     }
 }
 
@@ -193,11 +202,19 @@ impl ObjectStore {
     pub fn set_blob_store(&mut self, backend: Box<dyn BlobStore>) {
         self.blobs = DedupStore::new(backend);
         for st in self.objects.values_mut() {
-            st.slots.clear();
             st.refused.clear();
-            // The one whole-version walk: every slot, as if just written.
-            let every = (0..st.data.current().blocks.len()).map(|slot| (slot, None)).collect();
-            self.blob_put_failures += sync_blocks(&mut self.blobs, st, every);
+            // The one whole-version walk: every data slot, as if just
+            // written, each block named through its buffer's memo.
+            let version = Arc::clone(st.data.current());
+            let data: Vec<(usize, &Bytes)> = (version.blocks.iter().enumerate())
+                .filter_map(|(slot, b)| match b {
+                    Block::Data(d) => Some((slot, d)),
+                    Block::Index(_) => None,
+                })
+                .collect();
+            let cids = Guid::for_contents(data.iter().map(|&(_, d)| d));
+            let every = data.iter().zip(cids).map(|(&(slot, _), cid)| (slot, Some(cid), None));
+            self.blob_put_failures += sync_blocks(&mut self.blobs, st, every.collect());
         }
     }
 
@@ -450,9 +467,11 @@ impl ObjectStore {
 
     /// The CID the blob layer holds `slot` of `object`'s committed
     /// version under: `None` for an index block, or a block whose put the
-    /// backend refused.
+    /// backend refused. Read from the block buffer's memo, which named it
+    /// when it was filed.
     pub fn slot_cid(&self, object: &Guid, slot: usize) -> Option<Guid> {
-        *self.objects.get(object)?.slots.get(slot)?
+        let (block, filed) = self.objects.get(object)?.filed(slot)?;
+        filed.then(|| Guid::for_view(block))
     }
 
     /// Serialized-but-unapplied catch-up: retained commit records from
@@ -505,11 +524,9 @@ impl ObjectStore {
     /// survives any single store's death because the replica *is* a
     /// store of it. Either way the block comes back as a view.
     pub fn read_block(&mut self, object: &Guid, slot: usize) -> Option<Bytes> {
-        let st = self.objects.get(object)?;
-        let version = Arc::clone(st.data.current());
-        let Block::Data(mem) = version.blocks.get(slot)? else { return None };
-        let mem = mem.clone();
-        if let Some(cid) = st.slots.get(slot).copied().flatten() {
+        let (mem, filed) = self.objects.get(object)?.filed(slot)?;
+        let (mem, cid) = (mem.clone(), filed.then(|| Guid::for_view(mem)));
+        if let Some(cid) = cid {
             if let Ok(Some(bytes)) = self.blobs.get(&cid) {
                 return Some(bytes);
             }
@@ -549,8 +566,12 @@ fn execute<C: Into<Bytes>>(
     cids: &[Guid],
 ) -> (Outcome, u64) {
     let mut written = Vec::new();
-    let outcome = apply_placing(&mut st.data, update, |k, slot| {
-        written.push((slot, k.and_then(|k| cids.get(k).copied())));
+    let outcome = apply_placing(&mut st.data, update, |k, slot, displaced| {
+        let displaced = match displaced {
+            Some(Block::Data(d)) => Some(d.clone()),
+            _ => None,
+        };
+        written.push((slot, k.and_then(|k| cids.get(k).copied()), displaced));
     });
     (outcome, sync_blocks(blobs, st, written))
 }
@@ -558,36 +579,31 @@ fn execute<C: Into<Bytes>>(
 /// Mirrors into the blob store the slots of the current version that
 /// `visit` names — in any order, a slot written twice last by what it
 /// holds — and every slot whose put the backend refused before, in
-/// ascending slot order: each drops the reference to what it held, and a
-/// data block is put (dedup-refcounted). A block is named once: by its
-/// update (a refused one keeps that name until it is put), else hashed
-/// here. It is handed down as the object's own view, so an in-RAM backend
-/// holds the allocation the object holds. Returns the number of refused
-/// puts.
+/// ascending slot order: each releases the block it held before the
+/// commit, if the store held it, and a data block is put
+/// (dedup-refcounted). A block is named once: by its update (a refused one
+/// keeps that name until it is put), else through its buffer's memo; the
+/// CID a block is released under is read from that memo. It is handed
+/// down as the object's own view, so an in-RAM backend holds the
+/// allocation the object holds. Returns the number of refused puts.
 fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState, mut visit: Vec<Write>) -> u64 {
     let blocks = &st.data.current().blocks;
-    debug_assert!(st.slots.len() <= blocks.len(), "a version never loses slots");
-    st.slots.resize(blocks.len(), None);
-    // Refused slots go first, so the stable sort leaves this commit's last
-    // write to a slot last among its entries.
-    visit.splice(0..0, st.refused.drain(..).map(|(slot, cid)| (slot, Some(cid))));
-    visit.sort_by_key(|&(slot, _)| slot);
+    // Refused slots go first: the first entry of a slot says what it held
+    // before the commit (a refused block was never filed), and the stable
+    // sort leaves this commit's last write to it last.
+    visit.splice(0..0, st.refused.drain(..).map(|(slot, cid)| (slot, Some(cid), None)));
+    visit.sort_by_key(|&(slot, ..)| slot);
     let mut failures = 0;
-    for (at, &(slot, named)) in visit.iter().enumerate() {
-        if visit.get(at + 1).is_some_and(|&(next, _)| next == slot) {
-            continue; // superseded
+    for writes in visit.chunk_by(|a, b| a.0 == b.0) {
+        let ((slot, _, before), (_, named, _)) = (&writes[0], &writes[writes.len() - 1]);
+        if let Some(old) = before {
+            let _ = blobs.delete(&Guid::for_view(old));
         }
-        if let Some(old) = st.slots[slot].take() {
-            let _ = blobs.delete(&old);
-        }
-        if let Block::Data(d) = &blocks[slot] {
-            let cid = named.unwrap_or_else(|| cid_of(d));
-            match blobs.put_shared(cid, d) {
-                Ok(cid) => st.slots[slot] = Some(cid),
-                Err(_) => {
-                    failures += 1;
-                    st.refused.push((slot, cid)); // retried on the next commit
-                }
+        if let Block::Data(d) = &blocks[*slot] {
+            let cid = named.unwrap_or_else(|| Guid::for_view(d));
+            if blobs.put_shared(cid, d).is_err() {
+                failures += 1;
+                st.refused.push((*slot, cid)); // retried on the next commit
             }
         }
     }
@@ -600,6 +616,7 @@ mod tests {
     use crate::messages::TentativeId;
     use oceanstore_crypto::threshold::SerializationCert;
     use oceanstore_sim::NodeId;
+    use oceanstore_store::cid_of;
     use oceanstore_update::update::Action;
     use oceanstore_update::{decode_view, encode_update, update_digest};
 

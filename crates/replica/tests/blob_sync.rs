@@ -68,22 +68,27 @@ fn update(kind: u8, tag: u8, at: usize, slots: usize, logical: usize) -> Update 
     }
 }
 
-/// Data slots not filed in the blob store (their put was refused).
-fn unfiled(store: &ObjectStore, objects: &[Guid]) -> usize {
-    let mut count = 0;
+/// Data slots of `objects` (every object the store holds) not filed in
+/// the blob store, as its refcounts count them: every data block's CID,
+/// each once, against one reference per filed slot.
+fn unfiled(store: &ObjectStore, objects: &[Guid]) -> u64 {
+    let mut cids: BTreeMap<Guid, u64> = BTreeMap::new();
     for object in objects {
         let Some(st) = store.get(object) else { continue };
-        for (slot, block) in st.data.current().blocks.iter().enumerate() {
-            let filed = store.slot_cid(object, slot).is_some();
-            count += usize::from(matches!(block, Block::Data(_)) && !filed);
+        for block in &st.data.current().blocks {
+            if let Block::Data(bytes) = block {
+                *cids.entry(cid_of(bytes)).or_default() += 1;
+            }
         }
     }
-    count
+    let blobs = store.blob_store();
+    cids.iter().map(|(cid, slots)| slots - blobs.refcount(cid)).sum()
 }
 
-/// Every filed data slot is filed under the CID of its bytes, no index
-/// slot is filed, and the blob store's refcounts are exactly one per
-/// filed slot — what a rescan of every object's whole version counts.
+/// Every data slot the store reports filed holds a reference, under the
+/// CID of its bytes, no index slot is filed, and the blob store's
+/// refcounts are exactly one per filed slot — what a rescan of every
+/// object's whole version counts.
 fn check(store: &ObjectStore, objects: &[Guid]) {
     let mut rescan: BTreeMap<Guid, u64> = BTreeMap::new();
     for object in objects {
@@ -92,7 +97,7 @@ fn check(store: &ObjectStore, objects: &[Guid]) {
             match (block, store.slot_cid(object, slot)) {
                 (Block::Data(bytes), Some(cid)) => {
                     assert_eq!(cid, cid_of(bytes), "slot {slot} filed under another name");
-                    *rescan.entry(cid).or_default() += 1;
+                    *rescan.entry(cid_of(bytes)).or_default() += 1;
                 }
                 (Block::Data(_), None) => {} // refused; retried on the next commit
                 (Block::Index(_), cid) => assert_eq!(cid, None, "index slot {slot} filed"),
@@ -128,9 +133,9 @@ proptest! {
         }
         // A refused put is retried on every later commit to its object,
         // an aborted one included, until the provider takes it.
-        for object in objects {
-            while unfiled(&store, &[object]) > 0 {
-                prop_assert!(n < 10_000, "refused puts never retried");
+        while unfiled(&store, &objects) > 0 {
+            prop_assert!(n < 10_000, "refused puts never retried");
+            for object in objects {
                 commit(&mut store, object, update(6, 0, 0, 0, 0), n);
                 n += 1;
                 check(&store, &objects);

@@ -156,7 +156,8 @@ fn shape(keys: &ObjectKeys, o: &DataObject, step: usize) -> Update {
 fn every_held_block_is_named_by_a_certified_digest() {
     let memory = || -> Box<dyn BlobStore> { Box::new(MemoryStore::new()) };
     let dir = || -> Box<dyn BlobStore> { Box::new(DirStore::new_ephemeral()) };
-    for backend in [memory as fn() -> Box<dyn BlobStore>, dir] {
+    // Each backend, and whether a read of it hands out the filed view.
+    for (backend, views) in [(memory as fn() -> Box<dyn BlobStore>, true), (dir, false)] {
         let mut dep = build_deployment(&DeploymentOpts::default());
         let holders: Vec<NodeId> = dep.primaries().iter().chain(&dep.secondaries).copied().collect();
         for &node in &holders {
@@ -192,10 +193,16 @@ fn every_held_block_is_named_by_a_certified_digest() {
             assert_eq!(version.blocks, mirror.current().blocks, "{node:?} converged");
             for (slot, block) in version.blocks.iter().enumerate() {
                 let Block::Data(bytes) = block else { continue };
-                let cid = store.slot_cid(&object, slot).expect("every data block is filed");
-                assert_eq!(cid, cid_of(bytes), "{node:?} slot {slot}: filed under its own CID");
+                let cid = cid_of(bytes);
+                let refs = store.blob_store().refcount(&cid);
+                assert!(refs > 0, "{node:?} slot {slot}: not filed under its own CID");
                 assert!(covered.contains(&cid), "{node:?} slot {slot}: named by a certified digest");
-                assert_eq!(store.read_block(&object, slot).as_deref(), Some(bytes.as_slice()));
+                let read = store.read_block(&object, slot).expect("a data block");
+                assert_eq!(read, *bytes, "{node:?} slot {slot}: the blob layer holds other bytes");
+                assert!(
+                    !views || Arc::ptr_eq(read.buffer(), bytes.buffer()),
+                    "{node:?} slot {slot}: the blob layer holds a copy"
+                );
             }
             assert_eq!(store.health().fallback_reads, 0, "{node:?}: every read came from the blob");
         }

@@ -27,7 +27,7 @@ use oceanstore_replica::{
     build_deployment, disseminator_for, CommitRecord, Deployment, DeploymentOpts, ReplicaMsg,
 };
 use oceanstore_sim::{NodeId, SimDuration};
-use oceanstore_store::{cid_of, BlobStore, DirStore, MemoryStore};
+use oceanstore_store::{cid_of, BackendKind, BlobStore, DirStore, MemoryStore};
 use oceanstore_update::object::Block;
 use oceanstore_update::update::Action;
 use oceanstore_update::Update;
@@ -43,7 +43,11 @@ fn appends(tag: u8, blocks: u8, len: usize) -> Update {
 fn every_node_holds_views_of_the_clients_payload() {
     let memory = || -> Box<dyn BlobStore> { Box::new(MemoryStore::new()) };
     let dir = || -> Box<dyn BlobStore> { Box::new(DirStore::new_ephemeral()) };
-    for backend in [None, Some(memory as fn() -> Box<dyn BlobStore>), Some(dir)] {
+    // Each backend, and whether a read of it hands out the filed view.
+    let deployed = BackendKind::from_env() == BackendKind::Memory;
+    let memory = Some(memory as fn() -> Box<dyn BlobStore>);
+    let backends = [(None, deployed), (memory, true), (Some(dir), false)];
+    for (backend, views) in backends {
         let mut dep = build_deployment(&DeploymentOpts::default());
         let holders: Vec<NodeId> =
             dep.primaries().iter().chain(&dep.secondaries).copied().collect();
@@ -94,20 +98,28 @@ fn every_node_holds_views_of_the_clients_payload() {
         }
 
         // Every block anywhere is a view of its update's buffer, filed
-        // under its own CID.
+        // under its own CID: the blob layer holds a reference to that CID
+        // and serves the slot from there, as that very view on a backend
+        // that keeps views.
         let mut buffers = HashSet::new();
         for &node in &holders {
-            let role = dep.sim.node(node);
-            let store = match role.as_primary() {
-                Some(p) => &p.store,
-                None => &role.as_secondary().expect("a role").store,
+            let role = dep.sim.node_mut(node);
+            let store = match role.as_primary_mut() {
+                Some(p) => &mut p.store,
+                None => &mut role.as_secondary_mut().expect("a role").store,
             };
-            let version = store.get(&object).expect("replicated").data.current();
+            let version = Arc::clone(store.get(&object).expect("replicated").data.current());
             assert_eq!(version.blocks.len(), 7, "{node:?} holds both updates");
             for (slot, block) in version.blocks.iter().enumerate() {
                 let Block::Data(bytes) = block else { panic!("appends store data blocks") };
-                let cid = store.slot_cid(&object, slot).expect("every data block is filed");
-                assert_eq!(cid, cid_of(bytes), "{node:?} slot {slot}: filed under another CID");
+                let refs = store.blob_store().refcount(&cid_of(bytes));
+                assert!(refs > 0, "{node:?} slot {slot}: not filed under its CID");
+                let read = store.read_block(&object, slot).expect("a data block");
+                assert_eq!(read, *bytes, "{node:?} slot {slot}: the blob layer holds other bytes");
+                assert!(
+                    !views || Arc::ptr_eq(read.buffer(), bytes.buffer()),
+                    "{node:?} slot {slot}: the blob layer holds a copy"
+                );
                 let update = usize::from(slot >= 4);
                 let record = &records[update];
                 assert!(
@@ -116,6 +128,7 @@ fn every_node_holds_views_of_the_clients_payload() {
                 );
                 buffers.insert(Arc::as_ptr(bytes.buffer()));
             }
+            assert_eq!(store.health().fallback_reads, 0, "{node:?}: a read missed the blob layer");
         }
         assert_eq!(buffers.len(), updates.len(), "one block buffer per committed update");
     }

@@ -9,6 +9,7 @@
 //! any it held under the request id. Nothing here ever takes a name from the
 //! wire.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use oceanstore_consensus::messages::{
@@ -21,11 +22,11 @@ use oceanstore_naming::bytes::Bytes;
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::primary::{encode_payload, PAYLOAD_UPDATE_AT};
 use oceanstore_replica::{
-    build_deployment, CommitRecord, Deployment, DeploymentOpts, ObjectStore, ReplicaMsg,
+    build_deployment, CommitRecord, Deployment, DeploymentOpts, ReplicaMsg,
     TentativeId, UpdateNamer,
 };
 use oceanstore_sim::{NodeId, SimDuration};
-use oceanstore_store::cid_of;
+use oceanstore_store::{cid_of, BackendKind};
 use oceanstore_update::object::Block;
 use oceanstore_update::update::Action;
 use oceanstore_update::{decode_view, update_digest, Update};
@@ -93,18 +94,33 @@ fn inject(dep: &mut Deployment, from: NodeId, to: &[NodeId], msg: &PbftMsg) {
     }
 }
 
-/// The data blocks `store` holds of `object`, each checked to be filed
-/// under its own CID.
-fn filed_blocks(store: &ObjectStore, object: &Guid, node: NodeId) -> Vec<Vec<u8>> {
+/// The data blocks primary `node` holds of `object`, each checked to be
+/// filed under its own CID: the blob layer holds a reference to it and no
+/// other, and serves each slot from there, as the block's own view on a
+/// backend that keeps views.
+fn filed_blocks(dep: &mut Deployment, object: &Guid, node: NodeId) -> Vec<Vec<u8>> {
+    let store = &mut dep.sim.node_mut(node).as_primary_mut().expect("a primary").store;
     let Some(state) = store.get(object) else { return Vec::new() };
-    let version = state.data.current();
-    let mut held = Vec::new();
+    let version = Arc::clone(state.data.current());
+    let views = BackendKind::from_env() == BackendKind::Memory;
+    let (mut held, mut cids) = (Vec::new(), HashSet::new());
     for (slot, block) in version.blocks.iter().enumerate() {
         let Block::Data(bytes) = block else { panic!("appends store data blocks") };
-        let cid = store.slot_cid(object, slot).expect("every data block is filed");
-        assert_eq!(cid, cid_of(bytes), "{node:?} slot {slot}: filed under another block's CID");
+        let cid = cid_of(bytes);
+        let refs = store.blob_store().refcount(&cid);
+        assert!(refs > 0, "{node:?} slot {slot}: not filed under its CID");
+        cids.insert(cid);
+        let read = store.read_block(object, slot).expect("a data block");
+        assert_eq!(read, *bytes, "{node:?} slot {slot}: the blob layer holds other bytes");
+        assert!(
+            !views || Arc::ptr_eq(read.buffer(), bytes.buffer()),
+            "{node:?} slot {slot}: the blob layer holds a copy"
+        );
         held.push(bytes.to_vec());
     }
+    let live = store.blob_store().dedup_stats().live_cids;
+    assert_eq!(live, cids.len() as u64, "{node:?}: a CID no block of the object holds");
+    assert_eq!(store.health().fallback_reads, 0, "{node:?}: a read missed the blob layer");
     held
 }
 
@@ -140,8 +156,7 @@ fn a_request_altered_after_signing_is_refused_by_every_primary() {
     inject(&mut dep, client, &primaries, &genuine);
     dep.sim.run_for(SimDuration::from_secs(2));
     for &p in &primaries {
-        let primary = dep.primary(p);
-        assert_eq!(filed_blocks(&primary.store, &object, p), meant, "{p:?} the signed update");
+        assert_eq!(filed_blocks(&mut dep, &object, p), meant, "{p:?} the signed update");
     }
 }
 
@@ -169,7 +184,7 @@ fn a_state_entry_with_altered_bytes_is_refused() {
         if genuine {
             assert_eq!((health.state_installs, health.state_rejects), (1, 0));
             assert_eq!(pbft.executed_seen(), 1);
-            assert_eq!(filed_blocks(&primary.store, &object, victim), meant);
+            assert_eq!(filed_blocks(&mut dep, &object, victim), meant);
         } else {
             assert_eq!((health.state_installs, health.state_rejects), (0, 1));
             assert_eq!(pbft.executed_seen(), 0, "installed bytes the certificate does not name");
@@ -210,8 +225,7 @@ fn an_equivocating_client_gets_the_committed_payloads_cids() {
     inject(&mut dep, client, &primaries, &truth);
     dep.sim.run_for(SimDuration::from_secs(2));
     for &p in &primaries {
-        let primary = dep.primary(p);
-        assert_eq!(filed_blocks(&primary.store, &object, p), first, "{p:?} the committed update");
+        assert_eq!(filed_blocks(&mut dep, &object, p), first, "{p:?} the committed update");
     }
 }
 
@@ -231,9 +245,8 @@ fn an_equivocating_client_gets_the_committed_payloads_cids_by_state_transfer() {
     let from = dep.primaries()[0];
     inject(&mut dep, from, &[victim], &state(id, committed.clone(), &committed));
     dep.sim.run_for(SimDuration::from_millis(50));
-    let primary = dep.primary(victim);
-    assert_eq!(primary.pbft().executed_seen(), 1);
-    assert_eq!(filed_blocks(&primary.store, &object, victim), first, "the committed update");
+    assert_eq!(dep.primary(victim).pbft().executed_seen(), 1);
+    assert_eq!(filed_blocks(&mut dep, &object, victim), first, "the committed update");
 }
 
 /// Record `index` of `object` carrying `update`, certified by every

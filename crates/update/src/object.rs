@@ -8,11 +8,13 @@
 //!
 //! "In principle, every update to an OceanStore object creates a new
 //! version" (§2). An object keeps its current version and, per older
-//! version, only what the next commit overwrote; every retained version
-//! is rebuilt on demand and shares block storage: a data block is a
-//! [`Bytes`] view, cloned without copying a byte. A retirement
-//! policy trims ancient versions (the Elephant-style interfaces the paper
-//! cites \[44\]).
+//! version, only what the next commit overwrote: the slot count before
+//! it, and a box of the blocks and search index it replaced, which a
+//! commit that only appended does without (16 bytes of history per
+//! append). Every retained version is rebuilt on demand and shares block
+//! storage: a data block is a [`Bytes`] view, cloned without copying a
+//! byte. A retirement policy trims ancient versions (the Elephant-style
+//! interfaces the paper cites \[44\]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -108,16 +110,46 @@ impl Version {
 }
 
 /// What one commit overwrote: enough to turn version `n` back into
-/// version `n - 1` without keeping a second slot table.
+/// version `n - 1` without keeping a second slot table. 16 bytes: a
+/// commit that only appended boxes nothing.
 #[derive(Debug, Clone)]
 struct ReverseDelta {
     /// Slot count before the commit (slots it appended lie beyond).
     prev_len: usize,
+    /// The slots and search index the commit replaced, if it replaced any.
+    overwritten: Overwritten,
+}
+
+/// A commit's overwrites, boxed on the first one.
+#[derive(Debug, Clone, Default)]
+struct Overwritten(Option<Box<Overwrites>>);
+
+/// What one commit replaced.
+#[derive(Debug, Clone, Default)]
+struct Overwrites {
     /// `(slot, block it held before)` for every overwrite, in the order
     /// applied; undone back to front, so the oldest content wins.
-    overwritten: Vec<(usize, Block)>,
+    blocks: Vec<(usize, Block)>,
     /// The search index before the commit, if the commit replaced it.
-    prev_search_index: Option<Arc<EncryptedIndex>>,
+    search_index: Option<Arc<EncryptedIndex>>,
+}
+
+impl Overwritten {
+    fn boxed(&mut self) -> &mut Overwrites {
+        self.0.get_or_insert_with(Default::default)
+    }
+}
+
+#[cfg(test)]
+impl Overwritten {
+    /// Slots overwritten.
+    fn len(&self) -> usize {
+        self.0.as_ref().map_or(0, |o| o.blocks.len())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// A versioned, server-side object: the current version plus one reverse
@@ -152,16 +184,21 @@ impl Edit<'_> {
         self.version.blocks.push(block);
     }
 
+    /// The block `slot` holds so far, which must exist.
+    pub(crate) fn get(&self, slot: usize) -> &Block {
+        &self.version.blocks[slot]
+    }
+
     /// Overwrites `slot`, which must exist.
     pub(crate) fn set(&mut self, slot: usize, block: Block) {
         let old = std::mem::replace(&mut self.version.blocks[slot], block);
-        self.undo.overwritten.push((slot, old));
+        self.undo.overwritten.boxed().blocks.push((slot, old));
     }
 
     /// Installs a new search index.
     pub(crate) fn set_search_index(&mut self, index: Arc<EncryptedIndex>) {
         let old = std::mem::replace(&mut self.version.search_index, index);
-        self.undo.prev_search_index.get_or_insert(old);
+        self.undo.overwritten.boxed().search_index.get_or_insert(old);
     }
 }
 
@@ -216,10 +253,11 @@ impl DataObject {
         let mut v = (*self.current).clone();
         for delta in self.history.iter().rev().take(back) {
             v.blocks.truncate(delta.prev_len);
-            for (slot, block) in delta.overwritten.iter().rev() {
+            let Some(undo) = &delta.overwritten.0 else { continue };
+            for (slot, block) in undo.blocks.iter().rev() {
                 v.blocks[*slot] = block.clone();
             }
-            if let Some(index) = &delta.prev_search_index {
+            if let Some(index) = &undo.search_index {
                 v.search_index = Arc::clone(index);
             }
         }
@@ -240,11 +278,8 @@ impl DataObject {
     /// `edit` cannot fail: callers validate before they commit.
     pub(crate) fn commit(&mut self, edit: impl FnOnce(&mut Edit<'_>)) -> u64 {
         let version = Arc::make_mut(&mut self.current);
-        let undo = ReverseDelta {
-            prev_len: version.blocks.len(),
-            overwritten: Vec::new(),
-            prev_search_index: None,
-        };
+        let undo =
+            ReverseDelta { prev_len: version.blocks.len(), overwritten: Overwritten::default() };
         let mut next = Edit { version, undo };
         edit(&mut next);
         next.version.number += 1;
@@ -435,6 +470,21 @@ mod tests {
         assert_eq!(o.current().blocks.len(), 2000);
         assert_eq!(o.history.len(), 4000);
         assert!(o.history.iter().skip(2000).all(|d| d.overwritten.len() == 1));
+    }
+
+    /// An undo entry is the slot count and one pointer, and the pointer
+    /// stays null for a commit that only appends.
+    #[test]
+    fn an_append_only_commit_costs_its_history_sixteen_bytes() {
+        assert!(std::mem::size_of::<ReverseDelta>() <= 16);
+        let mut o = DataObject::new();
+        for i in 0..100 {
+            o.commit(|e| e.push(data(i)));
+        }
+        o.commit(|e| e.set(0, data(0)));
+        let mut appends = o.history.iter().take(100);
+        assert!(appends.all(|d| d.overwritten.0.is_none()), "an append boxes nothing");
+        assert_eq!(o.history[100].overwritten.len(), 1);
     }
 
     #[test]

@@ -230,22 +230,24 @@ pub fn apply<C: Clone + Into<Bytes>>(object: &mut DataObject, update: &Update<C>
 /// [`apply`] for a caller that is done with `update`: the ciphertext of
 /// every committed block moves into the object instead of being copied.
 pub fn apply_owned<C: Into<Bytes>>(object: &mut DataObject, update: Update<C>) -> Outcome {
-    apply_placing(object, update, |_, _| {})
+    apply_placing(object, update, |_, _, _| {})
 }
 
 /// [`apply_owned`] that reports every slot it writes, in the order written:
-/// `written(Some(k), slot)` when the slot receives the `k`-th ciphertext of
-/// the update's encoding order — the order of [`crate::update_digest`]'s
-/// CIDs — and `written(None, slot)` when it receives an index block or a
-/// tombstone. A slot written twice is reported twice; the later call says
-/// what it holds. An aborted update writes nothing.
+/// `written(Some(k), slot, displaced)` when the slot receives the `k`-th
+/// ciphertext of the update's encoding order — the order of
+/// [`crate::update_digest`]'s CIDs — and `written(None, slot, displaced)`
+/// when it receives an index block or a tombstone. `displaced` is the
+/// block the write replaced, `None` for an append. A slot written twice is
+/// reported twice; the later call says what it holds, and the first what
+/// it held before the update. An aborted update writes nothing.
 ///
 /// Each stored ciphertext becomes its block as is: a client's `Vec<u8>` is
 /// wrapped, a decoded view is kept, and neither is copied.
 pub fn apply_placing<C: Into<Bytes>>(
     object: &mut DataObject,
     update: Update<C>,
-    mut written: impl FnMut(Option<usize>, usize),
+    mut written: impl FnMut(Option<usize>, usize, Option<&Block>),
 ) -> Outcome {
     // The chosen clause's first ciphertext is preceded, in encoding order,
     // by every ciphertext of the clauses skipped before it.
@@ -299,9 +301,9 @@ pub fn apply_placing<C: Into<Bytes>>(
     let mut slot = || slots.next().expect("validation resolved one slot per positional action");
     let mut appended = cur.blocks.len();
     // Reports `slot` written, with the next ciphertext ordinal if it
-    // received a ciphertext.
-    let mut report = |ciphertext: bool, slot| {
-        written(ciphertext.then_some(k), slot);
+    // received a ciphertext, and what it held.
+    let mut report = |ciphertext: bool, slot: usize, displaced: Option<&Block>| {
+        written(ciphertext.then_some(k), slot, displaced);
         k += usize::from(ciphertext);
     };
     let version = object.commit(|next| {
@@ -309,22 +311,22 @@ pub fn apply_placing<C: Into<Bytes>>(
             match action {
                 Action::ReplaceBlock { ciphertext, .. } => {
                     let at = slot();
-                    report(true, at);
+                    report(true, at, Some(next.get(at)));
                     next.set(at, Block::Data(ciphertext.into()));
                 }
                 Action::Append { ciphertext } => {
-                    report(true, appended);
+                    report(true, appended, None);
                     appended += 1;
                     next.push(Block::Data(ciphertext.into()));
                 }
                 Action::ReplaceWithIndex { pointers, .. } => {
                     let at = slot();
-                    report(false, at);
+                    report(false, at, Some(next.get(at)));
                     next.set(at, Block::Index(pointers));
                 }
                 Action::DeleteBlock { .. } => {
                     let at = slot();
-                    report(false, at);
+                    report(false, at, Some(next.get(at)));
                     next.set(at, Block::Index(Vec::new()));
                 }
                 Action::SetSearchIndex(ix) => next.set_search_index(Arc::new(ix)),
