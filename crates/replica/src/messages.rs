@@ -27,8 +27,8 @@ pub struct TentativeId {
 /// A commit record as certified by the primary tier and streamed down the
 /// dissemination tree.
 ///
-/// Once built, a record is one shared allocation: messages, logs, parked
-/// pushes and fetch answers hold it behind an [`Arc`], so a push down the
+/// Once built, a record is one shared allocation: messages, logs, held
+/// records and fetch answers hold it behind an [`Arc`], so a push down the
 /// tree or a log entry costs a node one pointer. Nothing changes a record
 /// another node may hold: each change builds a new one
 /// ([`CommitRecord::with_update`], [`CommitRecord::with_cert`]).
@@ -300,9 +300,10 @@ pub enum ReplicaMsg {
     /// epidemic the update). The child takes them from its own tentative
     /// log, or from its own record log if the push is a duplicate, and
     /// checks them with [`CommitRecord::verified`]. A child without them
-    /// parks the push on its ask for them ([`ReplicaMsg::Want`]), if it
-    /// has one, else fetches the record from its parent
-    /// ([`ReplicaMsg::FetchCommits`]).
+    /// holds the record while its ask for them ([`ReplicaMsg::Want`])
+    /// stands, else fetches the record from its parent
+    /// ([`ReplicaMsg::FetchCommits`]). A certified record above the
+    /// child's frontier is held until the gap below it fills.
     Commit {
         /// The certified record.
         record: Arc<CommitRecord>,

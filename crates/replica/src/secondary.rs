@@ -6,6 +6,11 @@
 //! tentative commits among themselves and to pick a tentative
 //! serialization order ... Secondary replicas order tentative updates in
 //! timestamp order."
+//!
+//! A certified record that arrives above the frontier waits in the
+//! hold-back until the gap below it fills, then applies in index order;
+//! a record pushed by name whose bytes are still asked for waits there
+//! too. What a secondary lacks it asks for once, through its want table.
 
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
@@ -25,7 +30,7 @@ use crate::messages::{
     frontier_digest, CommitRecord, ReplicaMsg, ReplicaTimer, SummaryEntry, TentativeId,
 };
 use crate::shard::ShardRouter;
-use crate::store::ObjectStore;
+use crate::store::{ObjectState, ObjectStore, RECORD_RETENTION};
 use Lack::{Prefix, Pull, Record};
 use SecondaryTimer::{AntiEntropy, Heartbeat};
 
@@ -62,19 +67,20 @@ struct Rumors {
 /// Whether one of these asks for `object` in `wants` still counts: it went
 /// out less than `window` before `now`.
 fn asking(
-    wants: &BTreeMap<(Guid, Lack), Ask>,
+    wants: &BTreeMap<(Guid, Lack), SimTime>,
     window: SimDuration,
     object: Guid,
     now: SimTime,
     asks: &[Lack],
 ) -> bool {
     let live = |at: SimTime| now.saturating_since(at) < window;
-    asks.iter().any(|&lack| wants.get(&(object, lack)).is_some_and(|a| live(a.at)))
+    asks.iter().any(|&lack| wants.get(&(object, lack)).is_some_and(|&at| live(at)))
 }
 
 /// What one ask in a secondary's want table is for, of one object. The
-/// first three ask for the object's records from the first one we lack
-/// and have not asked for ([`ReplicaMsg::FetchCommits`]).
+/// first three ask for the object's records from the first one at or
+/// above the frontier that the hold-back lacks
+/// ([`ReplicaMsg::FetchCommits`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Lack {
     /// A gap's prefix, asked of the parent whose push found it.
@@ -89,21 +95,22 @@ enum Lack {
     Update(TentativeId),
 }
 
-/// One ask: when it was sent, and at most one push by name parked on it
-/// until the bytes come (the pusher, and the record without its update).
-/// An ask counts for one `heartbeat_interval`: while it counts, nothing
-/// asks for the same bytes again.
-#[derive(Debug)]
-struct Ask {
-    at: SimTime,
-    parked: Option<(NodeId, Arc<CommitRecord>)>,
+/// A record in the hold-back: who sent it, and the update and name its
+/// check decoded — `None` for a record pushed by name whose bytes we
+/// lack, held while our ask for them stands.
+type Held = (NodeId, Arc<CommitRecord>, Option<(Update<Bytes>, UpdateDigest)>);
+
+/// The held record of `held` that waits for the bytes of `id`.
+fn waiting(held: &BTreeMap<u64, Held>, id: TentativeId) -> Option<&Held> {
+    held.values().find(|(_, record, checked)| checked.is_none() && record.id == id)
 }
 
 /// What became of one certified record offered to the store: whether it
-/// applied (or duplicates one that did) — not if it was forged, or parked
-/// on the ask for its bytes — or what is to be asked for before it can:
-/// [`Lack::Prefix`] for a gap ahead of our frontier, [`Lack::Record`] for
-/// a record named without bytes we hold that pass the check.
+/// applied (or duplicates one that did) — not if it was forged, or waits
+/// in the hold-back for the bytes it lacks — or what is to be asked for
+/// before it can: [`Lack::Prefix`] for a gap ahead of our frontier (the
+/// record itself is held), [`Lack::Record`] for a record named without
+/// bytes we hold that pass the check.
 type Offer = Result<bool, Lack>;
 
 /// Copies of large updates that reached a node already holding them:
@@ -180,12 +187,21 @@ pub struct Secondary {
     /// Each object's rumors: its tentative updates and the ids seen, one
     /// entry, so one probe finds both.
     tentative: IdMap<Guid, Rumors>,
-    /// The want table: every ask this node has out, by object and what it
-    /// lacks. A fetch's or a pull's ask leaves when a batch that carries
-    /// bytes of the object's records arrives, or at the first heartbeat
-    /// tick after it lapses; an update's when its bytes arrive or its
-    /// record leaves the log.
-    wants: BTreeMap<(Guid, Lack), Ask>,
+    /// The want table: when each ask this node has out went, by object
+    /// and what it lacks. An ask counts for one `heartbeat_interval`:
+    /// while it counts, nothing asks for the same bytes again. A fetch's
+    /// or a pull's ask leaves when a batch that carries bytes of the
+    /// object's records arrives, or at the first heartbeat tick after it
+    /// lapses; an update's when its bytes arrive or its record leaves the
+    /// log.
+    wants: BTreeMap<(Guid, Lack), SimTime>,
+    /// The hold-back: each object's certified records above its frontier
+    /// (and a record at it still waiting for its bytes), by index, only
+    /// below `next_index + RECORD_RETENTION`. At most 128 records an
+    /// object, each the record as it arrived plus its decoding (a vector
+    /// of views and one CID per stored block), so about the wire bytes of
+    /// 128 records; an object with nothing held has no entry.
+    held: IdMap<Guid, BTreeMap<u64, Held>>,
     /// The primary rings, indexed by [`ShardRouter::ring_of`]. The
     /// secondary substrate is shared by every ring, so a record is checked
     /// against the keys of the tier that actually serialized its object,
@@ -229,6 +245,7 @@ impl Secondary {
             store: ObjectStore::new(),
             tentative: IdMap::default(),
             wants: BTreeMap::new(),
+            held: IdMap::default(),
             rings,
             router,
             parent_last_seen: SimTime::ZERO,
@@ -316,7 +333,13 @@ impl Secondary {
 
     /// Whether this replica knows it is behind on `object`.
     pub fn is_stale(&self, object: &Guid) -> bool {
-        self.store.get(object).is_some_and(|s| s.known_index > s.next_index)
+        self.store.get(object).is_some_and(ObjectState::is_stale)
+    }
+
+    /// Records of `object` in the hold-back, waiting for the gap below
+    /// them to fill or for their bytes.
+    pub fn held_count(&self, object: &Guid) -> usize {
+        self.held.get(object).map_or(0, BTreeMap::len)
     }
 
     /// Starts the periodic anti-entropy and heartbeat timers.
@@ -417,6 +440,11 @@ impl Secondary {
         }
     }
 
+    /// Whether the current parent gave a sign of life within its timeout.
+    fn attached(&self, now: SimTime) -> bool {
+        now.saturating_since(self.parent_last_seen) <= self.cfg.parent_timeout
+    }
+
     /// Whether the current parent pushed a commit within the last `window`.
     fn parent_pushed_within(&self, now: SimTime, window: SimDuration) -> bool {
         self.parent_pushed_at.is_some_and(|at| now.saturating_since(at) < window)
@@ -441,16 +469,18 @@ impl Secondary {
 
     fn on_heartbeat_tick(&mut self, ctx: &mut Context<'_, ReplicaMsg>) {
         let now = ctx.now();
-        // A push parked on an ask that lapsed asks its pusher, which holds
-        // the record it pushed. A lapsed fetch or pull counts for nothing
-        // and leaves; an update's ask stays to recognise its answer.
-        self.wants.retain(|(object, lack), ask| {
-            let lapsed = now.saturating_since(ask.at) >= self.cfg.heartbeat_interval;
-            let parked = ask.parked.as_ref().filter(|_| lapsed);
-            if let (Lack::Update(id), Some((pusher, header))) = (lack, parked) {
-                let (object, timestamp, id) = (*object, header.timestamp, *id);
-                ctx.send(*pusher, ReplicaMsg::Want { object, timestamp, id });
-                ask.at = now;
+        // A lapsed ask for the bytes of a held record asks its pusher,
+        // which holds the record it pushed. A lapsed fetch or pull counts
+        // for nothing and leaves; an update's ask stays to recognise its
+        // answer.
+        let held = &self.held;
+        self.wants.retain(|&(object, lack), at| {
+            let lapsed = now.saturating_since(*at) >= self.cfg.heartbeat_interval;
+            if let (Lack::Update(id), true) = (lack, lapsed) {
+                if let Some((pusher, record, _)) = held.get(&object).and_then(|h| waiting(h, id)) {
+                    ctx.send(*pusher, ReplicaMsg::Want { object, timestamp: record.timestamp, id });
+                    *at = now;
+                }
             }
             !lapsed || matches!(lack, Lack::Update(_))
         });
@@ -464,7 +494,7 @@ impl Secondary {
                     }
                 }
                 None => {
-                    if now.saturating_since(self.parent_last_seen) > self.cfg.parent_timeout {
+                    if !self.attached(now) {
                         // Parent is dead to us: seek a new one.
                         self.try_next_candidate(ctx);
                     } else if !self.parent_pushed_within(now, self.cfg.heartbeat_interval) {
@@ -561,8 +591,8 @@ impl Secondary {
 
     /// Accepts a tentative update (from a client, a gossiping peer, or
     /// the peer we asked for its bytes) and rumors it onward: a large one
-    /// by name ([`ReplicaMsg::rumor`]). A push parked on these bytes is
-    /// offered again now.
+    /// by name ([`ReplicaMsg::rumor`]). A held record that waited for
+    /// these bytes is offered again now.
     pub fn on_tentative(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -599,14 +629,12 @@ impl Secondary {
             rumors.log.insert(key, update.clone());
         }
         self.gossip(ctx, ReplicaMsg::rumor(object, update, timestamp, id));
-        if let Some((from, header)) = asked.and_then(|ask| ask.parked) {
-            // A gap fetch skipped this record; a batch that came before
-            // it applied found a gap and was dropped, so what we still
-            // lack is asked for unless that fetch is out.
-            let applied = match self.offer(ctx, from, header) {
-                Ok(true) if self.is_stale(&object) => Err(Prefix),
-                applied => applied,
-            };
+        let unheld = asked.and(self.held.get_mut(&object)).and_then(|held| {
+            let index = waiting(held, id)?.1.index;
+            held.remove(&index)
+        });
+        if let Some((from, record, _)) = unheld {
+            let applied = self.offer(ctx, from, record);
             self.settle(ctx, object, applied);
         }
     }
@@ -624,9 +652,11 @@ impl Secondary {
     /// rumor; one that has not seen the update asks `from` for its bytes,
     /// once, and rumors it when they come. A name heard while a fetch of
     /// the object counts draws nothing: the fetched records are likely to
-    /// hold it. An ask that lapsed unanswered (the ask or its answer was
-    /// lost, or the announcer holds nothing) asks again, of whoever names
-    /// the update next.
+    /// hold it. Nor does a name heard by the tree root while its primary
+    /// parent is alive: the primaries push it every record whole. An ask
+    /// that lapsed unanswered (the ask or its answer was lost, or the
+    /// announcer holds nothing) asks again, of whoever names the update
+    /// next.
     pub fn on_heard(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -640,7 +670,10 @@ impl Secondary {
         }
         let (now, heartbeat) = (ctx.now(), self.cfg.heartbeat_interval);
         let held = self.store.holds_record(&object, timestamp, id);
-        let fetching = |wants: &_| asking(wants, heartbeat, object, now, &[Prefix, Record, Pull]);
+        let primary = |p| self.rings.iter().any(|r| r.members.contains(&p));
+        let root = self.attached(now) && self.cfg.parent.is_some_and(primary);
+        let fetching =
+            |wants: &_| root || asking(wants, heartbeat, object, now, &[Prefix, Record, Pull]);
         // An object with no entry has seen no rumor; one is made only if
         // this one is to be seen.
         let rumors = match self.tentative.entry(object) {
@@ -652,8 +685,8 @@ impl Secondary {
         };
         if rumors.seen.contains(&id) {
             let ask = self.wants.get_mut(&(object, Lack::Update(id))).filter(|_| !held);
-            if let Some(ask) = ask.filter(|a| now.saturating_since(a.at) >= heartbeat) {
-                ask.at = now;
+            if let Some(at) = ask.filter(|at| now.saturating_since(**at) >= heartbeat) {
+                *at = now;
                 ctx.send(from, ReplicaMsg::Want { object, timestamp, id });
             }
             return;
@@ -663,7 +696,7 @@ impl Secondary {
             self.gossip(ctx, ReplicaMsg::Heard { object, timestamp, id });
         } else if !fetching(&self.wants) {
             rumors.seen.insert(id);
-            self.wants.insert((object, Lack::Update(id)), Ask { at: now, parked: None });
+            self.wants.insert((object, Lack::Update(id)), now);
             ctx.send(from, ReplicaMsg::Want { object, timestamp, id });
         }
     }
@@ -735,8 +768,8 @@ impl Secondary {
     /// own record at its index — checked as bytes that came with it are.
     /// A rumor is unauthenticated, so held bytes that fail are no forgery
     /// of the sender's: nothing is rejected, and the record is asked for.
-    /// A record whose bytes we hold none of is parked on our ask for them,
-    /// if there is one, else asked for.
+    /// A record whose bytes we hold none of waits in the hold-back while
+    /// our ask for them stands, else is asked for.
     fn offer(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -749,8 +782,10 @@ impl Secondary {
             let rumor = self.tentative.get(&object).and_then(|r| r.log.get(&key));
             let logged = || self.store.record(&object, record.index).map(|r| &r.update);
             let Some(update) = rumor.or_else(logged).cloned() else {
-                let ask = self.wants.get_mut(&(object, Lack::Update(record.id))).ok_or(Record)?;
-                ask.parked = Some((from, record));
+                if !self.wants.contains_key(&(object, Lack::Update(record.id))) {
+                    return Err(Record);
+                }
+                self.hold((from, record, None));
                 return Ok(false);
             };
             record = Arc::new(record.with_update(update));
@@ -767,21 +802,51 @@ impl Secondary {
     }
 
     /// Whether a pushed record applied; what it lacks is asked of the
-    /// parent.
+    /// parent, and the hold-back drains.
     fn settle(&mut self, ctx: &mut Context<'_, ReplicaMsg>, object: Guid, applied: Offer) -> bool {
         if let (Err(lack), Some(parent)) = (applied, self.cfg.parent) {
             self.fetch(ctx, parent, object, lack);
         }
+        self.drain(ctx, object);
         applied == Ok(true)
     }
 
+    /// Holds `entry`'s record (its check `None` while it waits for its
+    /// bytes) if its index is below the bound; a record that passed its
+    /// check replaces one held at its index that has not, never the
+    /// reverse. Every caller drains the object next, which drops what the
+    /// frontier passed and an emptied entry.
+    fn hold(&mut self, entry: Held) {
+        let (object, index) = (entry.1.object, entry.1.index);
+        let bound = self.store.get(&object).map_or(0, |s| s.next_index) + RECORD_RETENTION;
+        let held = self.held.entry(object).or_default();
+        if index < bound && !matches!(held.get(&index), Some((.., Some(_)))) {
+            held.insert(index, entry);
+        }
+    }
+
+    /// Applies the held records the frontier has reached, in index order,
+    /// each streamed and acked as a push is, and drops those it passed.
+    fn drain(&mut self, ctx: &mut Context<'_, ReplicaMsg>, object: Guid) {
+        while let Some(mut held) = self.held.remove(&object) {
+            let next = self.store.get(&object).map_or(0, |s| s.next_index);
+            held.retain(|&index, _| index >= next);
+            let due = held.first_entry().filter(|e| *e.key() == next && e.get().2.is_some());
+            let due = due.map(|e| e.remove());
+            if !held.is_empty() {
+                self.held.insert(object, held);
+            }
+            let Some((from, record, Some((update, name)))) = due else { return };
+            let _ = self.apply_verified(ctx, from, record, update, name);
+        }
+    }
+
     /// Asks `holder` for `object`'s records, as `lack`, from the first one
-    /// we lack and have not asked for (a push parked on an ask for its
-    /// bytes is asked for), unless an ask whose answer would bring the
-    /// same records still counts: a gap's fetch waits on a fetch, a
-    /// record's also on a pull, and a pull on a record's fetch. A gap's
-    /// fetch and a pull, the paths whole records take, never wait on
-    /// each other.
+    /// at or above the frontier that the hold-back lacks, unless an ask
+    /// whose answer would bring the same records still counts: a gap's
+    /// fetch waits on a fetch, a record's also on a pull, and a pull on a
+    /// record's fetch. A gap's fetch and a pull, the paths whole records
+    /// take, never wait on each other.
     fn fetch(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -797,11 +862,11 @@ impl Secondary {
         if asking(&self.wants, self.cfg.heartbeat_interval, object, ctx.now(), redundant) {
             return;
         }
-        let asks = self.wants.range((object, Prefix)..).take_while(|((g, _), _)| *g == object);
-        let parked: Vec<u64> = asks.filter_map(|(_, a)| Some(a.parked.as_ref()?.1.index)).collect();
+        let held = self.held.get(&object);
         let next = self.store.get(&object).map_or(0, |s| s.next_index);
-        let from_index = (next..).find(|i| !parked.contains(i)).unwrap_or(next);
-        self.wants.insert((object, lack), Ask { at: ctx.now(), parked: None });
+        let from_index = (next..).find(|i| !held.is_some_and(|h| h.contains_key(i)));
+        let from_index = from_index.unwrap_or(next);
+        self.wants.insert((object, lack), ctx.now());
         ctx.send(holder, ReplicaMsg::FetchCommits { object, from_index });
     }
 
@@ -834,7 +899,8 @@ impl Secondary {
     /// Applies a record that passed the check, with the update and name
     /// the check derived: the digest the certificate was checked against
     /// is this node's own, and so are the CIDs the store files the blocks
-    /// under.
+    /// under. A record above the frontier is held, and its gap's prefix
+    /// is what we lack.
     fn apply_verified(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -848,9 +914,16 @@ impl Secondary {
         // disseminators racing after a failover must not re-flood the
         // subtree. Duplicates are still acked: a late re-pusher must stop
         // retrying even though the first copy won.
-        if self.store.get(&record.object).is_some_and(|s| record.index < s.next_index) {
+        let next = self.store.get(&record.object).map_or(0, |s| s.next_index);
+        if record.index < next {
             self.ack_primary_push(ctx, from, record.object, record.index);
             return Ok(true);
+        }
+        if record.index > next {
+            let st = self.store.entry(record.object);
+            st.known_index = st.known_index.max(record.index + 1);
+            self.hold((from, record, Some((update, name))));
+            return Err(Prefix);
         }
         let (tentative, wants) = (&mut self.tentative, &mut self.wants);
         let forget = |dropped: &CommitRecord| {
@@ -865,13 +938,8 @@ impl Secondary {
         };
         let (object, index, id) = (record.object, record.index, record.id);
         let timestamp = record.timestamp;
-        if !self.store.apply_record(record, update, name, forget) {
-            return Err(Prefix);
-        }
-        // The ask stays to recognise its answer; a push parked on it is moot.
-        if let Some(ask) = self.wants.get_mut(&(object, Lack::Update(id))) {
-            ask.parked = None;
-        }
+        // The record is the next index, so the store applies it.
+        self.store.apply_record(record, update, name, forget);
         self.ack_primary_push(ctx, from, object, index);
         // Reconcile the optimistic path: this update is now final. `seen`
         // admits one rumor per id, and an honest one is logged under the
@@ -965,12 +1033,13 @@ impl Secondary {
         }
     }
 
-    /// Handles a batch of records, fetched or offered. A batch that still
-    /// leaves a gap (its server's log has a hole) asks for nothing more:
-    /// asking the same server again would return the same batch, and the
-    /// next anti-entropy exchange finds a peer that holds the prefix. A
-    /// record offered by name whose bytes we lack is asked of the sender.
-    /// The batch ends the fetch of its objects.
+    /// Handles a batch of records, fetched or offered, in order, and then
+    /// drains the hold-back of its objects. A batch that still leaves a
+    /// gap (its server's log has a hole) asks for nothing more: asking the
+    /// same server again would return the same batch, and the next
+    /// anti-entropy exchange finds a peer that holds the prefix. A record
+    /// offered by name whose bytes we lack is asked of the sender. The
+    /// batch ends the fetch of its objects.
     pub fn on_commits(
         &mut self,
         ctx: &mut Context<'_, ReplicaMsg>,
@@ -978,6 +1047,8 @@ impl Secondary {
         records: Vec<Arc<CommitRecord>>,
     ) {
         let mut fetched = false;
+        let mut objects: Vec<Guid> = records.iter().map(|r| r.object).collect();
+        objects.dedup();
         for r in records {
             if !r.update.is_empty() {
                 for lack in [Prefix, Record, Pull] {
@@ -993,6 +1064,9 @@ impl Secondary {
             if let Err(Record) = self.offer(ctx, from, r) {
                 self.fetch(ctx, from, object, Record);
             }
+        }
+        for object in objects {
+            self.drain(ctx, object);
         }
     }
 
@@ -1065,8 +1139,16 @@ impl Secondary {
                 ctx.send(from, ReplicaMsg::Commits { records });
             }
         } else if committed_index > ours_committed {
-            // Pull what we lack.
-            self.fetch(ctx, from, object, Pull);
+            // Pull what we lack, but not from a peer while the parent is
+            // alive and we hold a large rumor of the object: the tree
+            // brings its record by name, likely in this very instant, and
+            // the pull would bring the bytes again. The parent's own
+            // summary, behind its push on a FIFO link, still draws a pull.
+            let rumors = self.tentative.get(&object).map(|r| &r.log);
+            let large = rumors.is_some_and(|l| l.values().any(|u| u.len() > ReplicaMsg::NAME_SIZE));
+            if !large || Some(from) == self.cfg.parent || !self.attached(ctx.now()) {
+                self.fetch(ctx, from, object, Pull);
+            }
         }
     }
 }

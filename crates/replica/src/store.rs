@@ -25,6 +25,11 @@
 //!   record as it arrived, so a record pushed whole down the tree is one
 //!   allocation however many secondaries log it; attaching a certificate
 //!   ([`ObjectStore::set_cert`]) logs a new record.
+//! * **The store applies only the next index.** A record above
+//!   `next_index` is not applied here: a secondary holds it in its own
+//!   hold-back until the gap fills, and a primary leaves it for its
+//!   consensus path, which writes the same indices
+//!   ([`ObjectStore::serialize_update`]).
 
 use std::sync::Arc;
 
@@ -332,8 +337,10 @@ impl ObjectStore {
 
     /// Applies `record` if it is the next expected index, logging it as
     /// handed over. Returns `true` if applied (or already applied), `false`
-    /// if a gap remains. A record applied by this call is the newest in
-    /// the log ([`ObjectStore::record`]) when it returns.
+    /// if a gap remains: the record is not kept, and a caller that means
+    /// to apply it once the gap fills holds it itself. A record applied by
+    /// this call is the newest in the log ([`ObjectStore::record`]) when
+    /// it returns.
     /// `update` and `name` are the caller's own decoding and naming of
     /// `record.update` ([`CommitRecord::verified`]); the blocks the update
     /// stores are filed under `name.cids`, not hashed again. Each record

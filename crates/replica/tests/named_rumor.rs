@@ -4,10 +4,11 @@
 //! name ([`ReplicaMsg::Heard`]). A peer that has not seen it asks the
 //! announcer for the bytes once ([`ReplicaMsg::Want`]) and is answered
 //! with the whole [`ReplicaMsg::Tentative`]. A push by name that finds no
-//! bytes while such a request is outstanding waits for the answer
-//! instead of fetching, and asks its pusher once the request lapses; a
-//! gap fetch starts after the record that waits. A small update's rumor
-//! still travels whole.
+//! bytes while such a request is outstanding is held until the answer
+//! comes instead of fetching, and asks its pusher once the request
+//! lapses; a gap fetch starts after the record that waits, and a batch
+//! that lands above it is held too. A small update's rumor still travels
+//! whole.
 //!
 //! The deployments are six secondaries in a heap-ordered binary tree:
 //! the primaries push to secondary 0 (the root), which feeds 1 and 2;
@@ -252,9 +253,9 @@ fn a_gap_fetch_skips_a_record_parked_on_an_ask() {
     // Two updates of one object, rumored to nobody: secondary 1 asks
     // secondary 5 for the first one's bytes, and the answer is held back
     // until the root's pushes by name of both records have been handled.
-    // The first push parks on the ask; the second lacks its bytes and
-    // fetches, but from the record after the parked one: once the answer
-    // applies the first, the batch brings nothing the child holds.
+    // The first push is held while the ask stands; the second lacks its
+    // bytes and fetches, but from the record after the held one: once the
+    // answer applies the first, the batch brings nothing the child holds.
     let mut dep = tapped(&quiet(), 0);
     let object = Guid::from_label("gap-after-ask");
     let first = append(8, 1024);
@@ -282,16 +283,16 @@ fn a_gap_fetch_skips_a_record_parked_on_an_ask() {
 #[test]
 fn a_want_to_a_peer_that_holds_nothing_draws_nothing() {
     // Secondary 5 names an update it never held. Secondary 1 asks it,
-    // hears nothing back, and parks the root's push by name on the ask.
-    // Once the ask lapses (one heartbeat interval), the parked push asks
-    // the root, which pushed the record and so holds its bytes.
+    // hears nothing back, and holds the root's push by name while the
+    // ask stands. Once it lapses (one heartbeat interval), the held push
+    // asks the root, which pushed the record and so holds its bytes.
     let mut dep = tapped(&DeploymentOpts::default(), 0);
     let object = Guid::from_label("empty");
     let (timestamp, id) = submit(&mut dep, object, &append(6, 1024));
     let (root, child, empty) = (dep.secondaries[0], dep.secondaries[1], dep.secondaries[5]);
     dep.sim.inject(empty, child, ReplicaMsg::Heard { object, timestamp, id });
     // Run until the root's push by name reaches the child, and one round
-    // trip on: the push is parked, so nothing was fetched.
+    // trip on: the push is held, so nothing was fetched.
     let pushed = loop {
         if let Some(h) = heard(&dep, child, Kind::Named).first() {
             break h.at;
@@ -316,7 +317,7 @@ fn a_want_to_a_peer_that_holds_nothing_draws_nothing() {
     let answers = dep.sim.node(child).heard.iter().filter(|h| h.from == empty);
     assert_eq!(answers.filter(|h| matches!(h.what, Kind::Tentative(_))).count(), 0);
     assert_eq!(heard(&dep, child, Kind::Named).len(), 1, "one push by name");
-    // The parked push asked its pusher once, by name, and the bytes came
+    // The held push asked its pusher once, by name, and the bytes came
     // back once; nothing was fetched.
     let asked = heard(&dep, root, Kind::Want).into_iter().filter(|h| h.from == child).count();
     assert_eq!(asked, 1, "one ask of the pusher");
@@ -331,13 +332,13 @@ fn a_want_to_a_peer_that_holds_nothing_draws_nothing() {
 fn records_after_a_push_parked_on_a_silent_announcer_follow_it() {
     // Two updates of one object, rumored to nobody. Secondary 5 names the
     // first to secondary 1 but holds nothing, so the root's push by name
-    // of the first record parks on an ask that is never answered. The
-    // second record lacks its bytes too and is fetched from the record
-    // after the parked one; that batch lands while the first record is
-    // still missing, finds a gap and is dropped. Once the ask lapses, the
-    // parked push asks the root for its bytes, and the record that
-    // applies asks again for what follows it: both records are there by
-    // the second push + one heartbeat interval + two round trips.
+    // of the first record waits in the hold-back on an ask that is never
+    // answered. The second record lacks its bytes too and is fetched from
+    // the record after the waiting one; that batch lands while the first
+    // record is still missing, and is held. Once the ask lapses, the
+    // waiting push asks the root for its bytes, and when they come both
+    // records apply: by the second push + one heartbeat interval + two
+    // round trips, each missing record having reached the child once.
     let mut dep = tapped(&quiet(), 0);
     let object = Guid::from_label("after-a-silent-announcer");
     let (timestamp, id) = submit(&mut dep, object, &append(10, 1024));
@@ -351,16 +352,35 @@ fn records_after_a_push_parked_on_a_silent_announcer_follow_it() {
         assert!(dep.sim.now() < SimTime::ZERO + SimDuration::from_secs(5), "no pushes came");
         dep.sim.run_for(SimDuration::from_millis(1));
     };
+    let batch = loop {
+        if let Some(h) = heard(&dep, child, Kind::Commits).first() {
+            break h.at;
+        }
+        assert!(dep.sim.now() < pushed + SimDuration::from_secs(1), "no batch came");
+        dep.sim.run_for(SimDuration::from_millis(1));
+    };
+    let sec = dep.secondary(child);
+    assert_eq!(sec.store.get(&object).map_or(0, |s| s.next_index), 0, "applied above a gap");
+    assert_eq!(sec.held_count(&object), 2, "the push and the batch's record are held");
     let latency = DeploymentOpts::default().latency;
     let heartbeat = dep.secondary(child).config().heartbeat_interval;
     let deadline = pushed + heartbeat + (latency + latency) + (latency + latency);
     dep.sim.run_for(deadline.saturating_since(dep.sim.now()));
     let log = &dep.sim.node(child).heard;
-    let answer = log.iter().find(|h| h.from == root && matches!(h.what, Kind::Tentative(_)));
-    let batch = heard(&dep, child, Kind::Commits).first().map(|h| h.at).expect("a batch");
-    assert!(batch < answer.expect("the root answered").at, "the batch came after the bytes");
+    let answers: Vec<_> =
+        log.iter().filter(|h| h.from == root && matches!(h.what, Kind::Tentative(_))).collect();
+    assert_eq!(answers.len(), 1, "the root answered once");
+    assert!(batch < answers[0].at, "the batch came after the bytes");
     assert_eq!(dep.secondary(child).store.get(&object).map(|s| s.next_index), Some(2));
+    assert_eq!(dep.secondary(child).held_count(&object), 0);
     assert_eq!(committed_block(&dep, child, &object), vec![10; 1024]);
+    dep.sim.run_for(SimDuration::from_secs(2));
+    // Each missing record crossed the wire once: the first as the root's
+    // answer, the second in the one batch, which the child asked for once.
+    assert_eq!(heard(&dep, child, Kind::Commits).len(), 1, "a record was fetched again");
+    let fetches = heard(&dep, root, Kind::Fetch).into_iter().filter(|h| h.from == child).count();
+    assert_eq!(fetches, 1, "one fetch");
+    assert_eq!(dep.sim.node(child).stale_records, 0, "a batch re-sent a record the child held");
     assert!(heard(&dep, empty, Kind::Want).iter().all(|h| h.from == child), "one asker");
     no_rejects(&dep);
 }

@@ -9,12 +9,12 @@
 //! "In principle, every update to an OceanStore object creates a new
 //! version" (§2). An object keeps its current version and, per older
 //! version, only what the next commit overwrote: the slot count before
-//! it, and a box of the blocks and search index it replaced, which a
-//! commit that only appended does without (16 bytes of history per
-//! append). Every retained version is rebuilt on demand and shares block
-//! storage: a data block is a [`Bytes`] view, cloned without copying a
-//! byte. A retirement policy trims ancient versions (the Elephant-style
-//! interfaces the paper cites \[44\]).
+//! it and the search index it replaced, in 16 bytes, or a box of those
+//! and the blocks it replaced once it overwrote a slot. Every retained
+//! version is rebuilt on demand and shares block storage: a data block
+//! is a [`Bytes`] view, cloned without copying a byte. A retirement
+//! policy trims ancient versions (the Elephant-style interfaces the
+//! paper cites \[44\]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -110,23 +110,32 @@ impl Version {
 }
 
 /// What one commit overwrote: enough to turn version `n` back into
-/// version `n - 1` without keeping a second slot table. 16 bytes: a
-/// commit that only appended boxes nothing.
+/// version `n - 1` without keeping a second slot table. 16 bytes: only a
+/// commit that overwrote a slot boxes anything.
 #[derive(Debug, Clone)]
 struct ReverseDelta {
-    /// Slot count before the commit (slots it appended lie beyond).
-    prev_len: usize,
-    /// The slots and search index the commit replaced, if it replaced any.
     overwritten: Overwritten,
 }
 
-/// A commit's overwrites, boxed on the first one.
-#[derive(Debug, Clone, Default)]
-struct Overwritten(Option<Box<Overwrites>>);
+/// A commit's undo, inline until the commit overwrites a slot.
+#[derive(Debug, Clone)]
+struct Overwritten(Undo);
 
-/// What one commit replaced.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
+enum Undo {
+    /// The slot count before the commit (slots it appended lie beyond),
+    /// and the search index before it, if the commit replaced it.
+    Inline(u32, Option<Arc<EncryptedIndex>>),
+    /// A commit that overwrote a slot, or whose slot count needs more than
+    /// 32 bits.
+    Boxed(Box<Overwrites>),
+}
+
+/// What one commit replaced, boxed.
+#[derive(Debug, Clone)]
 struct Overwrites {
+    /// Slot count before the commit.
+    prev_len: usize,
     /// `(slot, block it held before)` for every overwrite, in the order
     /// applied; undone back to front, so the oldest content wins.
     blocks: Vec<(usize, Block)>,
@@ -135,8 +144,33 @@ struct Overwrites {
 }
 
 impl Overwritten {
+    /// Nothing replaced yet, by a commit to a version of `prev_len` slots.
+    fn new(prev_len: usize) -> Self {
+        Overwritten(match u32::try_from(prev_len) {
+            Ok(count) => Undo::Inline(count, None),
+            Err(_) => Undo::Boxed(Box::new(Overwrites {
+                prev_len,
+                blocks: Vec::new(),
+                search_index: None,
+            })),
+        })
+    }
+
     fn boxed(&mut self) -> &mut Overwrites {
-        self.0.get_or_insert_with(Default::default)
+        if let Undo::Inline(count, index) = &mut self.0 {
+            let (prev_len, search_index) = (*count as usize, index.take());
+            let blocks = Vec::new();
+            self.0 = Undo::Boxed(Box::new(Overwrites { prev_len, blocks, search_index }));
+        }
+        let Undo::Boxed(o) = &mut self.0 else { unreachable!("boxed above") };
+        o
+    }
+
+    fn search_index(&mut self) -> &mut Option<Arc<EncryptedIndex>> {
+        match &mut self.0 {
+            Undo::Inline(_, index) => index,
+            Undo::Boxed(o) => &mut o.search_index,
+        }
     }
 }
 
@@ -144,11 +178,22 @@ impl Overwritten {
 impl Overwritten {
     /// Slots overwritten.
     fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |o| o.blocks.len())
+        match &self.0 {
+            Undo::Inline(..) => 0,
+            Undo::Boxed(o) => o.blocks.len(),
+        }
     }
 
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+impl Undo {
+    /// Whether nothing is boxed.
+    fn is_none(&self) -> bool {
+        matches!(self, Undo::Inline(..))
     }
 }
 
@@ -198,7 +243,7 @@ impl Edit<'_> {
     /// Installs a new search index.
     pub(crate) fn set_search_index(&mut self, index: Arc<EncryptedIndex>) {
         let old = std::mem::replace(&mut self.version.search_index, index);
-        self.undo.overwritten.boxed().search_index.get_or_insert(old);
+        self.undo.overwritten.search_index().get_or_insert(old);
     }
 }
 
@@ -252,12 +297,15 @@ impl DataObject {
         }
         let mut v = (*self.current).clone();
         for delta in self.history.iter().rev().take(back) {
-            v.blocks.truncate(delta.prev_len);
-            let Some(undo) = &delta.overwritten.0 else { continue };
-            for (slot, block) in undo.blocks.iter().rev() {
+            let (prev_len, blocks, search_index) = match &delta.overwritten.0 {
+                Undo::Inline(count, index) => (*count as usize, &[][..], index),
+                Undo::Boxed(o) => (o.prev_len, &o.blocks[..], &o.search_index),
+            };
+            v.blocks.truncate(prev_len);
+            for (slot, block) in blocks.iter().rev() {
                 v.blocks[*slot] = block.clone();
             }
-            if let Some(index) = &undo.search_index {
+            if let Some(index) = search_index {
                 v.search_index = Arc::clone(index);
             }
         }
@@ -278,8 +326,7 @@ impl DataObject {
     /// `edit` cannot fail: callers validate before they commit.
     pub(crate) fn commit(&mut self, edit: impl FnOnce(&mut Edit<'_>)) -> u64 {
         let version = Arc::make_mut(&mut self.current);
-        let undo =
-            ReverseDelta { prev_len: version.blocks.len(), overwritten: Overwritten::default() };
+        let undo = ReverseDelta { overwritten: Overwritten::new(version.blocks.len()) };
         let mut next = Edit { version, undo };
         edit(&mut next);
         next.version.number += 1;
