@@ -2,8 +2,6 @@
 //!
 //! * [`fragment`] — erasure-coded, Merkle-verified, self-certifying
 //!   fragments; archive GUIDs are content hashes of the fragment-tree root.
-//! * [`disperse`] — the administrative-domain-aware dissemination policy
-//!   that avoids correlated failure.
 //! * [`reliability`] — the paper's availability formula (hypergeometric),
 //!   reproducing the "five nines from rate-1/2, 16 fragments" example
 //!   exactly.
@@ -13,13 +11,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod disperse;
 pub mod fragment;
 pub mod protocol;
 pub mod reliability;
 pub mod store;
 
-pub use disperse::{max_domain_concentration, plan_dissemination, StorageSite};
 pub use fragment::{
     archive_framed, archive_guid, archive_object, reconstruct_object, Archive, Fragment,
 };

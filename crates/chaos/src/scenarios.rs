@@ -534,9 +534,12 @@ pub fn provider_loss(seed: u64) -> ScenarioOutcome {
     }
     // Payloads picked so the committed blocks provably span both hash
     // ranges: two land on provider A (the one that will die), one on B.
+    // Each is padded past the cut below which a block is kept in its
+    // version and never reaches a provider.
+    let width = 2 * oceanstore_replica::TINY_BLOCK;
     let pick = |want_shard: usize, tag: &str| -> Vec<u8> {
         (0..)
-            .map(|k| format!("chaos-provider-{tag}-{k}").into_bytes())
+            .map(|k| format!("{:-<width$}", format!("chaos-provider-{tag}-{k}")).into_bytes())
             .find(|p| shard_of(&oceanstore_store::cid_of(p), 2) == want_shard)
             .expect("some payload hashes into the range")
     };

@@ -9,8 +9,6 @@
 //! * [`directory`] — directory objects mapping human-readable names to
 //!   GUIDs, with client-chosen roots ("the system as a whole has no one
 //!   root").
-//! * [`namespace`] — SDSI-style locally linked namespaces reducing secure
-//!   naming to secure key lookup.
 //! * [`acl`] — reader restriction (key distribution + revocation
 //!   generations) and writer restriction (signed ACL certificates checked
 //!   by servers).
@@ -33,10 +31,8 @@ pub mod acl;
 pub mod bytes;
 pub mod directory;
 pub mod guid;
-pub mod namespace;
 
 pub use acl::{Acl, AclCertificate, AclChoice, Privilege};
 pub use bytes::Bytes;
 pub use directory::{DirEntry, Directory};
 pub use guid::{Guid, IdMap, IdSet};
-pub use namespace::LocalNamespace;

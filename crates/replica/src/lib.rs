@@ -37,7 +37,7 @@ pub use node::OceanNode;
 pub use primary::{disseminator_for, Primary, UpdateNamer};
 pub use secondary::{Copies, CopyLedger, RingView, Secondary};
 pub use shard::ShardRouter;
-pub use store::{ObjectState, ObjectStore, StoreHealth, RECORD_RETENTION};
+pub use store::{ObjectState, ObjectStore, StoreHealth, RECORD_RETENTION, TINY_BLOCK};
 
 #[cfg(test)]
 mod tests {

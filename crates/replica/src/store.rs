@@ -3,15 +3,17 @@
 //!
 //! * **Block state routes through a [`BlobStore`]** (§4.5's
 //!   content-addressed storage made real): every data block a commit
-//!   writes is filed in a refcounting [`DedupStore`] under the CID its
-//!   update named, as a view of the update's buffer. In the default
-//!   in-RAM configuration that costs one table entry per block, holding
-//!   the view and its count; over a disk or provider backend the entry
-//!   holds the count and the backend the bytes. The CID is kept nowhere
-//!   else: the block's buffer memoized it when the update was named, so
-//!   a commit that overwrites or deletes a block releases it under the
-//!   CID the memo gives back for the displaced view, and only a put the
-//!   backend refused is remembered, with its CID, to retry. The in-memory
+//!   writes that is larger than [`TINY_BLOCK`] is filed in a refcounting
+//!   [`DedupStore`] under the CID its update named, as a view of the
+//!   update's buffer. In the default in-RAM configuration that costs one
+//!   table entry per block, holding the view and its count; over a disk
+//!   or provider backend the entry holds the count and the backend the
+//!   bytes. A block no larger than that entry is kept in its version's
+//!   slot alone, and read from there. The CID is kept nowhere else: the
+//!   block's buffer memoized it when the update was named, so a commit
+//!   that overwrites or deletes a block releases it under the CID the
+//!   memo gives back for the displaced view, and only a put the backend
+//!   refused is remembered, with its CID, to retry. The in-memory
 //!   `DataObject` stays authoritative for deterministic re-execution —
 //!   the blob layer is the storage backend, and reads that miss it (a
 //!   dead provider, a corrupt disk blob) fall back to the replica, which
@@ -51,6 +53,19 @@ use crate::messages::{committed_term, CommitRecord, TentativeId};
 /// so the default changes no golden trace.
 pub const RECORD_RETENTION: u64 = 128;
 
+/// The largest data block kept in its version's slot instead of filed in
+/// the blob layer: 48 B, the in-RAM table entry (a CID, a count and a
+/// view) that filing it would cost. Such a block is still named by its
+/// CID (the update digest names it, and its buffer's memo gives it back),
+/// but no backend is called for it, and identical ones in different slots
+/// are not deduplicated.
+pub const TINY_BLOCK: usize = 48;
+
+/// Whether `block` is kept in its version, not filed ([`TINY_BLOCK`]).
+fn is_tiny(block: &[u8]) -> bool {
+    block.len() <= TINY_BLOCK
+}
+
 /// One slot a commit wrote: the slot, the CID its update named the
 /// ciphertext stored there by (`None` for an index block or a tombstone),
 /// and the data block the write displaced, if it displaced one.
@@ -81,7 +96,8 @@ pub struct ObjectState {
     rumor_floor: u64,
     /// Data slots whose put the backend refused, ascending, with the CID
     /// to retry them under on the next commit. Every other data slot of
-    /// the current version is filed under its block's CID.
+    /// the current version is filed under its block's CID, or kept in the
+    /// version if its block is tiny ([`TINY_BLOCK`]).
     refused: Vec<(usize, Guid)>,
 }
 
@@ -102,9 +118,10 @@ impl ObjectState {
         usize::try_from(index.checked_sub(self.first_index)?).ok()
     }
 
-    /// The data block at `slot` of the current version, and whether the
-    /// blob store holds it (the backend did not refuse its put).
-    fn filed(&self, slot: usize) -> Option<(&Bytes, bool)> {
+    /// The data block at `slot` of the current version, and whether it is
+    /// held: kept in the version ([`TINY_BLOCK`]) or filed (the backend did
+    /// not refuse its put).
+    fn held(&self, slot: usize) -> Option<(&Bytes, bool)> {
         let Block::Data(d) = self.data.current().blocks.get(slot)? else { return None };
         Some((d, self.refused.binary_search_by_key(&slot, |&(s, _)| s).is_err()))
     }
@@ -127,9 +144,12 @@ pub struct StoreHealth {
     pub total_records_applied: u64,
     /// Records dropped below the certified low-water mark.
     pub records_dropped: u64,
-    /// Blobs held by the backend.
+    /// Data blocks held: the blobs the backend holds, plus each block
+    /// kept in its version ([`TINY_BLOCK`]), one per slot.
     pub blob_count: u64,
-    /// Logical bytes held by the backend.
+    /// Logical bytes of those blocks: the backend's, plus each kept
+    /// block's, one per slot. A tiny block counts as it did when it was
+    /// filed, except that identical ones are no longer deduplicated.
     pub blob_bytes: u64,
     /// Dedup hits (puts elided by refcounting).
     pub dedup_hits: u64,
@@ -148,6 +168,8 @@ pub struct ObjectStore {
     objects: IdMap<Guid, ObjectState>,
     /// The pluggable content-addressed backend, dedup-wrapped.
     blobs: DedupStore,
+    /// The data blocks kept in their versions instead.
+    kept: Kept,
     /// Records kept below the certified frontier.
     retention: u64,
     /// On a store that keeps them, each object's retained records'
@@ -189,6 +211,7 @@ impl ObjectStore {
         ObjectStore {
             objects: IdMap::default(),
             blobs,
+            kept: Kept::default(),
             retention: RECORD_RETENTION,
             digests: None,
             committed_digest: 0,
@@ -203,9 +226,11 @@ impl ObjectStore {
 
     /// Swaps the blob backend (chaos scenarios wire provider composites
     /// in before traffic starts). Existing objects re-sync their block
-    /// state into the new backend immediately.
+    /// state into the new backend immediately, and count their kept
+    /// blocks afresh.
     pub fn set_blob_store(&mut self, backend: Box<dyn BlobStore>) {
         self.blobs = DedupStore::new(backend);
+        self.kept = Kept::default();
         for st in self.objects.values_mut() {
             st.refused.clear();
             // The one whole-version walk: every data slot, as if just
@@ -219,7 +244,8 @@ impl ObjectStore {
                 .collect();
             let cids = Guid::for_contents(data.iter().map(|&(_, d)| d));
             let every = data.iter().zip(cids).map(|(&(slot, _), cid)| (slot, Some(cid), None));
-            self.blob_put_failures += sync_blocks(&mut self.blobs, st, every.collect());
+            let kept = &mut self.kept;
+            self.blob_put_failures += sync_blocks(&mut self.blobs, kept, st, every.collect());
         }
     }
 
@@ -326,8 +352,8 @@ impl ObjectStore {
             peak_retained_records: self.peak_retained,
             total_records_applied: self.total_applied,
             records_dropped: self.dropped,
-            blob_count: blob.blobs,
-            blob_bytes: blob.bytes,
+            blob_count: blob.blobs + self.kept.blocks,
+            blob_bytes: blob.bytes + self.kept.bytes,
             dedup_hits: dedup.hits,
             dedup_bytes_saved: dedup.bytes_saved,
             fallback_reads: self.fallback_reads,
@@ -365,7 +391,7 @@ impl ObjectStore {
         if record.index > st.next_index {
             return false; // gap
         }
-        let (outcome, failures) = execute(&mut self.blobs, st, update, &name.cids);
+        let (outcome, failures) = execute(&mut self.blobs, &mut self.kept, st, update, &name.cids);
         debug_assert_eq!(
             match &outcome {
                 Outcome::Committed { version } => Some(*version),
@@ -472,13 +498,13 @@ impl ObjectStore {
         Some((&**st.records.get(at)?, digest))
     }
 
-    /// The CID the blob layer holds `slot` of `object`'s committed
-    /// version under: `None` for an index block, or a block whose put the
-    /// backend refused. Read from the block buffer's memo, which named it
-    /// when it was filed.
+    /// The CID `slot` of `object`'s committed version is held under, filed
+    /// or kept in the version ([`TINY_BLOCK`]): `None` for an index block,
+    /// or a block whose put the backend refused. Read from the block
+    /// buffer's memo, which named it when its update was named.
     pub fn slot_cid(&self, object: &Guid, slot: usize) -> Option<Guid> {
-        let (block, filed) = self.objects.get(object)?.filed(slot)?;
-        filed.then(|| Guid::for_view(block))
+        let (block, held) = self.objects.get(object)?.held(slot)?;
+        held.then(|| Guid::for_view(block))
     }
 
     /// Serialized-but-unapplied catch-up: retained commit records from
@@ -507,7 +533,7 @@ impl ObjectStore {
         id: crate::messages::TentativeId,
     ) -> Arc<CommitRecord> {
         let st = self.objects.entry(object).or_default();
-        let (outcome, failures) = execute(&mut self.blobs, st, update, &name.cids);
+        let (outcome, failures) = execute(&mut self.blobs, &mut self.kept, st, update, &name.cids);
         let version = match outcome {
             Outcome::Committed { version } => Some(version),
             Outcome::Aborted(_) => None,
@@ -529,12 +555,17 @@ impl ObjectStore {
     /// the blob layer, falling back to the in-memory replica when the
     /// backend misses (dead provider, corrupt blob) — committed data
     /// survives any single store's death because the replica *is* a
-    /// store of it. Either way the block comes back as a view.
+    /// store of it. A tiny block ([`TINY_BLOCK`]) is served from the
+    /// version, which is where it is kept, and is no fallback. Either way
+    /// the block comes back as a view.
     pub fn read_block(&mut self, object: &Guid, slot: usize) -> Option<Bytes> {
-        let (mem, filed) = self.objects.get(object)?.filed(slot)?;
-        let (mem, cid) = (mem.clone(), filed.then(|| Guid::for_view(mem)));
-        if let Some(cid) = cid {
-            if let Ok(Some(bytes)) = self.blobs.get(&cid) {
+        let (mem, filed) = self.objects.get(object)?.held(slot)?;
+        let mem = mem.clone();
+        if is_tiny(&mem) {
+            return Some(mem);
+        }
+        if filed {
+            if let Ok(Some(bytes)) = self.blobs.get(&Guid::for_view(&mem)) {
                 return Some(bytes);
             }
         }
@@ -563,11 +594,19 @@ fn advance(committed_digest: &mut u64, object: &Guid, st: &mut ObjectState) {
     st.next_index += 1;
 }
 
+/// The data blocks kept in their versions ([`TINY_BLOCK`]), one per slot.
+#[derive(Debug, Default)]
+struct Kept {
+    blocks: u64,
+    bytes: u64,
+}
+
 /// Applies `update` to `st`'s object and mirrors the result into
-/// `blobs`, each stored ciphertext under its CID in `cids` (encoding
-/// order). Returns the outcome and the number of refused puts.
+/// `blobs` and `kept`, each stored ciphertext under its CID in `cids`
+/// (encoding order). Returns the outcome and the number of refused puts.
 fn execute<C: Into<Bytes>>(
     blobs: &mut DedupStore,
+    kept: &mut Kept,
     st: &mut ObjectState,
     update: Update<C>,
     cids: &[Guid],
@@ -580,7 +619,7 @@ fn execute<C: Into<Bytes>>(
         };
         written.push((slot, k.and_then(|k| cids.get(k).copied()), displaced));
     });
-    (outcome, sync_blocks(blobs, st, written))
+    (outcome, sync_blocks(blobs, kept, st, written))
 }
 
 /// Mirrors into the blob store the slots of the current version that
@@ -592,8 +631,16 @@ fn execute<C: Into<Bytes>>(
 /// keeps that name until it is put), else through its buffer's memo; the
 /// CID a block is released under is read from that memo. It is handed
 /// down as the object's own view, so an in-RAM backend holds the
-/// allocation the object holds. Returns the number of refused puts.
-fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState, mut visit: Vec<Write>) -> u64 {
+/// allocation the object holds. A tiny block ([`TINY_BLOCK`]) is neither
+/// put nor released, only counted in `kept`; its length, which never
+/// changes, says which a displaced block was. Returns the number of
+/// refused puts.
+fn sync_blocks(
+    blobs: &mut DedupStore,
+    kept: &mut Kept,
+    st: &mut ObjectState,
+    mut visit: Vec<Write>,
+) -> u64 {
     let blocks = &st.data.current().blocks;
     // Refused slots go first: the first entry of a slot says what it held
     // before the commit (a refused block was never filed), and the stable
@@ -603,15 +650,29 @@ fn sync_blocks(blobs: &mut DedupStore, st: &mut ObjectState, mut visit: Vec<Writ
     let mut failures = 0;
     for writes in visit.chunk_by(|a, b| a.0 == b.0) {
         let ((slot, _, before), (_, named, _)) = (&writes[0], &writes[writes.len() - 1]);
-        if let Some(old) = before {
-            let _ = blobs.delete(&Guid::for_view(old));
-        }
-        if let Block::Data(d) = &blocks[*slot] {
-            let cid = named.unwrap_or_else(|| Guid::for_view(d));
-            if blobs.put_shared(cid, d).is_err() {
-                failures += 1;
-                st.refused.push((*slot, cid)); // retried on the next commit
+        match before {
+            Some(old) if is_tiny(old) => {
+                kept.blocks -= 1;
+                kept.bytes -= old.len() as u64;
             }
+            Some(old) => {
+                let _ = blobs.delete(&Guid::for_view(old));
+            }
+            None => {}
+        }
+        match &blocks[*slot] {
+            Block::Data(d) if is_tiny(d) => {
+                kept.blocks += 1;
+                kept.bytes += d.len() as u64;
+            }
+            Block::Data(d) => {
+                let cid = named.unwrap_or_else(|| Guid::for_view(d));
+                if blobs.put_shared(cid, d).is_err() {
+                    failures += 1;
+                    st.refused.push((*slot, cid)); // retried on the next commit
+                }
+            }
+            Block::Index(_) => {}
         }
     }
     failures
@@ -627,8 +688,17 @@ mod tests {
     use oceanstore_update::update::Action;
     use oceanstore_update::{decode_view, encode_update, update_digest};
 
+    /// A block length above the cut: the blob layer files it.
+    const FILED: usize = TINY_BLOCK + 16;
+
+    /// An update appending one tiny block of `tag`, kept in its version.
     fn update(tag: u8) -> (Update<Bytes>, UpdateDigest, Bytes) {
-        served(&Update::unconditional(vec![Action::Append { ciphertext: vec![tag; 4] }]))
+        appending(tag, 4)
+    }
+
+    /// An update appending one `len`-byte block of `tag`.
+    fn appending(tag: u8, len: usize) -> (Update<Bytes>, UpdateDigest, Bytes) {
+        served(&Update::unconditional(vec![Action::Append { ciphertext: vec![tag; len] }]))
     }
 
     /// `u` as a server holds it: decoded from a view of its encoding and
@@ -730,21 +800,64 @@ mod tests {
         let obj = Guid::from_label("blobs");
         let mut store = ObjectStore::new();
         for i in 0..3u8 {
-            let (u, name, enc) = update(i);
+            let (u, name, enc) = appending(i, FILED);
             store.serialize_update(obj, u, name, enc, i as u64, tid(i as u64));
         }
         let health = store.health();
         assert_eq!(health.blob_count, 3, "one blob per distinct appended block");
-        assert_eq!(health.blob_bytes, 12);
+        assert_eq!(health.blob_bytes, 3 * FILED as u64);
+        assert_eq!(store.blob_store().dedup_stats().live_cids, 3, "each block filed");
         // The blob layer serves each block under its CID.
         for (slot, tag) in [(0usize, 0u8), (1, 1), (2, 2)] {
-            assert_eq!(&*store.read_block(&obj, slot).unwrap(), vec![tag; 4]);
+            assert_eq!(&*store.read_block(&obj, slot).unwrap(), vec![tag; FILED]);
         }
         assert_eq!(store.health().fallback_reads, 0, "healthy backend, no fallback");
         assert_eq!(
             store.read_object_bytes(&obj).unwrap(),
-            [vec![0u8; 4], vec![1u8; 4], vec![2u8; 4]].concat()
+            [vec![0u8; FILED], vec![1u8; FILED], vec![2u8; FILED]].concat()
         );
+    }
+
+    /// The cut, 48 B: a block of 48 bytes is kept in its version, one of
+    /// 49 is filed, and both count as blocks the store holds.
+    #[test]
+    fn a_block_up_to_the_cut_is_kept_in_its_version() {
+        use oceanstore_store::SimRemoteStore;
+        // One microsecond of accounted latency per backend call: the
+        // total counts the calls.
+        let remote = |seed| Box::new(SimRemoteStore::new(seed, 1, 0.0));
+        let calls = |store: &ObjectStore| store.blob_store().stats().injected_latency_us;
+        let mut store = ObjectStore::with_backend(remote(1));
+        let (kept, filed) = (Guid::from_label("kept"), Guid::from_label("filed"));
+
+        let (u, name, enc) = appending(1, 48);
+        let record = store.serialize_update(kept, u, name, enc, 0, tid(0));
+        assert_eq!(calls(&store), 0, "a kept block calls no backend");
+        let read = store.read_block(&kept, 0).expect("a data block");
+        assert!(Arc::ptr_eq(read.buffer(), record.update.buffer()), "served from the record");
+        assert_eq!((calls(&store), store.health().fallback_reads), (0, 0));
+        let cid = cid_of(&[1; 48]);
+        assert_eq!(store.slot_cid(&kept, 0), Some(cid));
+        assert_eq!(store.blob_store().refcount(&cid), 0);
+        let health = store.health();
+        assert_eq!((health.blob_count, health.blob_bytes), (1, 48));
+
+        let (u, name, enc) = appending(2, 49);
+        store.serialize_update(filed, u, name, enc, 1, tid(1));
+        let cid = cid_of(&[2; 49]);
+        assert_eq!((calls(&store), store.blob_store().refcount(&cid)), (1, 1), "one put");
+        assert_eq!(store.read_block(&filed, 0).as_deref(), Some(&[2; 49][..]));
+        assert_eq!((calls(&store), store.health().fallback_reads), (2, 0), "one get");
+        assert_eq!(store.slot_cid(&filed, 0), Some(cid));
+        let health = store.health();
+        assert_eq!((health.blob_count, health.blob_bytes), (2, 48 + 49));
+
+        // A new backend: the re-walk puts the filed block and counts the
+        // kept one once.
+        store.set_blob_store(remote(2));
+        assert_eq!(calls(&store), 1);
+        let health = store.health();
+        assert_eq!((health.blob_count, health.blob_bytes), (2, 48 + 49));
     }
 
     #[test]
@@ -790,11 +903,11 @@ mod tests {
         use oceanstore_update::update::Predicate;
         let obj = Guid::from_label("named");
         let mut store = ObjectStore::with_backend(Box::new(MemoryStore::new()));
-        let (u, name, enc) = update(1);
+        let (u, name, enc) = appending(1, FILED);
         store.serialize_update(obj, u, name, enc, 0, tid(0));
         // A skipped clause's ciphertext comes first in encoding order; the
         // chosen clause writes slot 0 twice, then appends.
-        let block = |tag: u8| vec![tag; 4];
+        let block = |tag: u8| vec![tag; FILED];
         let skipped = vec![Action::Append { ciphertext: block(9) }];
         let u = Update::default()
             .with_clause(Predicate::CompareVersion(7), skipped)
@@ -812,6 +925,7 @@ mod tests {
         assert_eq!(store.slot_cid(&obj, 0), Some(cid_of(&block(3))), "the later write names it");
         assert_eq!(store.slot_cid(&obj, 1), Some(cid_of(&block(4))));
         assert_eq!(store.health().blob_count, 2, "only what the object holds is stored");
+        assert_eq!(store.blob_store().dedup_stats().live_cids, 2);
         assert_eq!(store.read_block(&obj, 0).as_deref(), Some(&block(3)[..]));
     }
 
@@ -819,13 +933,26 @@ mod tests {
     fn identical_blocks_dedup_across_objects() {
         let mut store = ObjectStore::new();
         for label in ["a", "b", "c"] {
-            let (u, name, enc) = update(7); // same block bytes everywhere
+            let (u, name, enc) = appending(7, FILED); // same block bytes everywhere
             store.serialize_update(Guid::from_label(label), u, name, enc, 0, tid(0));
         }
         let health = store.health();
         assert_eq!(health.blob_count, 1, "identical content stored once");
         assert_eq!(health.dedup_hits, 2);
-        assert_eq!(health.dedup_bytes_saved, 8);
+        assert_eq!(health.dedup_bytes_saved, 2 * FILED as u64);
+    }
+
+    #[test]
+    fn identical_tiny_blocks_count_once_per_slot() {
+        let mut store = ObjectStore::new();
+        for label in ["a", "b", "c"] {
+            let (u, name, enc) = update(7);
+            store.serialize_update(Guid::from_label(label), u, name, enc, 0, tid(0));
+        }
+        let health = store.health();
+        assert_eq!((health.blob_count, health.blob_bytes), (3, 12), "each kept in its version");
+        assert_eq!((health.dedup_hits, health.dedup_bytes_saved), (0, 0));
+        assert_eq!(store.blob_store().dedup_stats().live_cids, 0, "none filed");
     }
 
     #[test]
@@ -834,19 +961,25 @@ mod tests {
         let provider = SharedStore::new(SimRemoteStore::new(1, 0, 0.0));
         let mut store = ObjectStore::with_backend(Box::new(provider.clone()));
         let obj = Guid::from_label("fallback");
-        let (u, name, enc) = update(9);
+        let (u, name, enc) = appending(9, FILED);
         store.serialize_update(obj, u, name, enc, 0, tid(0));
-        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
+        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![9u8; FILED]);
         assert_eq!(store.health().fallback_reads, 0);
         provider.with(|p| p.set_down(true));
         // The provider is dead; the committed bytes still read.
-        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![9u8; 4]);
+        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![9u8; FILED]);
         assert_eq!(store.health().fallback_reads, 1);
         assert_eq!(
             store.read_object_bytes(&obj).unwrap(),
-            vec![9u8; 4],
+            vec![9u8; FILED],
             "object reads survive provider death via the replica"
         );
+        // A tiny block never reached the provider: it reads from its
+        // version, and no read of it falls back.
+        let (u, name, enc) = update(8);
+        store.serialize_update(obj, u, name, enc, 1, tid(1));
+        assert_eq!(&*store.read_block(&obj, 1).unwrap(), vec![8u8; 4]);
+        assert_eq!(store.health().fallback_reads, 2, "the filed block's read only");
     }
 
     #[test]
@@ -856,16 +989,16 @@ mod tests {
         provider.with(|p| p.set_down(true));
         let mut store = ObjectStore::with_backend(Box::new(provider.clone()));
         let obj = Guid::from_label("dead-writes");
-        let (u, name, enc) = update(4);
+        let (u, name, enc) = appending(4, FILED);
         store.serialize_update(obj, u, name, enc, 0, tid(0));
         assert!(store.health().blob_put_failures > 0);
-        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![4u8; 4], "replica serves");
+        assert_eq!(&*store.read_block(&obj, 0).unwrap(), vec![4u8; FILED], "replica serves");
         // Provider revives: the next commit re-syncs everything pending.
         provider.with(|p| p.set_down(false));
-        let (u, name, enc) = update(5);
+        let (u, name, enc) = appending(5, FILED);
         store.serialize_update(obj, u, name, enc, 1, tid(1));
         assert_eq!(store.health().blob_count, 2, "missed block re-synced on next commit");
-        assert!(provider.clone().has(&cid_of(&[4u8; 4])));
+        assert!(provider.clone().has(&cid_of(&[4u8; FILED])));
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! one block — the record must stop verifying, both on a secondary
 //! (`Secondary::on_commit`) and on a primary adopting it through tier
 //! anti-entropy (`Primary::on_commits`). Then the chain the other way:
-//! every block a replica holds is in its blob store under a CID that a
-//! certified update digest covered, on either store backend.
+//! every block a replica holds is in its blob store, or kept in its
+//! version if tiny, under a CID that a certified update digest covered,
+//! on either store backend.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{
-    build_deployment, disseminator_for, CommitRecord, Deployment, DeploymentOpts,
+    build_deployment, disseminator_for, CommitRecord, Deployment, DeploymentOpts, TINY_BLOCK,
 };
 use oceanstore_sim::{NodeId, SimDuration};
 use oceanstore_store::{cid_of, BlobStore, DirStore, MemoryStore};
@@ -124,7 +125,9 @@ fn a_swapped_block_is_refused_on_both_paths() {
     r.refuses(forged, "swapped block");
 }
 
-/// Update `step` of the chain test: every shape an update can take.
+/// Update `step` of the chain test: every shape an update can take. The
+/// append and the replace write blocks above the cut; the insert's new
+/// block and the last append are tiny ([`TINY_BLOCK`]).
 fn shape(keys: &ObjectKeys, o: &DataObject, step: usize) -> Update {
     let actions = match step {
         0 => {
@@ -132,8 +135,8 @@ fn shape(keys: &ObjectKeys, o: &DataObject, step: usize) -> Update {
             let blocks: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
             return initial_write(keys, b"chain", &blocks, &[b"first"]);
         }
-        1 => append_op(keys, o, b"appended"),
-        2 => replace_op(keys, o, 1, b"replaced"),
+        1 => append_op(keys, o, &[b'a'; 2 * TINY_BLOCK]),
+        2 => replace_op(keys, o, 1, &[b'r'; 2 * TINY_BLOCK]),
         3 => insert_after_op(keys, o, 2, b"inserted"),
         4 => vec![Action::DeleteBlock { position: 0 }],
         _ => {
@@ -147,11 +150,11 @@ fn shape(keys: &ObjectKeys, o: &DataObject, step: usize) -> Update {
 }
 
 /// Every data block a replica holds is in its blob store under its own
-/// CID, and that CID is one a certified update digest of the object's log
-/// covered. Appends, a replace, a Figure 4 insert through an index block,
-/// a delete and search indexes, on both backends: the `dir` backend
-/// re-hashes on read, so a blob filed under the wrong name would read
-/// back as a fallback.
+/// CID, or kept in its version if tiny, and that CID is one a certified
+/// update digest of the object's log covered. Appends, a replace, a
+/// Figure 4 insert through an index block, a delete and search indexes,
+/// on both backends: the `dir` backend re-hashes on read, so a blob filed
+/// under the wrong name would read back as a fallback.
 #[test]
 fn every_held_block_is_named_by_a_certified_digest() {
     let memory = || -> Box<dyn BlobStore> { Box::new(MemoryStore::new()) };
@@ -178,6 +181,7 @@ fn every_held_block_is_named_by_a_certified_digest() {
         }
         let ring = dep.ring_for(&object);
         let (keys, threshold) = (ring.cfg.replica_keys.clone(), ring.cfg.m + 1);
+        let (mut kept, mut filed) = (0, 0);
         for &node in &holders {
             let role = dep.sim.node_mut(node);
             let store = match role.as_primary_mut() {
@@ -194,17 +198,25 @@ fn every_held_block_is_named_by_a_certified_digest() {
             for (slot, block) in version.blocks.iter().enumerate() {
                 let Block::Data(bytes) = block else { continue };
                 let cid = cid_of(bytes);
+                let tiny = bytes.len() <= TINY_BLOCK;
+                *if tiny { &mut kept } else { &mut filed } += 1;
                 let refs = store.blob_store().refcount(&cid);
-                assert!(refs > 0, "{node:?} slot {slot}: not filed under its own CID");
+                if tiny {
+                    assert_eq!(refs, 0, "{node:?} slot {slot}: a tiny block filed");
+                    assert_eq!(store.slot_cid(&object, slot), Some(cid), "{node:?} slot {slot}");
+                } else {
+                    assert!(refs > 0, "{node:?} slot {slot}: not filed under its own CID");
+                }
                 assert!(covered.contains(&cid), "{node:?} slot {slot}: named by a certified digest");
                 let read = store.read_block(&object, slot).expect("a data block");
                 assert_eq!(read, *bytes, "{node:?} slot {slot}: the blob layer holds other bytes");
                 assert!(
-                    !views || Arc::ptr_eq(read.buffer(), bytes.buffer()),
+                    !(views || tiny) || Arc::ptr_eq(read.buffer(), bytes.buffer()),
                     "{node:?} slot {slot}: the blob layer holds a copy"
                 );
             }
             assert_eq!(store.health().fallback_reads, 0, "{node:?}: every read came from the blob");
         }
+        assert!(kept > 0 && filed > 0, "{kept} blocks kept, {filed} filed: both kinds");
     }
 }

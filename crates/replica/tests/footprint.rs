@@ -6,7 +6,10 @@
 //! growth of the whole process's live heap over the run, divided by
 //! secondaries × commits, must stay under [`BOUND`]. The primaries' and
 //! clients' growth is spread over the secondaries too, a small share with
-//! this many of them.
+//! this many of them. An 8-byte block is tiny
+//! ([`oceanstore_replica::TINY_BLOCK`]): it is kept in its version, and
+//! no secondary's blob layer takes a put for it, on whichever backend
+//! `OCEANSTORE_STORE_BACKEND` selects.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -14,6 +17,7 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use oceanstore_naming::guid::Guid;
 use oceanstore_replica::{build_deployment, DeploymentOpts};
 use oceanstore_sim::SimDuration;
+use oceanstore_store::BlobStore;
 use oceanstore_update::update::Action;
 use oceanstore_update::Update;
 
@@ -78,16 +82,17 @@ const OBJECTS: usize = 32;
 const APPENDS: usize = 320;
 
 /// Live heap bytes a secondary may add per committed 8-byte append. The
-/// run reads 338 B: about 250 B a secondary keeps (the record log, the
-/// version slot, the undo entry, the blob-table entry and the rumor id of
-/// each commit, and each object's share of per-object state) and about
-/// 90 B of the primaries' and clients' growth (runs with 24 and 96
-/// secondaries tell the two apart). While a secondary kept some facts of
-/// a commit twice (a slot CID beside the blob-table key, a 40-byte undo
-/// entry, each rumor id beside a copy of its object's GUID) the run read
-/// 445 B, 349 B of it per secondary. The bound leaves 27 B (8 %) of
-/// headroom.
-const BOUND: usize = 365;
+/// run reads 255 B: about 170 B a secondary keeps (the record log, the
+/// version slot, the undo entry and the rumor id of each commit, and each
+/// object's share of per-object state) and about 85 B of the primaries'
+/// and clients' growth (runs with 24 and 96 secondaries read 340 and
+/// 213 B, which tell the two apart). While every node filed each block
+/// in its blob table, a 48-byte entry plus the table's slack, the run
+/// read 338 B, about 250 B of it per secondary; while a secondary kept
+/// some facts of a commit twice (a slot CID beside the blob-table key, a
+/// 40-byte undo entry, each rumor id beside a copy of its object's GUID)
+/// it read 445 B. The bound leaves 21 B (8 %) of headroom.
+const BOUND: usize = 276;
 
 #[test]
 fn a_secondary_keeps_a_bounded_heap_per_commit() {
@@ -117,6 +122,8 @@ fn a_secondary_keeps_a_bounded_heap_per_commit() {
         let store = &dep.secondary(s).store;
         let held: u64 = objects.iter().map(|g| store.get(g).map_or(0, |st| st.next_index)).sum();
         assert_eq!(held, APPENDS as u64, "{s:?} holds every commit");
+        let (dedup, blobs) = (store.blob_store().dedup_stats(), store.blob_store().stats());
+        assert_eq!((dedup.logical_bytes, blobs.puts), (0, 0), "{s:?} filed an 8-byte block");
     }
     let per = (after - before) as f64 / (SECONDARIES * APPENDS) as f64;
     println!("{per:.1} B per secondary per commit (bound {BOUND} B)");

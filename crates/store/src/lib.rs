@@ -24,11 +24,14 @@
 //!   survive via replicas.
 //! * [`DedupStore`] — block-level dedup: refcounted CIDs, counters for
 //!   dedup hits and bytes saved; a blob survives until its last
-//!   reference drops. Every replica and archival node files its blocks
-//!   through one ([`default_store`]). In RAM, the default, it is the
-//!   store itself: one table entry per block holds the count and the
-//!   view. Over a backend whose bytes live elsewhere it keeps the counts
-//!   and calls the backend on the first put and the last delete.
+//!   reference drops. Every archival node files its fragments, and
+//!   every replica each data block larger than 48 B, through one
+//!   ([`default_store`]); a replica keeps a smaller block in its version
+//!   alone, since its table entry would cost more than the block. In
+//!   RAM, the default, it is the store itself: one table entry per block
+//!   holds the count and the view. Over a backend whose bytes live
+//!   elsewhere it keeps the counts and calls the backend on the first
+//!   put and the last delete.
 //! * [`ShardedStore`] — a composite routing each CID by hash range
 //!   (`00-7f → shard A, 80-ff → shard B`), the multi-provider layout of
 //!   the "provider independence" story.

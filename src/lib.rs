@@ -14,7 +14,7 @@
 //! |--------|----------|
 //! | [`sim`] | discrete-event WAN simulator |
 //! | [`crypto`] | SHA-1/SHA-256, HMAC, Merkle trees, Schnorr signatures, position-dependent cipher, searchable encryption |
-//! | [`naming`] | self-certifying GUIDs, directories, SDSI namespaces, ACLs |
+//! | [`naming`] | self-certifying GUIDs, directories, ACLs |
 //! | [`erasure`] | Reed-Solomon + Tornado-style codes |
 //! | [`bloom`] | attenuated Bloom filters, probabilistic location |
 //! | [`plaxton`] | the global location mesh |
